@@ -46,15 +46,9 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		hostProfile = flag.Bool("host-profile", false, "profile this host instead of paper-shaped parameters")
 		gameSpec    = flag.String("game", "gomoku", games.FlagHelp()+" (shapes the -host-profile measurement)")
-		kernel      = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
-	if *kernel != "" {
-		if _, kerr := tensor.SetKernel(*kernel); kerr != nil {
-			fmt.Fprintln(os.Stderr, "batchsweep:", kerr)
-			os.Exit(2)
-		}
-	}
 	ns, err := parseNs(*nsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "batchsweep:", err)

@@ -31,15 +31,9 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		hostProfile = flag.Bool("host-profile", false, "profile this host instead of paper-shaped parameters")
 		gameSpec    = flag.String("game", "gomoku", games.FlagHelp()+" (shapes the -host-profile measurement)")
-		kernel      = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
-	if *kernel != "" {
-		if _, err := tensor.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "latency:", err)
-			os.Exit(2)
-		}
-	}
 
 	var ns []int
 	for _, part := range strings.Split(*nsFlag, ",") {

@@ -55,20 +55,14 @@ func main() {
 		bookPath  = flag.String("book", "", "serve opening moves from this precomputed book (see cmd/bookgen)")
 		fullNet   = flag.Bool("full-net", false, "use the full 5-conv+3-FC network")
 		backend   = flag.String("backend", "", "accel backend for -platform gpu: "+strings.Join(accel.BackendNames(), ", ")+" (default hosted)")
-		kernel    = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)")
 		savePath  = flag.String("save", "", "write the trained network here")
 		seed      = flag.Uint64("seed", 1, "run seed")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
 	if *nGames < 1 {
 		fmt.Fprintln(os.Stderr, "selfplay: -games must be >= 1")
 		os.Exit(2)
-	}
-	if *kernel != "" {
-		if _, err := tensor.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "selfplay:", err)
-			os.Exit(2)
-		}
 	}
 
 	g := games.ResolveFlag("selfplay", *gameSpec, "gomoku:9")

@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -60,22 +59,16 @@ func main() {
 
 		cacheSize = flag.Int("cache", 1<<16, "shared evaluation cache entries (0 = default, negative disables)")
 		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
-		kernel    = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available)")
 
 		ckptDir = flag.String("ckpt", "", "serve the latest network from this checkpoint store (cmd/train -ckpt)")
 		fullNet = flag.Bool("full-net", false, "without -ckpt: serve a fresh full 5-conv+3-FC network instead of the tiny one")
 		seed    = flag.Uint64("seed", 1, "run seed (fresh-network init and per-session search seeds)")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	}
-	if *kernel != "" {
-		if _, err := tensor.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(2)
-		}
 	}
 
 	g := games.ResolveFlag("serve", *gameSpec, "tictactoe")

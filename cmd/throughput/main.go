@@ -37,18 +37,12 @@ func main() {
 		episodes  = flag.Int("episodes", 2, "self-play episodes per configuration")
 		platform  = flag.String("platform", "both", "cpu, gpu, or both")
 		backend   = flag.String("backend", "", "accel backend for the gpu platform: "+strings.Join(accel.BackendNames(), ", ")+" (default hosted)")
-		kernel    = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)")
 		fullNet   = flag.Bool("full-net", false, "use the full 5-conv+3-FC network")
 		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
 		csv       = flag.Bool("csv", false, "emit CSV")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
-	if *kernel != "" {
-		if _, err := tensor.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "throughput:", err)
-			os.Exit(2)
-		}
-	}
 
 	var ns []int
 	for _, part := range strings.Split(*nsFlag, ",") {

@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
@@ -124,19 +123,13 @@ func main() {
 		quantGate    = flag.Bool("quantize-gate", false, "after training, arena-gate an int8 quantization of the final network against its fp32 source")
 		quantWinRate = flag.Float64("quantize-win-rate", 0.45, "score the quantized network must reach against its fp32 source")
 		quantCalib   = flag.Int("quantize-calib", 256, "replay samples used to calibrate int8 activation scales")
-		kernel       = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)")
 		seed         = flag.Uint64("seed", 1, "run seed")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
 	if *nGames < 1 || *workers < 1 || *rounds < 1 {
 		fmt.Fprintln(os.Stderr, "train: -games, -workers and -rounds must be >= 1")
 		os.Exit(2)
-	}
-	if *kernel != "" {
-		if _, kerr := tensor.SetKernel(*kernel); kerr != nil {
-			fmt.Fprintln(os.Stderr, "train:", kerr)
-			os.Exit(2)
-		}
 	}
 
 	g := games.ResolveFlag("train", *gameSpec, "gomoku:9")

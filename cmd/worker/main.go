@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"github.com/parmcts/parmcts/internal/dist"
@@ -40,9 +39,9 @@ func main() {
 		workers     = flag.Int("workers", 4, "inference threads of the local service; also each game's in-flight bound")
 		rounds      = flag.Int("rounds", 0, "generation rounds to play (0 = until signalled)")
 		buffer      = flag.Int("buffer", 256, "episodes buffered while disconnected (oldest dropped when full)")
-		kernel      = flag.String("kernel", "", "force the tensor micro-kernel class: "+strings.Join(tensor.Kernels(), ", ")+" (default: best available)")
 		seed        = flag.Uint64("seed", 1, "run seed")
 	)
+	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
 	if *learnerAddr == "" {
 		fmt.Fprintln(os.Stderr, "worker: -learner is required")
@@ -51,12 +50,6 @@ func main() {
 	if *nGames < 1 || *workers < 1 {
 		fmt.Fprintln(os.Stderr, "worker: -games and -workers must be >= 1")
 		os.Exit(2)
-	}
-	if *kernel != "" {
-		if _, kerr := tensor.SetKernel(*kernel); kerr != nil {
-			fmt.Fprintln(os.Stderr, "worker:", kerr)
-			os.Exit(2)
-		}
 	}
 	if *id == "" {
 		*id = fmt.Sprintf("worker-%d", os.Getpid())

@@ -8,6 +8,20 @@
 // 3) — together with the performance models (Equations 3-6), the
 // design-time profiling workflow, the O(log N) accelerator batch-size
 // search (Algorithm 4), and the adaptive framework that selects among them.
+//
+// The two algorithms run the same rollout and differ in who schedules it
+// and how the network's answer is awaited, and internal/mcts is built that
+// way: one step (descend by PUCT, resolve a terminal or transposed leaf
+// without the network, otherwise evaluate, expand, back up), parameterised
+// by the virtual-loss mode and by inline versus awaited evaluation, and
+// four schedulers over it — Serial (the calling thread, back to back),
+// Shared (N ticketed goroutines on a locked tree), Local (a lock-free
+// master that submits leaves and finishes them on completion) and the
+// LeafParallel baseline (serial with a K-fold evaluation fan-out);
+// RootParallel composes serial sub-searches. One Search skeleton and one
+// session wrap all of them, so cross-engine equivalence at concurrency 1
+// and complete per-phase accounting (mcts.Config.Profile: select, eval,
+// expand and backup time sum to each rollout) hold by construction.
 // Every substrate is built from scratch on the standard library: the
 // policy/value network (5 conv + 3 FC with training), the game
 // environments behind one registry (the Scenarios section below lists the
@@ -56,11 +70,13 @@
 // carries the service's central guarantee: the flush timer is armed by the
 // first request of each buffer generation, so no submitted request ever
 // waits longer than the deadline before its batch launches. That guarantee
-// is what lets an mcts.Local master simply block on completions instead of
-// running the Idle()/Flush() handshake, and what keeps a straggler game
-// from deadlocking on co-tenants that already finished. The classic
-// single-search backends (evaluate.Pool, BatchedSync, BatchedAsync) are
-// thin one-tenant clients of the same Server.
+// is what lets an mcts.Local master simply block in Client.Next, and what
+// keeps a straggler game from deadlocking on co-tenants that already
+// finished; on a private queue without a deadline Next itself pushes the
+// partial batch nothing else would launch, so no engine carries a flush
+// handshake. The classic single-search backends are one-tenant deployments
+// of the same Server: evaluate.NewPool and NewBatchedAsync return the Client
+// of a private server it owns, BatchedSync wraps a synchronous one.
 //
 // On top of the service, internal/selfplay runs G self-play games
 // concurrently — each game a tenant with its own local-tree master, all
@@ -135,7 +151,7 @@
 // shared-stats pointers across move boundaries (property-tested), and the
 // cross-engine equivalence suite extends to the DAG: Serial, Shared,
 // Local and LeafParallel at concurrency 1 stay bitwise move-identical
-// with tables enabled. The same hash+verify discipline keys the
+// with tables enabled (they run one probe sequence, in the shared step). The same hash+verify discipline keys the
 // evaluation cache (evaluate.HashedEvaluator): a probe costs a map
 // lookup and a byte comparison instead of re-encoding the plane tensor
 // and hashing every float, which makes cache hits ~55x cheaper

@@ -4,18 +4,19 @@
 //
 //   - NN: synchronous on-thread inference — one shared-tree worker
 //     evaluating its own leaf on its own CPU thread.
-//   - Pool: an asynchronous worker pool over any synchronous evaluator —
+//   - NewPool: an asynchronous worker pool over any synchronous evaluator —
 //     the local-tree scheme's N inference threads fed by FIFO pipes.
 //   - BatchedSync: the accelerator queue with threshold flushing for the
 //     shared-tree + GPU configuration (batch size is always the worker
 //     count; Section 3.3).
-//   - BatchedAsync: the accelerator queue with sub-batch size B and
+//   - NewBatchedAsync: the accelerator queue with sub-batch size B and
 //     stream-style overlapped submissions for the local-tree + GPU
 //     configuration (the subject of the Algorithm 4 batch-size search).
 //
-// All three are thin clients of the multi-tenant inference Server (see
-// server.go): each private backend is a one-tenant deployment of the same
-// shared batcher that multi-game drivers share across G searches. A Random
+// All three are one-tenant deployments of the multi-tenant inference Server
+// (see server.go) — the same shared batcher that multi-game drivers share
+// across G searches: NewPool and NewBatchedAsync return the Client itself,
+// which owns and closes its private Server. A Random
 // evaluator with a configurable synthetic latency supports the design-time
 // profiling runs, which the paper performs with a DNN "filled with random
 // parameters".
@@ -63,20 +64,19 @@ type Evaluator interface {
 	Evaluate(input []float32, policy []float32) float64
 }
 
-// Async is the asynchronous interface used by the local-tree master thread.
+// Async is the asynchronous interface used by the local-tree master thread;
+// *Client is its implementation.
 type Async interface {
 	// Submit enqueues a request; completion is announced on Completions.
 	Submit(*Request)
-	// Completions delivers finished requests in completion order.
+	// Completions delivers finished requests in completion order, for
+	// callers that poll without blocking.
 	Completions() <-chan *Request
-	// Flush forces any internally buffered requests (partial accelerator
-	// batches) to be processed.
-	Flush()
-	// Idle reports whether no completion can arrive without a Flush —
-	// i.e. every submitted request is sitting in an internal buffer and
-	// nothing is executing. The local-tree master checks this before
-	// blocking, to avoid deadlocking on a partial batch.
-	Idle() bool
+	// Next blocks for the next completion. On a queue without a flush
+	// deadline it first pushes a partial batch nothing else would launch,
+	// so a caller about to wait on its own buffered requests cannot
+	// deadlock.
+	Next() *Request
 	// Close releases worker goroutines. No Submit may follow.
 	Close()
 }
@@ -179,19 +179,14 @@ func (e *Random) Evaluate(input []float32, policy []float32) float64 {
 	return r.Float64()*0.2 - 0.1
 }
 
-// Pool runs a synchronous evaluator on a fixed set of worker goroutines —
-// the local-tree scheme's inference thread pool (Figure 2a). It is a
-// one-tenant deployment of the shared Server: batch size 1, an
-// EvaluatorBackend bounding concurrency to the worker count, and
-// backpressure standing in for the bounded FIFO pipe.
-type Pool struct {
-	srv *Server
-	cl  *Client
-}
-
-// NewPool starts a pool evaluating with eval on up to workers concurrent
-// evaluations.
-func NewPool(eval Evaluator, workers int) *Pool {
+// NewPool runs a synchronous evaluator on a fixed set of worker goroutines —
+// the local-tree scheme's inference thread pool (Figure 2a) — evaluating
+// with eval on up to workers concurrent evaluations. It is a one-tenant
+// deployment of the shared Server: batch size 1 (nothing is ever buffered),
+// an EvaluatorBackend bounding concurrency to the worker count, and
+// backpressure standing in for the bounded FIFO pipe. Closing the returned
+// client closes the server.
+func NewPool(eval Evaluator, workers int) *Client {
 	if workers < 1 {
 		panic("evaluate: pool needs at least one worker")
 	}
@@ -202,26 +197,7 @@ func NewPool(eval Evaluator, workers int) *Pool {
 		// thread, exactly the seed pool's topology — no per-playout spawn.
 		LaunchWorkers: workers,
 	})
-	return &Pool{srv: srv, cl: srv.NewClient(workers * 4)}
-}
-
-// Submit implements Async.
-func (p *Pool) Submit(req *Request) { p.cl.Submit(req) }
-
-// Completions implements Async.
-func (p *Pool) Completions() <-chan *Request { return p.cl.Completions() }
-
-// Flush implements Async (the pool buffers nothing: batch size is 1).
-func (p *Pool) Flush() {}
-
-// Idle implements Async: the pool never buffers, so every submitted request
-// eventually completes without intervention.
-func (p *Pool) Idle() bool { return false }
-
-// Close implements Async.
-func (p *Pool) Close() {
-	p.cl.Close()
-	p.srv.Close()
+	return srv.newOwnedClient(workers * 4)
 }
 
 // BatchedSync adapts a batched accelerator device to the synchronous
@@ -256,13 +232,7 @@ func NewBatchedSyncDeadline(dev accel.Device, threshold int, deadline time.Durat
 
 // Evaluate implements Evaluator.
 func (b *BatchedSync) Evaluate(input []float32, policy []float32) float64 {
-	req := AcquireRequest()
-	req.Input, req.Policy = input, policy
-	b.cl.Submit(req)
-	req.wait()
-	v := req.Value
-	ReleaseRequest(req)
-	return v
+	return b.cl.Evaluate(input, policy)
 }
 
 // Server exposes the underlying service (shared across co-tenant engines).
@@ -278,20 +248,16 @@ func (b *BatchedSync) Close() {
 	b.srv.Close()
 }
 
-// BatchedAsync adapts a batched accelerator device to the Async interface
-// with sub-batch size B: every B submissions launch one device call on its
-// own goroutine ("CUDA stream"), so transfers and compute overlap with the
-// master thread's in-tree operations exactly as in Section 3.3. It is an
-// async client of a one-tenant Server.
-type BatchedAsync struct {
-	srv *Server
-	cl  *Client
-}
-
-// NewBatchedAsync creates the adapter with sub-batch size batch.
-// maxOutstanding bounds the requests in flight (backpressure): Submit
-// blocks once 2*maxOutstanding requests are buffered or executing.
-func NewBatchedAsync(dev accel.Device, batch, maxOutstanding int) *BatchedAsync {
+// NewBatchedAsync adapts a batched accelerator device to the Async
+// interface with sub-batch size batch: every batch submissions launch one
+// device call on its own goroutine ("CUDA stream"), so transfers and compute
+// overlap with the master thread's in-tree operations exactly as in Section
+// 3.3. maxOutstanding bounds the requests in flight (backpressure): Submit
+// blocks once 2*maxOutstanding requests are buffered or executing. The
+// queue has no flush deadline; a master that must wait calls Next, which
+// pushes the partial batch. The returned client is the one tenant of a
+// private Server and closes it.
+func NewBatchedAsync(dev accel.Device, batch, maxOutstanding int) *Client {
 	if maxOutstanding < batch {
 		maxOutstanding = batch
 	}
@@ -299,26 +265,5 @@ func NewBatchedAsync(dev accel.Device, batch, maxOutstanding int) *BatchedAsync 
 		Batch:          batch,
 		MaxOutstanding: maxOutstanding * 2,
 	})
-	return &BatchedAsync{srv: srv, cl: srv.NewClient(maxOutstanding * 2)}
-}
-
-// Idle implements Async.
-func (b *BatchedAsync) Idle() bool { return b.cl.Idle() }
-
-// Submit implements Async.
-func (b *BatchedAsync) Submit(req *Request) { b.cl.Submit(req) }
-
-// Completions implements Async.
-func (b *BatchedAsync) Completions() <-chan *Request { return b.cl.Completions() }
-
-// Flush implements Async: submits any partial batch immediately.
-func (b *BatchedAsync) Flush() { b.cl.Flush() }
-
-// Server exposes the underlying service.
-func (b *BatchedAsync) Server() *Server { return b.srv }
-
-// Close implements Async.
-func (b *BatchedAsync) Close() {
-	b.cl.Close()
-	b.srv.Close()
+	return srv.newOwnedClient(maxOutstanding * 2)
 }

@@ -184,6 +184,9 @@ func TestPoolProcessesAllRequests(t *testing.T) {
 	if _, ok := <-p.Completions(); ok {
 		t.Fatal("completions channel should be closed")
 	}
+	if !p.Server().closed.Load() {
+		t.Fatal("closing the pool's client left its private server running")
+	}
 }
 
 func TestPoolPanicsOnZeroWorkers(t *testing.T) {
@@ -233,7 +236,7 @@ func TestBatchedSyncDrainReleasesPartialBatch(t *testing.T) {
 func TestBatchedAsyncDeliversAll(t *testing.T) {
 	dev := accel.NewModel(accel.DefaultCostModel())
 	b := NewBatchedAsync(dev, 3, 16)
-	const n = 20 // not a multiple of 3: exercises Flush
+	const n = 20 // not a multiple of 3: the last two only move when Next pushes them
 	for i := 0; i < n; i++ {
 		b.Submit(&Request{
 			Input:  testInput(uint64(i), 36),
@@ -241,15 +244,20 @@ func TestBatchedAsyncDeliversAll(t *testing.T) {
 			Tag:    int64(i),
 		})
 	}
-	b.Flush()
+	tags := make(chan int64, n)
+	go func() {
+		for i := 0; i < n; i++ {
+			tags <- b.Next().Tag
+		}
+	}()
 	seen := make(map[int64]bool)
 	for i := 0; i < n; i++ {
 		select {
-		case req := <-b.Completions():
-			if seen[req.Tag] {
-				t.Fatalf("duplicate completion %d", req.Tag)
+		case tag := <-tags:
+			if seen[tag] {
+				t.Fatalf("duplicate completion %d", tag)
 			}
-			seen[req.Tag] = true
+			seen[tag] = true
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out after %d completions", i)
 		}

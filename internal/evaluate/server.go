@@ -478,6 +478,14 @@ func (s *Server) NewClient(buffer int) *Client {
 	return &Client{srv: s, completions: make(chan *Request, buffer)}
 }
 
+// newOwnedClient registers the one asynchronous tenant of a private server
+// (NewPool, NewBatchedAsync): closing the client also closes the server.
+func (s *Server) newOwnedClient(buffer int) *Client {
+	c := s.NewClient(buffer)
+	c.ownsServer = true
+	return c
+}
+
 // NewSyncClient registers a synchronous tenant: completions are signalled on
 // each request's private done channel instead of a completions stream. Only
 // pooled requests (AcquireRequest) may be submitted through it.
@@ -485,15 +493,18 @@ func (s *Server) NewSyncClient() *Client {
 	return &Client{srv: s, syncMode: true}
 }
 
-// Client is one tenant's handle on a shared Server. It implements Async, so
-// an mcts.Local master can use a shared service exactly like a private
-// evaluator queue. With a flush deadline configured on the server, Idle is
-// constant-false: the master never needs the Idle()/Flush() handshake,
-// because the deadline guarantees every buffered request launches.
+// Client is one tenant's handle on a Server, shared or private. It
+// implements Async, so an mcts.Local master uses a shared service exactly
+// like a private evaluator queue: it blocks in Next, and whether a partial
+// batch launches by the server's flush deadline or by Next's own push is
+// the client's business, not the engine's.
 type Client struct {
 	srv         *Server
 	completions chan *Request
 	syncMode    bool
+	// ownsServer marks the one tenant of a private server: Close closes
+	// the server too.
+	ownsServer bool
 
 	// pin, when non-zero, stamps every submission with that model version
 	// instead of the server's current one (see Pin).
@@ -504,6 +515,9 @@ type Client struct {
 	drained     *sync.Cond
 	closed      bool
 }
+
+// Server exposes the service this client submits to.
+func (c *Client) Server() *Server { return c.srv }
 
 // Pin routes all subsequent Submits to the given registered model version,
 // regardless of later SwapBackend calls. Fleet drivers pin each tenant to
@@ -553,20 +567,18 @@ func (c *Client) deliver(req *Request) {
 // Completions implements Async. It is nil for sync-mode clients.
 func (c *Client) Completions() <-chan *Request { return c.completions }
 
-// Flush implements Async: it flushes the shared buffer (which may also
-// launch co-tenants' buffered requests — flushing is a service-wide action).
-func (c *Client) Flush() { c.srv.Flush() }
-
-// Idle implements Async. With a deadline-flushing server the client is
-// never stuck on a partial batch — the timer launches it — so Idle reports
-// false and the master simply blocks on Completions. Without a deadline it
-// mirrors the classic accelerator-queue semantics: true when no launch is
-// executing, i.e. a Flush is required for any completion to arrive.
-func (c *Client) Idle() bool {
-	if c.srv.cfg.FlushDeadline > 0 {
-		return false
+// Next implements Async: it blocks for this tenant's next completion. With
+// a deadline-flushing server the client is never stuck on a partial batch —
+// the timer launches it — so Next only waits. Without a deadline it keeps
+// the classic accelerator-queue semantics: when no launch is executing, no
+// completion can arrive until the buffered partial batch is pushed to the
+// device, so Next flushes it first (a service-wide action: co-tenants'
+// buffered requests launch with it).
+func (c *Client) Next() *Request {
+	if c.srv.cfg.FlushDeadline == 0 && c.srv.InFlightBatches() == 0 {
+		c.srv.Flush()
 	}
-	return c.srv.InFlightBatches() == 0
+	return <-c.completions
 }
 
 // Evaluate adapts a sync-mode client to the Evaluator interface: it submits
@@ -595,8 +607,9 @@ func (c *Client) Outstanding() int {
 
 // Close implements Async: it flushes the service so none of this tenant's
 // requests are stranded in the shared buffer, waits until all of them have
-// been delivered, and closes the completions stream. The Server stays open
-// for other tenants.
+// been delivered, and closes the completions stream. A shared Server stays
+// open for other tenants; a private one (NewPool, NewBatchedAsync) is
+// closed with its only client.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -618,6 +631,9 @@ func (c *Client) Close() {
 	c.mu.Unlock()
 	if !c.syncMode {
 		close(c.completions)
+	}
+	if c.ownsServer {
+		c.srv.Close()
 	}
 }
 

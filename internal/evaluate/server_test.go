@@ -90,6 +90,56 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 	srv.Close()
 }
 
+// TestClientNext pins both halves of the handshake Next took over from the
+// engines. On a threshold-only queue a caller about to block on its own
+// buffered requests must not deadlock: with nothing executing, Next pushes
+// the partial batch. Under a flush deadline Next only waits — the timer owns
+// the launch, and pushing early would shrink the co-tenants' batches.
+func TestClientNext(t *testing.T) {
+	newReq := func(i int) *Request {
+		return &Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4), Tag: int64(i)}
+	}
+	next := func(cl *Client) <-chan *Request {
+		got := make(chan *Request, 1)
+		go func() { got <- cl.Next() }()
+		return got
+	}
+
+	backend := &recordingBackend{}
+	srv := NewServer(backend, ServerConfig{Batch: 64})
+	cl := srv.NewClient(8)
+	cl.Submit(newReq(0))
+	cl.Submit(newReq(1))
+	select {
+	case <-next(cl):
+	case <-time.After(2 * time.Second):
+		t.Fatal("Next blocked on a partial batch of a deadline-less queue")
+	}
+	<-next(cl)
+	if _, sizes := backend.snapshot(); len(sizes) != 1 || sizes[0] != 2 {
+		t.Fatalf("expected Next to push one 2-request batch, got %v", sizes)
+	}
+	cl.Close()
+	srv.Close()
+
+	const deadline = 20 * time.Millisecond
+	backend = &recordingBackend{}
+	srv = NewServer(backend, ServerConfig{Batch: 64, FlushDeadline: deadline})
+	cl = srv.NewClient(8)
+	submitted := time.Now()
+	cl.Submit(newReq(0))
+	select {
+	case <-next(cl):
+	case <-time.After(10 * deadline):
+		t.Fatal("deadline flush never launched the partial batch")
+	}
+	if launches, _ := backend.snapshot(); launches[0].Sub(submitted) < deadline/2 {
+		t.Fatalf("batch launched %v after submit: Next flushed a deadline queue", launches[0].Sub(submitted))
+	}
+	cl.Close()
+	srv.Close()
+}
+
 // TestServerThresholdPreemptsDeadline: a full batch launches immediately,
 // not at the deadline.
 func TestServerThresholdPreemptsDeadline(t *testing.T) {

@@ -105,16 +105,19 @@ func (e *RootParallel) Search(st game.State, dist []float32) Stats {
 // deterministic DNN evaluator the K evaluations are redundant — exactly the
 // "wasted parallelism due to the lack of diverse evaluation coverage" the
 // paper cites — which the experiments quantify.
+//
+// As a scheduler it is Serial with the evaluation awaited: one rollout at a
+// time, no virtual loss, and each leaf the core returns is fanned out K-fold
+// before the rollout is finished. A leaf served from the transposition
+// table skips the fan-out entirely. The sequential tree persists between
+// moves, so the baseline participates in subtree reuse like Serial.
 type LeafParallel struct {
-	s     session
-	k     int
+	core
 	async evaluate.Async
-	r     *rng.Rand
-
-	input   []float32
-	actions []int
-	priors  []float32
-	key     []byte
+	// reqs are the K engine-lifetime requests of one fan-out: the rollout
+	// context's own, then K-1 more that share its encoded input and own a
+	// policy buffer each.
+	reqs []*evaluate.Request
 }
 
 // NewLeafParallel creates the baseline with K parallel evaluations per leaf.
@@ -122,118 +125,42 @@ func NewLeafParallel(cfg Config, k int, async evaluate.Async) *LeafParallel {
 	if k < 1 {
 		panic("mcts: leaf-parallel needs K >= 1")
 	}
-	return &LeafParallel{s: session{cfg: cfg}, k: k, async: async, r: rng.New(cfg.Seed)}
+	e := &LeafParallel{async: async, reqs: make([]*evaluate.Request, k)}
+	e.init(cfg, vlOff, nil, 1)
+	return e
 }
 
 // Name implements Engine.
 func (e *LeafParallel) Name() string { return "leaf-parallel" }
 
-// Close implements Engine: drains an in-flight Search/Advance and releases
-// the tree (see session.close).
-func (e *LeafParallel) Close() { e.s.close() }
-
-// Advance implements Engine. The sequential tree persists between moves,
-// so the baseline participates in subtree reuse like the serial engine.
-func (e *LeafParallel) Advance(action int) { e.s.advance(action) }
-
 // Search implements Engine.
-func (e *LeafParallel) Search(st game.State, dist []float32) Stats {
-	if bs, ok := bookServe(e.s.cfg, st, dist); ok {
-		return bs
+func (e *LeafParallel) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+
+func (e *LeafParallel) run(root game.State, budget int) {
+	sc := &e.scratch[0]
+	if e.reqs[0] == nil {
+		e.reqs[0] = &sc.req
+		for i := range e.reqs[1:] {
+			e.reqs[i+1] = &evaluate.Request{Input: sc.req.Input, Policy: make([]float32, len(sc.req.Policy))}
+		}
 	}
-	e.s.mu.Lock()
-	defer e.s.mu.Unlock()
-	var stats Stats
-	_, budget := e.s.prepare(st, &stats, rootNoiseRemix(e.s.cfg, e.r))
-	c, h, w := st.EncodedShape()
-	if e.input == nil {
-		e.input = make([]float32, c*h*w)
-		e.priors = make([]float32, st.NumActions())
-	}
-	start := time.Now()
 	for p := 0; p < budget; p++ {
-		e.rollout(st, &stats)
-	}
-	stats.Playouts = budget
-	stats.Duration = time.Since(start)
-	e.s.finish(&stats)
-	e.s.tr.VisitDistribution(dist)
-	return stats
-}
-
-func (e *LeafParallel) rollout(root game.State, stats *Stats) {
-	tr := e.s.tr
-	st := root.Clone()
-	idx := tr.Root()
-	depth := 0
-	for tr.Node(idx).Expanded() {
-		idx = tr.SelectChild(idx)
-		st.Play(tr.Node(idx).Action())
-		depth++
-	}
-	stats.SumDepth += depth
-
-	nd := tr.Node(idx)
-	var value float64
-	switch {
-	case nd.Terminal():
-		value = nd.TerminalValue()
-		stats.TerminalHits++
-	case st.Terminal():
-		value = terminalValue(st)
-		tr.MarkTerminal(idx, value)
-		stats.TerminalHits++
-	default:
-		var entry *tree.TransEntry
-		if tt := e.s.tt; tt != nil {
-			entry, e.key = transProbe(tt, tr, st, idx, e.key)
-			if v, acts, prs, ok := entry.LoadEval(e.actions[:0], e.priors[:0]); ok {
-				// Served from the transposition table: the K-fold fan-out
-				// (already redundant under a deterministic evaluator) is
-				// skipped entirely.
-				value = v
-				e.actions = acts
-				if idx == tr.Root() {
-					applyRootNoise(e.s.cfg, e.r, prs)
-				}
-				tr.Expand(idx, e.actions, prs)
-				stats.Expansions++
-				stats.TransHits++
-				break
-			}
+		if e.rollout(root, sc) {
+			continue
 		}
-		// Fan out K evaluations of the same state, average the values.
-		st.Encode(e.input)
-		reqs := make([]*evaluate.Request, e.k)
-		for i := range reqs {
-			reqs[i] = &evaluate.Request{
-				Input:  e.input,
-				Policy: make([]float32, st.NumActions()),
-			}
-			e.async.Submit(reqs[i])
+		// Fan out K evaluations of the same state; average the values and
+		// keep the policy of the last one to complete.
+		for _, req := range e.reqs {
+			e.async.Submit(req)
 		}
-		e.async.Flush()
 		var sum float64
-		var lastPolicy []float32
-		for i := 0; i < e.k; i++ {
-			req := <-e.async.Completions()
-			sum += req.Value
-			lastPolicy = req.Policy
+		var last *evaluate.Request
+		for range e.reqs {
+			last = e.async.Next()
+			sum += last.Value
 		}
-		value = sum / float64(e.k)
-		stats.Evaluations += e.k
-		e.actions = st.LegalMoves(e.actions[:0])
-		priors := e.priors[:len(e.actions)]
-		maskedPriors(lastPolicy, e.actions, priors)
-		if entry != nil {
-			// Publish the clean (pre-noise) priors for transposed lines.
-			entry.StoreEval(value, e.actions, priors)
-		}
-		if idx == tr.Root() {
-			applyRootNoise(e.s.cfg, e.r, priors)
-		}
-		tr.Expand(idx, e.actions, priors)
-		stats.Expansions++
+		sc.stats.Evaluations += len(e.reqs)
+		sc.lap(&sc.stats.EvalTime)
+		e.finish(sc, sum/float64(len(e.reqs)), last.Policy)
 	}
-	tr.Backup(idx, value, false)
 }

@@ -1,12 +1,8 @@
 package mcts
 
 import (
-	"time"
-
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
-	"github.com/parmcts/parmcts/internal/rng"
-	"github.com/parmcts/parmcts/internal/tree"
 )
 
 // Local implements Algorithm 3: a centralized master thread owns the
@@ -15,245 +11,91 @@ import (
 // evaluator — either an inference thread pool (CPU) or a batched
 // accelerator with sub-batch size B (GPU, Section 3.3).
 //
-// The master executes the rollout_n_times loop: it keeps selecting leaves
-// and submitting evaluation requests while fewer than MaxInFlight are
-// outstanding; otherwise it waits for a completion, expands the leaf with
-// the returned priors, and backs the value up.
+// As a scheduler it is the rollout_n_times loop: the master keeps running
+// the core's rollout — owner-side virtual loss, evaluation awaited — and
+// submitting the leaves it returns while fewer than MaxInFlight are
+// outstanding; otherwise it waits for a completion and finishes that
+// rollout with the returned priors and value. Every operation belongs to
+// the single master thread; Search never returns with an evaluation
+// outstanding, so Advance and Close always find a quiescent tree.
 type Local struct {
-	s           session
-	async       evaluate.Async
-	maxInFlight int
-	r           *rng.Rand
-	free        []*localJob
-
-	// master-thread scratch for the transposition-hit fast path.
-	actions []int
-	priors  []float32
-	key     []byte
-}
-
-// localJob carries the state a completion needs to expand its leaf.
-type localJob struct {
-	req     evaluate.Request
-	leaf    int32
-	actions []int
-	priors  []float32
-	// entry, when non-nil, is the transposition entry the leaf was
-	// attached to at submit time; the completion publishes its evaluation
-	// there.
-	entry *tree.TransEntry
+	core
+	async evaluate.Async
+	// free stacks the rollout contexts not carrying an outstanding
+	// evaluation; the core owns MaxInFlight of them.
+	free []*scratch
 }
 
 // NewLocal creates a local-tree engine. maxInFlight is the worker-pool
 // size N: the master waits once that many evaluations are outstanding
-// (Algorithm 3 line 12).
+// (Algorithm 3 line 12). The engine does not own async; the caller closes
+// it (it may be shared across moves and engines).
 func NewLocal(cfg Config, async evaluate.Async, maxInFlight int) *Local {
 	if maxInFlight < 1 {
 		panic("mcts: local engine needs maxInFlight >= 1")
 	}
-	return &Local{s: session{cfg: cfg}, async: async, maxInFlight: maxInFlight, r: rng.New(cfg.Seed)}
+	e := &Local{async: async}
+	e.init(cfg, vlOwner, nil, maxInFlight)
+	for i := range e.scratch {
+		e.free = append(e.free, &e.scratch[i])
+	}
+	return e
 }
 
 // Name implements Engine.
 func (e *Local) Name() string { return "local" }
 
-// Close implements Engine. The engine does not own the Async evaluator —
-// the caller closes it (it may be shared across moves) — but Close does
-// block until an in-flight Search or Advance drains and then releases the
-// tree, so a session pool can evict the engine while a move is searching:
-// Search never returns with an evaluation outstanding, so after the session
-// mutex is acquired nothing of this engine's is in flight.
-func (e *Local) Close() { e.s.close() }
-
-// Advance implements Engine. Like every Local operation it belongs to the
-// single master thread; the session lock orders it against Search, and
-// Search never returns with an evaluation outstanding (its loop only
-// exits once every submitted request has completed, backing up and
-// releasing its virtual loss), so a rebase always runs on a quiescent
-// tree.
-func (e *Local) Advance(action int) { e.s.advance(action) }
-
 // MaxInFlight returns the outstanding-evaluation bound.
-func (e *Local) MaxInFlight() int { return e.maxInFlight }
+func (e *Local) MaxInFlight() int { return len(e.scratch) }
 
 // Search implements Engine.
-func (e *Local) Search(st game.State, dist []float32) Stats {
-	if bs, ok := bookServe(e.s.cfg, st, dist); ok {
-		return bs
-	}
-	e.s.mu.Lock()
-	defer e.s.mu.Unlock()
-	var stats Stats
-	_, budget := e.s.prepare(st, &stats, rootNoiseRemix(e.s.cfg, e.r))
-	start := time.Now()
+func (e *Local) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
 
+func (e *Local) run(root game.State, budget int) {
 	submitted, completed, inflight := 0, 0, 0
 	for completed < budget {
 		// Opportunistically drain finished evaluations.
+	drain:
 		for inflight > 0 {
 			select {
 			case req := <-e.async.Completions():
-				e.finish(req, &stats)
+				e.complete(req)
 				inflight--
 				completed++
 			default:
-				goto drained
+				break drain
 			}
 		}
-	drained:
-		if submitted < budget && inflight < e.maxInFlight {
-			sync := e.selectAndSubmit(st, &stats)
+		if submitted < budget && inflight < len(e.scratch) {
+			sc := e.free[len(e.free)-1]
 			submitted++
-			if sync {
-				completed++ // terminal rollout: no evaluation needed
-			} else {
-				inflight++
+			if e.rollout(root, sc) {
+				completed++ // resolved without the network: no request left the master
+				continue
 			}
+			e.free = e.free[:len(e.free)-1]
+			e.async.Submit(&sc.req)
+			sc.stats.Evaluations++
+			sc.lap(&sc.stats.EvalTime)
+			inflight++
 			continue
 		}
 		if completed >= budget {
 			break
 		}
 		// Master must wait (thread pool full, or budget fully submitted).
-		// With a deadline-flushing evaluate.Server client, Idle is
-		// constant-false and this handshake disappears: the master simply
-		// blocks and the service's flush timer guarantees the partial batch
-		// launches. The check remains for deadline-less queues
-		// (BatchedAsync), whose partial batches only move when pushed.
-		if e.async.Idle() {
-			// Everything outstanding sits in a partial accelerator batch;
-			// push it to the device or we wait forever.
-			e.async.Flush()
-		}
-		req := <-e.async.Completions()
-		e.finish(req, &stats)
+		// Next sees to it that what it waits for is on its way.
+		e.complete(e.async.Next())
 		inflight--
 		completed++
 	}
-	stats.Playouts = budget
-	stats.Duration = time.Since(start)
-	e.s.finish(&stats)
-	e.s.tr.VisitDistribution(dist)
-	return stats
 }
 
-// selectAndSubmit runs Selection from the root and either backs up a
-// terminal outcome immediately (returning true) or submits an evaluation
-// request for the leaf (returning false).
-func (e *Local) selectAndSubmit(root game.State, stats *Stats) (syncDone bool) {
-	prof := e.s.cfg.Profile
-	tr := e.s.tr
-	st := root.Clone()
-	idx := tr.Root()
-
-	t0 := now(prof)
-	tr.ApplyVirtualLoss(idx, false)
-	depth := 0
-	for tr.Node(idx).Expanded() {
-		idx = tr.SelectChild(idx)
-		tr.ApplyVirtualLoss(idx, false)
-		st.Play(tr.Node(idx).Action())
-		depth++
-	}
-	stats.SelectTime += since(prof, t0)
-	stats.SumDepth += depth
-
-	nd := tr.Node(idx)
-	if nd.Terminal() {
-		t3 := now(prof)
-		tr.Backup(idx, nd.TerminalValue(), false)
-		stats.BackupTime += since(prof, t3)
-		stats.TerminalHits++
-		return true
-	}
-	if st.Terminal() {
-		value := terminalValue(st)
-		tr.MarkTerminal(idx, value)
-		t3 := now(prof)
-		tr.Backup(idx, value, false)
-		stats.BackupTime += since(prof, t3)
-		stats.TerminalHits++
-		return true
-	}
-
-	var entry *tree.TransEntry
-	if tt := e.s.tt; tt != nil {
-		entry, e.key = transProbe(tt, tr, st, idx, e.key)
-		if v, acts, prs, ok := entry.LoadEval(e.actions[:0], e.priors[:0]); ok {
-			// Served from the transposition table: expand and back up
-			// synchronously, like a terminal rollout — no request leaves
-			// the master thread.
-			e.actions = acts
-			t2 := now(prof)
-			if idx == tr.Root() {
-				applyRootNoise(e.s.cfg, e.r, prs)
-			}
-			tr.Expand(idx, e.actions, prs)
-			stats.Expansions++
-			stats.ExpandTime += since(prof, t2)
-			t3 := now(prof)
-			tr.Backup(idx, v, false)
-			stats.BackupTime += since(prof, t3)
-			stats.TransHits++
-			return true
-		}
-	}
-
-	job := e.takeJob(st)
-	job.leaf = idx
-	job.entry = entry
-	job.actions = st.LegalMoves(job.actions[:0])
-	st.Encode(job.req.Input)
-	e.async.Submit(&job.req)
-	stats.Evaluations++
-	return false
+// complete finishes the rollout whose evaluation req carries and returns
+// its context to the free stack.
+func (e *Local) complete(req *evaluate.Request) {
+	sc := req.Ctx.(*scratch)
+	sc.start()
+	e.finish(sc, req.Value, req.Policy)
+	e.free = append(e.free, sc)
 }
-
-// finish expands the evaluated leaf and backs up its value.
-func (e *Local) finish(req *evaluate.Request, stats *Stats) {
-	prof := e.s.cfg.Profile
-	job := req.Ctx.(*localJob)
-	tr := e.s.tr
-
-	t2 := now(prof)
-	priors := job.priors[:len(job.actions)]
-	maskedPriors(req.Policy, job.actions, priors)
-	if job.entry != nil {
-		// Publish the clean (pre-noise) priors for transposed lines.
-		job.entry.StoreEval(req.Value, job.actions, priors)
-		job.entry = nil
-	}
-	if job.leaf == tr.Root() {
-		applyRootNoise(e.s.cfg, e.r, priors)
-	}
-	tr.Expand(job.leaf, job.actions, priors)
-	stats.Expansions++
-	stats.ExpandTime += since(prof, t2)
-
-	t3 := now(prof)
-	tr.Backup(job.leaf, req.Value, false)
-	stats.BackupTime += since(prof, t3)
-	e.free = append(e.free, job)
-}
-
-// takeJob recycles or allocates a job with buffers sized for st.
-func (e *Local) takeJob(st game.State) *localJob {
-	if n := len(e.free); n > 0 {
-		job := e.free[n-1]
-		e.free = e.free[:n-1]
-		return job
-	}
-	c, h, w := st.EncodedShape()
-	job := &localJob{
-		req: evaluate.Request{
-			Input:  make([]float32, c*h*w),
-			Policy: make([]float32, st.NumActions()),
-		},
-		priors: make([]float32, st.NumActions()),
-	}
-	job.req.Ctx = job
-	return job
-}
-
-// Tree exposes the engine's tree for tests.
-func (e *Local) Tree() *tree.Tree { return e.s.tr }

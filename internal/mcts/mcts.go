@@ -1,16 +1,33 @@
-// Package mcts implements the tree-based search engines of the paper:
+// Package mcts implements the tree-based search engines of the paper as one
+// rollout step and four schedulers over it.
 //
-//   - Serial: the single-threaded reference (used for profiling and as the
-//     algorithmic baseline of Section 5.5).
-//   - Shared: Algorithm 2 — N threads share one locked tree, each thread
-//     runs complete rollouts including its own node evaluation.
-//   - Local: Algorithm 3 — a master thread owns the tree without locks and
-//     streams node-evaluation requests to an asynchronous evaluator
-//     (inference thread pool or batched accelerator).
-//   - RootParallel / LeafParallel: the related-work baselines of
-//     Section 2.2.
+// The step (core.go) is the paper's rollout: descend from the root by PUCT,
+// resolve the leaf without the network when it is a terminal node, a
+// terminal state or a transposition-table hit, otherwise evaluate it, expand
+// it with the masked priors, and back the value up. It has two parameters —
+// how the descent marks its path in flight (virtual loss off, applied by the
+// tree's single owner without locks, or applied under the per-node locks) and
+// whether the evaluation runs inline or is awaited on a completion — and
+// Algorithms 2 and 3 differ in nothing else. An engine is that step plus a
+// scheduler deciding which thread runs it when:
 //
-// All engines consume the same game.State/evaluate interfaces, forming the
+//   - Serial: the calling thread, one rollout after another, no virtual
+//     loss — the reference used for profiling and as the algorithmic
+//     baseline of Section 5.5.
+//   - Shared: Algorithm 2 — N threads draw playout tickets and run complete
+//     rollouts, each evaluating its own leaf, against one locked tree.
+//   - Local: Algorithm 3 — a master thread owns the tree without locks,
+//     submits each leaf to an asynchronous evaluator (inference thread pool
+//     or batched accelerator) and finishes the rollout when it completes.
+//   - LeafParallel: the related-work baseline of Section 2.2 — serial, with
+//     each leaf's evaluation fanned out K-fold.
+//
+// RootParallel, the other Section 2.2 baseline, composes W serial
+// sub-searches instead. Every engine shares one Search skeleton (opening
+// book, session lock, warm-tree preparation, scheduler, accounting) and one
+// persistent session (session.go), so the probe order, the noise draws and
+// the phase accounting are the same by construction, not by convention. All
+// engines consume the same game.State/evaluate interfaces, forming the
 // "single program template" the paper compiles its adaptive choice into.
 package mcts
 
@@ -36,8 +53,9 @@ type Config struct {
 	NoiseFrac      float64
 	// Seed makes root noise deterministic.
 	Seed uint64
-	// Profile enables per-phase latency accounting (adds two clock reads
-	// per phase; leave off in throughput runs).
+	// Profile enables per-phase latency accounting: one clock read per
+	// phase boundary of every rollout, so Select+Eval+Expand+Backup time
+	// covers the whole of each rollout (leave off in throughput runs).
 	Profile bool
 	// ReuseTree retains the played child's subtree across moves: after a
 	// driver calls Engine.Advance for each move, the next Search continues
@@ -107,7 +125,14 @@ type Stats struct {
 	// BookHits counts Search calls answered entirely from the opening
 	// book (zero playouts run).
 	BookHits int
-	// Phase breakdown, populated when Config.Profile is set.
+	// Phase breakdown, populated when Config.Profile is set. The phases
+	// partition each rollout's time on its own thread: Select is the state
+	// clone and the descent; Expand is everything between reaching the leaf
+	// and backing up that is not evaluation — the table probe, a table-hit
+	// expansion, legal moves, masking, the expansion proper; Eval is the
+	// inline evaluation, or for awaited evaluations the encode and submit
+	// (plus, in LeafParallel, the wait for the K results). Summed over the
+	// workers, so with N threads the total may exceed Duration.
 	SelectTime time.Duration
 	ExpandTime time.Duration
 	BackupTime time.Duration
@@ -262,20 +287,4 @@ func newTreeFor(cfg Config, st game.State) *tree.Tree {
 		fanout = st.NumActions()
 	}
 	return tree.New(cfg.Tree, tree.SuggestCapacity(cfg.Playouts, fanout))
-}
-
-// now returns the current time only when profiling, so the phase accounting
-// costs nothing when disabled.
-func now(enabled bool) time.Time {
-	if !enabled {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func since(enabled bool, t time.Time) time.Duration {
-	if !enabled {
-		return 0
-	}
-	return time.Since(t)
 }

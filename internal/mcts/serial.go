@@ -1,12 +1,8 @@
 package mcts
 
 import (
-	"time"
-
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
-	"github.com/parmcts/parmcts/internal/rng"
-	"github.com/parmcts/parmcts/internal/tree"
 )
 
 // Serial is the single-threaded reference engine: one rollout at a time,
@@ -14,131 +10,26 @@ import (
 // Section 5.5 uses it as the algorithmic gold standard that the parallel
 // engines' training quality is compared against, and the design-time
 // profiling of Section 4.2 measures T_select/T_backup/T_DNN on it.
-type Serial struct {
-	s    session
-	eval evaluate.Evaluator
-	r    *rng.Rand
-
-	// reusable per-search scratch
-	input   []float32
-	policy  []float32
-	actions []int
-	priors  []float32
-	key     []byte
-}
+//
+// As a scheduler it is the degenerate one: the calling thread runs the
+// rollouts back to back, each evaluating its leaf inline.
+type Serial struct{ core }
 
 // NewSerial creates a serial engine.
 func NewSerial(cfg Config, eval evaluate.Evaluator) *Serial {
-	return &Serial{s: session{cfg: cfg}, eval: eval, r: rng.New(cfg.Seed)}
+	e := &Serial{}
+	e.init(cfg, vlOff, eval, 1)
+	return e
 }
 
 // Name implements Engine.
 func (e *Serial) Name() string { return "serial" }
 
-// Close implements Engine. It waits for an in-flight Search or Advance to
-// drain (the session mutex extends to the pool layer) and releases the
-// tree, so a session pool can evict this engine while a move is still
-// searching on another goroutine: the search finishes and is discarded.
-func (e *Serial) Close() { e.s.close() }
-
-// Advance implements Engine.
-func (e *Serial) Advance(action int) { e.s.advance(action) }
-
 // Search implements Engine.
-func (e *Serial) Search(st game.State, dist []float32) Stats {
-	if bs, ok := bookServe(e.s.cfg, st, dist); ok {
-		return bs
-	}
-	e.s.mu.Lock()
-	defer e.s.mu.Unlock()
-	var stats Stats
-	_, budget := e.s.prepare(st, &stats, rootNoiseRemix(e.s.cfg, e.r))
-	c, h, w := st.EncodedShape()
-	if e.input == nil {
-		e.input = make([]float32, c*h*w)
-		e.policy = make([]float32, st.NumActions())
-		e.priors = make([]float32, st.NumActions())
-	}
-	start := time.Now()
+func (e *Serial) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+
+func (e *Serial) run(root game.State, budget int) {
 	for p := 0; p < budget; p++ {
-		e.rollout(st, &stats)
+		e.rollout(root, &e.scratch[0])
 	}
-	stats.Playouts = budget
-	stats.Duration = time.Since(start)
-	e.s.finish(&stats)
-	e.s.tr.VisitDistribution(dist)
-	return stats
 }
-
-// rollout performs one Selection / Expansion / Evaluation / Backup round.
-func (e *Serial) rollout(root game.State, stats *Stats) {
-	prof := e.s.cfg.Profile
-	tr := e.s.tr
-	st := root.Clone()
-	idx := tr.Root()
-
-	t0 := now(prof)
-	depth := 0
-	for tr.Node(idx).Expanded() {
-		idx = tr.SelectChild(idx)
-		st.Play(tr.Node(idx).Action())
-		depth++
-	}
-	stats.SelectTime += since(prof, t0)
-	stats.SumDepth += depth
-
-	nd := tr.Node(idx)
-	var value float64
-	switch {
-	case nd.Terminal():
-		value = nd.TerminalValue()
-		stats.TerminalHits++
-	case st.Terminal():
-		value = terminalValue(st)
-		tr.MarkTerminal(idx, value)
-		stats.TerminalHits++
-	default:
-		var entry *tree.TransEntry
-		if tt := e.s.tt; tt != nil {
-			entry, e.key = transProbe(tt, tr, st, idx, e.key)
-			if v, acts, prs, ok := entry.LoadEval(e.actions[:0], e.priors[:0]); ok {
-				// Served from the transposition table: no forward pass.
-				value = v
-				e.actions = acts
-				if idx == tr.Root() {
-					applyRootNoise(e.s.cfg, e.r, prs)
-				}
-				tr.Expand(idx, e.actions, prs)
-				stats.Expansions++
-				stats.TransHits++
-				break
-			}
-		}
-		t1 := now(prof)
-		value, e.key = evalState(e.eval, st, e.input, e.policy, e.key)
-		stats.Evaluations++
-		stats.EvalTime += since(prof, t1)
-
-		t2 := now(prof)
-		e.actions = st.LegalMoves(e.actions[:0])
-		priors := e.priors[:len(e.actions)]
-		maskedPriors(e.policy, e.actions, priors)
-		if entry != nil {
-			// Publish the clean (pre-noise) priors for transposed lines.
-			entry.StoreEval(value, e.actions, priors)
-		}
-		if idx == tr.Root() {
-			applyRootNoise(e.s.cfg, e.r, priors)
-		}
-		tr.Expand(idx, e.actions, priors)
-		stats.Expansions++
-		stats.ExpandTime += since(prof, t2)
-	}
-
-	t3 := now(prof)
-	tr.Backup(idx, value, false)
-	stats.BackupTime += since(prof, t3)
-}
-
-// Tree exposes the engine's tree for tests and profiling.
-func (e *Serial) Tree() *tree.Tree { return e.s.tr }

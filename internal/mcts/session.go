@@ -94,7 +94,7 @@ func (s *session) advance(action int) {
 // still needs its expansion). It fills the reuse fields of stats and
 // applies the re-rooted noise remix on warm trees. Callers must hold
 // s.mu.
-func (s *session) prepare(st game.State, stats *Stats, remix func(priors []float32)) (tr *tree.Tree, budget int) {
+func (s *session) prepare(st game.State, stats *Stats, remix func(priors []float32)) (budget int) {
 	if s.tt == nil {
 		if s.cfg.TransposeTable != nil {
 			s.tt = s.cfg.TransposeTable
@@ -115,7 +115,7 @@ func (s *session) prepare(st game.State, stats *Stats, remix func(priors []float
 	} else if !s.warm {
 		s.tr.Reset()
 	}
-	tr = s.tr
+	tr := s.tr
 	if s.warm {
 		stats.ReusedNodes = s.reusedNodes
 		stats.ReusedVisits = s.reusedVisits
@@ -134,7 +134,7 @@ func (s *session) prepare(st game.State, stats *Stats, remix func(priors []float
 	if budget == 0 && !tr.Node(tr.Root()).Expanded() {
 		budget = 1
 	}
-	return tr, budget
+	return budget
 }
 
 // finish completes the per-move accounting started by prepare. Callers

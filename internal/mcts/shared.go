@@ -3,12 +3,9 @@ package mcts
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
-	"github.com/parmcts/parmcts/internal/rng"
-	"github.com/parmcts/parmcts/internal/tree"
 )
 
 // Drainer is implemented by evaluators that buffer requests (the
@@ -24,199 +21,47 @@ type Drainer interface {
 // Virtual loss diversifies the paths; per-node locks protect the
 // multi-field virtual-loss and backup updates.
 //
-// Worker scratch buffers, per-worker noise RNG streams, and the stats
-// shards live for the engine's lifetime — a per-move Search only resets
-// them, instead of reallocating the lot on every move of a game.
-type Shared struct {
-	s       session
-	workers int
-	eval    evaluate.Evaluator
-	r       *rng.Rand
-
-	// engine-lifetime worker state, lazily built on the first Search.
-	scratch []*workerScratch
-	noises  []*rng.Rand
-	shards  []Stats
-}
+// As a scheduler it hands the core's rollout — locked virtual loss, inline
+// evaluation — to N goroutines that draw playout tickets from one counter.
+// Each worker's rollout context (buffers, noise stream, stats shard) lives
+// for the engine's lifetime; a per-move Search only resets it.
+type Shared struct{ core }
 
 // NewShared creates a shared-tree engine with the given worker count.
 func NewShared(cfg Config, workers int, eval evaluate.Evaluator) *Shared {
 	if workers < 1 {
 		panic("mcts: shared engine needs >= 1 worker")
 	}
-	e := &Shared{s: session{cfg: cfg}, workers: workers, eval: eval, r: rng.New(cfg.Seed)}
-	// Per-worker noise streams are split once, on one goroutine, for the
-	// engine's lifetime; each worker's stream then flows across moves.
-	e.noises = make([]*rng.Rand, workers)
-	for w := range e.noises {
-		e.noises[w] = e.r.Split()
-	}
-	e.shards = make([]Stats, workers)
+	e := &Shared{}
+	e.init(cfg, vlLocked, eval, workers)
 	return e
 }
 
 // Name implements Engine.
 func (e *Shared) Name() string { return "shared" }
 
-// Close implements Engine. It blocks until an in-flight Search or Advance
-// drains (every worker rollout runs inside the locked Search body) and
-// releases the tree — the drain-safe eviction barrier for session pools.
-func (e *Shared) Close() { e.s.close() }
-
-// Advance implements Engine. The session lock serialises the rebase
-// against a concurrently running Search: the rebase compaction moves
-// nodes, so Advance blocks until every in-flight rollout has backed up and
-// drained its virtual loss.
-func (e *Shared) Advance(action int) { e.s.advance(action) }
-
 // Workers returns the configured worker count.
-func (e *Shared) Workers() int { return e.workers }
+func (e *Shared) Workers() int { return len(e.scratch) }
 
 // Search implements Engine.
-func (e *Shared) Search(st game.State, dist []float32) Stats {
-	if bs, ok := bookServe(e.s.cfg, st, dist); ok {
-		return bs
-	}
-	e.s.mu.Lock()
-	defer e.s.mu.Unlock()
-	var stats Stats
-	_, budget := e.s.prepare(st, &stats, rootNoiseRemix(e.s.cfg, e.r))
-	if e.scratch == nil {
-		e.scratch = make([]*workerScratch, e.workers)
-		for w := range e.scratch {
-			e.scratch[w] = newWorkerScratch(st)
-		}
-	}
-	for w := range e.shards {
-		e.shards[w] = Stats{}
-	}
+func (e *Shared) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
 
+func (e *Shared) run(root game.State, budget int) {
 	var counter atomic.Int64 // playout tickets
 	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < e.workers; w++ {
+	for w := range e.scratch {
 		wg.Add(1)
-		go func(w int) {
+		go func(sc *scratch) {
 			defer wg.Done()
-			ws := e.scratch[w]
-			noise := e.noises[w]
-			for {
-				t := counter.Add(1)
-				if t > int64(budget) {
-					break
-				}
-				e.rollout(st, ws, noise, &e.shards[w])
+			for counter.Add(1) <= int64(budget) {
+				e.rollout(root, sc)
 			}
 			// This worker is done; release any partial accelerator batch so
 			// the remaining workers are not stranded waiting for it.
 			if d, ok := e.eval.(Drainer); ok {
 				d.Drain()
 			}
-		}(w)
+		}(&e.scratch[w])
 	}
 	wg.Wait()
-	for _, s := range e.shards {
-		stats.Add(s) // field-complete merge: phase timings are never dropped
-	}
-	stats.Playouts = budget
-	stats.Duration = time.Since(start)
-	e.s.finish(&stats)
-	e.s.tr.VisitDistribution(dist)
-	return stats
 }
-
-// workerScratch holds one worker thread's reusable buffers.
-type workerScratch struct {
-	input   []float32
-	policy  []float32
-	actions []int
-	priors  []float32
-	key     []byte
-}
-
-func newWorkerScratch(st game.State) *workerScratch {
-	c, h, w := st.EncodedShape()
-	return &workerScratch{
-		input:  make([]float32, c*h*w),
-		policy: make([]float32, st.NumActions()),
-		priors: make([]float32, st.NumActions()),
-	}
-}
-
-// rollout is the threadsafe_rollout of Algorithm 2.
-func (e *Shared) rollout(root game.State, ws *workerScratch, noise *rng.Rand, stats *Stats) {
-	prof := e.s.cfg.Profile
-	tr := e.s.tr
-	st := root.Clone()
-	idx := tr.Root()
-
-	// Selection with virtual loss. The root's VL is applied too so that
-	// sqrt(sum N) reflects in-flight traffic.
-	t0 := now(prof)
-	tr.ApplyVirtualLoss(idx, true)
-	depth := 0
-	for tr.Node(idx).Expanded() {
-		idx = tr.SelectChild(idx)
-		tr.ApplyVirtualLoss(idx, true)
-		st.Play(tr.Node(idx).Action())
-		depth++
-	}
-	stats.SelectTime += since(prof, t0)
-	stats.SumDepth += depth
-
-	nd := tr.Node(idx)
-	var value float64
-	switch {
-	case nd.Terminal():
-		value = nd.TerminalValue()
-		stats.TerminalHits++
-	case st.Terminal():
-		value = terminalValue(st)
-		tr.MarkTerminal(idx, value)
-		stats.TerminalHits++
-	default:
-		var entry *tree.TransEntry
-		if tt := e.s.tt; tt != nil {
-			entry, ws.key = transProbe(tt, tr, st, idx, ws.key)
-			if v, acts, prs, ok := entry.LoadEval(ws.actions[:0], ws.priors[:0]); ok {
-				// Served from the transposition table: no forward pass.
-				value = v
-				ws.actions = acts
-				if idx == tr.Root() {
-					applyRootNoise(e.s.cfg, noise, prs)
-				}
-				tr.Expand(idx, ws.actions, prs)
-				stats.Expansions++
-				stats.TransHits++
-				break
-			}
-		}
-		t1 := now(prof)
-		value, ws.key = evalState(e.eval, st, ws.input, ws.policy, ws.key)
-		stats.Evaluations++
-		stats.EvalTime += since(prof, t1)
-
-		t2 := now(prof)
-		ws.actions = st.LegalMoves(ws.actions[:0])
-		priors := ws.priors[:len(ws.actions)]
-		maskedPriors(ws.policy, ws.actions, priors)
-		if entry != nil {
-			// Publish the clean (pre-noise) priors for transposed lines.
-			entry.StoreEval(value, ws.actions, priors)
-		}
-		if idx == tr.Root() {
-			applyRootNoise(e.s.cfg, noise, priors)
-		}
-		tr.Expand(idx, ws.actions, priors)
-		stats.Expansions++
-		stats.ExpandTime += since(prof, t2)
-	}
-
-	// Backup under locks, releasing one unit of virtual loss per level.
-	t3 := now(prof)
-	tr.Backup(idx, value, true)
-	stats.BackupTime += since(prof, t3)
-}
-
-// Tree exposes the engine's tree for tests.
-func (e *Shared) Tree() *tree.Tree { return e.s.tr }

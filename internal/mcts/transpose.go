@@ -6,18 +6,18 @@ import (
 	"github.com/parmcts/parmcts/internal/tree"
 )
 
-// transProbe is the one probe sequence every engine shares when its session
-// has a transposition table: compute the verification key, acquire (or
-// create) the entry for the position, and link the leaf node to the entry's
-// shared statistics. The caller then tries entry.LoadEval — a hit replaces
-// the DNN forward pass — and on a miss stores its own evaluation with
-// StoreEval (clean priors, before root noise) so the next line through the
-// position is served from the table.
+// transProbe is the probe the rollout makes when its session has a
+// transposition table: compute the verification key, acquire (or create) the
+// entry for the position, and link the leaf node to the entry's shared
+// statistics. The rollout then tries entry.LoadEval — a hit replaces the DNN
+// forward pass — and on a miss stores its own evaluation with StoreEval
+// (clean priors, before root noise) so the next line through the position is
+// served from the table.
 //
 // key is caller-owned scratch, reused across rollouts; the extended slice
-// is returned. Keeping the probe order identical across engines (probe →
-// attach → load-or-evaluate → expand → backup) is what preserves the
-// cross-engine move equivalence at concurrency 1.
+// is returned. The order probe → attach → load-or-evaluate → expand →
+// backup is fixed in core.rollout, once, for every engine — which is what
+// makes the engines move-equivalent at concurrency 1.
 func transProbe(tt *tree.TransTable, tr *tree.Tree, st game.State, idx int32, key []byte) (*tree.TransEntry, []byte) {
 	key = game.StateKey(st, key[:0])
 	entry, _ := tt.Acquire(st.Hash(), key)

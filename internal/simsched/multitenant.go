@@ -81,8 +81,8 @@ func LocalAccelShared(w Workload, m accel.CostModel, n, b, g int, deadline time.
 
 // LocalAccelIndependent simulates the same G masters each owning a PRIVATE
 // accelerator queue with sub-batch b (the pre-service topology: G
-// independent BatchedAsync instances contending for one device). Each
-// master flushes its own partial batch with the Idle() handshake, exactly
+// independent NewBatchedAsync queues contending for one device). Each
+// master's partial batch is pushed when it blocks (Client.Next), exactly
 // like the single-game LocalAccel — to which this reduces at G=1.
 func LocalAccelIndependent(w Workload, m accel.CostModel, n, b, g int) MultiResult {
 	if b > n {
@@ -219,7 +219,7 @@ func localAccelMulti(w Workload, m accel.CostModel, n, b, g int, deadline time.D
 			finish[i] = t // temporarily records the parked clock
 			return
 		}
-		// Private queue: the Idle()/Flush handshake pushes the partial batch.
+		// Private queue: blocking in Client.Next pushes the partial batch.
 		_, bf := bufFor(i)
 		launch(bf, t)
 		push(simEvent{at: t, kind: 0, master: i})

@@ -260,7 +260,7 @@ func LocalAccel(w Workload, m accel.CostModel, n, b int) Result {
 		}
 		if completions.Len() == 0 {
 			// Everything outstanding is sitting in the partial batch:
-			// flush it or wait forever (the engine's Idle()/Flush path).
+			// flush it or wait forever (what Client.Next does before it blocks).
 			launch(master, buffered)
 			buffered = 0
 			continue

@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Kernel names accepted by SetKernel and the TENSOR_KERNEL environment
@@ -83,6 +85,17 @@ func SetKernel(name string) (selected string, err error) {
 		return kernelName, fmt.Errorf("tensor: unknown kernel %q (have %v)", name, Kernels())
 	}
 	return kernelName, nil
+}
+
+// KernelFlag registers the -kernel flag every binary that runs the network
+// offers. The value goes through SetKernel while the flags are parsed, so an
+// unknown name is a usage error (message, usage, exit code 2 under
+// flag.ExitOnError) and no binary handles the flag itself.
+func KernelFlag(fs *flag.FlagSet) {
+	fs.Func("kernel", "force the tensor micro-kernel class: "+strings.Join(Kernels(), ", ")+" (default: best available; TENSOR_KERNEL env also works)", func(name string) error {
+		_, err := SetKernel(name)
+		return err
+	})
 }
 
 // KernelName reports the micro-kernel implementation currently dispatched.

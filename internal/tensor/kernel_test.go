@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -34,6 +36,22 @@ func TestSetKernelUnknown(t *testing.T) {
 	}
 	if got := KernelName(); got != Kernels()[len(Kernels())-1] {
 		t.Fatalf("best kernel mismatch: selected %q, available %v", got, Kernels())
+	}
+}
+
+// TestKernelFlag: the shared -kernel flag selects at parse time and turns an
+// unknown name into a parse error (exit code 2 under flag.ExitOnError).
+func TestKernelFlag(t *testing.T) {
+	prev := KernelName()
+	t.Cleanup(func() { SetKernel(prev) })
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	KernelFlag(fs)
+	if err := fs.Parse([]string{"-kernel", KernelGeneric}); err != nil || KernelName() != KernelGeneric {
+		t.Fatalf("-kernel generic: err %v, selected %q", err, KernelName())
+	}
+	if err := fs.Parse([]string{"-kernel", "quantum"}); err == nil {
+		t.Fatal("-kernel accepted an unknown kernel name")
 	}
 }
 

@@ -103,7 +103,7 @@ func BenchmarkSharedInferenceG8(b *testing.B) {
 func BenchmarkIndependentInferenceG8(b *testing.B) {
 	dev := sharedInfDevice()
 	engines := make([]*mcts.Local, sharedInfGames)
-	asyncs := make([]*evaluate.BatchedAsync, sharedInfGames)
+	asyncs := make([]*evaluate.Client, sharedInfGames)
 	for i := range engines {
 		asyncs[i] = evaluate.NewBatchedAsync(dev, sharedInfWorkers, sharedInfWorkers)
 		engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), asyncs[i], sharedInfWorkers)
