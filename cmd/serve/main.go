@@ -9,7 +9,7 @@
 //
 //	serve [-addr :8080] [-game tictactoe] [-playouts 200] [-reuse]
 //	      [-workers 1] [-sessions 1024] [-idle-ttl 10m]
-//	      [-batch 8] [-flush-deadline 2ms] [-max-outstanding 256]
+//	      [-batch 8] [-flush-deadline 1ms] [-max-outstanding 256]
 //	      [-max-concurrent 0] [-retry-after 500ms]
 //	      [-cache 65536] [-transpose off] [-kernel avx2]
 //	      [-ckpt dir | -full-net] [-seed 1]

@@ -64,9 +64,17 @@
 // Node evaluation is organised as a service: evaluate.Server multiplexes
 // requests from any number of tenant searches onto one batched backend
 // (an accelerator device or a bounded CPU worker pool), forming batches by
-// threshold OR flush deadline — whichever is hit first — and routing each
-// completion back to the client that submitted it, with backpressure
-// (ServerConfig.MaxOutstanding) and graceful drain on Close. The deadline
+// threshold, quorum OR flush deadline — whichever is hit first — and routing
+// each completion back to the client that submitted it, with backpressure
+// (ServerConfig.MaxOutstanding) and graceful drain on Close. The quorum is
+// the quiescence rule: every mcts engine registers its rollout contexts with
+// the service for the length of a Search (evaluate.Searcher, bracketed once
+// in the shared Search skeleton), and a partial batch launches the moment it
+// holds one request per registered context, because no open search can add
+// to it. Contexts whose request is executing still count, so lock-step
+// tenants stay in one batch; contexts that can no longer submit (a worker
+// out of tickets, a master out of budget, a finished search) leave at once.
+// The deadline is then only the backstop for a tenant busy in tree code, and
 // carries the service's central guarantee: the flush timer is armed by the
 // first request of each buffer generation, so no submitted request ever
 // waits longer than the deadline before its batch launches. That guarantee

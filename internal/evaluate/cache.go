@@ -136,9 +136,13 @@ func hashInput(input []float32) uint64 {
 	return h
 }
 
-// shardFor maps a key to its lock stripe.
+// shardFor maps a key to its lock stripe. The stripe comes from the high
+// half of a multiplicative mix of the key, not from the key's low bits:
+// hashInput is FNV-1a over bytes that are almost all 0x00 or 0x04 on one-hot
+// planes, so its low four bits take very few values and key % 16 put every
+// position of a game into one shard (a 65536-entry cache held 4096).
 func (c *Cached) shardFor(key uint64) *cacheShard {
-	return &c.shards[key%uint64(len(c.shards))]
+	return &c.shards[(key*0x9E3779B97F4A7C15)>>32%uint64(len(c.shards))]
 }
 
 // mixVersion folds a model version into a position key, so the same board
@@ -408,14 +412,23 @@ func (c *Cached) Stats() (hits, misses uint64) {
 // Len returns the number of cached positions across all shards.
 func (c *Cached) Len() int {
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
+	for _, l := range c.ShardLens() {
+		n += l
 	}
 	return n
 }
 
 // Shards returns the number of lock stripes (for tests and reports).
 func (c *Cached) Shards() int { return len(c.shards) }
+
+// ShardLens returns the number of cached positions in each lock stripe.
+func (c *Cached) ShardLens() []int {
+	lens := make([]int, len(c.shards))
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		lens[i] = len(sh.entries)
+		sh.mu.Unlock()
+	}
+	return lens
+}

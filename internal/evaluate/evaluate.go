@@ -16,7 +16,11 @@
 // All three are one-tenant deployments of the multi-tenant inference Server
 // (see server.go) — the same shared batcher that multi-game drivers share
 // across G searches: NewPool and NewBatchedAsync return the Client itself,
-// which owns and closes its private Server. A Random
+// which owns and closes its private Server. The Server launches a batch on
+// the first of three conditions — threshold, quorum (every slot of every
+// open search has a request buffered; the count includes slots whose request
+// is executing, so lock-step tenants stay in one batch) or flush deadline —
+// described on Server. A Random
 // evaluator with a configurable synthetic latency supports the design-time
 // profiling runs, which the paper performs with a DNN "filled with random
 // parameters".

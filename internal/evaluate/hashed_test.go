@@ -5,6 +5,7 @@ import (
 
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
+	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/game/gomoku"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -178,5 +179,39 @@ func BenchmarkCacheProbePlaneHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st.Encode(input)
 		cached.Evaluate(input, policy)
+	}
+}
+
+// TestCacheShardSpreadOnRealEncodings: one-hot board planes must spread over
+// every lock stripe. The plane hash's low bits barely move on such inputs,
+// and a shard index taken from them once put a whole game into one stripe of
+// sixteen (cache occupancy pinned at 1/16).
+func TestCacheShardSpreadOnRealEncodings(t *testing.T) {
+	const positions, shards = 4096, 16
+	for _, spec := range []string{"gomoku:9", "othello:6"} {
+		t.Run(spec, func(t *testing.T) {
+			g := games.MustNew(spec)
+			c := evaluate.NewCachedSharded(&evaluate.Random{}, 1<<16, shards)
+			st := g.NewInitial()
+			ch, h, w := st.EncodedShape()
+			input, policy := make([]float32, ch*h*w), make([]float32, st.NumActions())
+			r := rng.New(3)
+			var legal []int
+			for c.Len() < positions { // random playouts until enough distinct positions
+				if st.Terminal() {
+					st = g.NewInitial()
+				}
+				legal = st.LegalMoves(legal[:0])
+				st.Play(legal[r.Intn(len(legal))])
+				st.Encode(input)
+				c.Evaluate(input, policy)
+			}
+			mean := positions / shards
+			for i, n := range c.ShardLens() {
+				if n == 0 || n > 2*mean {
+					t.Fatalf("shard %d holds %d of %d positions (mean %d): %v", i, n, positions, mean, c.ShardLens())
+				}
+			}
+		})
 	}
 }

@@ -121,6 +121,15 @@ type ServerStats struct {
 	Batches int64
 	// Requests is the number of requests served (handed to a launch).
 	Requests int64
+	// ThresholdFlushes, QuorumFlushes and DeadlineFlushes split Batches by
+	// the condition that launched them: the buffer reached Batch, every open
+	// search slot had a request in it, or the oldest request sat out
+	// FlushDeadline. The rest of Batches were pushed explicitly (Flush,
+	// Client.Next on a deadline-less server, Close). A deadline share that
+	// is not small on a server whose tenants all search through
+	// BeginSearch/EndSearch means tenants are slow in tree code, not that
+	// the deadline is too long.
+	ThresholdFlushes, QuorumFlushes, DeadlineFlushes int64
 }
 
 // AvgFill is the mean requests per launch — the quantity the multi-tenant
@@ -134,11 +143,31 @@ func (s ServerStats) AvgFill() float64 {
 
 // Server is a multi-tenant inference service: it multiplexes Requests from
 // any number of Clients onto one batched backend, forming batches by
-// threshold or flush deadline (whichever is hit first), launching each batch
-// on its own goroutine (stream-style overlap), and routing completions back
-// to the submitting client. It replaces the one-engine-owns-one-queue
-// topology of the seed: G concurrent searches sharing a Server present the
-// device with one large batch stream instead of G under-filled ones.
+// threshold, quorum or flush deadline (whichever is hit first), launching
+// each batch on its own goroutine (stream-style overlap), and routing
+// completions back to the submitting client. It replaces the
+// one-engine-owns-one-queue topology of the seed: G concurrent searches
+// sharing a Server present the device with one large batch stream instead of
+// G under-filled ones.
+//
+// The three launch conditions (queue.Batcher holds the mechanism):
+//
+//   - threshold: ServerConfig.Batch requests are buffered;
+//   - quorum: tenants that search register their rollout contexts as slots
+//     (Client.BeginSearch/EndSearch — the mcts engines do it around every
+//     Search), and the buffer holds one request per registered slot, so no
+//     open search can add to it;
+//   - deadline: the oldest buffered request has waited FlushDeadline — with
+//     registered tenants only the backstop for a tenant that is busy in tree
+//     code while the others wait, no longer the light-load latency floor.
+//
+// The quorum counts every registered slot, including slots whose request is
+// executing in an earlier batch: a request buffered meanwhile waits for that
+// batch's tenants to return and merge with it (at most one forward pass),
+// which keeps G lock-step sessions in one batch of G. Treating executing
+// tenants as absent, or launching whenever the device is idle, splits them
+// into out-of-phase groups that never re-merge. A server no tenant registers
+// with has no quorum and batches by threshold and deadline alone.
 //
 // The server is also the model-lifecycle boundary: every request is stamped
 // with a model version at submit time, each registered version has its own
@@ -322,7 +351,14 @@ func (s *Server) FlushDeadline() time.Duration { return s.cfg.FlushDeadline }
 
 // Stats snapshots the aggregate batch-fill counters.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{Batches: s.batches.Load(), Requests: s.requests.Load()}
+	f := s.batcher.Flushes()
+	return ServerStats{
+		Batches:          s.batches.Load(),
+		Requests:         s.requests.Load(),
+		ThresholdFlushes: f.Threshold,
+		QuorumFlushes:    f.Quorum,
+		DeadlineFlushes:  f.Deadline,
+	}
 }
 
 // Pending returns the number of buffered (not yet launched) requests.
@@ -548,6 +584,20 @@ func (c *Client) Submit(req *Request) {
 	req.Version = c.pin.Load()
 	c.srv.submit(req)
 }
+
+// BeginSearch opens a search with n rollout contexts on this tenant: up to
+// n more requests can be outstanding at once, so the server's quorum rises
+// by n. The mcts engines call it, through their optional SlotRegistrar
+// interface, around every Search; a tenant that never does is simply not
+// part of the quorum.
+func (c *Client) BeginSearch(n int) { c.srv.batcher.Join(n) }
+
+// EndSearch gives back n of the slots BeginSearch opened, in one call or
+// several, as soon as their contexts can no longer submit. If every
+// remaining slot already has its request buffered, the buffer launches now
+// — a hand-off to the launch goroutine (or a launcher's queue), so the
+// caller, typically about to answer its user, does not run the batch.
+func (c *Client) EndSearch(n int) { c.srv.batcher.Leave(n) }
 
 // deliver routes one completed request back to this tenant.
 func (c *Client) deliver(req *Request) {

@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/parmcts/parmcts/internal/evaluate"
@@ -44,6 +45,24 @@ type core struct {
 	// (Local), one otherwise. They live as long as the engine and are only
 	// ever used in place, through pointers into the slice.
 	scratch []scratch
+	// quorum is the evaluator's view of who is searching, nil when it keeps
+	// none: search registers one slot per rollout context with it, and held
+	// is how many of the running search's slots are still registered.
+	quorum SlotRegistrar
+	held   atomic.Int32
+}
+
+// SlotRegistrar is the optional interface of an evaluator — synchronous or
+// asynchronous — that batches requests from several searches and wants to
+// know how many can still arrive; *evaluate.Client implements it. Every
+// engine brackets each Search with BeginSearch(n), n being the requests it
+// can have outstanding at once (its rollout contexts), and gives the slots
+// back with EndSearch, in one call or several, as soon as each context can
+// no longer submit. The evaluator may launch a partial batch the moment it
+// holds one request per open slot.
+type SlotRegistrar interface {
+	BeginSearch(n int)
+	EndSearch(n int)
 }
 
 // init sets the core up with n rollout contexts. Contexts that run on one
@@ -52,6 +71,7 @@ type core struct {
 // constructing goroutine, so each worker's stream then flows across moves.
 func (c *core) init(cfg Config, vl vlMode, eval evaluate.Evaluator, n int) {
 	c.s.cfg, c.vl, c.eval, c.r = cfg, vl, eval, rng.New(cfg.Seed)
+	c.quorum, _ = eval.(SlotRegistrar)
 	c.scratch = make([]scratch, n)
 	for i := range c.scratch {
 		sc := &c.scratch[i]
@@ -84,7 +104,9 @@ type scheduler interface {
 }
 
 // search is the Search every engine shares: book, session lock, prepare,
-// run the scheduler, merge the contexts' stats, finish, read the root.
+// run the scheduler — with every rollout context registered as a slot in the
+// evaluator's quorum while it can still submit — merge the contexts' stats,
+// finish, read the root.
 func (c *core) search(st game.State, dist []float32, sched scheduler) Stats {
 	if bs, ok := bookServe(c.s.cfg, st, dist); ok {
 		return bs
@@ -97,7 +119,12 @@ func (c *core) search(st game.State, dist []float32, sched scheduler) Stats {
 		c.scratch[i].reset(st)
 	}
 	start := time.Now()
+	if c.quorum != nil {
+		c.held.Store(int32(len(c.scratch)))
+		c.quorum.BeginSearch(len(c.scratch))
+	}
 	sched.run(st, budget)
+	c.leave(int(c.held.Load()))
 	for i := range c.scratch {
 		stats.Add(c.scratch[i].stats) // field-complete merge: phase timings are never dropped
 	}
@@ -106,6 +133,17 @@ func (c *core) search(st game.State, dist []float32, sched scheduler) Stats {
 	c.s.finish(&stats)
 	c.s.tr.VisitDistribution(dist)
 	return stats
+}
+
+// leave takes n of the search's slots out of the evaluator's quorum: their
+// contexts can no longer submit, so co-tenants' buffered requests must not
+// wait for them. Schedulers call it as soon as that is true of a context —
+// search itself only returns what is left when run comes back.
+func (c *core) leave(n int) {
+	if c.quorum != nil && n > 0 {
+		c.held.Add(int32(-n))
+		c.quorum.EndSearch(n)
+	}
 }
 
 // scratch is one rollout's context: the buffers it reuses, the noise

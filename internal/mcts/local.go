@@ -36,6 +36,7 @@ func NewLocal(cfg Config, async evaluate.Async, maxInFlight int) *Local {
 	}
 	e := &Local{async: async}
 	e.init(cfg, vlOwner, nil, maxInFlight)
+	e.quorum, _ = async.(SlotRegistrar)
 	for i := range e.scratch {
 		e.free = append(e.free, &e.scratch[i])
 	}
@@ -84,7 +85,10 @@ func (e *Local) run(root game.State, budget int) {
 			break
 		}
 		// Master must wait (thread pool full, or budget fully submitted).
-		// Next sees to it that what it waits for is on its way.
+		// Contexts with nothing in flight are idle for good — only a spent
+		// budget parks the master with free ones — so they leave the quorum,
+		// and Next sees to it that what it waits for is on its way.
+		e.leave(int(e.held.Load()) - inflight)
 		e.complete(e.async.Next())
 		inflight--
 		completed++

@@ -26,7 +26,12 @@
 // sub-searches instead. Every engine shares one Search skeleton (opening
 // book, session lock, warm-tree preparation, scheduler, accounting) and one
 // persistent session (session.go), so the probe order, the noise draws and
-// the phase accounting are the same by construction, not by convention. All
+// the phase accounting are the same by construction, not by convention. The
+// skeleton also tells a batching evaluator who is searching (SlotRegistrar):
+// each rollout context is a slot in the evaluator's quorum from the start of
+// the scheduler's run until it can no longer submit, so a shared
+// evaluate.Server launches a partial batch the moment every open search has
+// a request in it instead of waiting out its flush deadline. All
 // engines consume the same game.State/evaluate interfaces, forming the
 // "single program template" the paper compiles its adaptive choice into.
 package mcts

@@ -56,6 +56,7 @@ func (e *Shared) run(root game.State, budget int) {
 			for counter.Add(1) <= int64(budget) {
 				e.rollout(root, sc)
 			}
+			e.leave(1) // no ticket left: this worker submits nothing more
 			// This worker is done; release any partial accelerator batch so
 			// the remaining workers are not stranded waiting for it.
 			if d, ok := e.eval.(Drainer); ok {

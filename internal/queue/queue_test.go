@@ -331,3 +331,167 @@ func TestBatcherPropertyNoneLostAnyThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recordBatches returns a flush function that records each batch's length.
+func recordBatches(mu *sync.Mutex, sizes *[]int) func([]int) {
+	return func(batch []int) {
+		mu.Lock()
+		*sizes = append(*sizes, len(batch))
+		mu.Unlock()
+	}
+}
+
+func TestQuorumLaunchesWhenEverySlotHasAdded(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	b := NewDeadlineBatcher(8, 10*time.Second, recordBatches(&mu, &sizes))
+	b.Join(1)
+	b.Join(2)
+	b.Add(1)
+	b.Add(2)
+	if len(sizes) != 0 {
+		t.Fatalf("launched %v with one slot still to add", sizes)
+	}
+	b.Add(3) // third of three slots: nothing can still arrive
+	if len(sizes) != 1 || sizes[0] != 3 {
+		t.Fatalf("batches = %v, want one of 3", sizes)
+	}
+	if f := b.Flushes(); f != (FlushCounts{Quorum: 1}) {
+		t.Fatalf("flush counts = %+v, want one quorum flush", f)
+	}
+	b.Leave(3)
+	b.Add(4) // nobody registered: back to threshold and deadline only
+	if len(sizes) != 1 || b.Pending() != 1 {
+		t.Fatalf("unregistered add launched: batches %v, pending %d", sizes, b.Pending())
+	}
+}
+
+func TestQuorumLeaveReevaluates(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	b := NewDeadlineBatcher(8, 10*time.Second, recordBatches(&mu, &sizes))
+	b.Join(3)
+	b.Add(1)
+	b.Add(2)
+	b.Leave(1) // the third slot will never add: the two buffered go now
+	if len(sizes) != 1 || sizes[0] != 2 {
+		t.Fatalf("batches = %v, want one of 2", sizes)
+	}
+	b.Leave(2) // last slots out over an empty buffer: nothing to launch
+	if len(sizes) != 1 {
+		t.Fatalf("Leave over an empty buffer launched: %v", sizes)
+	}
+	if f := b.Flushes(); f != (FlushCounts{Quorum: 1}) {
+		t.Fatalf("flush counts = %+v, want one quorum flush", f)
+	}
+}
+
+func TestQuorumThresholdWinsTies(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	b := NewBatcher(2, recordBatches(&mu, &sizes))
+	b.Join(2)
+	b.Add(1)
+	b.Add(2)
+	if f := b.Flushes(); f != (FlushCounts{Threshold: 1}) {
+		t.Fatalf("flush counts = %+v, want the full batch counted as a threshold flush", f)
+	}
+}
+
+func TestQuorumDeadlineStillBacksStop(t *testing.T) {
+	flushed := make(chan []int, 1)
+	b := NewDeadlineBatcher(8, 15*time.Millisecond, func(batch []int) { flushed <- batch })
+	b.Join(2)
+	b.Add(1) // the other slot never adds and never leaves
+	select {
+	case batch := <-flushed:
+		if len(batch) != 1 {
+			t.Fatalf("deadline flush delivered %v", batch)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("deadline never fired under an unmet quorum")
+	}
+	if f := b.Flushes(); f != (FlushCounts{Deadline: 1}) {
+		t.Fatalf("flush counts = %+v, want one deadline flush", f)
+	}
+}
+
+func TestQuorumLeaveWithoutJoinPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Leave beyond the registered slots did not panic")
+		}
+	}()
+	b := NewBatcher(2, func([]int) {})
+	b.Join(1)
+	b.Leave(2)
+}
+
+// TestQuorumConcurrentProducers: registered lock-step producers and a
+// ten-second deadline; the run only finishes in time if every batch launches
+// by quorum, and each batch must hold one request per producer.
+func TestQuorumConcurrentProducers(t *testing.T) {
+	const producers, rounds = 4, 300
+	var done [producers]chan struct{}
+	for i := range done {
+		done[i] = make(chan struct{}, 1)
+	}
+	var short atomic.Int64
+	b := NewDeadlineBatcher(2*producers, 10*time.Second, func(batch []int) {
+		if len(batch) != producers {
+			short.Add(1)
+		}
+		go func() { // completions come from another goroutine, as in the server
+			for _, p := range batch {
+				done[p] <- struct{}{}
+			}
+		}()
+	})
+	b.Join(producers)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				b.Add(p)
+				<-done[p]
+			}
+		}(p)
+	}
+	wg.Wait()
+	b.Leave(producers)
+	if f := b.Flushes(); f.Quorum != rounds || f.Deadline != 0 || f.Threshold != 0 {
+		t.Fatalf("flush counts = %+v, want %d quorum flushes only", f, rounds)
+	}
+	if short.Load() != 0 {
+		t.Fatalf("%d batches were not one-per-producer", short.Load())
+	}
+}
+
+// TestFlushCauseStopsStaleTimers: a generation taken by threshold (or
+// quorum) stops its deadline timer, so no callback is left to fire, take
+// the mutex and find itself stale.
+func TestFlushCauseStopsStaleTimers(t *testing.T) {
+	const n = 200
+	const deadline = 50 * time.Millisecond
+	b := NewDeadlineBatcher(2, deadline, func([]int) {})
+	for i := 0; i < n; i++ {
+		b.Add(i) // arms this generation's timer
+		b.Add(i) // threshold flush
+	}
+	b.Join(2)
+	b.Add(0)
+	b.Leave(1) // quorum flush of a generation with an armed timer
+	b.Leave(1)
+	time.Sleep(3 * deadline)
+	b.mu.Lock()
+	runs := b.timerRuns
+	b.mu.Unlock()
+	if runs != 0 {
+		t.Fatalf("%d deadline callbacks ran after %d threshold flushes, want 0", runs, n)
+	}
+	if f := b.Flushes(); f != (FlushCounts{Threshold: n, Quorum: 1}) {
+		t.Fatalf("flush counts = %+v", f)
+	}
+}

@@ -105,6 +105,11 @@ type Statsz struct {
 	EvalBatches      int64   `json:"eval_batches"`
 	EvalRequests     int64   `json:"eval_requests"`
 	EvalAvgBatchFill float64 `json:"eval_avg_batch_fill"`
+	// EvalFlush* split eval_batches by what launched them: a full batch,
+	// every open search having a request in it, or the flush deadline.
+	EvalFlushThreshold int64 `json:"eval_flush_threshold"`
+	EvalFlushQuorum    int64 `json:"eval_flush_quorum"`
+	EvalFlushDeadline  int64 `json:"eval_flush_deadline"`
 
 	SearchPlayouts     int64   `json:"search_playouts"`
 	SearchEvaluations  int64   `json:"search_evaluations"`
@@ -150,6 +155,9 @@ func (s *Service) Stats() Statsz {
 		EvalBatches:        srvStats.Batches,
 		EvalRequests:       srvStats.Requests,
 		EvalAvgBatchFill:   srvStats.AvgFill(),
+		EvalFlushThreshold: srvStats.ThresholdFlushes,
+		EvalFlushQuorum:    srvStats.QuorumFlushes,
+		EvalFlushDeadline:  srvStats.DeadlineFlushes,
 		SearchPlayouts:     s.playoutsN.Load(),
 		SearchEvaluations:  s.evalsN.Load(),
 		SearchReusedVisits: s.reusedVis.Load(),
