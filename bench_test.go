@@ -225,8 +225,8 @@ func BenchmarkVirtualLossModes(b *testing.B) {
 // child the way a trained prior does, and the modelled evaluation latency
 // makes the saved evaluations visible in wall-clock. playouts/s counts
 // budget-equivalents delivered per second — retained visits are playouts
-// the move did not have to run. The fresh/warm pair backs
-// BENCH_tree_reuse.json.
+// the move did not have to run. The fresh/warm pair backs the reuse numbers
+// in EXPERIMENTS.md.
 func benchTreeReuse(b *testing.B, reuse bool) {
 	g := gomoku.NewSized(7)
 	cfg := mcts.DefaultConfig()
@@ -267,8 +267,7 @@ func BenchmarkTreeReuseGomokuFresh(b *testing.B) { benchTreeReuse(b, false) }
 func BenchmarkTreeReuseGomokuWarm(b *testing.B)  { benchTreeReuse(b, true) }
 
 // benchForwardBatch times nn.ForwardBatch on the paper's Gomoku network at
-// one batch size; BenchmarkForwardBatch{1,8,32} back the throughput claims
-// in BENCH_batched_inference.json.
+// one batch size; cmd/bench's nn.forward_* probes time the same call.
 func benchForwardBatch(b *testing.B, batch int) {
 	r := rng.New(7)
 	net := nn.MustNew(nn.GomokuConfig(4, 15, 15, 225), r)

@@ -58,10 +58,8 @@ func main() {
 				net.Cfg.InC, net.Cfg.H, net.Cfg.W, net.Cfg.NumActions, g.Name())
 			os.Exit(1)
 		}
-	} else if *fullNet {
-		net = nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(*seed))
 	} else {
-		net = nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(*seed))
+		net = nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 	}
 
 	cfg := mcts.DefaultConfig()

@@ -97,10 +97,7 @@ func main() {
 		GameSpec: *gameSpec,
 		Store:    store,
 		NewNet: func() *nn.Network {
-			if *fullNet {
-				return nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(*seed))
-			}
-			return nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(*seed))
+			return nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 		},
 		Replay:       train.NewReplay(50000),
 		Traj:         tstore,

@@ -2,12 +2,13 @@
 // concurrent simulated users playing full games over real HTTP, validating
 // every response against a local rules mirror (a mis-routed or dropped move
 // is a hard failure, not a statistic), and records p50/p90/p99 move latency
-// and sustained moves/s — optionally into the repo's BENCH_serving.json.
+// and sustained moves/s. It is the client for a REMOTE server; the in-process
+// benchmark generator lives in cmd/bench.
 //
 // Usage:
 //
 //	loadgen [-addr http://127.0.0.1:8080] [-users 100] [-games 1]
-//	        [-duration 0] [-out BENCH_serving.json] [-seed 1]
+//	        [-duration 0] [-seed 1]
 //
 // With -duration D users keep starting games until the deadline instead of
 // counting games (-games is ignored). Exit status is non-zero when any
@@ -15,33 +16,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 
 	_ "github.com/parmcts/parmcts/internal/game/games" // link the registry for mirror reconstruction
 	"github.com/parmcts/parmcts/internal/serve"
 )
-
-// serverInfo asks /statsz which game the server hosts and the average
-// playouts per engine move it actually ran (for the bench document).
-func serverInfo(addr string) (gameSpec string, playouts int) {
-	resp, err := http.Get(addr + "/statsz")
-	if err != nil {
-		return "", 0
-	}
-	defer resp.Body.Close()
-	var st serve.Statsz
-	if json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return "", 0
-	}
-	if engineMoves := st.MovesServed / 2; engineMoves > 0 {
-		playouts = int(st.SearchPlayouts / engineMoves)
-	}
-	return st.Game, playouts
-}
 
 func main() {
 	var (
@@ -49,7 +30,6 @@ func main() {
 		users    = flag.Int("users", 100, "concurrent simulated users")
 		games    = flag.Int("games", 1, "full games per user (ignored with -duration)")
 		duration = flag.Duration("duration", 0, "run for this long instead of counting games")
-		out      = flag.String("out", "", "write a BENCH_serving.json document here")
 		seed     = flag.Uint64("seed", 1, "seed for users' random move choices")
 	)
 	flag.Parse()
@@ -70,20 +50,6 @@ func main() {
 		rep.Users, rep.GamesStarted, rep.GamesCompleted, rep.GamesAborted, rep.Moves, rep.MovesPerSec, rep.ElapsedSeconds)
 	fmt.Printf("loadgen: move latency p50=%.2fms p90=%.2fms p99=%.2fms max=%.2fms; 429 retries=%d; reuse(move2+)=%.3f\n",
 		rep.P50MS, rep.P90MS, rep.P99MS, rep.MaxMS, rep.Rejected429, rep.MeanReuse)
-
-	if *out != "" {
-		invocation := fmt.Sprintf("loadgen -addr %s -users %d -games %d -duration %s -seed %d",
-			*addr, *users, *games, *duration, *seed)
-		desc := "Serving benchmark: cmd/loadgen users playing full games against cmd/serve over HTTP, " +
-			"every response validated against a local rules mirror (see EXPERIMENTS.md)."
-		acceptance := "zero mismatches and zero protocol errors; all started games complete unless aborted by server drain"
-		gameSpec, playouts := serverInfo(*addr)
-		if err := serve.WriteBenchServing(*out, desc, invocation, gameSpec, playouts, rep, acceptance); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen: write:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: wrote %s\n", *out)
-	}
 
 	if rep.Mismatches > 0 || rep.ErrorCount > 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: FAILED: %d mismatches, %d errors\n", rep.Mismatches, rep.ErrorCount)

@@ -67,12 +67,7 @@ func main() {
 
 	g := games.ResolveFlag("selfplay", *gameSpec, "gomoku:9")
 	c, h, w := g.EncodedShape()
-	var net *nn.Network
-	if *fullNet {
-		net = nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(*seed))
-	} else {
-		net = nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(*seed))
-	}
+	net := nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 
 	search := mcts.DefaultConfig()
 	search.Playouts = *playouts

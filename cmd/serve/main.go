@@ -98,10 +98,8 @@ func main() {
 			version = m.Version
 		}
 		fmt.Printf("serving checkpoint version %d from %s\n", m.Version, store.Dir())
-	} else if *fullNet {
-		net = nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(*seed))
 	} else {
-		net = nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(*seed))
+		net = nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 	}
 
 	search := mcts.DefaultConfig()

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/parmcts/parmcts/internal/adaptive"
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/evaluate"
@@ -168,11 +169,7 @@ func main() {
 		baseStep, baseRounds, baseSamples = m.Step, m.Rounds, m.Samples
 		fmt.Printf("resuming from checkpoint version %d (step %d, %s)\n", m.Version, m.Step, store.Dir())
 	case errors.Is(lerr, checkpoint.ErrEmpty):
-		if *fullNet {
-			net = nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(*seed))
-		} else {
-			net = nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(*seed))
-		}
+		net = nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 		if _, err := store.Save(net, checkpoint.Manifest{Version: 1, Game: gameName, Note: "seed network"}); err != nil {
 			fmt.Fprintln(os.Stderr, "train:", err)
 			os.Exit(1)
@@ -185,20 +182,11 @@ func main() {
 
 	// Shared service: one lock-striped transposition cache shared by all
 	// live versions through version-scoped views, one EvaluatorBackend per
-	// version, batch size 1 on persistent launchers (the CPU worker-pool
-	// topology).
+	// version.
 	cache := evaluate.NewCached(evaluate.NewNN(incumbent), *cacheSize)
 	mkBackend := func(n *nn.Network, v int64) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: cache.View(v, evaluate.NewNN(n)), Workers: *workers}
 	}
-	srv := evaluate.NewServer(mkBackend(incumbent, startVersion), evaluate.ServerConfig{
-		Batch:          1,
-		FlushDeadline:  evaluate.DefaultFlushDeadline,
-		MaxOutstanding: *nGames * *workers * 2,
-		LaunchWorkers:  *workers,
-		InitialVersion: startVersion,
-	})
-	defer srv.Close()
 
 	// With -transpose, all G tenants share one lock-striped table: the
 	// fleet's searches converge on shared statistics for transposed
@@ -209,10 +197,8 @@ func main() {
 		transTable = tree.NewTransTable(n)
 	}
 
-	clients := make([]*evaluate.Client, *nGames)
-	engines := make([]mcts.Engine, *nGames)
-	for i := range engines {
-		clients[i] = srv.NewClient(*workers * 2)
+	cfgs := make([]mcts.Config, *nGames)
+	for i := range cfgs {
 		cfg := mcts.DefaultConfig()
 		cfg.Playouts = *playouts
 		cfg.DirichletAlpha = 0.3
@@ -220,14 +206,11 @@ func main() {
 		cfg.Seed = *seed + uint64(i)*7919
 		cfg.ReuseTree = *reuse
 		cfg.TransposeTable = transTable
-		engines[i] = mcts.NewLocal(cfg, clients[i], *workers)
+		cfgs[i] = cfg
 	}
-	defer func() {
-		for i := range engines {
-			engines[i].Close()
-			clients[i].Close()
-		}
-	}()
+	fleet := adaptive.NewLocalFleet(mkBackend(incumbent, startVersion), startVersion, *workers, cfgs)
+	defer fleet.Close()
+	srv, clients := fleet.Server, fleet.Clients
 
 	// Durable replay: every finished game is committed to the trajectory
 	// store before its samples enter the in-memory ring, and a restarted
@@ -255,7 +238,7 @@ func main() {
 
 	const replayCap = 50000
 	replay := train.NewReplay(replayCap)
-	driver := selfplay.NewDriver(g, engines, replay, train.AugmenterFor(g), selfplay.Config{
+	driver := selfplay.NewDriver(g, fleet.Engines, replay, train.AugmenterFor(g), selfplay.Config{
 		TempMoves: 6,
 		Seed:      *seed,
 		// Pin each tenant to the serving version at game start: a game's

@@ -55,9 +55,9 @@
 // accel.Backend (Name/Capabilities/Infer/Close): Model, Hosted and
 // HostedQuantized register themselves by name, binaries select one with
 // -backend, and a real BLAS/GPU backend can later slot in behind
-// evaluate.Server without touching callers. BENCH_batched_inference.json
-// and BENCH_quantized.json record the recorded speedups and the quantized
-// arena gate.
+// evaluate.Server without touching callers. The speedups first recorded for
+// these paths are historical (1-core container); regenerate them on the
+// current host with bash cmd/bench/run.sh (nn.forward_*, accel.hosted_*).
 //
 // # Multi-tenant inference service
 //
@@ -68,7 +68,7 @@
 // each completion back to the client that submitted it, with backpressure
 // (ServerConfig.MaxOutstanding) and graceful drain on Close. The quorum is
 // the quiescence rule: every mcts engine registers its rollout contexts with
-// the service for the length of a Search (evaluate.Searcher, bracketed once
+// the service for the length of a Search (mcts.SlotRegistrar, bracketed once
 // in the shared Search skeleton), and a partial batch launches the moment it
 // holds one request per registered context, because no open search can add
 // to it. Contexts whose request is executing still count, so lock-step
@@ -84,7 +84,10 @@
 // partial batch nothing else would launch, so no engine carries a flush
 // handshake. The classic single-search backends are one-tenant deployments
 // of the same Server: evaluate.NewPool and NewBatchedAsync return the Client
-// of a private server it owns, BatchedSync wraps a synchronous one.
+// of a private server it owns, and the shared-tree + accelerator queue is
+// mcts.Shared over a sync client (Server.NewSyncClient) — its N workers are
+// N registered slots, so the last partial batch of a move launches by
+// quorum.
 //
 // On top of the service, internal/selfplay runs G self-play games
 // concurrently — each game a tenant with its own local-tree master, all
@@ -93,7 +96,11 @@
 // aggregated batch stream instead of G under-filled queues. The adaptive
 // framework's ConfigureFleet models that aggregation (the G-tenant
 // extensions of Equations 4 and 6 in internal/perfmodel) when choosing the
-// scheme and the service batch threshold, and internal/simsched's
+// scheme and the service batch threshold, and one builder turns the decision
+// into engines: a single engine (adaptive.Configure) is a fleet of one, which
+// needs and gets no flush deadline, and adaptive.NewLocalFleet is the
+// G-masters-on-one-worker-pool block that cmd/train and dist.Worker stand
+// their self-play fleets up with. internal/simsched's
 // LocalAccelShared/LocalAccelIndependent replay the multi-game contention
 // shape in deterministic virtual time.
 //
@@ -109,8 +116,8 @@
 // next Search then only runs the playout budget the retained visits do
 // not already cover, re-mixing Dirichlet exploration noise into the
 // promoted root's priors once, so every retained visit is a DNN
-// evaluation the move does not re-buy (see BENCH_tree_reuse.json for the
-// recorded fresh-vs-warm demand). Rebases drain in-flight traversals (and
+// evaluation the move does not re-buy (mcts.reuse_frac and
+// mcts.evals_per_move in bash cmd/bench/run.sh). Rebases drain in-flight traversals (and
 // their virtual loss) first, and wasted-evaluation counters are
 // generation-tagged so rollouts straddling a move boundary are attributed
 // rather than dropped. With ReuseTree off (the default, matching the
@@ -163,7 +170,8 @@
 // evaluation cache (evaluate.HashedEvaluator): a probe costs a map
 // lookup and a byte comparison instead of re-encoding the plane tensor
 // and hashing every float, which makes cache hits ~55x cheaper
-// (BENCH_transposition.json).
+// (historical, 1-core container; evaluate.cache_hit_ns in
+// bash cmd/bench/run.sh is the current figure).
 //
 // An offline opening book precomputes the first plies entirely:
 // mcts.BuildBook sweeps the opening frontier breadth-first against one
@@ -174,7 +182,7 @@
 // before the search session even locks: zero playouts, zero evaluations,
 // and the same collision discipline — a book entry whose verification key
 // does not match the live position is a miss, never a wrong serve.
-// BENCH_transposition.json records the measured eval-demand reductions.
+// EXPERIMENTS.md records the measured eval-demand reductions.
 //
 // # Model lifecycle
 //
@@ -286,8 +294,8 @@
 // into a bounded drop-oldest buffer and redials with backoff, and a
 // restarted learner resumes from the checkpoint store and replay dir
 // while workers reconnect and catch up on the current model in the hello
-// exchange (topology and failure semantics in OPERATIONS.md;
-// BENCH_distributed.json records the latency-bound scaling measurement).
+// exchange (topology and failure semantics in OPERATIONS.md; the
+// latency-bound scaling bar is internal/dist's TestDistributedScaling).
 //
 // # Networked serving
 //
@@ -314,7 +322,7 @@
 // discarded, never raced. cmd/loadgen drives a running server with N
 // concurrent simulated users playing full games, validates every response
 // against a local rules mirror (a mis-routed move is a hard failure), and
-// records p50/p99 move latency and sustained moves/s (BENCH_serving.json).
+// reports p50/p99 move latency and sustained moves/s.
 // OPERATIONS.md is the operator's guide: every flag of every binary, the
 // eviction and backpressure knobs, drain semantics, and the /statsz field
 // reference.
@@ -354,11 +362,12 @@
 // registered game, plus the FuzzPlayout body behind each game package's
 // FuzzStatePlayout target; internal/mcts's FuzzRebaseRoot drives subtree
 // promotion against a rebuild-from-scratch reference on all scenario
-// families. BENCH_scenarios.json records the cross-game throughput table.
+// families. EXPERIMENTS.md records a cross-game throughput table
+// (historical, 1-core container).
 //
 // Packages live under internal/; the runnable entry points are the
 // binaries under cmd/ and the programs under examples/. The benchmarks in
 // bench_test.go regenerate each table and figure of the paper's evaluation
-// (see EXPERIMENTS.md for the index and recorded results;
-// BENCH_shared_inference.json records the multi-tenant acceptance run).
+// (see EXPERIMENTS.md for the index and the historical results; current
+// numbers come from bash cmd/bench/run.sh against cmd/bench/baseline.json).
 package parmcts

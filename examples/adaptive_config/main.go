@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// Step 1: design-time profiling (here: the calibrated paper-shaped
-	// parameters; cmd/configure profiles your real host instead).
+	// parameters; cmd/figures configure profiles your real host instead).
 	lp := experiments.PaperShapedParams(1600)
 	params := perfmodel.Params{
 		TSelect:       lp.Workload.TSelect,

@@ -5,6 +5,10 @@
 // batch-size search — and instantiates the predicted-fastest tree-parallel
 // engine behind the common mcts.Engine interface.
 //
+// One builder (buildFleet) turns a decision into engines; a single engine
+// (Configure) is a fleet of one. NewLocalFleet is the part of it training
+// drivers call directly: G local-tree masters on one worker-pool Server.
+//
 // This is the programmatic equivalent of the paper's "compile-time"
 // selection: configuration happens once per (algorithm, hardware, N)
 // triple, and the chosen scheme then runs unchanged for the whole training
@@ -74,10 +78,6 @@ type Options struct {
 	// ForceScheme, when non-nil, skips the model decision (used by the
 	// baseline configurations in the evaluation harness).
 	ForceScheme *perfmodel.Scheme
-	// FlushDeadline bounds how long a multi-tenant service may hold a
-	// partial batch (0 = evaluate.DefaultFlushDeadline). Only used by
-	// ConfigureFleet, where co-tenant stragglers make a deadline mandatory.
-	FlushDeadline time.Duration
 }
 
 // Decision records what the configuration workflow chose and why.
@@ -108,64 +108,52 @@ func (d Decision) String() string {
 	return s
 }
 
-// Engine wraps the chosen mcts.Engine together with the resources it owns.
+// Engine is a fleet of one: the chosen mcts.Engine together with the
+// resources it owns.
 type Engine struct {
 	mcts.Engine
 	Decision Decision
-	closers  []func()
+	fleet    *Fleet
 }
 
-// Close releases the engine's evaluator pools.
-func (e *Engine) Close() {
-	e.Engine.Close()
-	for _, f := range e.closers {
-		f()
-	}
-}
+// Close releases the engine and its evaluator service.
+func (e *Engine) Close() { e.fleet.Close() }
 
 // Configure runs the design configuration workflow for g under opts and
 // returns the predicted-fastest engine, ready for Search calls.
 func Configure(g game.Game, opts Options) (*Engine, error) {
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("adaptive: Workers must be >= 1, got %d", opts.Workers)
-	}
-	if opts.Platform == PlatformCPU && opts.Evaluator == nil {
-		return nil, fmt.Errorf("adaptive: PlatformCPU requires an Evaluator")
-	}
-	if opts.Platform == PlatformAccel && opts.Device == nil {
-		return nil, fmt.Errorf("adaptive: PlatformAccel requires a Device")
-	}
-
-	dec, err := decide(g, opts)
+	f, err := ConfigureFleet(g, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := build(g, opts, dec)
-	if err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return &Engine{Engine: f.Engines[0], Decision: f.Decision, fleet: f}, nil
 }
 
 // Fleet is G engines sharing one inference service: the output of the
 // multi-tenant design configuration workflow. Engines[i] is tenant i's
-// private search engine (each owns its own tree and RNG stream); Server is
-// the shared evaluate.Server when the decision built one (local schemes and
-// shared+accel), nil when tenants share only a synchronous evaluator.
+// private search engine (each owns its own tree and RNG stream). Server is
+// the shared evaluate.Server and Clients[i] tenant i's handle on it — what a
+// driver pins to a model version for the length of a game — when the
+// decision built one (local schemes and shared+accel); both are nil when
+// tenants share only a synchronous evaluator.
 type Fleet struct {
 	Engines  []mcts.Engine
 	Decision Decision
 	Server   *evaluate.Server
-	closers  []func()
+	Clients  []*evaluate.Client
 }
 
-// Close releases every tenant engine and then drains the shared service.
+// Close releases every tenant engine, then every tenant's client, and then
+// drains the shared service.
 func (f *Fleet) Close() {
 	for _, e := range f.Engines {
 		e.Close()
 	}
-	for _, fn := range f.closers {
-		fn()
+	for _, c := range f.Clients {
+		c.Close()
+	}
+	if f.Server != nil {
+		f.Server.Close()
 	}
 }
 
@@ -193,7 +181,7 @@ func ConfigureFleet(g game.Game, tenants int, opts Options) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildFleet(g, tenants, opts, dec)
+	return buildFleet(tenants, opts, dec)
 }
 
 // decideTenants is decide with the G-tenant aggregate-fill models swapped
@@ -244,79 +232,96 @@ func decideTenants(g game.Game, tenants int, opts Options) (Decision, error) {
 	return dec, nil
 }
 
-// buildFleet instantiates G engines over one shared inference backend.
-func buildFleet(g game.Game, tenants int, opts Options, dec Decision) (*Fleet, error) {
-	fleet := &Fleet{Decision: dec, Engines: make([]mcts.Engine, tenants)}
+// buildFleet instantiates G engines over one shared inference backend — the
+// only place a Decision becomes engines.
+func buildFleet(tenants int, opts Options, dec Decision) (*Fleet, error) {
 	n := opts.Workers
-	deadline := opts.FlushDeadline
-	if deadline <= 0 {
-		deadline = evaluate.DefaultFlushDeadline
-	}
 	// Each tenant gets its own root-noise stream; identical seeds would make
-	// co-tenant games collapse onto one trajectory.
-	tenantCfg := func(i int) mcts.Config {
-		cfg := opts.Search
-		cfg.Seed = cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
-		return cfg
+	// co-tenant games collapse onto one trajectory. Tenant 0 keeps the
+	// caller's seed, so a fleet of one searches exactly as configured.
+	cfgs := make([]mcts.Config, tenants)
+	for i := range cfgs {
+		cfgs[i] = opts.Search
+		cfgs[i].Seed += uint64(i) * 0x9E3779B97F4A7C15
 	}
 
+	var fleet *Fleet
 	switch {
 	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformCPU:
 		// Tenants share the (thread-safe) evaluator directly; there is no
 		// batch to aggregate on a CPU.
-		for i := range fleet.Engines {
-			fleet.Engines[i] = mcts.NewShared(tenantCfg(i), n, opts.Evaluator)
+		fleet = &Fleet{Engines: make([]mcts.Engine, tenants)}
+		for i, cfg := range cfgs {
+			fleet.Engines[i] = mcts.NewShared(cfg, n, opts.Evaluator)
 		}
 
 	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformAccel:
 		// One service aggregates all G*N workers' synchronous requests into
-		// full-fill batches; the deadline releases stragglers when a tenant
-		// finishes its move early and the threshold can no longer be met.
-		sync := evaluate.NewBatchedSyncDeadline(opts.Device, dec.Choice.BatchSize, deadline)
-		fleet.Server = sync.Server()
-		for i := range fleet.Engines {
-			fleet.Engines[i] = mcts.NewShared(tenantCfg(i), n, sync)
+		// full-fill batches (Section 3.3). Every worker is a registered slot
+		// of its sync tenant, so a tail that can no longer fill the threshold
+		// launches by quorum, not by hand.
+		srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: opts.Device}, evaluate.ServerConfig{
+			Batch:         dec.Choice.BatchSize,
+			FlushDeadline: flushDeadline(tenants),
+		})
+		fleet = &Fleet{Server: srv, Engines: make([]mcts.Engine, tenants), Clients: make([]*evaluate.Client, tenants)}
+		for i, cfg := range cfgs {
+			fleet.Clients[i] = srv.NewSyncClient()
+			fleet.Engines[i] = mcts.NewShared(cfg, n, fleet.Clients[i])
 		}
-		fleet.closers = append(fleet.closers, sync.Close)
 
 	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformCPU:
 		// One worker pool serves all tenants: batch size 1, concurrency
 		// bounded to the physical worker budget.
-		srv := evaluate.NewServer(&evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}, evaluate.ServerConfig{
-			Batch:          1,
-			MaxOutstanding: tenants * n,
-			LaunchWorkers:  n, // persistent inference threads, no per-playout spawn
-		})
-		fleet.Server = srv
-		for i := range fleet.Engines {
-			cl := srv.NewClient(n)
-			fleet.Engines[i] = mcts.NewLocal(tenantCfg(i), cl, n)
-			fleet.closers = append(fleet.closers, cl.Close)
-		}
-		fleet.closers = append(fleet.closers, srv.Close)
+		fleet = NewLocalFleet(&evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}, 0, n, cfgs)
 
 	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformAccel:
-		// The tentpole topology: G local-tree masters stream requests into
-		// one deadline-flushing service whose threshold is the aggregate
-		// fill the G-tenant Equation 6 chose.
-		srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: opts.Device}, evaluate.ServerConfig{
-			Batch:          dec.Choice.BatchSize,
-			FlushDeadline:  deadline,
-			MaxOutstanding: 2 * tenants * n,
-		})
-		fleet.Server = srv
-		for i := range fleet.Engines {
-			cl := srv.NewClient(n)
-			fleet.Engines[i] = mcts.NewLocal(tenantCfg(i), cl, n)
-			fleet.closers = append(fleet.closers, cl.Close)
-		}
-		fleet.closers = append(fleet.closers, srv.Close)
+		// G local-tree masters stream requests into one service whose
+		// threshold is the aggregate fill the G-tenant Equation 6 chose, each
+		// batch on its own goroutine (the "CUDA stream" of Section 3.3).
+		fleet = localFleet(evaluate.DeviceBackend{Dev: opts.Device}, evaluate.ServerConfig{Batch: dec.Choice.BatchSize}, n, cfgs)
 
 	default:
 		return nil, fmt.Errorf("adaptive: unsupported scheme/platform combination")
 	}
-	_ = g
+	fleet.Decision = dec
 	return fleet, nil
+}
+
+// flushDeadline is the launch backstop of a service shared by G searches. A
+// fleet of one has no co-tenant to wait for and gets none, which also lets a
+// master about to block push its own partial batch (Client.Next).
+func flushDeadline(tenants int) time.Duration {
+	if tenants == 1 {
+		return 0
+	}
+	return evaluate.DefaultFlushDeadline
+}
+
+// NewLocalFleet stands up the training drivers' fleet: one worker-pool Server
+// over backend (batch size 1 on workers persistent inference threads, backend
+// registered as model version version, 0 = 1) and one mcts.NewLocal master per
+// entry of cfgs, each on its own Client with up to workers evaluations in
+// flight. The caller chooses each tenant's Config (and so its noise seed) and
+// keeps the lifecycle: Clients[i].Pin per game, Server.SwapBackend/Retire on
+// promotion, Close at the end.
+func NewLocalFleet(backend evaluate.Backend, version int64, workers int, cfgs []mcts.Config) *Fleet {
+	return localFleet(backend, evaluate.ServerConfig{Batch: 1, LaunchWorkers: workers, InitialVersion: version}, workers, cfgs)
+}
+
+// localFleet is len(cfgs) local-tree masters on one Server built from sc,
+// which says how batches form and run; how much may be outstanding and
+// whether partial batches need a deadline follow from the fleet's size.
+func localFleet(backend evaluate.Backend, sc evaluate.ServerConfig, workers int, cfgs []mcts.Config) *Fleet {
+	sc.MaxOutstanding = 2 * len(cfgs) * workers
+	sc.FlushDeadline = flushDeadline(len(cfgs))
+	srv := evaluate.NewServer(backend, sc)
+	fleet := &Fleet{Server: srv, Engines: make([]mcts.Engine, len(cfgs)), Clients: make([]*evaluate.Client, len(cfgs))}
+	for i, cfg := range cfgs {
+		fleet.Clients[i] = srv.NewClient(workers)
+		fleet.Engines[i] = mcts.NewLocal(cfg, fleet.Clients[i], workers)
+	}
+	return fleet
 }
 
 // decide profiles and applies the performance models.
@@ -379,34 +384,4 @@ func forcedChoice(params perfmodel.Params, opts Options) perfmodel.Choice {
 		choice.Probes = probes
 	}
 	return choice
-}
-
-// build instantiates the engine the decision calls for.
-func build(g game.Game, opts Options, dec Decision) (*Engine, error) {
-	eng := &Engine{Decision: dec}
-	n := opts.Workers
-	switch {
-	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformCPU:
-		eng.Engine = mcts.NewShared(opts.Search, n, opts.Evaluator)
-
-	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformAccel:
-		// Shared + accelerator: full batches of size N (Section 3.3).
-		sync := evaluate.NewBatchedSync(opts.Device, n)
-		eng.Engine = mcts.NewShared(opts.Search, n, sync)
-
-	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformCPU:
-		pool := evaluate.NewPool(opts.Evaluator, n)
-		eng.Engine = mcts.NewLocal(opts.Search, pool, n)
-		eng.closers = append(eng.closers, pool.Close)
-
-	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformAccel:
-		async := evaluate.NewBatchedAsync(opts.Device, dec.Choice.BatchSize, n)
-		eng.Engine = mcts.NewLocal(opts.Search, async, n)
-		eng.closers = append(eng.closers, async.Close)
-
-	default:
-		return nil, fmt.Errorf("adaptive: unsupported scheme/platform combination")
-	}
-	_ = g
-	return eng, nil
 }

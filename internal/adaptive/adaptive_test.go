@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -363,5 +364,50 @@ func TestFleetTenantsGetDistinctSeeds(t *testing.T) {
 	}
 	if same {
 		t.Fatal("tenants share a noise seed: identical root distributions")
+	}
+}
+
+// NewLocalFleet is the training drivers' topology: G local-tree masters on
+// one worker-pool server. Every evaluation a master counts went through that
+// server, and Close — engines, then clients, then the server — leaves
+// nothing of it running.
+func TestNewLocalFleetSharesOneServerAndCloses(t *testing.T) {
+	g := connect4.New()
+	before := runtime.NumGoroutine()
+	cfgs := make([]mcts.Config, 3)
+	for i := range cfgs {
+		cfgs[i] = searchCfg(50)
+		cfgs[i].Seed = uint64(i) * 7919
+	}
+	fleet := NewLocalFleet(&evaluate.EvaluatorBackend{Eval: &evaluate.Random{}, Workers: 2}, 5, 2, cfgs)
+	if len(fleet.Engines) != 3 || len(fleet.Clients) != 3 || fleet.Server.Version() != 5 {
+		t.Fatalf("fleet of %d engines, %d clients on version %d; want 3, 3, 5",
+			len(fleet.Engines), len(fleet.Clients), fleet.Server.Version())
+	}
+	st := g.NewInitial()
+	done := make(chan mcts.Stats, len(fleet.Engines))
+	for _, e := range fleet.Engines {
+		go func(e mcts.Engine) {
+			done <- e.Search(st, make([]float32, st.NumActions()))
+		}(e)
+	}
+	var agg mcts.Stats
+	for range fleet.Engines {
+		agg.Add(<-done)
+	}
+	if agg.Playouts != 3*50 {
+		t.Fatalf("aggregate playouts %d, want 150", agg.Playouts)
+	}
+	if got := fleet.Server.Stats().Requests; got != int64(agg.Evaluations) || got == 0 {
+		t.Fatalf("server served %d requests, masters counted %d evaluations", got, agg.Evaluations)
+	}
+	fleet.Close()
+	// The launcher goroutines exit inside Server.Close; the search goroutines
+	// above have sent their result and are on their way out.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines still running after Close, %d before the fleet", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

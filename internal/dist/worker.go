@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/adaptive"
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
@@ -174,41 +175,27 @@ func (w *Worker) Run() WorkerStats {
 	w.mu.Unlock()
 
 	// Build the fleet around the received model: one shared inference
-	// service, one engine per game, per-game version pinning — the same
-	// topology as cmd/train minus replay and SGD.
+	// service, one engine per game, per-game version pinning — cmd/train's
+	// topology minus replay and SGD.
 	version := first.man.Version
 	mkBackend := func(net *nn.Network) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: w.cfg.NewEvaluator(net), Workers: w.cfg.Workers}
 	}
-	srv := evaluate.NewServer(mkBackend(first.net), evaluate.ServerConfig{
-		Batch:          1,
-		FlushDeadline:  evaluate.DefaultFlushDeadline,
-		MaxOutstanding: w.cfg.Games * w.cfg.Workers * 2,
-		LaunchWorkers:  w.cfg.Workers,
-		InitialVersion: version,
-	})
-	defer srv.Close()
-
-	clients := make([]*evaluate.Client, w.cfg.Games)
-	engines := make([]mcts.Engine, w.cfg.Games)
-	for i := range engines {
-		clients[i] = srv.NewClient(w.cfg.Workers * 2)
+	cfgs := make([]mcts.Config, w.cfg.Games)
+	for i := range cfgs {
 		mc := mcts.DefaultConfig()
 		mc.Playouts = w.cfg.Playouts
 		mc.DirichletAlpha = 0.3
 		mc.NoiseFrac = 0.25
 		mc.Seed = w.cfg.Seed + uint64(i)*7919
-		engines[i] = mcts.NewLocal(mc, clients[i], w.cfg.Workers)
+		cfgs[i] = mc
 	}
-	defer func() {
-		for i := range engines {
-			engines[i].Close()
-			clients[i].Close()
-		}
-	}()
+	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, w.cfg.Workers, cfgs)
+	defer fleet.Close()
+	srv, clients := fleet.Server, fleet.Clients
 
 	var stats WorkerStats
-	driver := selfplay.NewDriver(w.cfg.Game, engines, nil, nil, selfplay.Config{
+	driver := selfplay.NewDriver(w.cfg.Game, fleet.Engines, nil, nil, selfplay.Config{
 		TempMoves:   w.cfg.TempMoves,
 		Seed:        w.cfg.Seed,
 		OnGameStart: func(tenant int) { clients[tenant].Pin(srv.Version()) },

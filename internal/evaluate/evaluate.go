@@ -1,26 +1,26 @@
 // Package evaluate provides the node-evaluation backends
-// ("neural_network_simulate" in Algorithms 2 and 3) in the four flavours
+// ("neural_network_simulate" in Algorithms 2 and 3) in the three flavours
 // the paper's schemes need:
 //
 //   - NN: synchronous on-thread inference — one shared-tree worker
 //     evaluating its own leaf on its own CPU thread.
 //   - NewPool: an asynchronous worker pool over any synchronous evaluator —
 //     the local-tree scheme's N inference threads fed by FIFO pipes.
-//   - BatchedSync: the accelerator queue with threshold flushing for the
-//     shared-tree + GPU configuration (batch size is always the worker
-//     count; Section 3.3).
 //   - NewBatchedAsync: the accelerator queue with sub-batch size B and
 //     stream-style overlapped submissions for the local-tree + GPU
 //     configuration (the subject of the Algorithm 4 batch-size search).
 //
-// All three are one-tenant deployments of the multi-tenant inference Server
-// (see server.go) — the same shared batcher that multi-game drivers share
-// across G searches: NewPool and NewBatchedAsync return the Client itself,
-// which owns and closes its private Server. The Server launches a batch on
-// the first of three conditions — threshold, quorum (every slot of every
-// open search has a request buffered; the count includes slots whose request
-// is executing, so lock-step tenants stay in one batch) or flush deadline —
-// described on Server. A Random
+// The last two are one-tenant deployments of the multi-tenant inference
+// Server (see server.go) — the same shared batcher that multi-game drivers
+// share across G searches: they return the Client itself, which owns and
+// closes its private Server. The shared-tree + GPU configuration (Section
+// 3.3: N workers' simultaneous requests form one full batch) needs no
+// flavour of its own — it is a sync tenant of a Server
+// (Server.NewSyncClient), the same tenant serve sessions and arena gates
+// use. The Server launches a batch on the first of three conditions —
+// threshold, quorum (every slot of every open search has a request buffered;
+// the count includes slots whose request is executing, so lock-step tenants
+// stay in one batch) or flush deadline — described on Server. A Random
 // evaluator with a configurable synthetic latency supports the design-time
 // profiling runs, which the paper performs with a DNN "filled with random
 // parameters".
@@ -202,54 +202,6 @@ func NewPool(eval Evaluator, workers int) *Client {
 		LaunchWorkers: workers,
 	})
 	return srv.newOwnedClient(workers * 4)
-}
-
-// BatchedSync adapts a batched accelerator device to the synchronous
-// Evaluator interface: callers block until the accelerator queue reaches
-// the threshold and the whole batch is submitted. In the shared-tree + GPU
-// configuration the threshold equals the number of workers, so "the
-// selection processes are parallel, resulting in the nearly simultaneous
-// arrival of all inference tasks" (Section 3.3). It is a sync-mode client
-// of a one-tenant Server; requests come from the shared request pool.
-type BatchedSync struct {
-	srv *Server
-	cl  *Client
-}
-
-// NewBatchedSync creates the adapter with the given flush threshold and no
-// flush deadline (classic threshold-only accelerator queue).
-func NewBatchedSync(dev accel.Device, threshold int) *BatchedSync {
-	return NewBatchedSyncDeadline(dev, threshold, 0)
-}
-
-// NewBatchedSyncDeadline creates the adapter with a flush deadline: partial
-// batches launch at most deadline after their oldest request arrived. Used
-// when workers from several co-tenant games share one queue and a straggler
-// game can no longer fill the threshold on its own.
-func NewBatchedSyncDeadline(dev accel.Device, threshold int, deadline time.Duration) *BatchedSync {
-	srv := NewServer(DeviceBackend{Dev: dev}, ServerConfig{
-		Batch:         threshold,
-		FlushDeadline: deadline,
-	})
-	return &BatchedSync{srv: srv, cl: srv.NewSyncClient()}
-}
-
-// Evaluate implements Evaluator.
-func (b *BatchedSync) Evaluate(input []float32, policy []float32) float64 {
-	return b.cl.Evaluate(input, policy)
-}
-
-// Server exposes the underlying service (shared across co-tenant engines).
-func (b *BatchedSync) Server() *Server { return b.srv }
-
-// Drain flushes a partial batch, releasing any blocked callers. Needed at
-// the end of a move when fewer than threshold workers remain.
-func (b *BatchedSync) Drain() { b.srv.Flush() }
-
-// Close drains the underlying service. No Evaluate may follow.
-func (b *BatchedSync) Close() {
-	b.cl.Close()
-	b.srv.Close()
 }
 
 // NewBatchedAsync adapts a batched accelerator device to the Async

@@ -198,38 +198,26 @@ func TestPoolPanicsOnZeroWorkers(t *testing.T) {
 	NewPool(&Random{}, 0)
 }
 
-func TestBatchedSyncReleasesFullBatch(t *testing.T) {
-	dev := accel.NewModel(accel.DefaultCostModel())
-	b := NewBatchedSync(dev, 4)
+// The shared-tree + GPU queue (Section 3.3) is a sync tenant of a Server
+// whose threshold is the worker count: four blocked callers are one batch.
+func TestSyncClientReleasesFullBatch(t *testing.T) {
+	srv := NewServer(DeviceBackend{Dev: accel.NewModel(accel.DefaultCostModel())}, ServerConfig{Batch: 4})
+	cl := srv.NewSyncClient()
 	var wg sync.WaitGroup
-	results := make([]float64, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			policy := make([]float32, 9)
-			results[i] = b.Evaluate(testInput(uint64(i), 36), policy)
+			cl.Evaluate(testInput(uint64(i), 36), policy)
 			policyOK(t, policy)
 		}(i)
 	}
 	wg.Wait() // deadlocks (test timeout) if the batch never flushes
-}
-
-func TestBatchedSyncDrainReleasesPartialBatch(t *testing.T) {
-	dev := accel.NewModel(accel.DefaultCostModel())
-	b := NewBatchedSync(dev, 8)
-	done := make(chan float64, 1)
-	go func() {
-		policy := make([]float32, 9)
-		done <- b.Evaluate(testInput(1, 36), policy)
-	}()
-	// Give the goroutine time to enqueue, then drain the partial batch.
-	time.Sleep(20 * time.Millisecond)
-	b.Drain()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Drain did not release the blocked caller")
+	cl.Close()
+	srv.Close()
+	if st := srv.Stats(); st.Batches != 1 || st.Requests != 4 {
+		t.Fatalf("4 simultaneous callers made %d batches of %d requests, want one batch of 4", st.Batches, st.Requests)
 	}
 }
 

@@ -565,9 +565,6 @@ func (c *Client) Pin(version int64) { c.pin.Store(version) }
 // Unpin reverts the client to current-version stamping.
 func (c *Client) Unpin() { c.pin.Store(0) }
 
-// PinnedVersion returns the pinned version (0 = unpinned).
-func (c *Client) PinnedVersion() int64 { return c.pin.Load() }
-
 // Submit implements Async. The request's Version is re-stamped on every
 // submission — the client's pin, or 0 for the server to stamp its current
 // version — so requests reused across searches cannot leak a stale version

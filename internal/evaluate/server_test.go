@@ -328,7 +328,7 @@ func TestServerCloseDrainsPartialBatch(t *testing.T) {
 }
 
 // TestRequestPoolReuse: pooled requests keep a working done channel across
-// acquire/release cycles (the satellite alloc fix) and BatchedSync uses it.
+// acquire/release cycles, and a sync client evaluates through them.
 func TestRequestPoolReuse(t *testing.T) {
 	req := AcquireRequest()
 	if req.done == nil || cap(req.done) != 1 {
@@ -349,15 +349,17 @@ func TestRequestPoolReuse(t *testing.T) {
 	}
 	ReleaseRequest(again)
 
-	// End-to-end through BatchedSync: many evaluations, one goroutine —
+	// End-to-end through a sync client: many evaluations, one goroutine —
 	// every cycle reuses the pooled request and its channel.
 	dev := accel.NewModel(accel.CostModel{LinkBytesPerSec: 1e12})
-	b := NewBatchedSync(dev, 1)
+	srv := NewServer(DeviceBackend{Dev: dev}, ServerConfig{Batch: 1})
+	cl := srv.NewSyncClient()
 	policy := make([]float32, 9)
 	for i := 0; i < 50; i++ {
-		b.Evaluate(testInput(uint64(i), 36), policy)
+		cl.Evaluate(testInput(uint64(i), 36), policy)
 	}
-	b.Close()
+	cl.Close()
+	srv.Close()
 }
 
 // TestEvaluatorBackendBoundsConcurrency: no more than Workers evaluations

@@ -65,10 +65,7 @@ func (sc TrainingScale) game() (game.Game, error) {
 
 func (sc TrainingScale) network(g game.Game) *nn.Network {
 	c, h, w := g.EncodedShape()
-	if sc.TinyNet {
-		return nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(sc.Seed))
-	}
-	return nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(sc.Seed))
+	return nn.MustNew(nn.ConfigFor(!sc.TinyNet, c, h, w, g.NumActions()), rng.New(sc.Seed))
 }
 
 func (sc TrainingScale) trainerConfig(g game.Game) train.TrainerConfig {

@@ -140,24 +140,30 @@ func TestSharedEngineCorrectness(t *testing.T) {
 	}
 }
 
-func TestSharedWithBatchedSyncEvaluator(t *testing.T) {
+func TestSharedWithSyncClientEvaluator(t *testing.T) {
 	// Shared-tree + accelerator queue with threshold == workers (the
-	// paper's shared+GPU configuration). The drain-on-retire path prevents
-	// end-of-move deadlock when the final partial batch cannot fill.
+	// paper's shared+GPU configuration) and NO flush deadline. 37 % 4 != 0:
+	// the final batch cannot fill. Nothing flushes it by hand — the engine
+	// registers its workers with the client, each leaves when the tickets run
+	// out, and the stragglers' partial batch launches by quorum.
 	cost := accel.DefaultCostModel()
 	cost.LaunchLatency = 0
 	cost.ComputeBase = 0
 	cost.ComputePerSample = 0
-	dev := accel.NewModel(cost)
 	workers := 4
-	eval := evaluate.NewBatchedSync(dev, workers)
-	e := NewShared(testCfg(203), workers, eval) // 203 % 4 != 0: partial final batch
+	srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: accel.NewModel(cost)}, evaluate.ServerConfig{Batch: workers})
+	cl := srv.NewSyncClient()
+	e := NewShared(testCfg(37), workers, cl)
 	st := connect4.New().NewInitial()
-	dist, _ := runEngine(t, e, st)
-	_ = dist
+	runEngine(t, e, st)
 	tr := e.Tree()
-	if got := tr.Node(tr.Root()).Visits(); got != 203 {
-		t.Fatalf("root visits = %d, want 203", got)
+	if got := tr.Node(tr.Root()).Visits(); got != 37 {
+		t.Fatalf("root visits = %d, want 37", got)
+	}
+	cl.Close()
+	srv.Close()
+	if s := srv.Stats(); s.DeadlineFlushes != 0 || s.QuorumFlushes == 0 {
+		t.Fatalf("tail launched by %d deadline and %d quorum flushes, want 0 and > 0", s.DeadlineFlushes, s.QuorumFlushes)
 	}
 }
 

@@ -8,14 +8,6 @@ import (
 	"github.com/parmcts/parmcts/internal/game"
 )
 
-// Drainer is implemented by evaluators that buffer requests (the
-// accelerator queue): Drain releases a partial batch. The shared engine
-// calls it when a worker retires, so stragglers blocked on a batch that can
-// no longer fill are released (end-of-move effect, Section 3.3).
-type Drainer interface {
-	Drain()
-}
-
 // Shared implements Algorithm 2: a pool of N threads, each executing
 // complete "threadsafe_rollout"s against a single tree in shared memory.
 // Virtual loss diversifies the paths; per-node locks protect the
@@ -56,12 +48,10 @@ func (e *Shared) run(root game.State, budget int) {
 			for counter.Add(1) <= int64(budget) {
 				e.rollout(root, sc)
 			}
-			e.leave(1) // no ticket left: this worker submits nothing more
-			// This worker is done; release any partial accelerator batch so
-			// the remaining workers are not stranded waiting for it.
-			if d, ok := e.eval.(Drainer); ok {
-				d.Drain()
-			}
+			// No ticket left: this worker submits nothing more, so a batching
+			// evaluator must not hold the stragglers' requests for it
+			// (end-of-move effect, Section 3.3).
+			e.leave(1)
 		}(&e.scratch[w])
 	}
 	wg.Wait()

@@ -55,6 +55,15 @@ func TinyConfig(inC, h, w, actions int) Config {
 	}
 }
 
+// ConfigFor is the binaries' -full-net switch: the paper's network
+// (GomokuConfig) when full, the small one (TinyConfig) otherwise.
+func ConfigFor(full bool, inC, h, w, actions int) Config {
+	if full {
+		return GomokuConfig(inC, h, w, actions)
+	}
+	return TinyConfig(inC, h, w, actions)
+}
+
 func (c Config) validate() error {
 	if c.InC <= 0 || c.H <= 0 || c.W <= 0 || c.NumActions <= 0 {
 		return fmt.Errorf("nn: invalid dimensions %+v", c)

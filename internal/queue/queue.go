@@ -84,7 +84,7 @@ func (q *FIFO[T]) Chan() <-chan T { return q.ch }
 //     for the flush deadline.
 //
 // Flush runs synchronously on the caller that completed the condition (Add,
-// Leave, SetThreshold, FlushNow or the deadline timer's goroutine) while
+// Leave, FlushNow or the deadline timer's goroutine) while
 // holding no Batcher lock, so producers on other goroutines keep
 // accumulating the next batch concurrently.
 //
@@ -151,27 +151,8 @@ func NewDeadlineBatcher[T any](threshold int, deadline time.Duration, flush func
 // Deadline returns the flush deadline (0 = threshold-only).
 func (b *Batcher[T]) Deadline() time.Duration { return b.deadline }
 
-// Threshold returns the current flush threshold.
-func (b *Batcher[T]) Threshold() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.threshold
-}
-
-// SetThreshold changes the flush threshold; if the buffer already holds at
-// least n elements they are flushed immediately.
-func (b *Batcher[T]) SetThreshold(n int) {
-	if n < 1 {
-		panic("queue: batch threshold must be >= 1")
-	}
-	b.mu.Lock()
-	b.threshold = n
-	batch := b.takeIfReadyLocked()
-	b.mu.Unlock()
-	if batch != nil {
-		b.flush(batch)
-	}
-}
+// Threshold returns the flush threshold.
+func (b *Batcher[T]) Threshold() int { return b.threshold }
 
 // Join registers n producer slots: n more requests can be outstanding at
 // once, so the quorum rises by n. A larger quorum never launches anything.

@@ -182,31 +182,10 @@ func TestBatcherFlushesAtThreshold(t *testing.T) {
 	}
 }
 
-func TestBatcherSetThreshold(t *testing.T) {
-	var flushed [][]int
-	b := NewBatcher[int](10, func(batch []int) { flushed = append(flushed, batch) })
-	b.Add(1)
-	b.Add(2)
-	b.Add(3)
-	b.SetThreshold(2) // buffer (3) already >= 2: immediate flush
-	if len(flushed) != 1 || len(flushed[0]) != 3 {
-		t.Fatalf("SetThreshold flush wrong: %v", flushed)
-	}
-	if b.Threshold() != 2 {
-		t.Fatalf("threshold = %d", b.Threshold())
-	}
-	b.Add(4)
-	b.Add(5)
-	if len(flushed) != 2 {
-		t.Fatal("new threshold not applied")
-	}
-}
-
 func TestBatcherPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero threshold": func() { NewBatcher[int](0, func([]int) {}) },
 		"nil flush":      func() { NewBatcher[int](1, nil) },
-		"bad set":        func() { NewBatcher[int](1, func([]int) {}).SetThreshold(0) },
 	} {
 		func() {
 			defer func() {

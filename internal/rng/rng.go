@@ -64,9 +64,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

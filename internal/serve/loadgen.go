@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -399,40 +397,4 @@ func postJSON(cfg *LoadConfig, w *loadWorker, path string, body interface{}) (wi
 		}
 	}
 	return out, lat, resp.StatusCode, nil
-}
-
-// BenchServing is the BENCH_serving.json document shape.
-type BenchServing struct {
-	Description string            `json:"description"`
-	Environment map[string]string `json:"environment"`
-	Serving     struct {
-		Invocation string     `json:"invocation"`
-		Game       string     `json:"game"`
-		Playouts   int        `json:"playouts_per_move"`
-		Report     LoadReport `json:"report"`
-	} `json:"serving"`
-	Acceptance string `json:"acceptance"`
-}
-
-// WriteBenchServing records a load report in the repo's BENCH_*.json shape.
-func WriteBenchServing(path, description, invocation, gameSpec string, playouts int, rep LoadReport, acceptance string) error {
-	doc := BenchServing{
-		Description: description,
-		Environment: map[string]string{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"go":     runtime.Version(),
-			"cores":  strconv.Itoa(runtime.NumCPU()),
-		},
-	}
-	doc.Serving.Invocation = invocation
-	doc.Serving.Game = gameSpec
-	doc.Serving.Playouts = playouts
-	doc.Serving.Report = rep
-	doc.Acceptance = acceptance
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

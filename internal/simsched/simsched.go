@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"github.com/parmcts/parmcts/internal/accel"
-	"github.com/parmcts/parmcts/internal/perfmodel"
 )
 
 // Workload bundles the per-operation latencies of one benchmark on one
@@ -30,17 +29,6 @@ type Workload struct {
 	TDNNCPU       time.Duration // one inference on one CPU thread
 	TSharedAccess time.Duration // serialized shared-memory access per iteration
 	Playouts      int           // iterations per move (1600 in the paper)
-}
-
-// FromParams converts a perfmodel.Params profile into a Workload.
-func FromParams(p perfmodel.Params, playouts int) Workload {
-	return Workload{
-		TSelect:       p.TSelect,
-		TBackup:       p.TBackup,
-		TDNNCPU:       p.TDNNCPU,
-		TSharedAccess: p.TSharedAccess,
-		Playouts:      playouts,
-	}
 }
 
 // Result reports one simulated move.

@@ -233,9 +233,6 @@ func NewLoop(net, incumbent *nn.Network, replay *Replay, gen Generator, gate Gat
 // Version returns the incumbent's current model version.
 func (l *Loop) Version() int64 { return l.version }
 
-// Incumbent returns the frozen snapshot currently treated as incumbent.
-func (l *Loop) Incumbent() *nn.Network { return l.incumbent }
-
 // Promotions returns the accepted promotions so far.
 func (l *Loop) Promotions() []Promotion { return l.promotions }
 

@@ -88,8 +88,12 @@ type Node struct {
 	// transpose.go.
 	stats atomic.Pointer[StateStats]
 
-	terminal  bool    // the game ends at this node
-	termValue float64 // outcome from the perspective of the player to move here
+	// terminal is set once the game is known to end at this node, after
+	// termValue — the outcome from the perspective of the player to move
+	// here — has been written: a reader that loads terminal as true may read
+	// termValue without a lock.
+	terminal  atomic.Bool
+	termValue float64
 }
 
 // Parent returns the parent index, or -1 for the root.
@@ -128,10 +132,11 @@ func (nd *Node) Expanded() bool { return nd.firstChild.Load() != nilNode }
 func (nd *Node) SharedStats() *StateStats { return nd.stats.Load() }
 
 // Terminal reports whether the node is a game-over state.
-func (nd *Node) Terminal() bool { return nd.terminal }
+func (nd *Node) Terminal() bool { return nd.terminal.Load() }
 
 // TerminalValue returns the game outcome recorded at a terminal node, from
-// the perspective of the player to move there.
+// the perspective of the player to move there. Only valid once Terminal has
+// returned true.
 func (nd *Node) TerminalValue() float64 { return nd.termValue }
 
 // Tree is an arena of nodes plus the scoring configuration.
@@ -204,9 +209,6 @@ func SuggestCapacity(playouts, fanout int) int {
 
 // Config returns the scoring configuration.
 func (t *Tree) Config() Config { return t.cfg }
-
-// Capacity returns the arena size.
-func (t *Tree) Capacity() int { return len(t.nodes) }
 
 // Allocated returns the number of nodes currently in use.
 func (t *Tree) Allocated() int {
@@ -339,8 +341,8 @@ func (t *Tree) RebaseRoot(action int) (RebaseStats, bool) {
 		// dangle anything — and carrying the pointer is what makes shared
 		// statistics persist across move boundaries.
 		d.stats.Store(s.stats.Load())
-		d.terminal = s.terminal
 		d.termValue = s.termValue
+		setTerminal(d, s.terminal.Load())
 	}
 	t.next = count
 	t.root = 0
@@ -393,7 +395,7 @@ func (t *Tree) allocNode(parent, action int32, prior float32) int32 {
 	nd.vl.Store(0)
 	nd.w.Store(0)
 	nd.stats.Store(nil)
-	nd.terminal = false
+	setTerminal(nd, false)
 	nd.termValue = 0
 	return idx
 }
@@ -437,13 +439,28 @@ func (t *Tree) Expand(idx int32, actions []int, priors []float32) bool {
 	return true
 }
 
+// setTerminal sets the flag of a node only its owner can reach (a slot being
+// allocated or compacted). Slots are rarely terminal, so it loads first: an
+// atomic store is a locked instruction, and one per allocated child shows on
+// the expansion path.
+func setTerminal(nd *Node, v bool) {
+	if nd.terminal.Load() != v {
+		nd.terminal.Store(v)
+	}
+}
+
 // MarkTerminal records that the game ends at idx with the given outcome
-// (from the perspective of the player to move at idx).
+// (from the perspective of the player to move at idx). Workers of a shared
+// tree may reach the same game-over leaf together: the first one publishes
+// the value and then the flag, the others find the flag set and leave the
+// value alone, so lock-free readers never see it change.
 func (t *Tree) MarkTerminal(idx int32, value float64) {
 	nd := &t.nodes[idx]
 	nd.mu.Lock()
-	nd.terminal = true
-	nd.termValue = value
+	if !nd.terminal.Load() {
+		nd.termValue = value
+		nd.terminal.Store(true)
+	}
 	nd.mu.Unlock()
 }
 

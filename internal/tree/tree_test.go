@@ -230,6 +230,34 @@ func TestMarkTerminal(t *testing.T) {
 	}
 }
 
+// Shared-tree workers reaching the same game-over leaf all MarkTerminal it
+// while others already read it on their descent, with no lock on the read
+// side: whoever sees the flag must see the marked value. Run under -race.
+func TestMarkTerminalConcurrentReaders(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		tr := newTestTree(1)
+		nd := tr.Node(tr.Root())
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if nd.Terminal() {
+					if v := nd.TerminalValue(); v != -1 {
+						t.Errorf("saw terminal with value %v, want -1", v)
+					}
+					return
+				}
+				tr.MarkTerminal(tr.Root(), -1)
+			}()
+		}
+		wg.Wait()
+		if !nd.Terminal() || nd.TerminalValue() != -1 {
+			t.Fatal("terminal mark lost")
+		}
+	}
+}
+
 func TestVisitDistribution(t *testing.T) {
 	tr := newTestTree(16)
 	dst := make([]float32, 4)

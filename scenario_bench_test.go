@@ -10,8 +10,8 @@ import (
 	"github.com/parmcts/parmcts/internal/train"
 )
 
-// scenarioSpecs is the cross-game benchmark matrix behind
-// BENCH_scenarios.json: every registered scenario at its -game flag
+// scenarioSpecs is the cross-game benchmark matrix behind the scenario
+// table in EXPERIMENTS.md: every registered scenario at its -game flag
 // default shape (gomoku scaled to the 9x9 training size).
 var scenarioSpecs = []string{"tictactoe", "connect4", "gomoku:9", "othello", "hex:11"}
 
@@ -86,7 +86,7 @@ func BenchmarkScenarioEpisode(b *testing.B) {
 // BenchmarkScenarioSearchTransposed is the same warm move cycle with a
 // transposition table: the DAG probe replaces part of the evaluation demand
 // with table hits, so evals/move drops below playouts/move by the game's
-// transposition rate (BENCH_transposition.json has the off/on deltas).
+// transposition rate (EXPERIMENTS.md has the off/on deltas).
 func BenchmarkScenarioSearchTransposed(b *testing.B) {
 	for _, spec := range scenarioSpecs {
 		b.Run(spec, func(b *testing.B) {

@@ -5,8 +5,7 @@ package parmcts_test
 // searches each owning an independent BatchedAsync queue on the same
 // device. The shared service aggregates the tenants' demand into large
 // batches (fewer launches, amortized launch latency), which is the
-// refactor's whole claim; the recorded numbers live in
-// BENCH_shared_inference.json.
+// refactor's whole claim; the recorded numbers are in EXPERIMENTS.md.
 
 import (
 	"sync"
