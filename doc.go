@@ -35,13 +35,31 @@
 // The numeric floor of every playout is internal/tensor: im2col + blocked
 // GEMM (MatMul/MatMulTransB) over hand-written amd64 micro-kernels. The
 // kernel class is selected once at init by CPUID feature detection —
-// "avx2" (8-wide FMA kernels, including an 8x8 register tile that computes
-// eight output columns per pass and an int8 VPMADDWD tile), "sse" (the
-// 4-wide baseline), or "generic" (pure Go, any GOARCH) — and every
-// implementation is dispatched through the same function variables, so the
-// TENSOR_KERNEL env var (or tensor.SetKernel, or the binaries' -kernel
-// flag) can force any class the host supports: equivalence tests and the
-// FuzzDotKernels target hold all compiled-in classes to the same results.
+// "avx2" (8-wide FMA kernels: a 3x4 register tile run down a panel of A
+// rows, which reuses every loaded vector across rows of both operands and
+// writes C itself; an eight-rows-to-a-vector kernel for the columns that are
+// summed sequentially; an int8 VPMADDWD tile), "sse" (the 4-wide baseline),
+// or "generic" (pure Go, any GOARCH) — and every implementation is
+// dispatched through the same function variables, so the TENSOR_KERNEL env
+// var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
+// class the host supports: equivalence tests and the FuzzDotKernels and
+// FuzzDotTile targets hold all compiled-in classes to the same results.
+//
+// The forward pass has a bitwise contract. Within a kernel class an output
+// element's rounding depends on its column (its pixel) and on nothing else,
+// the batched convolution gathers and multiplies one sample at a time, and
+// the 3x3/pad-1 and 1x1 gathers are branch-free special cases of the general
+// im2col that write the same patch matrix; so nn.ForwardBatch equals
+// nn.Forward bit for bit at every batch size and slot
+// (TestForwardBatchMatchesForward), and TestForwardGolden pins Forward's
+// bits per kernel class to constants recorded before the register tile
+// existed. That is what lets evaluate.EvaluatorBackend — the backend serve,
+// cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
+// execute a formed batch as one batched forward per core (at most Workers
+// contiguous sub-batches; *NN, *Quantized and cache views over them, chosen
+// by type assertion, the view forwarding only its misses) without changing
+// one search: evaluators that cannot batch keep the per-request loop, and
+// the outputs are the same bits either way.
 //
 // For serving, nn.Quantize derives an int8 QuantizedNetwork from an fp32
 // network: per-output-channel symmetric weight scales, activation scales

@@ -156,8 +156,8 @@ func synthesize(input []float32, policy []float32, value *float64) {
 
 // Hosted computes the real network on host cores with modeled
 // launch/transfer latency injected. Batches run through the genuinely
-// batched nn.ForwardBatch (one GEMM per layer for the whole sub-batch)
-// rather than a per-sample loop.
+// batched nn.ForwardBatch (each layer runs the whole sub-batch against one
+// weight panel) rather than a per-sample loop.
 type Hosted struct {
 	net     *nn.Network
 	model   CostModel
@@ -193,33 +193,36 @@ func (d *Hosted) Infer(inputs [][]float32, policies [][]float32, values []float6
 	spin(d.model.TransferTime(n))
 	d.computeMu.Lock()
 	defer d.computeMu.Unlock()
-	workers := d.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		ws := d.pool.get(n)
-		d.net.ForwardBatch(ws, inputs, policies, values)
+	ForChunks(n, d.workers, func(lo, hi int) {
+		ws := d.pool.get(hi - lo)
+		d.net.ForwardBatch(ws, inputs[lo:hi], policies[lo:hi], values[lo:hi])
 		d.pool.put(ws)
+	})
+}
+
+// ForChunks splits [0, n) into at most w contiguous chunks of equal size (the
+// last may be shorter; w <= 0 means GOMAXPROCS), runs fn on each — the first
+// on the caller's goroutine, every other on its own — and returns once all
+// have. It is how a formed batch is shared between cores: Hosted and
+// HostedQuantized split an Infer with it, evaluate.EvaluatorBackend a
+// RunBatch.
+func ForChunks(n, w int, fn func(lo, hi int)) {
+	if n <= 0 {
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ws := d.pool.get(hi - lo)
-			defer d.pool.put(ws)
-			d.net.ForwardBatch(ws, inputs[lo:hi], policies[lo:hi], values[lo:hi])
-		}(lo, hi)
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
+	w = min(w, n)
+	chunk := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			fn(lo, min(lo+chunk, n))
+		}(lo)
+	}
+	fn(0, chunk)
 	wg.Wait()
 }

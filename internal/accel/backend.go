@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -179,30 +178,9 @@ func (d *HostedQuantized) Infer(inputs [][]float32, policies [][]float32, values
 	spin(d.model.TransferTime(n))
 	d.computeMu.Lock()
 	defer d.computeMu.Unlock()
-	workers := d.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		ws := d.pool.get(n)
-		d.qnet.ForwardBatchQuantized(ws, inputs, policies, values)
+	ForChunks(n, d.workers, func(lo, hi int) {
+		ws := d.pool.get(hi - lo)
+		d.qnet.ForwardBatchQuantized(ws, inputs[lo:hi], policies[lo:hi], values[lo:hi])
 		d.pool.put(ws)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ws := d.pool.get(hi - lo)
-			defer d.pool.put(ws)
-			d.qnet.ForwardBatchQuantized(ws, inputs[lo:hi], policies[lo:hi], values[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/nn"
@@ -110,4 +111,43 @@ func TestHostedSteadyStateAllocations(t *testing.T) {
 	if c := d.pool.createdCount(); c != after {
 		t.Fatalf("steady-state Infer constructed %d extra workspaces", c-after)
 	}
+}
+
+// TestForChunks: every index is covered exactly once by at most w contiguous
+// chunks, for w below, at and above n and for the GOMAXPROCS default; and the
+// chunks of one call run concurrently (each waits for all the others before
+// returning).
+func TestForChunks(t *testing.T) {
+	for _, tc := range []struct{ n, w int }{{0, 4}, {1, 4}, {8, 2}, {8, 3}, {7, 7}, {5, 9}, {9, 1}, {6, 0}} {
+		var mu sync.Mutex
+		seen := make([]int, tc.n)
+		chunks := 0
+		ForChunks(tc.n, tc.w, func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			chunks++
+			if lo >= hi || hi > tc.n {
+				t.Errorf("n=%d w=%d: chunk [%d, %d)", tc.n, tc.w, lo, hi)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d w=%d: index %d covered %d times", tc.n, tc.w, i, c)
+			}
+		}
+		if w := tc.w; w > 0 && chunks > min(w, tc.n) {
+			t.Errorf("n=%d w=%d: %d chunks", tc.n, tc.w, chunks)
+		}
+	}
+
+	var barrier sync.WaitGroup
+	barrier.Add(4)
+	ForChunks(8, 4, func(lo, hi int) {
+		barrier.Done()
+		barrier.Wait() // returns only once all four chunks are running
+	})
 }

@@ -46,8 +46,8 @@ type cacheShard struct {
 	capacity int
 
 	mu      sync.Mutex
-	entries map[uint64]*cacheEntry
-	ring    []uint64 // insertion order for clock eviction
+	entries map[uint64]cacheEntry // by value: a miss allocates its stored policy and nothing else
+	ring    []uint64              // insertion order for clock eviction
 	hand    int
 
 	hits, misses uint64
@@ -112,7 +112,7 @@ func NewCachedSharded(inner Evaluator, capacity, shards int) *Cached {
 		if i < extra {
 			sh.capacity++
 		}
-		sh.entries = make(map[uint64]*cacheEntry, sh.capacity)
+		sh.entries = make(map[uint64]cacheEntry, sh.capacity)
 	}
 	return c
 }
@@ -168,35 +168,88 @@ func (c *Cached) Evaluate(input []float32, policy []float32) float64 {
 // version-scoped View.
 func (c *Cached) evaluate(version int64, inner Evaluator, input []float32, policy []float32) float64 {
 	key := mixVersion(hashInput(input), version)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		e.touched = true
-		copy(policy, e.policy)
-		v := e.value
-		sh.hits++
-		sh.mu.Unlock()
+	if v, ok := c.probe(key, policy); ok {
 		return v
 	}
-	sh.misses++
-	sh.mu.Unlock()
-
 	// Miss path: the inner (potentially multi-millisecond DNN) evaluation
 	// runs with no lock held.
 	value := inner.Evaluate(input, policy)
+	c.store(key, version, policy, value)
+	return value
+}
 
+// probe looks key up, counting a hit or a miss. On a hit it copies the stored
+// policy out and returns the stored value.
+func (c *Cached) probe(key uint64, policy []float32) (value float64, hit bool) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.entries[key]; ok {
+		sh.touchLocked(key, e)
+		copy(policy, e.policy)
+		sh.hits++
+		return e.value, true
+	}
+	sh.misses++
+	return 0, false
+}
+
+// store inserts a freshly evaluated position unless a concurrent miss on
+// the same key got there first.
+func (c *Cached) store(key uint64, version int64, policy []float32, value float64) {
 	stored := make([]float32, len(policy))
 	copy(stored, policy)
+	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if _, exists := sh.entries[key]; !exists {
 		if len(sh.entries) >= sh.capacity {
 			sh.evictLocked()
 		}
-		sh.entries[key] = &cacheEntry{policy: stored, value: value, version: version}
+		sh.entries[key] = cacheEntry{policy: stored, value: value, version: version}
 		sh.ring = append(sh.ring, key)
 	}
 	sh.mu.Unlock()
-	return value
+}
+
+// cacheBatch is evaluateBatch's scratch: the keys of a run of requests and
+// which of them missed.
+type cacheBatch struct {
+	keys   []uint64
+	missed []int
+}
+
+var cacheBatches = sync.Pool{New: func() any { return new(cacheBatch) }}
+
+// evaluateBatch is evaluate over a run of positions: every position is
+// probed exactly as evaluate probes it (same keys, same hit and miss
+// counts), the misses alone go to inner as ONE batch, with no lock held, and
+// are then stored. Two misses on one position in the same run are both
+// evaluated — to the same outputs — and leave one entry.
+func (c *Cached) evaluateBatch(version int64, inner BatchEvaluator, inputs, policies [][]float32, values []float64) {
+	cb := cacheBatches.Get().(*cacheBatch)
+	cb.keys, cb.missed = cb.keys[:0], cb.missed[:0]
+	for i, in := range inputs {
+		key := mixVersion(hashInput(in), version)
+		cb.keys = append(cb.keys, key)
+		v, ok := c.probe(key, policies[i])
+		if !ok {
+			cb.missed = append(cb.missed, i)
+		}
+		values[i] = v
+	}
+	if len(cb.missed) > 0 {
+		io := getBatchIO(len(cb.missed))
+		for m, i := range cb.missed {
+			io.inputs[m], io.policies[m] = inputs[i], policies[i]
+		}
+		inner.EvaluateBatch(io.inputs, io.policies, io.values)
+		for m, i := range cb.missed {
+			values[i] = io.values[m]
+			c.store(cb.keys[i], version, policies[i], values[i])
+		}
+		putBatchIO(io)
+	}
+	cacheBatches.Put(cb)
 }
 
 // Encoder produces the network input planes for a position; game.State
@@ -243,7 +296,7 @@ func (c *Cached) evaluateHashed(version int64, inner Evaluator, hash uint64, ver
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok && bytes.Equal(e.verify, verify) {
-		e.touched = true
+		sh.touchLocked(key, e)
 		copy(policy, e.policy)
 		v := e.value
 		sh.hits++
@@ -259,7 +312,7 @@ func (c *Cached) evaluateHashed(version int64, inner Evaluator, hash uint64, ver
 
 	stored := make([]float32, len(policy))
 	copy(stored, policy)
-	entry := &cacheEntry{
+	entry := cacheEntry{
 		policy:  stored,
 		value:   value,
 		version: version,
@@ -313,10 +366,34 @@ func (v *CacheView) Evaluate(input []float32, policy []float32) float64 {
 	return v.c.evaluate(v.version, v.inner, input, policy)
 }
 
+// EvaluateBatch implements BatchEvaluator: the hits are served from the
+// table and the misses go to the inner evaluator as one batch — or one by
+// one, when it has no batched form (EvaluatorBackend does not batch through
+// such a view in the first place).
+func (v *CacheView) EvaluateBatch(inputs, policies [][]float32, values []float64) {
+	if inner, ok := v.inner.(BatchEvaluator); ok {
+		v.c.evaluateBatch(v.version, inner, inputs, policies, values)
+		return
+	}
+	for i, in := range inputs {
+		values[i] = v.Evaluate(in, policies[i])
+	}
+}
+
 // EvaluateHashed implements HashedEvaluator with the view's version tag and
 // inner evaluator.
 func (v *CacheView) EvaluateHashed(hash uint64, verify []byte, enc Encoder, input, policy []float32) float64 {
 	return v.c.evaluateHashed(v.version, v.inner, hash, verify, enc, input, policy)
+}
+
+// touchLocked gives the resident entry e of key its second chance. Entries
+// are map values, so the mark is written back — only when it changes, which
+// for a hot entry is once per sweep of the clock hand. Caller holds sh.mu.
+func (sh *cacheShard) touchLocked(key uint64, e cacheEntry) {
+	if !e.touched {
+		e.touched = true
+		sh.entries[key] = e
+	}
 }
 
 // evictLocked removes one entry using the clock algorithm. Caller holds
@@ -336,6 +413,7 @@ func (sh *cacheShard) evictLocked() {
 		}
 		if e.touched {
 			e.touched = false
+			sh.entries[key] = e
 			sh.hand++
 			continue
 		}
@@ -355,7 +433,7 @@ func (c *Cached) Reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[uint64]*cacheEntry, sh.capacity)
+		sh.entries = make(map[uint64]cacheEntry, sh.capacity)
 		sh.ring = sh.ring[:0]
 		sh.hand = 0
 		sh.mu.Unlock()

@@ -24,6 +24,16 @@
 // evaluator with a configurable synthetic latency supports the design-time
 // profiling runs, which the paper performs with a DNN "filled with random
 // parameters".
+//
+// What a launched batch costs is the Backend's business. EvaluatorBackend —
+// the one every production binary builds — cuts the batch into at most
+// Workers contiguous sub-batches and runs each as ONE batched forward pass
+// when the evaluator it holds is a BatchEvaluator (*NN, *Quantized, or a
+// *CacheView over either, which probes every request and forwards only the
+// misses); any other evaluator gets one Evaluate per request. The choice is
+// a type assertion, never configuration, and because nn.ForwardBatch equals
+// nn.Forward bit for bit the two paths return the same outputs. Executing a
+// batch allocates nothing beyond the cache's stored policy per miss.
 package evaluate
 
 import (
@@ -68,6 +78,45 @@ type Evaluator interface {
 	Evaluate(input []float32, policy []float32) float64
 }
 
+// BatchEvaluator is an Evaluator that can also take several positions as one
+// batched forward pass. EvaluatorBackend finds it by type assertion on the
+// evaluator it holds and then executes a formed batch as one EvaluateBatch
+// per core instead of one Evaluate per request; *NN, *Quantized and
+// *CacheView implement it.
+type BatchEvaluator interface {
+	Evaluator
+	// EvaluateBatch fills policies[i] and values[i] for every inputs[i],
+	// each exactly as Evaluate(inputs[i], policies[i]) would.
+	EvaluateBatch(inputs, policies [][]float32, values []float64)
+}
+
+// batchIO is the slice-of-slices form of a run of requests, the shape
+// batched evaluators and accelerator devices take. Pooled, so executing a
+// batch allocates none of it.
+type batchIO struct {
+	inputs, policies [][]float32
+	values           []float64
+}
+
+var batchIOs = sync.Pool{New: func() any { return new(batchIO) }}
+
+// getBatchIO returns a batchIO whose three slices have length n.
+func getBatchIO(n int) *batchIO {
+	io := batchIOs.Get().(*batchIO)
+	if cap(io.values) < n {
+		io.inputs, io.policies, io.values = make([][]float32, n), make([][]float32, n), make([]float64, n)
+	}
+	io.inputs, io.policies, io.values = io.inputs[:n], io.policies[:n], io.values[:n]
+	return io
+}
+
+// putBatchIO drops the request buffers io points at and pools it.
+func putBatchIO(io *batchIO) {
+	clear(io.inputs)
+	clear(io.policies)
+	batchIOs.Put(io)
+}
+
 // Async is the asynchronous interface used by the local-tree master thread;
 // *Client is its implementation.
 type Async interface {
@@ -89,7 +138,8 @@ type Async interface {
 // across any number of calling goroutines via pooled workspaces.
 type NN struct {
 	net *nn.Network
-	ws  sync.Pool
+	ws  sync.Pool // *nn.Workspace
+	bws sync.Pool // *nn.BatchWorkspace, of whatever capacities batches needed
 }
 
 // NewNN creates a synchronous network evaluator.
@@ -108,10 +158,22 @@ func (e *NN) Evaluate(input []float32, policy []float32) float64 {
 	return val
 }
 
+// EvaluateBatch implements BatchEvaluator: one nn.ForwardBatch over the whole
+// run, whose per-sample outputs are bit for bit Forward's.
+func (e *NN) EvaluateBatch(inputs, policies [][]float32, values []float64) {
+	ws, _ := e.bws.Get().(*nn.BatchWorkspace)
+	if ws == nil || ws.Cap() < len(inputs) {
+		ws = nn.NewBatchWorkspace(e.net, len(inputs))
+	}
+	e.net.ForwardBatch(ws, inputs, policies, values)
+	e.bws.Put(ws)
+}
+
 // Quantized evaluates with an int8-quantized network — the synchronous
 // counterpart of NN for a calibrated nn.QuantizedNetwork. Like NN it shares
-// one immutable parameter set across goroutines via pooled workspaces; each
-// Evaluate runs a batch-of-one int8 forward pass. It exists so a quantized
+// one immutable parameter set across goroutines via pooled workspaces; Evaluate
+// runs a batch-of-one int8 forward pass, EvaluateBatch the batch it is
+// given. It exists so a quantized
 // model version can serve behind the exact same EvaluatorBackend/cache-view
 // plumbing as its fp32 source — in particular so an arena gate can race the
 // two through one live server before the int8 path is trusted.
@@ -145,6 +207,17 @@ func (e *Quantized) Evaluate(input []float32, policy []float32) float64 {
 	e.qnet.ForwardBatchQuantized(s.ws, s.inputs[:], s.policies[:], s.values[:])
 	s.inputs[0], s.policies[0] = nil, nil
 	return s.values[0]
+}
+
+// EvaluateBatch implements BatchEvaluator (ForwardBatchQuantized's outputs do
+// not depend on the batch a sample arrives in).
+func (e *Quantized) EvaluateBatch(inputs, policies [][]float32, values []float64) {
+	s := e.ws.Get().(*quantScratch)
+	if s.ws.Cap() < len(inputs) {
+		s.ws = e.qnet.NewWorkspace(len(inputs))
+	}
+	e.qnet.ForwardBatchQuantized(s.ws, inputs, policies, values)
+	e.ws.Put(s)
 }
 
 // Random produces deterministic pseudo-random priors and near-zero values,

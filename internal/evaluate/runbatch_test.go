@@ -1,0 +1,328 @@
+package evaluate
+
+import (
+	"math"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/parmcts/parmcts/internal/nn"
+	"github.com/parmcts/parmcts/internal/rng"
+)
+
+// fakeBatched is a batched inner evaluator that counts what reaches it and
+// how many calls are inside it at once. Outputs are Random's, so they are a
+// function of the input alone.
+type fakeBatched struct {
+	Random
+	singles, batches, items atomic.Int64
+	inside, maxInside       atomic.Int64
+	entered, release        chan struct{} // when set, every call announces itself and waits
+}
+
+func (f *fakeBatched) enter() {
+	n := f.inside.Add(1)
+	for {
+		m := f.maxInside.Load()
+		if n <= m || f.maxInside.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	if f.entered != nil {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+}
+
+func (f *fakeBatched) Evaluate(input, policy []float32) float64 {
+	f.enter()
+	defer f.inside.Add(-1)
+	f.singles.Add(1)
+	return f.Random.Evaluate(input, policy)
+}
+
+func (f *fakeBatched) EvaluateBatch(inputs, policies [][]float32, values []float64) {
+	f.enter()
+	defer f.inside.Add(-1)
+	f.batches.Add(1)
+	f.items.Add(int64(len(inputs)))
+	for i, in := range inputs {
+		values[i] = f.Random.Evaluate(in, policies[i])
+	}
+}
+
+// unbatched hides fakeBatched's EvaluateBatch, as Random, the test fakes and
+// cmd/bench's timing wrapper have none.
+type unbatched struct{ inner *fakeBatched }
+
+func (u unbatched) Evaluate(input, policy []float32) float64 { return u.inner.Evaluate(input, policy) }
+
+func requests(seeds ...uint64) []*Request {
+	batch := make([]*Request, len(seeds))
+	for i, s := range seeds {
+		batch[i] = &Request{Input: testInput(s, 36), Policy: make([]float32, 9)}
+	}
+	return batch
+}
+
+// TestRunBatchForwardsExactlyTheMisses: a batch mixing hits and misses sends
+// the misses, and only them, to the inner evaluator as batched calls; the
+// outputs and the cache's hit and miss counts are those of the per-request
+// path on the same sequence.
+func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
+	seqs := [][]uint64{{1, 2, 3}, {2, 4, 1, 5, 6, 3, 7, 8}, {9}, {1, 9, 10, 4}}
+
+	batched := &fakeBatched{}
+	bc := NewCachedSharded(batched, 64, 4)
+	be := &EvaluatorBackend{Eval: bc.View(1, batched), Workers: 2}
+
+	plain := &fakeBatched{}
+	pc := NewCachedSharded(plain, 64, 4)
+	pv := pc.View(1, unbatched{plain})
+
+	misses := 0
+	seen := map[uint64]bool{}
+	for _, seq := range seqs {
+		batch := requests(seq...)
+		be.RunBatch(batch)
+		for i, s := range seq {
+			want := make([]float32, 9)
+			wantV := pv.Evaluate(testInput(s, 36), want)
+			if batch[i].Value != wantV {
+				t.Fatalf("seed %d: batched value %v, per-request %v", s, batch[i].Value, wantV)
+			}
+			for a := range want {
+				if batch[i].Policy[a] != want[a] {
+					t.Fatalf("seed %d action %d: batched policy %v, per-request %v", s, a, batch[i].Policy[a], want[a])
+				}
+			}
+			if !seen[s] {
+				seen[s] = true
+				misses++
+			}
+		}
+	}
+	if got := batched.items.Load() + batched.singles.Load(); got != int64(misses) {
+		t.Fatalf("inner evaluator saw %d positions, want the %d misses", got, misses)
+	}
+	if batched.batches.Load() == 0 {
+		t.Fatal("no batched call reached the inner evaluator")
+	}
+	bh, bm := bc.Stats()
+	ph, pm := pc.Stats()
+	if bh != ph || bm != pm {
+		t.Fatalf("batched path stats %d hits / %d misses, per-request path %d / %d", bh, bm, ph, pm)
+	}
+	if bc.Len() != pc.Len() {
+		t.Fatalf("batched path cached %d positions, per-request path %d", bc.Len(), pc.Len())
+	}
+}
+
+// TestRunBatchDuplicatePositionInOneBatch: two requests for one position in
+// the same batch both miss, both complete with equal outputs, and leave one
+// entry.
+func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
+	inner := &fakeBatched{}
+	c := NewCachedSharded(inner, 64, 4)
+	be := &EvaluatorBackend{Eval: c.View(1, inner), Workers: 1}
+	batch := requests(5, 6, 5)
+	be.RunBatch(batch)
+	if batch[0].Value != batch[2].Value {
+		t.Fatalf("duplicate position evaluated to %v and %v", batch[0].Value, batch[2].Value)
+	}
+	for a := range batch[0].Policy {
+		if batch[0].Policy[a] != batch[2].Policy[a] {
+			t.Fatalf("duplicate position: policies differ at action %d", a)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries after {5, 6, 5}, want 2", c.Len())
+	}
+}
+
+// TestRunBatchEntriesStayVersionScoped: positions filled through the batched
+// path carry their view's version, so retiring one version evicts exactly
+// its entries.
+func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
+	inner := &fakeBatched{}
+	c := NewCachedSharded(inner, 64, 4)
+	b1 := &EvaluatorBackend{Eval: c.View(1, inner)}
+	b2 := &EvaluatorBackend{Eval: c.View(2, inner)}
+	b1.RunBatch(requests(1, 2, 3, 4))
+	b2.RunBatch(requests(1, 2, 3))
+	if c.LenVersion(1) != 4 || c.LenVersion(2) != 3 {
+		t.Fatalf("per-version entries %d/%d, want 4/3", c.LenVersion(1), c.LenVersion(2))
+	}
+	c.ResetVersion(1)
+	if c.LenVersion(1) != 0 || c.LenVersion(2) != 3 {
+		t.Fatalf("after ResetVersion(1): %d/%d entries, want 0/3", c.LenVersion(1), c.LenVersion(2))
+	}
+	before := inner.items.Load()
+	b2.RunBatch(requests(1, 2, 3))
+	if inner.items.Load() != before {
+		t.Fatal("version 2 re-evaluated positions it had cached")
+	}
+}
+
+// TestRunBatchWorkersBoundsOverlappingBatches: Workers bounds the evaluator
+// calls in flight across ALL batches, so on Workers: 1 two batches executing
+// at once never overlap inside the evaluator.
+func TestRunBatchWorkersBoundsOverlappingBatches(t *testing.T) {
+	inner := &fakeBatched{entered: make(chan struct{}), release: make(chan struct{})}
+	be := &EvaluatorBackend{Eval: inner, Workers: 1}
+	var wg sync.WaitGroup
+	for _, seeds := range [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}} {
+		wg.Add(1)
+		go func(batch []*Request) {
+			defer wg.Done()
+			be.RunBatch(batch)
+		}(requests(seeds...))
+	}
+	// Each call parks inside the evaluator until released here. While the
+	// first is parked the other batch has every chance to get in, and must
+	// not; the peak count below is the assertion, the sleep only gives a
+	// violation time to happen.
+	for released := 0; released < 2; released++ {
+		<-inner.entered
+		time.Sleep(20 * time.Millisecond)
+		if n := inner.inside.Load(); n != 1 {
+			t.Errorf("%d evaluator calls in flight under Workers: 1", n)
+		}
+		inner.release <- struct{}{}
+	}
+	wg.Wait()
+	if inner.maxInside.Load() != 1 {
+		t.Fatalf("peak %d evaluator calls in flight under Workers: 1", inner.maxInside.Load())
+	}
+	if inner.batches.Load() != 2 || inner.items.Load() != 8 {
+		t.Fatalf("%d batched calls over %d positions, want 2 over 8", inner.batches.Load(), inner.items.Load())
+	}
+}
+
+// TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest: an evaluator
+// without a batched form — bare, or behind a cache view — keeps the
+// per-request path.
+func TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest(t *testing.T) {
+	for _, behindView := range []bool{false, true} {
+		inner := &fakeBatched{}
+		var eval Evaluator = unbatched{inner}
+		if behindView {
+			eval = NewCachedSharded(eval, 64, 4).View(1, eval)
+		}
+		be := &EvaluatorBackend{Eval: eval, Workers: 2}
+		be.RunBatch(requests(1, 2, 3, 4, 5, 6, 7))
+		if inner.singles.Load() != 7 || inner.batches.Load() != 0 {
+			t.Fatalf("behind view %v: %d Evaluate and %d EvaluateBatch calls for 7 requests, want 7 and 0",
+				behindView, inner.singles.Load(), inner.batches.Load())
+		}
+		if inner.maxInside.Load() > 2 {
+			t.Fatalf("behind view %v: peak %d evaluations in flight under Workers: 2", behindView, inner.maxInside.Load())
+		}
+	}
+}
+
+// TestRunBatchMatchesEvaluateBits: through the real network, a request's
+// outputs do not depend on whether it was evaluated alone or inside a batch —
+// fp32 and int8, bare and behind a cache view.
+func TestRunBatchMatchesEvaluateBits(t *testing.T) {
+	net := testNet(t)
+	qnet := testQuantNet(t, net)
+	fp32, int8 := NewNN(net), NewQuantized(qnet)
+	evals := map[string]Evaluator{
+		"nn":        fp32,
+		"quantized": int8,
+		"nn-view":   NewCached(fp32, 64).View(1, fp32),
+		"q8-view":   NewCached(int8, 64).View(1, int8),
+	}
+	for name, eval := range evals {
+		be := &EvaluatorBackend{Eval: eval, Workers: 2}
+		batch := make([]*Request, 7)
+		for i := range batch {
+			batch[i] = &Request{Input: testInput(uint64(40+i), net.InputLen()), Policy: make([]float32, net.Cfg.NumActions)}
+		}
+		be.RunBatch(batch)
+		var single Evaluator = fp32
+		if name == "quantized" || name == "q8-view" {
+			single = int8
+		}
+		for i, req := range batch {
+			want := make([]float32, net.Cfg.NumActions)
+			wantV := single.Evaluate(req.Input, want)
+			if math.Float64bits(req.Value) != math.Float64bits(wantV) {
+				t.Fatalf("%s request %d: batched value %v, single %v", name, i, req.Value, wantV)
+			}
+			for a := range want {
+				if math.Float32bits(req.Policy[a]) != math.Float32bits(want[a]) {
+					t.Fatalf("%s request %d action %d: batched policy %v, single %v", name, i, a, req.Policy[a], want[a])
+				}
+			}
+		}
+	}
+}
+
+// steadyAllocs is the allocation count f settles at: the lowest average over
+// a few measured rounds. A sync.Pool is per-P, so a goroutine that lands on
+// another P now and then finds its pool empty and rebuilds a workspace; that
+// only ever adds.
+func steadyAllocs(f func()) float64 {
+	best := math.Inf(1)
+	for round := 0; round < 5; round++ {
+		best = math.Min(best, testing.AllocsPerRun(10, f))
+	}
+	return best
+}
+
+// TestForwardPathAllocations pins the steady-state allocations of the two
+// calls a served playout makes into this package. NN.Evaluate allocates
+// nothing — the full network's widest layer (128 channels, here on a 6x6
+// board to keep the test short) is two row blocks, so the pooled parallel
+// job and GEMM task are on this path. RunBatch of 8 over a
+// warm cache view allocates only what accel.ForChunks needs to run a second
+// chunk (its WaitGroup and closures) when every request hits, and exactly
+// one object more per miss — the policy copy the cache keeps — when every
+// request misses: the workspaces, the request views and the cache's own
+// batch scratch are pooled, and entries are stored by value.
+func TestForwardPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	// A collection empties the pools; none may run between two measured calls.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	net := nn.MustNew(nn.GomokuConfig(4, 6, 6, 36), rng.New(3))
+	eval := NewNN(net)
+	in := testInput(1, net.InputLen())
+	policy := make([]float32, 36)
+	if a := steadyAllocs(func() { eval.Evaluate(in, policy) }); a != 0 {
+		t.Errorf("NN.Evaluate allocates %v per call, want 0", a)
+	}
+
+	// A cache small enough to be full — evicting, its rings at their final
+	// size — after the warm-up below.
+	be := &EvaluatorBackend{Eval: NewCachedSharded(eval, 64, 4).View(1, eval), Workers: 2}
+	batch := make([]*Request, 8)
+	for i := range batch {
+		batch[i] = &Request{Input: testInput(uint64(i+2), net.InputLen()), Policy: make([]float32, 36)}
+	}
+	round := float32(0)
+	allMiss := func() {
+		round++
+		for _, req := range batch {
+			req.Input[0] = round + 2 // a position the cache has never seen
+		}
+		be.RunBatch(batch)
+	}
+	for i := 0; i < 16; i++ {
+		allMiss()
+	}
+	hits := steadyAllocs(func() { be.RunBatch(batch) })
+	if hits > 8 {
+		t.Errorf("RunBatch of 8 hits allocates %v per call, want <= 8", hits)
+	}
+	misses := steadyAllocs(allMiss)
+	if misses > hits+8 {
+		t.Errorf("RunBatch of 8 misses allocates %v per call, want the %v of 8 hits + 1 stored policy per miss", misses, hits)
+	}
+	t.Logf("RunBatch of 8: %v allocations per call on hits, %v on misses", hits, misses)
+}

@@ -33,30 +33,37 @@ type DeviceBackend struct {
 
 // RunBatch implements Backend.
 func (d DeviceBackend) RunBatch(batch []*Request) {
-	inputs := make([][]float32, len(batch))
-	policies := make([][]float32, len(batch))
-	values := make([]float64, len(batch))
+	io := getBatchIO(len(batch))
 	for i, req := range batch {
-		inputs[i] = req.Input
-		policies[i] = req.Policy
+		io.inputs[i], io.policies[i] = req.Input, req.Policy
 	}
-	d.Dev.Infer(inputs, policies, values)
+	d.Dev.Infer(io.inputs, io.policies, io.values)
 	for i, req := range batch {
-		req.Value = values[i]
+		req.Value = io.values[i]
 	}
+	putBatchIO(io)
 }
 
-// EvaluatorBackend runs each request of a batch through a synchronous
-// evaluator, bounded to at most Workers concurrent evaluations across ALL
-// in-flight batches — the service equivalent of the local-tree scheme's N
-// inference threads (Figure 2a).
+// EvaluatorBackend runs a batch through a synchronous evaluator on at most
+// Workers cores at once across ALL in-flight batches — the service
+// equivalent of the local-tree scheme's N inference threads (Figure 2a).
+//
+// When Eval is a BatchEvaluator — *NN, *Quantized, or a *CacheView over one
+// of them — a formed batch is cut into at most Workers contiguous
+// sub-batches and each is ONE EvaluateBatch call (one batched forward pass
+// per core, the cache view forwarding only its misses). Any other evaluator
+// gets one Evaluate per request, each on its own goroutine. Which of the two
+// runs is decided by what Eval is, never by configuration, and the outputs
+// are the same bits either way.
 type EvaluatorBackend struct {
 	Eval Evaluator
-	// Workers bounds concurrent Evaluate calls (0 = GOMAXPROCS).
+	// Workers bounds the evaluator calls in flight — sub-batches for a
+	// BatchEvaluator, single evaluations otherwise (0 = GOMAXPROCS).
 	Workers int
 
-	once sync.Once
-	sem  chan struct{}
+	once    sync.Once
+	sem     chan struct{}
+	batched BatchEvaluator // Eval's batched form, nil when it has none
 }
 
 // RunBatch implements Backend.
@@ -67,12 +74,29 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 			w = runtime.GOMAXPROCS(0)
 		}
 		b.sem = make(chan struct{}, w)
+		b.batched = batchedForm(b.Eval)
 	})
 	if len(batch) == 1 {
 		req := batch[0]
 		b.sem <- struct{}{}
 		req.Value = b.Eval.Evaluate(req.Input, req.Policy)
 		<-b.sem
+		return
+	}
+	if b.batched != nil {
+		accel.ForChunks(len(batch), cap(b.sem), func(lo, hi int) {
+			io := getBatchIO(hi - lo)
+			for i, req := range batch[lo:hi] {
+				io.inputs[i], io.policies[i] = req.Input, req.Policy
+			}
+			b.sem <- struct{}{}
+			b.batched.EvaluateBatch(io.inputs, io.policies, io.values)
+			<-b.sem
+			for i, req := range batch[lo:hi] {
+				req.Value = io.values[i]
+			}
+			putBatchIO(io)
+		})
 		return
 	}
 	var wg sync.WaitGroup
@@ -86,6 +110,19 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 		}(req)
 	}
 	wg.Wait()
+}
+
+// batchedForm returns e as a BatchEvaluator when batching through it ends in
+// a batched forward pass: a cache view qualifies only if the evaluator its
+// misses go to does.
+func batchedForm(e Evaluator) BatchEvaluator {
+	if v, ok := e.(*CacheView); ok {
+		if _, ok := v.inner.(BatchEvaluator); !ok {
+			return nil
+		}
+	}
+	be, _ := e.(BatchEvaluator)
+	return be
 }
 
 // ServerConfig tunes a Server.

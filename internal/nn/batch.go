@@ -9,10 +9,10 @@ import (
 // BatchWorkspace holds every buffer one batched forward pass needs, sized
 // for a maximum batch. Activations live in the batch-major layout of
 // tensor.Conv2DForwardBatch (channel plane c of sample b at offset
-// (c*batch+b)*H*W), so each conv layer is ONE im2col gather plus ONE GEMM
-// for the whole batch — the weight panel is pulled through the cache once
-// per layer instead of once per sample, which is where the accelerator's
-// batch-throughput curve comes from.
+// (c*batch+b)*H*W), so each conv layer runs the whole batch against one
+// weight panel — pulled through the cache once per layer instead of once per
+// sample, which is where the accelerator's batch-throughput curve comes
+// from — gathering and multiplying one sample at a time.
 //
 // A workspace is not safe for concurrent use; accel.Hosted pools them by
 // capacity so concurrent sub-batches each own one.
@@ -23,7 +23,7 @@ type BatchWorkspace struct {
 
 	xIn     []float32    // InC x (B*H*W): layer-0 input, packed batch-major
 	convAct [5][]float32 // per layer: OutC x (B*pix), post-ReLU
-	col     []float32    // shared im2col scratch, sized for the widest layer
+	col     []float32    // one sample's im2col scratch, sized for the widest layer
 	polIn   []float32    // B rows of PolicyC*H*W (per-sample, for the FC head)
 	valIn   []float32    // B rows of ValueC*H*W
 	logits  []float32    // B x NumActions
@@ -48,7 +48,7 @@ func NewBatchWorkspace(net *Network, maxBatch int) *BatchWorkspace {
 			maxCol = c
 		}
 	}
-	ws.col = make([]float32, maxBatch*maxCol)
+	ws.col = make([]float32, maxCol)
 	ws.polIn = make([]float32, maxBatch*cfg.PolicyC*hw)
 	ws.valIn = make([]float32, maxBatch*cfg.ValueC*hw)
 	ws.logits = make([]float32, maxBatch*cfg.NumActions)
@@ -66,9 +66,10 @@ func (ws *BatchWorkspace) Cap() int { return ws.capB }
 // receives the tanh value. len(inputs) must not exceed ws.Cap().
 //
 // The arithmetic is the same kernel sequence as the single-sample Forward
-// (which is the B=1 special case); outputs agree with per-sample evaluation
-// to float32 rounding tolerance (tested at 1e-5 — the GEMM's per-column
-// accumulation order varies with the batched matrix width).
+// (which is the B=1 special case), and the outputs for a sample are
+// Forward's bit for bit at every batch size and slot: each sample's
+// convolutions are multiplied on their own and the dense heads round an
+// output by its column alone (TestForwardBatchMatchesForward).
 func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policies [][]float32, values []float64) {
 	b := len(inputs)
 	if b == 0 {
@@ -92,7 +93,7 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	cfg := ws.cfg
 	hw := cfg.H * cfg.W
 
-	// Trunk: three 3x3 convolutions, each one GEMM over the whole batch.
+	// Trunk: three 3x3 convolutions over the whole batch.
 	tensor.PackBatch(ws.xIn[:cfg.InC*b*hw], inputs, cfg.InC, hw)
 	cur := ws.xIn
 	for i := 0; i < 3; i++ {

@@ -58,9 +58,8 @@ func NewWorkspace(net *Network) *Workspace {
 // Forward is the batch-size-1 special case of ForwardBatch: it runs the
 // identical tensor kernels (im2col + MatMulTransB convolutions, GEMM dense
 // heads), merely retaining the pre-activation buffers BackwardSample needs.
-// Outputs agree with ForwardBatch to float32 rounding tolerance (the GEMM's
-// per-column accumulation order varies with the batched width; the property
-// test pins agreement at 1e-5).
+// Its outputs are ForwardBatch's bit for bit (TestForwardBatchMatchesForward)
+// and are themselves pinned per kernel class by TestForwardGolden.
 func (net *Network) Forward(ws *Workspace, input []float32) (policy []float32, value float64) {
 	if len(input) != net.InputLen() {
 		panic("nn: Forward input length mismatch")

@@ -1,0 +1,43 @@
+package nn
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/parmcts/parmcts/internal/rng"
+)
+
+// BenchmarkForward9x9 times the full network on the benchmark workloads'
+// board (gomoku:9): Forward, and ForwardBatch per batch size, reported per
+// sample. EXPERIMENTS.md "The forward pass at hardware speed" quotes it at
+// -cpu 1.
+func BenchmarkForward9x9(b *testing.B) {
+	net := MustNew(GomokuConfig(4, 9, 9, 81), rng.New(1))
+	r := rng.New(2)
+	b.Run("forward", func(b *testing.B) {
+		ws := NewWorkspace(net)
+		in := randInput(r, net.InputLen())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			net.Forward(ws, in)
+		}
+	})
+	for _, batch := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			ws := NewBatchWorkspace(net, batch)
+			inputs := make([][]float32, batch)
+			policies := make([][]float32, batch)
+			values := make([]float64, batch)
+			for i := range inputs {
+				inputs[i] = randInput(r, net.InputLen())
+				policies[i] = make([]float32, net.Cfg.NumActions)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.ForwardBatch(ws, inputs, policies, values)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/sample")
+		})
+	}
+}

@@ -1,0 +1,124 @@
+package nn
+
+import (
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"github.com/parmcts/parmcts/internal/game"
+	_ "github.com/parmcts/parmcts/internal/game/games"
+	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/tensor"
+)
+
+// forwardGolden holds FNV-64a hashes of Forward's policy and value bits on
+// goldenPositions of every registered game, per tensor kernel class. They
+// were recorded at the commit BEFORE the register-tiled MatMulTransB and the
+// branch-free im2col landed (the TestGolden pattern of internal/mcts): a
+// kernel or gather change that moves one output bit of any b = 1 forward
+// pass moves a hash. The table is keyed by tensor.KernelName(), so the CI
+// kernel matrix's avx2 leg compares against the sse row when the runner has
+// no AVX2 and the selection degraded.
+var forwardGolden = map[string]map[string]uint64{
+	tensor.KernelGeneric: {
+		"connect4":  0x5459dd4668978094,
+		"gomoku":    0x87aeacedcce800f8,
+		"hex":       0xf39fb078da71e627,
+		"othello":   0x54be95c9662a379a,
+		"tictactoe": 0x992d25f475ee86ca,
+		"gomoku:9":  0x724e3971bd85dee4,
+		"gomoku:6":  0x8a14a22d205f6835,
+	},
+	tensor.KernelSSE: {
+		"connect4":  0xe1aa83f5ea5727ae,
+		"gomoku":    0xb2ecc9a977e94732,
+		"hex":       0x29eccc091be5110e,
+		"othello":   0x5154445a80d47463,
+		"tictactoe": 0xce7391da05add8ee,
+		"gomoku:9":  0x613281187ee01429,
+		"gomoku:6":  0x88be05862ea9330a,
+	},
+	tensor.KernelAVX2: {
+		"connect4":  0xf98635e8a3cbcb5,
+		"gomoku":    0x413c25ae806b593d,
+		"hex":       0x58f1e72186f5464f,
+		"othello":   0x68a320de3cccbb2e,
+		"tictactoe": 0xd7fd618af27ac048,
+		"gomoku:9":  0x907482dab431b8dc,
+		"gomoku:6":  0x3c4bff36407a35d8,
+	},
+}
+
+// goldenPositions returns the encoded planes of a few fixed positions of g's
+// default board: the empty board and the positions 3 and 8 seeded-random
+// legal plies into one game (fewer when the game ends first), plus one dense
+// pseudo-random input, because board planes are mostly exact zeros and a
+// zero product hides a reordered sum.
+func goldenPositions(g game.Game) [][]float32 {
+	c, h, w := g.EncodedShape()
+	st := g.NewInitial()
+	r := rng.New(7)
+	var out [][]float32
+	var moves []int
+	for ply := 0; ply <= 8 && !st.Terminal(); ply++ {
+		if ply == 0 || ply == 3 || ply == 8 {
+			in := make([]float32, c*h*w)
+			st.Encode(in)
+			out = append(out, in)
+		}
+		moves = st.LegalMoves(moves[:0])
+		st.Play(moves[r.Intn(len(moves))])
+	}
+	return append(out, randInput(r, c*h*w))
+}
+
+// forwardHash runs Forward on every input and hashes the raw output bits.
+func forwardHash(net *Network, inputs [][]float32) uint64 {
+	ws := NewWorkspace(net)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(bits uint64, n int) {
+		for i := 0; i < n; i++ {
+			buf[i] = byte(bits >> (8 * i))
+		}
+		h.Write(buf[:n])
+	}
+	for _, in := range inputs {
+		pol, val := net.Forward(ws, in)
+		for _, p := range pol {
+			put(uint64(math.Float32bits(p)), 4)
+		}
+		put(math.Float64bits(val), 8)
+	}
+	return h.Sum64()
+}
+
+// TestForwardGolden pins Forward bit for bit on the paper's network shape
+// (GomokuConfig: 32/64/128 trunk channels, so every row remainder of the
+// register tile occurs) over the default board of every registered game
+// (their pixel counts fall differently across the tile, dot4 and scalar-tail
+// columns).
+func TestForwardGolden(t *testing.T) {
+	want, ok := forwardGolden[tensor.KernelName()]
+	if !ok {
+		t.Fatalf("no golden constants for kernel class %q", tensor.KernelName())
+	}
+	for _, name := range game.Names() {
+		if _, ok := want[name]; !ok {
+			t.Errorf("registered game %q has no golden constant", name)
+		}
+	}
+	for name := range want {
+		g, err := game.NewFromSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, h, w := g.EncodedShape()
+		net := MustNew(GomokuConfig(c, h, w, g.NumActions()), rng.New(2024))
+		got := forwardHash(net, goldenPositions(g))
+		if got != want[name] {
+			t.Errorf("kernel %s, %s (%dx%dx%d): Forward bits hash %#x, recorded %#x",
+				tensor.KernelName(), name, c, h, w, got, want[name])
+		}
+	}
+}

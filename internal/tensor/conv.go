@@ -1,5 +1,7 @@
 package tensor
 
+import "sync"
+
 // Conv2DShape describes a 2-D convolution with square stride 1 and symmetric
 // zero padding — the only configuration the paper's Gomoku network needs
 // (3x3 "same" convolutions over a 15x15 board), though arbitrary kernel and
@@ -38,7 +40,9 @@ func Im2Col(col, img []float32, s Conv2DShape) {
 // one sample from the batch-major activation layout used by
 // Conv2DForwardBatch; Im2Col is the base = 0, planeStride = InH*InW case.
 func Im2ColStrided(col, img []float32, s Conv2DShape, base, planeStride int) {
-	im2colStrided(col, img, s, base, planeStride)
+	ps := padPool.Get().(*padScratch)
+	im2colStrided(col, img, s, base, planeStride, &ps.f32)
+	padPool.Put(ps)
 }
 
 // Im2ColStridedQ8 is Im2ColStrided over int8 activations — the gather step
@@ -46,29 +50,115 @@ func Im2ColStrided(col, img []float32, s Conv2DShape, base, planeStride int) {
 // symmetric quantization, so the int8 patch matrix is the elementwise
 // quantization of the fp32 one).
 func Im2ColStridedQ8(col, img []int8, s Conv2DShape, base, planeStride int) {
-	im2colStrided(col, img, s, base, planeStride)
+	ps := padPool.Get().(*padScratch)
+	im2colStrided(col, img, s, base, planeStride, &ps.q8)
+	padPool.Put(ps)
 }
 
-func im2colStrided[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int) {
-	outH, outW := s.OutH(), s.OutW()
-	cols := s.ColCols()
-	if s.KH == 1 && s.KW == 1 && s.PadH == 0 && s.PadW == 0 {
-		// 1x1 convolution: the patch matrix is just a channel transpose.
-		pix := outH * outW
-		for c := 0; c < s.InC; c++ {
-			plane := img[base+c*planeStride:]
-			d := c
-			for p := 0; p < pix; p++ {
-				col[d] = plane[p]
-				d += cols
+// im2colStrided picks the gather for the shape: the two configurations the
+// network uses have their own, every other shape takes the general loop.
+// All three write the same col. pad is the 3x3 gather's scratch, grown here
+// to the shape's padded plane.
+func im2colStrided[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int, pad *[]T) {
+	switch {
+	case s.KH == 3 && s.KW == 3 && s.PadH == 1 && s.PadW == 1:
+		if n := (s.InH + 2) * (s.InW + 2); cap(*pad) < n {
+			*pad = make([]T, n)
+		}
+		im2col3x3(col, img, s, base, planeStride, *pad)
+	case s.KH == 1 && s.KW == 1 && s.PadH == 0 && s.PadW == 0:
+		im2col1x1(col, img, s, base, planeStride)
+	default:
+		im2colGeneral(col, img, s, base, planeStride)
+	}
+}
+
+// padScratch is the zero-bordered plane im2col3x3 gathers from, one buffer
+// per element type, sized from the shape on use (im2colStrided).
+type padScratch struct {
+	f32 []float32
+	q8  []int8
+}
+
+var padPool = sync.Pool{New: func() any { return new(padScratch) }}
+
+// im2col3x3 is the 3x3, pad-1 gather without a bounds decision per tap: each
+// channel plane is copied once into pad — (InH+2) x (InW+2), border zero —
+// and every output pixel then takes its nine taps as three unconditional
+// 3-element moves.
+func im2col3x3[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int, pad []T) {
+	h, w := s.InH, s.InW
+	pw := w + 2
+	pad = pad[:(h+2)*pw]
+	// Only the border needs zeroing: the interior is overwritten per channel.
+	clear(pad[:pw+1])
+	for y := 1; y <= h; y++ {
+		pad[y*pw+w+1], pad[(y+1)*pw] = 0, 0
+	}
+	clear(pad[(h+1)*pw+1 : (h+2)*pw])
+	cols := s.InC * 9
+	for c := 0; c < s.InC; c++ {
+		plane := img[base+c*planeStride:]
+		for y := 0; y < h; y++ {
+			copy(pad[(y+1)*pw+1:(y+1)*pw+1+w], plane[y*w:(y+1)*w])
+		}
+		off := c * 9
+		for oy := 0; oy < h; oy++ {
+			r0 := pad[oy*pw : (oy+1)*pw]
+			r1 := pad[(oy+1)*pw : (oy+2)*pw]
+			r2 := pad[(oy+2)*pw : (oy+3)*pw]
+			for ox := 0; ox < w; ox++ {
+				d := col[off : off+9 : off+9]
+				t0, t1, t2 := r0[ox:ox+3:ox+3], r1[ox:ox+3:ox+3], r2[ox:ox+3:ox+3]
+				d[0], d[1], d[2] = t0[0], t0[1], t0[2]
+				d[3], d[4], d[5] = t1[0], t1[1], t1[2]
+				d[6], d[7], d[8] = t2[0], t2[1], t2[2]
+				off += cols
 			}
 		}
-		return
 	}
-	// General case, structured so the iy bounds check runs once per
-	// (oy, c, ky) row instead of once per output pixel. The kernel-row
-	// widths here are tiny (3 for the trunk convs), so in-bounds rows use a
-	// short explicit loop — a memmove call would cost more than it copies.
+}
+
+// transposeBlock is the channel width of the 1x1 gather's blocks: eight
+// source planes read in step fill half a cache line of each destination row
+// per pass.
+const transposeBlock = 8
+
+// im2col1x1 is the 1x1, unpadded gather: the patch matrix is just a channel
+// transpose, done in blocks of channels so each destination row is written
+// 32 bytes at a time instead of one element per pass over it.
+func im2col1x1[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int) {
+	cols := s.InC
+	pix := s.InH * s.InW
+	c := 0
+	for ; c+transposeBlock <= s.InC; c += transposeBlock {
+		at := base + c*planeStride
+		s0 := img[at:][:pix]
+		s1 := img[at+planeStride:][:pix]
+		s2 := img[at+2*planeStride:][:pix]
+		s3 := img[at+3*planeStride:][:pix]
+		s4 := img[at+4*planeStride:][:pix]
+		s5 := img[at+5*planeStride:][:pix]
+		s6 := img[at+6*planeStride:][:pix]
+		s7 := img[at+7*planeStride:][:pix]
+		for p := range s0 {
+			d := col[p*cols+c:][:transposeBlock]
+			d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+			d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]
+		}
+	}
+	for ; c < s.InC; c++ {
+		for p, v := range img[base+c*planeStride:][:pix] {
+			col[p*cols+c] = v
+		}
+	}
+}
+
+// im2colGeneral gathers any kernel and padding, structured so the iy bounds
+// check runs once per (oy, c, ky) row instead of once per output pixel.
+func im2colGeneral[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int) {
+	outH, outW := s.OutH(), s.OutW()
+	cols := s.ColCols()
 	for oy := 0; oy < outH; oy++ {
 		rowDst := col[oy*outW*cols:]
 		for c := 0; c < s.InC; c++ {
@@ -160,30 +250,32 @@ func Conv2DForward(out, img, weight, bias, col []float32, s Conv2DShape) {
 	Conv2DForwardBatch(out, img, weight, bias, col, s, 1)
 }
 
-// Conv2DForwardBatch convolves a whole batch with ONE GEMM.
+// Conv2DForwardBatch convolves a whole batch, one gather and one GEMM per
+// sample against the same weight panel.
 //
 // Activations use a batch-major layout: channel plane c of sample b lives
 // at imgs[(c*batch+b)*InH*InW]. The same layout is produced on output
 // (out[(oc*batch+b)*OutH*OutW]), so consecutive conv layers chain without
-// repacking — only the im2col gather needs the per-sample stride. All
-// batch*OutH*OutW patch rows land in one (batch*pix) x (InC*KH*KW) column
-// matrix and a single weight * col^T product evaluates the layer for every
-// sample, which is where batched inference earns its throughput: the weight
-// panel is loaded into cache once per layer instead of once per sample.
+// repacking — only the im2col gather needs the per-sample stride. Each
+// sample's OutH*OutW patch rows are gathered into col and multiplied into
+// that sample's columns of out straight away, so the patch matrix is still
+// in cache when the GEMM reads it and the weight panel stays there across
+// the batch. Sample b's outputs are bit for bit those of Conv2DForward on
+// sample b alone, whatever the batch size and wherever b sits in it.
 //
 //	imgs: InC x (batch*InH*InW)  batch-major
 //	out:  OutC x (batch*OutH*OutW) batch-major
-//	col:  scratch of size batch*ColRows()*ColCols()
+//	col:  scratch of size ColRows()*ColCols()
 func Conv2DForwardBatch(out, imgs, weight, bias, col []float32, s Conv2DShape, batch int) {
 	pix := s.ColRows()
 	kk := s.ColCols()
 	imgLen := s.InH * s.InW
-	for b := 0; b < batch; b++ {
-		Im2ColStrided(col[b*pix*kk:], imgs, s, b*imgLen, batch*imgLen)
-	}
 	n := batch * pix
-	// out[oc][bp] = sum_k weight[oc][k] * col[bp][k]
-	MatMulTransB(out, weight, col, s.OutC, kk, n)
+	for b := 0; b < batch; b++ {
+		Im2ColStrided(col, imgs, s, b*imgLen, batch*imgLen)
+		// out[oc][b*pix+p] = sum_k weight[oc][k] * col[p][k]
+		matMulTransBInto(out, n, b*pix, weight, col, s.OutC, kk, pix)
+	}
 	for oc := 0; oc < s.OutC; oc++ {
 		b := bias[oc]
 		row := out[oc*n : (oc+1)*n]

@@ -19,6 +19,17 @@ const (
 	KernelAVX2    = "avx2"
 )
 
+// Shape of the fp32 register tile dotTile as matMulTransBRange sees it:
+// tileCols rows of B per call (the kernel pairs them with three rows of A at
+// a time, which is its own business). Whole groups of tileGroup columns are
+// tiled — the width of the single-row tile the 3x4 one replaced — so the
+// columns that take the dot4 path, whose two-chain accumulation rounds
+// differently, are the ones that always did.
+const (
+	tileCols  = 4
+	tileGroup = 8
+)
+
 // The dispatched micro-kernels. They are selected once — at package init
 // from TENSOR_KERNEL, or explicitly via SetKernel — and read (never written)
 // by every GEMM call, so selection must happen before concurrent kernel use.
@@ -38,16 +49,24 @@ var (
 	// alongside the GEMM tiles because ReLU runs over every activation matrix
 	// between layers and is pure bandwidth.
 	reluVec func(x []float32)
-	// dotTile8 is the optional widened MatMulTransB tile: out[j] =
-	// dot(a, b[j*stride:]) for j in 0..7, nil when the selected kernel class
-	// has no 8-column tile (generic, sse). When set, matMulTransBRange
-	// produces eight C columns per pass instead of four, halving tile
-	// bookkeeping.
-	// The tiles are returned by value so the indirect call cannot force a
-	// heap allocation per row inside the GEMM inner loops.
-	dotTile8 func(a, b []float32, stride int) [8]float32
-	// dotQ8Tile8 is the int8 counterpart of dotTile8 (exact int32
-	// accumulation), nil when unavailable.
+	// dotTile is the optional MatMulTransB register tile run down a panel of
+	// A rows: c[i*ldc+j] = dot(a[i*lda:][:n], b[j*ldb:][:n]) for i < rows and
+	// j < tileCols, added to c instead when acc is set; nil when the selected
+	// kernel class has none (generic, sse). It takes three rows of A
+	// against tileCols rows of B at a time, so each loaded vector is reused
+	// across several rows of BOTH operands; every output element is still
+	// one 8-lane accumulation over p in order, then the horizontal sum, then
+	// the scalar tail.
+	dotTile func(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int, acc bool)
+	// dotSeq computes one column of MatMulTransB by plain sequential sums:
+	// c[i*ldc] = ((a[i*lda]*b[0] + a[i*lda+1]*b[1]) + ...) over len(b) for
+	// i < rows, every product and partial sum rounded, added to c instead
+	// when acc is set. The classes differ in how many rows they sum at once,
+	// never in a bit of the result.
+	dotSeq func(c []float32, ldc int, a []float32, lda, rows int, b []float32, acc bool)
+	// dotQ8Tile8 is the widened int8 tile of MatMulTransBQ8: out[j] =
+	// dot(a, b[j*stride:]) for j in 0..7 in exact int32, nil when
+	// unavailable.
 	dotQ8Tile8 func(a, b []int8, stride int) [8]int32
 
 	kernelName string
@@ -147,6 +166,21 @@ func dot4Generic(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 		s3 += av * b3[p]
 	}
 	return
+}
+
+// dotSeqGeneric is the portable dotSeq: one row, one chain of dependent adds,
+// at a time.
+func dotSeqGeneric(c []float32, ldc int, a []float32, lda, rows int, b []float32, acc bool) {
+	for i := 0; i < rows; i++ {
+		var sum float32
+		for p, av := range a[i*lda:][:len(b)] {
+			sum += av * b[p]
+		}
+		if acc {
+			sum += c[i*ldc]
+		}
+		c[i*ldc] = sum
+	}
 }
 
 // axpy4Generic is the portable MatMul register tile.

@@ -12,13 +12,21 @@ func dot4Kernel(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 //go:noescape
 func dot8Kernel(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 
-// dot8x8Kernel is the widened AVX2+FMA register tile in dot_avx2_amd64.s:
-// out[j] = dot(a[:n], b[j*stride:j*stride+n]) for j in 0..7. n must be a
-// multiple of 8 and rows j*stride+n must be in bounds of the caller's
-// backing slice. Only callable when hasAVX2 is true.
+// tile3x4Kernel is the AVX2+FMA register tile in dot_avx2_amd64.s:
+// c[i*ldc+j] (+)= dot(a[i*lda:][:n], b[j*ldb:][:n]) for i < rows, j in 0..3,
+// any n >= 1. Every element it reads or writes must be in bounds of the
+// caller's backing slices. Only callable when hasAVX2 is true.
 //
 //go:noescape
-func dot8x8Kernel(a, b *float32, stride, n int, out *[8]float32)
+func tile3x4Kernel(a *float32, lda, rows int, b *float32, ldb, n int, c *float32, ldc int, acc bool)
+
+// seqDot8Kernel is the AVX2 sequential-sum kernel in dot_avx2_amd64.s:
+// out[r] += the left-to-right sum of a[r*lda+p]*b[p] over p < n, for
+// r < 8*groups. n must be a positive multiple of 8. Only callable when
+// hasAVX2 is true.
+//
+//go:noescape
+func seqDot8Kernel(a *float32, lda, groups int, b *float32, n int, out *float32)
 
 // axpy4Kernel is the AVX2+FMA AXPY micro-kernel in dot_avx2_amd64.s:
 // c[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j] for j < n.
@@ -93,13 +101,14 @@ func availableKernels() []string {
 }
 
 func selectKernel(name string) {
-	dotTile8, dotQ8Tile8 = nil, nil
+	dotTile, dotQ8Tile8 = nil, nil
+	dotSeq = dotSeqGeneric
 	switch name {
 	case KernelSSE:
 		dot4, axpy4, dotQ8, reluVec = dot4SSE, axpy4Generic, dotQ8Generic, reluGeneric
 	case KernelAVX2:
 		dot4, axpy4, dotQ8, reluVec = dot4AVX2, axpy4AVX2, dotQ8AVX2, reluAVX2
-		dotTile8 = dotTile8AVX2
+		dotTile, dotSeq = dotTileAVX2, dotSeqAVX2
 		dotQ8Tile8 = dotQ8Tile8AVX2
 	default:
 		name = KernelGeneric
@@ -148,21 +157,45 @@ func dot4AVX2(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	return
 }
 
-// dotTile8AVX2 computes out[j] = dot(a, b[j*stride:j*stride+len(a)]) for
-// j in 0..7. b must reach at least 7*stride+len(a) elements.
-func dotTile8AVX2(a, b []float32, stride int) (out [8]float32) {
-	n := len(a)
+// dotTileAVX2 is dotTile on tile3x4Kernel; the index expressions are the
+// bounds checks the kernel relies on.
+func dotTileAVX2(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int, acc bool) {
+	if rows <= 0 || n <= 0 {
+		panic("tensor: empty register-tile panel")
+	}
+	_ = a[(rows-1)*lda+n-1]
+	_ = b[(tileCols-1)*ldb+n-1]
+	_ = c[(rows-1)*ldc+tileCols-1]
+	tile3x4Kernel(&a[0], lda, rows, &b[0], ldb, n, &c[0], ldc, acc)
+}
+
+// dotSeqAVX2 sums eight rows to a vector through seqDot8Kernel, blockM rows
+// per call, finishes each row's last len(b)%8 products in order, and leaves
+// the last rows%8 rows to the one-row loop.
+func dotSeqAVX2(c []float32, ldc int, a []float32, lda, rows int, b []float32, acc bool) {
+	n := len(b)
 	n8 := n &^ 7
-	if n8 > 0 {
-		dot8x8Kernel(&a[0], &b[0], stride, n8, &out)
-	}
-	for p := n8; p < n; p++ {
-		av := a[p]
-		for r := 0; r < 8; r++ {
-			out[r] += av * b[r*stride+p]
+	i := 0
+	for n8 > 0 && i+8 <= rows {
+		g := min(blockM, (rows-i)&^7)
+		ai := a[i*lda:]
+		_ = ai[(g-1)*lda+n-1]
+		var sums [blockM]float32
+		seqDot8Kernel(&ai[0], lda, g/8, &b[0], n8, &sums[0])
+		for r, sum := range sums[:g] {
+			for p := n8; p < n; p++ {
+				sum += ai[r*lda+p] * b[p]
+			}
+			if acc {
+				sum += c[(i+r)*ldc]
+			}
+			c[(i+r)*ldc] = sum
 		}
+		i += g
 	}
-	return
+	if i < rows {
+		dotSeqGeneric(c[i*ldc:], ldc, a[i*lda:], lda, rows-i, b, acc)
+	}
 }
 
 // axpy4AVX2 runs the AVX2 AXPY kernel over the aligned prefix and a scalar

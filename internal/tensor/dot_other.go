@@ -8,6 +8,7 @@ func availableKernels() []string { return []string{KernelGeneric} }
 
 func selectKernel(string) {
 	dot4, axpy4, dotQ8, reluVec = dot4Generic, axpy4Generic, dotQ8Generic, reluGeneric
-	dotTile8, dotQ8Tile8 = nil, nil
+	dotSeq = dotSeqGeneric
+	dotTile, dotQ8Tile8 = nil, nil
 	kernelName = KernelGeneric
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/rng"
@@ -115,6 +116,40 @@ func TestDotKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestDotSeqKernelEquivalence pins every selectable dotSeq kernel to the
+// generic one bit for bit — a sequential sum has one order, so the classes
+// may differ only in how many rows they sum at once — across row counts on
+// both sides of the eight-row group and of one blockM call, lengths with and
+// without a tail, storing and accumulating, into a strided C whose other
+// columns must stay untouched.
+func TestDotSeqKernelEquivalence(t *testing.T) {
+	r := rng.New(12)
+	for _, rows := range []int{1, 7, 8, 9, 16, 23, blockM, blockM + 8, 2*blockM + 3} {
+		for _, n := range kernelSizes[1:] {
+			lda, ldc := n+r.Intn(3), 1+r.Intn(3)
+			a := randFloats(r, rows*lda)
+			b := randFloats(r, n)
+			base := randFloats(r, rows*ldc)
+			for _, acc := range []bool{false, true} {
+				want := append([]float32(nil), base...)
+				dotSeqGeneric(want, ldc, a, lda, rows, b, acc)
+				for _, k := range Kernels() {
+					if !forceKernel(t, k) {
+						continue
+					}
+					got := append([]float32(nil), base...)
+					dotSeq(got, ldc, a, lda, rows, b, acc)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("kernel %s rows=%d n=%d acc=%v idx %d: got %g want %g", k, rows, n, acc, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAxpyKernelEquivalence pins every selectable axpy4 kernel against the
 // generic reference.
 func TestAxpyKernelEquivalence(t *testing.T) {
@@ -185,13 +220,25 @@ func referenceGEMMTransB(a, b []float32, m, k, n int) []float64 {
 	return c
 }
 
+// transBShapes covers every remainder class of the register tile and the
+// blocking around it: m mod 3, the tile's rows (and m below one tile), m mod
+// 8 for the sequential columns, n mod tileCols, n mod tileGroup and n across
+// a 64-column block, k mod 8, and k beyond one and two 512-wide K blocks.
+var transBShapes = [][3]int{
+	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
+	{2, 8, 8}, {3, 24, 12}, {4, 40, 15}, {5, 9, 16}, {6, 64, 20}, {8, 31, 23},
+	{13, 64, 130}, {64, 36, 81}, {65, 16, 72}, {5, 530, 19}, {9, 1030, 75}, {128, 520, 9},
+}
+
 // TestMatMulTransBKernelEquivalence runs the full blocked GEMM under every
-// kernel forcing value across shapes with ragged tails in every dimension
-// and compares against a float64 reference.
+// kernel forcing value across transBShapes and compares against a float64
+// reference at rounding tolerance AND, bit for bit, against the GEMM as it
+// was with the single-row 1x8 tile (refMatMulTransB): the register tile
+// changed how many accumulators share a loaded vector, not the order in
+// which any output element is summed.
 func TestMatMulTransBKernelEquivalence(t *testing.T) {
 	r := rng.New(23)
-	shapes := [][3]int{{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66}}
-	for _, sh := range shapes {
+	for _, sh := range transBShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		a := randFloats(r, m*k)
 		b := randFloats(r, n*k)
@@ -205,6 +252,55 @@ func TestMatMulTransBKernelEquivalence(t *testing.T) {
 			for i := range c {
 				if diff := math.Abs(float64(c[i]) - want[i]); diff > 1e-4*(1+math.Abs(want[i])) {
 					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %g want %g", kn, m, k, n, i, c[i], want[i])
+				}
+			}
+			ref := make([]float32, m*n)
+			refMatMulTransB(ref, a, b, m, k, n, dotTile != nil)
+			for i := range c {
+				if math.Float32bits(c[i]) != math.Float32bits(ref[i]) {
+					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d (row %d col %d): bits %#x, 1x8-tile reference %#x",
+						kn, m, k, n, i, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(ref[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulTransBIntoSegments: a product written into a column window of a
+// wider C (what Conv2DForwardBatch does per sample) has the bits of the
+// stand-alone product and touches nothing outside its window.
+func TestMatMulTransBIntoSegments(t *testing.T) {
+	r := rng.New(41)
+	for _, sh := range [][3]int{{3, 20, 9}, {7, 33, 13}, {66, 40, 81}, {128, 520, 17}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a := randFloats(r, m*k)
+		for _, kn := range Kernels() {
+			if !forceKernel(t, kn) {
+				continue
+			}
+			const segs = 3
+			wide := make([]float32, m*segs*n)
+			for i := range wide {
+				wide[i] = -7
+			}
+			for s := segs - 1; s >= 1; s-- { // leave segment 0 untouched
+				b := randFloats(r, n*k)
+				alone := make([]float32, m*n)
+				MatMulTransB(alone, a, b, m, k, n)
+				matMulTransBInto(wide, segs*n, s*n, a, b, m, k, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						if got, want := wide[i*segs*n+s*n+j], alone[i*n+j]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("kernel %s m=%d k=%d n=%d seg %d (%d,%d): got %g want %g", kn, m, k, n, s, i, j, got, want)
+						}
+					}
+				}
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					if wide[i*segs*n+j] != -7 {
+						t.Fatalf("kernel %s m=%d k=%d n=%d: segment 0 overwritten at (%d,%d)", kn, m, k, n, i, j)
+					}
 				}
 			}
 		}
@@ -368,4 +464,36 @@ func BenchmarkMatMulTransBQ8(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestMatMulTransBConcurrentLaunches: overlapping multi-block products from
+// several goroutines — each taking a pooled job and task, contending for the
+// pool workers, absorbing the blocks nobody picked up — all equal the
+// product computed alone. Run under -race it is the check on the job pool's
+// reuse protocol.
+func TestMatMulTransBConcurrentLaunches(t *testing.T) {
+	r := rng.New(43)
+	m, k, n := 3*blockM+5, 40, 2*blockN+9 // four row blocks, above parallelThreshold
+	a := randFloats(r, m*k)
+	b := randFloats(r, n*k)
+	want := make([]float32, m*n)
+	matMulTransBRange(want, n, 0, a, b, 0, m, k, n)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := make([]float32, m*n)
+			for rep := 0; rep < 20; rep++ {
+				MatMulTransB(c, a, b, m, k, n)
+				for i := range c {
+					if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
+						t.Errorf("rep %d idx %d: got %g want %g", rep, i, c[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "sync"
+
 // parallelThreshold is the minimum number of multiply-accumulate operations
 // below which a kernel runs single-threaded on the caller. Dispatching pool
 // work for tiny matrices (e.g. the value head's 64x1 product) costs more
@@ -32,10 +34,10 @@ func MatMul(c, a, b []float32, m, k, n int) {
 		return
 	}
 	blocks := (m + blockM - 1) / blockM
-	parallelBlocks(blocks, func(bi int) {
+	parallelBlocks(blocks, blockFunc(func(bi int) {
 		lo := bi * blockM
 		matMulRange(c, a, b, lo, min(lo+blockM, m), k, n)
-	})
+	}))
 }
 
 // matMulRange computes rows [lo, hi) of C = A*B, tiled over (k, n) blocks
@@ -92,66 +94,91 @@ func matMulRange(c, a, b []float32, lo, hi, k, n int) {
 // weights are stored (out, in), and — via im2col — for every convolution in
 // the network, so it is the hottest kernel in the codebase.
 func MatMulTransB(c, a, b []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
+	if len(c) < m*n {
 		panic("tensor: MatMulTransB buffer too small")
 	}
-	if m*k*n < parallelThreshold || m == 1 {
-		matMulTransBRange(c, a, b, 0, m, k, n)
-		return
-	}
-	blocks := (m + blockM - 1) / blockM
-	parallelBlocks(blocks, func(bi int) {
-		lo := bi * blockM
-		matMulTransBRange(c, a, b, lo, min(lo+blockM, m), k, n)
-	})
+	matMulTransBInto(c, n, 0, a, b, m, k, n)
 }
 
-// matMulTransBRange computes rows [lo, hi) of C = A*B^T, tiled over (n, k)
-// blocks. The inner kernel produces four C columns per pass: one A load is
-// amortised over four B rows and the four partial sums form independent
-// dependency chains, which quadruples sustained FMA throughput over the
-// naive single-accumulator dot product.
+// matMulTransBInto computes A * B^T for A (m x k) and B (n x k) into columns
+// [off, off+n) of C, whose rows are ldc apart. Conv2DForwardBatch calls it
+// once per sample, each with that sample's patch matrix as B and its pixel
+// columns of the batch-major output as the destination: the column blocking
+// starts at the sample, so a batched convolution equals the single-sample
+// one bit for bit.
+func matMulTransBInto(c []float32, ldc, off int, a, b []float32, m, k, n int) {
+	if len(a) < m*k || len(b) < n*k || (m > 0 && len(c) < (m-1)*ldc+off+n) {
+		panic("tensor: MatMulTransB buffer too small")
+	}
+	if m*k*n < parallelThreshold || m <= blockM {
+		// One row block (or too little work to share): no task, no closure,
+		// nothing allocated.
+		matMulTransBRange(c, ldc, off, a, b, 0, m, k, n)
+		return
+	}
+	t := transBTasks.Get().(*transBTask)
+	*t = transBTask{c: c, a: a, b: b, ldc: ldc, off: off, m: m, k: k, n: n}
+	parallelBlocks((m+blockM-1)/blockM, t)
+	*t = transBTask{}
+	transBTasks.Put(t)
+}
+
+// transBTask is one parallel matMulTransBInto launch, split by row block. It
+// is pooled because the pool workers it is handed to make it escape.
+type transBTask struct {
+	c, a, b           []float32
+	ldc, off, m, k, n int
+}
+
+var transBTasks = sync.Pool{New: func() any { return new(transBTask) }}
+
+func (t *transBTask) block(bi int) {
+	lo := bi * blockM
+	matMulTransBRange(t.c, t.ldc, t.off, t.a, t.b, lo, min(lo+blockM, t.m), t.k, t.n)
+}
+
+// matMulTransBRange computes rows [lo, hi) of A * B^T into columns
+// [off, off+n) of C (row stride ldc), tiled over (n, k) blocks.
 //
-// Note the accumulation order for a C element depends on where its column
-// falls relative to the j-blocking: columns in a full 4-wide group go
-// through dot4's SIMD partial sums, the last n%4 columns of a block through
-// the sequential scalar tail. Batched activations (n = B*pixels) therefore
-// match single-sample results (n = pixels) only to float32 rounding
-// tolerance, not bitwise; the nn property tests pin this at 1e-5.
-func matMulTransBRange(c, a, b []float32, lo, hi, k, n int) {
+// Where the kernel class has a register tile (dotTile), whole groups of
+// tileGroup columns of a block go through it: three rows of A against
+// tileCols rows of B at a time, so each loaded vector feeds several
+// accumulators, the 8 KiB B tile staying in L1 while the A rows stream past
+// it. The remaining columns go through dot4, four per pass over one A row,
+// and the last n%4 through sequential scalar sums.
+//
+// The accumulation order of a C element therefore depends on its column's
+// index in B and on nothing else — not on its row, not on lo/hi, not on
+// where in C the product lands: 8-lane FMA accumulation over each K block in
+// order, the horizontal sum, the scalar K tail, blocks summed in order (tile
+// columns); dot4's two-chain partial sums (dot4 columns); one sequential sum
+// (tail columns).
+func matMulTransBRange(c []float32, ldc, off int, a, b []float32, lo, hi, k, n int) {
 	if k == 0 {
 		// The p-block loop below would never run its first-block
 		// initialising pass; keep the C = 0 contract explicit.
 		for i := lo; i < hi; i++ {
-			ci := c[i*n : (i+1)*n]
-			for x := range ci {
-				ci[x] = 0
-			}
+			clear(c[i*ldc+off : i*ldc+off+n])
 		}
 		return
 	}
 	for j0 := 0; j0 < n; j0 += blockN {
 		j1 := min(j0+blockN, n)
+		jt := j0 // end of the tiled columns
+		if dotTile != nil {
+			jt += (j1 - j0) &^ (tileGroup - 1)
+		}
+		j4 := jt + (j1-jt)&^3 // end of the dot4 columns
 		for p0 := 0; p0 < k; p0 += blockK {
 			p1 := min(p0+blockK, k)
 			first := p0 == 0
-			for i := lo; i < hi; i++ {
+			for j := j0; j < jt; j += tileCols {
+				dotTile(c[lo*ldc+off+j:], ldc, a[lo*k+p0:], k, hi-lo, b[j*k+p0:], k, p1-p0, !first)
+			}
+			for i := lo; i < hi && jt < j4; i++ {
 				ai := a[i*k+p0 : i*k+p1]
-				ci := c[i*n : (i+1)*n]
-				j := j0
-				if dotTile8 != nil {
-					for ; j+8 <= j1; j += 8 {
-						out := dotTile8(ai, b[j*k+p0:], k)
-						if first {
-							copy(ci[j:j+8], out[:])
-						} else {
-							for x := range out {
-								ci[j+x] += out[x]
-							}
-						}
-					}
-				}
-				for ; j+4 <= j1; j += 4 {
+				ci := c[i*ldc+off:][:n]
+				for j := jt; j < j4; j += 4 {
 					b0 := b[j*k+p0 : j*k+p1]
 					b1 := b[(j+1)*k+p0 : (j+1)*k+p1]
 					b2 := b[(j+2)*k+p0 : (j+2)*k+p1]
@@ -166,18 +193,9 @@ func matMulTransBRange(c, a, b []float32, lo, hi, k, n int) {
 						ci[j+3] += s3
 					}
 				}
-				for ; j < j1; j++ {
-					bj := b[j*k+p0 : j*k+p1]
-					var sum float32
-					for p, av := range ai {
-						sum += av * bj[p]
-					}
-					if first {
-						ci[j] = sum
-					} else {
-						ci[j] += sum
-					}
-				}
+			}
+			for j := j4; j < j1; j++ {
+				dotSeq(c[lo*ldc+off+j:], ldc, a[lo*k+p0:], k, hi-lo, b[j*k+p0:j*k+p1], !first)
 			}
 		}
 	}

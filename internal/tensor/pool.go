@@ -11,14 +11,49 @@ import (
 // every batched inference a scheduler round-trip; with five GEMMs per
 // forward pass that setup cost rivals the arithmetic for small boards. A
 // persistent pool amortises it: GOMAXPROCS-1 workers started on first use,
-// fed closures over an unbuffered-ish channel, with the launching goroutine
+// fed jobs over an unbuffered channel, with the launching goroutine
 // always participating in its own kernel so a pool of zero workers
 // (single-core hosts) degrades to plain inline execution.
 var (
 	poolOnce    sync.Once
 	poolWorkers int
-	poolTasks   chan func()
+	poolTasks   chan *parallelJob
 )
+
+// blockTask is a kernel launch cut into independent blocks.
+type blockTask interface {
+	block(i int)
+}
+
+// blockFunc adapts a closure to blockTask, for kernels off the inference
+// path that can afford the closure's allocation.
+type blockFunc func(int)
+
+func (f blockFunc) block(i int) { f(i) }
+
+// parallelJob is one parallelBlocks launch shared between the caller and the
+// pool workers it enlisted. Jobs are pooled: sending one to a worker makes it
+// escape, and a forward pass launches one per large layer.
+type parallelJob struct {
+	task   blockTask
+	blocks int
+	next   atomic.Int64
+	wg     sync.WaitGroup
+}
+
+var jobPool = sync.Pool{New: func() any { return new(parallelJob) }}
+
+// run claims blocks from the job's counter until none are left, so an
+// early-finishing participant steals the remaining ones.
+func (j *parallelJob) run() {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.blocks {
+			return
+		}
+		j.task.block(i)
+	}
+}
 
 func startPool() {
 	// Size the resident pool by physical cores so a temporarily lowered
@@ -32,67 +67,48 @@ func startPool() {
 	// Unbuffered: a send succeeds only while a worker is actually idle on
 	// the receive, so a kernel never queues jobs behind another kernel's
 	// work — the select-default below has the caller absorb them instead.
-	poolTasks = make(chan func())
+	poolTasks = make(chan *parallelJob)
 	for i := 0; i < poolWorkers; i++ {
 		go func() {
-			for f := range poolTasks {
-				f()
+			for j := range poolTasks {
+				j.run()
+				j.wg.Done()
 			}
 		}()
 	}
 }
 
-// parallelBlocks runs fn(i) for every i in [0, blocks), sharing the work
-// between the caller and the persistent pool. Work is claimed from an atomic
-// counter so an early-finishing worker steals remaining blocks. If the pool
-// is saturated by concurrent kernel launches the enqueue is skipped and the
-// caller covers the blocks itself — correctness never depends on a worker
-// picking the job up.
-func parallelBlocks(blocks int, fn func(int)) {
+// parallelBlocks runs task.block(i) for every i in [0, blocks), sharing the
+// work between the caller and the persistent pool. If the pool is saturated
+// by concurrent kernel launches the enqueue is skipped and the caller covers
+// the blocks itself — correctness never depends on a worker picking the job
+// up. With one block, or no worker to enlist, nothing is allocated or
+// synchronised.
+func parallelBlocks(blocks int, task blockTask) {
 	if blocks <= 0 {
 		return
 	}
 	poolOnce.Do(startPool)
-	if blocks == 1 || poolWorkers == 0 {
-		for i := 0; i < blocks; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= blocks {
-				return
-			}
-			fn(i)
-		}
-	}
-	helpers := poolWorkers
-	if p := runtime.GOMAXPROCS(0) - 1; helpers > p {
-		helpers = p
-	}
-	if helpers > blocks-1 {
-		helpers = blocks - 1
-	}
+	helpers := min(poolWorkers, runtime.GOMAXPROCS(0)-1, blocks-1)
 	if helpers <= 0 {
-		run()
+		for i := 0; i < blocks; i++ {
+			task.block(i)
+		}
 		return
 	}
-	var wg sync.WaitGroup
+	j := jobPool.Get().(*parallelJob)
+	j.task, j.blocks = task, blocks
+	j.next.Store(0)
 	for w := 0; w < helpers; w++ {
-		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			run()
-		}
+		j.wg.Add(1)
 		select {
-		case poolTasks <- job:
+		case poolTasks <- j:
 		default:
-			wg.Done() // pool busy with another kernel; caller absorbs the work
+			j.wg.Done() // pool busy with another kernel; caller absorbs the work
 		}
 	}
-	run()
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
+	j.task = nil
+	jobPool.Put(j)
 }

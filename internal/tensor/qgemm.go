@@ -20,10 +20,10 @@ func MatMulTransBQ8(c []int32, a, b []int8, m, k, n int) {
 		return
 	}
 	blocks := (m + blockM - 1) / blockM
-	parallelBlocks(blocks, func(bi int) {
+	parallelBlocks(blocks, blockFunc(func(bi int) {
 		lo := bi * blockM
 		matMulTransBQ8Range(c, a, b, lo, min(lo+blockM, m), k, n)
-	})
+	}))
 }
 
 // matMulTransBQ8Range computes rows [lo, hi) of C = A*B^T with the same
