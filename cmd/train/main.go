@@ -54,16 +54,12 @@ import (
 )
 
 // servicePromoter applies accepted promotions to the serving stack:
-// checkpoint first (durability), then the drain-free hot swap, and — at the
-// Loop's retire barrier — version-scoped eviction of the old model's cache
-// entries and backend.
+// checkpoint first (durability), then the drain-free hot swap to the version
+// the gate left registered.
 type servicePromoter struct {
-	store     *checkpoint.Store
-	srv       *evaluate.Server
-	cache     *evaluate.Cached
-	mkBackend func(*nn.Network, int64) evaluate.Backend
-	trans     *tree.TransTable
-	game      string
+	store *checkpoint.Store
+	srv   *evaluate.Server
+	game  string
 	// baseStep/baseRounds/baseSamples carry the resumed checkpoint's
 	// cumulative counters: the Loop counts per-run, the manifest records
 	// training-history totals.
@@ -83,21 +79,11 @@ func (p *servicePromoter) Promote(candidate *nn.Network, pr train.Promotion) err
 		Note:      "promoted by arena gate",
 	})
 	if err != nil {
+		p.srv.Release(pr.Version)
 		return err
 	}
-	p.srv.SwapBackend(p.mkBackend(candidate, pr.Version), pr.Version)
+	p.srv.Promote(pr.Version)
 	return nil
-}
-
-func (p *servicePromoter) Retire(version int64) {
-	p.srv.Retire(version)
-	p.cache.ResetVersion(version)
-	if p.trans != nil {
-		// The transposition table is keyed by position only, not by model
-		// version: once the old model retires, its stored evaluations (and
-		// the statistics accumulated on them) are stale. Clear the lot.
-		p.trans.Reset()
-	}
 }
 
 func main() {
@@ -191,7 +177,7 @@ func main() {
 	// With -transpose, all G tenants share one lock-striped table: the
 	// fleet's searches converge on shared statistics for transposed
 	// positions, and later games are served openings discovered by earlier
-	// ones. The promoter clears it when a model version retires.
+	// ones.
 	var transTable *tree.TransTable
 	if n := tree.ResolveTransposeFlag("train", *transpose); n > 0 {
 		transTable = tree.NewTransTable(n)
@@ -208,9 +194,22 @@ func main() {
 		cfg.TransposeTable = transTable
 		cfgs[i] = cfg
 	}
-	fleet := adaptive.NewLocalFleet(mkBackend(incumbent, startVersion), startVersion, *workers, cfgs)
+	// What dies with a model version (evaluate.Server, "Model-version
+	// lifecycle"): its entries in the shared cache and, if it ever served the
+	// fleet (a rejected candidate's number is above the current one), the
+	// transposition table, which is keyed by position only and now holds
+	// evaluations and statistics of stale weights.
+	var srv *evaluate.Server
+	onRetire := func(version int64) {
+		cache.ResetVersion(version)
+		if transTable != nil && version < srv.Version() {
+			transTable.Reset()
+		}
+	}
+	fleet := adaptive.NewLocalFleet(mkBackend(incumbent, startVersion), startVersion, onRetire, *workers, cfgs)
 	defer fleet.Close()
-	srv, clients := fleet.Server, fleet.Clients
+	srv = fleet.Server
+	clients := fleet.Clients
 
 	// Durable replay: every finished game is committed to the trajectory
 	// store before its samples enter the in-memory ring, and a restarted
@@ -243,7 +242,7 @@ func main() {
 		Seed:      *seed,
 		// Pin each tenant to the serving version at game start: a game's
 		// evaluations never mix models across a mid-round promotion.
-		OnGameStart: func(tenant int) { clients[tenant].Pin(srv.Version()) },
+		OnGameStart: func(tenant int) { clients[tenant].PinCurrent() },
 		OnGameEnd:   func(tenant int) { clients[tenant].Unpin() },
 		// Commit each finished game durably at the round's ingest barrier.
 		OnEpisode: func(tenant int, ep *train.EpisodeResult) {
@@ -289,9 +288,6 @@ func main() {
 		Game:      g,
 		Srv:       srv,
 		MkBackend: mkBackend,
-		// A rejected candidate's cached evaluations go with its backend:
-		// nothing of a network that lost its gate may outlive the match.
-		OnReject: func(version int64) { cache.ResetVersion(version) },
 		Cfg: arena.GateConfig{
 			Games:        *gateGames,
 			WinThreshold: *winRate,
@@ -302,7 +298,7 @@ func main() {
 		},
 	}
 	promoter := &servicePromoter{
-		store: store, srv: srv, cache: cache, mkBackend: mkBackend, trans: transTable, game: gameName,
+		store: store, srv: srv, game: gameName,
 		baseStep: baseStep, baseRounds: baseRounds, baseSamples: baseSamples,
 	}
 
@@ -391,9 +387,8 @@ func main() {
 		fv := srv.Version()
 		qv := fv + 1
 		qgate := &arena.ServerGate{
-			Game:     g,
-			Srv:      srv,
-			OnReject: func(version int64) { cache.ResetVersion(version) },
+			Game: g,
+			Srv:  srv,
 			Cfg: arena.GateConfig{
 				Games:        *gateGames,
 				WinThreshold: *quantWinRate,
@@ -410,10 +405,9 @@ func main() {
 		verdict := "REJECTED (serve fp32)"
 		if qres.Promote {
 			verdict = "ACCEPTED (int8 serving holds fp32 strength)"
-			srv.Retire(qv)
-			cache.ResetVersion(qv)
+			srv.Release(qv) // the verdict is the result; int8 does not become the serving version
 		}
 		fmt.Printf("quantize gate: int8(v%d) vs fp32(v%d) %d:%d+%d score=%.2f (threshold %.2f, %d calib samples) %s\n",
-			fv, fv, qres.WinsCandidate, qres.WinsIncumbent, qres.Draws, qres.Score, *quantWinRate, len(calib), verdict)
+			qv, fv, qres.WinsCandidate, qres.WinsIncumbent, qres.Draws, qres.Score, *quantWinRate, len(calib), verdict)
 	}
 }

@@ -25,7 +25,7 @@
 // Every substrate is built from scratch on the standard library: the
 // policy/value network (5 conv + 3 FC with training), the game
 // environments behind one registry (the Scenarios section below lists the
-// catalogue), the arena-backed search tree, the FIFO and
+// catalogue), the arena-backed search tree, the
 // accelerator-queue plumbing, a simulated accelerator with an explicit
 // latency model, and a discrete-event timeline simulator that regenerates
 // the paper's latency figures deterministically.
@@ -166,8 +166,9 @@
 // shared statistics and the second game to reach an opening is served the
 // evaluations the first one bought. Because entries are keyed by position
 // rather than model version, the table is reset whenever the serving
-// weights change (the SGD round callbacks, and promotion retirement in
-// cmd/train).
+// weights change (the SGD round callbacks, and cmd/train's OnRetire when a
+// superseded version dies — see "Model-version lifecycle" on
+// evaluate.Server).
 //
 // UCT on a DAG needs care that UCT on a tree does not. The engines use
 // the shared-Q/local-N backup rule: a node's exploitation term reads the
@@ -216,28 +217,32 @@
 //     a restarted training service from the newest committed version.
 //
 //   - evaluate.Server is version-aware: every request is stamped with a
-//     model version at submit time, each live version has its own Backend
-//     in a registry, and SwapBackend performs a drain-free hot swap —
-//     requests stamped before the swap (buffered or in flight) still route
-//     to the old network, new unpinned requests are stamped with (and
-//     served by) the new version, and a batch spanning the swap is split
-//     into per-version sub-batches so no network ever evaluates a request
-//     stamped for another. Client.Pin fixes a tenant to one version: fleet
-//     drivers pin each game at game start (one game never mixes models),
-//     and arena gates pin the candidate and incumbent tenant groups so two
-//     versions serve simultaneously. The shared evaluate.Cached is
-//     version-scoped the same way (View/ResetVersion): retiring a
-//     superseded model evicts exactly its entries, never the incumbent's.
+//     model version (and its Backend) at submit time, and SwapBackend
+//     performs a drain-free hot swap — requests stamped before the swap
+//     (buffered or in flight) still run on the old network, new unpinned
+//     requests are stamped with (and served by) the new version, and a
+//     batch spanning the swap is split into per-version sub-batches so no
+//     network ever evaluates a request stamped for another. The server is
+//     also the ONE place that decides when an old version is dead: a
+//     version lives as long as someone holds it (being current, a pinned
+//     Client, a candidate's registrant), and the server retires it once
+//     when the last hold goes — the "Model-version lifecycle" paragraph of
+//     the Server doc comment is the reference. Fleet drivers PinCurrent
+//     each game at game start (one game never mixes models), and arena
+//     gates pin the candidate and incumbent tenant groups so two versions
+//     serve simultaneously. The shared evaluate.Cached is version-scoped
+//     the same way (View/ResetVersion): a binary's OnRetire evicts exactly
+//     the retired model's entries, never the incumbent's.
 //
 //   - train.Loop overlaps self-play generation with SGD (the generator
 //     runs one round ahead on its own goroutine) and, every GateEvery
 //     rounds, clones the training parameters into a candidate and plays it
 //     against the incumbent through arena.ServerGate — on the live server,
 //     under fleet traffic. Only a candidate clearing the configurable
-//     win-rate gate is promoted: checkpointed, hot-swapped to current, and
-//     the old version retired (backend unregistered, cache entries
-//     dropped) two round barriers later, when no pinned request can still
-//     reference it. G concurrent games keep running across the entire
+//     win-rate gate is promoted: checkpointed and made current
+//     (Server.Promote of the version the gate left registered); the old
+//     version retires, by the server's lifecycle rule, when the last game
+//     pinned to it ends. G concurrent games keep running across the entire
 //     promotion.
 //
 // cmd/train runs this service on any registered scenario (resuming from
@@ -330,11 +335,11 @@
 // different weights are never mixed). Admission control rides the
 // service's MaxOutstanding backpressure bound: a move that would oversubscribe
 // the inference service is rejected with 429 + Retry-After instead of
-// queuing unboundedly. Model swaps are graceful — sessions pin the version
-// they started under, a superseded version is retired when its last pinned
-// session closes — and so is shutdown: SIGTERM stops admission (503),
-// in-flight searches finish and are answered, then sessions and the
-// inference service drain. Eviction is drain-safe down through the engine
+// queuing unboundedly. Model swaps are graceful — sessions pin (hold) the
+// version they started under, so by the server's lifecycle rule a superseded
+// version retires when its last session closes — and so is shutdown:
+// SIGTERM stops admission (503), in-flight searches finish and are answered,
+// then sessions and the inference service drain. Eviction is drain-safe down through the engine
 // layer: mcts engines' Close blocks on the session mutex, so an evicted
 // session's in-flight search always finishes on its own tree and is then
 // discarded, never raced. cmd/loadgen drives a running server with N

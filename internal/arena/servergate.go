@@ -17,10 +17,12 @@ import (
 // simultaneously — one per tenant group — which is exactly the state a
 // promotion swap later makes permanent.
 //
-// On rejection the candidate's version is retired immediately (its two
-// match tenants are closed, nothing else ever pinned it). On promotion the
-// registration is left in place for the Promoter to make current via
-// SwapBackend.
+// The gate holds the candidate's registration for the match (evaluate.Server,
+// "Model-version lifecycle"). On rejection it releases it, and with the two
+// match tenants closed nothing else holds the version: the server retires it
+// and the binary's OnRetire drops whatever it tagged with it. On promotion the
+// hold is left for the Promoter to turn into the current version with
+// Server.Promote (or to Release).
 type ServerGate struct {
 	// Game is the gating workload.
 	Game game.Game
@@ -30,11 +32,6 @@ type ServerGate struct {
 	// promoted, after) the match — e.g. an EvaluatorBackend over a
 	// version-scoped cache view of the candidate network.
 	MkBackend func(net *nn.Network, version int64) evaluate.Backend
-	// OnReject, when non-nil, runs after a rejected candidate's version is
-	// retired from the server — the place to drop any other state tagged
-	// with that version (cmd/train evicts the shared cache's entries here,
-	// so a rejected network's evaluations cannot linger in the table).
-	OnReject func(version int64)
 	// Cfg carries the match size, win threshold and search budget.
 	Cfg GateConfig
 }
@@ -49,13 +46,12 @@ func (sg *ServerGate) Gate(candidate *nn.Network, cv int64, incumbent *nn.Networ
 // construction factored out, so candidates that are not plain fp32
 // networks — above all an int8-quantized variant of a promoted model, whose
 // backend is built from calibration data MkBackend never sees — run through
-// the identical live-server match, promotion threshold, and retire-on-reject
+// the identical live-server match, promotion threshold, and release-on-reject
 // path as ordinary training candidates.
 //
 // The backend is registered under version cv for the duration of the match.
-// On promotion the registration is left in place (the caller makes it
-// current or retires it); on rejection it is retired immediately and
-// OnReject runs.
+// On promotion the caller inherits the hold (Promote or Release); on
+// rejection it is released here.
 func (sg *ServerGate) GateBackend(candidate evaluate.Backend, cv, iv int64) train.GateResult {
 	if sg.Cfg.Games < 1 || sg.Cfg.Playouts < 1 {
 		panic("arena: gate needs Games >= 1 and Playouts >= 1")
@@ -85,12 +81,7 @@ func (sg *ServerGate) GateBackend(candidate evaluate.Backend, cv, iv int64) trai
 
 	promote := res.Score() >= sg.Cfg.WinThreshold
 	if !promote {
-		// No fleet tenant ever pins a never-promoted version; with the
-		// match tenants closed the registration can go immediately.
-		sg.Srv.Retire(cv)
-		if sg.OnReject != nil {
-			sg.OnReject(cv)
-		}
+		sg.Srv.Release(cv)
 	}
 	return train.GateResult{
 		Promote:       promote,

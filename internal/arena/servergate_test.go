@@ -9,8 +9,9 @@ import (
 	"github.com/parmcts/parmcts/internal/rng"
 )
 
-// gateFixture builds a live server (incumbent v1) and a ServerGate over it.
-func gateFixture(t *testing.T, threshold float64) (*evaluate.Server, *ServerGate, *nn.Network, func()) {
+// gateFixture builds a live server (incumbent v1) and a ServerGate over it;
+// onRetire is the server's OnRetire.
+func gateFixture(t *testing.T, threshold float64, onRetire func(int64)) (*evaluate.Server, *ServerGate, *nn.Network, func()) {
 	t.Helper()
 	g := tictactoe.New()
 	c, h, w := g.EncodedShape()
@@ -18,7 +19,7 @@ func gateFixture(t *testing.T, threshold float64) (*evaluate.Server, *ServerGate
 	mkBackend := func(n *nn.Network, v int64) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: evaluate.NewNN(n), Workers: 2}
 	}
-	srv := evaluate.NewServer(mkBackend(incumbent, 1), evaluate.ServerConfig{Batch: 1, LaunchWorkers: 2})
+	srv := evaluate.NewServer(mkBackend(incumbent, 1), evaluate.ServerConfig{Batch: 1, LaunchWorkers: 2, OnRetire: onRetire})
 	sg := &ServerGate{
 		Game:      g,
 		Srv:       srv,
@@ -35,14 +36,13 @@ func gateFixture(t *testing.T, threshold float64) (*evaluate.Server, *ServerGate
 }
 
 // TestServerGateRejectionCleansUp: a rejected candidate's version must be
-// fully gone afterwards — retired from the server and reported to OnReject
+// fully gone afterwards — retired from the server and reported to OnRetire
 // so version-tagged caches can evict, leaving nothing a later candidate
 // (which always gets a fresh version number) could collide with.
 func TestServerGateRejectionCleansUp(t *testing.T) {
-	srv, sg, incumbent, closeSrv := gateFixture(t, 1.1) // unreachable: always reject
-	defer closeSrv()
 	var rejected []int64
-	sg.OnReject = func(v int64) { rejected = append(rejected, v) }
+	srv, sg, incumbent, closeSrv := gateFixture(t, 1.1, func(v int64) { rejected = append(rejected, v) }) // unreachable: always reject
+	defer closeSrv()
 
 	candidate := incumbent.Clone()
 	res := sg.Gate(candidate, 2, incumbent, 1)
@@ -53,10 +53,10 @@ func TestServerGateRejectionCleansUp(t *testing.T) {
 		t.Fatalf("match evidence inconsistent: %+v", res)
 	}
 	if len(rejected) != 1 || rejected[0] != 2 {
-		t.Fatalf("OnReject calls = %v, want [2]", rejected)
+		t.Fatalf("OnRetire calls = %v, want [2]", rejected)
 	}
-	if vs := srv.Versions(); len(vs) != 1 || vs[0] != 1 {
-		t.Fatalf("versions after rejection = %v, want [1]", vs)
+	if _, ok := srv.Pins()[1]; !ok || len(srv.Pins()) != 1 {
+		t.Fatalf("registry after rejection = %v, want only v1", srv.Pins())
 	}
 	if srv.Version() != 1 {
 		t.Fatalf("rejection changed the current version to %d", srv.Version())
@@ -64,24 +64,30 @@ func TestServerGateRejectionCleansUp(t *testing.T) {
 }
 
 // TestServerGatePromotionLeavesRegistration: an accepted candidate's
-// backend stays registered (the Promoter makes it current) and OnReject
-// does not fire.
+// backend stays registered and held (the Promoter makes it current) and
+// OnRetire does not fire.
 func TestServerGatePromotionLeavesRegistration(t *testing.T) {
-	srv, sg, incumbent, closeSrv := gateFixture(t, 0) // any score promotes
+	var retired []int64
+	srv, sg, incumbent, closeSrv := gateFixture(t, 0, func(v int64) { retired = append(retired, v) }) // any score promotes
 	defer closeSrv()
-	sg.OnReject = func(v int64) { t.Errorf("OnReject(%d) fired on a promotion", v) }
 
 	res := sg.Gate(incumbent.Clone(), 2, incumbent, 1)
 	if !res.Promote {
 		t.Fatal("score below a zero threshold")
 	}
-	if vs := srv.Versions(); len(vs) != 2 {
-		t.Fatalf("versions after promotion = %v, want candidate still registered", vs)
+	if vs := srv.Pins(); len(vs) != 2 {
+		t.Fatalf("registry after promotion = %v, want candidate still registered", vs)
 	}
 	if srv.Version() != 1 {
 		t.Fatalf("gate itself changed the current version to %d (the Promoter's job)", srv.Version())
 	}
-	srv.Retire(2)
+	if len(retired) != 0 {
+		t.Fatalf("OnRetire%v fired on a promotion", retired)
+	}
+	srv.Promote(2) // the gate's hold becomes the current-version hold; v1 retires
+	if vs := srv.Pins(); len(vs) != 1 || srv.Version() != 2 || len(retired) != 1 || retired[0] != 1 {
+		t.Fatalf("after Promote: registry %v, OnRetire%v, want only v2 and [1]", vs, retired)
+	}
 }
 
 // TestServerGateQuantizedBackend gates an int8-quantized variant of the
@@ -90,9 +96,9 @@ func TestServerGatePromotionLeavesRegistration(t *testing.T) {
 // the same network, the quantized candidate must clear a near-parity
 // threshold, and both cleanup behaviours must match the fp32 gate's.
 func TestServerGateQuantizedBackend(t *testing.T) {
-	srv, sg, incumbent, closeSrv := gateFixture(t, 0.45)
+	var retired []int64
+	srv, sg, incumbent, closeSrv := gateFixture(t, 0.45, func(v int64) { retired = append(retired, v) })
 	defer closeSrv()
-	sg.OnReject = func(v int64) { t.Errorf("OnReject(%d): quantized twin lost to its own fp32 source", v) }
 
 	// Calibrate on random boards — for TicTacToe's 18-float encoding any
 	// on-distribution inputs pin the activation ranges well enough.
@@ -120,8 +126,14 @@ func TestServerGateQuantizedBackend(t *testing.T) {
 	if res.Games != sg.Cfg.Games {
 		t.Fatalf("played %d games, want %d", res.Games, sg.Cfg.Games)
 	}
-	if vs := srv.Versions(); len(vs) != 2 {
-		t.Fatalf("versions after quantized promotion = %v, want candidate still registered", vs)
+	if vs := srv.Pins(); len(vs) != 2 {
+		t.Fatalf("registry after quantized promotion = %v, want candidate still registered", vs)
 	}
-	srv.Retire(2)
+	if len(retired) != 0 {
+		t.Fatalf("OnRetire%v: quantized twin lost to its own fp32 source", retired)
+	}
+	srv.Release(2)
+	if len(retired) != 1 || retired[0] != 2 {
+		t.Fatalf("OnRetire calls after Release = %v, want [2]", retired)
+	}
 }

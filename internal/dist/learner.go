@@ -455,12 +455,6 @@ func (l *Learner) Promote(candidate *nn.Network, p train.Promotion) error {
 	return nil
 }
 
-// Retire implements train.Promoter. Model versions live in worker-local
-// inference services; each worker retires its own superseded backend at
-// the round barrier where it applies the swap, so the learner has nothing
-// to do here.
-func (l *Learner) Retire(int64) {}
-
 // broadcast pushes the current checkpoint to every live connection.
 func (l *Learner) broadcast() {
 	l.mu.Lock()

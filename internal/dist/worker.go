@@ -190,7 +190,7 @@ func (w *Worker) Run() WorkerStats {
 		mc.Seed = w.cfg.Seed + uint64(i)*7919
 		cfgs[i] = mc
 	}
-	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, w.cfg.Workers, cfgs)
+	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, nil, w.cfg.Workers, cfgs)
 	defer fleet.Close()
 	srv, clients := fleet.Server, fleet.Clients
 
@@ -198,7 +198,7 @@ func (w *Worker) Run() WorkerStats {
 	driver := selfplay.NewDriver(w.cfg.Game, fleet.Engines, nil, nil, selfplay.Config{
 		TempMoves:   w.cfg.TempMoves,
 		Seed:        w.cfg.Seed,
-		OnGameStart: func(tenant int) { clients[tenant].Pin(srv.Version()) },
+		OnGameStart: func(tenant int) { clients[tenant].PinCurrent() },
 		OnGameEnd:   func(tenant int) { clients[tenant].Unpin() },
 		// Stream every finished game: encode it as a wire frame at the
 		// round's ingest barrier (driver goroutine, deterministic order)
@@ -224,9 +224,8 @@ func (w *Worker) Run() WorkerStats {
 		default:
 		}
 
-		// Round barrier: apply the newest pending checkpoint. Nothing is in
-		// flight between rounds, so the old backend retires immediately —
-		// the in-round guarantee stays with per-game pinning.
+		// Round barrier: apply the newest pending checkpoint. No game is
+		// pinned between rounds, so the old version retires with the swap.
 		w.mu.Lock()
 		p := w.pending
 		w.pending = nil
@@ -235,7 +234,6 @@ func (w *Worker) Run() WorkerStats {
 			old := version
 			version = p.man.Version
 			srv.SwapBackend(mkBackend(p.net), version)
-			srv.Retire(old)
 			stats.Swaps++
 			w.cfg.Logf("worker %s: swapped v%d -> v%d at round %d", w.cfg.ID, old, version, round)
 		}

@@ -65,8 +65,10 @@ type Request struct {
 	// (e.g. the cloned game state needed to expand the leaf on completion).
 	Ctx interface{}
 
-	// client is the tenant the Server routes the completion back to.
+	// client is the tenant the Server routes the completion back to; model
+	// is the registered version (and backend) the request was stamped for.
 	client *Client
+	model  *model
 	// done is the private completion signal of sync-mode (blocking) callers;
 	// it is a 1-buffered reusable channel owned by the request pool.
 	done chan struct{}

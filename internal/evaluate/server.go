@@ -147,9 +147,14 @@ type ServerConfig struct {
 	// where a per-request spawn would sit on the per-playout hot path.
 	LaunchWorkers int
 	// InitialVersion is the model version the constructor backend is
-	// registered under (0 = 1). Versions must be positive; 0 on a Request
-	// means "the server's current version at submit time".
+	// registered under (0 = 1). Versions must be positive.
 	InitialVersion int64
+	// OnRetire, when non-nil, is called exactly once for every version the
+	// server retires, after its backend is unregistered and with no server
+	// lock held, on the goroutine that dropped the last hold (see "Model-version
+	// lifecycle" on Server). It is where the owning binary drops whatever it
+	// tagged with that version.
+	OnRetire func(version int64)
 }
 
 // ServerStats is a snapshot of the service's aggregate batch economics.
@@ -206,12 +211,34 @@ func (s ServerStats) AvgFill() float64 {
 // into out-of-phase groups that never re-merge. A server no tenant registers
 // with has no quorum and batches by threshold and deadline alone.
 //
-// The server is also the model-lifecycle boundary: every request is stamped
-// with a model version at submit time, each registered version has its own
-// Backend, and SwapBackend hot-swaps the current version without draining —
-// the outer training loop promotes a candidate network under live traffic
-// this way, while arena gates run two versions simultaneously via pinned
-// tenant groups (Client.Pin).
+// Model-version lifecycle. The server is the registry of live network
+// versions, and a version lives exactly as long as someone holds it. There
+// are three kinds of hold: being the current version (the one unpinned
+// submissions are stamped with); a Client pinned to it (Pin or PinCurrent
+// takes the hold; Unpin, a re-Pin or Client.Close drops it); and the
+// registrant of a candidate that is not current yet (RegisterBackend returns
+// holding; Release drops the hold, Promote turns it into the current-version
+// hold). SwapBackend is RegisterBackend + Promote: a drain-free hot swap under
+// live traffic. When the last hold on a non-current version goes, the server
+// retires it, once: the backend leaves the registry, then
+// ServerConfig.OnRetire(version) runs. In it cmd/serve and cmd/train drop the
+// version's entries from their shared evaluation cache (train also clears its
+// shared transposition table when the version had served the fleet); a
+// dist.Worker keeps nothing per version. Whoever must not mix weights within
+// one game pins for that game — serve sessions for their lifetime, self-play
+// tenants from game start to game end, an arena gate's two engines for the
+// match — so "when is an old version dead?" has one answer everywhere: when
+// its last holder lets go.
+//
+// A request is stamped with its (version, backend) on the submitter's
+// goroutine — the client's pin, else the current version — and carries both
+// through the buffer, so a batch launches without consulting the registry, a
+// batch spanning a swap is split per version, and a request stamped before a
+// retire still completes on the backend it was stamped for. An unpinned
+// tenant holds nothing: what OnRetire dropped may be repopulated by its
+// in-flight stragglers, which is why every production tenant pins. Pinning an
+// unknown (never registered, or retired) version panics at Pin, on the
+// tenant's goroutine, rather than serving it from another model.
 //
 // Lifecycle: all Submits must happen-before Close. Close flushes the
 // remaining partial batch, waits for in-flight launches to drain, and then
@@ -223,19 +250,12 @@ type Server struct {
 	batcher *queue.Batcher[*Request]
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
 
-	// backends is the versioned model registry: every live network version
-	// has one Backend, and current names the version stamped onto unpinned
-	// submissions. SwapBackend replaces current atomically; superseded
-	// versions stay registered (serving pinned mid-game tenants) until
-	// Retire. currentEntry caches the current (version, backend) pair so
-	// the steady-state launch path resolves its backend with one atomic
-	// load — no mutex on the per-batch hot path (lock acquisition there
-	// perturbs worker wake timing, which interleaving-sensitive engines
-	// would surface as trajectory drift).
-	backendMu    sync.RWMutex
-	backends     map[int64]Backend
-	current      atomic.Int64
-	currentEntry atomic.Pointer[backendEntry]
+	// models is the version registry (see "Model-version lifecycle" above);
+	// regMu guards it and every model's holds. current is read lock-free by
+	// the submit path and written only under regMu.
+	regMu   sync.Mutex
+	models  map[int64]*model
+	current atomic.Pointer[model]
 
 	inflight        sync.WaitGroup
 	inflightBatches atomic.Int64
@@ -267,9 +287,9 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.InitialVersion == 0 {
 		cfg.InitialVersion = 1
 	}
-	s := &Server{cfg: cfg, backends: map[int64]Backend{cfg.InitialVersion: backend}}
-	s.current.Store(cfg.InitialVersion)
-	s.currentEntry.Store(&backendEntry{version: cfg.InitialVersion, backend: backend})
+	first := &model{version: cfg.InitialVersion, backend: backend}
+	s := &Server{cfg: cfg, models: map[int64]*model{first.version: first}}
+	s.current.Store(first)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
 	}
@@ -295,25 +315,37 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	return s
 }
 
+// model is one registered network version: its backend and who holds it
+// besides being current. Both counts are guarded by Server.regMu.
+type model struct {
+	version int64
+	backend Backend
+	pins    int  // clients pinned to this version
+	held    bool // the registrant's hold, until Release or Promote
+}
+
 // Version returns the current model version: the version stamped onto
 // unpinned submissions arriving now.
-func (s *Server) Version() int64 { return s.current.Load() }
+func (s *Server) Version() int64 { return s.current.Load().version }
 
-// Versions returns the registered model versions in unspecified order.
-func (s *Server) Versions() []int64 {
-	s.backendMu.RLock()
-	defer s.backendMu.RUnlock()
-	out := make([]int64, 0, len(s.backends))
-	for v := range s.backends {
-		out = append(out, v)
+// Pins returns every registered version with the number of clients pinned
+// to it.
+func (s *Server) Pins() map[int64]int {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	out := make(map[int64]int, len(s.models))
+	for v, m := range s.models {
+		out[v] = m.pins
 	}
 	return out
 }
 
-// RegisterBackend adds a backend under version WITHOUT making it current.
-// Arena gating uses it to bring a candidate model live next to the
-// incumbent: tenants pinned to the candidate version route to it while
-// every unpinned tenant keeps evaluating on the current version.
+// RegisterBackend adds a backend under a fresh version WITHOUT making it
+// current, and returns with the caller holding that version: it stays
+// registered until the caller calls Release (and every client pinned to it
+// has let go) or Promote. Arena gating uses it to bring a candidate model
+// live next to the incumbent: tenants pinned to the candidate version route
+// to it while every unpinned tenant keeps evaluating on the current version.
 func (s *Server) RegisterBackend(b Backend, version int64) {
 	if b == nil {
 		panic("evaluate: RegisterBackend with nil backend")
@@ -321,63 +353,70 @@ func (s *Server) RegisterBackend(b Backend, version int64) {
 	if version <= 0 {
 		panic("evaluate: backend versions must be positive")
 	}
-	s.backendMu.Lock()
-	s.backends[version] = b
-	s.backendMu.Unlock()
+	s.regMu.Lock()
+	if _, dup := s.models[version]; dup {
+		s.regMu.Unlock()
+		panic(fmt.Sprintf("evaluate: version %d is already registered", version))
+	}
+	s.models[version] = &model{version: version, backend: b, held: true}
+	s.regMu.Unlock()
 }
 
-// backendEntry pairs a version with its backend for the lock-free
-// current-backend cache.
-type backendEntry struct {
-	version int64
-	backend Backend
+// Release drops the registrant's hold on a version that RegisterBackend
+// returned and Promote never took; the version retires once no client is
+// pinned to it. Releasing a version nobody registered, or twice, panics.
+func (s *Server) Release(version int64) {
+	s.regMu.Lock()
+	m := s.models[version]
+	if m == nil || !m.held {
+		s.regMu.Unlock()
+		panic(fmt.Sprintf("evaluate: Release of version %d, which no registrant holds", version))
+	}
+	m.held = false
+	dead := s.dropIfUnheld(m)
+	s.regMu.Unlock()
+	s.retired(dead)
 }
 
-// SwapBackend is the drain-free hot swap: it registers b under version and
-// makes that version current, all while the service keeps running. Requests
-// already stamped with the old version — buffered, in a launched batch, or
-// submitted by a pinned client — still route to the old backend, which
-// stays registered until Retire; requests submitted after the swap by
-// unpinned clients are stamped with (and served by) the new version. No
-// queue is drained and no submitter blocks.
+// Promote makes an already registered version current, turning its
+// registrant's hold into the current-version hold. Unpinned submissions from
+// now on are stamped with it; the superseded version retires as soon as no
+// client is pinned to it. No queue is drained and no submitter blocks.
+func (s *Server) Promote(version int64) {
+	s.regMu.Lock()
+	m := s.models[version]
+	if m == nil {
+		s.regMu.Unlock()
+		panic(fmt.Sprintf("evaluate: Promote of unregistered version %d", version))
+	}
+	old := s.current.Swap(m)
+	m.held = false
+	dead := s.dropIfUnheld(old)
+	s.regMu.Unlock()
+	s.retired(dead)
+}
+
+// SwapBackend is the drain-free hot swap: RegisterBackend then Promote.
 func (s *Server) SwapBackend(b Backend, version int64) {
 	s.RegisterBackend(b, version)
-	s.currentEntry.Store(&backendEntry{version: version, backend: b})
-	s.current.Store(version)
+	s.Promote(version)
 }
 
-// Retire unregisters a superseded version. It must not be the current
-// version, and the caller must guarantee no client is still pinned to it
-// and no request stamped with it is in flight (in a fleet, one full round
-// barrier after the swap suffices: every game that started before the swap
-// has ended and re-pinned). A late submission against a retired version
-// panics rather than silently mixing model versions.
-func (s *Server) Retire(version int64) {
-	if version == s.current.Load() {
-		panic("evaluate: cannot retire the current version")
+// dropIfUnheld unregisters m if nothing holds it any more and returns it for
+// retired, nil otherwise. Caller holds regMu.
+func (s *Server) dropIfUnheld(m *model) *model {
+	if m.pins > 0 || m.held || m == s.current.Load() {
+		return nil
 	}
-	s.backendMu.Lock()
-	delete(s.backends, version)
-	s.backendMu.Unlock()
+	delete(s.models, m.version)
+	return m
 }
 
-// backendFor resolves the backend serving version, panicking on a version
-// that was never registered or already retired — serving such a request
-// from a different model would silently mix evaluations across versions.
-// The current version (all of steady-state traffic) resolves through one
-// atomic load; only requests pinned to a non-current version touch the
-// registry lock.
-func (s *Server) backendFor(version int64) Backend {
-	if e := s.currentEntry.Load(); e.version == version {
-		return e.backend
+// retired reports a version dropIfUnheld unregistered. Caller holds no lock.
+func (s *Server) retired(m *model) {
+	if m != nil && s.cfg.OnRetire != nil {
+		s.cfg.OnRetire(m.version)
 	}
-	s.backendMu.RLock()
-	b := s.backends[version]
-	s.backendMu.RUnlock()
-	if b == nil {
-		panic(fmt.Sprintf("evaluate: no backend registered for version %d", version))
-	}
-	return b
 }
 
 // Batch returns the configured flush threshold.
@@ -444,30 +483,10 @@ func (s *Server) Close() {
 	}
 }
 
-// submit is the Client-facing entry point. Requests arriving without a
-// version (Version == 0, i.e. from an unpinned client) are stamped with the
-// current version HERE, before buffering: a request submitted before a
-// SwapBackend therefore routes to the old network even if its batch
-// launches after the swap — the "in-flight work belongs to the old model"
-// half of the drain-free swap contract.
+// submit buffers one stamped request, blocking on the backpressure bound.
 func (s *Server) submit(req *Request) {
 	if s.closed.Load() {
 		panic("evaluate: Submit on closed Server")
-	}
-	if req.Version == 0 {
-		req.Version = s.current.Load()
-	} else {
-		// A pinned submission against an unknown (never registered, or
-		// already retired) version fails HERE on the submitter's goroutine —
-		// serving it from another version's network would silently mix model
-		// versions, and panicking later on the launch goroutine would point
-		// at the service instead of the misbehaving tenant.
-		s.backendMu.RLock()
-		_, ok := s.backends[req.Version]
-		s.backendMu.RUnlock()
-		if !ok {
-			panic(fmt.Sprintf("evaluate: Submit pinned to unregistered version %d", req.Version))
-		}
 	}
 	if s.sem != nil {
 		s.sem <- struct{}{}
@@ -490,35 +509,35 @@ func (s *Server) launch(batch []*Request) {
 	go s.runAndDeliver(batch)
 }
 
-// runBatch executes one formed batch on the backend(s) matching its
-// requests' stamped versions. Around a hot swap (or during an arena match
-// with pinned tenant groups) one batch may span versions; it is then split
-// into per-version sub-batches in submission order so no network ever sees
-// a request stamped for a different one. The homogeneous case — all of
+// runBatch executes one formed batch on the backend(s) its requests were
+// stamped with. Around a hot swap (or during an arena match with pinned
+// tenant groups) one batch may span versions; it is then split into
+// per-version sub-batches in submission order so no network ever sees a
+// request stamped for a different one. The homogeneous case — all of
 // steady-state operation — stays a single RunBatch with no allocation.
 func (s *Server) runBatch(batch []*Request) {
-	v0 := batch[0].Version
+	m0 := batch[0].model
 	homogeneous := true
 	for _, req := range batch[1:] {
-		if req.Version != v0 {
+		if req.model != m0 {
 			homogeneous = false
 			break
 		}
 	}
 	if homogeneous {
-		s.backendFor(v0).RunBatch(batch)
+		m0.backend.RunBatch(batch)
 		return
 	}
-	versions := make([]int64, 0, 2)
-	groups := make(map[int64][]*Request, 2)
+	models := make([]*model, 0, 2)
+	groups := make(map[*model][]*Request, 2)
 	for _, req := range batch {
-		if _, ok := groups[req.Version]; !ok {
-			versions = append(versions, req.Version)
+		if _, ok := groups[req.model]; !ok {
+			models = append(models, req.model)
 		}
-		groups[req.Version] = append(groups[req.Version], req)
+		groups[req.model] = append(groups[req.model], req)
 	}
-	for _, v := range versions {
-		s.backendFor(v).RunBatch(groups[v])
+	for _, m := range models {
+		m.backend.RunBatch(groups[m])
 	}
 }
 
@@ -529,7 +548,7 @@ func (s *Server) runAndDeliver(batch []*Request) {
 	s.runBatch(batch)
 	for _, req := range batch {
 		cl := req.client
-		req.client = nil
+		req.client, req.model = nil, nil
 		cl.deliver(req)
 		if s.sem != nil {
 			<-s.sem
@@ -579,9 +598,9 @@ type Client struct {
 	// the server too.
 	ownsServer bool
 
-	// pin, when non-zero, stamps every submission with that model version
-	// instead of the server's current one (see Pin).
-	pin atomic.Int64
+	// pin, when non-nil, is the model this client holds and stamps every
+	// submission with, instead of the server's current one (see Pin).
+	pin atomic.Pointer[model]
 
 	mu          sync.Mutex
 	outstanding int
@@ -592,20 +611,56 @@ type Client struct {
 // Server exposes the service this client submits to.
 func (c *Client) Server() *Server { return c.srv }
 
-// Pin routes all subsequent Submits to the given registered model version,
-// regardless of later SwapBackend calls. Fleet drivers pin each tenant to
-// the current version at game start so one game's evaluations never mix
-// models across a mid-game promotion; arena gates pin the candidate tenant
-// group to the candidate version. Pin(0) is equivalent to Unpin.
-func (c *Client) Pin(version int64) { c.pin.Store(version) }
+// Pin holds the given registered model version for this client and routes
+// all subsequent Submits to it, regardless of later swaps, until Unpin, the
+// next Pin or Close. Arena gates pin the candidate tenant group to the
+// candidate version this way. Pinning a version that is not registered
+// panics; Pin(0) is equivalent to Unpin.
+func (c *Client) Pin(version int64) { c.repin(version, false) }
 
-// Unpin reverts the client to current-version stamping.
-func (c *Client) Unpin() { c.pin.Store(0) }
+// PinCurrent pins the client to whatever version is current and returns it,
+// atomically with respect to Promote: the version cannot retire between being
+// read and being held. Fleet drivers call it at game start so one game's
+// evaluations never mix models across a mid-game promotion.
+func (c *Client) PinCurrent() int64 { return c.repin(0, true) }
 
-// Submit implements Async. The request's Version is re-stamped on every
-// submission — the client's pin, or 0 for the server to stamp its current
-// version — so requests reused across searches cannot leak a stale version
-// past a hot swap.
+// Unpin drops the client's hold and reverts it to current-version stamping.
+func (c *Client) Unpin() { c.repin(0, false) }
+
+// repin moves the client's hold to version, or to the current version, or
+// (version 0) to nothing, retiring the version it let go of if that was the
+// last hold. It returns the version now pinned, 0 for none.
+func (c *Client) repin(version int64, current bool) int64 {
+	s := c.srv
+	s.regMu.Lock()
+	var m *model
+	if current {
+		m = s.current.Load()
+	} else if version != 0 {
+		if m = s.models[version]; m == nil {
+			s.regMu.Unlock()
+			panic(fmt.Sprintf("evaluate: Pin to unregistered version %d", version))
+		}
+	}
+	if m != nil {
+		m.pins++
+		version = m.version
+	}
+	var dead *model
+	if old := c.pin.Swap(m); old != nil {
+		old.pins--
+		dead = s.dropIfUnheld(old)
+	}
+	s.regMu.Unlock()
+	s.retired(dead)
+	return version
+}
+
+// Submit implements Async. The request is re-stamped on every submission —
+// with the client's pinned model, or the server's current one — so requests
+// reused across searches cannot leak a stale version past a hot swap, and a
+// request submitted before a swap is served by the old network even if its
+// batch launches after it.
 func (c *Client) Submit(req *Request) {
 	c.mu.Lock()
 	if c.closed {
@@ -614,8 +669,11 @@ func (c *Client) Submit(req *Request) {
 	}
 	c.outstanding++
 	c.mu.Unlock()
-	req.client = c
-	req.Version = c.pin.Load()
+	m := c.pin.Load()
+	if m == nil {
+		m = c.srv.current.Load()
+	}
+	req.client, req.model, req.Version = c, m, m.version
 	c.srv.submit(req)
 }
 
@@ -689,11 +747,13 @@ func (c *Client) Outstanding() int {
 	return c.outstanding
 }
 
-// Close implements Async: it flushes the service so none of this tenant's
-// requests are stranded in the shared buffer, waits until all of them have
-// been delivered, and closes the completions stream. A shared Server stays
-// open for other tenants; a private one (NewPool, NewBatchedAsync) is
-// closed with its only client.
+// Close implements Async: if this tenant still has requests outstanding it
+// flushes the service so none of them is stranded in the shared buffer, waits
+// until all have been delivered, drops the client's pin and closes the
+// completions stream. An idle tenant's Close launches nothing — co-tenants'
+// buffered requests keep waiting for their own batch. A shared Server stays
+// open for other tenants; a private one (NewPool, NewBatchedAsync) is closed
+// with its only client.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -704,15 +764,19 @@ func (c *Client) Close() {
 	if c.drained == nil {
 		c.drained = sync.NewCond(&c.mu)
 	}
+	pending := c.outstanding > 0
 	c.mu.Unlock()
 
-	c.srv.Flush()
+	if pending {
+		c.srv.Flush()
+	}
 
 	c.mu.Lock()
 	for c.outstanding > 0 {
 		c.drained.Wait()
 	}
 	c.mu.Unlock()
+	c.Unpin()
 	if !c.syncMode {
 		close(c.completions)
 	}

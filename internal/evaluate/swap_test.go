@@ -184,13 +184,15 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSwapRetire covers the registry lifecycle rules: retiring the current
-// version is a bug, submitting pinned to a retired version is a bug, and a
-// retired version's backend is gone from the registry.
+// TestSwapRetire covers the registry lifecycle rules: a superseded version
+// nobody holds retires with the swap and is gone from the registry, pinning
+// to a retired version is a bug caught at Pin, and so are releasing a version
+// no registrant holds and registering a version twice.
 func TestSwapRetire(t *testing.T) {
 	b1 := &versionBackend{version: 1}
 	b2 := &versionBackend{version: 2}
-	srv := NewServer(b1, ServerConfig{Batch: 1})
+	var retired []int64
+	srv := NewServer(b1, ServerConfig{Batch: 1, OnRetire: func(v int64) { retired = append(retired, v) }})
 	defer srv.Close()
 
 	mustPanic := func(name string, f func()) {
@@ -203,19 +205,27 @@ func TestSwapRetire(t *testing.T) {
 		f()
 	}
 
-	mustPanic("retire current", func() { srv.Retire(1) })
+	mustPanic("release current, which no registrant holds", func() { srv.Release(1) })
 	srv.SwapBackend(b2, 2)
-	srv.Retire(1)
-	if vs := srv.Versions(); len(vs) != 1 || vs[0] != 2 {
-		t.Fatalf("versions after retire = %v, want [2]", vs)
+	if _, ok := srv.Pins()[2]; !ok || len(srv.Pins()) != 1 {
+		t.Fatalf("registry after swap = %v, want only v2", srv.Pins())
+	}
+	if len(retired) != 1 || retired[0] != 1 {
+		t.Fatalf("OnRetire calls = %v, want [1]", retired)
 	}
 
 	stale := srv.NewSyncClient()
-	stale.Pin(1)
-	mustPanic("evaluate pinned to retired version", func() { evalOnce(stale) })
+	mustPanic("pin to retired version", func() { stale.Pin(1) })
+	mustPanic("release promoted version", func() { srv.Release(2) })
+	mustPanic("release unknown version", func() { srv.Release(7) })
+	mustPanic("promote unknown version", func() { srv.Promote(7) })
 
 	mustPanic("register version 0", func() { srv.RegisterBackend(b1, 0) })
 	mustPanic("register nil backend", func() { srv.RegisterBackend(nil, 3) })
+	mustPanic("register live version again", func() { srv.RegisterBackend(b1, 2) })
+	if len(retired) != 1 {
+		t.Fatalf("a rejected call retired something: %v", retired)
+	}
 }
 
 // TestSwapRegisterDoesNotChangeCurrent: RegisterBackend brings a candidate
@@ -241,5 +251,8 @@ func TestSwapRegisterDoesNotChangeCurrent(t *testing.T) {
 	if v := evalOnce(candidate); v != 9 {
 		t.Fatalf("candidate-pinned evaluation served by %v, want 9", v)
 	}
-	srv.Retire(9)
+	srv.Release(9)
+	if vs := srv.Pins(); len(vs) != 2 || vs[9] != 1 {
+		t.Fatalf("registry = %v: candidate retired while a client is pinned to it", vs)
+	}
 }

@@ -1,76 +1,13 @@
-// Package queue provides the two communication primitives the paper's
-// local-tree scheme is built from: the FIFO pipes connecting the master
-// thread to its worker pool (Figure 2a), and the accelerator request queue
-// that accumulates DNN inference tasks until a batch is worth launching
-// (Section 3.3): at the threshold batch size, when every registered producer
-// has a request in it (the quorum), or at the flush deadline — see Batcher.
+// Package queue provides the accelerator request queue that accumulates DNN
+// inference tasks until a batch is worth launching (Section 3.3): at the
+// threshold batch size, when every registered producer has a request in it
+// (the quorum), or at the flush deadline — see Batcher.
 package queue
 
 import (
 	"sync"
 	"time"
 )
-
-// FIFO is a first-in-first-out pipe with a fixed capacity. Push blocks when
-// the pipe is full, Pop blocks when it is empty; both unblock on Close.
-// It is a thin wrapper over a buffered channel, named to match the paper's
-// terminology and to centralise closed-pipe semantics.
-type FIFO[T any] struct {
-	ch chan T
-}
-
-// NewFIFO creates a pipe holding up to capacity elements.
-func NewFIFO[T any](capacity int) *FIFO[T] {
-	if capacity < 0 {
-		panic("queue: negative capacity")
-	}
-	return &FIFO[T]{ch: make(chan T, capacity)}
-}
-
-// Push enqueues v, blocking while the pipe is full. Pushing to a closed
-// pipe panics (a closed pipe means the consumer is gone — a program bug).
-func (q *FIFO[T]) Push(v T) { q.ch <- v }
-
-// TryPush enqueues v without blocking; it reports whether v was accepted.
-func (q *FIFO[T]) TryPush(v T) bool {
-	select {
-	case q.ch <- v:
-		return true
-	default:
-		return false
-	}
-}
-
-// Pop dequeues the oldest element, blocking while the pipe is empty.
-// ok is false once the pipe is closed and drained.
-func (q *FIFO[T]) Pop() (v T, ok bool) {
-	v, ok = <-q.ch
-	return v, ok
-}
-
-// TryPop dequeues without blocking; ok is false if the pipe was empty or
-// closed-and-drained.
-func (q *FIFO[T]) TryPop() (v T, ok bool) {
-	select {
-	case v, ok = <-q.ch:
-		return v, ok
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// Len returns the number of buffered elements.
-func (q *FIFO[T]) Len() int { return len(q.ch) }
-
-// Cap returns the pipe capacity.
-func (q *FIFO[T]) Cap() int { return cap(q.ch) }
-
-// Close marks the producer side finished. Pending elements remain poppable.
-func (q *FIFO[T]) Close() { close(q.ch) }
-
-// Chan exposes the receive side for use in select statements.
-func (q *FIFO[T]) Chan() <-chan T { return q.ch }
 
 // Batcher is the accelerator queue of Section 3.3: producers Add requests,
 // and the whole buffer is handed to the flush function as one batch when the
@@ -254,11 +191,13 @@ func (b *Batcher[T]) flushDeadline(gen uint64) {
 // Used at the end of a search to drain a partial batch.
 func (b *Batcher[T]) FlushNow() {
 	b.mu.Lock()
+	if len(b.buf) == 0 {
+		b.mu.Unlock()
+		return
+	}
 	batch := b.takeLocked()
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.flush(batch)
-	}
+	b.flush(batch)
 }
 
 // Pending returns the number of buffered (unflushed) requests.

@@ -8,152 +8,6 @@ import (
 	"time"
 )
 
-func TestFIFOOrdering(t *testing.T) {
-	q := NewFIFO[int](10)
-	for i := 0; i < 10; i++ {
-		q.Push(i)
-	}
-	if q.Len() != 10 || q.Cap() != 10 {
-		t.Fatalf("len/cap = %d/%d", q.Len(), q.Cap())
-	}
-	for i := 0; i < 10; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d: got %d ok=%v", i, v, ok)
-		}
-	}
-}
-
-func TestFIFOTryOps(t *testing.T) {
-	q := NewFIFO[string](1)
-	if !q.TryPush("a") {
-		t.Fatal("TryPush into empty failed")
-	}
-	if q.TryPush("b") {
-		t.Fatal("TryPush into full succeeded")
-	}
-	v, ok := q.TryPop()
-	if !ok || v != "a" {
-		t.Fatalf("TryPop got %q ok=%v", v, ok)
-	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop from empty succeeded")
-	}
-}
-
-func TestFIFOCloseDrains(t *testing.T) {
-	q := NewFIFO[int](4)
-	q.Push(1)
-	q.Push(2)
-	q.Close()
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Fatal("pending element lost after close")
-	}
-	if v, ok := q.Pop(); !ok || v != 2 {
-		t.Fatal("second element lost")
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop after drain should report closed")
-	}
-}
-
-func TestFIFOPushAfterClosePanics(t *testing.T) {
-	q := NewFIFO[int](2)
-	q.Push(1)
-	q.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Push after Close did not panic")
-		}
-	}()
-	q.Push(2)
-}
-
-func TestFIFOTryPushAfterClosePanics(t *testing.T) {
-	q := NewFIFO[int](2)
-	q.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TryPush after Close did not panic")
-		}
-	}()
-	q.TryPush(1)
-}
-
-func TestFIFOTryPopClosedAndDrained(t *testing.T) {
-	q := NewFIFO[int](4)
-	q.Push(7)
-	q.Close()
-	// Pending elements remain poppable after Close...
-	if v, ok := q.TryPop(); !ok || v != 7 {
-		t.Fatalf("TryPop after Close = (%d, %v), want (7, true)", v, ok)
-	}
-	// ...and once drained, TryPop reports closed (ok=false), not "empty but
-	// maybe later": the zero value must come back too.
-	for i := 0; i < 3; i++ {
-		if v, ok := q.TryPop(); ok || v != 0 {
-			t.Fatalf("TryPop on closed-and-drained = (%d, %v), want (0, false)", v, ok)
-		}
-	}
-}
-
-func TestFIFODoubleClosePanics(t *testing.T) {
-	q := NewFIFO[int](1)
-	q.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Close did not panic")
-		}
-	}()
-	q.Close()
-}
-
-func TestFIFONegativeCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative capacity did not panic")
-		}
-	}()
-	NewFIFO[int](-1)
-}
-
-func TestFIFOConcurrentProducersConsumers(t *testing.T) {
-	q := NewFIFO[int](8)
-	const producers, perProducer = 4, 1000
-	var sum atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				v, ok := q.Pop()
-				if !ok {
-					return
-				}
-				sum.Add(int64(v))
-			}
-		}()
-	}
-	var pwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			for i := 1; i <= perProducer; i++ {
-				q.Push(i)
-			}
-		}()
-	}
-	pwg.Wait()
-	q.Close()
-	wg.Wait()
-	want := int64(producers) * perProducer * (perProducer + 1) / 2
-	if sum.Load() != want {
-		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestBatcherFlushesAtThreshold(t *testing.T) {
 	var batches [][]int
 	b := NewBatcher[int](3, func(batch []int) { batches = append(batches, batch) })

@@ -126,19 +126,18 @@ type Statsz struct {
 func (s *Service) Stats() Statsz {
 	s.mu.Lock()
 	active := len(s.sessions)
-	versions := make(map[string]int, len(s.versions))
-	for v, st := range s.versions {
-		versions[strconv.FormatInt(v, 10)] = st.refs
-	}
-	current := s.current
 	draining := s.draining
 	s.mu.Unlock()
+	versions := make(map[string]int)
+	for v, sessions := range s.srv.Pins() {
+		versions[strconv.FormatInt(v, 10)] = sessions
+	}
 
 	srvStats := s.srv.Stats()
 	out := Statsz{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Game:               s.cfg.GameSpec,
-		ModelVersion:       current,
+		ModelVersion:       s.srv.Version(),
 		ModelVersions:      versions,
 		Draining:           draining,
 		SessionsActive:     active,

@@ -193,15 +193,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// versionState is the service's per-model-version bookkeeping: how many
-// live sessions are pinned to it and the transposition table they share.
-// A superseded version is retired (backend unregistered, cache entries
-// evicted, table dropped) when its last session closes.
-type versionState struct {
-	refs int
-	tt   *tree.TransTable
-}
-
 // Service is the networked play service. Construct with NewService, mount
 // Handler() on an HTTP server, and Close() on shutdown (after the HTTP
 // server has drained its in-flight requests).
@@ -225,8 +216,10 @@ type Service struct {
 	evicted     map[string]struct{}
 	evictedRing []string
 	evictedHead int
-	versions    map[int64]*versionState
-	current     int64
+	// tt is the transposition table of the CURRENT model version, handed to
+	// every session created under it. A superseded version's table is
+	// reachable only from its sessions' engines and dies with them.
+	tt          *tree.TransTable
 	draining    bool
 	seedCounter uint64
 
@@ -259,8 +252,6 @@ func NewService(cfg Config) *Service {
 		lru:         list.New(),
 		evicted:     make(map[string]struct{}),
 		evictedRing: make([]string, cfg.TombstoneBudget),
-		versions:    make(map[int64]*versionState),
-		current:     cfg.InitialVersion,
 	}
 	eval0 := cfg.NewEvaluator(cfg.InitialVersion, cfg.Net)
 	if cfg.CacheSize > 0 {
@@ -271,8 +262,16 @@ func NewService(cfg Config) *Service {
 		FlushDeadline:  cfg.FlushDeadline,
 		MaxOutstanding: cfg.MaxOutstanding,
 		InitialVersion: cfg.InitialVersion,
+		// A version retires when its last pinned session closes after a swap
+		// (evaluate.Server, "Model-version lifecycle"): its cached
+		// evaluations go with it.
+		OnRetire: func(version int64) {
+			if s.cache != nil {
+				s.cache.ResetVersion(version)
+			}
+		},
 	})
-	s.versions[cfg.InitialVersion] = &versionState{tt: s.newTransTable()}
+	s.tt = s.newTransTable()
 	if cfg.IdleTTL > 0 {
 		s.janitorStop = make(chan struct{})
 		s.janitorDone = make(chan struct{})
@@ -311,46 +310,16 @@ func (s *Service) GameSpec() string { return s.cfg.GameSpec }
 // Swap hot-swaps the serving model: net is registered as a fresh version
 // (current+1) and becomes current. Sessions created before the swap keep
 // their pinned version — their in-flight and future searches still evaluate
-// on the model they started the game with — and the superseded version is
-// retired (backend unregistered, cache entries evicted, transposition table
-// dropped) when its last pinned session closes. Returns the new version.
+// on the model they started the game with — and the superseded version
+// retires when its last pinned session closes (evaluate.Server,
+// "Model-version lifecycle"). Returns the new version.
 func (s *Service) Swap(net *nn.Network) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.current
-	v := old + 1
+	v := s.srv.Version() + 1
 	s.srv.SwapBackend(s.makeBackend(v, net), v)
-	s.versions[v] = &versionState{tt: s.newTransTable()}
-	s.current = v
-	if st := s.versions[old]; st != nil && st.refs == 0 {
-		s.retireLocked(old)
-	}
+	s.tt = s.newTransTable()
 	return v
-}
-
-// retireLocked drops a superseded version with no remaining sessions.
-// Caller holds s.mu; the version must not be current.
-func (s *Service) retireLocked(version int64) {
-	delete(s.versions, version)
-	s.srv.Retire(version)
-	if s.cache != nil {
-		s.cache.ResetVersion(version)
-	}
-}
-
-// releaseVersion decrements a version's session refcount, retiring it when
-// it was superseded and this was its last session.
-func (s *Service) releaseVersion(version int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.versions[version]
-	if st == nil {
-		return
-	}
-	st.refs--
-	if st.refs <= 0 && version != s.current {
-		s.retireLocked(version)
-	}
 }
 
 // newID mints a session id: 12 random hex characters.
@@ -382,11 +351,8 @@ func (s *Service) NewGame(engineStarts bool) (Snapshot, *MoveStats, error) {
 	for _, dup := s.sessions[id]; dup; _, dup = s.sessions[id] {
 		id = newID()
 	}
-	version := s.current
-	vs := s.versions[version]
-	vs.refs++
 	s.seedCounter++
-	sess := s.newSession(id, version, engineStarts, s.seedCounter, vs.tt)
+	sess := s.newSession(id, engineStarts, s.seedCounter)
 	s.sessions[id] = sess
 	sess.elem = s.lru.PushFront(sess)
 	sess.lastUsed = s.cfg.Now()
@@ -419,14 +385,15 @@ func (s *Service) NewGame(engineStarts bool) (Snapshot, *MoveStats, error) {
 	return s.snapshotLocked(sess), ms, nil
 }
 
-// newSession builds the per-game state: a sync client pinned to the
-// session's model version, and a serial (or shared) engine over it.
-func (s *Service) newSession(id string, version int64, engineStarts bool, seedSalt uint64, tt *tree.TransTable) *gameSession {
+// newSession builds the per-game state: a sync client pinned, for the
+// session's lifetime, to the model version current now, and a serial (or
+// shared) engine over it. Caller holds s.mu, so s.tt is that version's table.
+func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gameSession {
 	cl := s.srv.NewSyncClient()
-	cl.Pin(version)
+	version := cl.PinCurrent()
 	cfg := s.cfg.Search
 	cfg.Seed = cfg.Seed*0x9E3779B97F4A7C15 + seedSalt
-	cfg.TransposeTable = tt
+	cfg.TransposeTable = s.tt
 	cfg.TransposeSize = 0
 	var eng mcts.Engine
 	if s.cfg.SearchWorkers > 1 {
@@ -644,7 +611,7 @@ func (s *Service) evictLRULocked() bool {
 	sess := back.Value.(*gameSession)
 	s.removeLocked(sess)
 	s.evictedN.Add(1)
-	go sess.shutdown(s)
+	go sess.shutdown()
 	return true
 }
 
@@ -680,7 +647,7 @@ func (s *Service) rollbackSession(sess *gameSession) {
 		s.created.Add(-1)
 	}
 	s.mu.Unlock()
-	sess.shutdown(s)
+	sess.shutdown()
 }
 
 // janitor evicts idle sessions every IdleTTL/4.
@@ -708,7 +675,7 @@ func (s *Service) janitor() {
 			}
 			s.mu.Unlock()
 			for _, sess := range idle {
-				go sess.shutdown(s)
+				go sess.shutdown()
 			}
 		}
 	}
@@ -743,7 +710,7 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	for _, sess := range all {
-		sess.shutdown(s) // synchronous: waits for in-flight searches
+		sess.shutdown() // synchronous: waits for in-flight searches
 	}
 	s.srv.Close()
 }
@@ -778,8 +745,8 @@ type gameSession struct {
 // shutdown finishes a session: it waits for an in-flight move to complete
 // (session mutex), marks the session closed so late requests get ErrGone,
 // closes the engine (which drains and discards the tree) and the pinned
-// client, and releases the session's hold on its model version.
-func (sess *gameSession) shutdown(s *Service) {
+// client, which drops the session's hold on its model version.
+func (sess *gameSession) shutdown() {
 	sess.mu.Lock()
 	if sess.closed {
 		sess.mu.Unlock()
@@ -789,5 +756,4 @@ func (sess *gameSession) shutdown(s *Service) {
 	sess.engine.Close()
 	sess.cl.Close()
 	sess.mu.Unlock()
-	s.releaseVersion(sess.version)
 }

@@ -38,10 +38,9 @@ type GateResult struct {
 // Gate decides promotion: it plays candidate (to serve as candidateVersion)
 // against the incumbent (serving as incumbentVersion) and reports whether
 // the candidate is strong enough to replace it. Implementations that play
-// through the live inference service (arena.ServerGate) must register the
-// candidate version for the duration of the match and retire it on
-// rejection; on promotion the registration is left in place for the
-// Promoter to make current.
+// through the live inference service (arena.ServerGate) register the
+// candidate version for the match and release it on rejection; on promotion
+// the registration is left held for the Promoter to make current.
 type Gate interface {
 	Gate(candidate *nn.Network, candidateVersion int64, incumbent *nn.Network, incumbentVersion int64) GateResult
 }
@@ -61,16 +60,13 @@ type Promotion struct {
 }
 
 // Promoter applies an accepted promotion to the serving side: persist the
-// snapshot (checkpoint store), hot-swap the inference service's current
-// backend to the new version, and — once the Loop signals it safe — retire
-// the superseded version and drop its cache entries.
+// snapshot (checkpoint store) and make the new version the inference
+// service's current one. When the superseded version dies is the service's
+// business (evaluate.Server, "Model-version lifecycle"), not the Loop's.
 type Promoter interface {
 	// Promote makes candidate the serving model under p.Version. An error
 	// aborts the promotion: the Loop keeps the old incumbent.
 	Promote(candidate *nn.Network, p Promotion) error
-	// Retire is called when no request pinned to version can still be in
-	// flight (two generation-round barriers after the swap).
-	Retire(version int64)
 }
 
 // LoopConfig tunes the continuous training loop.
@@ -236,17 +232,6 @@ func (l *Loop) Version() int64 { return l.version }
 // Promotions returns the accepted promotions so far.
 func (l *Loop) Promotions() []Promotion { return l.promotions }
 
-// retireBarrier tracks a superseded version awaiting retirement: after a
-// swap at round r, games started before the swap may still be pinned to the
-// old version, and with the generator running one round of read-ahead the
-// last such game belongs to round r+2 — so once round r+2 has been
-// consumed, nothing can reference the version and the Promoter may retire
-// it. Consecutive promotions queue their barriers.
-type retireBarrier struct {
-	version    int64
-	afterRound int
-}
-
 // Run drives the loop to completion, invoking onRound (if non-nil) after
 // each consumed round.
 func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {
@@ -281,7 +266,6 @@ func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {
 	}()
 
 	start := time.Now()
-	var retires []retireBarrier
 	var trainedRounds int
 	round := 0
 	for tr := range rounds {
@@ -301,11 +285,6 @@ func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {
 			trainedRounds++
 		}
 		trainTime := time.Since(t0)
-
-		for len(retires) > 0 && round >= retires[0].afterRound {
-			l.promoter.Retire(retires[0].version)
-			retires = retires[1:]
-		}
 
 		stats := LoopRoundStats{
 			Round:   round,
@@ -330,13 +309,9 @@ func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {
 				if err := l.promoter.Promote(candidate, p); err != nil {
 					stats.PromoteErr = err
 				} else {
-					old := l.version
 					l.incumbent = candidate
 					l.version = cv
 					l.promotions = append(l.promotions, p)
-					// Old-version requests can be in flight until every game
-					// started before the swap has ended: two round barriers.
-					retires = append(retires, retireBarrier{version: old, afterRound: round + 2})
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func (b *checkedBackend) RunBatch(batch []*evaluate.Request) {
 	b.served.Add(int64(len(batch)))
 }
 
-// fakeGen / fakeGate / fakePromoter drive the Loop's control flow without a
+// fakeGen / fakeGate / promoteFunc drive the Loop's control flow without a
 // fleet, for the ordering tests below.
 type fakeGen struct{ replay *train.Replay }
 
@@ -67,21 +67,17 @@ func (g *fakeGate) Gate(candidate *nn.Network, cv int64, incumbent *nn.Network, 
 	return train.GateResult{Promote: promote, Score: 1, Games: 1, WinsCandidate: 1}
 }
 
-type fakePromoter struct {
-	promoted []int64
-	retired  []int64
-	failOn   int64 // version whose Promote errors (0 = never)
+// promoteFunc adapts a function to train.Promoter. Promoting is one call on
+// the live server; when the superseded version dies is the server's business.
+type promoteFunc func(candidate *nn.Network, pr train.Promotion) error
+
+func (f promoteFunc) Promote(candidate *nn.Network, pr train.Promotion) error {
+	return f(candidate, pr)
 }
 
-func (p *fakePromoter) Promote(candidate *nn.Network, pr train.Promotion) error {
-	if pr.Version == p.failOn {
-		return errors.New("checkpoint disk full")
-	}
-	p.promoted = append(p.promoted, pr.Version)
-	return nil
-}
+type nopBackend struct{}
 
-func (p *fakePromoter) Retire(version int64) { p.retired = append(p.retired, version) }
+func (nopBackend) RunBatch([]*evaluate.Request) {}
 
 func testTTTNet(t *testing.T, seed uint64) *nn.Network {
 	t.Helper()
@@ -94,19 +90,30 @@ func testTTTNet(t *testing.T, seed uint64) *nn.Network {
 	return net
 }
 
-// TestLoopPromotionAndRetireOrdering checks the control flow on fakes:
-// versions advance only on accepted gates, a failed Promote keeps the
-// incumbent, and superseded versions retire exactly once, two rounds after
-// their swap.
+// TestLoopPromotionAndRetireOrdering checks the control flow on a fake
+// generator and gate over a live server: versions advance only on accepted
+// gates, a failed Promote keeps the incumbent, and each superseded version
+// retires exactly once, in promotion order (at its swap: nothing here pins).
+// Retirement under pinned tenants is TestLifecycleProperty's, in
+// internal/evaluate.
 func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 	net := testTTTNet(t, 1)
 	incumbent := net.Clone()
 	replay := train.NewReplay(1000)
+	var retired []int64 // appended on the loop's consumer goroutine only
+	srv := evaluate.NewServer(nopBackend{}, evaluate.ServerConfig{OnRetire: func(v int64) { retired = append(retired, v) }})
+	defer srv.Close()
 	// Candidate versions are minted per gate ATTEMPT (2,3,4,5,...), never
 	// reusing a rejected number: gate 2's rejected candidate consumes v4,
 	// so gate 3's accepted-but-unpersistable candidate is v5.
 	gate := &fakeGate{verdicts: []bool{true, true, false, true, false, false, false, false}}
-	promoter := &fakePromoter{failOn: 5}
+	promoter := promoteFunc(func(_ *nn.Network, pr train.Promotion) error {
+		if pr.Version == 5 {
+			return errors.New("checkpoint disk full")
+		}
+		srv.SwapBackend(nopBackend{}, pr.Version) // fakeGate registers nothing
+		return nil
+	})
 	loop := train.NewLoop(net, incumbent, replay, &fakeGen{replay: replay}, gate, promoter, train.LoopConfig{
 		Rounds:        8,
 		GateEvery:     1,
@@ -132,9 +139,8 @@ func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 	if promoteErrs != 1 {
 		t.Fatalf("observed %d promote errors, want 1", promoteErrs)
 	}
-	// v1 swapped out at round 0 -> retired at round 2; v2 at round 1 -> round 3.
-	if len(promoter.retired) != 2 || promoter.retired[0] != 1 || promoter.retired[1] != 2 {
-		t.Fatalf("retired = %v, want [1 2]", promoter.retired)
+	if len(retired) != 2 || retired[0] != 1 || retired[1] != 2 || srv.Version() != 3 {
+		t.Fatalf("retired = %v with v%d serving, want [1 2] and v3", retired, srv.Version())
 	}
 	if report.Rounds != 8 || report.Steps != 8 {
 		t.Fatalf("report = %+v", report)
@@ -150,7 +156,7 @@ func TestLoopWarmupSkipsSGDAndGate(t *testing.T) {
 	net := testTTTNet(t, 1)
 	replay := train.NewReplay(1000)
 	gate := &fakeGate{verdicts: []bool{true, true, true, true, true, true}}
-	promoter := &fakePromoter{}
+	promoter := promoteFunc(func(*nn.Network, train.Promotion) error { return nil })
 	loop := train.NewLoop(net, net.Clone(), replay, &fakeGen{replay: replay}, gate, promoter, train.LoopConfig{
 		Rounds:     6,
 		GateEvery:  1,
@@ -211,11 +217,16 @@ func TestLoopServiceEndToEnd(t *testing.T) {
 
 	const games = 4
 	const inflight = 2
+	var retires atomic.Int64
 	srv := evaluate.NewServer(mkBackend(incumbent, 1), evaluate.ServerConfig{
 		Batch:          1,
 		FlushDeadline:  evaluate.DefaultFlushDeadline,
 		MaxOutstanding: games * inflight * 2,
 		LaunchWorkers:  2,
+		OnRetire: func(version int64) {
+			cache.ResetVersion(version)
+			retires.Add(1)
+		},
 	})
 
 	clients := make([]*evaluate.Client, games)
@@ -238,8 +249,7 @@ func TestLoopServiceEndToEnd(t *testing.T) {
 		TempMoves: 2,
 		Seed:      11,
 		OnGameStart: func(tenant int) {
-			v := srv.Version()
-			clients[tenant].Pin(v)
+			v := clients[tenant].PinCurrent()
 			pinMu.Lock()
 			pinnedVersions[v]++
 			pinMu.Unlock()
@@ -259,7 +269,12 @@ func TestLoopServiceEndToEnd(t *testing.T) {
 			Seed:         5,
 		},
 	}
-	promoter := &servicePromoter{srv: srv, cache: cache, mkBackend: mkBackend}
+	// The gate left the accepted candidate registered and held; promoting is
+	// making it current (cmd/train checkpoints first).
+	promoter := promoteFunc(func(_ *nn.Network, pr train.Promotion) error {
+		srv.Promote(pr.Version)
+		return nil
+	})
 
 	loop := train.NewLoop(net, incumbent, replay, driver, gate, promoter, train.LoopConfig{
 		Rounds:        6,
@@ -298,29 +313,9 @@ func TestLoopServiceEndToEnd(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no evaluations flowed through the service")
 	}
-	if promoter.retires == 0 {
+	if retires.Load() == 0 {
 		t.Fatal("no superseded version was retired")
 	}
-}
-
-// servicePromoter mirrors cmd/train's promoter: swap on promote, retire +
-// version-scoped cache eviction at the barrier.
-type servicePromoter struct {
-	srv       *evaluate.Server
-	cache     *evaluate.Cached
-	mkBackend func(*nn.Network, int64) evaluate.Backend
-	retires   int
-}
-
-func (p *servicePromoter) Promote(candidate *nn.Network, pr train.Promotion) error {
-	p.srv.SwapBackend(p.mkBackend(candidate, pr.Version), pr.Version)
-	return nil
-}
-
-func (p *servicePromoter) Retire(version int64) {
-	p.srv.Retire(version)
-	p.cache.ResetVersion(version)
-	p.retires++
 }
 
 // TestLoopGenerationOverlapsSGD pins the pipelining property: the
