@@ -1,10 +1,10 @@
 package parmcts_test
 
 // One benchmark per table/figure of the paper's evaluation (Section 5),
-// plus ablation benches for the design choices DESIGN.md calls out. The
-// figure benchmarks print their stats.Table once (on the first iteration)
-// so `go test -bench=.` both times the generators and records the data
-// behind EXPERIMENTS.md.
+// plus ablation benches for the design choices EXPERIMENTS.md's benchmark
+// table lists. The figure benchmarks print their stats.Table once (on the
+// first iteration) so `go test -bench=.` both times the generators and
+// records the data behind EXPERIMENTS.md.
 
 import (
 	"fmt"

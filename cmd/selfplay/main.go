@@ -13,7 +13,7 @@
 // Usage:
 //
 //	selfplay [-n 4] [-games 1] [-game gomoku:9] [-playouts 100] [-episodes 8]
-//	         [-platform cpu|gpu] [-backend hosted|hosted-quantized|model]
+//	         [-platform cpu|gpu] [-backend hosted|model]
 //	         [-kernel generic|sse|avx2] [-reuse] [-transpose on:65536]
 //	         [-book book.json] [-full-net] [-save model.bin]
 //
@@ -125,31 +125,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *platform == "gpu" {
-		cost := experiments.PaperShapedParams(*playouts).Accel
-		cost.BytesPerSample = c * h * w * 4
-		name := *backend
-		if name == "" {
-			name = "hosted"
-		}
-		spec := accel.BackendSpec{Net: net, Cost: cost}
-		if name == "hosted-quantized" {
-			// No replay buffer exists yet: calibrate the int8 activation
-			// scales on random-playout positions of the scenario.
-			qnet, err := nn.Quantize(net, experiments.CalibrationInputs(g, 64, *seed))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "selfplay:", err)
-				os.Exit(1)
-			}
-			spec.Quant = qnet
-		}
-		dev, err := accel.NewBackend(name, spec)
-		if err != nil {
+		if err := experiments.UseAccelDevice(&opts, *backend, g, net); err != nil {
 			fmt.Fprintln(os.Stderr, "selfplay:", err)
 			os.Exit(2)
 		}
-		opts.Platform = adaptive.PlatformAccel
-		opts.Device = dev
-		opts.DeviceCost = cost
 	} else {
 		opts.Platform = adaptive.PlatformCPU
 		if *nGames > 1 {

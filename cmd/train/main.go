@@ -24,12 +24,6 @@
 //	      [-gate-every 2] [-gate-games 12] [-win-rate 0.55]
 //	      [-ckpt checkpoints] [-replay-dir traj] [-replay-retain 100000]
 //	      [-reuse] [-transpose on:65536] [-full-net] [-seed 1]
-//	      [-quantize-gate] [-quantize-win-rate 0.45] [-quantize-calib 256]
-//
-// With -quantize-gate, the run ends by quantizing the final network to int8
-// (activation scales calibrated on replay positions) and arena-gating it
-// against its own fp32 source through the live service: int8 serving is only
-// declared safe if it holds near-parity playing strength.
 package main
 
 import (
@@ -107,9 +101,6 @@ func main() {
 		reuse        = flag.Bool("reuse", false, "persistent search sessions across moves")
 		transpose    = flag.String("transpose", "off", tree.TransposeFlagHelp())
 		fullNet      = flag.Bool("full-net", false, "use the full 5-conv+3-FC network")
-		quantGate    = flag.Bool("quantize-gate", false, "after training, arena-gate an int8 quantization of the final network against its fp32 source")
-		quantWinRate = flag.Float64("quantize-win-rate", 0.45, "score the quantized network must reach against its fp32 source")
-		quantCalib   = flag.Int("quantize-calib", 256, "replay samples used to calibrate int8 activation scales")
 		seed         = flag.Uint64("seed", 1, "run seed")
 	)
 	tensor.KernelFlag(flag.CommandLine)
@@ -359,55 +350,5 @@ func main() {
 	for _, p := range report.Promotions {
 		fmt.Printf("  v%d at round %d (step %d): score %.2f over %d games\n",
 			p.Version, p.Round, p.Step, p.Gate.Score, p.Gate.Games)
-	}
-
-	// Quantization gate: an int8 variant of the final network, calibrated on
-	// replay positions, must hold its own against the fp32 source in an
-	// arena match through the same live service before the quantized serving
-	// path is trusted. The threshold is near-parity (default 0.45, not the
-	// promotion gate's 0.55): the quantized twin computes the SAME function
-	// and only needs to show quantization error does not cost playing
-	// strength — it is not required to be stronger.
-	if *quantGate {
-		final, _, lerr := store.LoadLatest()
-		if lerr != nil {
-			fmt.Fprintln(os.Stderr, "train: quantize gate:", lerr)
-			os.Exit(1)
-		}
-		samples := replay.Sample(rng.New(*seed+9_999_991), *quantCalib)
-		calib := make([][]float32, len(samples))
-		for i, s := range samples {
-			calib[i] = s.Input
-		}
-		qnet, qerr := nn.Quantize(final, calib)
-		if qerr != nil {
-			fmt.Fprintf(os.Stderr, "train: quantize gate: %v (need self-play samples to calibrate; raise -rounds or lower -min-samples)\n", qerr)
-			os.Exit(1)
-		}
-		fv := srv.Version()
-		qv := fv + 1
-		qgate := &arena.ServerGate{
-			Game: g,
-			Srv:  srv,
-			Cfg: arena.GateConfig{
-				Games:        *gateGames,
-				WinThreshold: *quantWinRate,
-				Playouts:     *gatePlayouts,
-				Temperature:  0.2,
-				TempMoves:    6,
-				Seed:         *seed + 2_000_003,
-			},
-		}
-		qres := qgate.GateBackend(&evaluate.EvaluatorBackend{
-			Eval:    cache.View(qv, evaluate.NewQuantized(qnet)),
-			Workers: *workers,
-		}, qv, fv)
-		verdict := "REJECTED (serve fp32)"
-		if qres.Promote {
-			verdict = "ACCEPTED (int8 serving holds fp32 strength)"
-			srv.Release(qv) // the verdict is the result; int8 does not become the serving version
-		}
-		fmt.Printf("quantize gate: int8(v%d) vs fp32(v%d) %d:%d+%d score=%.2f (threshold %.2f, %d calib samples) %s\n",
-			qv, fv, qres.WinsCandidate, qres.WinsIncumbent, qres.Draws, qres.Score, *quantWinRate, len(calib), verdict)
 	}
 }

@@ -30,7 +30,7 @@
 // latency model, and a discrete-event timeline simulator that regenerates
 // the paper's latency figures deterministically.
 //
-// # Kernel dispatch & quantized inference
+// # Kernel dispatch
 //
 // The numeric floor of every playout is internal/tensor: im2col + blocked
 // GEMM (MatMul/MatMulTransB) over hand-written amd64 micro-kernels. The
@@ -38,7 +38,7 @@
 // "avx2" (8-wide FMA kernels: a 3x4 register tile run down a panel of A
 // rows, which reuses every loaded vector across rows of both operands and
 // writes C itself; an eight-rows-to-a-vector kernel for the columns that are
-// summed sequentially; an int8 VPMADDWD tile), "sse" (the 4-wide baseline),
+// summed sequentially), "sse" (the 4-wide baseline),
 // or "generic" (pure Go, any GOARCH) — and every implementation is
 // dispatched through the same function variables, so the TENSOR_KERNEL env
 // var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
@@ -56,26 +56,19 @@
 // existed. That is what lets evaluate.EvaluatorBackend — the backend serve,
 // cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
 // execute a formed batch as one batched forward per core (at most Workers
-// contiguous sub-batches; *NN, *Quantized and cache views over them, chosen
-// by type assertion, the view forwarding only its misses) without changing
+// contiguous sub-batches; *NN and cache views over it, chosen by type
+// assertion, the view forwarding only its misses) without changing
 // one search: evaluators that cannot batch keep the per-request loop, and
 // the outputs are the same bits either way.
 //
-// For serving, nn.Quantize derives an int8 QuantizedNetwork from an fp32
-// network: per-output-channel symmetric weight scales, activation scales
-// calibrated from replay positions, exact int32 accumulation through an
-// int8 GEMM (ForwardBatchQuantized), and fp32 dequantization at the heads.
-// Quantized inference is a distinct model artifact, so it goes through the
-// same trust machinery as any new network version: cmd/train
-// -quantize-gate plays the int8 twin against its fp32 source through the
-// live inference service (arena.ServerGate.GateBackend) and only declares
-// int8 serving safe at near-parity win rate. The accelerator seam is
-// accel.Backend (Name/Capabilities/Infer/Close): Model, Hosted and
-// HostedQuantized register themselves by name, binaries select one with
-// -backend, and a real BLAS/GPU backend can later slot in behind
-// evaluate.Server without touching callers. The speedups first recorded for
-// these paths are historical (1-core container); regenerate them on the
-// current host with bash cmd/bench/run.sh (nn.forward_*, accel.hosted_*).
+// fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
+// why the int8 path was deleted). The accelerator seam is accel.Backend
+// (Name/Infer/Close): Model and Hosted register themselves by name, binaries
+// select one with -backend, and a real BLAS/GPU backend can later slot in
+// behind evaluate.Server without touching callers. The speedups first
+// recorded for these paths are historical (1-core container); regenerate
+// them on the current host with bash cmd/bench/run.sh (nn.forward_*,
+// accel.hosted_*).
 //
 // # Multi-tenant inference service
 //

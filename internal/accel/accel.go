@@ -166,16 +166,14 @@ type Hosted struct {
 	// power-of-two batch capacity with deterministic high-water trimming
 	// (see wsPool): recurring batch sizes stay allocation-free while a
 	// one-off large batch cannot pin its multi-megabyte workspace forever.
-	pool      *wsPool[*nn.BatchWorkspace]
+	pool      *wsPool
 	computeMu sync.Mutex
 }
 
 // NewHosted creates a hosted device that splits each batch across up to
 // workers sub-batches evaluated concurrently (0 = GOMAXPROCS).
 func NewHosted(net *nn.Network, model CostModel, workers int) *Hosted {
-	d := &Hosted{net: net, model: model, workers: workers}
-	d.pool = newWSPool(func(capB int) *nn.BatchWorkspace { return nn.NewBatchWorkspace(net, capB) })
-	return d
+	return &Hosted{net: net, model: model, workers: workers, pool: newWSPool(net)}
 }
 
 // Name implements Device.
@@ -203,9 +201,8 @@ func (d *Hosted) Infer(inputs [][]float32, policies [][]float32, values []float6
 // ForChunks splits [0, n) into at most w contiguous chunks of equal size (the
 // last may be shorter; w <= 0 means GOMAXPROCS), runs fn on each — the first
 // on the caller's goroutine, every other on its own — and returns once all
-// have. It is how a formed batch is shared between cores: Hosted and
-// HostedQuantized split an Infer with it, evaluate.EvaluatorBackend a
-// RunBatch.
+// have. It is how a formed batch is shared between cores: Hosted splits an
+// Infer with it, evaluate.EvaluatorBackend a RunBatch.
 func ForChunks(n, w int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

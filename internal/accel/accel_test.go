@@ -2,6 +2,8 @@ package accel
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +171,23 @@ func TestHostedWorkerClamping(t *testing.T) {
 	policies := [][]float32{make([]float32, 16)}
 	values := make([]float64, 1)
 	dev.Infer(inputs, policies, values)
+}
+
+// TestBackendRegistry: the registered backends are exactly the two built-in
+// devices, and a name that is not one of them — here the int8 backend stale
+// scripts may still pass — fails with the available set.
+func TestBackendRegistry(t *testing.T) {
+	want := []string{"hosted", "model"}
+	if got := BackendNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BackendNames() = %v, want %v", got, want)
+	}
+	dev, err := NewBackend("hosted-quantized", BackendSpec{})
+	if err == nil || dev != nil {
+		t.Fatalf("NewBackend(hosted-quantized) = %v, %v, want an unknown-backend error", dev, err)
+	}
+	if !strings.Contains(err.Error(), "unknown backend") || !strings.Contains(err.Error(), "[hosted model]") {
+		t.Fatalf("error %q does not list the available backends", err)
+	}
 }
 
 func TestSpinShortDurations(t *testing.T) {

@@ -1,8 +1,12 @@
 package accel
 
-import "sync"
+import (
+	"sync"
 
-// wsPool pools forward-pass workspaces by power-of-two batch capacity.
+	"github.com/parmcts/parmcts/internal/nn"
+)
+
+// wsPool pools net's forward-pass workspaces by power-of-two batch capacity.
 //
 // It replaces the earlier sync.Pool-per-bucket scheme, whose release policy
 // was left to the garbage collector: one oversized Infer call (say a 512
@@ -19,12 +23,12 @@ import "sync"
 // Steady-state traffic therefore stays allocation-free, while a one-off
 // large batch is released within at most three window rolls (its own
 // window's high-water mark, plus one window of hysteresis).
-type wsPool[W interface{ Cap() int }] struct {
-	newWS  func(capB int) W
+type wsPool struct {
+	net    *nn.Network
 	window int
 
 	mu      sync.Mutex
-	buckets map[int][]W
+	buckets map[int][]*nn.BatchWorkspace
 	calls   int
 	hi      int // largest capacity requested in the current window
 	prevHi  int // largest capacity requested in the previous window
@@ -36,13 +40,13 @@ type wsPool[W interface{ Cap() int }] struct {
 // large enough that the roll bookkeeping is free relative to a forward pass.
 const poolWindow = 256
 
-func newWSPool[W interface{ Cap() int }](newWS func(capB int) W) *wsPool[W] {
-	return &wsPool[W]{newWS: newWS, window: poolWindow, buckets: make(map[int][]W)}
+func newWSPool(net *nn.Network) *wsPool {
+	return &wsPool{net: net, window: poolWindow, buckets: make(map[int][]*nn.BatchWorkspace)}
 }
 
 // get returns a workspace with capacity >= batch, rounding capacities up to
 // powers of two so the number of distinct buckets stays logarithmic.
-func (p *wsPool[W]) get(batch int) W {
+func (p *wsPool) get(batch int) *nn.BatchWorkspace {
 	capB := 1
 	for capB < batch {
 		capB <<= 1
@@ -63,10 +67,10 @@ func (p *wsPool[W]) get(batch int) W {
 	}
 	p.created++
 	p.mu.Unlock()
-	return p.newWS(capB)
+	return nn.NewBatchWorkspace(p.net, capB)
 }
 
-func (p *wsPool[W]) put(ws W) {
+func (p *wsPool) put(ws *nn.BatchWorkspace) {
 	p.mu.Lock()
 	capB := ws.Cap()
 	p.buckets[capB] = append(p.buckets[capB], ws)
@@ -75,7 +79,7 @@ func (p *wsPool[W]) put(ws W) {
 
 // trimLocked rolls the window: buckets above the high-water mark of the two
 // most recent windows are released to the allocator.
-func (p *wsPool[W]) trimLocked() {
+func (p *wsPool) trimLocked() {
 	keep := p.hi
 	if p.prevHi > keep {
 		keep = p.prevHi
@@ -91,14 +95,14 @@ func (p *wsPool[W]) trimLocked() {
 }
 
 // drain empties every bucket (backend Close).
-func (p *wsPool[W]) drain() {
+func (p *wsPool) drain() {
 	p.mu.Lock()
-	p.buckets = make(map[int][]W)
+	p.buckets = make(map[int][]*nn.BatchWorkspace)
 	p.mu.Unlock()
 }
 
 // pooledCaps reports the capacities currently held, for tests.
-func (p *wsPool[W]) pooledCaps() []int {
+func (p *wsPool) pooledCaps() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var caps []int
@@ -112,7 +116,7 @@ func (p *wsPool[W]) pooledCaps() []int {
 
 // createdCount reports how many workspaces were ever constructed, for
 // steady-state allocation regression tests.
-func (p *wsPool[W]) createdCount() int {
+func (p *wsPool) createdCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.created

@@ -8,12 +8,10 @@ import (
 	"github.com/parmcts/parmcts/internal/rng"
 )
 
-type fakeWS struct{ capB int }
-
-func (f *fakeWS) Cap() int { return f.capB }
-
-func newFakePool() *wsPool[*fakeWS] {
-	return newWSPool(func(capB int) *fakeWS { return &fakeWS{capB: capB} })
+// newFakePool pools workspaces of the smallest network there is, so the
+// policy tests can ask for capacity 512 cheaply.
+func newFakePool() *wsPool {
+	return newWSPool(nn.MustNew(nn.TinyConfig(1, 1, 1, 1), rng.New(1)))
 }
 
 // TestPoolSteadyStateReuse: a recurring batch size constructs exactly one

@@ -36,27 +36,15 @@ type ServerGate struct {
 	Cfg GateConfig
 }
 
-// Gate implements train.Gate.
-func (sg *ServerGate) Gate(candidate *nn.Network, cv int64, incumbent *nn.Network, iv int64) train.GateResult {
-	return sg.GateBackend(sg.MkBackend(candidate, cv), cv, iv)
-}
-
-// GateBackend gates an already-built candidate backend against the
-// registered version iv. It is the match mechanics of Gate with backend
-// construction factored out, so candidates that are not plain fp32
-// networks — above all an int8-quantized variant of a promoted model, whose
-// backend is built from calibration data MkBackend never sees — run through
-// the identical live-server match, promotion threshold, and release-on-reject
-// path as ordinary training candidates.
-//
-// The backend is registered under version cv for the duration of the match.
-// On promotion the caller inherits the hold (Promote or Release); on
+// Gate implements train.Gate. The candidate's backend is registered under
+// version cv for the duration of the match against the registered version
+// iv. On promotion the caller inherits the hold (Promote or Release); on
 // rejection it is released here.
-func (sg *ServerGate) GateBackend(candidate evaluate.Backend, cv, iv int64) train.GateResult {
+func (sg *ServerGate) Gate(candidate *nn.Network, cv int64, incumbent *nn.Network, iv int64) train.GateResult {
 	if sg.Cfg.Games < 1 || sg.Cfg.Playouts < 1 {
 		panic("arena: gate needs Games >= 1 and Playouts >= 1")
 	}
-	sg.Srv.RegisterBackend(candidate, cv)
+	sg.Srv.RegisterBackend(sg.MkBackend(candidate, cv), cv)
 
 	mk := func(version int64, seed uint64) (mcts.Engine, *evaluate.Client) {
 		cl := sg.Srv.NewSyncClient()

@@ -89,51 +89,3 @@ func TestServerGatePromotionLeavesRegistration(t *testing.T) {
 		t.Fatalf("after Promote: registry %v, OnRetire%v, want only v2 and [1]", vs, retired)
 	}
 }
-
-// TestServerGateQuantizedBackend gates an int8-quantized variant of the
-// incumbent against its own fp32 source through GateBackend — the
-// quantization acceptance path. Since the two sides compute (numerically)
-// the same network, the quantized candidate must clear a near-parity
-// threshold, and both cleanup behaviours must match the fp32 gate's.
-func TestServerGateQuantizedBackend(t *testing.T) {
-	var retired []int64
-	srv, sg, incumbent, closeSrv := gateFixture(t, 0.45, func(v int64) { retired = append(retired, v) })
-	defer closeSrv()
-
-	// Calibrate on random boards — for TicTacToe's 18-float encoding any
-	// on-distribution inputs pin the activation ranges well enough.
-	r := rng.New(7)
-	calib := make([][]float32, 32)
-	for i := range calib {
-		in := make([]float32, incumbent.InputLen())
-		for j := range in {
-			if r.Float32() < 0.3 {
-				in[j] = 1
-			}
-		}
-		calib[i] = in
-	}
-	qnet, err := nn.Quantize(incumbent, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	qb := &evaluate.EvaluatorBackend{Eval: evaluate.NewQuantized(qnet), Workers: 2}
-	res := sg.GateBackend(qb, 2, 1)
-	if !res.Promote {
-		t.Fatalf("quantized twin scored %.2f vs its fp32 source, below 0.45", res.Score)
-	}
-	if res.Games != sg.Cfg.Games {
-		t.Fatalf("played %d games, want %d", res.Games, sg.Cfg.Games)
-	}
-	if vs := srv.Pins(); len(vs) != 2 {
-		t.Fatalf("registry after quantized promotion = %v, want candidate still registered", vs)
-	}
-	if len(retired) != 0 {
-		t.Fatalf("OnRetire%v: quantized twin lost to its own fp32 source", retired)
-	}
-	srv.Release(2)
-	if len(retired) != 1 || retired[0] != 2 {
-		t.Fatalf("OnRetire calls after Release = %v, want [2]", retired)
-	}
-}

@@ -21,8 +21,7 @@ const minEntriesPerShard = 8
 // consecutive moves, identical positions are evaluated repeatedly (the
 // paper's engines re-expand the tree from scratch every move); caching
 // trades memory for skipped DNN calls. This is an optional extension
-// beyond the paper — DESIGN.md lists it under future-work items — and the
-// Stats method makes its benefit measurable.
+// beyond the paper, and the Stats method makes its benefit measurable.
 //
 // The cache is safe for concurrent use by shared-tree workers. The table is
 // split into lock-striped shards selected by the input hash, so workers

@@ -28,12 +28,12 @@
 // What a launched batch costs is the Backend's business. EvaluatorBackend —
 // the one every production binary builds — cuts the batch into at most
 // Workers contiguous sub-batches and runs each as ONE batched forward pass
-// when the evaluator it holds is a BatchEvaluator (*NN, *Quantized, or a
-// *CacheView over either, which probes every request and forwards only the
-// misses); any other evaluator gets one Evaluate per request. The choice is
-// a type assertion, never configuration, and because nn.ForwardBatch equals
-// nn.Forward bit for bit the two paths return the same outputs. Executing a
-// batch allocates nothing beyond the cache's stored policy per miss.
+// when the evaluator it holds is a BatchEvaluator (*NN, or a *CacheView over
+// one, which probes every request and forwards only the misses); any other
+// evaluator gets one Evaluate per request. The choice is a type assertion,
+// never configuration, and because nn.ForwardBatch equals nn.Forward bit for
+// bit the two paths return the same outputs. Executing a batch allocates
+// nothing beyond the cache's stored policy per miss.
 package evaluate
 
 import (
@@ -83,8 +83,8 @@ type Evaluator interface {
 // BatchEvaluator is an Evaluator that can also take several positions as one
 // batched forward pass. EvaluatorBackend finds it by type assertion on the
 // evaluator it holds and then executes a formed batch as one EvaluateBatch
-// per core instead of one Evaluate per request; *NN, *Quantized and
-// *CacheView implement it.
+// per core instead of one Evaluate per request; *NN and *CacheView implement
+// it.
 type BatchEvaluator interface {
 	Evaluator
 	// EvaluateBatch fills policies[i] and values[i] for every inputs[i],
@@ -169,57 +169,6 @@ func (e *NN) EvaluateBatch(inputs, policies [][]float32, values []float64) {
 	}
 	e.net.ForwardBatch(ws, inputs, policies, values)
 	e.bws.Put(ws)
-}
-
-// Quantized evaluates with an int8-quantized network — the synchronous
-// counterpart of NN for a calibrated nn.QuantizedNetwork. Like NN it shares
-// one immutable parameter set across goroutines via pooled workspaces; Evaluate
-// runs a batch-of-one int8 forward pass, EvaluateBatch the batch it is
-// given. It exists so a quantized
-// model version can serve behind the exact same EvaluatorBackend/cache-view
-// plumbing as its fp32 source — in particular so an arena gate can race the
-// two through one live server before the int8 path is trusted.
-type Quantized struct {
-	qnet *nn.QuantizedNetwork
-	ws   sync.Pool
-}
-
-// quantScratch bundles a workspace with batch-of-one slice headers so
-// Evaluate allocates nothing per call.
-type quantScratch struct {
-	ws       *nn.QuantWorkspace
-	inputs   [1][]float32
-	policies [1][]float32
-	values   [1]float64
-}
-
-// NewQuantized creates a synchronous evaluator over a calibrated quantized
-// network.
-func NewQuantized(qnet *nn.QuantizedNetwork) *Quantized {
-	e := &Quantized{qnet: qnet}
-	e.ws.New = func() interface{} { return &quantScratch{ws: qnet.NewWorkspace(1)} }
-	return e
-}
-
-// Evaluate implements Evaluator.
-func (e *Quantized) Evaluate(input []float32, policy []float32) float64 {
-	s := e.ws.Get().(*quantScratch)
-	defer e.ws.Put(s)
-	s.inputs[0], s.policies[0] = input, policy
-	e.qnet.ForwardBatchQuantized(s.ws, s.inputs[:], s.policies[:], s.values[:])
-	s.inputs[0], s.policies[0] = nil, nil
-	return s.values[0]
-}
-
-// EvaluateBatch implements BatchEvaluator (ForwardBatchQuantized's outputs do
-// not depend on the batch a sample arrives in).
-func (e *Quantized) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	s := e.ws.Get().(*quantScratch)
-	if s.ws.Cap() < len(inputs) {
-		s.ws = e.qnet.NewWorkspace(len(inputs))
-	}
-	e.qnet.ForwardBatchQuantized(s.ws, inputs, policies, values)
-	e.ws.Put(s)
 }
 
 // Random produces deterministic pseudo-random priors and near-zero values,

@@ -57,60 +57,6 @@ func TestNNEvaluatorMatchesDirectForward(t *testing.T) {
 	}
 }
 
-func testQuantNet(t testing.TB, net *nn.Network) *nn.QuantizedNetwork {
-	t.Helper()
-	calib := make([][]float32, 16)
-	for i := range calib {
-		calib[i] = testInput(100+uint64(i), net.InputLen())
-	}
-	qnet, err := nn.Quantize(net, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qnet
-}
-
-func TestQuantizedEvaluatorMatchesDirectForward(t *testing.T) {
-	net := testNet(t)
-	qnet := testQuantNet(t, net)
-	e := NewQuantized(qnet)
-	in := testInput(2, net.InputLen())
-	policy := make([]float32, 25)
-	v := e.Evaluate(in, policy)
-	policyOK(t, policy)
-
-	ws := qnet.NewWorkspace(1)
-	wantPol := make([]float32, 25)
-	wantV := make([]float64, 1)
-	qnet.ForwardBatchQuantized(ws, [][]float32{in}, [][]float32{wantPol}, wantV)
-	if v != wantV[0] {
-		t.Fatalf("value %v, want %v", v, wantV[0])
-	}
-	for i := range policy {
-		if policy[i] != wantPol[i] {
-			t.Fatal("policy mismatch")
-		}
-	}
-}
-
-func TestQuantizedEvaluatorConcurrent(t *testing.T) {
-	net := testNet(t)
-	e := NewQuantized(testQuantNet(t, net))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			in := testInput(seed, net.InputLen())
-			policy := make([]float32, 25)
-			for i := 0; i < 30; i++ {
-				e.Evaluate(in, policy)
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-}
-
 func TestNNEvaluatorConcurrent(t *testing.T) {
 	net := testNet(t)
 	e := NewNN(net)

@@ -224,17 +224,14 @@ func TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest(t *testing.T) {
 }
 
 // TestRunBatchMatchesEvaluateBits: through the real network, a request's
-// outputs do not depend on whether it was evaluated alone or inside a batch —
-// fp32 and int8, bare and behind a cache view.
+// outputs do not depend on whether it was evaluated alone or inside a batch,
+// bare and behind a cache view.
 func TestRunBatchMatchesEvaluateBits(t *testing.T) {
 	net := testNet(t)
-	qnet := testQuantNet(t, net)
-	fp32, int8 := NewNN(net), NewQuantized(qnet)
+	fp32 := NewNN(net)
 	evals := map[string]Evaluator{
-		"nn":        fp32,
-		"quantized": int8,
-		"nn-view":   NewCached(fp32, 64).View(1, fp32),
-		"q8-view":   NewCached(int8, 64).View(1, int8),
+		"nn":      fp32,
+		"nn-view": NewCached(fp32, 64).View(1, fp32),
 	}
 	for name, eval := range evals {
 		be := &EvaluatorBackend{Eval: eval, Workers: 2}
@@ -243,13 +240,9 @@ func TestRunBatchMatchesEvaluateBits(t *testing.T) {
 			batch[i] = &Request{Input: testInput(uint64(40+i), net.InputLen()), Policy: make([]float32, net.Cfg.NumActions)}
 		}
 		be.RunBatch(batch)
-		var single Evaluator = fp32
-		if name == "quantized" || name == "q8-view" {
-			single = int8
-		}
 		for i, req := range batch {
 			want := make([]float32, net.Cfg.NumActions)
-			wantV := single.Evaluate(req.Input, want)
+			wantV := fp32.Evaluate(req.Input, want)
 			if math.Float64bits(req.Value) != math.Float64bits(wantV) {
 				t.Fatalf("%s request %d: batched value %v, single %v", name, i, req.Value, wantV)
 			}

@@ -48,13 +48,13 @@ func (d DeviceBackend) RunBatch(batch []*Request) {
 // Workers cores at once across ALL in-flight batches — the service
 // equivalent of the local-tree scheme's N inference threads (Figure 2a).
 //
-// When Eval is a BatchEvaluator — *NN, *Quantized, or a *CacheView over one
-// of them — a formed batch is cut into at most Workers contiguous
-// sub-batches and each is ONE EvaluateBatch call (one batched forward pass
-// per core, the cache view forwarding only its misses). Any other evaluator
-// gets one Evaluate per request, each on its own goroutine. Which of the two
-// runs is decided by what Eval is, never by configuration, and the outputs
-// are the same bits either way.
+// When Eval is a BatchEvaluator — *NN, or a *CacheView over one — a formed
+// batch is cut into at most Workers contiguous sub-batches and each is ONE
+// EvaluateBatch call (one batched forward pass per core, the cache view
+// forwarding only its misses). Any other evaluator gets one Evaluate per
+// request, each on its own goroutine. Which of the two runs is decided by
+// what Eval is, never by configuration, and the outputs are the same bits
+// either way.
 type EvaluatorBackend struct {
 	Eval Evaluator
 	// Workers bounds the evaluator calls in flight — sub-batches for a

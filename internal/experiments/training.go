@@ -32,8 +32,7 @@ type TrainingScale struct {
 	TinyNet       bool
 	Seed          uint64
 	// Backend names the registered accel backend serving the accelerator
-	// platform ("" = "hosted"). "hosted-quantized" quantizes the network
-	// on the fly, calibrated on random-playout positions of the scenario.
+	// platform ("" = "hosted").
 	Backend string
 	// TransposeSize > 0 gives each engine a transposition-sharing DAG
 	// search with that entry budget (0 = classic tree search).
@@ -82,27 +81,25 @@ func (sc TrainingScale) trainerConfig(g game.Game) train.TrainerConfig {
 	}
 }
 
-// CalibrationInputs generates n encoded positions from seeded
-// uniform-random playouts of g — on-distribution activations for int8
-// calibration when no replay buffer exists yet (experiment drivers quantize
-// a freshly initialised network before any self-play has run).
-func CalibrationInputs(g game.Game, n int, seed uint64) [][]float32 {
-	r := rng.New(seed)
+// UseAccelDevice points opts at the accelerator platform, served by the
+// registered accel backend name ("" = "hosted") over net: the paper-shaped
+// cost model for opts' playouts-per-move budget, carrying g's encoded position
+// per request.
+func UseAccelDevice(opts *adaptive.Options, name string, g game.Game, net *nn.Network) error {
 	c, h, w := g.EncodedShape()
-	ln := c * h * w
-	out := make([][]float32, 0, n)
-	var legal []int
-	for len(out) < n {
-		st := g.NewInitial()
-		for !st.Terminal() && len(out) < n {
-			in := make([]float32, ln)
-			st.Encode(in)
-			out = append(out, in)
-			legal = st.LegalMoves(legal[:0])
-			st.Play(legal[r.Intn(len(legal))])
-		}
+	cost := PaperShapedParams(opts.Search.Playouts).Accel
+	cost.BytesPerSample = c * h * w * 4
+	if name == "" {
+		name = "hosted"
 	}
-	return out
+	dev, err := accel.NewBackend(name, accel.BackendSpec{Net: net, Cost: cost})
+	if err != nil {
+		return err
+	}
+	opts.Platform = adaptive.PlatformAccel
+	opts.Device = dev
+	opts.DeviceCost = cost
+	return nil
 }
 
 // buildEngine assembles the adaptively-configured engine for N workers on
@@ -121,28 +118,9 @@ func buildEngine(sc TrainingScale, g game.Game, net *nn.Network, n int, useAccel
 		DNNProfileIters: 5,
 	}
 	if useAccel {
-		c, h, w := g.EncodedShape()
-		cost := PaperShapedParams(sc.Playouts).Accel
-		cost.BytesPerSample = c * h * w * 4
-		name := sc.Backend
-		if name == "" {
-			name = "hosted"
-		}
-		spec := accel.BackendSpec{Net: net, Cost: cost}
-		if name == "hosted-quantized" {
-			qnet, err := nn.Quantize(net, CalibrationInputs(g, 64, sc.Seed))
-			if err != nil {
-				return nil, err
-			}
-			spec.Quant = qnet
-		}
-		dev, err := accel.NewBackend(name, spec)
-		if err != nil {
+		if err := UseAccelDevice(&opts, sc.Backend, g, net); err != nil {
 			return nil, err
 		}
-		opts.Platform = adaptive.PlatformAccel
-		opts.Device = dev
-		opts.DeviceCost = cost
 	} else {
 		opts.Platform = adaptive.PlatformCPU
 		opts.Evaluator = evaluate.NewNN(net)

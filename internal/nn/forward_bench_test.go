@@ -22,7 +22,18 @@ func BenchmarkForward9x9(b *testing.B) {
 			net.Forward(ws, in)
 		}
 	})
-	for _, batch := range []int{1, 2, 4, 8} {
+	benchForwardBatch(b, net, r, 1, 2, 4, 8)
+}
+
+// BenchmarkForwardBatchFP32 is ForwardBatch on the paper's 15x15 board at the
+// accelerator's batch sizes. It allocates nothing per call.
+func BenchmarkForwardBatchFP32(b *testing.B) {
+	net := MustNew(GomokuConfig(4, 15, 15, 225), rng.New(3))
+	benchForwardBatch(b, net, rng.New(9), 1, 8, 16, 32)
+}
+
+func benchForwardBatch(b *testing.B, net *Network, r *rng.Rand, batches ...int) {
+	for _, batch := range batches {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			ws := NewBatchWorkspace(net, batch)
 			inputs := make([][]float32, batch)

@@ -40,30 +40,20 @@ func Im2Col(col, img []float32, s Conv2DShape) {
 // one sample from the batch-major activation layout used by
 // Conv2DForwardBatch; Im2Col is the base = 0, planeStride = InH*InW case.
 func Im2ColStrided(col, img []float32, s Conv2DShape, base, planeStride int) {
-	ps := padPool.Get().(*padScratch)
-	im2colStrided(col, img, s, base, planeStride, &ps.f32)
-	padPool.Put(ps)
-}
-
-// Im2ColStridedQ8 is Im2ColStrided over int8 activations — the gather step
-// of the quantized convolution path (zero padding is exact in any
-// symmetric quantization, so the int8 patch matrix is the elementwise
-// quantization of the fp32 one).
-func Im2ColStridedQ8(col, img []int8, s Conv2DShape, base, planeStride int) {
-	ps := padPool.Get().(*padScratch)
-	im2colStrided(col, img, s, base, planeStride, &ps.q8)
-	padPool.Put(ps)
+	pad := padPool.Get().(*[]float32)
+	im2colStrided(col, img, s, base, planeStride, pad)
+	padPool.Put(pad)
 }
 
 // im2colStrided picks the gather for the shape: the two configurations the
 // network uses have their own, every other shape takes the general loop.
 // All three write the same col. pad is the 3x3 gather's scratch, grown here
 // to the shape's padded plane.
-func im2colStrided[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int, pad *[]T) {
+func im2colStrided(col, img []float32, s Conv2DShape, base, planeStride int, pad *[]float32) {
 	switch {
 	case s.KH == 3 && s.KW == 3 && s.PadH == 1 && s.PadW == 1:
 		if n := (s.InH + 2) * (s.InW + 2); cap(*pad) < n {
-			*pad = make([]T, n)
+			*pad = make([]float32, n)
 		}
 		im2col3x3(col, img, s, base, planeStride, *pad)
 	case s.KH == 1 && s.KW == 1 && s.PadH == 0 && s.PadW == 0:
@@ -73,20 +63,15 @@ func im2colStrided[T float32 | int8](col, img []T, s Conv2DShape, base, planeStr
 	}
 }
 
-// padScratch is the zero-bordered plane im2col3x3 gathers from, one buffer
-// per element type, sized from the shape on use (im2colStrided).
-type padScratch struct {
-	f32 []float32
-	q8  []int8
-}
-
-var padPool = sync.Pool{New: func() any { return new(padScratch) }}
+// padPool holds the zero-bordered planes im2col3x3 gathers from, sized from
+// the shape on use (im2colStrided).
+var padPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // im2col3x3 is the 3x3, pad-1 gather without a bounds decision per tap: each
 // channel plane is copied once into pad — (InH+2) x (InW+2), border zero —
 // and every output pixel then takes its nine taps as three unconditional
 // 3-element moves.
-func im2col3x3[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int, pad []T) {
+func im2col3x3(col, img []float32, s Conv2DShape, base, planeStride int, pad []float32) {
 	h, w := s.InH, s.InW
 	pw := w + 2
 	pad = pad[:(h+2)*pw]
@@ -127,7 +112,7 @@ const transposeBlock = 8
 // im2col1x1 is the 1x1, unpadded gather: the patch matrix is just a channel
 // transpose, done in blocks of channels so each destination row is written
 // 32 bytes at a time instead of one element per pass over it.
-func im2col1x1[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int) {
+func im2col1x1(col, img []float32, s Conv2DShape, base, planeStride int) {
 	cols := s.InC
 	pix := s.InH * s.InW
 	c := 0
@@ -156,7 +141,7 @@ func im2col1x1[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride 
 
 // im2colGeneral gathers any kernel and padding, structured so the iy bounds
 // check runs once per (oy, c, ky) row instead of once per output pixel.
-func im2colGeneral[T float32 | int8](col, img []T, s Conv2DShape, base, planeStride int) {
+func im2colGeneral(col, img []float32, s Conv2DShape, base, planeStride int) {
 	outH, outW := s.OutH(), s.OutW()
 	cols := s.ColCols()
 	for oy := 0; oy < outH; oy++ {
@@ -301,16 +286,6 @@ func PackBatch(dst []float32, imgs [][]float32, c, hw int) {
 // row vectors (one c*hw channel-major row per sample), the layout dense
 // heads expect: dst[b*c*hw + ch*hw + p] = src[(ch*batch+b)*hw + p].
 func UnpackBatch(dst, src []float32, c, hw, batch int) {
-	unpackBatch(dst, src, c, hw, batch)
-}
-
-// UnpackBatchQ8 is UnpackBatch over int8 activations (the quantized path's
-// handoff from batch-major conv activations to per-sample FC rows).
-func UnpackBatchQ8(dst, src []int8, c, hw, batch int) {
-	unpackBatch(dst, src, c, hw, batch)
-}
-
-func unpackBatch[T float32 | int8](dst, src []T, c, hw, batch int) {
 	for ch := 0; ch < c; ch++ {
 		for b := 0; b < batch; b++ {
 			copy(dst[(b*c+ch)*hw:(b*c+ch+1)*hw], src[(ch*batch+b)*hw:(ch*batch+b+1)*hw])

@@ -10,9 +10,9 @@ import (
 
 // Kernel names accepted by SetKernel and the TENSOR_KERNEL environment
 // variable. Each names one implementation of the register-tile micro-kernels
-// (fp32 dot4 / AXPY and the int8 quantized dot): "generic" is portable Go,
-// "sse" the baseline 4-wide SSE assembly (amd64 only), "avx2" the 8-wide
-// AVX2+FMA assembly (amd64 with AVX2+FMA+OS support only).
+// (fp32 dot4 / AXPY): "generic" is portable Go, "sse" the baseline 4-wide SSE
+// assembly (amd64 only), "avx2" the 8-wide AVX2+FMA assembly (amd64 with
+// AVX2+FMA+OS support only).
 const (
 	KernelGeneric = "generic"
 	KernelSSE     = "sse"
@@ -42,9 +42,6 @@ var (
 	// a[3]*b3[j] — the register tile of MatMul: four B rows streamed into
 	// one pass over a C row segment.
 	axpy4 func(ci []float32, a *[4]float32, b0, b1, b2, b3 []float32)
-	// dotQ8 is dot4 over int8 operands with exact int32 accumulation — the
-	// register tile of the quantized GEMM MatMulTransBQ8.
-	dotQ8 func(a, b0, b1, b2, b3 []int8) (s0, s1, s2, s3 int32)
 	// reluVec clamps every element of x to [0, inf) in place — dispatched
 	// alongside the GEMM tiles because ReLU runs over every activation matrix
 	// between layers and is pure bandwidth.
@@ -64,10 +61,6 @@ var (
 	// when acc is set. The classes differ in how many rows they sum at once,
 	// never in a bit of the result.
 	dotSeq func(c []float32, ldc int, a []float32, lda, rows int, b []float32, acc bool)
-	// dotQ8Tile8 is the widened int8 tile of MatMulTransBQ8: out[j] =
-	// dot(a, b[j*stride:]) for j in 0..7 in exact int32, nil when
-	// unavailable.
-	dotQ8Tile8 func(a, b []int8, stride int) [8]int32
 
 	kernelName string
 )
@@ -198,17 +191,4 @@ func reluGeneric(x []float32) {
 			x[i] = 0
 		}
 	}
-}
-
-// dotQ8Generic is the portable int8 register tile. Accumulation is exact
-// (int32), so unlike the fp32 kernels every implementation must agree
-// bitwise — the equivalence tests pin that.
-func dotQ8Generic(a, b0, b1, b2, b3 []int8) (s0, s1, s2, s3 int32) {
-	for p, av := range a {
-		s0 += int32(av) * int32(b0[p])
-		s1 += int32(av) * int32(b1[p])
-		s2 += int32(av) * int32(b2[p])
-		s3 += int32(av) * int32(b3[p])
-	}
-	return
 }

@@ -41,22 +41,6 @@ func axpy4Kernel(c, b0, b1, b2, b3 *float32, a *[4]float32, n int)
 //go:noescape
 func reluKernel(x *float32, n int)
 
-// dotQ8AVX2Kernel is the int8 micro-kernel in dot_avx2_amd64.s
-// (VPMOVSXBW sign-extension + VPMADDWD multiply-add pairs, accumulated in
-// int32 lanes). n must be a multiple of 16. Only callable when hasAVX2 is
-// true.
-//
-//go:noescape
-func dotQ8AVX2Kernel(a, b0, b1, b2, b3 *int8, n int, out *[4]int32)
-
-// dotQ8x8Kernel is the widened int8 register tile in dot_avx2_amd64.s:
-// out[j] = dot(a[:n], b[j*stride:j*stride+n]) in exact int32 for j in 0..7.
-// n must be a multiple of 16 and rows j*stride+n must be in bounds of the
-// caller's backing slice. Only callable when hasAVX2 is true.
-//
-//go:noescape
-func dotQ8x8Kernel(a, b *int8, stride, n int, out *[8]int32)
-
 // cpuid and xgetbv are in cpuid_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -101,18 +85,17 @@ func availableKernels() []string {
 }
 
 func selectKernel(name string) {
-	dotTile, dotQ8Tile8 = nil, nil
+	dotTile = nil
 	dotSeq = dotSeqGeneric
 	switch name {
 	case KernelSSE:
-		dot4, axpy4, dotQ8, reluVec = dot4SSE, axpy4Generic, dotQ8Generic, reluGeneric
+		dot4, axpy4, reluVec = dot4SSE, axpy4Generic, reluGeneric
 	case KernelAVX2:
-		dot4, axpy4, dotQ8, reluVec = dot4AVX2, axpy4AVX2, dotQ8AVX2, reluAVX2
+		dot4, axpy4, reluVec = dot4AVX2, axpy4AVX2, reluAVX2
 		dotTile, dotSeq = dotTileAVX2, dotSeqAVX2
-		dotQ8Tile8 = dotQ8Tile8AVX2
 	default:
 		name = KernelGeneric
-		dot4, axpy4, dotQ8, reluVec = dot4Generic, axpy4Generic, dotQ8Generic, reluGeneric
+		dot4, axpy4, reluVec = dot4Generic, axpy4Generic, reluGeneric
 	}
 	kernelName = name
 }
@@ -225,41 +208,4 @@ func reluAVX2(x []float32) {
 			x[i] = 0
 		}
 	}
-}
-
-// dotQ8Tile8AVX2 computes out[j] = dot(a, b[j*stride:j*stride+len(a)]) for
-// j in 0..7 in exact int32. b must reach at least 7*stride+len(a) elements.
-func dotQ8Tile8AVX2(a, b []int8, stride int) (out [8]int32) {
-	n := len(a)
-	n16 := n &^ 15
-	if n16 > 0 {
-		dotQ8x8Kernel(&a[0], &b[0], stride, n16, &out)
-	}
-	for p := n16; p < n; p++ {
-		av := int32(a[p])
-		for r := 0; r < 8; r++ {
-			out[r] += av * int32(b[r*stride+p])
-		}
-	}
-	return
-}
-
-// dotQ8AVX2 runs the int8 AVX2 kernel over the aligned prefix and a scalar
-// tail.
-func dotQ8AVX2(a, b0, b1, b2, b3 []int8) (s0, s1, s2, s3 int32) {
-	n := len(a)
-	n16 := n &^ 15
-	if n16 > 0 {
-		var out [4]int32
-		dotQ8AVX2Kernel(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n16, &out)
-		s0, s1, s2, s3 = out[0], out[1], out[2], out[3]
-	}
-	for p := n16; p < n; p++ {
-		av := int32(a[p])
-		s0 += av * int32(b0[p])
-		s1 += av * int32(b1[p])
-		s2 += av * int32(b2[p])
-		s3 += av * int32(b3[p])
-	}
-	return
 }

@@ -423,204 +423,3 @@ loop:
 done:
 	VZEROUPPER
 	RET
-
-// func dotQ8x8Kernel(a, b *int8, stride, n int, out *[8]int32)
-//
-// out[j] = sum_{p < n} int32(a[p])*int32(b[j*stride+p]) for j in 0..7 —
-// the widened int8 register tile. One VPMOVSXBW sign-extension of 16
-// a-bytes is amortised over EIGHT rows of B; products accumulate exactly in
-// int32 via VPMADDWD pairs (see dotQ8AVX2Kernel for the overflow argument).
-// n must be a multiple of 16; the Go wrapper handles the scalar tail.
-TEXT ·dotQ8x8Kernel(SB), NOSPLIT, $0-40
-	MOVQ  a+0(FP), SI
-	MOVQ  b+8(FP), BX
-	MOVQ  stride+16(FP), R12
-	MOVQ  n+24(FP), CX
-	MOVQ  out+32(FP), DI
-	MOVQ  BX, R8
-	LEAQ  (BX)(R12*1), R9
-	LEAQ  (R9)(R12*1), R10
-	LEAQ  (R10)(R12*1), R11
-	LEAQ  (R11)(R12*1), R13
-	LEAQ  (R13)(R12*1), R14
-	LEAQ  (R14)(R12*1), R15
-	LEAQ  (R15)(R12*1), AX
-	XORQ  DX, DX
-	VPXOR Y8, Y8, Y8
-	VPXOR Y9, Y9, Y9
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	VPXOR Y12, Y12, Y12
-	VPXOR Y13, Y13, Y13
-	VPXOR Y14, Y14, Y14
-	VPXOR Y15, Y15, Y15
-
-loop:
-	CMPQ      CX, $16
-	JL        done
-	VPMOVSXBW (SI)(DX*1), Y0
-	VPMOVSXBW (R8)(DX*1), Y1
-	VPMADDWD  Y1, Y0, Y1
-	VPADDD    Y1, Y8, Y8
-	VPMOVSXBW (R9)(DX*1), Y2
-	VPMADDWD  Y2, Y0, Y2
-	VPADDD    Y2, Y9, Y9
-	VPMOVSXBW (R10)(DX*1), Y3
-	VPMADDWD  Y3, Y0, Y3
-	VPADDD    Y3, Y10, Y10
-	VPMOVSXBW (R11)(DX*1), Y4
-	VPMADDWD  Y4, Y0, Y4
-	VPADDD    Y4, Y11, Y11
-	VPMOVSXBW (R13)(DX*1), Y5
-	VPMADDWD  Y5, Y0, Y5
-	VPADDD    Y5, Y12, Y12
-	VPMOVSXBW (R14)(DX*1), Y6
-	VPMADDWD  Y6, Y0, Y6
-	VPADDD    Y6, Y13, Y13
-	VPMOVSXBW (R15)(DX*1), Y7
-	VPMADDWD  Y7, Y0, Y7
-	VPADDD    Y7, Y14, Y14
-	VPMOVSXBW (AX)(DX*1), Y1
-	VPMADDWD  Y1, Y0, Y1
-	VPADDD    Y1, Y15, Y15
-	ADDQ      $16, DX
-	SUBQ      $16, CX
-	JMP       loop
-
-done:
-	VEXTRACTI128 $1, Y8, X0
-	VPADDD       X0, X8, X8
-	VPSHUFD      $0xEE, X8, X0
-	VPADDD       X0, X8, X8
-	VPSHUFD      $0x55, X8, X0
-	VPADDD       X0, X8, X8
-	VMOVD        X8, 0(DI)
-	VEXTRACTI128 $1, Y9, X0
-	VPADDD       X0, X9, X9
-	VPSHUFD      $0xEE, X9, X0
-	VPADDD       X0, X9, X9
-	VPSHUFD      $0x55, X9, X0
-	VPADDD       X0, X9, X9
-	VMOVD        X9, 4(DI)
-	VEXTRACTI128 $1, Y10, X0
-	VPADDD       X0, X10, X10
-	VPSHUFD      $0xEE, X10, X0
-	VPADDD       X0, X10, X10
-	VPSHUFD      $0x55, X10, X0
-	VPADDD       X0, X10, X10
-	VMOVD        X10, 8(DI)
-	VEXTRACTI128 $1, Y11, X0
-	VPADDD       X0, X11, X11
-	VPSHUFD      $0xEE, X11, X0
-	VPADDD       X0, X11, X11
-	VPSHUFD      $0x55, X11, X0
-	VPADDD       X0, X11, X11
-	VMOVD        X11, 12(DI)
-	VEXTRACTI128 $1, Y12, X0
-	VPADDD       X0, X12, X12
-	VPSHUFD      $0xEE, X12, X0
-	VPADDD       X0, X12, X12
-	VPSHUFD      $0x55, X12, X0
-	VPADDD       X0, X12, X12
-	VMOVD        X12, 16(DI)
-	VEXTRACTI128 $1, Y13, X0
-	VPADDD       X0, X13, X13
-	VPSHUFD      $0xEE, X13, X0
-	VPADDD       X0, X13, X13
-	VPSHUFD      $0x55, X13, X0
-	VPADDD       X0, X13, X13
-	VMOVD        X13, 20(DI)
-	VEXTRACTI128 $1, Y14, X0
-	VPADDD       X0, X14, X14
-	VPSHUFD      $0xEE, X14, X0
-	VPADDD       X0, X14, X14
-	VPSHUFD      $0x55, X14, X0
-	VPADDD       X0, X14, X14
-	VMOVD        X14, 24(DI)
-	VEXTRACTI128 $1, Y15, X0
-	VPADDD       X0, X15, X15
-	VPSHUFD      $0xEE, X15, X0
-	VPADDD       X0, X15, X15
-	VPSHUFD      $0x55, X15, X0
-	VPADDD       X0, X15, X15
-	VMOVD        X15, 28(DI)
-	VZEROUPPER
-	RET
-
-// func dotQ8AVX2Kernel(a, b0, b1, b2, b3 *int8, n int, out *[4]int32)
-//
-// out[j] = sum_{p < n} int32(a[p])*int32(bj[p]) for j in 0..3, 16 int8
-// lanes at a time: VPMOVSXBW sign-extends 16 bytes to 16 int16, VPMADDWD
-// multiplies int16 pairs and sums adjacent products into 8 int32 lanes,
-// VPADDD accumulates. Accumulation is exact for any int8 inputs with
-// n <= 2^16 (|product pair sum| <= 2*127*127 << 2^31/n). n must be a
-// multiple of 16; the Go wrapper handles the scalar tail.
-TEXT ·dotQ8AVX2Kernel(SB), NOSPLIT, $0-56
-	MOVQ  a+0(FP), SI
-	MOVQ  b0+8(FP), R8
-	MOVQ  b1+16(FP), R9
-	MOVQ  b2+24(FP), R10
-	MOVQ  b3+32(FP), R11
-	MOVQ  n+40(FP), CX
-	MOVQ  out+48(FP), DI
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-loop:
-	CMPQ      CX, $16
-	JL        done
-	VPMOVSXBW (SI), Y0
-	VPMOVSXBW (R8), Y1
-	VPMADDWD  Y1, Y0, Y1
-	VPADDD    Y1, Y4, Y4
-	VPMOVSXBW (R9), Y2
-	VPMADDWD  Y2, Y0, Y2
-	VPADDD    Y2, Y5, Y5
-	VPMOVSXBW (R10), Y3
-	VPMADDWD  Y3, Y0, Y3
-	VPADDD    Y3, Y6, Y6
-	VPMOVSXBW (R11), Y1
-	VPMADDWD  Y1, Y0, Y1
-	VPADDD    Y1, Y7, Y7
-	ADDQ      $16, SI
-	ADDQ      $16, R8
-	ADDQ      $16, R9
-	ADDQ      $16, R10
-	ADDQ      $16, R11
-	SUBQ      $16, CX
-	JMP       loop
-
-done:
-	// Horizontal int32 reduction per accumulator.
-	VEXTRACTI128 $1, Y4, X0
-	VPADDD       X0, X4, X4
-	VPSHUFD      $0xEE, X4, X0
-	VPADDD       X0, X4, X4
-	VPSHUFD      $0x55, X4, X0
-	VPADDD       X0, X4, X4
-	VMOVD        X4, 0(DI)
-	VEXTRACTI128 $1, Y5, X0
-	VPADDD       X0, X5, X5
-	VPSHUFD      $0xEE, X5, X0
-	VPADDD       X0, X5, X5
-	VPSHUFD      $0x55, X5, X0
-	VPADDD       X0, X5, X5
-	VMOVD        X5, 4(DI)
-	VEXTRACTI128 $1, Y6, X0
-	VPADDD       X0, X6, X6
-	VPSHUFD      $0xEE, X6, X0
-	VPADDD       X0, X6, X6
-	VPSHUFD      $0x55, X6, X0
-	VPADDD       X0, X6, X6
-	VMOVD        X6, 8(DI)
-	VEXTRACTI128 $1, Y7, X0
-	VPADDD       X0, X7, X7
-	VPSHUFD      $0xEE, X7, X0
-	VPADDD       X0, X7, X7
-	VPSHUFD      $0x55, X7, X0
-	VPADDD       X0, X7, X7
-	VMOVD        X7, 12(DI)
-	VZEROUPPER
-	RET

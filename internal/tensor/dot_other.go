@@ -7,8 +7,8 @@ package tensor
 func availableKernels() []string { return []string{KernelGeneric} }
 
 func selectKernel(string) {
-	dot4, axpy4, dotQ8, reluVec = dot4Generic, axpy4Generic, dotQ8Generic, reluGeneric
+	dot4, axpy4, reluVec = dot4Generic, axpy4Generic, reluGeneric
 	dotSeq = dotSeqGeneric
-	dotTile, dotQ8Tile8 = nil, nil
+	dotTile = nil
 	kernelName = KernelGeneric
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // FuzzDotKernels feeds arbitrary float inputs (including NaN/Inf bit
-// patterns and ragged lengths) through every compiled-in dot kernel and the
-// int8 kernels, requiring that no kernel panics and that all agree with the
-// generic reference — to rounding tolerance for fp32, bitwise for int8.
-// Non-finite fp32 inputs only check for panics: NaN/Inf arithmetic is
-// order-sensitive by nature.
+// patterns and ragged lengths) through every compiled-in dot kernel,
+// requiring that no kernel panics and that all agree with the generic
+// reference to rounding tolerance. Non-finite inputs only check for panics:
+// NaN/Inf arithmetic is order-sensitive by nature.
 func FuzzDotKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
@@ -43,18 +42,6 @@ func FuzzDotKernels(f *testing.F) {
 		defer SetKernel(prev)
 
 		g0, g1, g2, g3 := dot4Generic(a, b0, b1, b2, b3)
-		qa := make([]int8, n)
-		qb := make([][]int8, 4)
-		for i := 0; i < n; i++ {
-			qa[i] = int8(raw[i%len(raw)])
-		}
-		for v := range qb {
-			qb[v] = make([]int8, n)
-			for i := 0; i < n; i++ {
-				qb[v][i] = int8(raw[(v*n+i+1)%len(raw)])
-			}
-		}
-		qg0, qg1, qg2, qg3 := dotQ8Generic(qa, qb[0], qb[1], qb[2], qb[3])
 
 		for _, k := range Kernels() {
 			if sel, err := SetKernel(k); err != nil || sel != k {
@@ -84,11 +71,6 @@ func FuzzDotKernels(f *testing.F) {
 						t.Errorf("kernel %s n=%d lane %d: got %g want %g (tol %g)", k, n, lane, got, want, tol)
 					}
 				}
-			}
-			q0, q1, q2, q3 := dotQ8(qa, qb[0], qb[1], qb[2], qb[3])
-			if q0 != qg0 || q1 != qg1 || q2 != qg2 || q3 != qg3 {
-				t.Errorf("kernel %s n=%d int8: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-					k, n, q0, q1, q2, q3, qg0, qg1, qg2, qg3)
 			}
 		}
 	})

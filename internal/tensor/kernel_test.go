@@ -175,35 +175,6 @@ func TestAxpyKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestDotQ8KernelEquivalence pins the int8 kernels bitwise against the
-// generic reference — integer accumulation is exact, so any difference is
-// a kernel bug, not rounding.
-func TestDotQ8KernelEquivalence(t *testing.T) {
-	r := rng.New(17)
-	randBytes := func(n int) []int8 {
-		x := make([]int8, n)
-		for i := range x {
-			x[i] = int8(r.Intn(255) - 127)
-		}
-		return x
-	}
-	for _, n := range kernelSizes {
-		a := randBytes(n)
-		b0, b1, b2, b3 := randBytes(n), randBytes(n), randBytes(n), randBytes(n)
-		g0, g1, g2, g3 := dotQ8Generic(a, b0, b1, b2, b3)
-		for _, k := range Kernels() {
-			if !forceKernel(t, k) {
-				continue
-			}
-			s0, s1, s2, s3 := dotQ8(a, b0, b1, b2, b3)
-			if s0 != g0 || s1 != g1 || s2 != g2 || s3 != g3 {
-				t.Errorf("kernel %s n=%d: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-					k, n, s0, s1, s2, s3, g0, g1, g2, g3)
-			}
-		}
-	}
-}
-
 // referenceGEMMTransB is a naive triple loop in float64, the order-free
 // ground truth both blocked fp32 kernels are compared against.
 func referenceGEMMTransB(a, b []float32, m, k, n int) []float64 {
@@ -341,64 +312,6 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatMulTransBQ8KernelEquivalence: the quantized GEMM must be bitwise
-// identical across kernels and match a naive int32 reference.
-func TestMatMulTransBQ8KernelEquivalence(t *testing.T) {
-	r := rng.New(31)
-	shapes := [][3]int{{1, 1, 1}, {1, 16, 4}, {3, 17, 9}, {8, 64, 32}, {7, 100, 13}, {16, 1152, 81}}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := make([]int8, m*k)
-		b := make([]int8, n*k)
-		for i := range a {
-			a[i] = int8(r.Intn(255) - 127)
-		}
-		for i := range b {
-			b[i] = int8(r.Intn(255) - 127)
-		}
-		want := make([]int32, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s int32
-				for p := 0; p < k; p++ {
-					s += int32(a[i*k+p]) * int32(b[j*k+p])
-				}
-				want[i*n+j] = s
-			}
-		}
-		for _, kn := range Kernels() {
-			if !forceKernel(t, kn) {
-				continue
-			}
-			c := make([]int32, m*n)
-			MatMulTransBQ8(c, a, b, m, k, n)
-			for i := range c {
-				if c[i] != want[i] {
-					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %d want %d", kn, m, k, n, i, c[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestQuantizeSymmetric(t *testing.T) {
-	src := []float32{0, 0.5, -0.5, 1, -1, 2, -2, 0.24, -0.26}
-	dst := make([]int8, len(src))
-	QuantizeSymmetric(dst, src, 1.0/127)
-	want := []int8{0, 64, -64, 127, -127, 127, -127, 30, -33}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("idx %d: got %d want %d", i, dst[i], want[i])
-		}
-	}
-	QuantizeSymmetric(dst, src, 0) // degenerate scale must zero, not NaN-cast
-	for i := range dst {
-		if dst[i] != 0 {
-			t.Errorf("zero scale idx %d: got %d", i, dst[i])
-		}
-	}
-}
-
 func BenchmarkDotKernel(b *testing.B) {
 	r := rng.New(1)
 	const n = 1152 // widest im2col row of the full Gomoku net (128*9)
@@ -435,32 +348,6 @@ func BenchmarkMatMulTransBKernels(b *testing.B) {
 			defer SetKernel(prev)
 			for i := 0; i < b.N; i++ {
 				MatMulTransB(c, a, bm, m, k, n)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulTransBQ8(b *testing.B) {
-	r := rng.New(3)
-	m, k, n := 16, 324, 81
-	a := make([]int8, m*k)
-	bm := make([]int8, n*k)
-	for i := range a {
-		a[i] = int8(r.Intn(255) - 127)
-	}
-	for i := range bm {
-		bm[i] = int8(r.Intn(255) - 127)
-	}
-	c := make([]int32, m*n)
-	for _, kn := range Kernels() {
-		b.Run(kn, func(b *testing.B) {
-			prev := KernelName()
-			if sel, _ := SetKernel(kn); sel != kn {
-				b.Skipf("kernel %s unavailable", kn)
-			}
-			defer SetKernel(prev)
-			for i := 0; i < b.N; i++ {
-				MatMulTransBQ8(c, a, bm, m, k, n)
 			}
 		})
 	}
