@@ -2,13 +2,13 @@
 // (Algorithm 1) on any registered scenario: the design configuration
 // workflow picks the parallel scheme for the requested worker count and
 // platform, then self-play episodes alternate with SGD updates, printing
-// per-episode loss and throughput. The trained network is optionally saved
+// per-round loss and throughput. The trained network is optionally saved
 // for later use.
 //
-// With -games G > 1 the pipeline switches to the multi-tenant driver: each
-// round plays G games concurrently, every game's search sharing ONE
-// inference service (and, on the CPU path, one transposition cache), so the
-// device sees an aggregated batch stream instead of G under-filled queues.
+// Each round plays -games G games concurrently (an episode is a round of
+// one), every game's search sharing ONE inference service (and, with G > 1 on
+// the CPU path, one transposition cache), so the device sees an aggregated
+// batch stream instead of G under-filled queues.
 //
 // Usage:
 //
@@ -139,87 +139,48 @@ func main() {
 			opts.Evaluator = evaluate.NewNN(net)
 		}
 	}
-	augmenter := train.AugmenterFor(g)
-	if *nGames > 1 {
-		fleet, err := adaptive.ConfigureFleet(g, *nGames, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selfplay:", err)
-			os.Exit(1)
-		}
-		defer fleet.Close()
-		fmt.Println("configuration:", fleet.Decision)
-
-		replay := train.NewReplay(50000)
-		driver := selfplay.NewDriver(g, fleet.Engines, replay, augmenter, selfplay.Config{
-			TempMoves: 6,
-			Seed:      *seed,
-		})
-		tr := selfplay.NewTrainer(driver, net, selfplay.TrainerConfig{
-			Rounds:        *episodes,
-			SGDIterations: 8,
-			BatchSize:     64,
-			LR:            0.01,
-			Momentum:      0.9,
-			WeightDecay:   1e-4,
-			Seed:          *seed,
-		})
-		tr.Run(func(s selfplay.RoundStats) {
-			line := fmt.Sprintf("round %2d: games=%d moves=%3d loss=%.4f (v=%.4f p=%.4f) throughput=%.2f samples/s elapsed=%v",
-				s.Round, s.Games, s.Moves, s.Loss.TotalLoss(), s.Loss.ValueLoss,
-				s.Loss.PolicyLoss, s.Throughput(), s.Elapsed.Round(1e6))
-			if fleet.Server != nil {
-				line += fmt.Sprintf(" avg-batch-fill=%.1f", fleet.Server.Stats().AvgFill())
-			}
-			if *reuse {
-				line += fmt.Sprintf(" reuse=%.2f", s.Search.ReuseFraction())
-			}
-			if transSize > 0 {
-				line += fmt.Sprintf(" transpose=%.2f", s.Search.TransposeFraction())
-			}
-			fmt.Println(line)
-			if cached, ok := opts.Evaluator.(*evaluate.Cached); ok {
-				cached.Reset() // the SGD update invalidated cached evaluations
-			}
-			if transTable != nil {
-				transTable.Reset() // shared stats/evals are stale after the update too
-			}
-		})
-	} else {
-		eng, err := adaptive.Configure(g, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selfplay:", err)
-			os.Exit(1)
-		}
-		defer eng.Close()
-		fmt.Println("configuration:", eng.Decision)
-
-		tr := train.NewTrainer(g, eng, net, train.TrainerConfig{
-			Episodes:      *episodes,
-			SGDIterations: 8,
-			BatchSize:     64,
-			LR:            0.01,
-			Momentum:      0.9,
-			WeightDecay:   1e-4,
-			TempMoves:     6,
-			Augmenter:     augmenter,
-			Seed:          *seed,
-		})
-		tr.Run(func(s train.EpisodeStats) {
-			line := fmt.Sprintf("episode %2d: moves=%2d winner=%+d loss=%.4f (v=%.4f p=%.4f) throughput=%.2f samples/s elapsed=%v",
-				s.Episode, s.Moves, s.Winner, s.Loss.TotalLoss(), s.Loss.ValueLoss,
-				s.Loss.PolicyLoss, s.Throughput(), s.Elapsed.Round(1e6))
-			if *reuse {
-				line += fmt.Sprintf(" reuse=%.2f", s.Search.ReuseFraction())
-			}
-			if transSize > 0 {
-				line += fmt.Sprintf(" transpose=%.2f", s.Search.TransposeFraction())
-			}
-			fmt.Println(line)
-			if transTable != nil {
-				transTable.Reset() // the SGD update stales the stored evaluations
-			}
-		})
+	fleet, err := adaptive.ConfigureFleet(g, *nGames, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "selfplay:", err)
+		os.Exit(1)
 	}
+	defer fleet.Close()
+	fmt.Println("configuration:", fleet.Decision)
+
+	driver := selfplay.NewDriver(g, fleet.Engines, train.NewReplay(50000), train.AugmenterFor(g), selfplay.Config{
+		TempMoves: 6,
+		Seed:      *seed,
+	})
+	tr := selfplay.NewTrainer(driver, net, selfplay.TrainerConfig{
+		Rounds:        *episodes,
+		SGDIterations: 8,
+		BatchSize:     64,
+		LR:            0.01,
+		Momentum:      0.9,
+		WeightDecay:   1e-4,
+		Seed:          *seed,
+	})
+	tr.Run(func(s selfplay.RoundStats) {
+		line := fmt.Sprintf("round %2d: games=%d moves=%3d loss=%.4f (v=%.4f p=%.4f) throughput=%.2f samples/s elapsed=%v",
+			s.Round, s.Games, s.Moves, s.Loss.TotalLoss(), s.Loss.ValueLoss,
+			s.Loss.PolicyLoss, s.Throughput(), s.Elapsed.Round(1e6))
+		if fleet.Server != nil {
+			line += fmt.Sprintf(" avg-batch-fill=%.1f", fleet.Server.Stats().AvgFill())
+		}
+		if *reuse {
+			line += fmt.Sprintf(" reuse=%.2f", s.Search.ReuseFraction())
+		}
+		if transSize > 0 {
+			line += fmt.Sprintf(" transpose=%.2f", s.Search.TransposeFraction())
+		}
+		fmt.Println(line)
+		if cached, ok := opts.Evaluator.(*evaluate.Cached); ok {
+			cached.Reset() // the SGD update invalidated cached evaluations
+		}
+		if transTable != nil {
+			transTable.Reset() // shared stats/evals are stale after the update too
+		}
+	})
 
 	if *savePath != "" {
 		f, err := os.Create(*savePath)

@@ -217,31 +217,31 @@
 //     batch spanning the swap is split into per-version sub-batches so no
 //     network ever evaluates a request stamped for another. The server is
 //     also the ONE place that decides when an old version is dead: a
-//     version lives as long as someone holds it (being current, a pinned
-//     Client, a candidate's registrant), and the server retires it once
-//     when the last hold goes — the "Model-version lifecycle" paragraph of
-//     the Server doc comment is the reference. Fleet drivers PinCurrent
-//     each game at game start (one game never mixes models), and arena
-//     gates pin the candidate and incumbent tenant groups so two versions
-//     serve simultaneously. The shared evaluate.Cached is version-scoped
-//     the same way (View/ResetVersion): a binary's OnRetire evicts exactly
-//     the retired model's entries, never the incumbent's.
+//     version lives as long as someone holds it (being current, or a
+//     pinned Client), and the server retires it once when the last hold
+//     goes — the "Model-version lifecycle" paragraph of the Server doc
+//     comment is the reference. Fleet drivers PinCurrent each game at game
+//     start (one game never mixes models), so across a promotion two
+//     versions serve simultaneously. cmd/serve's shared evaluate.Cached is
+//     version-scoped the same way (View/ResetVersion): its OnRetire evicts
+//     exactly the retired model's entries, never the incumbent's.
 //
 //   - train.Loop overlaps self-play generation with SGD (the generator
 //     runs one round ahead on its own goroutine) and, every GateEvery
 //     rounds, clones the training parameters into a candidate and plays it
-//     against the incumbent through arena.ServerGate — on the live server,
-//     under fleet traffic. Only a candidate clearing the configurable
-//     win-rate gate is promoted: checkpointed and made current
-//     (Server.Promote of the version the gate left registered); the old
-//     version retires, by the server's lifecycle rule, when the last game
-//     pinned to it ends. G concurrent games keep running across the entire
-//     promotion.
+//     against the incumbent (arena.GateCandidate, serial engines at equal
+//     budgets, while generation continues). Only a candidate clearing the
+//     configurable win-rate gate is promoted: checkpointed, then sent to
+//     the self-play fleet, which swaps it in at its next round barrier;
+//     the old version retires, by the server's lifecycle rule, when the
+//     last game pinned to it ends.
 //
-// cmd/train runs this service on any registered scenario (resuming from
-// its checkpoint store if one exists), and cmd/arena -ckpt re-audits a
-// store's latest promotion by replaying latest-vs-previous at equal
-// budgets.
+// The loop is deployed once, as a learner and its workers (internal/dist,
+// "Distributed self-play" below). cmd/train runs it on any registered
+// scenario in one process — a learner and one worker on the in-memory
+// transport — resuming from its checkpoint store if one exists, and
+// cmd/arena -ckpt re-audits a store's latest promotion by replaying
+// latest-vs-previous at equal budgets.
 //
 // # Durable replay
 //
@@ -278,11 +278,11 @@
 // skips a corrupt newest version and falls back to the most recent
 // checkpoint that still verifies.
 //
-// cmd/train -replay-dir wires the store into the training service: every
-// finished episode is appended at the fleet's deterministic ingest
-// barrier (selfplay.Config.OnEpisode), and on restart the newest stored
-// games are re-ingested through the driver's augmentation path to warm
-// the replay ring before generation resumes. The in-memory ring remains
+// -replay-dir (cmd/train, cmd/learner) wires the store into the training
+// service: the learner appends every accepted episode before its samples
+// enter the ring, and on restart the newest stored games are re-ingested
+// through the same augmentation path (train.Replay.Ingest) to warm the
+// replay ring before generation resumes. The in-memory ring remains
 // the SGD sampling source and the default without the flag; a storage
 // error never stops training — the store degrades to read-only, the run
 // continues on the ring, and the degradation is reported at exit.
@@ -290,9 +290,9 @@
 // # Distributed self-play
 //
 // internal/dist splits the continuous loop across processes: N cmd/worker
-// processes each run a self-play fleet (the same selfplay.Driver, engines,
-// shared local inference service and per-game version pinning as
-// cmd/train) and stream finished trajectories to one cmd/learner, which
+// processes each run a self-play fleet (a selfplay.Driver over engines on
+// one shared local inference service, with per-game version pinning) and
+// stream finished trajectories to one cmd/learner, which
 // owns the replay ring, SGD, the arena gate (learner-local serial
 // engines) and the checkpoint store, fanning each promoted checkpoint
 // back out to every connected worker. Workers apply swaps only at round
@@ -303,8 +303,9 @@
 // trajstore frames, checkpoints as a manifest plus the raw weight bytes
 // its FNV-64a checksum covers, and both ends re-verify every checksum, so
 // transport corruption is rejected exactly like disk corruption (framing
-// in API.md). The transport itself is a seam — length-prefixed TCP for
-// deployments, a deterministic in-memory fabric for tests — and every
+// in API.md). The transport itself is a seam — length-prefixed TCP between
+// processes, a bounded in-memory fabric inside one (cmd/train, and the
+// package's tests) — and every
 // failure mode degrades gracefully: a dead worker costs the learner at
 // most one round-timeout of fill, a disconnected worker keeps generating
 // into a bounded drop-oldest buffer and redials with backoff, and a

@@ -16,6 +16,7 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/train"
 )
 
@@ -41,21 +42,25 @@ func main() {
 	defer eng.Close()
 	fmt.Println("scheme chosen by the adaptive workflow:", eng.Decision)
 
-	tr := train.NewTrainer(g, eng, net, train.TrainerConfig{
-		Episodes:      4,
+	// Algorithm 1's loop over one engine: an episode is a round of one game.
+	replay := train.NewReplay(50000)
+	driver := selfplay.NewDriver(g, []mcts.Engine{eng}, replay, train.GomokuAugmenter{Size: board, Planes: c}, selfplay.Config{
+		TempMoves: 4,
+		Seed:      7,
+	})
+	tr := selfplay.NewTrainer(driver, net, selfplay.TrainerConfig{
+		Rounds:        4,
 		SGDIterations: 6,
 		BatchSize:     64,
 		LR:            0.02,
 		Momentum:      0.9,
 		WeightDecay:   1e-4,
-		TempMoves:     4,
-		Augmenter:     train.GomokuAugmenter{Size: board, Planes: c},
 		Seed:          7,
 	})
-	tr.Run(func(s train.EpisodeStats) {
+	tr.Run(func(s selfplay.RoundStats) {
 		fmt.Printf("episode %d: %2d moves, loss %.4f (value %.4f, policy %.4f), %.2f samples/s\n",
-			s.Episode, s.Moves, s.Loss.TotalLoss(), s.Loss.ValueLoss, s.Loss.PolicyLoss,
+			s.Round, s.Moves, s.Loss.TotalLoss(), s.Loss.ValueLoss, s.Loss.PolicyLoss,
 			s.Throughput())
 	})
-	fmt.Printf("replay buffer holds %d augmented samples\n", tr.Replay().Len())
+	fmt.Printf("replay buffer holds %d augmented samples\n", replay.Len())
 }

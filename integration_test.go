@@ -16,6 +16,7 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/train"
 )
 
@@ -48,22 +49,24 @@ func TestEndToEndPipeline(t *testing.T) {
 	defer eng.Close()
 
 	// 2. Train through the Algorithm 1 loop.
-	tr := train.NewTrainer(g, eng, net, train.TrainerConfig{
-		Episodes:      2,
+	replay := train.NewReplay(50000)
+	driver := selfplay.NewDriver(g, []mcts.Engine{eng}, replay, train.GomokuAugmenter{Size: board, Planes: c}, selfplay.Config{
+		TempMoves: 4,
+		Seed:      2,
+	})
+	stats := selfplay.NewTrainer(driver, net, selfplay.TrainerConfig{
+		Rounds:        2,
 		SGDIterations: 3,
 		BatchSize:     32,
 		LR:            0.02,
 		Momentum:      0.9,
 		WeightDecay:   1e-4,
-		TempMoves:     4,
-		Augmenter:     train.GomokuAugmenter{Size: board, Planes: c},
 		Seed:          2,
-	})
-	stats := tr.Run(nil)
+	}).Run(nil)
 	if len(stats) != 2 {
 		t.Fatalf("episodes = %d", len(stats))
 	}
-	if tr.Replay().Len() == 0 {
+	if replay.Len() == 0 {
 		t.Fatal("no training data generated")
 	}
 

@@ -273,7 +273,7 @@ func buildFleet(tenants int, opts Options, dec Decision) (*Fleet, error) {
 	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformCPU:
 		// One worker pool serves all tenants: batch size 1, concurrency
 		// bounded to the physical worker budget.
-		fleet = NewLocalFleet(&evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}, 0, nil, n, cfgs)
+		fleet = NewLocalFleet(&evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}, 0, n, cfgs)
 
 	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformAccel:
 		// G local-tree masters stream requests into one service whose
@@ -304,11 +304,10 @@ func flushDeadline(tenants int) time.Duration {
 // entry of cfgs, each on its own Client with up to workers evaluations in
 // flight. The caller chooses each tenant's Config (and so its noise seed) and
 // drives the model-version lifecycle documented on evaluate.Server:
-// Clients[i].PinCurrent/Unpin around each game, Server.SwapBackend or Promote
-// on promotion, onRetire (may be nil) to drop what it tagged with a version
-// the server retired, Close at the end.
-func NewLocalFleet(backend evaluate.Backend, version int64, onRetire func(version int64), workers int, cfgs []mcts.Config) *Fleet {
-	return localFleet(backend, evaluate.ServerConfig{Batch: 1, LaunchWorkers: workers, InitialVersion: version, OnRetire: onRetire}, workers, cfgs)
+// Clients[i].PinCurrent/Unpin around each game, Server.SwapBackend on
+// promotion, Close at the end.
+func NewLocalFleet(backend evaluate.Backend, version int64, workers int, cfgs []mcts.Config) *Fleet {
+	return localFleet(backend, evaluate.ServerConfig{Batch: 1, LaunchWorkers: workers, InitialVersion: version}, workers, cfgs)
 }
 
 // localFleet is len(cfgs) local-tree masters on one Server built from sc,

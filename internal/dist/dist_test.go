@@ -2,11 +2,18 @@ package dist
 
 import (
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
+	"github.com/parmcts/parmcts/internal/evaluate"
+	"github.com/parmcts/parmcts/internal/game"
+	_ "github.com/parmcts/parmcts/internal/game/games" // hex and gomoku, for the foreign-store case
 	"github.com/parmcts/parmcts/internal/game/tictactoe"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
@@ -199,8 +206,21 @@ func TestWorkerDeathDoesNotStallLearner(t *testing.T) {
 // left running) and starts a fresh one over the same checkpoint and replay
 // stores. The new learner must resume from the committed version, the
 // workers must redial with backoff and re-hello, and training must
-// continue with version numbering intact.
+// continue with version numbering intact. The "train" case is cmd/train's
+// wiring run twice on the same directories instead: one learner and one
+// worker per process, the worker's fleet as wide as a round and playing
+// exactly the learner's rounds, each network behind a cache of its own.
 func TestLearnerRestartResumes(t *testing.T) {
+	for _, inProcess := range []bool{false, true} {
+		name := "fleet"
+		if inProcess {
+			name = "train"
+		}
+		t.Run(name, func(t *testing.T) { testRestartResumes(t, inProcess) })
+	}
+}
+
+func testRestartResumes(t *testing.T, inProcess bool) {
 	fabric := NewNetwork()
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	trajDir := filepath.Join(t.TempDir(), "traj")
@@ -212,52 +232,59 @@ func TestLearnerRestartResumes(t *testing.T) {
 		}
 		return ts
 	}
-
-	// Phase 1: short run, at least one promotion.
-	lis1, err := fabric.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg1 := testLearnerConfig(t, ckptDir, 4)
-	cfg1.Loop.GateEvery = 1
-	traj1 := openTraj()
-	cfg1.Traj = traj1
-	learner1, err := NewLearner(lis1, cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers := make([]*Worker, 2)
-	workerDone := make(chan WorkerStats, len(workers))
-	for i := range workers {
-		w, werr := NewWorker(testWorkerConfig(t, "w"+string(rune('0'+i)), fabric.Dialer(), uint64(i+1)))
-		if werr != nil {
-			t.Fatal(werr)
+	var workers []*Worker
+	workerDone := make(chan WorkerStats, 2) // either case starts two workers
+	start := func(cfg WorkerConfig) {
+		w, err := NewWorker(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		workers[i] = w
+		workers = append(workers, w)
 		go func() { workerDone <- w.Run() }()
 	}
+	// phase starts a learner on the shared directories and, for the train
+	// wiring, the one worker that lives and dies with it.
+	phase := func(rounds, gateEvery int) (*Learner, LearnerConfig, *trajstore.Store) {
+		lis, err := fabric.Listen()
+		if err != nil {
+			t.Fatalf("binding the fabric: %v", err)
+		}
+		cfg := testLearnerConfig(t, ckptDir, rounds)
+		cfg.Loop.GateEvery = gateEvery
+		cfg.Traj = openTraj()
+		if inProcess {
+			cfg.RoundGames = 2
+		}
+		learner, err := NewLearner(lis, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inProcess {
+			wcfg := testWorkerConfig(t, "local", fabric.Dialer(), 1)
+			wcfg.Rounds = rounds
+			wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator { return evaluate.NewCached(evaluate.NewNN(net), 1<<10) }
+			start(wcfg)
+		}
+		return learner, cfg, cfg.Traj
+	}
 
+	// Phase 1: short run, at least one promotion.
+	if !inProcess {
+		for i := 0; i < 2; i++ {
+			start(testWorkerConfig(t, "w"+string(rune('0'+i)), fabric.Dialer(), uint64(i+1)))
+		}
+	}
+	learner1, _, traj1 := phase(4, 1)
 	report1 := learner1.Run(nil)
 	if len(report1.Promotions) < 1 {
 		t.Fatal("phase 1 made no promotion")
 	}
 	traj1.Close()
 
-	// The learner is gone; workers keep playing and redial into nothing.
-	// Phase 2: a fresh learner on the same fabric and stores.
-	lis2, err := fabric.Listen()
-	if err != nil {
-		t.Fatalf("rebinding after learner death: %v", err)
-	}
-	cfg2 := testLearnerConfig(t, ckptDir, 3)
-	traj2 := openTraj()
-	cfg2.Traj = traj2
+	// The learner is gone; surviving workers keep playing and redial into
+	// nothing. Phase 2: a fresh learner on the same fabric and stores.
+	learner2, cfg2, traj2 := phase(3, 2)
 	defer traj2.Close()
-	learner2, err := NewLearner(lis2, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if learner2.Version() != report1.FinalVersion {
 		t.Fatalf("restarted learner serves v%d, phase 1 committed v%d", learner2.Version(), report1.FinalVersion)
 	}
@@ -266,13 +293,10 @@ func TestLearnerRestartResumes(t *testing.T) {
 	}
 
 	report2 := learner2.Run(nil)
+	var reconnects int
 	for _, w := range workers {
 		w.Stop()
-	}
-	var reconnects int
-	for range workers {
-		st := <-workerDone
-		reconnects += st.Reconnects
+		reconnects += (<-workerDone).Reconnects
 	}
 
 	if report2.Rounds != 3 {
@@ -281,8 +305,190 @@ func TestLearnerRestartResumes(t *testing.T) {
 	if report2.FinalVersion < report1.FinalVersion {
 		t.Fatalf("version went backwards across restart: %d -> %d", report1.FinalVersion, report2.FinalVersion)
 	}
-	if reconnects < 2 {
+	if !inProcess && reconnects < 2 {
 		t.Fatalf("workers reconnected %d times, want >= 2 (one per worker)", reconnects)
+	}
+}
+
+// TestLearnerRefusesForeignStore: a checkpoint store seeded for another game
+// is refused at construction even when the two games share a network shape
+// (hex:9 and gomoku:9 are both 4x9x9/81); before the guard the learner
+// trained the wrong network.
+func TestLearnerRefusesForeignStore(t *testing.T) {
+	dir := t.TempDir()
+	open := func(spec string) (*Learner, error) {
+		g, err := game.NewFromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis, err := NewNetwork().Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testLearnerConfig(t, dir, 1)
+		cfg.Game, cfg.GameSpec = g, spec
+		cfg.NewNet = func() *nn.Network {
+			c, h, w := g.EncodedShape()
+			return nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(1))
+		}
+		return NewLearner(lis, cfg)
+	}
+	if _, err := open("hex:9"); err != nil {
+		t.Fatalf("seeding the store for hex:9: %v", err)
+	}
+	_, err := open("gomoku:9")
+	if err == nil || !strings.Contains(err.Error(), "hex:9") || !strings.Contains(err.Error(), "gomoku:9") {
+		t.Fatalf("opening hex:9's store for gomoku:9: %v, want a refusal naming both games", err)
+	}
+	if _, err := open("hex:9"); err != nil {
+		t.Fatalf("reopening the store for its own game: %v", err)
+	}
+}
+
+// rootWatch is one network's evaluator in TestWorkerSwapResetsTable: it runs
+// first before its first evaluation and notes whether it was ever asked for
+// the empty board.
+type rootWatch struct {
+	evaluate.Evaluator
+	root     []float32
+	first    func()
+	once     sync.Once
+	rootSeen atomic.Bool
+}
+
+func (e *rootWatch) Evaluate(in, policy []float32) float64 {
+	e.once.Do(e.first)
+	if slices.Equal(in, e.root) {
+		e.rootSeen.Store(true)
+	}
+	return e.Evaluator.Evaluate(in, policy)
+}
+
+// TestWorkerSwapResetsTable: the fleet-shared transposition table is keyed by
+// position only, so the worker clears it at the swap barrier. After a swap it
+// is empty before the new round's first search evaluates anything, and no
+// evaluation made under version v is loaded by a search running under v+1:
+// every round opens on the empty board, which a stale table would answer from
+// v's entry, so each version's own network must be asked for it.
+func TestWorkerSwapResetsTable(t *testing.T) {
+	fabric := NewNetwork()
+	lis, err := fabric.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg := testLearnerConfig(t, t.TempDir(), 8)
+	lcfg.Loop.GateEvery = 1
+	learner, err := NewLearner(lis, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := tictactoe.New()
+	c, h, wd := g.EncodedShape()
+	root := make([]float32, c*h*wd)
+	g.NewInitial().Encode(root)
+
+	var w *Worker
+	var nets []*rootWatch
+	var entriesAtFirstEval []int
+	wcfg := testWorkerConfig(t, "w", fabric.Dialer(), 1)
+	wcfg.TransposeSize = 4096
+	wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator {
+		e := &rootWatch{Evaluator: evaluate.NewNN(net), root: root}
+		e.first = func() { entriesAtFirstEval = append(entriesAtFirstEval, w.trans.Len()) }
+		nets = append(nets, e)
+		return e
+	}
+	if w, err = NewWorker(wcfg); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan WorkerStats, 1)
+	go func() { done <- w.Run() }()
+	learner.Run(nil)
+	w.Stop()
+	st := <-done
+
+	if st.Swaps < 1 || len(nets) != st.Swaps+1 {
+		t.Fatalf("%d swaps over %d networks, want at least one swap and a network per version", st.Swaps, len(nets))
+	}
+	for k, e := range nets {
+		if k < len(entriesAtFirstEval) && !e.rootSeen.Load() {
+			t.Errorf("network %d searched without ever evaluating the empty board: it was served another version's entry", k)
+		}
+	}
+	// Before a round's first evaluation returns, its games can have entered
+	// nothing but their common root.
+	for k, n := range entriesAtFirstEval {
+		if n > 1 {
+			t.Errorf("network %d's first evaluation found %d entries in the table, want it cleared at the swap", k, n)
+		}
+	}
+	if len(entriesAtFirstEval) < 2 {
+		t.Fatalf("only %d networks ever evaluated: no round ran after a swap", len(entriesAtFirstEval))
+	}
+}
+
+// TestReadAheadIsBounded: with SGD stalled the worker stops producing within
+// MaxReadAheadRounds rounds — its flush blocks on the full pipe as on a full
+// socket — and resumes when the learner does.
+func TestReadAheadIsBounded(t *testing.T) {
+	fabric := NewNetwork()
+	lis, err := fabric.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = MaxReadAheadRounds + 4
+	lcfg := testLearnerConfig(t, t.TempDir(), rounds)
+	lcfg.RoundGames = 2 // the worker's fleet: cmd/train's topology
+	lcfg.Loop.GateEvery = 0
+	learner, err := NewLearner(lis, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(testWorkerConfig(t, "w", fabric.Dialer(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan WorkerStats, 1)
+	go func() { done <- w.Run() }()
+
+	played := func() int { // rounds the worker has finished playing
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return (int(w.sent.Load()) + len(w.outbox)) / lcfg.RoundGames
+	}
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	reportCh := make(chan train.LoopReport, 1)
+	go func() {
+		reportCh <- learner.Run(func(s train.LoopRoundStats) {
+			if s.Round == 0 {
+				close(stalled)
+				<-resume
+			}
+		})
+	}()
+	<-stalled
+	// Round 0 is consumed and the consumer is stuck behind it. The worker
+	// must fill the pipeline's buffers (train.Loop's two rounds and the
+	// learner's episode buffer) and then stop: no further round in a window
+	// two hundred times a round's length, and no more than K ahead.
+	const filled = 2 + episodeBufferRounds
+	for deadline := time.Now().Add(10 * time.Second); played()-1 < filled; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker only got %d rounds ahead of the stalled learner, want the buffers (%d rounds) filled", played()-1, filled)
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	ahead := played() - 1
+	time.Sleep(100 * time.Millisecond)
+	if now := played() - 1; now != ahead || ahead > MaxReadAheadRounds {
+		t.Fatalf("worker %d rounds ahead of the stalled learner, then %d: want it stopped within %d", ahead, now, MaxReadAheadRounds)
+	}
+	close(resume)
+	report := <-reportCh
+	w.Stop()
+	if st := <-done; report.Rounds != rounds || st.Rounds < rounds {
+		t.Fatalf("after the stall the learner consumed %d rounds of %d and the worker played %d", report.Rounds, rounds, st.Rounds)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/game"
+	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/trajstore"
@@ -77,6 +78,20 @@ type learnerStats struct {
 	episodes, rejected, broadcasts           atomic.Int64
 }
 
+// episodeBufferRounds is how many rounds of verified episodes may wait between
+// the connection handlers and the round assembler.
+const episodeBufferRounds = 4
+
+// MaxReadAheadRounds is K, the most rounds generation can run ahead of the
+// round SGD is consuming on the in-memory fabric. train.Loop holds two finished
+// rounds (its one-slot channel and the one Generate is handing over), the
+// learner buffers episodeBufferRounds more, a handler and its pipe hold
+// memPipeDepth+1 episodes (at most that many rounds), and then a worker's
+// flush blocks with the round it has just played. Over TCP the kernel's socket
+// buffers add bytes, not rounds, on top. It is a consequence of those sizes,
+// not a knob.
+const MaxReadAheadRounds = 2 + episodeBufferRounds + (memPipeDepth + 1) + 1
+
 // episodeIn is one verified episode crossing from a connection handler to
 // the round assembler.
 type episodeIn struct {
@@ -117,9 +132,9 @@ type Learner struct {
 }
 
 // NewLearner resumes (or seeds) the model state and binds the listener.
-// Like cmd/train, resumption is two-part: the MODEL comes from the
-// checkpoint store's latest committed version, the DATA from re-ingesting
-// the durable replay store's newest games into the ring.
+// Resumption is two-part: the MODEL comes from the checkpoint store's latest
+// committed version (refused if it was trained on another game), the DATA
+// from re-ingesting the durable replay store's newest games into the ring.
 func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 	if lis == nil || cfg.Game == nil || cfg.Store == nil || cfg.Replay == nil {
 		return nil, errors.New("dist: learner needs a listener, game, checkpoint store and replay buffer")
@@ -137,7 +152,7 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 	l := &Learner{
 		cfg:      cfg,
 		lis:      lis,
-		episodes: make(chan episodeIn, 4*cfg.RoundGames),
+		episodes: make(chan episodeIn, episodeBufferRounds*cfg.RoundGames),
 		stop:     make(chan struct{}),
 		conns:    make(map[Conn]struct{}),
 	}
@@ -146,6 +161,9 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 	var man checkpoint.Manifest
 	switch net, m, err := cfg.Store.LoadLatest(); {
 	case err == nil:
+		if err := checkResume(cfg, net, m); err != nil {
+			return nil, err
+		}
 		l.net, man = net, m
 		l.baseStep, l.baseRounds, l.baseSamples = m.Step, m.Rounds, m.Samples
 		cfg.Logf("learner: resuming from checkpoint version %d (step %d)", m.Version, m.Step)
@@ -172,8 +190,14 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 		return nil, err
 	}
 
-	// Data half of the resume: newest stored games, oldest-first among the
-	// kept window so ring eviction preserves recency.
+	if cfg.Traj != nil {
+		if rec := cfg.Traj.Recovery(); rec != (trajstore.RecoveryReport{}) {
+			cfg.Logf("learner: replay store recovery: %d torn bytes truncated, %d segments adopted, %d dropped, manifest rebuilt=%v",
+				rec.TornBytes, rec.AdoptedSegments, rec.DroppedSegments, rec.ManifestRebuilt)
+		}
+	}
+	// Data half of the resume: the newest stored games (enough raw samples to
+	// cover the ring), oldest first so ring eviction keeps the most recent.
 	if cfg.Traj != nil && cfg.Traj.Games() > 0 {
 		start, raw := cfg.Traj.Games(), 0
 		for start > 0 && raw < cfg.Replay.Cap() {
@@ -191,12 +215,29 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 				cfg.Logf("learner: replay restore: %v", err)
 				break
 			}
-			l.ingest(ep.Samples)
+			cfg.Replay.Ingest(ep.Samples, cfg.Augment)
 			restored++
 		}
-		cfg.Logf("learner: replay restored %d games (ring fill %d)", restored, cfg.Replay.Len())
+		cfg.Logf("learner: replay restored: %d games (ring fill %d)", restored, cfg.Replay.Len())
 	}
 	return l, nil
+}
+
+// checkResume refuses a checkpoint store that belongs to another game. Shape
+// equality is not identity — hex:9 and gomoku:9 share the 4x9x9/81 network
+// shape — so the manifest's game name is the authoritative guard and the shape
+// check catches stores written before manifests carried one.
+func checkResume(cfg LearnerConfig, net *nn.Network, m checkpoint.Manifest) error {
+	if m.Game != "" && cfg.GameSpec != "" && games.SpecName(m.Game) != games.SpecName(cfg.GameSpec) {
+		return fmt.Errorf("dist: checkpoint store %s was trained on %q, not %q; use a fresh checkpoint directory",
+			cfg.Store.Dir(), m.Game, cfg.GameSpec)
+	}
+	c, h, w := cfg.Game.EncodedShape()
+	if nc := net.Cfg; nc.InC != c || nc.H != h || nc.W != w || nc.NumActions != cfg.Game.NumActions() {
+		return fmt.Errorf("dist: checkpoint store %s holds a %q network (%dx%dx%d/%d actions) that does not match %q; use a fresh checkpoint directory",
+			cfg.Store.Dir(), m.Game, nc.InC, nc.H, nc.W, nc.NumActions, cfg.GameSpec)
+	}
+	return nil
 }
 
 // setCurrent records the fan-out snapshot, verifying that re-encoding the
@@ -383,32 +424,19 @@ func (l *Learner) Generate() train.GenRound {
 	return round
 }
 
-// accept commits one episode durably (if a trajstore is attached) and
-// ingests its samples into the ring, mirroring cmd/train's OnEpisode +
-// barrier ingest.
+// accept commits one episode durably (if a trajstore is attached) before its
+// samples enter the ring. A storage error never stops training: the store
+// degrades to read-only, gets logged once, and the run continues on the ring.
 func (l *Learner) accept(in episodeIn, round *train.GenRound) {
 	if l.cfg.Traj != nil && !l.cfg.Traj.ReadOnly() {
 		if err := l.cfg.Traj.Append(in.ep); err != nil {
 			l.cfg.Logf("learner: replay store degraded to read-only, continuing on the in-memory ring: %v", err)
 		}
 	}
-	l.ingest(in.ep.Samples)
+	l.cfg.Replay.Ingest(in.ep.Samples, l.cfg.Augment)
 	round.Games++
 	round.Moves += in.ep.Moves
 	round.Samples += len(in.ep.Samples)
-}
-
-// ingest feeds raw samples through the augmentation path into the ring.
-func (l *Learner) ingest(samples []nn.Sample) {
-	for _, s := range samples {
-		if l.cfg.Augment != nil {
-			for _, aug := range l.cfg.Augment.Augment(s) {
-				l.cfg.Replay.Add(aug)
-			}
-		} else {
-			l.cfg.Replay.Add(s)
-		}
-	}
 }
 
 // localGate adapts arena.GateCandidate to train.Gate: the learner holds
@@ -442,7 +470,7 @@ func (l *Learner) Promote(candidate *nn.Network, p train.Promotion) error {
 		Samples:   l.baseSamples + p.Samples,
 		GateScore: p.Gate.Score,
 		Game:      l.cfg.GameSpec,
-		Note:      "promoted by arena gate (distributed learner)",
+		Note:      "promoted by arena gate",
 	})
 	if err != nil {
 		return err

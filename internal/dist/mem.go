@@ -9,9 +9,11 @@ import (
 // listener — the in-memory analogue of a reset TCP connection.
 var ErrClosed = errors.New("dist: connection closed")
 
-// Network is a deterministic in-memory transport fabric for tests: the
-// learner listens on it, workers dial it, and every message moves through
-// unbounded per-direction queues with no real sockets involved. Listen may
+// Network is the in-memory transport fabric: the learner listens on it,
+// workers dial it, and every message moves through a bounded per-direction
+// queue with no real sockets involved. cmd/train runs its learner and its
+// worker on one (the single-process pipeline is the distributed one minus
+// the sockets), and the package's tests run whole clusters on one. Listen may
 // be called again after the active listener closes — that is how a
 // learner-restart test rebinds the "address" while workers keep redialing
 // the same fabric.
@@ -94,10 +96,16 @@ func (l *memListener) closed() bool {
 	}
 }
 
-// memConn is one endpoint of an in-memory duplex pipe. Queues are
-// unbounded (slice + cond) so a Send never blocks — matching TCP's
-// buffering closely enough for protocol tests while keeping deterministic
-// tests free of flow-control deadlocks.
+// memPipeDepth is how many messages one direction of an in-memory pipe holds
+// before Send blocks. One is the least a queue can hold (a socket buffer holds
+// a few 9x9 episodes); it is a term of MaxReadAheadRounds, not a knob.
+const memPipeDepth = 1
+
+// memConn is one endpoint of an in-memory duplex pipe. Each direction is a
+// queue of memPipeDepth messages: Send blocks while the peer is not receiving,
+// as on a full socket, so a learner that stops reading stops its workers
+// instead of growing without bound. Both ends of the protocol keep a reader
+// that never blocks on a send of its own, so the pipe cannot deadlock.
 type memConn struct {
 	send *memQueue
 	recv *memQueue
@@ -136,11 +144,14 @@ func newMemQueue() *memQueue {
 func (q *memQueue) push(m Msg) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for len(q.msgs) >= memPipeDepth && !q.closed {
+		q.cond.Wait()
+	}
 	if q.closed {
 		return ErrClosed
 	}
 	q.msgs = append(q.msgs, m)
-	q.cond.Signal()
+	q.cond.Broadcast()
 	return nil
 }
 
@@ -155,6 +166,7 @@ func (q *memQueue) pop() (Msg, error) {
 	}
 	m := q.msgs[0]
 	q.msgs = q.msgs[1:]
+	q.cond.Broadcast()
 	return m, nil
 }
 

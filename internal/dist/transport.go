@@ -14,9 +14,10 @@
 // so a torn or corrupted transfer is rejected exactly like a torn segment
 // or a corrupted checkpoint on disk.
 //
-// The transport itself is a seam: a length-prefixed TCP protocol for real
-// deployments (ListenTCP/TCPDialer) and a deterministic in-memory fabric
-// for tests (NewNetwork). Workers reconnect with exponential backoff and
+// The transport itself is a seam: a length-prefixed TCP protocol between
+// processes (ListenTCP/TCPDialer) and a bounded in-memory fabric inside one
+// (NewNetwork: cmd/train is a learner and one worker on it, and the tests
+// run whole clusters on it). Workers reconnect with exponential backoff and
 // keep generating while disconnected (bounded episode buffering); the
 // learner treats every worker connection as disposable — a dead worker
 // never stalls the round barrier, and a restarted learner resumes from the

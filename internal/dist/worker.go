@@ -15,6 +15,7 @@ import (
 	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/trajstore"
+	"github.com/parmcts/parmcts/internal/tree"
 )
 
 // WorkerConfig assembles one self-play worker: a G-game fleet over a
@@ -34,8 +35,18 @@ type WorkerConfig struct {
 	// Playouts is the per-move search budget.
 	Playouts int
 	// Workers is the inference service's thread count and each engine's
-	// in-flight bound (cmd/train's -workers).
+	// in-flight bound.
 	Workers int
+	// ReuseTree runs every game as a persistent search session: the played
+	// child's subtree is kept across moves (mcts.Config.ReuseTree).
+	ReuseTree bool
+	// TransposeSize > 0 gives the fleet one shared transposition table with
+	// that entry budget: the G searches converge on shared statistics for
+	// transposed positions, and later games are served openings discovered by
+	// earlier ones. It is keyed by position only, so it is cleared at every
+	// swap barrier — where no game is in flight — and a search never loads an
+	// evaluation made by another model version.
+	TransposeSize int
 	// TempMoves is the exploration temperature horizon per game.
 	TempMoves int
 	// Rounds bounds the run (0 = until Stop).
@@ -50,8 +61,10 @@ type WorkerConfig struct {
 	// (defaults 50ms / 2s).
 	ReconnectMin, ReconnectMax time.Duration
 	// NewEvaluator builds the leaf evaluator for a received network
-	// (nil = evaluate.NewNN). Benchmarks inject latency-modeled evaluators
-	// here to measure the distributed split under device-like latency.
+	// (nil = evaluate.NewNN). cmd/train wraps each network in its own
+	// evaluate.Cached here (a cache per network is version-scoped by
+	// construction); benchmarks inject latency-modeled evaluators to measure
+	// the distributed split under device-like latency.
 	NewEvaluator func(net *nn.Network) evaluate.Evaluator
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -89,7 +102,8 @@ type pendingCkpt struct {
 // (the same guarantee the single-process fleet gets from per-game
 // pinning).
 type Worker struct {
-	cfg WorkerConfig
+	cfg   WorkerConfig
+	trans *tree.TransTable // fleet-shared, nil unless cfg.TransposeSize > 0
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -137,11 +151,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		cfg.ID = "worker"
 	}
-	return &Worker{
+	w := &Worker{
 		cfg:   cfg,
 		stop:  make(chan struct{}),
 		ready: make(chan struct{}),
-	}, nil
+	}
+	if cfg.TransposeSize > 0 {
+		w.trans = tree.NewTransTable(cfg.TransposeSize)
+	}
+	return w, nil
 }
 
 // Stop ends the run after the in-flight round's barrier. Idempotent.
@@ -175,8 +193,7 @@ func (w *Worker) Run() WorkerStats {
 	w.mu.Unlock()
 
 	// Build the fleet around the received model: one shared inference
-	// service, one engine per game, per-game version pinning — cmd/train's
-	// topology minus replay and SGD.
+	// service, one engine per game, per-game version pinning.
 	version := first.man.Version
 	mkBackend := func(net *nn.Network) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: w.cfg.NewEvaluator(net), Workers: w.cfg.Workers}
@@ -188,9 +205,11 @@ func (w *Worker) Run() WorkerStats {
 		mc.DirichletAlpha = 0.3
 		mc.NoiseFrac = 0.25
 		mc.Seed = w.cfg.Seed + uint64(i)*7919
+		mc.ReuseTree = w.cfg.ReuseTree
+		mc.TransposeTable = w.trans
 		cfgs[i] = mc
 	}
-	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, nil, w.cfg.Workers, cfgs)
+	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, w.cfg.Workers, cfgs)
 	defer fleet.Close()
 	srv, clients := fleet.Server, fleet.Clients
 
@@ -234,6 +253,9 @@ func (w *Worker) Run() WorkerStats {
 			old := version
 			version = p.man.Version
 			srv.SwapBackend(mkBackend(p.net), version)
+			if w.trans != nil {
+				w.trans.Reset()
+			}
 			stats.Swaps++
 			w.cfg.Logf("worker %s: swapped v%d -> v%d at round %d", w.cfg.ID, old, version, round)
 		}
@@ -247,10 +269,17 @@ func (w *Worker) Run() WorkerStats {
 	return stats
 }
 
+// fillStats completes s when the run ends and, with a shared table, reports
+// what it holds.
 func (w *Worker) fillStats(s *WorkerStats) {
 	s.Sent = int(w.sent.Load())
 	s.Dropped = int(w.dropped.Load())
 	s.Reconnects = int(w.reconnects.Load())
+	if w.trans != nil {
+		ts := w.trans.Stats()
+		w.cfg.Logf("worker %s: transposition table: %d entries, hit rate %.2f (%d hits, %d collisions, %d evictions since the last swap)",
+			w.cfg.ID, ts.Entries, ts.HitRate(), ts.Hits, ts.Collisions, ts.Evictions)
+	}
 }
 
 // enqueue buffers one encoded episode, evicting the oldest when full.

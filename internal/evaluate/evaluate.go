@@ -55,7 +55,7 @@ type Request struct {
 	Tag    int64
 	// Version identifies the network version that serves (or served) this
 	// request. It is OWNED by the routing layer: Client.Submit stamps it on
-	// every submission — the client's pinned version if Pin was called, the
+	// every submission — the client's pinned version if PinCurrent was called, the
 	// server's current version otherwise — so requesters read it after
 	// completion to learn which model produced the evaluation, but never
 	// write it themselves (reused requests would otherwise carry stale

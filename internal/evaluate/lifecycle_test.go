@@ -54,9 +54,9 @@ func (l *lifecycleLedger) unpin(v int64) {
 
 // TestLifecycleProperty is the model-version lifecycle (see Server) as a
 // property under load, for -race: tenants randomly pin to current, unpin,
-// close and evaluate, while a trainer registers candidates, gates each through
-// a client pinned to it, and promotes or releases it. Invariants: OnRetire(v)
-// fires exactly once for every superseded or released version, never for the
+// close and evaluate, while a trainer swaps in one version after another, half
+// of them over a client of its own that still holds the old one. Invariants:
+// OnRetire(v) fires exactly once for every superseded version, never for the
 // current one and never while a client is pinned to v; no pin is granted on a
 // retired version; every completion carries the value of the backend of the
 // version it was stamped with, which for a pinned tenant is its pin; and once
@@ -121,31 +121,27 @@ func TestLifecycleProperty(t *testing.T) {
 		}(g)
 	}
 
-	// The trainer: versions 2..candidates+1, each gated on a pinned client.
+	// The trainer: versions 2..candidates+1, each swapped in under the
+	// tenants' traffic; some while a client of its own still holds the
+	// version being superseded, so that version retires at that client's
+	// Close rather than at the swap.
 	current := int64(1)
 	r := rand.New(rand.NewSource(99))
 	for v := int64(2); v < int64(len(backends)); v++ {
-		srv.RegisterBackend(backends[v], v)
-		gate := srv.NewSyncClient()
-		gate.Pin(v)
-		led.pin(v)
-		evalOn(gate, v)
-		closeGate := func() {
-			led.unpin(v)
-			gate.Close()
+		var holder *Client
+		if r.Intn(2) == 0 {
+			holder = srv.NewSyncClient()
+			held := holder.PinCurrent()
+			led.pin(held)
+			evalOn(holder, held)
 		}
-		switch r.Intn(4) {
-		case 0: // rejected; the gate tenant lets go last
-			srv.Release(v)
-			closeGate()
-		case 1: // rejected; the registrant lets go last
-			closeGate()
-			srv.Release(v)
-		default:
-			closeGate()
-			srv.Promote(v)
-			current = v
+		srv.SwapBackend(backends[v], v)
+		if holder != nil {
+			evalOn(holder, current)
+			led.unpin(current)
+			holder.Close()
 		}
+		current = v
 		time.Sleep(200 * time.Microsecond)
 	}
 	wg.Wait()

@@ -213,22 +213,20 @@ func (s ServerStats) AvgFill() float64 {
 //
 // Model-version lifecycle. The server is the registry of live network
 // versions, and a version lives exactly as long as someone holds it. There
-// are three kinds of hold: being the current version (the one unpinned
-// submissions are stamped with); a Client pinned to it (Pin or PinCurrent
-// takes the hold; Unpin, a re-Pin or Client.Close drops it); and the
-// registrant of a candidate that is not current yet (RegisterBackend returns
-// holding; Release drops the hold, Promote turns it into the current-version
-// hold). SwapBackend is RegisterBackend + Promote: a drain-free hot swap under
-// live traffic. When the last hold on a non-current version goes, the server
-// retires it, once: the backend leaves the registry, then
-// ServerConfig.OnRetire(version) runs. In it cmd/serve and cmd/train drop the
-// version's entries from their shared evaluation cache (train also clears its
-// shared transposition table when the version had served the fleet); a
-// dist.Worker keeps nothing per version. Whoever must not mix weights within
-// one game pins for that game — serve sessions for their lifetime, self-play
-// tenants from game start to game end, an arena gate's two engines for the
-// match — so "when is an old version dead?" has one answer everywhere: when
-// its last holder lets go.
+// are two kinds of hold: being the current version (the one unpinned
+// submissions are stamped with; SwapBackend registers a version and makes it
+// current in one step, a drain-free hot swap under live traffic) and a Client
+// pinned to it (PinCurrent takes the hold; Unpin, a re-pin or Client.Close
+// drops it). A version therefore enters the registry as the current one and
+// can only be pinned while it is. When the last hold on a non-current version
+// goes, the server retires it, once: the backend leaves the registry, then
+// ServerConfig.OnRetire(version) runs. In it cmd/serve drops the version's
+// entries from its shared evaluation cache; a dist.Worker keeps nothing per
+// version (its cache is per network and its transposition table is cleared at
+// the swap barrier, where no game is in flight). Whoever must not mix weights
+// within one game pins for that game — serve sessions for their lifetime,
+// self-play tenants from game start to game end — so "when is an old version
+// dead?" has one answer everywhere: when its last holder lets go.
 //
 // A request is stamped with its (version, backend) on the submitter's
 // goroutine — the client's pin, else the current version — and carries both
@@ -236,9 +234,7 @@ func (s ServerStats) AvgFill() float64 {
 // batch spanning a swap is split per version, and a request stamped before a
 // retire still completes on the backend it was stamped for. An unpinned
 // tenant holds nothing: what OnRetire dropped may be repopulated by its
-// in-flight stragglers, which is why every production tenant pins. Pinning an
-// unknown (never registered, or retired) version panics at Pin, on the
-// tenant's goroutine, rather than serving it from another model.
+// in-flight stragglers, which is why every production tenant pins.
 //
 // Lifecycle: all Submits must happen-before Close. Close flushes the
 // remaining partial batch, waits for in-flight launches to drain, and then
@@ -316,12 +312,11 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 }
 
 // model is one registered network version: its backend and who holds it
-// besides being current. Both counts are guarded by Server.regMu.
+// besides being current. pins is guarded by Server.regMu.
 type model struct {
 	version int64
 	backend Backend
-	pins    int  // clients pinned to this version
-	held    bool // the registrant's hold, until Release or Promote
+	pins    int // clients pinned to this version
 }
 
 // Version returns the current model version: the version stamped onto
@@ -340,15 +335,13 @@ func (s *Server) Pins() map[int64]int {
 	return out
 }
 
-// RegisterBackend adds a backend under a fresh version WITHOUT making it
-// current, and returns with the caller holding that version: it stays
-// registered until the caller calls Release (and every client pinned to it
-// has let go) or Promote. Arena gating uses it to bring a candidate model
-// live next to the incumbent: tenants pinned to the candidate version route
-// to it while every unpinned tenant keeps evaluating on the current version.
-func (s *Server) RegisterBackend(b Backend, version int64) {
+// SwapBackend is the drain-free hot swap: it registers b under a fresh
+// version and makes it current in one step. Unpinned submissions from now on
+// are stamped with it; the superseded version retires as soon as no client is
+// pinned to it. No queue is drained and no submitter blocks.
+func (s *Server) SwapBackend(b Backend, version int64) {
 	if b == nil {
-		panic("evaluate: RegisterBackend with nil backend")
+		panic("evaluate: SwapBackend with nil backend")
 	}
 	if version <= 0 {
 		panic("evaluate: backend versions must be positive")
@@ -358,54 +351,17 @@ func (s *Server) RegisterBackend(b Backend, version int64) {
 		s.regMu.Unlock()
 		panic(fmt.Sprintf("evaluate: version %d is already registered", version))
 	}
-	s.models[version] = &model{version: version, backend: b, held: true}
-	s.regMu.Unlock()
-}
-
-// Release drops the registrant's hold on a version that RegisterBackend
-// returned and Promote never took; the version retires once no client is
-// pinned to it. Releasing a version nobody registered, or twice, panics.
-func (s *Server) Release(version int64) {
-	s.regMu.Lock()
-	m := s.models[version]
-	if m == nil || !m.held {
-		s.regMu.Unlock()
-		panic(fmt.Sprintf("evaluate: Release of version %d, which no registrant holds", version))
-	}
-	m.held = false
-	dead := s.dropIfUnheld(m)
+	m := &model{version: version, backend: b}
+	s.models[version] = m
+	dead := s.dropIfUnheld(s.current.Swap(m))
 	s.regMu.Unlock()
 	s.retired(dead)
-}
-
-// Promote makes an already registered version current, turning its
-// registrant's hold into the current-version hold. Unpinned submissions from
-// now on are stamped with it; the superseded version retires as soon as no
-// client is pinned to it. No queue is drained and no submitter blocks.
-func (s *Server) Promote(version int64) {
-	s.regMu.Lock()
-	m := s.models[version]
-	if m == nil {
-		s.regMu.Unlock()
-		panic(fmt.Sprintf("evaluate: Promote of unregistered version %d", version))
-	}
-	old := s.current.Swap(m)
-	m.held = false
-	dead := s.dropIfUnheld(old)
-	s.regMu.Unlock()
-	s.retired(dead)
-}
-
-// SwapBackend is the drain-free hot swap: RegisterBackend then Promote.
-func (s *Server) SwapBackend(b Backend, version int64) {
-	s.RegisterBackend(b, version)
-	s.Promote(version)
 }
 
 // dropIfUnheld unregisters m if nothing holds it any more and returns it for
 // retired, nil otherwise. Caller holds regMu.
 func (s *Server) dropIfUnheld(m *model) *model {
-	if m.pins > 0 || m.held || m == s.current.Load() {
+	if m.pins > 0 || m == s.current.Load() {
 		return nil
 	}
 	delete(s.models, m.version)
@@ -599,7 +555,7 @@ type Client struct {
 	ownsServer bool
 
 	// pin, when non-nil, is the model this client holds and stamps every
-	// submission with, instead of the server's current one (see Pin).
+	// submission with, instead of the server's current one (see PinCurrent).
 	pin atomic.Pointer[model]
 
 	mu          sync.Mutex
@@ -611,38 +567,27 @@ type Client struct {
 // Server exposes the service this client submits to.
 func (c *Client) Server() *Server { return c.srv }
 
-// Pin holds the given registered model version for this client and routes
-// all subsequent Submits to it, regardless of later swaps, until Unpin, the
-// next Pin or Close. Arena gates pin the candidate tenant group to the
-// candidate version this way. Pinning a version that is not registered
-// panics; Pin(0) is equivalent to Unpin.
-func (c *Client) Pin(version int64) { c.repin(version, false) }
-
-// PinCurrent pins the client to whatever version is current and returns it,
-// atomically with respect to Promote: the version cannot retire between being
-// read and being held. Fleet drivers call it at game start so one game's
-// evaluations never mix models across a mid-game promotion.
-func (c *Client) PinCurrent() int64 { return c.repin(0, true) }
+// PinCurrent holds whatever version is current for this client, routes all
+// subsequent Submits to it regardless of later swaps (until Unpin, the next
+// PinCurrent or Close), and returns it — atomically with respect to
+// SwapBackend: the version cannot retire between being read and being held.
+// Fleet drivers call it at game start so one game's evaluations never mix
+// models across a mid-game promotion.
+func (c *Client) PinCurrent() int64 { return c.repin(true) }
 
 // Unpin drops the client's hold and reverts it to current-version stamping.
-func (c *Client) Unpin() { c.repin(0, false) }
+func (c *Client) Unpin() { c.repin(false) }
 
-// repin moves the client's hold to version, or to the current version, or
-// (version 0) to nothing, retiring the version it let go of if that was the
-// last hold. It returns the version now pinned, 0 for none.
-func (c *Client) repin(version int64, current bool) int64 {
+// repin moves the client's hold to the current version, or to nothing,
+// retiring the version it let go of if that was the last hold. It returns the
+// version now pinned, 0 for none.
+func (c *Client) repin(current bool) int64 {
 	s := c.srv
 	s.regMu.Lock()
 	var m *model
+	var version int64
 	if current {
 		m = s.current.Load()
-	} else if version != 0 {
-		if m = s.models[version]; m == nil {
-			s.regMu.Unlock()
-			panic(fmt.Sprintf("evaluate: Pin to unregistered version %d", version))
-		}
-	}
-	if m != nil {
 		m.pins++
 		version = m.version
 	}
@@ -724,9 +669,7 @@ func (c *Client) Next() *Request {
 }
 
 // Evaluate adapts a sync-mode client to the Evaluator interface: it submits
-// one pooled request and blocks until the service delivers it. Combined
-// with Pin this is how arena gate tenants play serial searches through the
-// shared multi-tenant server against a specific model version.
+// one pooled request and blocks until the service delivers it.
 func (c *Client) Evaluate(input []float32, policy []float32) float64 {
 	if !c.syncMode {
 		panic("evaluate: Evaluate requires a sync-mode client (NewSyncClient)")

@@ -48,7 +48,7 @@ func TestSwapBackendRoutesByVersion(t *testing.T) {
 
 	unpinned := srv.NewSyncClient()
 	pinned := srv.NewSyncClient()
-	pinned.Pin(1)
+	pinned.PinCurrent()
 	defer unpinned.Close()
 	defer pinned.Close()
 
@@ -185,9 +185,10 @@ func TestSwapUnderLoad(t *testing.T) {
 }
 
 // TestSwapRetire covers the registry lifecycle rules: a superseded version
-// nobody holds retires with the swap and is gone from the registry, pinning
-// to a retired version is a bug caught at Pin, and so are releasing a version
-// no registrant holds and registering a version twice.
+// nobody holds retires with the swap and is gone from the registry, a
+// superseded version a client still holds retires when that client lets go,
+// and swapping in version 0, a nil backend or a live version is a bug caught
+// at the call.
 func TestSwapRetire(t *testing.T) {
 	b1 := &versionBackend{version: 1}
 	b2 := &versionBackend{version: 2}
@@ -205,7 +206,6 @@ func TestSwapRetire(t *testing.T) {
 		f()
 	}
 
-	mustPanic("release current, which no registrant holds", func() { srv.Release(1) })
 	srv.SwapBackend(b2, 2)
 	if _, ok := srv.Pins()[2]; !ok || len(srv.Pins()) != 1 {
 		t.Fatalf("registry after swap = %v, want only v2", srv.Pins())
@@ -214,45 +214,23 @@ func TestSwapRetire(t *testing.T) {
 		t.Fatalf("OnRetire calls = %v, want [1]", retired)
 	}
 
-	stale := srv.NewSyncClient()
-	mustPanic("pin to retired version", func() { stale.Pin(1) })
-	mustPanic("release promoted version", func() { srv.Release(2) })
-	mustPanic("release unknown version", func() { srv.Release(7) })
-	mustPanic("promote unknown version", func() { srv.Promote(7) })
+	holder := srv.NewSyncClient()
+	if v := holder.PinCurrent(); v != 2 {
+		t.Fatalf("PinCurrent = %d, want 2", v)
+	}
+	srv.SwapBackend(&versionBackend{version: 3}, 3)
+	if vs := srv.Pins(); len(vs) != 2 || vs[2] != 1 || len(retired) != 1 {
+		t.Fatalf("registry = %v, retired = %v: v2 retired while a client is pinned to it", vs, retired)
+	}
+	holder.Close()
+	if len(retired) != 2 || retired[1] != 2 {
+		t.Fatalf("OnRetire calls = %v, want [1 2] once the last holder closed", retired)
+	}
 
-	mustPanic("register version 0", func() { srv.RegisterBackend(b1, 0) })
-	mustPanic("register nil backend", func() { srv.RegisterBackend(nil, 3) })
-	mustPanic("register live version again", func() { srv.RegisterBackend(b1, 2) })
-	if len(retired) != 1 {
-		t.Fatalf("a rejected call retired something: %v", retired)
-	}
-}
-
-// TestSwapRegisterDoesNotChangeCurrent: RegisterBackend brings a candidate
-// live for pinned gate tenants without touching unpinned routing.
-func TestSwapRegisterDoesNotChangeCurrent(t *testing.T) {
-	b1 := &versionBackend{version: 1}
-	b9 := &versionBackend{version: 9}
-	srv := NewServer(b1, ServerConfig{Batch: 1})
-	defer srv.Close()
-
-	srv.RegisterBackend(b9, 9)
-	if srv.Version() != 1 {
-		t.Fatalf("RegisterBackend changed current to %d", srv.Version())
-	}
-	unpinned := srv.NewSyncClient()
-	candidate := srv.NewSyncClient()
-	candidate.Pin(9)
-	defer unpinned.Close()
-	defer candidate.Close()
-	if v := evalOnce(unpinned); v != 1 {
-		t.Fatalf("unpinned evaluation served by %v, want 1", v)
-	}
-	if v := evalOnce(candidate); v != 9 {
-		t.Fatalf("candidate-pinned evaluation served by %v, want 9", v)
-	}
-	srv.Release(9)
-	if vs := srv.Pins(); len(vs) != 2 || vs[9] != 1 {
-		t.Fatalf("registry = %v: candidate retired while a client is pinned to it", vs)
+	mustPanic("swap in version 0", func() { srv.SwapBackend(b1, 0) })
+	mustPanic("swap in nil backend", func() { srv.SwapBackend(nil, 4) })
+	mustPanic("swap in live version again", func() { srv.SwapBackend(b1, 3) })
+	if len(retired) != 2 || srv.Version() != 3 {
+		t.Fatalf("a rejected call changed the registry: retired %v, current v%d", retired, srv.Version())
 	}
 }

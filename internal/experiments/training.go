@@ -11,6 +11,7 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/stats"
 	"github.com/parmcts/parmcts/internal/train"
 )
@@ -67,18 +68,22 @@ func (sc TrainingScale) network(g game.Game) *nn.Network {
 	return nn.MustNew(nn.ConfigFor(!sc.TinyNet, c, h, w, g.NumActions()), rng.New(sc.Seed))
 }
 
-func (sc TrainingScale) trainerConfig(g game.Game) train.TrainerConfig {
-	return train.TrainerConfig{
-		Episodes:      sc.Episodes,
+// trainer is Algorithm 1's loop over one engine: an episode is a round of one
+// game.
+func (sc TrainingScale) trainer(g game.Game, eng mcts.Engine, net *nn.Network) *selfplay.Trainer {
+	d := selfplay.NewDriver(g, []mcts.Engine{eng}, train.NewReplay(50000), train.AugmenterFor(g), selfplay.Config{
+		TempMoves: sc.TempMoves,
+		Seed:      sc.Seed,
+	})
+	return selfplay.NewTrainer(d, net, selfplay.TrainerConfig{
+		Rounds:        sc.Episodes,
 		SGDIterations: sc.SGDIterations,
 		BatchSize:     sc.BatchSize,
 		LR:            0.01,
 		Momentum:      0.9,
 		WeightDecay:   1e-4,
-		TempMoves:     sc.TempMoves,
-		Augmenter:     train.AugmenterFor(g),
 		Seed:          sc.Seed,
-	}
+	})
 }
 
 // UseAccelDevice points opts at the accelerator platform, served by the
@@ -152,13 +157,12 @@ func Figure6Throughput(sc TrainingScale, ns []int, platforms []bool) *stats.Tabl
 				tb.AddRow(platform, n, "error", err.Error(), "", "")
 				continue
 			}
-			tr := train.NewTrainer(g, eng, net, sc.trainerConfig(g))
-			all := tr.Run(nil)
+			all := sc.trainer(g, eng, net).Run(nil)
 			eng.Close()
 			var samples int
 			var searchT, trainT float64
 			for _, s := range all {
-				samples += s.SamplesProcessed
+				samples += s.Samples
 				searchT += s.SearchTime.Seconds()
 				trainT += s.TrainTime.Seconds()
 			}
@@ -191,9 +195,8 @@ func Figure7Loss(sc TrainingScale, ns []int, useAccel bool) *stats.Table {
 			tb.AddRow(n, "error", err.Error(), "", "", "")
 			continue
 		}
-		tr := train.NewTrainer(g, eng, net, sc.trainerConfig(g))
-		for _, s := range tr.Run(nil) {
-			tb.AddRow(n, s.Episode, s.Elapsed.Round(1e6),
+		for _, s := range sc.trainer(g, eng, net).Run(nil) {
+			tb.AddRow(n, s.Round, s.Elapsed.Round(1e6),
 				s.Loss.ValueLoss, s.Loss.PolicyLoss, s.Loss.TotalLoss())
 		}
 		eng.Close()

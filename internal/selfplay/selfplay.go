@@ -1,9 +1,9 @@
 // Package selfplay runs G self-play games concurrently against one shared
-// inference service — the multi-tenant counterpart of train.Trainer's
-// single-engine loop. Each game owns its own search engine (typically an
-// mcts.Local master holding a private tree), but all engines submit node
-// evaluations to the same evaluate.Server, so the device sees one
-// aggregated batch stream instead of G under-filled ones (the regime
+// inference service, and Algorithm 1's synchronous loop (Trainer) over them; a
+// single engine is a fleet of one. Each game owns its own search engine
+// (typically an mcts.Local master holding a private tree), but all engines
+// submit node evaluations to the same evaluate.Server, so the device sees
+// one aggregated batch stream instead of G under-filled ones (the regime
 // Algorithm 4 of the paper exists to avoid). Finished games feed a shared
 // replay buffer, which the round-based Trainer then consumes for SGD
 // updates exactly as Algorithm 1 prescribes.
@@ -48,8 +48,8 @@ type Config struct {
 	// OnEpisode, when non-nil, receives every finished episode at the
 	// round's ingest barrier — on the driver goroutine, in tenant order, so
 	// the delivery sequence is deterministic for a fixed seed. This is the
-	// durable-replay hook: cmd/train appends each episode to a
-	// trajstore.Store here, before its samples enter the in-memory ring.
+	// streaming hook: a dist.Worker encodes each episode for its learner
+	// here.
 	OnEpisode func(tenant int, ep *train.EpisodeResult)
 }
 
@@ -79,18 +79,18 @@ type Driver struct {
 	engines []mcts.Engine
 	cfg     Config
 	r       *rng.Rand
-
-	mu      sync.Mutex // guards replay ingestion from game goroutines
 	replay  *train.Replay
 	augment train.Augmenter
 }
 
 // NewDriver creates a concurrent driver over the given engines (one per
-// game). replay receives every finished game's (augmented) samples; it must
-// only be read between rounds. augment may be nil. replay may be nil for a
-// streaming-only fleet — a distributed worker that ships every episode to a
-// remote learner through Config.OnEpisode and trains nothing locally — in
-// which case ingestion is a no-op and Replay returns nil.
+// game). replay receives every finished game's (augmented) samples at the
+// round barrier, in game order, so the insertion sequence — and therefore SGD
+// batch composition — is a pure function of the seed, not of goroutine
+// scheduling. augment may be nil. replay may be nil for a streaming-only
+// fleet — a distributed worker that ships every episode to a remote learner
+// through Config.OnEpisode and trains nothing locally — in which case
+// nothing is ingested and Replay returns nil.
 func NewDriver(g game.Game, engines []mcts.Engine, replay *train.Replay, augment train.Augmenter, cfg Config) *Driver {
 	if len(engines) < 1 {
 		panic("selfplay: driver needs at least one engine")
@@ -114,35 +114,6 @@ func (d *Driver) Games() int { return len(d.engines) }
 // Replay returns the shared replay buffer (nil for a streaming-only
 // driver). Safe to use between rounds.
 func (d *Driver) Replay() *train.Replay { return d.replay }
-
-// Ingest feeds samples through the driver's augmentation path into the
-// shared replay buffer — the same path PlayRound uses at the round
-// barrier. Restoring a durable store's episodes into a fresh run goes
-// through here so restored data is augmented exactly like live data.
-func (d *Driver) Ingest(samples []nn.Sample) { d.ingest(samples) }
-
-// ingest adds one game's samples to the shared replay buffer. The mutex
-// serializes ingestion for any future caller that streams mid-round; the
-// driver itself ingests at the round barrier in game order, so the replay
-// insertion sequence — and therefore SGD batch composition — is a pure
-// function of the seed, not of goroutine scheduling. A replay-less
-// (streaming-only) driver ingests nowhere.
-func (d *Driver) ingest(samples []nn.Sample) {
-	if d.replay == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, s := range samples {
-		if d.augment != nil {
-			for _, aug := range d.augment.Augment(s) {
-				d.replay.Add(aug)
-			}
-		} else {
-			d.replay.Add(s)
-		}
-	}
-}
 
 // PlayRound plays one round of G concurrent games and returns the merged
 // results. Per-game RNGs are split on the caller's goroutine before the
@@ -180,7 +151,9 @@ func (d *Driver) PlayRound() Round {
 		if d.cfg.OnEpisode != nil {
 			d.cfg.OnEpisode(i, &episodes[i])
 		}
-		d.ingest(episodes[i].Samples)
+		if d.replay != nil {
+			d.replay.Ingest(episodes[i].Samples, d.augment)
+		}
 	}
 
 	round := Round{Episodes: episodes, Elapsed: time.Since(start)}
@@ -190,21 +163,6 @@ func (d *Driver) PlayRound() Round {
 		round.Samples += len(episodes[i].Samples)
 	}
 	return round
-}
-
-// Generate implements train.Generator: one continuous-loop generation round
-// is one PlayRound. Through this adapter the fleet plugs into train.Loop,
-// which overlaps these rounds with SGD and promotion gates on another
-// goroutine.
-func (d *Driver) Generate() train.GenRound {
-	r := d.PlayRound()
-	return train.GenRound{
-		Games:   d.Games(),
-		Moves:   r.Moves,
-		Samples: r.Samples,
-		Search:  r.Search,
-		Elapsed: r.Elapsed,
-	}
 }
 
 // TrainerConfig configures the round-based training loop.

@@ -276,30 +276,18 @@ func TestDriverGameHooks(t *testing.T) {
 	}
 }
 
-// TestDriverGenerateAdaptsRound: the train.Generator adapter mirrors
-// PlayRound's aggregates.
-func TestDriverGenerateAdaptsRound(t *testing.T) {
-	engines, _, closeAll := testFleet(2, 2, 12)
-	defer closeAll()
-	d := NewDriver(tictactoe.New(), engines, train.NewReplay(1024), nil, Config{Seed: 9})
-	gr := d.Generate()
-	if gr.Games != 2 {
-		t.Fatalf("GenRound.Games = %d, want 2", gr.Games)
-	}
-	if gr.Moves < 2 || gr.Samples < 2 {
-		t.Fatalf("empty round: %+v", gr)
-	}
-	if d.Replay().Len() != gr.Samples {
-		t.Fatalf("replay holds %d samples, round reported %d", d.Replay().Len(), gr.Samples)
+func TestRoundStatsThroughputZeroDivision(t *testing.T) {
+	var s RoundStats
+	if s.Throughput() != 0 {
+		t.Fatal("zero-time throughput should be 0")
 	}
 }
 
-// TestDriverOnEpisodeHookOrderAndIngest pins the durable-replay seam: the
+// TestDriverOnEpisodeHookOrderAndIngest pins the streaming seam: the
 // OnEpisode hook fires exactly once per tenant, in tenant order, on the
-// driver goroutine at the ingest barrier (so a trajectory store sees the
-// same deterministic episode sequence the replay ring does), and
-// Driver.Ingest routes restored samples through the same augmentation
-// path live episodes take.
+// driver goroutine at the ingest barrier (so a learner sees the same
+// deterministic episode sequence the replay ring does), and live episodes
+// enter the ring through the configured augmenter.
 func TestDriverOnEpisodeHookOrderAndIngest(t *testing.T) {
 	const g, n = 4, 2
 	engines, _, closeAll := testFleet(g, n, 16)
@@ -338,13 +326,11 @@ func TestDriverOnEpisodeHookOrderAndIngest(t *testing.T) {
 		t.Fatalf("replay holds %d, want %d", replay.Len(), round.Samples)
 	}
 
-	// Ingest must go through the same path as live episodes: with an
-	// augmenter configured, restored samples multiply like fresh ones.
-	aug := doubler{}
-	d2 := NewDriver(tictactoe.New(), engines, train.NewReplay(10000), aug, Config{Seed: 22})
-	d2.Ingest([]nn.Sample{{Value: 1}, {Value: 2}, {Value: 3}})
-	if got := d2.Replay().Len(); got != 6 {
-		t.Fatalf("Ingest bypassed augmentation: replay has %d samples, want 6", got)
+	// With an augmenter configured, live episodes multiply on the way in.
+	replay2 := train.NewReplay(10000)
+	d2 := NewDriver(tictactoe.New(), engines, replay2, doubler{}, Config{Seed: 22})
+	if round2 := d2.PlayRound(); replay2.Len() != 2*round2.Samples {
+		t.Fatalf("replay has %d samples for %d raw ones, want them doubled", replay2.Len(), round2.Samples)
 	}
 }
 

@@ -16,11 +16,10 @@ type GenRound struct {
 	Elapsed               time.Duration
 }
 
-// Generator produces self-play data: one call plays a round of games whose
-// samples land in the replay buffer the Loop trains from. The fleet driver
-// (internal/selfplay) is the production implementation; its engines
-// evaluate through the shared inference service, so generation keeps
-// running unmodified across a model promotion.
+// Generator produces self-play data: one call delivers a round of games whose
+// samples land in the replay buffer the Loop trains from. dist.Learner is the
+// production implementation: it assembles rounds from the episodes its
+// workers stream, so generation keeps running across a model promotion.
 type Generator interface {
 	Generate() GenRound
 }
@@ -37,10 +36,7 @@ type GateResult struct {
 
 // Gate decides promotion: it plays candidate (to serve as candidateVersion)
 // against the incumbent (serving as incumbentVersion) and reports whether
-// the candidate is strong enough to replace it. Implementations that play
-// through the live inference service (arena.ServerGate) register the
-// candidate version for the match and release it on rejection; on promotion
-// the registration is left held for the Promoter to make current.
+// the candidate is strong enough to replace it.
 type Gate interface {
 	Gate(candidate *nn.Network, candidateVersion int64, incumbent *nn.Network, incumbentVersion int64) GateResult
 }

@@ -2,40 +2,16 @@ package train_test
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game/tictactoe"
-	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
-	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/train"
 )
-
-// checkedBackend wraps a version's real backend and verifies the service's
-// routing invariant: every request reaching this backend must be stamped
-// with exactly this version.
-type checkedBackend struct {
-	version    int64
-	inner      evaluate.Backend
-	served     *atomic.Int64
-	mismatches *atomic.Int64
-}
-
-func (b *checkedBackend) RunBatch(batch []*evaluate.Request) {
-	for _, req := range batch {
-		if req.Version != b.version {
-			b.mismatches.Add(1)
-		}
-	}
-	b.inner.RunBatch(batch)
-	b.served.Add(int64(len(batch)))
-}
 
 // fakeGen / fakeGate / promoteFunc drive the Loop's control flow without a
 // fleet, for the ordering tests below.
@@ -111,7 +87,7 @@ func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 		if pr.Version == 5 {
 			return errors.New("checkpoint disk full")
 		}
-		srv.SwapBackend(nopBackend{}, pr.Version) // fakeGate registers nothing
+		srv.SwapBackend(nopBackend{}, pr.Version)
 		return nil
 	})
 	loop := train.NewLoop(net, incumbent, replay, &fakeGen{replay: replay}, gate, promoter, train.LoopConfig{
@@ -187,134 +163,6 @@ func TestLoopWarmupSkipsSGDAndGate(t *testing.T) {
 	}
 	if gate.calls != trained {
 		t.Fatalf("gate ran %d times over %d trained rounds", gate.calls, trained)
-	}
-}
-
-// TestLoopServiceEndToEnd is the acceptance test for the model lifecycle
-// (run with -race in CI): G concurrent self-play games generate through one
-// shared inference service while the loop trains, gates and promotes across
-// them. It asserts that at least two promotion gates complete with hot
-// swaps under live traffic, that every evaluation was served by exactly the
-// network version it was stamped for (no cross-version mixing), that no
-// evaluation was dropped, and that games observed more than one serving
-// version (the fleet really did keep playing across swaps).
-func TestLoopServiceEndToEnd(t *testing.T) {
-	g := tictactoe.New()
-	c, h, w := g.EncodedShape()
-	net := nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(3))
-	incumbent := net.Clone()
-
-	var served, mismatches atomic.Int64
-	cache := evaluate.NewCached(evaluate.NewNN(incumbent), 1<<10)
-	mkBackend := func(n *nn.Network, v int64) evaluate.Backend {
-		return &checkedBackend{
-			version:    v,
-			inner:      &evaluate.EvaluatorBackend{Eval: cache.View(v, evaluate.NewNN(n)), Workers: 2},
-			served:     &served,
-			mismatches: &mismatches,
-		}
-	}
-
-	const games = 4
-	const inflight = 2
-	var retires atomic.Int64
-	srv := evaluate.NewServer(mkBackend(incumbent, 1), evaluate.ServerConfig{
-		Batch:          1,
-		FlushDeadline:  evaluate.DefaultFlushDeadline,
-		MaxOutstanding: games * inflight * 2,
-		LaunchWorkers:  2,
-		OnRetire: func(version int64) {
-			cache.ResetVersion(version)
-			retires.Add(1)
-		},
-	})
-
-	clients := make([]*evaluate.Client, games)
-	engines := make([]mcts.Engine, games)
-	for i := range engines {
-		clients[i] = srv.NewClient(inflight * 2)
-		cfg := mcts.DefaultConfig()
-		cfg.Playouts = 16
-		cfg.Seed = uint64(i + 1)
-		engines[i] = mcts.NewLocal(cfg, clients[i], inflight)
-	}
-
-	// Track the serving versions games pinned at start: >1 distinct value
-	// proves games spanned a promotion.
-	var pinMu sync.Mutex
-	pinnedVersions := map[int64]int{}
-
-	replay := train.NewReplay(4000)
-	driver := selfplay.NewDriver(g, engines, replay, nil, selfplay.Config{
-		TempMoves: 2,
-		Seed:      11,
-		OnGameStart: func(tenant int) {
-			v := clients[tenant].PinCurrent()
-			pinMu.Lock()
-			pinnedVersions[v]++
-			pinMu.Unlock()
-		},
-		OnGameEnd: func(tenant int) { clients[tenant].Unpin() },
-	})
-
-	gate := &arena.ServerGate{
-		Game:      g,
-		Srv:       srv,
-		MkBackend: mkBackend,
-		Cfg: arena.GateConfig{
-			Games:        2,
-			WinThreshold: 0, // every candidate promotes: the test is about the swap machinery
-			Playouts:     8,
-			Temperature:  0.3,
-			Seed:         5,
-		},
-	}
-	// The gate left the accepted candidate registered and held; promoting is
-	// making it current (cmd/train checkpoints first).
-	promoter := promoteFunc(func(_ *nn.Network, pr train.Promotion) error {
-		srv.Promote(pr.Version)
-		return nil
-	})
-
-	loop := train.NewLoop(net, incumbent, replay, driver, gate, promoter, train.LoopConfig{
-		Rounds:        6,
-		GateEvery:     1,
-		SGDIterations: 1,
-		BatchSize:     8,
-		Seed:          2,
-	})
-	report := loop.Run(nil)
-
-	if len(report.Promotions) < 2 {
-		t.Fatalf("completed %d promotions, want >= 2", len(report.Promotions))
-	}
-	if report.FinalVersion != int64(1+len(report.Promotions)) {
-		t.Fatalf("final version %d does not match %d promotions", report.FinalVersion, len(report.Promotions))
-	}
-	if mismatches.Load() != 0 {
-		t.Fatalf("%d evaluations were routed to a backend of another version", mismatches.Load())
-	}
-	pinMu.Lock()
-	distinct := len(pinnedVersions)
-	pinMu.Unlock()
-	if distinct < 2 {
-		t.Fatalf("all games pinned one version (%v); fleet did not keep playing across a swap", pinnedVersions)
-	}
-	for i, cl := range clients {
-		if cl.Outstanding() != 0 {
-			t.Fatalf("tenant %d still has %d undelivered evaluations (dropped work)", i, cl.Outstanding())
-		}
-		cl.Close()
-	}
-	if srv.Pending() != 0 {
-		t.Fatalf("%d evaluations stranded in the service buffer", srv.Pending())
-	}
-	srv.Close()
-	if served.Load() == 0 {
-		t.Fatal("no evaluations flowed through the service")
-	}
-	if retires.Load() == 0 {
-		t.Fatal("no superseded version was retired")
 	}
 }
 

@@ -94,6 +94,22 @@ func (r *Replay) Add(s nn.Sample) {
 	r.full = true
 }
 
+// Ingest adds one game's samples, each expanded by aug (nil = as is). It is
+// the one way episode data enters the dataset — live games at a round's ingest
+// barrier, a learner's accepted worker episodes, games restored from a durable
+// store — so restored data is augmented exactly like live data.
+func (r *Replay) Ingest(samples []nn.Sample, aug Augmenter) {
+	for _, s := range samples {
+		if aug == nil {
+			r.Add(s)
+			continue
+		}
+		for _, v := range aug.Augment(s) {
+			r.Add(v)
+		}
+	}
+}
+
 // Len returns the number of stored samples.
 func (r *Replay) Len() int {
 	r.mu.Lock()

@@ -213,86 +213,6 @@ func TestSelfPlayEpisodeTicTacToe(t *testing.T) {
 	}
 }
 
-func TestTrainerRunReducesOrTracksLoss(t *testing.T) {
-	g := tictactoe.New()
-	cfg := mcts.DefaultConfig()
-	cfg.Playouts = 40
-	net := nn.MustNew(nn.TinyConfig(4, 3, 3, 9), rng.New(5))
-	engine := mcts.NewSerial(cfg, evaluate.NewNN(net))
-	tr := NewTrainer(g, engine, net, TrainerConfig{
-		Episodes:      3,
-		SGDIterations: 4,
-		BatchSize:     16,
-		LR:            0.02,
-		TempMoves:     2,
-		Seed:          6,
-	})
-	var calls int
-	stats := tr.Run(func(s EpisodeStats) { calls++ })
-	if calls != 3 || len(stats) != 3 {
-		t.Fatalf("episodes reported %d/%d", calls, len(stats))
-	}
-	for i, s := range stats {
-		if s.Episode != i {
-			t.Fatalf("episode numbering wrong: %d", s.Episode)
-		}
-		if s.SamplesProcessed != s.Moves {
-			t.Fatalf("samples %d != moves %d", s.SamplesProcessed, s.Moves)
-		}
-		if s.Loss.TotalLoss() <= 0 {
-			t.Fatal("loss not recorded")
-		}
-		if s.Throughput() <= 0 {
-			t.Fatal("throughput not positive")
-		}
-		if s.Elapsed <= 0 {
-			t.Fatal("elapsed missing")
-		}
-	}
-	if tr.Replay().Len() == 0 {
-		t.Fatal("replay empty after training")
-	}
-	if tr.Net() != net {
-		t.Fatal("Net accessor wrong")
-	}
-}
-
-func TestTrainerAugmentationMultipliesSamples(t *testing.T) {
-	g := gomoku.NewSized(5)
-	cfg := mcts.DefaultConfig()
-	cfg.Playouts = 20
-	engine := mcts.NewSerial(cfg, &evaluate.Random{})
-	c, _, _ := g.EncodedShape()
-	net := nn.MustNew(nn.TinyConfig(c, 5, 5, 25), rng.New(7))
-	tr := NewTrainer(g, engine, net, TrainerConfig{
-		Episodes:      1,
-		SGDIterations: 1,
-		BatchSize:     8,
-		Augmenter:     GomokuAugmenter{Size: 5, Planes: c},
-		Seed:          8,
-	})
-	stats := tr.Run(nil)
-	if got, want := tr.Replay().Len(), stats[0].Moves*8; got != want {
-		t.Fatalf("replay has %d samples, want %d (8-fold)", got, want)
-	}
-}
-
-func TestTrainerPanicsOnZeroEpisodes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero episodes did not panic")
-		}
-	}()
-	NewTrainer(tictactoe.New(), nil, nil, TrainerConfig{})
-}
-
-func TestEpisodeStatsThroughputZeroDivision(t *testing.T) {
-	var s EpisodeStats
-	if s.Throughput() != 0 {
-		t.Fatal("zero-time throughput should be 0")
-	}
-}
-
 // TestSelfPlayEpisodeWarmsTree pins the driver half of persistent search
 // sessions: SelfPlayEpisode must Advance the engine past every played
 // move, so a ReuseTree engine reports retained visits from move 2 on and
