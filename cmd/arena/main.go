@@ -39,12 +39,12 @@ import (
 
 func main() {
 	var (
-		gameSpec  = flag.String("game", "", games.FlagHelp()+" (default connect4; gomoku:9 for -model/-ckpt)")
+		gameSpec  = games.Flag(flag.CommandLine, "", " (default connect4; gomoku:9 for -model/-ckpt)")
 		nGames    = flag.Int("games", 10, "games per pairing")
-		playouts  = flag.Int("playouts", 200, "playouts per move")
+		playouts  = mcts.PlayoutsFlag(flag.CommandLine, 200, "")
 		workers   = flag.Int("workers", 4, "workers for the parallel schemes")
-		reuse     = flag.Bool("reuse", false, "persistent search sessions: engines keep the played subtree warm across moves")
-		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
+		reuse     = mcts.ReuseFlag(flag.CommandLine, false, ": engines keep the played subtree warm across moves")
+		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
 		model     = flag.String("model", "", "gate this saved model against a fresh network")
 		ckpt      = flag.String("ckpt", "", "gate the latest checkpoint in this store against the previous version")
 	)
@@ -127,14 +127,8 @@ func gateCheckpoints(dir string, g game.Game, nGames, playouts int) {
 		fmt.Fprintln(os.Stderr, "arena:", err)
 		os.Exit(1)
 	}
-	if cm.Game != "" && games.SpecName(cm.Game) != g.Name() {
-		fmt.Fprintf(os.Stderr, "arena: checkpoint store %s was trained on %q, not %s (pass -game)\n", dir, cm.Game, g.Name())
-		os.Exit(1)
-	}
-	c, h, w := g.EncodedShape()
-	if current.Cfg.InC != c || current.Cfg.H != h || current.Cfg.W != w || current.Cfg.NumActions != g.NumActions() {
-		fmt.Fprintf(os.Stderr, "arena: checkpoint shape %dx%dx%d/%d does not match %s (pass -game)\n",
-			current.Cfg.InC, current.Cfg.H, current.Cfg.W, current.Cfg.NumActions, g.Name())
+	if err := checkpoint.CheckGame(current, cm.Game, g); err != nil {
+		fmt.Fprintf(os.Stderr, "arena: checkpoint store %s: %v (pass -game)\n", dir, err)
 		os.Exit(1)
 	}
 	cfg := arena.DefaultGateConfig()
@@ -161,10 +155,8 @@ func gateModel(path string, g game.Game, nGames, playouts int) {
 		fmt.Fprintln(os.Stderr, "arena:", err)
 		os.Exit(1)
 	}
-	c, h, w := g.EncodedShape()
-	if candidate.Cfg.InC != c || candidate.Cfg.H != h || candidate.Cfg.W != w || candidate.Cfg.NumActions != g.NumActions() {
-		fmt.Fprintf(os.Stderr, "arena: model shape %dx%dx%d/%d does not match %s (pass -game)\n",
-			candidate.Cfg.InC, candidate.Cfg.H, candidate.Cfg.W, candidate.Cfg.NumActions, g.Name())
+	if err := checkpoint.CheckGame(candidate, "", g); err != nil {
+		fmt.Fprintf(os.Stderr, "arena: model %s: %v (pass -game)\n", path, err)
 		os.Exit(1)
 	}
 	fresh := nn.MustNew(candidate.Cfg, rng.New(99))

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/mcts"
@@ -26,15 +27,15 @@ import (
 
 func main() {
 	var (
-		gameSpec  = flag.String("game", "othello", games.FlagHelp())
-		playouts  = flag.Int("playouts", 400, "playout budget per book position")
+		gameSpec  = games.Flag(flag.CommandLine, "othello", "")
+		playouts  = mcts.PlayoutsFlag(flag.CommandLine, 400, " (spent once on each book position)")
 		plies     = flag.Int("plies", 4, "book depth: positions up to this ply are recorded")
 		minFrac   = flag.Float64("min-visit-frac", 0.05, "descend only into replies holding at least this visit fraction")
-		transpose = flag.String("transpose", "on", tree.TransposeFlagHelp())
-		fullNet   = flag.Bool("full-net", false, "use the full 5-conv+3-FC network")
+		transpose = tree.TransposeFlag(flag.CommandLine, "on", "")
+		fullNet   = nn.FullNetFlag(flag.CommandLine, "")
 		modelPath = flag.String("model", "", "evaluate with this saved network (default: fresh network)")
 		outPath   = flag.String("out", "book.json", "write the book here")
-		seed      = flag.Uint64("seed", 1, "run seed")
+		seed      = rng.SeedFlag(flag.CommandLine, "")
 	)
 	flag.Parse()
 
@@ -53,9 +54,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bookgen:", err)
 			os.Exit(1)
 		}
-		if net.Cfg.InC != c || net.Cfg.H != h || net.Cfg.W != w || net.Cfg.NumActions != g.NumActions() {
-			fmt.Fprintf(os.Stderr, "bookgen: model shape %dx%dx%d/%d does not match %s\n",
-				net.Cfg.InC, net.Cfg.H, net.Cfg.W, net.Cfg.NumActions, g.Name())
+		if err := checkpoint.CheckGame(net, "", g); err != nil {
+			fmt.Fprintf(os.Stderr, "bookgen: model %s: %v (pass -game)\n", *modelPath, err)
 			os.Exit(1)
 		}
 	} else {

@@ -70,8 +70,10 @@ func main() {
 	figures[c.name](c)
 }
 
-// cli is one subcommand's flag set plus the flags several of them share,
-// each declared once here with the subcommand supplying only its default.
+// cli is one subcommand's flag set plus the flags only the figures share
+// (-ns, -csv), each declared once here with the subcommand supplying only its
+// default; -game, -playouts, -transpose and -full-net are declared next to
+// what they configure.
 type cli struct {
 	*flag.FlagSet
 	name string
@@ -82,17 +84,9 @@ type cli struct {
 // now.
 func (c *cli) parse() { c.Parse(os.Args[2:]) }
 
-func (c *cli) gameFlag(def, note string) *string {
-	return c.String("game", def, games.FlagHelp()+note)
-}
-
 // game resolves a -game value, falling back to def when the flag is empty;
 // a bad spec is a usage error.
 func (c *cli) game(spec, def string) gamepkg.Game { return games.ResolveFlag(c.name, spec, def) }
-
-func (c *cli) playoutsFlag(def int) *int {
-	return c.Int("playouts", def, "per-move playout budget")
-}
 
 // nsFlag declares -ns; the returned slice holds the parsed worker counts
 // after parse.
@@ -137,9 +131,9 @@ func (c *cli) emit(tb *stats.Table) {
 // run on — paper-shaped unless -host-profile asks for a measurement of this
 // host on a synthetic tree shaped like -game.
 func (c *cli) latencyParamsFlags() func() experiments.LatencyParams {
-	playouts := c.playoutsFlag(1600)
+	playouts := mcts.PlayoutsFlag(c.FlagSet, 1600, "")
 	hostProfile := c.Bool("host-profile", false, "profile this host instead of paper-shaped parameters")
-	gameSpec := c.gameFlag("gomoku", " (shapes the -host-profile measurement)")
+	gameSpec := games.Flag(c.FlagSet, "gomoku", " (shapes the -host-profile measurement)")
 	return func() experiments.LatencyParams {
 		if *hostProfile {
 			return experiments.HostMeasuredParamsFor(*playouts, c.game(*gameSpec, "gomoku"))
@@ -151,10 +145,10 @@ func (c *cli) latencyParamsFlags() func() experiments.LatencyParams {
 // trainingScaleFlags declares the flags of the two figures that run the real
 // training pipeline; the returned function yields the scale after parse.
 func (c *cli) trainingScaleFlags(episodes int) func() experiments.TrainingScale {
-	gameSpec := c.gameFlag("gomoku:9", "")
-	playouts := c.playoutsFlag(48)
+	gameSpec := games.Flag(c.FlagSet, "gomoku:9", "")
+	playouts := mcts.PlayoutsFlag(c.FlagSet, 48, "")
 	eps := c.Int("episodes", episodes, "self-play episodes per worker count and platform")
-	fullNet := c.Bool("full-net", false, "use the full 5-conv+3-FC network")
+	fullNet := nn.FullNetFlag(c.FlagSet, "")
 	return func() experiments.TrainingScale {
 		c.game(*gameSpec, "") // validate the spec before the run starts
 		sc := experiments.DefaultTrainingScale()
@@ -226,7 +220,7 @@ func throughput(c *cli) {
 	scale := c.trainingScaleFlags(2)
 	platform := c.String("platform", "both", "cpu, gpu, or both")
 	backend := c.String("backend", "", "accel backend for the gpu platform: "+strings.Join(accel.BackendNames(), ", ")+" (default hosted)")
-	transpose := c.String("transpose", "off", tree.TransposeFlagHelp())
+	transpose := tree.TransposeFlag(c.FlagSet, "off", "")
 	c.csvFlag()
 	c.parse()
 	platforms, ok := map[string][]bool{"cpu": {false}, "gpu": {true}, "both": {false, true}}[*platform]
@@ -262,11 +256,11 @@ func losscurve(c *cli) {
 // demand. The engine studies (vl, vlmode, baselines) run on any registered
 // game; without -game they keep their historical defaults.
 func ablation(c *cli) {
-	gameSpec := c.gameFlag("", " (default: tictactoe for vl/vlmode, gomoku:9 for baselines, othello+hex:7 for transpose)")
+	gameSpec := games.Flag(c.FlagSet, "", " (default: tictactoe for vl/vlmode, gomoku:9 for baselines, othello+hex:7 for transpose)")
 	workers := c.Int("workers", 4, "parallel workers for engine ablations")
-	playouts := c.playoutsFlag(200)
+	playouts := mcts.PlayoutsFlag(c.FlagSet, 200, "")
 	which := c.String("which", "vl,vlmode,baselines,interconnect,transpose", "comma-separated studies")
-	transpose := c.String("transpose", "on", tree.TransposeFlagHelp()+" (entry budget for the transpose study)")
+	transpose := tree.TransposeFlag(c.FlagSet, "on", " (entry budget for the transpose study)")
 	c.parse()
 
 	want := map[string]bool{}
@@ -314,9 +308,9 @@ func ablation(c *cli) {
 func configure(c *cli) {
 	n := c.Int("n", 32, "worker count N")
 	platform := c.String("platform", "gpu", "cpu or gpu")
-	playouts := c.playoutsFlag(1600)
+	playouts := mcts.PlayoutsFlag(c.FlagSet, 1600, "")
 	explain := c.Bool("explain", false, "print every Algorithm 4 probe")
-	gameSpec := c.gameFlag("gomoku", "")
+	gameSpec := games.Flag(c.FlagSet, "gomoku", "")
 	c.parse()
 
 	lp := experiments.HostMeasuredParamsFor(*playouts, c.game(*gameSpec, "gomoku"))
@@ -372,8 +366,8 @@ func configure(c *cli) {
 // for >85% of serial DNN-MCTS runtime, by running a profiled serial search on
 // the real benchmark.
 func profilekit(c *cli) {
-	playouts := c.playoutsFlag(1600)
-	gameSpec := c.gameFlag("gomoku", "")
+	playouts := mcts.PlayoutsFlag(c.FlagSet, 1600, "")
+	gameSpec := games.Flag(c.FlagSet, "gomoku", "")
 	dnnIters := c.Int("dnn-iters", 20, "inference timing iterations")
 	phaseSplit := c.Bool("phase-split", false, "also measure the serial search phase split (the >=85% claim)")
 	c.parse()
@@ -404,25 +398,8 @@ func profilekit(c *cli) {
 	fmt.Print(tb.String())
 
 	if *phaseSplit {
-		cfg := mcts.DefaultConfig()
-		cfg.Playouts = *playouts
-		cfg.Profile = true
-		sstats := mcts.NewSerial(cfg, eval).Search(g.NewInitial(), make([]float32, fanout))
-		total := sstats.SelectTime + sstats.ExpandTime + sstats.BackupTime + sstats.EvalTime
-		if total <= 0 {
-			fmt.Fprintln(os.Stderr, "profilekit: no phase times collected")
-			os.Exit(1)
-		}
-		ps := stats.NewTable("Serial DNN-MCTS phase split (Section 2.1)", "phase", "time", "share")
-		row := func(name string, d time.Duration) {
-			ps.AddRow(name, d, fmt.Sprintf("%.1f%%", float64(d)/float64(total)*100))
-		}
-		row("selection", sstats.SelectTime)
-		row("expansion", sstats.ExpandTime)
-		row("backup", sstats.BackupTime)
-		row("DNN evaluation", sstats.EvalTime)
+		ps, _ := experiments.PhaseSplitFor(g, *playouts)
 		fmt.Print(ps.String())
-		fmt.Printf("tree-based search stage (all phases, %v) vs DNN training: see figures throughput\n",
-			sstats.Duration.Round(1000))
+		fmt.Println("tree-based search stage vs DNN training: see figures throughput")
 	}
 }

@@ -45,18 +45,18 @@ func main() {
 	var (
 		n         = flag.Int("n", 4, "parallel workers")
 		nGames    = flag.Int("games", 1, "concurrent self-play games sharing one inference service")
-		gameSpec  = flag.String("game", "gomoku:9", games.FlagHelp())
-		playouts  = flag.Int("playouts", 100, "per-move playout budget")
+		gameSpec  = games.Flag(flag.CommandLine, "gomoku:9", "")
+		playouts  = mcts.PlayoutsFlag(flag.CommandLine, 100, "")
 		episodes  = flag.Int("episodes", 8, "self-play episodes (rounds of -games each when -games > 1)")
 		platform  = flag.String("platform", "cpu", "cpu or gpu")
 		scheme    = flag.String("scheme", "auto", "auto, shared, or local: force a parallel scheme instead of the model decision")
-		reuse     = flag.Bool("reuse", false, "persistent search sessions: retain the played subtree across moves instead of rebuilding the tree")
-		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
+		reuse     = mcts.ReuseFlag(flag.CommandLine, false, ": retain the played subtree across moves instead of rebuilding the tree")
+		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
 		bookPath  = flag.String("book", "", "serve opening moves from this precomputed book (see cmd/bookgen)")
-		fullNet   = flag.Bool("full-net", false, "use the full 5-conv+3-FC network")
+		fullNet   = nn.FullNetFlag(flag.CommandLine, "")
 		backend   = flag.String("backend", "", "accel backend for -platform gpu: "+strings.Join(accel.BackendNames(), ", ")+" (default hosted)")
 		savePath  = flag.String("save", "", "write the trained network here")
-		seed      = flag.Uint64("seed", 1, "run seed")
+		seed      = rng.SeedFlag(flag.CommandLine, "")
 	)
 	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()

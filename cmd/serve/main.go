@@ -42,9 +42,9 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		gameSpec = flag.String("game", "tictactoe", games.FlagHelp())
-		playouts = flag.Int("playouts", 200, "per-move playout budget")
-		reuse    = flag.Bool("reuse", true, "persistent sessions: retain the played subtree across a game's moves")
+		gameSpec = games.Flag(flag.CommandLine, "tictactoe", "")
+		playouts = mcts.PlayoutsFlag(flag.CommandLine, 200, "")
+		reuse    = mcts.ReuseFlag(flag.CommandLine, true, ": retain the played subtree across a game's moves")
 		workers  = flag.Int("workers", 1, "rollout workers per session (1 = serial engine; concurrency comes from concurrent games)")
 
 		sessions   = flag.Int("sessions", 1024, "session budget: creating a game beyond it evicts the least-recently-used session")
@@ -58,11 +58,11 @@ func main() {
 		retryAfter     = flag.Duration("retry-after", 500*time.Millisecond, "Retry-After hint on 429/503 responses")
 
 		cacheSize = flag.Int("cache", 1<<16, "shared evaluation cache entries (0 = default, negative disables)")
-		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
+		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
 
 		ckptDir = flag.String("ckpt", "", "serve the latest network from this checkpoint store (cmd/train -ckpt)")
-		fullNet = flag.Bool("full-net", false, "without -ckpt: serve a fresh full 5-conv+3-FC network instead of the tiny one")
-		seed    = flag.Uint64("seed", 1, "run seed (fresh-network init and per-session search seeds)")
+		fullNet = nn.FullNetFlag(flag.CommandLine, " instead of the tiny one (without -ckpt: a fresh network is served)")
+		seed    = rng.SeedFlag(flag.CommandLine, " (fresh-network init and per-session search seeds)")
 	)
 	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()
@@ -86,12 +86,8 @@ func main() {
 		if err != nil {
 			fail(fmt.Errorf("checkpoint store %s: %w", store.Dir(), err))
 		}
-		if m.Game != "" && games.SpecName(m.Game) != g.Name() {
-			fail(fmt.Errorf("checkpoint store %s was trained on %q, not -game %s", store.Dir(), m.Game, *gameSpec))
-		}
-		if loaded.Cfg.InC != c || loaded.Cfg.H != h || loaded.Cfg.W != w || loaded.Cfg.NumActions != g.NumActions() {
-			fail(fmt.Errorf("checkpoint network shape %dx%dx%d/%d does not match -game %s",
-				loaded.Cfg.InC, loaded.Cfg.H, loaded.Cfg.W, loaded.Cfg.NumActions, *gameSpec))
+		if err := checkpoint.CheckGame(loaded, m.Game, g); err != nil {
+			fail(fmt.Errorf("checkpoint store %s: %w (pass -game)", store.Dir(), err))
 		}
 		net = loaded
 		if m.Version > 0 {

@@ -31,6 +31,7 @@ import (
 
 	"github.com/parmcts/parmcts/internal/dist"
 	"github.com/parmcts/parmcts/internal/evaluate"
+	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/tensor"
 	"github.com/parmcts/parmcts/internal/train"
@@ -50,8 +51,8 @@ func main() {
 	workerConfig := dist.WorkerFlags(flag.CommandLine, run)
 	var (
 		cacheSize = flag.Int("cache", 1<<16, "evaluation cache capacity (positions) of each model version")
-		reuse     = flag.Bool("reuse", false, "persistent search sessions across moves")
-		transpose = flag.String("transpose", "off", tree.TransposeFlagHelp())
+		reuse     = mcts.ReuseFlag(flag.CommandLine, false, " across moves")
+		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
 	)
 	tensor.KernelFlag(flag.CommandLine)
 	flag.Parse()

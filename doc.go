@@ -63,9 +63,9 @@
 //
 // fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
 // why the int8 path was deleted). The accelerator seam is accel.Backend
-// (Name/Infer/Close): Model and Hosted register themselves by name, binaries
-// select one with -backend, and a real BLAS/GPU backend can later slot in
-// behind evaluate.Server without touching callers. The speedups first
+// (Name/Infer/Close): accel.NewBackend builds Model or Hosted by name,
+// binaries select one with -backend, and a real BLAS/GPU backend can later
+// slot in behind evaluate.Server without touching callers. The speedups first
 // recorded for these paths are historical (1-core container); regenerate
 // them on the current host with bash cmd/bench/run.sh (nn.forward_*,
 // accel.hosted_*).
@@ -111,9 +111,9 @@
 // into engines: a single engine (adaptive.Configure) is a fleet of one, which
 // needs and gets no flush deadline, and adaptive.NewLocalFleet is the
 // G-masters-on-one-worker-pool block that cmd/train and dist.Worker stand
-// their self-play fleets up with. internal/simsched's
-// LocalAccelShared/LocalAccelIndependent replay the multi-game contention
-// shape in deterministic virtual time.
+// their self-play fleets up with. The evidence for the shared service is on
+// the real engine: TestSharedServiceBeatsIndependentQueues (root module)
+// holds it to more playouts/s and a higher batch fill than G private queues.
 //
 // # Persistent search sessions
 //
@@ -259,9 +259,8 @@
 // not trusted truth — truncating torn tails, adopting sealed segments a
 // crash left out of the manifest, and rebuilding the manifest outright if
 // it is corrupt; recovery can never resurrect a torn record or lose a
-// committed segment. The rebuilt in-memory index serves uniform and
-// recency-weighted (truncated-geometric) sampling at one ReadAt per draw,
-// and retention drops whole segments by age or game count
+// committed segment. The rebuilt in-memory index serves Get at one ReadAt
+// per episode, and retention drops whole segments by age or game count
 // (manifest-first, so a crash mid-retention leaves garbage to delete, not
 // data to lose).
 //

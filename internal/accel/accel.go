@@ -113,9 +113,6 @@ func NewModel(model CostModel) *Model { return &Model{model: model} }
 // Name implements Device.
 func (d *Model) Name() string { return "sim-gpu(model)" }
 
-// Cost returns the device's cost model.
-func (d *Model) Cost() CostModel { return d.model }
-
 // Infer implements Device: it spends the modeled transfer time (overlapping
 // with other streams), then the modeled compute time (serialised), and
 // fills deterministic synthetic outputs derived from each input's content.

@@ -2,8 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"github.com/parmcts/parmcts/internal/nn"
 )
@@ -18,9 +16,9 @@ type Backend interface {
 	Close() error
 }
 
-// BackendSpec carries everything a backend factory might need. Factories use
-// the fields relevant to them and must error on missing requirements rather
-// than guessing.
+// BackendSpec carries everything a backend might need. A backend uses the
+// fields relevant to it and errors on a missing requirement rather than
+// guessing.
 type BackendSpec struct {
 	// Net is the network (required by "hosted").
 	Net *nn.Network
@@ -30,60 +28,23 @@ type BackendSpec struct {
 	Workers int
 }
 
-// Factory constructs a backend from a spec.
-type Factory func(spec BackendSpec) (Backend, error)
-
-var (
-	backendsMu sync.RWMutex
-	backends   = map[string]Factory{}
-)
-
-// RegisterBackend makes a backend constructible by name. Duplicate names
-// panic: backend names are compile-time wiring, not runtime input.
-func RegisterBackend(name string, f Factory) {
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic("accel: duplicate backend " + name)
-	}
-	backends[name] = f
-}
-
 // NewBackend constructs the named backend. Unknown names report the
 // available set.
 func NewBackend(name string, spec BackendSpec) (Backend, error) {
-	backendsMu.RLock()
-	f, ok := backends[name]
-	backendsMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("accel: unknown backend %q (have %v)", name, BackendNames())
-	}
-	return f(spec)
-}
-
-// BackendNames returns the registered backend names, sorted.
-func BackendNames() []string {
-	backendsMu.RLock()
-	defer backendsMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterBackend("model", func(spec BackendSpec) (Backend, error) {
+	switch name {
+	case "model":
 		return NewModel(spec.Cost), nil
-	})
-	RegisterBackend("hosted", func(spec BackendSpec) (Backend, error) {
+	case "hosted":
 		if spec.Net == nil {
 			return nil, fmt.Errorf("accel: backend \"hosted\" requires a network")
 		}
 		return NewHosted(spec.Net, spec.Cost, spec.Workers), nil
-	})
+	}
+	return nil, fmt.Errorf("accel: unknown backend %q (have %v)", name, BackendNames())
 }
+
+// BackendNames returns the names NewBackend accepts, sorted.
+func BackendNames() []string { return []string{"hosted", "model"} }
 
 // Close implements Backend. The latency model holds no resources.
 func (d *Model) Close() error { return nil }

@@ -25,6 +25,8 @@ import (
 	"time"
 
 	"github.com/parmcts/parmcts/internal/faultfs"
+	"github.com/parmcts/parmcts/internal/game"
+	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/nn"
 )
 
@@ -58,6 +60,24 @@ type Manifest struct {
 	WeightsFile string `json:"weights_file"`
 	// Checksum is the FNV-64a digest of the weights file, hex-encoded.
 	Checksum string `json:"checksum"`
+}
+
+// CheckGame reports why a saved network cannot play g, or nil when it can.
+// trainedOn is the game the network's manifest names ("" when it was saved
+// without one). Shape equality is not identity — hex:9 and gomoku:9 share the
+// 4x9x9/81 network shape — so the name, when known, is the authoritative
+// guard, and the shape check covers networks saved without a name and boards
+// of another size.
+func CheckGame(net *nn.Network, trainedOn string, g game.Game) error {
+	if trainedOn != "" && games.SpecName(trainedOn) != g.Name() {
+		return fmt.Errorf("network was trained on %q, not %s", trainedOn, g.Name())
+	}
+	c, h, w := g.EncodedShape()
+	if nc := net.Cfg; nc.InC != c || nc.H != h || nc.W != w || nc.NumActions != g.NumActions() {
+		return fmt.Errorf("network shape %dx%dx%d/%d actions does not match %s (%dx%dx%d/%d actions)",
+			nc.InC, nc.H, nc.W, nc.NumActions, g.Name(), c, h, w, g.NumActions())
+	}
+	return nil
 }
 
 // Store is a directory of versioned checkpoints. It is safe for concurrent

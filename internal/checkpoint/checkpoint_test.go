@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -341,5 +343,36 @@ func TestLoadLatestSkipsCorruptLatest(t *testing.T) {
 		t.Fatal("LoadLatest succeeded with every version corrupt")
 	} else if errors.Is(err, ErrEmpty) {
 		t.Fatal("all-corrupt store reported ErrEmpty; should surface the load failure")
+	}
+}
+
+func TestCheckGame(t *testing.T) {
+	netFor := func(spec string) *nn.Network {
+		g := games.MustNew(spec)
+		c, h, w := g.EncodedShape()
+		return nn.MustNew(nn.TinyConfig(c, h, w, g.NumActions()), rng.New(1))
+	}
+	for _, tc := range []struct {
+		name      string
+		net       string // the spec the network was built for
+		trainedOn string // the manifest's Game field
+		play      string // the spec it is asked to play
+		wantErr   string // "" = fits
+	}{
+		{"own game", "gomoku:9", "gomoku:9", "gomoku:9", ""},
+		{"untagged, same shape", "gomoku:9", "", "gomoku:9", ""},
+		{"legacy manifest name", "gomoku:9", "gomoku-9", "gomoku:9", ""},
+		{"same shape, different game", "hex:9", "hex:9", "gomoku:9", `trained on "hex:9", not gomoku`},
+		{"untagged: only the shape can speak", "hex:9", "", "gomoku:9", ""},
+		{"same game, different board", "gomoku:9", "gomoku:9", "gomoku:7", "does not match gomoku"},
+		{"untagged, different action count", "othello", "", "gomoku:8", "does not match gomoku"},
+	} {
+		err := CheckGame(netFor(tc.net), tc.trainedOn, games.MustNew(tc.play))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

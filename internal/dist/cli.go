@@ -10,6 +10,7 @@ import (
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/game"
 	"github.com/parmcts/parmcts/internal/game/games"
+	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 	"github.com/parmcts/parmcts/internal/train"
@@ -30,8 +31,8 @@ type RunFlags struct {
 // RegisterRunFlags registers -game and -seed on fs.
 func RegisterRunFlags(fs *flag.FlagSet) RunFlags {
 	return RunFlags{
-		GameSpec: fs.String("game", "gomoku:9", games.FlagHelp()),
-		Seed:     fs.Uint64("seed", 1, "run seed"),
+		GameSpec: games.Flag(fs, "gomoku:9", ""),
+		Seed:     rng.SeedFlag(fs, ""),
 	}
 }
 
@@ -53,7 +54,7 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 		replayDir    = fs.String("replay-dir", "", "durable trajectory store directory (empty = in-memory replay only)")
 		replaySeg    = fs.Int("replay-segment", 64, "games per trajectory-store segment before an atomic seal")
 		replayRetain = fs.Int("replay-retain", 100000, "games kept in the trajectory store (0 = unbounded)")
-		fullNet      = fs.Bool("full-net", false, "use the full 5-conv+3-FC network when seeding")
+		fullNet      = nn.FullNetFlag(fs, " when seeding")
 	)
 	return func() (LearnerConfig, error) {
 		if *rounds < 1 {
@@ -119,7 +120,7 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 func WorkerFlags(fs *flag.FlagSet, run RunFlags) func() (WorkerConfig, error) {
 	var (
 		nGames   = fs.Int("games", 8, "concurrent self-play games (tenants of the local shared service)")
-		playouts = fs.Int("playouts", 100, "per-move playout budget of the self-play engines")
+		playouts = mcts.PlayoutsFlag(fs, 100, " of the self-play engines")
 		workers  = fs.Int("workers", 4, "inference threads of the local service; also each game's in-flight bound")
 	)
 	return func() (WorkerConfig, error) {

@@ -10,7 +10,6 @@ import (
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/game"
-	"github.com/parmcts/parmcts/internal/game/games"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/trajstore"
@@ -161,8 +160,9 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 	var man checkpoint.Manifest
 	switch net, m, err := cfg.Store.LoadLatest(); {
 	case err == nil:
-		if err := checkResume(cfg, net, m); err != nil {
-			return nil, err
+		if err := checkpoint.CheckGame(net, m.Game, cfg.Game); err != nil {
+			return nil, fmt.Errorf("dist: checkpoint store %s cannot resume %q: %w; use a fresh checkpoint directory",
+				cfg.Store.Dir(), cfg.GameSpec, err)
 		}
 		l.net, man = net, m
 		l.baseStep, l.baseRounds, l.baseSamples = m.Step, m.Rounds, m.Samples
@@ -221,23 +221,6 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 		cfg.Logf("learner: replay restored: %d games (ring fill %d)", restored, cfg.Replay.Len())
 	}
 	return l, nil
-}
-
-// checkResume refuses a checkpoint store that belongs to another game. Shape
-// equality is not identity — hex:9 and gomoku:9 share the 4x9x9/81 network
-// shape — so the manifest's game name is the authoritative guard and the shape
-// check catches stores written before manifests carried one.
-func checkResume(cfg LearnerConfig, net *nn.Network, m checkpoint.Manifest) error {
-	if m.Game != "" && cfg.GameSpec != "" && games.SpecName(m.Game) != games.SpecName(cfg.GameSpec) {
-		return fmt.Errorf("dist: checkpoint store %s was trained on %q, not %q; use a fresh checkpoint directory",
-			cfg.Store.Dir(), m.Game, cfg.GameSpec)
-	}
-	c, h, w := cfg.Game.EncodedShape()
-	if nc := net.Cfg; nc.InC != c || nc.H != h || nc.W != w || nc.NumActions != cfg.Game.NumActions() {
-		return fmt.Errorf("dist: checkpoint store %s holds a %q network (%dx%dx%d/%d actions) that does not match %q; use a fresh checkpoint directory",
-			cfg.Store.Dir(), m.Game, nc.InC, nc.H, nc.W, nc.NumActions, cfg.GameSpec)
-	}
-	return nil
 }
 
 // setCurrent records the fan-out snapshot, verifying that re-encoding the

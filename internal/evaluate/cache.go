@@ -357,9 +357,6 @@ func (c *Cached) View(version int64, inner Evaluator) *CacheView {
 	return &CacheView{c: c, version: version, inner: inner}
 }
 
-// Version returns the view's model version tag.
-func (v *CacheView) Version() int64 { return v.version }
-
 // Evaluate implements Evaluator.
 func (v *CacheView) Evaluate(input []float32, policy []float32) float64 {
 	return v.c.evaluate(v.version, v.inner, input, policy)

@@ -378,9 +378,6 @@ func (s *Server) retired(m *model) {
 // Batch returns the configured flush threshold.
 func (s *Server) Batch() int { return s.cfg.Batch }
 
-// FlushDeadline returns the configured deadline (0 = threshold-only).
-func (s *Server) FlushDeadline() time.Duration { return s.cfg.FlushDeadline }
-
 // Stats snapshots the aggregate batch-fill counters.
 func (s *Server) Stats() ServerStats {
 	f := s.batcher.Flushes()
@@ -681,13 +678,6 @@ func (c *Client) Evaluate(input []float32, policy []float32) float64 {
 	v := req.Value
 	ReleaseRequest(req)
 	return v
-}
-
-// Outstanding returns the tenant's submitted-but-undelivered request count.
-func (c *Client) Outstanding() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.outstanding
 }
 
 // Close implements Async: if this tenant still has requests outstanding it

@@ -6,8 +6,8 @@
 //
 // Two parameter sources exist:
 //
-//   - HostMeasuredParams profiles the current host (Section 4.2 workflow)
-//     and is what a user reproducing on their own machine wants.
+//   - HostMeasuredParamsFor profiles the current host (Section 4.2
+//     workflow) and is what a user reproducing on their own machine wants.
 //   - PaperShapedParams fixes the profiled quantities to magnitudes
 //     representative of the paper's 64-core + A6000 platform, so the
 //     figures' crossovers land inside the N in [1,64] range regardless of
@@ -65,22 +65,13 @@ func PaperShapedParams(playouts int) LatencyParams {
 	}
 }
 
-// HostMeasuredParams runs the Section 4.2 profiling on the current host
-// against the real Gomoku network and returns measured parameters,
-// keeping the calibrated accelerator model (no accelerator exists to
-// measure).
-func HostMeasuredParams(playouts, boardSize int) LatencyParams {
-	if boardSize <= 0 {
-		boardSize = 15
-	}
-	return HostMeasuredParamsFor(playouts, gomoku.NewSized(boardSize))
-}
-
-// HostMeasuredParamsFor is HostMeasuredParams for any registered scenario:
-// the synthetic in-tree profile takes the game's fanout and depth limit,
-// and T_DNN is measured on a paper-shaped network with the game's encoded
-// input and action space — so the performance model sees the workload the
-// -game flag selected, not Gomoku's.
+// HostMeasuredParamsFor runs the Section 4.2 profiling on the current host
+// for any registered scenario and returns measured parameters, keeping the
+// calibrated accelerator model (no accelerator exists to measure): the
+// synthetic in-tree profile takes the game's fanout and depth limit, and
+// T_DNN is measured on a paper-shaped network with the game's encoded input
+// and action space — so the performance model sees the workload the -game
+// flag selected, not Gomoku's.
 func HostMeasuredParamsFor(playouts int, g game.Game) LatencyParams {
 	if playouts <= 0 {
 		playouts = 1600

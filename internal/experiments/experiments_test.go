@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/game/gomoku"
 	"github.com/parmcts/parmcts/internal/perfmodel"
 	"github.com/parmcts/parmcts/internal/simsched"
 )
@@ -267,7 +268,7 @@ func TestHostMeasuredParams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles the real network")
 	}
-	p := HostMeasuredParams(100, 9)
+	p := HostMeasuredParamsFor(100, gomoku.NewSized(9))
 	if p.Workload.TSelect <= 0 || p.Workload.TDNNCPU <= 0 {
 		t.Fatalf("profiling produced non-positive latencies: %+v", p.Workload)
 	}

@@ -7,6 +7,7 @@
 package games
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -61,8 +62,10 @@ func SpecName(spec string) string {
 	return name
 }
 
-// FlagHelp returns the -game flag usage string listing every registered
-// scenario.
-func FlagHelp() string {
-	return "game spec: one of " + strings.Join(game.Names(), ", ") + ", with an optional :size (e.g. gomoku:9, hex:7)"
+// Flag registers the -game flag every binary offers, its usage listing every
+// registered scenario: def is the binary's default spec, and note, if any, is
+// appended to the usage string. The value goes through ResolveFlag once fs is
+// parsed.
+func Flag(fs *flag.FlagSet, def, note string) *string {
+	return fs.String("game", def, "game spec: one of "+strings.Join(game.Names(), ", ")+", with an optional :size (e.g. gomoku:9, hex:7)"+note)
 }

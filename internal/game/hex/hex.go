@@ -160,9 +160,6 @@ func (s *State) Size() int { return s.size }
 // Cell returns the occupant of (row, col).
 func (s *State) Cell(row, col int) game.Player { return s.cells[row*s.size+col] }
 
-// LastMove returns the most recent action index, or -1 at the start.
-func (s *State) LastMove() int { return s.lastMove }
-
 // MoveCount returns the number of stones played (a steal counts as a move).
 func (s *State) MoveCount() int { return s.moves }
 

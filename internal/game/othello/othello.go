@@ -158,10 +158,6 @@ func (s *State) Cell(row, col int) game.Player { return s.cells[row*s.size+col] 
 // PassAction returns the action index of the explicit pass move.
 func (s *State) PassAction() int { return s.size * s.size }
 
-// LastMove returns the previous ply's action index (PassAction for a pass),
-// or -1 at the start.
-func (s *State) LastMove() int { return s.lastMove }
-
 // MoveCount returns the number of plies played, passes included.
 func (s *State) MoveCount() int { return s.moves }
 

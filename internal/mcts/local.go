@@ -46,9 +46,6 @@ func NewLocal(cfg Config, async evaluate.Async, maxInFlight int) *Local {
 // Name implements Engine.
 func (e *Local) Name() string { return "local" }
 
-// MaxInFlight returns the outstanding-evaluation bound.
-func (e *Local) MaxInFlight() int { return len(e.scratch) }
-
 // Search implements Engine.
 func (e *Local) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
 

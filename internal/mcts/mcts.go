@@ -37,6 +37,7 @@
 package mcts
 
 import (
+	"flag"
 	"time"
 
 	"github.com/parmcts/parmcts/internal/game"
@@ -94,6 +95,17 @@ func DefaultConfig() Config {
 		Playouts: 1600,
 		Tree:     tree.DefaultConfig(),
 	}
+}
+
+// PlayoutsFlag registers the -playouts flag (Config.Playouts): def is the
+// binary's default budget, and note, if any, is appended to the usage string.
+func PlayoutsFlag(fs *flag.FlagSet, def int, note string) *int {
+	return fs.Int("playouts", def, "per-move playout budget"+note)
+}
+
+// ReuseFlag registers the -reuse flag (Config.ReuseTree) the same way.
+func ReuseFlag(fs *flag.FlagSet, def bool, note string) *bool {
+	return fs.Bool("reuse", def, "persistent search sessions"+note)
 }
 
 // Stats reports one Search invocation. Playouts counts the rollouts the

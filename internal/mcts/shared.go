@@ -32,9 +32,6 @@ func NewShared(cfg Config, workers int, eval evaluate.Evaluator) *Shared {
 // Name implements Engine.
 func (e *Shared) Name() string { return "shared" }
 
-// Workers returns the configured worker count.
-func (e *Shared) Workers() int { return len(e.scratch) }
-
 // Search implements Engine.
 func (e *Shared) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
 

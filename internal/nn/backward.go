@@ -43,11 +43,6 @@ func NewGradients(net *Network) *Gradients {
 	return g
 }
 
-// Zero clears all accumulated gradients.
-func (g *Gradients) Zero() {
-	g.visit(func(t *tensor.Tensor) { t.Zero() })
-}
-
 // Add accumulates other into g.
 func (g *Gradients) Add(other *Gradients) {
 	pair := func(a, b *tensor.Tensor) { a.AXPY(1, b) }

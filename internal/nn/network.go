@@ -14,6 +14,7 @@
 package nn
 
 import (
+	"flag"
 	"fmt"
 
 	"github.com/parmcts/parmcts/internal/rng"
@@ -62,6 +63,12 @@ func ConfigFor(full bool, inC, h, w, actions int) Config {
 		return GomokuConfig(inC, h, w, actions)
 	}
 	return TinyConfig(inC, h, w, actions)
+}
+
+// FullNetFlag registers the -full-net flag whose value ConfigFor takes; note,
+// if any, is appended to the usage string.
+func FullNetFlag(fs *flag.FlagSet, note string) *bool {
+	return fs.Bool("full-net", false, "use the full 5-conv+3-FC network"+note)
 }
 
 func (c Config) validate() error {

@@ -85,12 +85,6 @@ func NewDeadlineBatcher[T any](threshold int, deadline time.Duration, flush func
 	return &Batcher[T]{threshold: threshold, deadline: deadline, flush: flush, buf: make([]T, 0, threshold)}
 }
 
-// Deadline returns the flush deadline (0 = threshold-only).
-func (b *Batcher[T]) Deadline() time.Duration { return b.deadline }
-
-// Threshold returns the flush threshold.
-func (b *Batcher[T]) Threshold() int { return b.threshold }
-
 // Join registers n producer slots: n more requests can be outstanding at
 // once, so the quorum rises by n. A larger quorum never launches anything.
 func (b *Batcher[T]) Join(n int) {

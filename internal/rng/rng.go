@@ -9,7 +9,10 @@
 // bit-for-bit reproducible across runs and across machines.
 package rng
 
-import "math"
+import (
+	"flag"
+	"math"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next value.
 // SplitMix64 is used both as a seeding mixer and as the stream expander for
@@ -40,6 +43,12 @@ func New(seed uint64) *Rand {
 		r.s[i] = splitMix64(&sm)
 	}
 	return r
+}
+
+// SeedFlag registers the -seed flag (default 1) whose value the binary's
+// generators are seeded from; note, if any, is appended to the usage string.
+func SeedFlag(fs *flag.FlagSet, note string) *uint64 {
+	return fs.Uint64("seed", 1, "run seed"+note)
 }
 
 // Split derives a new, statistically independent generator from r.
@@ -125,16 +134,6 @@ func (r *Rand) NormFloat64() float64 {
 	r.normVal = rad * math.Sin(theta)
 	r.normCached = true
 	return rad * math.Cos(theta)
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // GammaFloat64 samples from a Gamma(alpha, 1) distribution using the

@@ -129,22 +129,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(10)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestGammaMean(t *testing.T) {
 	r := New(12)
 	for _, alpha := range []float64{0.3, 0.5, 1, 2, 5} {

@@ -301,12 +301,6 @@ func (s *Service) wrapBackend(version int64, eval evaluate.Evaluator) evaluate.B
 	return &evaluate.EvaluatorBackend{Eval: eval, Workers: s.cfg.EvalWorkers}
 }
 
-// Server exposes the shared inference service (tests, stats).
-func (s *Service) Server() *evaluate.Server { return s.srv }
-
-// GameSpec returns the wire spec of the hosted game.
-func (s *Service) GameSpec() string { return s.cfg.GameSpec }
-
 // Swap hot-swaps the serving model: net is registered as a fresh version
 // (current+1) and becomes current. Sessions created before the swap keep
 // their pinned version — their in-flight and future searches still evaluate

@@ -2,38 +2,6 @@ package stats
 
 import "math"
 
-// Entropy returns the Shannon entropy (nats) of a probability vector.
-// Zero entries contribute nothing; the vector is not renormalised.
-func Entropy(p []float32) float64 {
-	var h float64
-	for _, x := range p {
-		if x > 0 {
-			h -= float64(x) * math.Log(float64(x))
-		}
-	}
-	return h
-}
-
-// KLDivergence returns D(p || q) in nats with additive smoothing eps on q,
-// which keeps the divergence finite when q assigns zero mass where p does
-// not — the situation that arises when comparing visit distributions from
-// searches that explored different subsets of moves.
-func KLDivergence(p, q []float32, eps float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: KLDivergence length mismatch")
-	}
-	var d float64
-	for i := range p {
-		pi := float64(p[i])
-		if pi <= 0 {
-			continue
-		}
-		qi := float64(q[i]) + eps
-		d += pi * math.Log(pi/qi)
-	}
-	return d
-}
-
 // TotalVariation returns the total-variation distance between two
 // probability vectors: half the L1 distance, in [0, 1].
 func TotalVariation(p, q []float32) float64 {

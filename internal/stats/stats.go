@@ -1,208 +1,13 @@
 // Package stats provides the measurement utilities shared by the benchmark
-// harnesses: streaming moment accumulators, fixed-bucket latency histograms,
-// and plain-text/CSV table rendering for reproducing the paper's figures.
+// harnesses: plain-text/CSV table rendering for reproducing the paper's
+// figures, and the distribution distance the engine-agreement tests use.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Welford accumulates a stream of observations and reports mean and variance
-// in a numerically stable way (Welford's online algorithm). The zero value is
-// ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// AddDuration incorporates a time.Duration observation in seconds.
-func (w *Welford) AddDuration(d time.Duration) { w.Add(d.Seconds()) }
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.Std() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds other into w, as if all of other's observations had been
-// added to w. This is how per-worker accumulators are combined after a
-// parallel run (Chan et al. parallel variance formula).
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	delta := other.mean - w.mean
-	w.mean += delta * float64(other.n) / float64(n)
-	w.m2 += other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n = n
-}
-
-// Quantiles stores raw samples for exact quantile queries. Use for bounded
-// sample counts (e.g. the 1600 per-move iterations of one search).
-type Quantiles struct {
-	samples []float64
-	sorted  bool
-}
-
-// Add appends one sample.
-func (q *Quantiles) Add(x float64) {
-	q.samples = append(q.samples, x)
-	q.sorted = false
-}
-
-// N returns the number of samples recorded.
-func (q *Quantiles) N() int { return len(q.samples) }
-
-// Quantile returns the p-quantile (0 <= p <= 1) by linear interpolation.
-func (q *Quantiles) Quantile(p float64) float64 {
-	if len(q.samples) == 0 {
-		return 0
-	}
-	if !q.sorted {
-		sort.Float64s(q.samples)
-		q.sorted = true
-	}
-	if p <= 0 {
-		return q.samples[0]
-	}
-	if p >= 1 {
-		return q.samples[len(q.samples)-1]
-	}
-	pos := p * float64(len(q.samples)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(q.samples) {
-		return q.samples[lo]
-	}
-	return q.samples[lo]*(1-frac) + q.samples[lo+1]*frac
-}
-
-// Histogram is a fixed-bucket histogram over [lo, hi) with linear buckets
-// plus under/overflow bins. It is not safe for concurrent use.
-type Histogram struct {
-	lo, hi   float64
-	buckets  []int64
-	under    int64
-	over     int64
-	total    int64
-	bucketsN int
-}
-
-// NewHistogram creates a histogram with n linear buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n), bucketsN: n}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		idx := int((x - h.lo) / (h.hi - h.lo) * float64(h.bucketsN))
-		if idx >= h.bucketsN {
-			idx = h.bucketsN - 1
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Render writes a human-readable bar chart of the histogram.
-func (h *Histogram) Render(width int) string {
-	var sb strings.Builder
-	var maxCount int64 = 1
-	for _, c := range h.buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	step := (h.hi - h.lo) / float64(h.bucketsN)
-	for i, c := range h.buckets {
-		bar := int(float64(c) / float64(maxCount) * float64(width))
-		fmt.Fprintf(&sb, "[%10.4g,%10.4g) %8d %s\n",
-			h.lo+float64(i)*step, h.lo+float64(i+1)*step, c, strings.Repeat("#", bar))
-	}
-	if h.under > 0 {
-		fmt.Fprintf(&sb, "underflow %d\n", h.under)
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&sb, "overflow %d\n", h.over)
-	}
-	return sb.String()
-}
 
 // Table accumulates rows for a figure/table and renders them as aligned
 // plain text or CSV. All harness binaries print their results through Table

@@ -1,170 +1,10 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
-
-	"github.com/parmcts/parmcts/internal/rng"
 )
-
-func TestWelfordAgainstDirect(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	variance := ss / float64(len(xs)-1)
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Errorf("mean = %v, want %v", w.Mean(), mean)
-	}
-	if math.Abs(w.Variance()-variance) > 1e-9 {
-		t.Errorf("variance = %v, want %v", w.Variance(), variance)
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d, want 1000", w.N())
-	}
-}
-
-func TestWelfordMinMax(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{3, -1, 4, 1, 5} {
-		w.Add(x)
-	}
-	if w.Min() != -1 || w.Max() != 5 {
-		t.Errorf("min/max = %v/%v, want -1/5", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 || w.StdErr() != 0 {
-		t.Error("empty Welford should report zeros")
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	if err := quick.Check(func(seed uint64, split uint8) bool {
-		r := rng.New(seed)
-		n := 200
-		k := int(split)%n + 1
-		var all, left, right Welford
-		for i := 0; i < n; i++ {
-			x := r.Float64()*100 - 50
-			all.Add(x)
-			if i < k {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(&right)
-		return math.Abs(left.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(left.Variance()-all.Variance()) < 1e-7 &&
-			left.N() == all.N() &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordMergeWithEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(2)
-	before := a
-	a.Merge(&b)
-	if a != before {
-		t.Error("merging empty changed accumulator")
-	}
-	b.Merge(&a)
-	if b.N() != 2 || math.Abs(b.Mean()-1.5) > 1e-12 {
-		t.Errorf("merge into empty: N=%d mean=%v", b.N(), b.Mean())
-	}
-}
-
-func TestWelfordAddDuration(t *testing.T) {
-	var w Welford
-	w.AddDuration(500 * time.Millisecond)
-	w.AddDuration(1500 * time.Millisecond)
-	if math.Abs(w.Mean()-1.0) > 1e-12 {
-		t.Errorf("mean = %v, want 1.0s", w.Mean())
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	var q Quantiles
-	for i := 100; i >= 1; i-- {
-		q.Add(float64(i))
-	}
-	if q.N() != 100 {
-		t.Fatalf("N = %d", q.N())
-	}
-	if got := q.Quantile(0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := q.Quantile(1); got != 100 {
-		t.Errorf("q1 = %v, want 100", got)
-	}
-	if got := q.Quantile(0.5); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("median = %v, want 50.5", got)
-	}
-	var empty Quantiles
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(42)
-	if h.Total() != 12 {
-		t.Errorf("total = %d, want 12", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "underflow 1") || !strings.Contains(out, "overflow 1") {
-		t.Errorf("render missing under/overflow:\n%s", out)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad histogram shape did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramBoundaryGoesToLastBucket(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.999999999)
-	if h.Bucket(3) != 1 {
-		t.Error("near-hi value should land in last bucket")
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "N", "latency", "method")

@@ -201,31 +201,6 @@ func matMulTransBRange(c []float32, ldc, off int, a, b []float32, lo, hi, k, n i
 	}
 }
 
-// MatMulTransA computes C = A^T * B for A (k x m) and B (k x n), writing C
-// (m x n). This is the weight-gradient shape for dense layers
-// (dW = dOut^T * in). C is overwritten.
-func MatMulTransA(c, a, b []float32, m, k, n int) {
-	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
-		panic("tensor: MatMulTransA buffer too small")
-	}
-	for x := 0; x < m*n; x++ {
-		c[x] = 0
-	}
-	for p := 0; p < k; p++ {
-		ap := a[p*m : (p+1)*m]
-		bp := b[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := c[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
 // AddBiasRows adds bias (length n) to every row of the (rows x n) matrix m.
 func AddBiasRows(m, bias []float32, rows, n int) {
 	if len(bias) < n || len(m) < rows*n {
@@ -235,19 +210,6 @@ func AddBiasRows(m, bias []float32, rows, n int) {
 		row := m[r*n : (r+1)*n]
 		for j := range row {
 			row[j] += bias[j]
-		}
-	}
-}
-
-// BiasGradRows accumulates column sums of dOut (rows x n) into dBias.
-func BiasGradRows(dBias, dOut []float32, rows, n int) {
-	if len(dBias) < n || len(dOut) < rows*n {
-		panic("tensor: BiasGradRows buffer too small")
-	}
-	for r := 0; r < rows; r++ {
-		row := dOut[r*n : (r+1)*n]
-		for j := range row {
-			dBias[j] += row[j]
 		}
 	}
 }

@@ -222,12 +222,6 @@ func NewLoop(net, incumbent *nn.Network, replay *Replay, gen Generator, gate Gat
 	}
 }
 
-// Version returns the incumbent's current model version.
-func (l *Loop) Version() int64 { return l.version }
-
-// Promotions returns the accepted promotions so far.
-func (l *Loop) Promotions() []Promotion { return l.promotions }
-
 // Run drives the loop to completion, invoking onRound (if non-nil) after
 // each consumed round.
 func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {

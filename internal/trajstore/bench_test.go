@@ -87,27 +87,21 @@ func bench10kDir(b *testing.B) string {
 	return bench10k.dir
 }
 
-func BenchmarkTrajstoreSample(b *testing.B) {
+// BenchmarkTrajstoreGet is one random read from a 10k-game store: one
+// ReadAt, one re-checksum, one decode.
+func BenchmarkTrajstoreGet(b *testing.B) {
 	s, err := Open(bench10kDir(b), Config{SegmentGames: 256, NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	rnd := rng.New(1)
-	b.Run("uniform-batch64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.SampleUniform(rnd, 64); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(rnd.Intn(10000)); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("recent-batch64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := s.SampleRecent(rnd, 64, 0.999); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkTrajstoreReopen measures the cost this design pays for having

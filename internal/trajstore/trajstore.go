@@ -19,14 +19,14 @@
 // directory scan — the manifest accelerates and annotates recovery, it is
 // never the only copy of the truth. The active segment is truncated to its
 // last valid frame: a torn append disappears, every frame before it
-// survives. The in-memory frame index built during the scan serves uniform
-// and recency-weighted sampling with one ReadAt per draw, no rescans.
+// survives. The in-memory frame index built during the scan serves Get with
+// one ReadAt per episode, no rescans.
 //
 // Failure semantics: the first write, sync or rename error (disk full,
-// injected fault, dying device) marks the store read-only. Reads and
-// sampling keep working; Append returns ErrReadOnly; the caller — see
-// cmd/train — logs and continues on its in-memory ring. The store never
-// takes the training run down with it.
+// injected fault, dying device) marks the store read-only. Reads keep
+// working; Append returns ErrReadOnly; the caller — see cmd/train — logs and
+// continues on its in-memory ring. The store never takes the training run
+// down with it.
 package trajstore
 
 import (
@@ -34,14 +34,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/parmcts/parmcts/internal/faultfs"
-	"github.com/parmcts/parmcts/internal/rng"
 )
 
 // ErrReadOnly is returned by Append after a storage error has degraded the
@@ -624,67 +622,6 @@ func (s *Store) getLocked(i int) (Episode, error) {
 		return Episode{}, fmt.Errorf("%w: episode %d checksum mismatch", ErrCorrupt, i)
 	}
 	return decodeEpisode(payload)
-}
-
-// SampleUniform draws min(n, Games) episodes uniformly without replacement.
-func (s *Store) SampleUniform(rnd *rng.Rand, n int) ([]Episode, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := len(s.index)
-	if n > total {
-		n = total
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	// Partial Fisher-Yates over episode indices.
-	idx := rnd.Perm(total)[:n]
-	return s.readAllLocked(idx)
-}
-
-// SampleRecent draws n episodes (with replacement) weighted towards the
-// newest: episode j (0 = oldest) has weight gamma^(Games-1-j) for
-// gamma in (0,1]. gamma = 1 degenerates to uniform-with-replacement. The
-// draw is O(1) per episode via inverse-transform on the truncated
-// geometric, so sampling cost is independent of store size.
-func (s *Store) SampleRecent(rnd *rng.Rand, n int, gamma float64) ([]Episode, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := len(s.index)
-	if total == 0 || n <= 0 {
-		return nil, nil
-	}
-	if gamma <= 0 || gamma > 1 {
-		return nil, fmt.Errorf("trajstore: gamma %v outside (0,1]", gamma)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		if gamma == 1 {
-			idx[i] = rnd.Intn(total)
-			continue
-		}
-		// age ~ truncated Geometric(1-gamma) over [0, total): P(age=a) ∝ gamma^a.
-		u := rnd.Float64()
-		mass := 1 - math.Pow(gamma, float64(total))
-		age := int(math.Log(1-u*mass) / math.Log(gamma))
-		if age >= total {
-			age = total - 1
-		}
-		idx[i] = total - 1 - age
-	}
-	return s.readAllLocked(idx)
-}
-
-func (s *Store) readAllLocked(idx []int) ([]Episode, error) {
-	out := make([]Episode, 0, len(idx))
-	for _, i := range idx {
-		ep, err := s.getLocked(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ep)
-	}
-	return out, nil
 }
 
 // Close seals the active segment (best effort) and releases handles. A

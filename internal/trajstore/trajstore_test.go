@@ -514,97 +514,11 @@ func TestGameTagGuardsResume(t *testing.T) {
 	re.Close()
 }
 
-func TestSampleUniformDistinct(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentGames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 12
-	for i := 0; i < n; i++ {
-		if err := s.Append(testEpisode(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.SampleUniform(rng.New(7), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 6 {
-		t.Fatalf("sampled %d, want 6", len(got))
-	}
-	// Oversized request returns the whole store, each episode once.
-	all, err := s.SampleUniform(rng.New(8), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != n {
-		t.Fatalf("oversized sample returned %d, want %d", len(all), n)
-	}
-	matched := make([]bool, n)
-	for _, ep := range all {
-		for j := 0; j < n; j++ {
-			if !matched[j] && sameEpisode(ep, testEpisode(j)) {
-				matched[j] = true
-				break
-			}
-		}
-	}
-	for j, ok := range matched {
-		if !ok {
-			t.Fatalf("episode %d missing from exhaustive uniform sample", j)
-		}
-	}
-}
-
-func TestSampleRecentPrefersNewEpisodes(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentGames: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := s.Append(testEpisode(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// gamma=0.9: expected age ~9, so draws should land overwhelmingly in
-	// the newest half.
-	const draws = 400
-	got, err := s.SampleRecent(rng.New(9), draws, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != draws {
-		t.Fatalf("drew %d, want %d", len(got), draws)
-	}
-	newHalf := 0
-	for _, ep := range got {
-		for j := n / 2; j < n; j++ {
-			if sameEpisode(ep, testEpisode(j)) {
-				newHalf++
-				break
-			}
-		}
-	}
-	if newHalf < draws*3/4 {
-		t.Fatalf("only %d/%d recency-weighted draws in the newest half", newHalf, draws)
-	}
-	// gamma=1 degenerates to uniform; must not error.
-	if _, err := s.SampleRecent(rng.New(10), 10, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SampleRecent(rng.New(10), 10, 1.5); err == nil {
-		t.Fatal("gamma > 1 accepted")
-	}
-}
-
-func TestSampleWhileAppendingUnderRace(t *testing.T) {
-	// The Loop samples on the SGD goroutine while the generator appends:
-	// the store must serve both concurrently. Run with -race.
+func TestGetWhileAppendingUnderRace(t *testing.T) {
+	// The learner reads stored episodes back (Get) on one goroutine while
+	// its ingest path appends on another: the store must serve both
+	// concurrently, and a committed episode must read back intact across
+	// segment seals. Run with -race.
 	dir := t.TempDir()
 	s, err := Open(dir, Config{SegmentGames: 5})
 	if err != nil {
@@ -627,12 +541,14 @@ func TestSampleWhileAppendingUnderRace(t *testing.T) {
 		}
 	}()
 	r := rng.New(11)
-	for i := 0; i < 50; i++ {
-		if _, err := s.SampleUniform(r, 4); err != nil {
+	for i := 0; i < 200; i++ {
+		j := r.Intn(s.Games())
+		ep, err := s.Get(j)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SampleRecent(r, 4, 0.95); err != nil {
-			t.Fatal(err)
+		if !sameEpisode(ep, testEpisode(j)) {
+			t.Fatalf("episode %d read back different under concurrent appends", j)
 		}
 	}
 	<-done

@@ -16,6 +16,7 @@ package tree
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -334,9 +335,6 @@ func (t *TransTable) Len() int {
 	return n
 }
 
-// Shards returns the stripe count.
-func (t *TransTable) Shards() int { return len(t.shards) }
-
 // Reset empties the table and zeroes the counters. Callers must ensure no
 // search is in flight (the fleet does this at SGD boundaries, alongside the
 // eval-cache reset: a weight update invalidates every cached evaluation,
@@ -407,7 +405,9 @@ func ResolveTransposeFlag(binary, spec string) int {
 	return n
 }
 
-// TransposeFlagHelp is the usage string for the shared -transpose flag.
-func TransposeFlagHelp() string {
-	return fmt.Sprintf("transposition-sharing DAG search: off, on, or on:<entries> (default budget %d)", DefaultTransTableSize)
+// TransposeFlag registers the shared -transpose flag: def is the binary's
+// default spec, and note, if any, is appended to the usage string. The value
+// goes through ResolveTransposeFlag once fs is parsed.
+func TransposeFlag(fs *flag.FlagSet, def, note string) *string {
+	return fs.String("transpose", def, fmt.Sprintf("transposition-sharing DAG search: off, on, or on:<entries> (default budget %d)", DefaultTransTableSize)+note)
 }

@@ -207,9 +207,6 @@ func SuggestCapacity(playouts, fanout int) int {
 	return playouts*fanout + fanout + 1
 }
 
-// Config returns the scoring configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Allocated returns the number of nodes currently in use.
 func (t *Tree) Allocated() int {
 	t.allocMu.Lock()
