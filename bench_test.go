@@ -122,7 +122,7 @@ func BenchmarkFigure7Loss(b *testing.B) {
 func BenchmarkFindMinVvsLinear(b *testing.B) {
 	p := experiments.PaperShapedParams(1600)
 	probe := func(bb int) time.Duration {
-		return simsched.LocalAccel(p.Workload, p.Accel, 64, bb).PerIteration
+		return simsched.LocalAccel(p.Params, p.Playouts, 64, bb).PerIteration
 	}
 	b.Run("Alg4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

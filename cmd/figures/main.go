@@ -314,12 +314,7 @@ func configure(c *cli) {
 	c.parse()
 
 	lp := experiments.HostMeasuredParamsFor(*playouts, c.game(*gameSpec, "gomoku"))
-	params := perfmodel.Params{
-		TSelect:       lp.Workload.TSelect,
-		TBackup:       lp.Workload.TBackup,
-		TDNNCPU:       lp.Workload.TDNNCPU,
-		TSharedAccess: lp.Workload.TSharedAccess,
-	}
+	params := lp.Params
 
 	prof := stats.NewTable("Profiled parameters", "parameter", "value")
 	prof.AddRow("T_select", params.TSelect)
@@ -333,16 +328,14 @@ func configure(c *cli) {
 	if *platform == "cpu" {
 		choice = perfmodel.ConfigureCPU(params, *n)
 	} else {
-		cost := lp.Accel
-		params.GPU = &cost
 		probe := func(b int) time.Duration {
-			d := simsched.LocalAccel(lp.Workload, cost, *n, b).PerIteration
+			d := simsched.LocalAccel(params, lp.Playouts, *n, b).PerIteration
 			if *explain {
 				fmt.Printf("  test run: B=%-3d -> %v per iteration\n", b, d)
 			}
 			return d
 		}
-		choice = perfmodel.ConfigureGPU(params, *n, probe)
+		choice = perfmodel.ConfigureGPU(params, *n, 1, probe)
 	}
 
 	out := stats.NewTable("Design configuration decision", "field", "value")
@@ -350,8 +343,8 @@ func configure(c *cli) {
 	out.AddRow("N", choice.N)
 	out.AddRow("scheme", choice.Scheme.String())
 	out.AddRow("batch size B", choice.BatchSize)
-	out.AddRow("predicted shared (per iter)", choice.PerIterationShared())
-	out.AddRow("predicted local (per iter)", choice.PerIterationLocal())
+	out.AddRow("predicted shared (per iter)", choice.PredictedShared)
+	out.AddRow("predicted local (per iter)", choice.PredictedLocal)
 	out.AddRow("Algorithm 4 probes", choice.Probes)
 	fmt.Print(out.String())
 }

@@ -65,7 +65,11 @@
 // why the int8 path was deleted). The accelerator seam is accel.Backend
 // (Name/Infer/Close): accel.NewBackend builds Model or Hosted by name,
 // binaries select one with -backend, and a real BLAS/GPU backend can later
-// slot in behind evaluate.Server without touching callers. The speedups first
+// slot in behind evaluate.Server without touching callers. Hosted adds the
+// modelled transfer and a device-wide compute lock to the forward production
+// runs: it and evaluate.NN both call nn.ForwardBatch on workspaces from one
+// nn.BatchWorkspacePool, so the simulated accelerator returns the bits a
+// served move gets (TestHostedMatchesProductionForward). The speedups first
 // recorded for these paths are historical (1-core container); regenerate
 // them on the current host with bash cmd/bench/run.sh (nn.forward_*,
 // accel.hosted_*).

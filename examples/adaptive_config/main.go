@@ -19,13 +19,7 @@ func main() {
 	// Step 1: design-time profiling (here: the calibrated paper-shaped
 	// parameters; cmd/figures configure profiles your real host instead).
 	lp := experiments.PaperShapedParams(1600)
-	params := perfmodel.Params{
-		TSelect:       lp.Workload.TSelect,
-		TBackup:       lp.Workload.TBackup,
-		TDNNCPU:       lp.Workload.TDNNCPU,
-		TSharedAccess: lp.Workload.TSharedAccess,
-		GPU:           &lp.Accel,
-	}
+	params := lp.Params
 	fmt.Printf("profiled: T_select=%v T_backup=%v T_DNN=%v T_access=%v\n\n",
 		params.TSelect, params.TBackup, params.TDNNCPU, params.TSharedAccess)
 
@@ -34,7 +28,7 @@ func main() {
 	for _, n := range []int{2, 8, 16, 32, 64} {
 		c := perfmodel.ConfigureCPU(params, n)
 		fmt.Printf("  N=%-3d shared=%-10v local=%-10v -> %s\n",
-			n, c.PerIterationShared(), c.PerIterationLocal(), c.Scheme)
+			n, c.PredictedShared, c.PredictedLocal, c.Scheme)
 	}
 
 	// Step 3: accelerator decisions with the Algorithm 4 batch search,
@@ -42,11 +36,17 @@ func main() {
 	fmt.Println("\nCPU-GPU (measured shared vs Algorithm 4-tuned local):")
 	for _, n := range []int{16, 32, 64} {
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(lp.Workload, lp.Accel, n, b).PerIteration
+			return simsched.LocalAccel(params, lp.Playouts, n, b).PerIteration
 		}
-		sharedMeasured := simsched.SharedAccel(lp.Workload, lp.Accel, n).PerIteration
-		c := perfmodel.ConfigureGPUMeasured(sharedMeasured, params, n, probe)
+		// Comparing two measurements (rather than Equation 4's prediction with
+		// a test run) keeps model error from flipping a marginal decision.
+		sharedMeasured := simsched.SharedAccel(params, lp.Playouts, n).PerIteration
+		c := perfmodel.ConfigureGPU(params, n, 1, probe)
+		scheme, batch := perfmodel.SchemeShared, n
+		if c.PredictedLocal <= sharedMeasured {
+			scheme, batch = perfmodel.SchemeLocal, c.LocalBatch
+		}
 		fmt.Printf("  N=%-3d shared=%-10v local(B=%2d)=%-10v -> %s (%d probes instead of %d)\n",
-			n, sharedMeasured, c.BatchSize, c.PerIterationLocal(), c.Scheme, c.Probes, n)
+			n, sharedMeasured, batch, c.PredictedLocal, scheme, c.Probes, n)
 	}
 }

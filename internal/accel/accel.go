@@ -16,8 +16,11 @@
 //
 //   - Hosted: computes the real Go network, parallelised across the batch
 //     on the host's cores, with the modeled launch+transfer latency
-//     injected. Used by the training experiments (Figures 6-7) where real
-//     outputs matter.
+//     injected. It computes on the pooled batched forward evaluate.NN — what
+//     every production binary runs — uses (nn.ForwardBatch on workspaces
+//     from one nn.BatchWorkspacePool), so its outputs are that path's bit for
+//     bit. Used by the training experiments (Figures 6-7) where real outputs
+//     matter.
 package accel
 
 import (
@@ -156,21 +159,18 @@ func synthesize(input []float32, policy []float32, value *float64) {
 // batched nn.ForwardBatch (each layer runs the whole sub-batch against one
 // weight panel) rather than a per-sample loop.
 type Hosted struct {
-	net     *nn.Network
 	model   CostModel
 	workers int
-	// pool reuses BatchWorkspaces across Infer calls, bucketed by
-	// power-of-two batch capacity with deterministic high-water trimming
-	// (see wsPool): recurring batch sizes stay allocation-free while a
-	// one-off large batch cannot pin its multi-megabyte workspace forever.
-	pool      *wsPool
+	// pool is the network's pooled batched forward: workspaces are reused
+	// across Infer calls, so recurring batch sizes stay allocation-free.
+	pool      *nn.BatchWorkspacePool
 	computeMu sync.Mutex
 }
 
 // NewHosted creates a hosted device that splits each batch across up to
 // workers sub-batches evaluated concurrently (0 = GOMAXPROCS).
 func NewHosted(net *nn.Network, model CostModel, workers int) *Hosted {
-	return &Hosted{net: net, model: model, workers: workers, pool: newWSPool(net)}
+	return &Hosted{model: model, workers: workers, pool: nn.NewBatchWorkspacePool(net)}
 }
 
 // Name implements Device.
@@ -189,9 +189,7 @@ func (d *Hosted) Infer(inputs [][]float32, policies [][]float32, values []float6
 	d.computeMu.Lock()
 	defer d.computeMu.Unlock()
 	ForChunks(n, d.workers, func(lo, hi int) {
-		ws := d.pool.get(hi - lo)
-		d.net.ForwardBatch(ws, inputs[lo:hi], policies[lo:hi], values[lo:hi])
-		d.pool.put(ws)
+		d.pool.ForwardBatch(inputs[lo:hi], policies[lo:hi], values[lo:hi])
 	})
 }
 

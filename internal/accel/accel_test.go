@@ -213,3 +213,70 @@ func BenchmarkModelInferBatch16(b *testing.B) {
 		dev.Infer(inputs, policies, values)
 	}
 }
+
+// TestHostedSteadyStateAllocations drives the real Hosted device end to end:
+// after the first call warms the pool, repeated same-size Infers construct
+// no further BatchWorkspaces — an Infer allocates less than one workspace
+// does (its buffers alone are a dozen allocations).
+func TestHostedSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	net := nn.MustNew(nn.TinyConfig(2, 5, 5, 25), rng.New(1))
+	d := NewHosted(net, CostModel{LinkBytesPerSec: 1e12}, 1)
+	defer d.Close()
+
+	const batch = 8
+	inputs := make([][]float32, batch)
+	policies := make([][]float32, batch)
+	for i := range inputs {
+		inputs[i] = make([]float32, net.InputLen())
+		policies[i] = make([]float32, net.Cfg.NumActions)
+	}
+	values := make([]float64, batch)
+
+	perWorkspace := testing.AllocsPerRun(4, func() { nn.NewBatchWorkspace(net, batch) })
+	d.Infer(inputs, policies, values)
+	if got := testing.AllocsPerRun(64, func() { d.Infer(inputs, policies, values) }); got >= perWorkspace {
+		t.Fatalf("steady-state Infer allocates %v times, a workspace %v: it is constructing workspaces", got, perWorkspace)
+	}
+}
+
+// TestForChunks: every index is covered exactly once by at most w contiguous
+// chunks, for w below, at and above n and for the GOMAXPROCS default; and the
+// chunks of one call run concurrently (each waits for all the others before
+// returning).
+func TestForChunks(t *testing.T) {
+	for _, tc := range []struct{ n, w int }{{0, 4}, {1, 4}, {8, 2}, {8, 3}, {7, 7}, {5, 9}, {9, 1}, {6, 0}} {
+		var mu sync.Mutex
+		seen := make([]int, tc.n)
+		chunks := 0
+		ForChunks(tc.n, tc.w, func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			chunks++
+			if lo >= hi || hi > tc.n {
+				t.Errorf("n=%d w=%d: chunk [%d, %d)", tc.n, tc.w, lo, hi)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d w=%d: index %d covered %d times", tc.n, tc.w, i, c)
+			}
+		}
+		if w := tc.w; w > 0 && chunks > min(w, tc.n) {
+			t.Errorf("n=%d w=%d: %d chunks", tc.n, tc.w, chunks)
+		}
+	}
+
+	var barrier sync.WaitGroup
+	barrier.Add(4)
+	ForChunks(8, 4, func(lo, hi int) {
+		barrier.Done()
+		barrier.Wait() // returns only once all four chunks are running
+	})
+}

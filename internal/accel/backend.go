@@ -11,8 +11,8 @@ import (
 // name via NewBackend instead of hard-wiring a constructor.
 type Backend interface {
 	Device
-	// Close releases pooled resources. The backend must not be used after
-	// Close; Close is idempotent.
+	// Close ends the backend's use; it is idempotent. The built-in devices
+	// hold nothing the garbage collector does not reclaim.
 	Close() error
 }
 
@@ -49,8 +49,5 @@ func BackendNames() []string { return []string{"hosted", "model"} }
 // Close implements Backend. The latency model holds no resources.
 func (d *Model) Close() error { return nil }
 
-// Close implements Backend: pooled workspaces are released.
-func (d *Hosted) Close() error {
-	d.pool.drain()
-	return nil
-}
+// Close implements Backend. Pooled workspaces go with the device.
+func (d *Hosted) Close() error { return nil }

@@ -60,8 +60,6 @@ type Options struct {
 	Device accel.Device
 	// DeviceCost is the accelerator's latency model, used by Equations 4/6.
 	DeviceCost accel.CostModel
-	// SharedAccess overrides the modeled DDR access latency (0 = default).
-	SharedAccess time.Duration
 	// ProfilePlayouts sizes the design-time profiling episode (0 = 400).
 	ProfilePlayouts int
 	// DNNProfileIters sizes the T_DNN measurement (0 = 30).
@@ -72,11 +70,12 @@ type Options struct {
 	// round latency of a single-move search using that sub-batch size.
 	// It is a SINGLE-search probe: ConfigureFleet ignores it for G > 1
 	// (the widened [1, G*N] threshold search uses the analytic G-tenant
-	// model; supply a fleet-aware probe to perfmodel.ConfigureGPUTenants
-	// directly if you have one).
+	// model; supply a fleet-aware probe to perfmodel.ConfigureGPU directly
+	// if you have one).
 	TestRun func(b int) time.Duration
-	// ForceScheme, when non-nil, skips the model decision (used by the
-	// baseline configurations in the evaluation harness).
+	// ForceScheme, when non-nil, overrides the scheme the models picked
+	// (used by the baseline configurations in the evaluation harness); the
+	// decision still carries both predictions and the tuned batch size.
 	ForceScheme *perfmodel.Scheme
 }
 
@@ -104,7 +103,7 @@ func (d Decision) String() string {
 		s += fmt.Sprintf(" B=%d (%d probes)", d.Choice.BatchSize, d.Choice.Probes)
 	}
 	s += fmt.Sprintf(" [pred shared=%v local=%v per-iter]",
-		d.Choice.PerIterationShared(), d.Choice.PerIterationLocal())
+		d.Choice.PredictedShared, d.Choice.PredictedLocal)
 	return s
 }
 
@@ -159,11 +158,10 @@ func (f *Fleet) Close() {
 
 // ConfigureFleet runs the design configuration workflow for G co-located
 // searches (tenants) sharing one inference backend. Scheme selection models
-// the AGGREGATE batch fill across tenants (perfmodel.SharedGPUTenants /
-// LocalGPUTenants, the G-tenant extensions of Equations 4 and 6), so the
-// chosen service batch threshold may exceed one tenant's in-flight bound —
-// the whole point of multiplexing. Each returned engine carries a distinct
-// noise seed derived from Options.Search.Seed.
+// the AGGREGATE batch fill across tenants (Equations 4 and 6 evaluated at
+// G = tenants), so the chosen service batch threshold may exceed one
+// tenant's in-flight bound — the whole point of multiplexing. Each returned
+// engine carries a distinct noise seed derived from Options.Search.Seed.
 func ConfigureFleet(g game.Game, tenants int, opts Options) (*Fleet, error) {
 	if tenants < 1 {
 		return nil, fmt.Errorf("adaptive: tenants must be >= 1, got %d", tenants)
@@ -177,59 +175,7 @@ func ConfigureFleet(g game.Game, tenants int, opts Options) (*Fleet, error) {
 	if opts.Platform == PlatformAccel && opts.Device == nil {
 		return nil, fmt.Errorf("adaptive: PlatformAccel requires a Device")
 	}
-	dec, err := decideTenants(g, tenants, opts)
-	if err != nil {
-		return nil, err
-	}
-	return buildFleet(tenants, opts, dec)
-}
-
-// decideTenants is decide with the G-tenant aggregate-fill models swapped
-// in on the accelerator platform.
-func decideTenants(g game.Game, tenants int, opts Options) (Decision, error) {
-	dec, err := decide(g, opts)
-	if err != nil {
-		return dec, err
-	}
-	dec.Tenants = tenants
-	if tenants == 1 {
-		return dec, nil
-	}
-	// Options.TestRun measures a SINGLE search and cannot exercise service
-	// thresholds beyond one tenant's in-flight bound N, so the widened
-	// [1, G*N] searches below always use the analytic G-tenant model
-	// (callers with a fleet-aware probe use perfmodel.ConfigureGPUTenants
-	// directly).
-	if opts.ForceScheme != nil {
-		if opts.Platform == PlatformAccel {
-			n := opts.Workers
-			switch dec.Choice.Scheme {
-			case perfmodel.SchemeLocal:
-				// Re-tune the service threshold over the widened range.
-				b, probes := perfmodel.FindMinV(1, tenants*n, func(b int) time.Duration {
-					return perfmodel.LocalGPUTenants(dec.Params, n, b, tenants)
-				})
-				dec.Choice.BatchSize = b
-				dec.Choice.Probes = probes
-			case perfmodel.SchemeShared:
-				// The service aggregates all tenants' synchronous workers:
-				// full fill is G*N, not one tenant's N.
-				dec.Choice.BatchSize = tenants * n
-				dec.Choice.PredictedShared = perfmodel.PerIteration(
-					perfmodel.SharedGPUTenants(dec.Params, n, tenants), n)
-			}
-		}
-		return dec, nil
-	}
-	switch opts.Platform {
-	case PlatformCPU:
-		// Equations 3/5 are per-search: co-located CPU tenants scale the
-		// worker pool, not the batch shape, so the single-search choice
-		// stands.
-	case PlatformAccel:
-		dec.Choice = perfmodel.ConfigureGPUTenants(dec.Params, opts.Workers, tenants, nil)
-	}
-	return dec, nil
+	return buildFleet(tenants, opts, decide(g, tenants, opts))
 }
 
 // buildFleet instantiates G engines over one shared inference backend — the
@@ -325,8 +271,13 @@ func localFleet(backend evaluate.Backend, sc evaluate.ServerConfig, workers int,
 	return fleet
 }
 
-// decide profiles and applies the performance models.
-func decide(g game.Game, opts Options) (Decision, error) {
+// decide profiles the host and applies the performance models for tenants
+// co-located searches: Equations 3/5 on a CPU (they are per-search:
+// co-located CPU tenants scale the worker pool, not the batch shape),
+// Equations 4/6 at aggregate fill and Algorithm 4 over [1, G*N] on an
+// accelerator. A forced scheme is that same configuration with the scheme —
+// and with it the service threshold — overridden.
+func decide(g game.Game, tenants int, opts Options) Decision {
 	profPlayouts := opts.ProfilePlayouts
 	if profPlayouts <= 0 {
 		profPlayouts = 400
@@ -334,10 +285,6 @@ func decide(g game.Game, opts Options) (Decision, error) {
 	dnnIters := opts.DNNProfileIters
 	if dnnIters <= 0 {
 		dnnIters = 30
-	}
-	sharedAccess := opts.SharedAccess
-	if sharedAccess <= 0 {
-		sharedAccess = perfmodel.DefaultSharedAccess
 	}
 
 	inTree := perfmodel.ProfileInTree(perfmodel.SyntheticSpec{
@@ -349,40 +296,35 @@ func decide(g game.Game, opts Options) (Decision, error) {
 	params := perfmodel.Params{
 		TSelect:       inTree.TSelect,
 		TBackup:       inTree.TBackup,
-		TSharedAccess: sharedAccess,
+		TSharedAccess: perfmodel.DefaultSharedAccess,
 	}
-	c, h, w := g.EncodedShape()
-	switch opts.Platform {
-	case PlatformCPU:
+	n := opts.Workers
+	var choice perfmodel.Choice
+	if opts.Platform == PlatformCPU {
+		c, h, w := g.EncodedShape()
 		params.TDNNCPU = perfmodel.ProfileDNN(opts.Evaluator, c*h*w, g.NumActions(), dnnIters)
-	case PlatformAccel:
+		choice = perfmodel.ConfigureCPU(params, n)
+	} else {
 		cost := opts.DeviceCost
 		params.GPU = &cost
-	}
-
-	var choice perfmodel.Choice
-	if opts.ForceScheme != nil {
-		choice = forcedChoice(params, opts)
-	} else if opts.Platform == PlatformCPU {
-		choice = perfmodel.ConfigureCPU(params, opts.Workers)
-	} else {
-		choice = perfmodel.ConfigureGPU(params, opts.Workers, opts.TestRun)
-	}
-	return Decision{Choice: choice, Params: params, InTree: inTree, Platform: opts.Platform, Tenants: 1}, nil
-}
-
-func forcedChoice(params perfmodel.Params, opts Options) perfmodel.Choice {
-	choice := perfmodel.Choice{N: opts.Workers, Scheme: *opts.ForceScheme, BatchSize: opts.Workers}
-	if opts.Platform == PlatformAccel && choice.Scheme == perfmodel.SchemeLocal {
-		// Even a forced local scheme still needs its batch size tuned.
-		probe := opts.TestRun
-		if probe == nil {
-			n := opts.Workers
-			probe = func(b int) time.Duration { return perfmodel.LocalGPU(params, n, b) }
+		// Options.TestRun measures a SINGLE search and cannot exercise
+		// service thresholds beyond one tenant's in-flight bound N.
+		testRun := opts.TestRun
+		if tenants > 1 {
+			testRun = nil
 		}
-		b, probes := perfmodel.FindMinV(1, opts.Workers, probe)
-		choice.BatchSize = b
-		choice.Probes = probes
+		choice = perfmodel.ConfigureGPU(params, n, tenants, testRun)
 	}
-	return choice
+	if f := opts.ForceScheme; f != nil {
+		choice.Scheme = *f
+		if opts.Platform == PlatformAccel {
+			choice.BatchSize = choice.LocalBatch
+			if *f == perfmodel.SchemeShared {
+				// The service aggregates all tenants' synchronous workers:
+				// full fill is G*N, not one tenant's N.
+				choice.BatchSize = tenants * n
+			}
+		}
+	}
+	return Decision{Choice: choice, Params: params, InTree: inTree, Platform: opts.Platform, Tenants: tenants}
 }

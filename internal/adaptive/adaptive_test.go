@@ -184,6 +184,36 @@ func TestForceScheme(t *testing.T) {
 	}
 }
 
+// TestForcedSchemeIsOrdinaryConfigurationOverridden: forcing a scheme changes
+// which engine is built and the service threshold that goes with it, nothing
+// else — both predictions and the Algorithm 4 search are the unforced
+// decision's, even when the forced scheme is the one the models rejected.
+func TestForcedSchemeIsOrdinaryConfigurationOverridden(t *testing.T) {
+	g := tictactoe.New()
+	cost := accel.DefaultCostModel()
+	opts := Options{
+		Search: searchCfg(20), Workers: 16, Platform: PlatformAccel,
+		Device: accel.NewModel(cost), DeviceCost: cost, ProfilePlayouts: 50,
+		// A V with its minimum at B = 5, everywhere slower than Equation 4.
+		TestRun: func(b int) time.Duration { return time.Second + time.Duration((b-5)*(b-5)) },
+	}
+	auto := decide(g, 1, opts).Choice
+	if auto.Scheme != perfmodel.SchemeShared || auto.BatchSize != 16 || auto.LocalBatch != 5 {
+		t.Fatalf("unforced decision %+v, want shared at B=16 with B*=5", auto)
+	}
+	for scheme, batch := range map[perfmodel.Scheme]int{perfmodel.SchemeShared: 16, perfmodel.SchemeLocal: 5} {
+		opts.ForceScheme = &scheme
+		want := auto
+		want.Scheme, want.BatchSize = scheme, batch
+		// T_select and T_backup are re-profiled per decision; Equation 4 moves with them.
+		got := decide(g, 1, opts).Choice
+		got.PredictedShared = want.PredictedShared
+		if got != want {
+			t.Errorf("forced %v: decision %+v, want %+v", scheme, got, want)
+		}
+	}
+}
+
 func TestDecisionString(t *testing.T) {
 	d := Decision{
 		Choice: perfmodel.Choice{

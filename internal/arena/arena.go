@@ -29,8 +29,6 @@ type MatchConfig struct {
 	// TempMoves applies Temperature only to the first TempMoves plies of
 	// each game (0 = all plies).
 	TempMoves int
-	// MaxMoves truncates pathological games (0 = game.MaxGameLength).
-	MaxMoves int
 	// Seed drives move sampling.
 	Seed uint64
 }
@@ -89,17 +87,13 @@ func Play(g game.Game, engineA, engineB mcts.Engine, cfg MatchConfig) MatchResul
 	if cfg.Games < 1 {
 		panic("arena: Games must be >= 1")
 	}
-	maxMoves := cfg.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = g.MaxGameLength()
-	}
 	r := rng.New(cfg.Seed)
 	var res MatchResult
 	start := time.Now()
 	dist := make([]float32, g.NumActions())
 	for i := 0; i < cfg.Games; i++ {
 		aPlaysFirst := i%2 == 0
-		winner := playOne(g, engineA, engineB, aPlaysFirst, maxMoves, cfg, r)
+		winner := playOne(g, engineA, engineB, aPlaysFirst, cfg, r)
 		switch {
 		case winner == game.Nobody:
 			res.Draws++
@@ -115,14 +109,15 @@ func Play(g game.Game, engineA, engineB mcts.Engine, cfg MatchConfig) MatchResul
 	return res
 }
 
-func playOne(g game.Game, a, b mcts.Engine, aFirst bool, maxMoves int, cfg MatchConfig, r *rng.Rand) game.Player {
+func playOne(g game.Game, a, b mcts.Engine, aFirst bool, cfg MatchConfig, r *rng.Rand) game.Player {
 	st := g.NewInitial()
 	dist := make([]float32, g.NumActions())
 	engines := [2]mcts.Engine{a, b}
 	if !aFirst {
 		engines[0], engines[1] = b, a
 	}
-	for ply := 0; !st.Terminal() && ply < maxMoves; ply++ {
+	// g.MaxGameLength truncates pathological games.
+	for ply := 0; !st.Terminal() && ply < g.MaxGameLength(); ply++ {
 		engines[ply%2].Search(st, dist)
 		temp := 0.0
 		if cfg.Temperature > 0 && (cfg.TempMoves == 0 || ply < cfg.TempMoves) {

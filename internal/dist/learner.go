@@ -363,10 +363,13 @@ func (l *Learner) handle(c Conn) {
 				l.cfg.Logf("learner: dropping episode from %s: %v", hello.WorkerID, derr)
 				continue
 			}
+			// Counted before the hand-off: the round (and Run) may finish on
+			// this episode before the handler runs again.
+			l.stats.episodes.Add(1)
 			select {
 			case l.episodes <- episodeIn{version: version, ep: ep}:
-				l.stats.episodes.Add(1)
 			case <-l.stop:
+				l.stats.episodes.Add(-1)
 				return
 			}
 		default:

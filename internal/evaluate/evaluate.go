@@ -141,12 +141,12 @@ type Async interface {
 type NN struct {
 	net *nn.Network
 	ws  sync.Pool // *nn.Workspace
-	bws sync.Pool // *nn.BatchWorkspace, of whatever capacities batches needed
+	bws *nn.BatchWorkspacePool
 }
 
 // NewNN creates a synchronous network evaluator.
 func NewNN(net *nn.Network) *NN {
-	e := &NN{net: net}
+	e := &NN{net: net, bws: nn.NewBatchWorkspacePool(net)}
 	e.ws.New = func() interface{} { return nn.NewWorkspace(net) }
 	return e
 }
@@ -163,12 +163,7 @@ func (e *NN) Evaluate(input []float32, policy []float32) float64 {
 // EvaluateBatch implements BatchEvaluator: one nn.ForwardBatch over the whole
 // run, whose per-sample outputs are bit for bit Forward's.
 func (e *NN) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	ws, _ := e.bws.Get().(*nn.BatchWorkspace)
-	if ws == nil || ws.Cap() < len(inputs) {
-		ws = nn.NewBatchWorkspace(e.net, len(inputs))
-	}
-	e.net.ForwardBatch(ws, inputs, policies, values)
-	e.bws.Put(ws)
+	e.bws.ForwardBatch(inputs, policies, values)
 }
 
 // Random produces deterministic pseudo-random priors and near-zero values,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -249,6 +250,39 @@ func TestRunBatchMatchesEvaluateBits(t *testing.T) {
 			for a := range want {
 				if math.Float32bits(req.Policy[a]) != math.Float32bits(want[a]) {
 					t.Fatalf("%s request %d action %d: batched policy %v, single %v", name, i, a, req.Policy[a], want[a])
+				}
+			}
+		}
+	}
+}
+
+// TestHostedMatchesProductionForward: the simulated accelerator and the
+// backend every production binary serves through compute on one forward path
+// (nn.ForwardBatch over nn.BatchWorkspacePool workspaces), so accel.Hosted.Infer
+// and EvaluatorBackend.RunBatch over NewNN fill the same bits at every batch
+// size and split.
+func TestHostedMatchesProductionForward(t *testing.T) {
+	net := testNet(t)
+	for _, b := range []int{1, 3, 8} {
+		for _, workers := range []int{1, 2} {
+			batch := make([]*Request, b)
+			inputs, policies, values := make([][]float32, b), make([][]float32, b), make([]float64, b)
+			for i := range batch {
+				inputs[i] = testInput(uint64(70+i), net.InputLen())
+				policies[i] = make([]float32, net.Cfg.NumActions)
+				batch[i] = &Request{Input: inputs[i], Policy: make([]float32, net.Cfg.NumActions)}
+			}
+			(&EvaluatorBackend{Eval: NewNN(net), Workers: workers}).RunBatch(batch)
+			accel.NewHosted(net, accel.CostModel{LinkBytesPerSec: 1e12}, workers).Infer(inputs, policies, values)
+			for i, req := range batch {
+				if math.Float64bits(values[i]) != math.Float64bits(req.Value) {
+					t.Fatalf("b=%d workers=%d sample %d: hosted value %v, production %v", b, workers, i, values[i], req.Value)
+				}
+				for a := range req.Policy {
+					if math.Float32bits(policies[i][a]) != math.Float32bits(req.Policy[a]) {
+						t.Fatalf("b=%d workers=%d sample %d action %d: hosted policy %v, production %v",
+							b, workers, i, a, policies[i][a], req.Policy[a])
+					}
 				}
 			}
 		}

@@ -87,12 +87,14 @@ func AblationInterconnect(p LatencyParams, n int) *stats.Table {
 		{"on-package accelerator", 2 * time.Microsecond, 5 * time.Microsecond, time.Microsecond},
 	}
 	for _, pt := range points {
-		m := p.Accel
+		m := *p.GPU
 		m.LaunchLatency = pt.launch
 		m.ComputeBase = pt.base
 		m.ComputePerSample = pt.per
+		dev := p.Params
+		dev.GPU = &m
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, m, n, b).PerIteration
+			return simsched.LocalAccel(dev, p.Playouts, n, b).PerIteration
 		}
 		bStar, probes := perfmodel.FindMinV(1, n, probe)
 		tb.AddRow(pt.name, pt.launch,

@@ -32,10 +32,11 @@ import (
 	"github.com/parmcts/parmcts/internal/stats"
 )
 
-// LatencyParams bundles everything the latency experiments need.
+// LatencyParams is everything the latency experiments need: the design-time
+// profile (its GPU cost model always set) and the playouts of one move.
 type LatencyParams struct {
-	Workload simsched.Workload
-	Accel    accel.CostModel
+	perfmodel.Params
+	Playouts int // iterations per move (1600 in the paper)
 }
 
 // PaperShapedParams returns the calibrated parameter set. The in-tree and
@@ -48,20 +49,20 @@ func PaperShapedParams(playouts int) LatencyParams {
 		playouts = 1600
 	}
 	return LatencyParams{
-		Workload: simsched.Workload{
+		Params: perfmodel.Params{
 			TSelect:       4 * time.Microsecond,
 			TBackup:       2 * time.Microsecond,
 			TDNNCPU:       150 * time.Microsecond,
 			TSharedAccess: 500 * time.Nanosecond,
-			Playouts:      playouts,
+			GPU: &accel.CostModel{
+				LaunchLatency:    10 * time.Microsecond,
+				BytesPerSample:   4 * 15 * 15 * 4,
+				LinkBytesPerSec:  16e9,
+				ComputeBase:      40 * time.Microsecond,
+				ComputePerSample: 8 * time.Microsecond,
+			},
 		},
-		Accel: accel.CostModel{
-			LaunchLatency:    10 * time.Microsecond,
-			BytesPerSample:   4 * 15 * 15 * 4,
-			LinkBytesPerSec:  16e9,
-			ComputeBase:      40 * time.Microsecond,
-			ComputePerSample: 8 * time.Microsecond,
-		},
+		Playouts: playouts,
 	}
 }
 
@@ -86,9 +87,9 @@ func HostMeasuredParamsFor(playouts int, g game.Game) LatencyParams {
 	net := nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(1))
 	tdnn := perfmodel.ProfileDNN(evaluate.NewNN(net), c*h*w, g.NumActions(), 10)
 	p := PaperShapedParams(playouts)
-	p.Workload.TSelect = prof.TSelect
-	p.Workload.TBackup = prof.TBackup
-	p.Workload.TDNNCPU = tdnn
+	p.TSelect = prof.TSelect
+	p.TBackup = prof.TBackup
+	p.TDNNCPU = tdnn
 	return p
 }
 
@@ -105,7 +106,7 @@ func Figure3BatchSweep(p LatencyParams, ns []int) *stats.Table {
 		"N", "B", "per-iteration", "batches")
 	for _, n := range ns {
 		for b := 1; b <= n; b++ {
-			res := simsched.LocalAccel(p.Workload, p.Accel, n, b)
+			res := simsched.LocalAccel(p.Params, p.Playouts, n, b)
 			tb.AddRow(n, b, res.PerIteration, res.Batches)
 		}
 	}
@@ -120,7 +121,7 @@ func OptimalBatch(p LatencyParams, ns []int) *stats.Table {
 		"N", "best B (Alg.4)", "per-iteration", "probes (Alg.4)", "probes (linear)")
 	for _, n := range ns {
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, p.Accel, n, b).PerIteration
+			return simsched.LocalAccel(p.Params, p.Playouts, n, b).PerIteration
 		}
 		bStar, probes := perfmodel.FindMinV(1, n, probe)
 		_, linProbes := perfmodel.ArgminLinear(1, n, probe)
@@ -136,14 +137,9 @@ func Figure4LatencyCPU(p LatencyParams, ns []int) *stats.Table {
 	tb := stats.NewTable("Figure 4: iteration latency, CPU-only",
 		"N", "local", "shared", "adaptive", "chosen")
 	for _, n := range ns {
-		local := simsched.LocalCPU(p.Workload, n).PerIteration
-		shared := simsched.SharedCPU(p.Workload, n).PerIteration
-		choice := perfmodel.ConfigureCPU(perfmodel.Params{
-			TSelect:       p.Workload.TSelect,
-			TBackup:       p.Workload.TBackup,
-			TDNNCPU:       p.Workload.TDNNCPU,
-			TSharedAccess: p.Workload.TSharedAccess,
-		}, n)
+		local := simsched.LocalCPU(p.Params, p.Playouts, n).PerIteration
+		shared := simsched.SharedCPU(p.Params, p.Playouts, n).PerIteration
+		choice := perfmodel.ConfigureCPU(p.Params, n)
 		adaptive := local
 		if choice.Scheme == perfmodel.SchemeShared {
 			adaptive = shared
@@ -163,10 +159,10 @@ func Figure5LatencyGPU(p LatencyParams, ns []int) *stats.Table {
 	tb := stats.NewTable("Figure 5: iteration latency, CPU-GPU batched inference",
 		"N", "local (B=N)", "shared (B=N)", "local (B*)", "B*", "adaptive", "chosen")
 	for _, n := range ns {
-		localFull := simsched.LocalAccel(p.Workload, p.Accel, n, n).PerIteration
-		shared := simsched.SharedAccel(p.Workload, p.Accel, n).PerIteration
+		localFull := simsched.LocalAccel(p.Params, p.Playouts, n, n).PerIteration
+		shared := simsched.SharedAccel(p.Params, p.Playouts, n).PerIteration
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, p.Accel, n, b).PerIteration
+			return simsched.LocalAccel(p.Params, p.Playouts, n, b).PerIteration
 		}
 		bStar, _ := perfmodel.FindMinV(1, n, probe)
 		localStar := probe(bStar)
@@ -209,8 +205,8 @@ func HeadlineSpeedups(p LatencyParams, ns []int) *stats.Table {
 		tb.AddRow(platform, fmt.Sprintf("max@N=%d", maxN), "", "",
 			fmt.Sprintf("%.2fx", maxRatio))
 	}
-	cpuLocal := func(n int) time.Duration { return simsched.LocalCPU(p.Workload, n).PerIteration }
-	cpuShared := func(n int) time.Duration { return simsched.SharedCPU(p.Workload, n).PerIteration }
+	cpuLocal := func(n int) time.Duration { return simsched.LocalCPU(p.Params, p.Playouts, n).PerIteration }
+	cpuShared := func(n int) time.Duration { return simsched.SharedCPU(p.Params, p.Playouts, n).PerIteration }
 	cpuAdaptive := func(n int) time.Duration {
 		l, s := cpuLocal(n), cpuShared(n)
 		if l < s {
@@ -221,14 +217,14 @@ func HeadlineSpeedups(p LatencyParams, ns []int) *stats.Table {
 	addRows("cpu", cpuLocal, cpuShared, cpuAdaptive)
 
 	gpuLocalFull := func(n int) time.Duration {
-		return simsched.LocalAccel(p.Workload, p.Accel, n, n).PerIteration
+		return simsched.LocalAccel(p.Params, p.Playouts, n, n).PerIteration
 	}
 	gpuShared := func(n int) time.Duration {
-		return simsched.SharedAccel(p.Workload, p.Accel, n).PerIteration
+		return simsched.SharedAccel(p.Params, p.Playouts, n).PerIteration
 	}
 	gpuAdaptive := func(n int) time.Duration {
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, p.Accel, n, b).PerIteration
+			return simsched.LocalAccel(p.Params, p.Playouts, n, b).PerIteration
 		}
 		bStar, _ := perfmodel.FindMinV(1, n, probe)
 		best := probe(bStar)

@@ -18,18 +18,18 @@ func TestPaperShapedParamsReproduceFigure5Orderings(t *testing.T) {
 	p := PaperShapedParams(1600)
 	bestLocal := func(n int) (time.Duration, int) {
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, p.Accel, n, b).PerIteration
+			return simsched.LocalAccel(p.Params, p.Playouts, n, b).PerIteration
 		}
 		b, _ := perfmodel.FindMinV(1, n, probe)
 		return probe(b), b
 	}
-	s16 := simsched.SharedAccel(p.Workload, p.Accel, 16).PerIteration
+	s16 := simsched.SharedAccel(p.Params, p.Playouts, 16).PerIteration
 	l16, _ := bestLocal(16)
 	if s16 > l16 {
 		t.Errorf("N=16: shared (%v) should beat tuned local (%v)", s16, l16)
 	}
 	for _, n := range []int{32, 64} {
-		s := simsched.SharedAccel(p.Workload, p.Accel, n).PerIteration
+		s := simsched.SharedAccel(p.Params, p.Playouts, n).PerIteration
 		l, b := bestLocal(n)
 		if l >= s {
 			t.Errorf("N=%d: tuned local (%v @ B=%d) should beat shared (%v)", n, l, b, s)
@@ -41,7 +41,7 @@ func TestPaperShapedParamsReproduceFigure5Orderings(t *testing.T) {
 	// Full-batch local at 64 must be worse than at 16/32 per-iteration
 	// terms relative to the tuned value (the Figure 5 observation that
 	// fixed-batch local latency rises past N=16).
-	full64 := simsched.LocalAccel(p.Workload, p.Accel, 64, 64).PerIteration
+	full64 := simsched.LocalAccel(p.Params, p.Playouts, 64, 64).PerIteration
 	tuned64, _ := bestLocal(64)
 	if full64 <= tuned64 {
 		t.Errorf("N=64: full batch (%v) should lose to tuned batch (%v)", full64, tuned64)
@@ -50,13 +50,13 @@ func TestPaperShapedParamsReproduceFigure5Orderings(t *testing.T) {
 
 func TestPaperShapedParamsReproduceFigure4Crossover(t *testing.T) {
 	p := PaperShapedParams(1600)
-	l2 := simsched.LocalCPU(p.Workload, 2).PerIteration
-	s2 := simsched.SharedCPU(p.Workload, 2).PerIteration
+	l2 := simsched.LocalCPU(p.Params, p.Playouts, 2).PerIteration
+	s2 := simsched.SharedCPU(p.Params, p.Playouts, 2).PerIteration
 	if l2 > s2 {
 		t.Errorf("N=2: local (%v) should beat shared (%v)", l2, s2)
 	}
-	l64 := simsched.LocalCPU(p.Workload, 64).PerIteration
-	s64 := simsched.SharedCPU(p.Workload, 64).PerIteration
+	l64 := simsched.LocalCPU(p.Params, p.Playouts, 64).PerIteration
+	s64 := simsched.SharedCPU(p.Params, p.Playouts, 64).PerIteration
 	if s64 > l64 {
 		t.Errorf("N=64: shared (%v) should beat local (%v)", s64, l64)
 	}
@@ -136,14 +136,9 @@ func atoi(s string) (int, error) {
 func TestFigure4TableAdaptiveIsMin(t *testing.T) {
 	p := PaperShapedParams(800)
 	for _, n := range DefaultWorkerCounts {
-		local := simsched.LocalCPU(p.Workload, n).PerIteration
-		shared := simsched.SharedCPU(p.Workload, n).PerIteration
-		choice := perfmodel.ConfigureCPU(perfmodel.Params{
-			TSelect:       p.Workload.TSelect,
-			TBackup:       p.Workload.TBackup,
-			TDNNCPU:       p.Workload.TDNNCPU,
-			TSharedAccess: p.Workload.TSharedAccess,
-		}, n)
+		local := simsched.LocalCPU(p.Params, p.Playouts, n).PerIteration
+		shared := simsched.SharedCPU(p.Params, p.Playouts, n).PerIteration
+		choice := perfmodel.ConfigureCPU(p.Params, n)
 		adaptive := local
 		if choice.Scheme == perfmodel.SchemeShared {
 			adaptive = shared
@@ -269,7 +264,7 @@ func TestHostMeasuredParams(t *testing.T) {
 		t.Skip("profiles the real network")
 	}
 	p := HostMeasuredParamsFor(100, gomoku.NewSized(9))
-	if p.Workload.TSelect <= 0 || p.Workload.TDNNCPU <= 0 {
-		t.Fatalf("profiling produced non-positive latencies: %+v", p.Workload)
+	if p.TSelect <= 0 || p.TDNNCPU <= 0 {
+		t.Fatalf("profiling produced non-positive latencies: %+v", p.Params)
 	}
 }

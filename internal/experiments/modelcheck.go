@@ -19,13 +19,6 @@ import (
 func ModelAccuracy(p LatencyParams, ns []int) *stats.Table {
 	tb := stats.NewTable("Model validation: Equations 3-6 vs simulated timelines",
 		"platform", "N", "model shared", "sim shared", "err", "model local", "sim local", "err", "choice agrees")
-	params := perfmodel.Params{
-		TSelect:       p.Workload.TSelect,
-		TBackup:       p.Workload.TBackup,
-		TDNNCPU:       p.Workload.TDNNCPU,
-		TSharedAccess: p.Workload.TSharedAccess,
-		GPU:           &p.Accel,
-	}
 	relErr := func(model, sim time.Duration) string {
 		if sim == 0 {
 			return "n/a"
@@ -33,10 +26,10 @@ func ModelAccuracy(p LatencyParams, ns []int) *stats.Table {
 		return fmt.Sprintf("%+.0f%%", 100*(float64(model)-float64(sim))/float64(sim))
 	}
 	for _, n := range ns {
-		mShared := perfmodel.PerIteration(perfmodel.SharedCPU(params, n), n)
-		sShared := simsched.SharedCPU(p.Workload, n).PerIteration
-		mLocal := perfmodel.PerIteration(perfmodel.LocalCPU(params, n), n)
-		sLocal := simsched.LocalCPU(p.Workload, n).PerIteration
+		mShared := perfmodel.PerIteration(perfmodel.SharedCPU(p.Params, n), n)
+		sShared := simsched.SharedCPU(p.Params, p.Playouts, n).PerIteration
+		mLocal := perfmodel.PerIteration(perfmodel.LocalCPU(p.Params, n), n)
+		sLocal := simsched.LocalCPU(p.Params, p.Playouts, n).PerIteration
 		agree := (mLocal <= mShared) == (sLocal <= sShared)
 		tb.AddRow("cpu", n, mShared, sShared, relErr(mShared, sShared),
 			mLocal, sLocal, relErr(mLocal, sLocal), agree)
@@ -45,15 +38,15 @@ func ModelAccuracy(p LatencyParams, ns []int) *stats.Table {
 		if n < 2 {
 			continue
 		}
-		mShared := perfmodel.PerIteration(perfmodel.SharedGPU(params, n), n)
-		sShared := simsched.SharedAccel(p.Workload, p.Accel, n).PerIteration
+		mShared := perfmodel.PerIteration(perfmodel.SharedGPU(p.Params, n, 1), n)
+		sShared := simsched.SharedAccel(p.Params, p.Playouts, n).PerIteration
 		// Compare both at the simulator-tuned batch size so the error
 		// reflects the model itself, not a different operating point.
 		probe := func(b int) time.Duration {
-			return simsched.LocalAccel(p.Workload, p.Accel, n, b).PerIteration
+			return simsched.LocalAccel(p.Params, p.Playouts, n, b).PerIteration
 		}
 		bStar, _ := perfmodel.FindMinV(1, n, probe)
-		mLocal := perfmodel.PerIteration(perfmodel.LocalGPU(params, n, bStar), n)
+		mLocal := perfmodel.PerIteration(perfmodel.LocalGPU(p.Params, n, bStar, 1), n)
 		sLocal := probe(bStar)
 		agree := (mLocal <= mShared) == (sLocal <= sShared)
 		tb.AddRow("cpu-gpu", n, mShared, sShared, relErr(mShared, sShared),

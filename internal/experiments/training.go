@@ -92,7 +92,7 @@ func (sc TrainingScale) trainer(g game.Game, eng mcts.Engine, net *nn.Network) *
 // per request.
 func UseAccelDevice(opts *adaptive.Options, name string, g game.Game, net *nn.Network) error {
 	c, h, w := g.EncodedShape()
-	cost := PaperShapedParams(opts.Search.Playouts).Accel
+	cost := *PaperShapedParams(opts.Search.Playouts).GPU
 	cost.BytesPerSample = c * h * w * 4
 	if name == "" {
 		name = "hosted"

@@ -124,9 +124,6 @@ type BookConfig struct {
 	// siblings are opening lines a trained policy essentially never
 	// plays). Zero means every positively-visited child.
 	MinVisitFrac float32
-	// MaxEntries caps the book size (safety valve for wide games);
-	// 0 means no cap.
-	MaxEntries int
 }
 
 // DefaultBookConfig books the first 4 plies along lines that hold at least
@@ -173,9 +170,6 @@ func BuildBook(g game.Game, cfg Config, eval evaluate.Evaluator, bcfg BookConfig
 	seen := map[string]bool{}
 	dist := make([]float32, g.NumActions())
 	for len(frontier) > 0 {
-		if bcfg.MaxEntries > 0 && len(book.Entries) >= bcfg.MaxEntries {
-			break
-		}
 		item := frontier[0]
 		frontier = frontier[1:]
 		if item.st.Terminal() {

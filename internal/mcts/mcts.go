@@ -51,8 +51,6 @@ type Config struct {
 	Playouts int
 	// Tree holds the PUCT/virtual-loss parameters of Equation 1.
 	Tree tree.Config
-	// MaxFanout bounds the arena size; 0 means the game's action count.
-	MaxFanout int
 	// DirichletAlpha, when positive, mixes Dir(alpha) noise into the root
 	// priors (self-play exploration). NoiseFrac is the mixing weight.
 	DirichletAlpha float64
@@ -299,9 +297,5 @@ func terminalValue(st game.State) float64 {
 
 // newTreeFor sizes and allocates a search tree for st under cfg.
 func newTreeFor(cfg Config, st game.State) *tree.Tree {
-	fanout := cfg.MaxFanout
-	if fanout <= 0 {
-		fanout = st.NumActions()
-	}
-	return tree.New(cfg.Tree, tree.SuggestCapacity(cfg.Playouts, fanout))
+	return tree.New(cfg.Tree, tree.SuggestCapacity(cfg.Playouts, st.NumActions()))
 }

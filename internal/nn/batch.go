@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 
 	"github.com/parmcts/parmcts/internal/tensor"
 )
@@ -14,8 +15,8 @@ import (
 // sample, which is where the accelerator's batch-throughput curve comes
 // from — gathering and multiplying one sample at a time.
 //
-// A workspace is not safe for concurrent use; accel.Hosted pools them by
-// capacity so concurrent sub-batches each own one.
+// A workspace is not safe for concurrent use; concurrent sub-batches each
+// take their own from a BatchWorkspacePool.
 type BatchWorkspace struct {
 	cfg    Config
 	shapes [5]tensor.Conv2DShape
@@ -59,6 +60,34 @@ func NewBatchWorkspace(net *Network, maxBatch int) *BatchWorkspace {
 
 // Cap returns the maximum batch size the workspace can process.
 func (ws *BatchWorkspace) Cap() int { return ws.capB }
+
+// BatchWorkspacePool is a get-or-grow pool of one network's batch
+// workspaces, of whatever capacities its batches needed: recurring batch
+// sizes run allocation-free, and the garbage collector reclaims what goes
+// unused. It is the one pooled forward both evaluate.NN (what production
+// runs) and accel.Hosted (the simulated accelerator) compute through; the
+// zero value is not usable, and it is safe for concurrent use.
+type BatchWorkspacePool struct {
+	net  *Network
+	pool sync.Pool
+}
+
+// NewBatchWorkspacePool returns an empty pool of net's workspaces.
+func NewBatchWorkspacePool(net *Network) *BatchWorkspacePool {
+	return &BatchWorkspacePool{net: net}
+}
+
+// ForwardBatch is Network.ForwardBatch on a pooled workspace: one that is
+// large enough for the batch, else a new one of exactly that capacity (the
+// smaller one it replaces is dropped).
+func (p *BatchWorkspacePool) ForwardBatch(inputs [][]float32, policies [][]float32, values []float64) {
+	ws, _ := p.pool.Get().(*BatchWorkspace)
+	if ws == nil || ws.capB < len(inputs) {
+		ws = NewBatchWorkspace(p.net, len(inputs))
+	}
+	p.net.ForwardBatch(ws, inputs, policies, values)
+	p.pool.Put(ws)
+}
 
 // ForwardBatch evaluates len(inputs) samples in one pass. Each inputs[i]
 // must have length net.InputLen(); policies[i] must be preallocated with

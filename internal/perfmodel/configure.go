@@ -10,9 +10,12 @@ type Choice struct {
 	N int
 	// Scheme is the selected parallel implementation.
 	Scheme Scheme
-	// BatchSize is the accelerator sub-batch size B for the local scheme
-	// (equals N for the shared scheme, which always submits full batches).
+	// BatchSize is the accelerator batch threshold B for the local scheme
+	// (the full batch G*N for the shared scheme, which always fills it).
 	BatchSize int
+	// LocalBatch is B*, the threshold Algorithm 4 found for the local scheme
+	// and PredictedLocal was taken at, whichever scheme won (0 on CPU-only).
+	LocalBatch int
 	// PredictedShared and PredictedLocal are the amortized
 	// per-worker-iteration latencies the decision compared (model-derived,
 	// or test-run-derived for local+GPU) — the paper's speed metric.
@@ -21,14 +24,6 @@ type Choice struct {
 	// Probes counts the test runs spent searching B (0 on CPU-only).
 	Probes int
 }
-
-// PerIterationShared returns the per-iteration prediction for the shared
-// scheme.
-func (c Choice) PerIterationShared() time.Duration { return c.PredictedShared }
-
-// PerIterationLocal returns the per-iteration prediction for the local
-// scheme.
-func (c Choice) PerIterationLocal() time.Duration { return c.PredictedLocal }
 
 // ConfigureCPU runs the CPU-only design configuration workflow: plug the
 // profiled parameters into Equations 3 and 5 and pick the faster scheme.
@@ -44,50 +39,32 @@ func ConfigureCPU(p Params, n int) Choice {
 	return c
 }
 
-// ConfigureGPU runs the CPU-GPU workflow. The shared scheme's latency comes
-// from Equation 4 (its batch size is pinned to N). The local scheme's best
-// sub-batch size B is found with Algorithm 4 over testRun, the caller's
-// "Test Run" that measures one move and reports the amortized
-// per-worker-iteration latency at a given B (total move time / playouts,
-// exactly how Section 5.3 measures); when testRun is nil the Equation 6
-// model substitutes for it.
-func ConfigureGPU(p Params, n int, testRun func(b int) time.Duration) Choice {
-	return configureGPU(PerIteration(SharedGPU(p, n), n), p, n, testRun)
-}
-
-// ConfigureGPUMeasured is ConfigureGPU with a measured (rather than
-// Equation 4-modeled) shared-scheme per-iteration latency, for workflows
-// that can afford one extra test run: comparing two measurements avoids
-// model error flipping marginal decisions.
-func ConfigureGPUMeasured(sharedPerIter time.Duration, p Params, n int, testRun func(b int) time.Duration) Choice {
-	return configureGPU(sharedPerIter, p, n, testRun)
-}
-
-// ConfigureGPUTenants runs the CPU-GPU workflow for G co-located searches
-// sharing one inference service: the shared scheme's latency comes from the
-// aggregate-fill Equation 4 (SharedGPUTenants), and the local scheme's
-// service batch threshold B is searched with Algorithm 4 over the widened
-// V-sequence [1, G*N] of LocalGPUTenants — the aggregate batch-fill model.
-// The returned Choice's BatchSize is the SERVICE threshold (aggregate
-// across tenants), not one tenant's sub-batch. A non-nil testRun must
-// therefore measure the whole G-tenant fleet at a candidate service
-// threshold; a single-search probe cannot reach thresholds beyond one
-// tenant's in-flight bound and would mislead the search — pass nil to use
-// the model instead. G=1 reduces to ConfigureGPU.
-func ConfigureGPUTenants(p Params, n, g int, testRun func(b int) time.Duration) Choice {
+// ConfigureGPU runs the CPU-GPU workflow for G co-located searches sharing
+// one inference service (G = 1 is the paper's single search). The shared
+// scheme's latency comes from Equation 4 at aggregate fill (its batch is
+// pinned to G*N). The local scheme's service batch threshold B is found with
+// Algorithm 4 over [1, G*N] on testRun, the caller's "Test Run" that measures
+// one move and reports the amortized per-worker-iteration latency at a given
+// B (total move time / playouts, exactly how Section 5.3 measures); when
+// testRun is nil the Equation 6 model substitutes for it. The returned
+// Choice's BatchSize is the SERVICE threshold (aggregate across tenants), so
+// a non-nil testRun must measure the whole G-tenant fleet: a single-search
+// probe cannot reach thresholds beyond one tenant's in-flight bound N.
+func ConfigureGPU(p Params, n, g int, testRun func(b int) time.Duration) Choice {
 	if g < 1 {
 		g = 1
 	}
-	shared := PerIteration(SharedGPUTenants(p, n, g), n)
+	shared := PerIteration(SharedGPU(p, n, g), n)
 	probe := testRun
 	if probe == nil {
-		probe = func(b int) time.Duration { return PerIteration(LocalGPUTenants(p, n, b, g), n) }
+		probe = func(b int) time.Duration { return PerIteration(LocalGPU(p, n, b, g), n) }
 	}
 	bestB, probes := FindMinV(1, g*n, probe)
 	local := probe(bestB)
 	c := Choice{
 		N:               n,
 		BatchSize:       bestB,
+		LocalBatch:      bestB,
 		PredictedShared: shared,
 		PredictedLocal:  local,
 		Probes:          probes,
@@ -97,29 +74,6 @@ func ConfigureGPUTenants(p Params, n, g int, testRun func(b int) time.Duration) 
 	} else {
 		c.Scheme = SchemeShared
 		c.BatchSize = g * n
-	}
-	return c
-}
-
-func configureGPU(shared time.Duration, p Params, n int, testRun func(b int) time.Duration) Choice {
-	probe := testRun
-	if probe == nil {
-		probe = func(b int) time.Duration { return PerIteration(LocalGPU(p, n, b), n) }
-	}
-	bestB, probes := FindMinV(1, n, probe)
-	local := probe(bestB)
-	c := Choice{
-		N:               n,
-		BatchSize:       bestB,
-		PredictedShared: shared,
-		PredictedLocal:  local,
-		Probes:          probes,
-	}
-	if local <= shared {
-		c.Scheme = SchemeLocal
-	} else {
-		c.Scheme = SchemeShared
-		c.BatchSize = n
 	}
 	return c
 }

@@ -3,6 +3,12 @@
 // design-time profiling that supplies their inputs, the O(log N) V-sequence
 // search for the accelerator sub-batch size (Algorithm 4), and the design
 // configuration workflow that ties them together.
+//
+// Params is the one design-time profile: the models, the timeline simulator
+// (internal/simsched) and the figure generators all consume it. The
+// accelerator equations (4, 6) and the Algorithm 4 driver (ConfigureGPU) take
+// the number G of co-located searches sharing the device as an argument; the
+// paper's single search is G = 1.
 package perfmodel
 
 import (
@@ -73,14 +79,20 @@ func LocalCPU(p Params, n int) time.Duration {
 	return p.TDNNCPU
 }
 
-// SharedGPU evaluates Equation 4: Equation 3 with the DNN term replaced by
-// a full-batch accelerator call (batch = N, as Section 3.3 prescribes for
-// the shared scheme).
-func SharedGPU(p Params, n int) time.Duration {
+// SharedGPU evaluates Equation 4 for G co-located shared-tree searches whose
+// synchronous full batches one inference service aggregates: Equation 3 with
+// the DNN term replaced by an accelerator call of batch G*N (Section 3.3
+// prescribes the full batch N for the shared scheme; G = 1 is the paper's
+// single search). Each tenant's workers still pay their own serialized tree
+// access and selection; the batch round-trip is shared.
+func SharedGPU(p Params, n, g int) time.Duration {
 	if p.GPU == nil {
 		panic("perfmodel: SharedGPU requires Params.GPU")
 	}
-	gpu := p.GPU.TransferTime(n) + p.GPU.ComputeTime(n)
+	if g < 1 {
+		g = 1
+	}
+	gpu := p.GPU.TransferTime(g*n) + p.GPU.ComputeTime(g*n)
 	return time.Duration(n)*p.TSharedAccess + p.TSelect + p.TBackup + gpu
 }
 
@@ -94,72 +106,23 @@ func PCIeTime(m accel.CostModel, n, b int) time.Duration {
 		time.Duration(bytes/m.LinkBytesPerSec*1e9)*time.Nanosecond
 }
 
-// LocalGPU evaluates Equation 6: one round of N iterations under the
-// local-tree scheme with the DNN offloaded in sub-batches of size B on
-// N/B streams,
-//
-//	T ≈ max((T_select+T_backup)*N, T_PCIe, T_GPU_compute(batch=B))
-//
-// Section 4.2 establishes that the first two terms are non-increasing in B
-// and the third non-decreasing, making the sequence over B a V-sequence.
-func LocalGPU(p Params, n, b int) time.Duration {
-	if p.GPU == nil {
-		panic("perfmodel: LocalGPU requires Params.GPU")
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > n {
-		b = n
-	}
-	inTree := time.Duration(n) * (p.TSelect + p.TBackup)
-	pcie := PCIeTime(*p.GPU, n, b)
-	compute := p.GPU.ComputeTime(b)
-	m := inTree
-	if pcie > m {
-		m = pcie
-	}
-	if compute > m {
-		m = compute
-	}
-	return m
-}
-
-// SharedGPUTenants extends Equation 4 to G co-located shared-tree searches
-// whose synchronous full batches are aggregated by one inference service:
-// the device sees one batch of G*N per round instead of G batches of N.
-// Each tenant's workers still pay their own serialized tree access and
-// selection; the (bigger) batch round-trip is shared, so the per-round
-// latency is Equation 4 with the batch term evaluated at aggregate fill.
-// G=1 reduces exactly to SharedGPU.
-func SharedGPUTenants(p Params, n, g int) time.Duration {
-	if p.GPU == nil {
-		panic("perfmodel: SharedGPUTenants requires Params.GPU")
-	}
-	if g < 1 {
-		g = 1
-	}
-	gpu := p.GPU.TransferTime(g*n) + p.GPU.ComputeTime(g*n)
-	return time.Duration(n)*p.TSharedAccess + p.TSelect + p.TBackup + gpu
-}
-
-// LocalGPUTenants extends Equation 6 to G concurrent local-tree masters
-// sharing one inference service with aggregate batch threshold B:
+// LocalGPU evaluates Equation 6 for G concurrent local-tree masters sharing
+// one inference service with aggregate batch threshold B (G = 1 is the
+// paper's single search, B its sub-batch on N/B streams):
 //
 //	T ≈ max((T_select+T_backup)*N, T_PCIe(G*N, B)/G, T_GPU_compute(batch=B))
 //
 // Per tenant round (N iterations) the service moves G*N samples in batches
-// of B, so the per-launch cost L amortizes over the aggregate fill — B may
-// now exceed one tenant's in-flight bound N, the regime a single
-// BatchedAsync can never reach. The in-tree term is unchanged (each master
-// runs on its own core); the PCIe term is the aggregate cost shared G ways;
-// the compute term is the per-batch kernel time as in Equation 6. The
-// sequence over B remains a V-sequence (first two terms non-increasing,
-// third non-decreasing), so Algorithm 4 applies on the widened range
-// [1, G*N]. G=1 reduces exactly to LocalGPU.
-func LocalGPUTenants(p Params, n, b, g int) time.Duration {
+// of B, so the per-launch cost L amortizes over the aggregate fill — with
+// G > 1, B may exceed one tenant's in-flight bound N. The in-tree term is
+// per master (each runs on its own core); the PCIe term is the aggregate
+// cost shared G ways; the compute term is the per-batch kernel time.
+// Section 4.2 establishes that the first two terms are non-increasing in B
+// and the third non-decreasing, making the sequence over B in [1, G*N] a
+// V-sequence.
+func LocalGPU(p Params, n, b, g int) time.Duration {
 	if p.GPU == nil {
-		panic("perfmodel: LocalGPUTenants requires Params.GPU")
+		panic("perfmodel: LocalGPU requires Params.GPU")
 	}
 	if g < 1 {
 		g = 1

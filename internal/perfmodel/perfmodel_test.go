@@ -70,14 +70,20 @@ func TestCPUModelCrossover(t *testing.T) {
 	}
 }
 
+// tenantCounts are the G every closed-form accelerator test runs at: the
+// paper's single search, and two fleets.
+var tenantCounts = []int{1, 2, 8}
+
 func TestSharedGPUFormula(t *testing.T) {
 	p := testParams()
 	n := 32
-	got := SharedGPU(p, n)
-	want := time.Duration(n)*p.TSharedAccess + p.TSelect + p.TBackup +
-		p.GPU.TransferTime(n) + p.GPU.ComputeTime(n)
-	if got != want {
-		t.Fatalf("SharedGPU = %v, want %v", got, want)
+	for _, g := range tenantCounts {
+		got := SharedGPU(p, n, g)
+		want := time.Duration(n)*p.TSharedAccess + p.TSelect + p.TBackup +
+			p.GPU.TransferTime(g*n) + p.GPU.ComputeTime(g*n)
+		if got != want {
+			t.Fatalf("SharedGPU(g=%d) = %v, want %v", g, got, want)
+		}
 	}
 }
 
@@ -85,8 +91,8 @@ func TestGPUPanicsWithoutModel(t *testing.T) {
 	p := testParams()
 	p.GPU = nil
 	for name, f := range map[string]func(){
-		"SharedGPU": func() { SharedGPU(p, 4) },
-		"LocalGPU":  func() { LocalGPU(p, 4, 2) },
+		"SharedGPU": func() { SharedGPU(p, 4, 1) },
+		"LocalGPU":  func() { LocalGPU(p, 4, 2, 1) },
 	} {
 		func() {
 			defer func() {
@@ -115,31 +121,35 @@ func TestPCIeTimeMatchesPaperModel(t *testing.T) {
 }
 
 func TestLocalGPUIsVSequence(t *testing.T) {
-	// Section 4.2's central observation: over B in [1, N] the Equation 6
+	// Section 4.2's central observation: over B in [1, G*N] the Equation 6
 	// latency first (weakly) falls, then (weakly) rises.
 	p := testParams()
-	for _, n := range []int{16, 32, 64} {
-		prev := LocalGPU(p, n, 1)
-		falling := true
-		for b := 2; b <= n; b++ {
-			cur := LocalGPU(p, n, b)
-			if falling && cur > prev {
-				falling = false
-			} else if !falling && cur < prev {
-				t.Fatalf("N=%d: sequence rose then fell at B=%d", n, b)
+	for _, g := range tenantCounts {
+		for _, n := range []int{16, 32, 64} {
+			prev := LocalGPU(p, n, 1, g)
+			falling := true
+			for b := 2; b <= g*n; b++ {
+				cur := LocalGPU(p, n, b, g)
+				if falling && cur > prev {
+					falling = false
+				} else if !falling && cur < prev {
+					t.Fatalf("G=%d N=%d: sequence rose then fell at B=%d", g, n, b)
+				}
+				prev = cur
 			}
-			prev = cur
 		}
 	}
 }
 
 func TestLocalGPUClampsB(t *testing.T) {
 	p := testParams()
-	if LocalGPU(p, 8, 0) != LocalGPU(p, 8, 1) {
-		t.Error("B=0 should clamp to 1")
-	}
-	if LocalGPU(p, 8, 99) != LocalGPU(p, 8, 8) {
-		t.Error("B>N should clamp to N")
+	for _, g := range tenantCounts {
+		if LocalGPU(p, 8, 0, g) != LocalGPU(p, 8, 1, g) {
+			t.Errorf("G=%d: B=0 should clamp to 1", g)
+		}
+		if LocalGPU(p, 8, 99, g) != LocalGPU(p, 8, 8*g, g) {
+			t.Errorf("G=%d: B>G*N should clamp to G*N", g)
+		}
 	}
 }
 
@@ -273,7 +283,7 @@ func TestConfigureGPUUsesTestRuns(t *testing.T) {
 		}
 		return time.Duration(d)*time.Microsecond + 2*time.Microsecond
 	}
-	c := ConfigureGPU(p, n, testRun)
+	c := ConfigureGPU(p, n, 1, testRun)
 	if c.Scheme != SchemeLocal {
 		t.Fatalf("scheme = %v, want local", c.Scheme)
 	}
@@ -292,7 +302,7 @@ func TestConfigureGPUFallsBackToShared(t *testing.T) {
 	p := testParams()
 	// Make every local test run slower than the shared prediction.
 	slow := func(b int) time.Duration { return time.Second }
-	c := ConfigureGPU(p, 16, slow)
+	c := ConfigureGPU(p, 16, 1, slow)
 	if c.Scheme != SchemeShared {
 		t.Fatalf("scheme = %v, want shared", c.Scheme)
 	}
@@ -303,7 +313,7 @@ func TestConfigureGPUFallsBackToShared(t *testing.T) {
 
 func TestConfigureGPUModelFallback(t *testing.T) {
 	p := testParams()
-	c := ConfigureGPU(p, 64, nil)
+	c := ConfigureGPU(p, 64, 1, nil)
 	if c.BatchSize < 1 || c.BatchSize > 64 {
 		t.Fatalf("batch = %d out of range", c.BatchSize)
 	}
@@ -313,38 +323,11 @@ func TestConfigureGPUModelFallback(t *testing.T) {
 }
 
 func TestChoicePerIteration(t *testing.T) {
-	// Predictions are stored per-iteration; the accessors are identities.
-	c := Choice{N: 10, PredictedShared: time.Second, PredictedLocal: 500 * time.Millisecond}
-	if c.PerIterationShared() != time.Second {
-		t.Fatal("PerIterationShared wrong")
-	}
-	if c.PerIterationLocal() != 500*time.Millisecond {
-		t.Fatal("PerIterationLocal wrong")
-	}
 	// ConfigureCPU stores amortized per-iteration values.
 	p := testParams()
 	cc := ConfigureCPU(p, 8)
 	if cc.PredictedShared != PerIteration(SharedCPU(p, 8), 8) {
 		t.Fatal("ConfigureCPU prediction not per-iteration")
-	}
-}
-
-func TestTenantModelsReduceToSingleTenant(t *testing.T) {
-	p := testParams()
-	for _, n := range []int{4, 16, 64} {
-		if SharedGPUTenants(p, n, 1) != SharedGPU(p, n) {
-			t.Fatalf("SharedGPUTenants(n=%d, g=1) != SharedGPU", n)
-		}
-		for b := 1; b <= n; b++ {
-			if LocalGPUTenants(p, n, b, 1) != LocalGPU(p, n, b) {
-				t.Fatalf("LocalGPUTenants(n=%d, b=%d, g=1) != LocalGPU", n, b)
-			}
-		}
-	}
-	c1 := ConfigureGPUTenants(p, 16, 1, nil)
-	c0 := ConfigureGPU(p, 16, nil)
-	if c1.Scheme != c0.Scheme || c1.BatchSize != c0.BatchSize {
-		t.Fatalf("ConfigureGPUTenants(g=1) = %+v, ConfigureGPU = %+v", c1, c0)
 	}
 }
 
@@ -358,11 +341,11 @@ func TestLocalGPUTenantsAggregateFill(t *testing.T) {
 	gpu := *p.GPU
 	gpu.LaunchLatency = 200 * time.Microsecond // launch-dominated regime
 	p.GPU = &gpu
-	bestSingle, _ := FindMinV(1, n, func(b int) time.Duration { return LocalGPU(p, n, b) })
-	singleOpt := LocalGPU(p, n, bestSingle)
+	bestSingle, _ := FindMinV(1, n, func(b int) time.Duration { return LocalGPU(p, n, b, 1) })
+	singleOpt := LocalGPU(p, n, bestSingle, 1)
 	const g = 8
-	bestAgg, _ := FindMinV(1, g*n, func(b int) time.Duration { return LocalGPUTenants(p, n, b, g) })
-	aggOpt := LocalGPUTenants(p, n, bestAgg, g)
+	bestAgg, _ := FindMinV(1, g*n, func(b int) time.Duration { return LocalGPU(p, n, b, g) })
+	aggOpt := LocalGPU(p, n, bestAgg, g)
 	if aggOpt >= singleOpt {
 		t.Fatalf("aggregate fill did not help: g=8 optimum %v (B=%d) vs single %v (B=%d)",
 			aggOpt, bestAgg, singleOpt, bestSingle)
@@ -375,10 +358,10 @@ func TestLocalGPUTenantsAggregateFill(t *testing.T) {
 func TestLocalGPUTenantsIsVSequence(t *testing.T) {
 	p := testParams()
 	const n, g = 16, 4
-	prev := LocalGPUTenants(p, n, 1, g)
+	prev := LocalGPU(p, n, 1, g)
 	falling := true
 	for b := 2; b <= g*n; b++ {
-		cur := LocalGPUTenants(p, n, b, g)
+		cur := LocalGPU(p, n, b, g)
 		if falling && cur > prev {
 			falling = false
 		} else if !falling && cur < prev {
@@ -388,12 +371,12 @@ func TestLocalGPUTenantsIsVSequence(t *testing.T) {
 	}
 }
 
-func TestConfigureGPUTenantsSearchesWidenedRange(t *testing.T) {
+func TestConfigureGPUSearchesWidenedRange(t *testing.T) {
 	p := testParams()
 	gpu := *p.GPU
 	gpu.LaunchLatency = 200 * time.Microsecond
 	p.GPU = &gpu
-	c := ConfigureGPUTenants(p, 8, 8, nil)
+	c := ConfigureGPU(p, 8, 8, nil)
 	if c.BatchSize < 1 || c.BatchSize > 64 {
 		t.Fatalf("service threshold %d out of [1, G*N]", c.BatchSize)
 	}

@@ -31,8 +31,6 @@ import (
 type Config struct {
 	// TempMoves is the exploration temperature horizon per game.
 	TempMoves int
-	// MaxMoves truncates pathological games (0 = game.MaxGameLength).
-	MaxMoves int
 	// Seed drives per-game move sampling (split per game per round).
 	Seed uint64
 	// OnGameStart, when non-nil, runs on the game goroutine immediately
@@ -136,7 +134,6 @@ func (d *Driver) PlayRound() Round {
 			}
 			episodes[i] = train.SelfPlayEpisode(d.g, d.engines[i], train.EpisodeOptions{
 				TempMoves: d.cfg.TempMoves,
-				MaxMoves:  d.cfg.MaxMoves,
 				Rand:      rands[i],
 			})
 			if d.cfg.OnGameEnd != nil {
@@ -176,8 +173,6 @@ type TrainerConfig struct {
 	BatchSize int
 	// LR, Momentum, WeightDecay are the optimizer hyper-parameters.
 	LR, Momentum, WeightDecay float64
-	// TrainWorkers is the gradient-computation thread count (0 = GOMAXPROCS).
-	TrainWorkers int
 	// Seed drives mini-batch draws.
 	Seed uint64
 }
@@ -261,7 +256,7 @@ func (t *Trainer) Run(onRound func(RoundStats)) []RoundStats {
 		var last nn.BatchResult
 		for it := 0; it < t.cfg.SGDIterations; it++ {
 			batch := t.d.Replay().Sample(t.r, t.cfg.BatchSize)
-			last = nn.TrainBatch(t.net, t.opt, batch, t.cfg.TrainWorkers)
+			last = nn.TrainBatch(t.net, t.opt, batch, 0)
 		}
 		trainTime := time.Since(t0)
 

@@ -22,7 +22,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,16 +95,14 @@ type Config struct {
 	// (default 500ms).
 	RetryAfter time.Duration
 
-	// Batch, FlushDeadline, MaxOutstanding and EvalWorkers configure the
-	// shared evaluate.Server: the flush threshold (default 8 — concurrent
-	// games aggregate into one device batch), the partial-batch deadline
-	// (default evaluate.DefaultFlushDeadline), the backpressure bound
-	// (default 256) and the backend's concurrent-evaluation bound (default
-	// GOMAXPROCS).
+	// Batch, FlushDeadline and MaxOutstanding configure the shared
+	// evaluate.Server: the flush threshold (default 8 — concurrent games
+	// aggregate into one device batch), the partial-batch deadline (default
+	// evaluate.DefaultFlushDeadline) and the backpressure bound (default
+	// 256). The backend evaluates on up to GOMAXPROCS cores at once.
 	Batch          int
 	FlushDeadline  time.Duration
 	MaxOutstanding int
-	EvalWorkers    int
 
 	// CacheSize, when positive, shares one version-scoped evaluation cache
 	// across all sessions (entries; default 1<<16, negative disables).
@@ -133,8 +130,6 @@ type Config struct {
 	// (test seam; default evaluate.NewNN(net)). The result is wrapped in
 	// the shared version-scoped cache when CacheSize > 0.
 	NewEvaluator func(version int64, net *nn.Network) evaluate.Evaluator
-	// Now is the clock used for idle eviction (test seam; default time.Now).
-	Now func() time.Time
 }
 
 func (c *Config) setDefaults() {
@@ -162,9 +157,6 @@ func (c *Config) setDefaults() {
 	if c.MaxOutstanding < 1 {
 		c.MaxOutstanding = 256
 	}
-	if c.EvalWorkers < 1 {
-		c.EvalWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxConcurrentMoves < 1 {
 		c.MaxConcurrentMoves = c.MaxOutstanding / c.SearchWorkers
 		if c.MaxConcurrentMoves < 1 {
@@ -187,9 +179,6 @@ func (c *Config) setDefaults() {
 		c.NewEvaluator = func(_ int64, net *nn.Network) evaluate.Evaluator {
 			return evaluate.NewNN(net)
 		}
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 }
 
@@ -247,7 +236,7 @@ func NewService(cfg Config) *Service {
 		cfg:         cfg,
 		game:        cfg.Game,
 		admit:       make(chan struct{}, cfg.MaxConcurrentMoves),
-		start:       cfg.Now(),
+		start:       time.Now(),
 		sessions:    make(map[string]*gameSession),
 		lru:         list.New(),
 		evicted:     make(map[string]struct{}),
@@ -298,7 +287,7 @@ func (s *Service) wrapBackend(version int64, eval evaluate.Evaluator) evaluate.B
 	if s.cache != nil {
 		eval = s.cache.View(version, eval)
 	}
-	return &evaluate.EvaluatorBackend{Eval: eval, Workers: s.cfg.EvalWorkers}
+	return &evaluate.EvaluatorBackend{Eval: eval}
 }
 
 // Swap hot-swaps the serving model: net is registered as a fresh version
@@ -349,7 +338,7 @@ func (s *Service) NewGame(engineStarts bool) (Snapshot, *MoveStats, error) {
 	sess := s.newSession(id, engineStarts, s.seedCounter)
 	s.sessions[id] = sess
 	sess.elem = s.lru.PushFront(sess)
-	sess.lastUsed = s.cfg.Now()
+	sess.lastUsed = time.Now()
 	s.created.Add(1)
 	s.mu.Unlock()
 
@@ -462,7 +451,7 @@ func (s *Service) Move(id string, action int) (Snapshot, *MoveStats, error) {
 	s.mu.Lock()
 	if sess.elem != nil {
 		s.lru.MoveToFront(sess.elem)
-		sess.lastUsed = s.cfg.Now()
+		sess.lastUsed = time.Now()
 	}
 	s.mu.Unlock()
 	s.activeMov.Add(1)
@@ -654,7 +643,7 @@ func (s *Service) janitor() {
 		case <-s.janitorStop:
 			return
 		case <-tick.C:
-			cutoff := s.cfg.Now().Add(-s.cfg.IdleTTL)
+			cutoff := time.Now().Add(-s.cfg.IdleTTL)
 			s.mu.Lock()
 			var idle []*gameSession
 			for e := s.lru.Back(); e != nil; {

@@ -5,20 +5,20 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/perfmodel"
 	"github.com/parmcts/parmcts/internal/rng"
 )
 
 // randomWorkload draws a plausible profile: in-tree ops in the hundreds of
 // nanoseconds to tens of microseconds, DNN latency orders of magnitude
 // larger, as every real profile in this domain looks.
-func randomWorkload(r *rng.Rand) Workload {
-	return Workload{
-		TSelect:       time.Duration(r.Intn(20_000)+200) * time.Nanosecond,
-		TBackup:       time.Duration(r.Intn(10_000)+100) * time.Nanosecond,
-		TDNNCPU:       time.Duration(r.Intn(2_000_000)+50_000) * time.Nanosecond,
-		TSharedAccess: time.Duration(r.Intn(2_000)+50) * time.Nanosecond,
-		Playouts:      r.Intn(400) + 100,
-	}
+func randomWorkload(r *rng.Rand) (w perfmodel.Params, playouts int) {
+	w = paperLikeWorkload()
+	w.TSelect = time.Duration(r.Intn(20_000)+200) * time.Nanosecond
+	w.TBackup = time.Duration(r.Intn(10_000)+100) * time.Nanosecond
+	w.TDNNCPU = time.Duration(r.Intn(2_000_000)+50_000) * time.Nanosecond
+	w.TSharedAccess = time.Duration(r.Intn(2_000)+50) * time.Nanosecond
+	return w, r.Intn(400) + 100
 }
 
 func TestPropertySharedCPUMonotoneInN(t *testing.T) {
@@ -26,10 +26,10 @@ func TestPropertySharedCPUMonotoneInN(t *testing.T) {
 	// the serialized access term grows per round but rounds shrink.
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		w := randomWorkload(r)
-		prev := SharedCPU(w, 1).Total
+		w, playouts := randomWorkload(r)
+		prev := SharedCPU(w, playouts, 1).Total
 		for n := 2; n <= 64; n *= 2 {
-			cur := SharedCPU(w, n).Total
+			cur := SharedCPU(w, playouts, n).Total
 			if cur > prev+prev/100 { // 1% slack for heap-order ties
 				return false
 			}
@@ -47,11 +47,11 @@ func TestPropertyLocalCPULowerBounds(t *testing.T) {
 	// total >= Playouts*TDNN/N (N inference servers).
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		w := randomWorkload(r)
+		w, playouts := randomWorkload(r)
 		n := r.Intn(32) + 1
-		res := LocalCPU(w, n)
-		masterBound := time.Duration(w.Playouts) * (w.TSelect + w.TBackup)
-		dnnBound := time.Duration(w.Playouts) * w.TDNNCPU / time.Duration(n)
+		res := LocalCPU(w, playouts, n)
+		masterBound := time.Duration(playouts) * (w.TSelect + w.TBackup)
+		dnnBound := time.Duration(playouts) * w.TDNNCPU / time.Duration(n)
 		return res.Total >= masterBound && res.Total >= dnnBound
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -63,13 +63,13 @@ func TestPropertyAccelTotalAtLeastComputeSum(t *testing.T) {
 	// sum of all kernel times.
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		w := randomWorkload(r)
-		m := gpuModel()
+		w, playouts := randomWorkload(r)
+		m := w.GPU
 		n := r.Intn(32) + 1
 		b := r.Intn(n) + 1
-		res := LocalAccel(w, m, n, b)
-		fullBatches := w.Playouts / b
-		rem := w.Playouts % b
+		res := LocalAccel(w, playouts, n, b)
+		fullBatches := playouts / b
+		rem := playouts % b
 		var computeSum time.Duration
 		computeSum += time.Duration(fullBatches) * m.ComputeTime(b)
 		if rem > 0 {
@@ -77,7 +77,7 @@ func TestPropertyAccelTotalAtLeastComputeSum(t *testing.T) {
 		}
 		// Partial flushes can change the batch decomposition; use the
 		// weaker but universal bound of per-sample compute alone.
-		perSampleOnly := time.Duration(w.Playouts) * m.ComputePerSample
+		perSampleOnly := time.Duration(playouts) * m.ComputePerSample
 		return res.Total >= perSampleOnly && res.Total > 0 && computeSum > 0
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -87,10 +87,10 @@ func TestPropertyAccelTotalAtLeastComputeSum(t *testing.T) {
 func TestPropertySharedAccelBatchAccounting(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		w := randomWorkload(r)
+		w, playouts := randomWorkload(r)
 		n := r.Intn(32) + 1
-		res := SharedAccel(w, gpuModel(), n)
-		want := (w.Playouts + n - 1) / n
+		res := SharedAccel(w, playouts, n)
+		want := (playouts + n - 1) / n
 		return res.Batches == want
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@
 // replays the schemes' scheduling structure — serialized shared-memory
 // access, master-thread in-tree loops, FIFO hand-off to inference workers,
 // sub-batch accelerator launches on overlapping streams — in virtual time,
-// driven by the same profiled parameters the analytic models consume.
+// driven by the same design-time profile the analytic models consume: every
+// timeline takes a perfmodel.Params (the accelerator ones read its GPU cost
+// model) and the number of playouts in the simulated move.
 //
 // The paper measured Figures 3-5 on a 64-core Threadripper + A6000. This
 // reproduction runs wherever `go test` runs, so wall-clock re-measurement
@@ -18,18 +20,8 @@ import (
 	"container/heap"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/accel"
+	"github.com/parmcts/parmcts/internal/perfmodel"
 )
-
-// Workload bundles the per-operation latencies of one benchmark on one
-// host, i.e. the design-time profile of Section 4.2.
-type Workload struct {
-	TSelect       time.Duration // single-iteration selection (in-tree)
-	TBackup       time.Duration // single-iteration backup (in-tree)
-	TDNNCPU       time.Duration // one inference on one CPU thread
-	TSharedAccess time.Duration // serialized shared-memory access per iteration
-	Playouts      int           // iterations per move (1600 in the paper)
-}
 
 // Result reports one simulated move.
 type Result struct {
@@ -73,7 +65,7 @@ func maxD(a, b time.Duration) time.Duration {
 // iteration paying one serialized shared-memory access (the root-level
 // communication of Figure 1b), then its own selection, inference, and
 // backup.
-func SharedCPU(w Workload, n int) Result {
+func SharedCPU(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
@@ -81,25 +73,25 @@ func SharedCPU(w Workload, n int) Result {
 	heap.Init(&workers)
 	var lockFree time.Duration
 	var last time.Duration
-	for p := 0; p < w.Playouts; p++ {
+	for i := 0; i < playouts; i++ {
 		t := heap.Pop(&workers).(time.Duration)
 		// Serialized shared-tree access (virtual-loss update at the root).
 		start := maxD(t, lockFree)
-		lockFree = start + w.TSharedAccess
+		lockFree = start + p.TSharedAccess
 		// Parallel portion: selection + inference + backup on own thread.
-		end := lockFree + w.TSelect + w.TDNNCPU + w.TBackup
+		end := lockFree + p.TSelect + p.TDNNCPU + p.TBackup
 		heap.Push(&workers, end)
 		if end > last {
 			last = end
 		}
 	}
-	return result(last, w.Playouts, 0)
+	return result(last, playouts, 0)
 }
 
 // LocalCPU simulates Algorithm 3 on a CPU: the master thread performs all
 // in-tree operations sequentially and hands evaluations to a pool of n
 // inference threads through FIFO pipes, waiting when all n are busy.
-func LocalCPU(w Workload, n int) Result {
+func LocalCPU(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
@@ -109,23 +101,23 @@ func LocalCPU(w Workload, n int) Result {
 	completions := &durHeap{}
 	inflight := 0
 	submitted, completed := 0, 0
-	for completed < w.Playouts {
+	for completed < playouts {
 		// Drain evaluations that have already finished.
 		for completions.Len() > 0 && (*completions)[0] <= master {
 			heap.Pop(completions)
-			master += w.TBackup
+			master += p.TBackup
 			inflight--
 			completed++
 		}
-		if completed >= w.Playouts {
+		if completed >= playouts {
 			break
 		}
-		if submitted < w.Playouts && inflight < n {
-			master += w.TSelect
+		if submitted < playouts && inflight < n {
+			master += p.TSelect
 			// Dispatch to the earliest-free inference thread.
 			free := heap.Pop(&servers).(time.Duration)
 			start := maxD(master, free)
-			end := start + w.TDNNCPU
+			end := start + p.TDNNCPU
 			heap.Push(&servers, end)
 			heap.Push(completions, end)
 			submitted++
@@ -134,25 +126,25 @@ func LocalCPU(w Workload, n int) Result {
 		}
 		// Master must wait for the next completion.
 		t := heap.Pop(completions).(time.Duration)
-		master = maxD(master, t) + w.TBackup
+		master = maxD(master, t) + p.TBackup
 		inflight--
 		completed++
 	}
-	return result(master, w.Playouts, 0)
+	return result(master, playouts, 0)
 }
 
 // SharedAccel simulates Algorithm 2 with inference offloaded to the
 // accelerator using full batches of size n: the n parallel selections
 // arrive nearly simultaneously, the batch transfers and computes, and all
 // n workers resume together (Section 3.3's shared-tree configuration).
-func SharedAccel(w Workload, m accel.CostModel, n int) Result {
+func SharedAccel(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
 	workers := make([]time.Duration, n)
 	var lockFree, pcieFree, gpuFree, last time.Duration
 	batches := 0
-	remaining := w.Playouts
+	remaining := playouts
 	for remaining > 0 {
 		round := n
 		if remaining < round {
@@ -162,8 +154,8 @@ func SharedAccel(w Workload, m accel.CostModel, n int) Result {
 		var latestArrival time.Duration
 		for i := 0; i < round; i++ {
 			start := maxD(workers[i], lockFree)
-			lockFree = start + w.TSharedAccess
-			ready := lockFree + w.TSelect
+			lockFree = start + p.TSharedAccess
+			ready := lockFree + p.TSelect
 			workers[i] = ready
 			if ready > latestArrival {
 				latestArrival = ready
@@ -171,22 +163,22 @@ func SharedAccel(w Workload, m accel.CostModel, n int) Result {
 		}
 		// Batch departs when the last worker's request arrives.
 		xferStart := maxD(latestArrival, pcieFree)
-		pcieFree = xferStart + m.TransferTime(round)
+		pcieFree = xferStart + p.GPU.TransferTime(round)
 		gpuStart := maxD(pcieFree, gpuFree)
-		gpuFree = gpuStart + m.ComputeTime(round)
+		gpuFree = gpuStart + p.GPU.ComputeTime(round)
 		batches++
 		// All workers resume at batch completion, then back up under locks.
 		for i := 0; i < round; i++ {
 			start := maxD(gpuFree, lockFree)
-			lockFree = start + w.TSharedAccess
-			workers[i] = lockFree + w.TBackup
+			lockFree = start + p.TSharedAccess
+			workers[i] = lockFree + p.TBackup
 			if workers[i] > last {
 				last = workers[i]
 			}
 		}
 		remaining -= round
 	}
-	return result(last, w.Playouts, batches)
+	return result(last, playouts, batches)
 }
 
 // LocalAccel simulates Algorithm 3 with inference offloaded in sub-batches
@@ -196,7 +188,7 @@ func SharedAccel(w Workload, m accel.CostModel, n int) Result {
 // (GPU compute serialized); completions return to the master for backup.
 // This is the timeline whose per-iteration latency over b forms the
 // V-sequence that Algorithm 4 searches.
-func LocalAccel(w Workload, m accel.CostModel, n, b int) Result {
+func LocalAccel(p perfmodel.Params, playouts, n, b int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
@@ -217,26 +209,26 @@ func LocalAccel(w Workload, m accel.CostModel, n, b int) Result {
 			return
 		}
 		xferStart := maxD(at, pcieFree)
-		pcieFree = xferStart + m.TransferTime(size)
+		pcieFree = xferStart + p.GPU.TransferTime(size)
 		gpuStart := maxD(pcieFree, gpuFree)
-		gpuFree = gpuStart + m.ComputeTime(size)
+		gpuFree = gpuStart + p.GPU.ComputeTime(size)
 		batches++
 		for i := 0; i < size; i++ {
 			heap.Push(completions, gpuFree)
 		}
 	}
-	for completed < w.Playouts {
+	for completed < playouts {
 		for completions.Len() > 0 && (*completions)[0] <= master {
 			heap.Pop(completions)
-			master += w.TBackup
+			master += p.TBackup
 			inflight--
 			completed++
 		}
-		if completed >= w.Playouts {
+		if completed >= playouts {
 			break
 		}
-		if submitted < w.Playouts && inflight < n {
-			master += w.TSelect
+		if submitted < playouts && inflight < n {
+			master += p.TSelect
 			submitted++
 			inflight++
 			buffered++
@@ -254,9 +246,9 @@ func LocalAccel(w Workload, m accel.CostModel, n, b int) Result {
 			continue
 		}
 		t := heap.Pop(completions).(time.Duration)
-		master = maxD(master, t) + w.TBackup
+		master = maxD(master, t) + p.TBackup
 		inflight--
 		completed++
 	}
-	return result(master, w.Playouts, batches)
+	return result(master, playouts, batches)
 }

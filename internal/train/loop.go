@@ -78,8 +78,6 @@ type LoopConfig struct {
 	BatchSize int
 	// LR, Momentum, WeightDecay are the optimizer hyper-parameters.
 	LR, Momentum, WeightDecay float64
-	// TrainWorkers is the gradient-computation thread count (0 = GOMAXPROCS).
-	TrainWorkers int
 	// MinSamples delays SGD (and therefore gating) until the replay buffer
 	// has at least this many samples (0 = train from the first round).
 	MinSamples int
@@ -268,7 +266,7 @@ func (l *Loop) Run(onRound func(LoopRoundStats)) LoopReport {
 		if l.replay.Len() >= l.cfg.MinSamples && l.replay.Len() > 0 {
 			for it := 0; it < l.cfg.SGDIterations; it++ {
 				batch := l.replay.Sample(l.r, l.cfg.BatchSize)
-				last = nn.TrainBatch(l.net, l.opt, batch, l.cfg.TrainWorkers)
+				last = nn.TrainBatch(l.net, l.opt, batch, 0)
 				l.step++
 			}
 			trained = true

@@ -213,8 +213,6 @@ type EpisodeOptions struct {
 	// TempMoves is the number of opening moves sampled at temperature 1;
 	// later moves are argmax.
 	TempMoves int
-	// MaxMoves truncates pathological games (0 = game.MaxGameLength).
-	MaxMoves int
 	// Rand drives move sampling.
 	Rand *rng.Rand
 }
@@ -246,10 +244,7 @@ func SelfPlayEpisode(g game.Game, engine mcts.Engine, opts EpisodeOptions) Episo
 	if opts.Rand == nil {
 		opts.Rand = rng.New(0)
 	}
-	maxMoves := opts.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = g.MaxGameLength()
-	}
+	maxMoves := g.MaxGameLength() // truncates pathological games
 	st := g.NewInitial()
 	c, h, w := g.EncodedShape()
 	inputLen := c * h * w
