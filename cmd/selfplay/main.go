@@ -14,7 +14,7 @@
 //
 //	selfplay [-n 4] [-games 1] [-game gomoku:9] [-playouts 100] [-episodes 8]
 //	         [-platform cpu|gpu] [-backend hosted|model]
-//	         [-kernel generic|sse|avx2] [-reuse] [-transpose on:65536]
+//	         [-kernel generic|avx2] [-reuse] [-transpose on:65536]
 //	         [-book book.json] [-full-net] [-save model.bin]
 //
 // -game takes a registry spec: gomoku:9, othello, hex:11, connect4, ...

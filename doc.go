@@ -32,16 +32,16 @@
 //
 // # Kernel dispatch
 //
-// The numeric floor of every playout is internal/tensor: im2col + blocked
-// GEMM (MatMul/MatMulTransB) over hand-written amd64 micro-kernels. The
-// kernel class is selected once at init by CPUID feature detection —
-// "avx2" (8-wide FMA kernels: a 3x4 register tile run down a panel of A
-// rows, which reuses every loaded vector across rows of both operands and
-// writes C itself; an eight-rows-to-a-vector kernel for the columns that are
-// summed sequentially), "sse" (the 4-wide baseline),
-// or "generic" (pure Go, any GOARCH) — and every implementation is
-// dispatched through the same function variables, so the TENSOR_KERNEL env
-// var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
+// The numeric floor of every playout is internal/tensor: im2col + one
+// blocked GEMM (MatMulTransB; MatMul transposes B and calls it) over
+// hand-written amd64 micro-kernels. The kernel class is selected once at
+// init by CPUID feature detection — "avx2" (8-wide FMA kernels: a 3x4
+// register tile run down a panel of A rows, which reuses every loaded vector
+// across rows of both operands and writes C itself; an eight-rows-to-a-vector
+// kernel for the columns that are summed sequentially) or "generic" (pure
+// Go, any GOARCH, and what an amd64 host without AVX2+FMA runs) — and both
+// are dispatched through the same function variables, so the TENSOR_KERNEL
+// env var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
 // class the host supports: equivalence tests and the FuzzDotKernels and
 // FuzzDotTile targets hold all compiled-in classes to the same results.
 //
@@ -49,11 +49,15 @@
 // element's rounding depends on its column (its pixel) and on nothing else,
 // the batched convolution gathers and multiplies one sample at a time, and
 // the 3x3/pad-1 and 1x1 gathers are branch-free special cases of the general
-// im2col that write the same patch matrix; so nn.ForwardBatch equals
-// nn.Forward bit for bit at every batch size and slot
-// (TestForwardBatchMatchesForward), and TestForwardGolden pins Forward's
-// bits per kernel class to constants recorded before the register tile
-// existed. That is what lets evaluate.EvaluatorBackend — the backend serve,
+// im2col that write the same patch matrix; so nn.ForwardBatch gives a
+// sample the bits of a batch holding it alone, at every batch size and slot
+// (TestForwardBatchMatchesForward), and TestForwardGolden pins the b = 1 bits
+// per kernel class to constants recorded before the register tile existed.
+// ForwardBatch is the one forward: a single evaluation (evaluate.NN.Evaluate)
+// is a pooled batch of one, and every training step (nn.BackwardSample)
+// runs it at b = 1 and reads its post-ReLU activations, which
+// TestTrainStepGolden pins to the bits of the separate single-sample pass it
+// replaced. That is what lets evaluate.EvaluatorBackend — the backend serve,
 // cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
 // execute a formed batch as one batched forward per core (at most Workers
 // contiguous sub-batches; *NN and cache views over it, chosen by type

@@ -94,9 +94,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	st := g.NewInitial()
 	st.Play(board * board / 2)
 	st.Encode(in)
-	ws1, ws2 := nn.NewWorkspace(net), nn.NewWorkspace(loaded)
-	p1, v1 := net.Forward(ws1, in)
-	p2, v2 := loaded.Forward(ws2, in)
+	p1, p2 := make([]float32, net.Cfg.NumActions), make([]float32, net.Cfg.NumActions)
+	v1 := evaluate.NewNN(net).Evaluate(in, p1)
+	v2 := evaluate.NewNN(loaded).Evaluate(in, p2)
 	if v1 != v2 {
 		t.Fatal("reloaded model value differs")
 	}

@@ -16,11 +16,11 @@
 //
 //   - Hosted: computes the real Go network, parallelised across the batch
 //     on the host's cores, with the modeled launch+transfer latency
-//     injected. It computes on the pooled batched forward evaluate.NN — what
-//     every production binary runs — uses (nn.ForwardBatch on workspaces
-//     from one nn.BatchWorkspacePool), so its outputs are that path's bit for
-//     bit. Used by the training experiments (Figures 6-7) where real outputs
-//     matter.
+//     injected. It computes on the network's one forward, the pooled
+//     nn.ForwardBatch evaluate.NN — what every production binary runs — uses
+//     for single positions and batches alike, so its outputs are that path's
+//     bit for bit. Used by the training experiments (Figures 6-7) where real
+//     outputs matter.
 package accel
 
 import (

@@ -145,19 +145,18 @@ func TestHostedComputesRealNetworkInParallel(t *testing.T) {
 	}
 	values := make([]float64, batch)
 	dev.Infer(inputs, policies, values)
-	ws := nn.NewWorkspace(net)
-	// Batched GEMMs may order accumulations differently from the
-	// single-sample pass depending on the matrix width, so agreement is to
-	// rounding tolerance rather than bitwise (see the nn property test).
-	const tol = 1e-5
+	// Each sample must come out of the parallel sub-batches with the bits of
+	// the sample forwarded alone (the nn property test's contract).
+	ws := nn.NewBatchWorkspace(net, 1)
 	for i := range inputs {
-		wantPol, wantV := net.Forward(ws, inputs[i])
-		if math.Abs(values[i]-wantV) > tol {
-			t.Fatalf("value[%d] mismatch: %v vs %v", i, values[i], wantV)
+		wantPol, wantV := [][]float32{make([]float32, 16)}, make([]float64, 1)
+		net.ForwardBatch(ws, inputs[i:i+1], wantPol, wantV)
+		if math.Float64bits(values[i]) != math.Float64bits(wantV[0]) {
+			t.Fatalf("value[%d] mismatch: %v vs %v", i, values[i], wantV[0])
 		}
-		for j := range wantPol {
-			if math.Abs(float64(policies[i][j]-wantPol[j])) > tol {
-				t.Fatalf("policy[%d] mismatch", i)
+		for j, p := range wantPol[0] {
+			if math.Float32bits(policies[i][j]) != math.Float32bits(p) {
+				t.Fatalf("policy[%d][%d] mismatch: %v vs %v", i, j, policies[i][j], p)
 			}
 		}
 	}

@@ -31,9 +31,10 @@
 // when the evaluator it holds is a BatchEvaluator (*NN, or a *CacheView over
 // one, which probes every request and forwards only the misses); any other
 // evaluator gets one Evaluate per request. The choice is a type assertion,
-// never configuration, and because nn.ForwardBatch equals nn.Forward bit for
-// bit the two paths return the same outputs. Executing a batch allocates
-// nothing beyond the cache's stored policy per miss.
+// never configuration. NN.Evaluate is the same nn.ForwardBatch at a batch of
+// one, whose outputs for a sample are those of any batch holding it, so the
+// two paths return the same bits. Executing a batch allocates nothing beyond
+// the cache's stored policy per miss.
 package evaluate
 
 import (
@@ -139,31 +140,27 @@ type Async interface {
 // NN evaluates with the real network, sharing one immutable parameter set
 // across any number of calling goroutines via pooled workspaces.
 type NN struct {
-	net *nn.Network
-	ws  sync.Pool // *nn.Workspace
-	bws *nn.BatchWorkspacePool
+	pool *nn.BatchWorkspacePool
 }
 
 // NewNN creates a synchronous network evaluator.
 func NewNN(net *nn.Network) *NN {
-	e := &NN{net: net, bws: nn.NewBatchWorkspacePool(net)}
-	e.ws.New = func() interface{} { return nn.NewWorkspace(net) }
-	return e
+	return &NN{pool: nn.NewBatchWorkspacePool(net)}
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator: the position is a pooled nn.ForwardBatch of
+// one, writing straight into policy.
 func (e *NN) Evaluate(input []float32, policy []float32) float64 {
-	ws := e.ws.Get().(*nn.Workspace)
-	defer e.ws.Put(ws)
-	pol, val := e.net.Forward(ws, input)
-	copy(policy, pol)
-	return val
+	in, pol := [1][]float32{input}, [1][]float32{policy}
+	var val [1]float64
+	e.pool.ForwardBatch(in[:], pol[:], val[:])
+	return val[0]
 }
 
 // EvaluateBatch implements BatchEvaluator: one nn.ForwardBatch over the whole
-// run, whose per-sample outputs are bit for bit Forward's.
+// run, whose per-sample outputs are bit for bit Evaluate's.
 func (e *NN) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	e.bws.ForwardBatch(inputs, policies, values)
+	e.pool.ForwardBatch(inputs, policies, values)
 }
 
 // Random produces deterministic pseudo-random priors and near-zero values,

@@ -25,6 +25,13 @@ func testInput(seed uint64, n int) []float32 {
 	return in
 }
 
+// forwardAlone runs in through nn.ForwardBatch as a batch of one.
+func forwardAlone(net *nn.Network, in []float32) (policy []float32, value float64) {
+	pol, val := [][]float32{make([]float32, net.Cfg.NumActions)}, make([]float64, 1)
+	net.ForwardBatch(nn.NewBatchWorkspace(net, 1), [][]float32{in}, pol, val)
+	return pol[0], val[0]
+}
+
 func policyOK(t *testing.T, policy []float32) {
 	t.Helper()
 	var sum float64
@@ -45,8 +52,7 @@ func TestNNEvaluatorMatchesDirectForward(t *testing.T) {
 	in := testInput(2, net.InputLen())
 	policy := make([]float32, 25)
 	v := e.Evaluate(in, policy)
-	ws := nn.NewWorkspace(net)
-	wantPol, wantV := net.Forward(ws, in)
+	wantPol, wantV := forwardAlone(net, in)
 	if v != wantV {
 		t.Fatalf("value %v, want %v", v, wantV)
 	}
@@ -240,9 +246,8 @@ func TestHostedDeviceMatchesNetwork(t *testing.T) {
 	policies := [][]float32{make([]float32, 25), make([]float32, 25)}
 	values := make([]float64, 2)
 	dev.Infer(inputs, policies, values)
-	ws := nn.NewWorkspace(net)
 	for i := range inputs {
-		wantPol, wantV := net.Forward(ws, inputs[i])
+		wantPol, wantV := forwardAlone(net, inputs[i])
 		if values[i] != wantV {
 			t.Fatalf("value[%d] = %v, want %v", i, values[i], wantV)
 		}

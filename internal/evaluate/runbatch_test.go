@@ -305,7 +305,8 @@ func steadyAllocs(f func()) float64 {
 // calls a served playout makes into this package. NN.Evaluate allocates
 // nothing — the full network's widest layer (128 channels, here on a 6x6
 // board to keep the test short) is two row blocks, so the pooled parallel
-// job and GEMM task are on this path. RunBatch of 8 over a
+// job and GEMM task are on this path — and nor does RunBatch of one
+// request. RunBatch of 8 over a
 // warm cache view allocates only what accel.ForChunks needs to run a second
 // chunk (its WaitGroup and closures) when every request hits, and exactly
 // one object more per miss — the policy copy the cache keeps — when every
@@ -323,6 +324,18 @@ func TestForwardPathAllocations(t *testing.T) {
 	policy := make([]float32, 36)
 	if a := steadyAllocs(func() { eval.Evaluate(in, policy) }); a != 0 {
 		t.Errorf("NN.Evaluate allocates %v per call, want 0", a)
+	}
+	// A one-request batch runs on the caller, with nothing to allocate: bare,
+	// behind a warm cache view, or on an evaluator with no batched form.
+	one := []*Request{{Input: in, Policy: policy}}
+	for name, be := range map[string]*EvaluatorBackend{
+		"nn":         {Eval: eval, Workers: 2},
+		"cache view": {Eval: NewCachedSharded(eval, 64, 4).View(1, eval), Workers: 2},
+		"random":     {Eval: &Random{}, Workers: 2},
+	} {
+		if a := steadyAllocs(func() { be.RunBatch(one) }); a != 0 {
+			t.Errorf("RunBatch of one request (%s) allocates %v per call, want 0", name, a)
+		}
 	}
 
 	// A cache small enough to be full — evicting, its rings at their final

@@ -48,17 +48,18 @@ func (d DeviceBackend) RunBatch(batch []*Request) {
 // Workers cores at once across ALL in-flight batches — the service
 // equivalent of the local-tree scheme's N inference threads (Figure 2a).
 //
-// When Eval is a BatchEvaluator — *NN, or a *CacheView over one — a formed
-// batch is cut into at most Workers contiguous sub-batches and each is ONE
-// EvaluateBatch call (one batched forward pass per core, the cache view
-// forwarding only its misses). Any other evaluator gets one Evaluate per
-// request, each on its own goroutine. Which of the two runs is decided by
-// what Eval is, never by configuration, and the outputs are the same bits
-// either way.
+// A formed batch is cut into at most Workers contiguous sub-batches, run on
+// the caller and accel.ForChunks goroutines (a one-request batch is one
+// sub-batch on the caller). Each sub-batch takes one concurrency token and is
+// ONE EvaluateBatch call when Eval is a BatchEvaluator — *NN, or a
+// *CacheView over one: one batched forward pass per core, the cache view
+// forwarding only its misses — and one Evaluate per request, in order,
+// otherwise. Which of the two runs is decided by what Eval is, never by
+// configuration, and the outputs are the same bits either way.
 type EvaluatorBackend struct {
 	Eval Evaluator
-	// Workers bounds the evaluator calls in flight — sub-batches for a
-	// BatchEvaluator, single evaluations otherwise (0 = GOMAXPROCS).
+	// Workers bounds the sub-batches in flight across all batches
+	// (0 = GOMAXPROCS).
 	Workers int
 
 	once    sync.Once
@@ -77,39 +78,32 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 		b.batched = batchedForm(b.Eval)
 	})
 	if len(batch) == 1 {
-		req := batch[0]
-		b.sem <- struct{}{}
-		req.Value = b.Eval.Evaluate(req.Input, req.Policy)
+		b.run(batch)
+		return
+	}
+	accel.ForChunks(len(batch), cap(b.sem), func(lo, hi int) { b.run(batch[lo:hi]) })
+}
+
+// run evaluates one sub-batch under one concurrency token.
+func (b *EvaluatorBackend) run(chunk []*Request) {
+	b.sem <- struct{}{}
+	if b.batched == nil {
+		for _, req := range chunk {
+			req.Value = b.Eval.Evaluate(req.Input, req.Policy)
+		}
 		<-b.sem
 		return
 	}
-	if b.batched != nil {
-		accel.ForChunks(len(batch), cap(b.sem), func(lo, hi int) {
-			io := getBatchIO(hi - lo)
-			for i, req := range batch[lo:hi] {
-				io.inputs[i], io.policies[i] = req.Input, req.Policy
-			}
-			b.sem <- struct{}{}
-			b.batched.EvaluateBatch(io.inputs, io.policies, io.values)
-			<-b.sem
-			for i, req := range batch[lo:hi] {
-				req.Value = io.values[i]
-			}
-			putBatchIO(io)
-		})
-		return
+	io := getBatchIO(len(chunk))
+	for i, req := range chunk {
+		io.inputs[i], io.policies[i] = req.Input, req.Policy
 	}
-	var wg sync.WaitGroup
-	for _, req := range batch {
-		wg.Add(1)
-		go func(req *Request) {
-			defer wg.Done()
-			b.sem <- struct{}{}
-			req.Value = b.Eval.Evaluate(req.Input, req.Policy)
-			<-b.sem
-		}(req)
+	b.batched.EvaluateBatch(io.inputs, io.policies, io.values)
+	<-b.sem
+	for i, req := range chunk {
+		req.Value = io.values[i]
 	}
-	wg.Wait()
+	putBatchIO(io)
 }
 
 // batchedForm returns e as a BatchEvaluator when batching through it ends in

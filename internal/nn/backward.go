@@ -71,55 +71,63 @@ func (g *Gradients) visit(f func(*tensor.Tensor)) {
 	f(g.Val2B)
 }
 
-// backScratch holds backward-pass buffers sized for one sample.
-type backScratch struct {
-	dConvAct  [5][]float32 // gradient w.r.t. conv post-activation
+// Workspace is one training worker's scratch: a capacity-1 BatchWorkspace,
+// on which BackwardSample runs the network's one forward (ForwardBatch at
+// b = 1) and whose post-ReLU activations the backward pass reads, plus the
+// backward-pass buffers sized for one sample. A workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	fwd *BatchWorkspace
+
 	dConvPre  [5][]float32 // gradient w.r.t. conv pre-activation
 	dCol      [5][]float32
 	dInput    [5][]float32 // gradient flowing into each conv's input
-	dLogits   []float32
+	dLogits   []float32    // the forward's policy, then the gradient w.r.t. the logits
 	dPolAct   []float32
 	dVHide    []float32
 	dVAct     []float32
 	trunkGrad []float32 // sum of policy-head and value-head trunk gradients
 }
 
-func (ws *Workspace) gradScratch() *backScratch {
-	if ws.back != nil {
-		return ws.back
+// NewWorkspace allocates a training workspace for net's configuration.
+func NewWorkspace(net *Network) *Workspace {
+	ws := &Workspace{fwd: NewBatchWorkspace(net, 1)}
+	cfg, shapes := net.Cfg, ws.fwd.shapes
+	for i, s := range shapes {
+		ws.dConvPre[i] = make([]float32, s.OutC*s.OutH()*s.OutW())
+		ws.dCol[i] = make([]float32, s.ColRows()*s.ColCols())
+		ws.dInput[i] = make([]float32, s.InC*s.InH*s.InW)
 	}
-	b := &backScratch{}
-	for i, s := range ws.shapes {
-		outLen := s.OutC * s.OutH() * s.OutW()
-		b.dConvAct[i] = make([]float32, outLen)
-		b.dConvPre[i] = make([]float32, outLen)
-		b.dCol[i] = make([]float32, s.ColRows()*s.ColCols())
-		b.dInput[i] = make([]float32, s.InC*s.InH*s.InW)
-	}
-	b.dLogits = make([]float32, ws.cfg.NumActions)
-	b.dPolAct = make([]float32, ws.shapes[3].OutC*ws.cfg.H*ws.cfg.W)
-	b.dVHide = make([]float32, ws.cfg.ValueHide)
-	b.dVAct = make([]float32, ws.shapes[4].OutC*ws.cfg.H*ws.cfg.W)
-	b.trunkGrad = make([]float32, ws.shapes[2].OutC*ws.cfg.H*ws.cfg.W)
-	ws.back = b
-	return b
+	ws.dLogits = make([]float32, cfg.NumActions)
+	ws.dPolAct = make([]float32, shapes[3].OutC*cfg.H*cfg.W)
+	ws.dVHide = make([]float32, cfg.ValueHide)
+	ws.dVAct = make([]float32, shapes[4].OutC*cfg.H*cfg.W)
+	ws.trunkGrad = make([]float32, shapes[2].OutC*cfg.H*cfg.W)
+	return ws
 }
 
 // BackwardSample runs forward+backward for one sample, accumulating
 // gradients into g and returning the sample's loss terms:
 // valueLoss = (v - z)^2, policyLoss = -pi . log p  (Equation 2 without the
 // L2 term, which the optimizer applies as weight decay).
+//
+// The backward pass reads the forward's post-ReLU activations (a batch of
+// one is laid out as a single sample) and gates every ReLU on act > 0, which
+// holds exactly where the pre-activation was positive.
 func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (valueLoss, policyLoss float64) {
-	policy, value := net.Forward(ws, s.Input)
-	b := ws.gradScratch()
+	f := ws.fwd
+	in, pol := [1][]float32{s.Input}, [1][]float32{ws.dLogits}
+	var val [1]float64
+	net.ForwardBatch(f, in[:], pol[:], val[:])
+	value := val[0]
 
 	// ---- loss gradients at the heads ----
 	// Policy: L_p = -sum_a pi_a log p_a with p = softmax(logits)
-	// => dL/dlogits = p - pi.
-	for i := range b.dLogits {
-		b.dLogits[i] = policy[i] - s.Policy[i]
+	// => dL/dlogits = p - pi, written over p in place.
+	for i, p := range ws.dLogits {
+		ws.dLogits[i] = p - s.Policy[i]
 		if s.Policy[i] > 0 {
-			policyLoss -= float64(s.Policy[i]) * math.Log(math.Max(float64(policy[i]), 1e-12))
+			policyLoss -= float64(s.Policy[i]) * math.Log(math.Max(float64(p), 1e-12))
 		}
 	}
 	// Value: L_v = (v - z)^2 with v = tanh(u) => dL/du = 2(v-z)(1-v^2).
@@ -128,56 +136,54 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 	dVOut := float32(2 * diff * (1 - value*value))
 
 	// ---- value head backward ----
-	// vOut = Val2W . vHideAct + Val2B
-	for i := range b.dVHide {
-		b.dVHide[i] = dVOut * net.Val2W.Data[i]
-		g.Val2W.Data[i] += dVOut * ws.vHideAct[i]
+	// vOut = Val2W . vHide + Val2B, vHide post-ReLU
+	for i := range ws.dVHide {
+		ws.dVHide[i] = dVOut * net.Val2W.Data[i]
+		g.Val2W.Data[i] += dVOut * f.vHide[i]
 	}
 	g.Val2B.Data[0] += dVOut
 	// through hidden ReLU
-	for i := range b.dVHide {
-		if ws.vHidePre[i] <= 0 {
-			b.dVHide[i] = 0
+	for i := range ws.dVHide {
+		if f.vHide[i] <= 0 {
+			ws.dVHide[i] = 0
 		}
 	}
-	// vHidePre = Val1W . vAct + Val1B
-	denseBackward(b.dVAct, net.Val1W.Data, g.Val1W.Data, g.Val1B.Data, b.dVHide, ws.convAct[4])
+	// vHide = ReLU(Val1W . vAct + Val1B)
+	denseBackward(ws.dVAct, net.Val1W.Data, g.Val1W.Data, g.Val1B.Data, ws.dVHide, f.convAct[4])
 	// through value-conv ReLU
-	reluBackInto(b.dConvPre[4], b.dVAct, ws.convPre[4])
+	reluBackInto(ws.dConvPre[4], ws.dVAct, f.convAct[4])
 	// value 1x1 conv backward
-	sv := ws.shapes[4]
-	tensor.Im2Col(ws.col[4], ws.convAct[2], sv)
-	tensor.Conv2DBackward(b.dInput[4], g.ConvW[4].Data, g.ConvB[4].Data,
-		b.dConvPre[4], net.ConvW[4].Data, ws.col[4], b.dCol[4], sv)
+	sv := f.shapes[4]
+	tensor.Im2Col(f.col, f.convAct[2], sv)
+	tensor.Conv2DBackward(ws.dInput[4], g.ConvW[4].Data, g.ConvB[4].Data,
+		ws.dConvPre[4], net.ConvW[4].Data, f.col, ws.dCol[4], sv)
 
 	// ---- policy head backward ----
-	denseBackward(b.dPolAct, net.PolW.Data, g.PolW.Data, g.PolB.Data, b.dLogits, ws.convAct[3])
-	reluBackInto(b.dConvPre[3], b.dPolAct, ws.convPre[3])
-	sp := ws.shapes[3]
-	tensor.Im2Col(ws.col[3], ws.convAct[2], sp)
-	tensor.Conv2DBackward(b.dInput[3], g.ConvW[3].Data, g.ConvB[3].Data,
-		b.dConvPre[3], net.ConvW[3].Data, ws.col[3], b.dCol[3], sp)
+	denseBackward(ws.dPolAct, net.PolW.Data, g.PolW.Data, g.PolB.Data, ws.dLogits, f.convAct[3])
+	reluBackInto(ws.dConvPre[3], ws.dPolAct, f.convAct[3])
+	sp := f.shapes[3]
+	tensor.Im2Col(f.col, f.convAct[2], sp)
+	tensor.Conv2DBackward(ws.dInput[3], g.ConvW[3].Data, g.ConvB[3].Data,
+		ws.dConvPre[3], net.ConvW[3].Data, f.col, ws.dCol[3], sp)
 
 	// ---- trunk backward ----
-	for i := range b.trunkGrad {
-		b.trunkGrad[i] = b.dInput[3][i] + b.dInput[4][i]
+	for i := range ws.trunkGrad {
+		ws.trunkGrad[i] = ws.dInput[3][i] + ws.dInput[4][i]
 	}
-	upstream := b.trunkGrad
+	upstream := ws.trunkGrad
 	for layer := 2; layer >= 0; layer-- {
-		s := ws.shapes[layer]
-		reluBackInto(b.dConvPre[layer], upstream, ws.convPre[layer])
+		sh := f.shapes[layer]
+		reluBackInto(ws.dConvPre[layer], upstream, f.convAct[layer])
 		// Recompute this conv's im2col from its forward input (the col
-		// buffer was clobbered by later layers during the forward pass).
-		var fwdIn []float32
-		if layer == 0 {
-			fwdIn = ws.lastInput
-		} else {
-			fwdIn = ws.convAct[layer-1]
+		// buffer holds whichever gather ran last).
+		fwdIn := s.Input
+		if layer > 0 {
+			fwdIn = f.convAct[layer-1]
 		}
-		tensor.Im2Col(ws.col[layer], fwdIn, s)
-		tensor.Conv2DBackward(b.dInput[layer], g.ConvW[layer].Data, g.ConvB[layer].Data,
-			b.dConvPre[layer], net.ConvW[layer].Data, ws.col[layer], b.dCol[layer], s)
-		upstream = b.dInput[layer]
+		tensor.Im2Col(f.col, fwdIn, sh)
+		tensor.Conv2DBackward(ws.dInput[layer], g.ConvW[layer].Data, g.ConvB[layer].Data,
+			ws.dConvPre[layer], net.ConvW[layer].Data, f.col, ws.dCol[layer], sh)
+		upstream = ws.dInput[layer]
 	}
 	return valueLoss, policyLoss
 }
@@ -206,9 +212,9 @@ func denseBackward(dIn, w, dW, dB, dOut, in []float32) {
 	}
 }
 
-func reluBackInto(dst, dOut, pre []float32) {
+func reluBackInto(dst, dOut, act []float32) {
 	for i := range dst {
-		if pre[i] > 0 {
+		if act[i] > 0 {
 			dst[i] = dOut[i]
 		} else {
 			dst[i] = 0

@@ -89,16 +89,18 @@ func (p *BatchWorkspacePool) ForwardBatch(inputs [][]float32, policies [][]float
 	p.pool.Put(ws)
 }
 
-// ForwardBatch evaluates len(inputs) samples in one pass. Each inputs[i]
-// must have length net.InputLen(); policies[i] must be preallocated with
-// NumActions elements and is filled with the softmaxed policy; values[i]
-// receives the tanh value. len(inputs) must not exceed ws.Cap().
+// ForwardBatch evaluates len(inputs) samples in one pass; it is the
+// network's one forward, run by every evaluation and every training step.
+// Each inputs[i] must have length net.InputLen(); policies[i] must be
+// preallocated with NumActions elements and is filled with the softmaxed
+// policy; values[i] receives the tanh value. len(inputs) must not exceed
+// ws.Cap().
 //
-// The arithmetic is the same kernel sequence as the single-sample Forward
-// (which is the B=1 special case), and the outputs for a sample are
-// Forward's bit for bit at every batch size and slot: each sample's
-// convolutions are multiplied on their own and the dense heads round an
-// output by its column alone (TestForwardBatchMatchesForward).
+// The outputs for a sample are bit for bit those of a batch holding it
+// alone, at every batch size and slot: each sample's convolutions are
+// multiplied on their own and the dense heads round an output by its column
+// alone (TestForwardBatchMatchesForward). TestForwardGolden pins the b = 1
+// bits per kernel class.
 func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policies [][]float32, values []float64) {
 	b := len(inputs)
 	if b == 0 {
@@ -129,7 +131,7 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 		s := ws.shapes[i]
 		out := ws.convAct[i][:s.OutC*b*s.ColRows()]
 		tensor.Conv2DForwardBatch(out, cur, net.ConvW[i].Data, net.ConvB[i].Data, ws.col, s, b)
-		reluInPlace(out)
+		tensor.ReLUInPlace(out)
 		cur = out
 	}
 
@@ -137,7 +139,7 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	sp := ws.shapes[3]
 	pAct := ws.convAct[3][:sp.OutC*b*hw]
 	tensor.Conv2DForwardBatch(pAct, cur, net.ConvW[3].Data, net.ConvB[3].Data, ws.col, sp, b)
-	reluInPlace(pAct)
+	tensor.ReLUInPlace(pAct)
 	pD := cfg.PolicyC * hw
 	polIn := ws.polIn[:b*pD]
 	tensor.UnpackBatch(polIn, pAct, cfg.PolicyC, hw, b)
@@ -152,14 +154,14 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	sv := ws.shapes[4]
 	vAct := ws.convAct[4][:sv.OutC*b*hw]
 	tensor.Conv2DForwardBatch(vAct, cur, net.ConvW[4].Data, net.ConvB[4].Data, ws.col, sv, b)
-	reluInPlace(vAct)
+	tensor.ReLUInPlace(vAct)
 	vD := cfg.ValueC * hw
 	valIn := ws.valIn[:b*vD]
 	tensor.UnpackBatch(valIn, vAct, cfg.ValueC, hw, b)
 	vHide := ws.vHide[:b*cfg.ValueHide]
 	tensor.MatMulTransB(vHide, valIn, net.Val1W.Data, b, vD, cfg.ValueHide)
 	tensor.AddBiasRows(vHide, net.Val1B.Data, b, cfg.ValueHide)
-	reluInPlace(vHide)
+	tensor.ReLUInPlace(vHide)
 	vOut := ws.vOut[:b]
 	tensor.MatMulTransB(vOut, vHide, net.Val2W.Data, b, cfg.ValueHide, 1)
 	vb := net.Val2B.Data[0]
@@ -168,6 +170,21 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	}
 }
 
-func reluInPlace(x []float32) {
-	tensor.ReLUInPlace(x)
+func softmax(dst, src []float32) {
+	maxV := src[0]
+	for _, v := range src[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float32
+	for i, v := range src {
+		e := float32(math.Exp(float64(v - maxV)))
+		dst[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range dst {
+		dst[i] *= inv
+	}
 }

@@ -10,12 +10,14 @@ import (
 	"github.com/parmcts/parmcts/internal/tensor"
 )
 
-// TestForwardBatchMatchesForward is the contract of the batched fast path:
-// ForwardBatch's policy and value for a sample are Forward's, bit for bit,
-// whatever the batch size and wherever the sample sits in the batch. It
-// holds because every convolution multiplies each sample's patch matrix on
-// its own (tensor.Conv2DForwardBatch), the dense heads' GEMM rounds an
-// output by its column alone, and everything else is elementwise. Checked
+// TestForwardBatchMatchesForward is the contract of the one forward pass:
+// ForwardBatch's policy and value for a sample are, bit for bit, those of the
+// sample forwarded alone as a batch of one (what an evaluation of a single
+// position and a training step run), whatever the batch size and wherever the
+// sample sits in the batch. It holds because every convolution multiplies
+// each sample's patch matrix on its own (tensor.Conv2DForwardBatch), the
+// dense heads' GEMM rounds an output by its column alone, and everything
+// else is elementwise. Checked
 // on the paper's network over the default board of every registered game
 // (their pixel counts fall differently across the register-tile, dot4 and
 // scalar-tail columns), on the tiny test network, and under every kernel
@@ -36,7 +38,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			net := MustNew(cfg, rng.New(99))
-			ws := NewWorkspace(net)
+			ws := NewBatchWorkspace(net, 1)
 			// One workspace at the largest capacity, reused across all batch
 			// sizes, as the evaluators' pools do.
 			bws := NewBatchWorkspace(net, 16)
@@ -55,13 +57,13 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 					}
 					net.ForwardBatch(bws, inputs, policies, values)
 					for i := range inputs {
-						wantPol, wantV := net.Forward(ws, inputs[i])
+						wantPol, wantV := forward1(net, ws, inputs[i])
 						if math.Float64bits(values[i]) != math.Float64bits(wantV) {
-							t.Fatalf("%s batch %d slot %d: value %v, Forward %v", kernel, b, i, values[i], wantV)
+							t.Fatalf("%s batch %d slot %d: value %v, alone %v", kernel, b, i, values[i], wantV)
 						}
 						for a := range wantPol {
 							if math.Float32bits(policies[i][a]) != math.Float32bits(wantPol[a]) {
-								t.Fatalf("%s batch %d slot %d action %d: policy %v, Forward %v", kernel, b, i, a, policies[i][a], wantPol[a])
+								t.Fatalf("%s batch %d slot %d action %d: policy %v, alone %v", kernel, b, i, a, policies[i][a], wantPol[a])
 							}
 						}
 					}

@@ -8,21 +8,12 @@ import (
 )
 
 // BenchmarkForward9x9 times the full network on the benchmark workloads'
-// board (gomoku:9): Forward, and ForwardBatch per batch size, reported per
-// sample. EXPERIMENTS.md "The forward pass at hardware speed" quotes it at
-// -cpu 1.
+// board (gomoku:9): ForwardBatch per batch size, reported per sample (batch1
+// is what evaluating one position costs). EXPERIMENTS.md "The forward pass
+// at hardware speed" quotes it at -cpu 1.
 func BenchmarkForward9x9(b *testing.B) {
 	net := MustNew(GomokuConfig(4, 9, 9, 81), rng.New(1))
-	r := rng.New(2)
-	b.Run("forward", func(b *testing.B) {
-		ws := NewWorkspace(net)
-		in := randInput(r, net.InputLen())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			net.Forward(ws, in)
-		}
-	})
-	benchForwardBatch(b, net, r, 1, 2, 4, 8)
+	benchForwardBatch(b, net, rng.New(2), 1, 2, 4, 8)
 }
 
 // BenchmarkForwardBatchFP32 is ForwardBatch on the paper's 15x15 board at the

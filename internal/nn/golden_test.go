@@ -11,14 +11,15 @@ import (
 	"github.com/parmcts/parmcts/internal/tensor"
 )
 
-// forwardGolden holds FNV-64a hashes of Forward's policy and value bits on
-// goldenPositions of every registered game, per tensor kernel class. They
-// were recorded at the commit BEFORE the register-tiled MatMulTransB and the
-// branch-free im2col landed (the TestGolden pattern of internal/mcts): a
-// kernel or gather change that moves one output bit of any b = 1 forward
-// pass moves a hash. The table is keyed by tensor.KernelName(), so the CI
-// kernel matrix's avx2 leg compares against the sse row when the runner has
-// no AVX2 and the selection degraded.
+// forwardGolden holds FNV-64a hashes of the b = 1 forward's policy and value
+// bits on goldenPositions of every registered game, per tensor kernel class.
+// They were recorded at the commit BEFORE the register-tiled MatMulTransB and
+// the branch-free im2col landed (the TestGolden pattern of internal/mcts),
+// when the single-sample pass was a separate function, and have not changed
+// since: a kernel or gather change that moves one output bit of any b = 1
+// forward pass moves a hash. The table is keyed by tensor.KernelName(), so
+// the CI kernel matrix's avx2 leg compares against the generic row when the
+// runner has no AVX2 and the selection degraded.
 var forwardGolden = map[string]map[string]uint64{
 	tensor.KernelGeneric: {
 		"connect4":  0x5459dd4668978094,
@@ -28,15 +29,6 @@ var forwardGolden = map[string]map[string]uint64{
 		"tictactoe": 0x992d25f475ee86ca,
 		"gomoku:9":  0x724e3971bd85dee4,
 		"gomoku:6":  0x8a14a22d205f6835,
-	},
-	tensor.KernelSSE: {
-		"connect4":  0xe1aa83f5ea5727ae,
-		"gomoku":    0xb2ecc9a977e94732,
-		"hex":       0x29eccc091be5110e,
-		"othello":   0x5154445a80d47463,
-		"tictactoe": 0xce7391da05add8ee,
-		"gomoku:9":  0x613281187ee01429,
-		"gomoku:6":  0x88be05862ea9330a,
 	},
 	tensor.KernelAVX2: {
 		"connect4":  0xf98635e8a3cbcb5,
@@ -72,9 +64,10 @@ func goldenPositions(g game.Game) [][]float32 {
 	return append(out, randInput(r, c*h*w))
 }
 
-// forwardHash runs Forward on every input and hashes the raw output bits.
+// forwardHash forwards every input as a batch of one and hashes the raw
+// output bits.
 func forwardHash(net *Network, inputs [][]float32) uint64 {
-	ws := NewWorkspace(net)
+	ws := NewBatchWorkspace(net, 1)
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(bits uint64, n int) {
@@ -84,7 +77,7 @@ func forwardHash(net *Network, inputs [][]float32) uint64 {
 		h.Write(buf[:n])
 	}
 	for _, in := range inputs {
-		pol, val := net.Forward(ws, in)
+		pol, val := forward1(net, ws, in)
 		for _, p := range pol {
 			put(uint64(math.Float32bits(p)), 4)
 		}
@@ -93,7 +86,7 @@ func forwardHash(net *Network, inputs [][]float32) uint64 {
 	return h.Sum64()
 }
 
-// TestForwardGolden pins Forward bit for bit on the paper's network shape
+// TestForwardGolden pins the b = 1 forward bit for bit on the paper's network shape
 // (GomokuConfig: 32/64/128 trunk channels, so every row remainder of the
 // register tile occurs) over the default board of every registered game
 // (their pixel counts fall differently across the tile, dot4 and scalar-tail
@@ -117,8 +110,51 @@ func TestForwardGolden(t *testing.T) {
 		net := MustNew(GomokuConfig(c, h, w, g.NumActions()), rng.New(2024))
 		got := forwardHash(net, goldenPositions(g))
 		if got != want[name] {
-			t.Errorf("kernel %s, %s (%dx%dx%d): Forward bits hash %#x, recorded %#x",
+			t.Errorf("kernel %s, %s (%dx%dx%d): forward bits hash %#x, recorded %#x",
 				tensor.KernelName(), name, c, h, w, got, want[name])
+		}
+	}
+}
+
+// trainStepGolden holds FNV-64a hashes of every parameter bit after one
+// TrainBatch step at 1 and 2 workers, per kernel class. They were recorded
+// at the commit before BackwardSample moved from the separate single-sample
+// forward onto ForwardBatch: the move reads post-ReLU activations where the
+// old pass kept pre-activations, and must not move one gradient bit.
+var trainStepGolden = map[string][2]uint64{
+	tensor.KernelGeneric: {0x69ad0526fc649911, 0xed8583362a05baa0},
+	tensor.KernelAVX2:    {0x229a8fa7286ad1e2, 0x85eab24a7731fa41},
+}
+
+// TestTrainStepGolden trains the paper's network on the benchmark board
+// (gomoku:9) for one momentum-SGD step over 8 fixed samples, under every
+// kernel class this host can run, and hashes the parameters.
+func TestTrainStepGolden(t *testing.T) {
+	defer tensor.SetKernel(tensor.KernelName())
+	for _, kernel := range tensor.Kernels() {
+		if sel, err := tensor.SetKernel(kernel); err != nil || sel != kernel {
+			t.Fatalf("SetKernel(%q) = %q, %v", kernel, sel, err)
+		}
+		for wi, workers := range []int{1, 2} {
+			net := MustNew(GomokuConfig(4, 9, 9, 81), rng.New(2025))
+			r := rng.New(2026)
+			batch := make([]Sample, 8)
+			for i := range batch {
+				batch[i] = Sample{Input: randInput(r, net.InputLen()), Policy: randPolicyTarget(r, 81), Value: r.Float64()*2 - 1}
+			}
+			TrainBatch(net, NewSGD(0.01, 0.9, 1e-4), batch, workers)
+			h := fnv.New64a()
+			var buf [4]byte
+			net.visitParams(func(p *tensor.Tensor) {
+				for _, v := range p.Data {
+					bits := math.Float32bits(v)
+					buf[0], buf[1], buf[2], buf[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
+					h.Write(buf[:])
+				}
+			})
+			if got, want := h.Sum64(), trainStepGolden[kernel][wi]; got != want {
+				t.Errorf("kernel %s, %d workers: parameters hash %#x after one step, recorded %#x", kernel, workers, got, want)
+			}
 		}
 	}
 }

@@ -9,13 +9,16 @@
 //	value:  conv1x1(c3->vc) ReLU, FC(vc*H*W -> hidden) ReLU, FC(hidden -> 1), tanh
 //
 // That is 5 convolutions and 3 fully-connected layers in total. Forward and
-// backward passes are pure Go; batches are parallelised across samples in
-// internal/evaluate and internal/accel.
+// backward passes are pure Go. There is one forward, ForwardBatch: every
+// evaluation runs it (a single position is a batch of one) and so does every
+// training step, whose backward pass reads its activations. Batches are
+// parallelised across samples in internal/evaluate and internal/accel.
 package nn
 
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"github.com/parmcts/parmcts/internal/rng"
 	"github.com/parmcts/parmcts/internal/tensor"
@@ -78,8 +81,21 @@ func (c Config) validate() error {
 	if len(c.Trunk) != 3 {
 		return fmt.Errorf("nn: trunk must have exactly 3 conv layers, got %d", len(c.Trunk))
 	}
+	if c.Trunk[0] <= 0 || c.Trunk[1] <= 0 || c.Trunk[2] <= 0 {
+		return fmt.Errorf("nn: invalid trunk widths %v", c.Trunk)
+	}
 	if c.PolicyC <= 0 || c.ValueC <= 0 || c.ValueHide <= 0 {
 		return fmt.Errorf("nn: invalid head sizes %+v", c)
+	}
+	// Every parameter, activation and im2col size is the product of some of
+	// these dimensions (9: a 3x3 kernel's taps), so while their product fits
+	// in an int none of those sizes can overflow.
+	n := 1
+	for _, d := range []int{c.InC, c.H, c.W, 9, c.Trunk[0], c.Trunk[1], c.Trunk[2], c.PolicyC, c.ValueC, c.ValueHide, c.NumActions} {
+		if n > math.MaxInt/d {
+			return fmt.Errorf("nn: dimensions overflow %+v", c)
+		}
+		n *= d
 	}
 	return nil
 }
@@ -116,24 +132,35 @@ type Network struct {
 	Val2B *tensor.Tensor // 1
 }
 
-// New creates a network with He-initialised weights drawn from r.
+// paramShapes returns the shape of every parameter in visitParams order:
+// a weight matrix (out x in) followed by its bias (out) for each layer.
+func (c Config) paramShapes() [][]int {
+	var shapes [][]int
+	for _, s := range c.convShapes() {
+		shapes = append(shapes, []int{s.OutC, s.ColCols()}, []int{s.OutC})
+	}
+	hw := c.H * c.W
+	return append(shapes,
+		[]int{c.NumActions, c.PolicyC * hw}, []int{c.NumActions},
+		[]int{c.ValueHide, c.ValueC * hw}, []int{c.ValueHide},
+		[]int{1, c.ValueHide}, []int{1})
+}
+
+// New creates a network with He-initialised weights drawn from r and zero
+// biases.
 func New(cfg Config, r *rng.Rand) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{Cfg: cfg}
-	shapes := cfg.convShapes()
-	for i, s := range shapes {
-		n.ConvW[i] = heInit(r, s.OutC, s.ColCols())
-		n.ConvB[i] = tensor.New(s.OutC)
+	shapes := cfg.paramShapes()
+	for i, p := range n.params() {
+		if s := shapes[i]; len(s) == 2 {
+			*p = heInit(r, s[0], s[1])
+		} else {
+			*p = tensor.New(s...)
+		}
 	}
-	hw := cfg.H * cfg.W
-	n.PolW = heInit(r, cfg.NumActions, cfg.PolicyC*hw)
-	n.PolB = tensor.New(cfg.NumActions)
-	n.Val1W = heInit(r, cfg.ValueHide, cfg.ValueC*hw)
-	n.Val1B = tensor.New(cfg.ValueHide)
-	n.Val2W = heInit(r, 1, cfg.ValueHide)
-	n.Val2B = tensor.New(1)
 	return n, nil
 }
 
@@ -177,33 +204,30 @@ func (n *Network) NumParams() int {
 	return total
 }
 
+// params returns the parameter fields in a fixed order — the order of
+// paramShapes, visitParams and the wire format.
+func (n *Network) params() []**tensor.Tensor {
+	p := make([]**tensor.Tensor, 0, 2*len(n.ConvW)+6)
+	for i := range n.ConvW {
+		p = append(p, &n.ConvW[i], &n.ConvB[i])
+	}
+	return append(p, &n.PolW, &n.PolB, &n.Val1W, &n.Val1B, &n.Val2W, &n.Val2B)
+}
+
 // visitParams calls f on every parameter tensor in a fixed order.
 func (n *Network) visitParams(f func(*tensor.Tensor)) {
-	for i := range n.ConvW {
-		f(n.ConvW[i])
-		f(n.ConvB[i])
+	for _, p := range n.params() {
+		f(*p)
 	}
-	f(n.PolW)
-	f(n.PolB)
-	f(n.Val1W)
-	f(n.Val1B)
-	f(n.Val2W)
-	f(n.Val2B)
 }
 
 // Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
 	c := &Network{Cfg: n.Cfg}
-	for i := range n.ConvW {
-		c.ConvW[i] = n.ConvW[i].Clone()
-		c.ConvB[i] = n.ConvB[i].Clone()
+	dst := c.params()
+	for i, p := range n.params() {
+		*dst[i] = (*p).Clone()
 	}
-	c.PolW = n.PolW.Clone()
-	c.PolB = n.PolB.Clone()
-	c.Val1W = n.Val1W.Clone()
-	c.Val1B = n.Val1B.Clone()
-	c.Val2W = n.Val2W.Clone()
-	c.Val2B = n.Val2B.Clone()
 	return c
 }
 

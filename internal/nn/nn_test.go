@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/tensor"
 )
 
 func tinyNet(t testing.TB) *Network {
@@ -21,6 +22,14 @@ func randInput(r *rng.Rand, n int) []float32 {
 		in[i] = r.Float32()
 	}
 	return in
+}
+
+// forward1 runs one sample through ForwardBatch as a batch of one on ws.
+func forward1(net *Network, ws *BatchWorkspace, in []float32) (policy []float32, value float64) {
+	pol := [][]float32{make([]float32, net.Cfg.NumActions)}
+	val := make([]float64, 1)
+	net.ForwardBatch(ws, [][]float32{in}, pol, val)
+	return pol[0], val[0]
 }
 
 func randPolicyTarget(r *rng.Rand, n int) []float32 {
@@ -54,10 +63,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestForwardOutputs(t *testing.T) {
 	net := tinyNet(t)
-	ws := NewWorkspace(net)
+	ws := NewBatchWorkspace(net, 1)
 	r := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
-		policy, value := net.Forward(ws, randInput(r, net.InputLen()))
+		policy, value := forward1(net, ws, randInput(r, net.InputLen()))
 		if len(policy) != 25 {
 			t.Fatalf("policy length %d", len(policy))
 		}
@@ -79,10 +88,10 @@ func TestForwardOutputs(t *testing.T) {
 
 func TestForwardDeterministic(t *testing.T) {
 	net := tinyNet(t)
-	ws1, ws2 := NewWorkspace(net), NewWorkspace(net)
+	ws1, ws2 := NewBatchWorkspace(net, 1), NewBatchWorkspace(net, 1)
 	in := randInput(rng.New(3), net.InputLen())
-	p1, v1 := net.Forward(ws1, in)
-	p2, v2 := net.Forward(ws2, in)
+	p1, v1 := forward1(net, ws1, in)
+	p2, v2 := forward1(net, ws2, in)
 	if v1 != v2 {
 		t.Fatal("values differ across workspaces")
 	}
@@ -102,9 +111,9 @@ func TestConcurrentForwardIsRaceFree(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			r := rng.New(seed)
-			ws := NewWorkspace(net)
+			ws := NewBatchWorkspace(net, 1)
 			for i := 0; i < 50; i++ {
-				net.Forward(ws, randInput(r, net.InputLen()))
+				forward1(net, ws, randInput(r, net.InputLen()))
 			}
 		}(uint64(w))
 	}
@@ -125,8 +134,9 @@ func TestBackwardGradientNumerically(t *testing.T) {
 	g := NewGradients(net)
 	net.BackwardSample(ws, g, sample)
 
+	fws := NewBatchWorkspace(net, 1)
 	loss := func() float64 {
-		p, v := net.Forward(ws, sample.Input)
+		p, v := forward1(net, fws, sample.Input)
 		var pl float64
 		for i := range p {
 			if sample.Policy[i] > 0 {
@@ -261,9 +271,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := randInput(rng.New(2), net.InputLen())
-	ws1, ws2 := NewWorkspace(net), NewWorkspace(loaded)
-	p1, v1 := net.Forward(ws1, in)
-	p2, v2 := loaded.Forward(ws2, in)
+	p1, v1 := forward1(net, NewBatchWorkspace(net, 1), in)
+	p2, v2 := forward1(loaded, NewBatchWorkspace(loaded, 1), in)
 	if v1 != v2 {
 		t.Fatalf("values differ after round trip: %v vs %v", v1, v2)
 	}
@@ -312,16 +321,6 @@ func TestGradientsAdd(t *testing.T) {
 	}
 }
 
-func BenchmarkForwardGomoku(b *testing.B) {
-	net := MustNew(GomokuConfig(4, 15, 15, 225), rng.New(1))
-	ws := NewWorkspace(net)
-	in := randInput(rng.New(2), net.InputLen())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net.Forward(ws, in)
-	}
-}
-
 func BenchmarkTrainBatch32Gomoku(b *testing.B) {
 	net := MustNew(GomokuConfig(4, 15, 15, 225), rng.New(1))
 	r := rng.New(2)
@@ -365,4 +364,78 @@ func TestLoadRejectsUnknownWireFormat(t *testing.T) {
 	if _, err := Load(&future); err == nil {
 		t.Fatal("future wire format accepted")
 	}
+}
+
+func encodeWire(t testing.TB, wire netWire) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// malformedWires are checkpoints no network can be built from: a trunk
+// width of zero, a board whose plane size overflows an int, a blob that does
+// not fit its parameter's shape, a blob missing.
+func malformedWires(net *Network) map[string]netWire {
+	var params [][]float32
+	net.visitParams(func(p *tensor.Tensor) { params = append(params, p.Data) })
+	zero, huge := net.Cfg, net.Cfg
+	zero.Trunk = []int{0, 8, 8}
+	huge.H, huge.W = 1<<32, 1<<32
+	short := append([][]float32(nil), params...)
+	short[3] = short[3][1:]
+	return map[string]netWire{
+		"zero trunk width":  {Format: wireFormat, Cfg: zero, Params: params},
+		"overflowing board": {Format: wireFormat, Cfg: huge, Params: params},
+		"short blob":        {Format: wireFormat, Cfg: net.Cfg, Params: short},
+		"missing blob":      {Format: wireFormat, Cfg: net.Cfg, Params: params[1:]},
+	}
+}
+
+// TestLoadRejectsMalformedConfig: a malformed checkpoint — which a worker may
+// receive over the wire — is an error, never a panic or an allocation sized
+// from the untrusted configuration.
+func TestLoadRejectsMalformedConfig(t *testing.T) {
+	for name, wire := range malformedWires(MustNew(TinyConfig(2, 4, 4, 16), rng.New(1))) {
+		if _, err := Load(bytes.NewReader(encodeWire(t, wire))); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// FuzzLoad: for any bytes, Load returns an error or a network whose Save
+// loads back and saves to the same bytes; it never panics.
+func FuzzLoad(f *testing.F) {
+	// The smallest network there is, so that mutations land on the
+	// configuration and the blob lengths rather than inside weights.
+	net := MustNew(Config{InC: 1, H: 1, W: 2, Trunk: []int{1, 1, 1}, PolicyC: 1, ValueC: 1, ValueHide: 1, NumActions: 2}, rng.New(1))
+	for _, wire := range malformedWires(net) {
+		f.Add(encodeWire(f, wire))
+	}
+	var valid bytes.Buffer
+	if err := net.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		loaded, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := loaded.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved network: %v", err)
+		}
+		if err := again.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("Save of a loaded network does not round-trip")
+		}
+	})
 }

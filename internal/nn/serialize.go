@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/parmcts/parmcts/internal/rng"
 	"github.com/parmcts/parmcts/internal/tensor"
 )
 
@@ -33,7 +32,10 @@ func (n *Network) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&wire)
 }
 
-// Load reads a network previously written with Save.
+// Load reads a network previously written with Save. The stream is untrusted
+// (a worker applies checkpoints received over the wire), so the configuration
+// is validated and every blob's length checked against its parameter's shape
+// before anything is allocated; the blobs then become the parameters.
 func Load(r io.Reader) (*Network, error) {
 	var wire netWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -45,28 +47,23 @@ func Load(r io.Reader) (*Network, error) {
 	if wire.Format != 0 && wire.Format != wireFormat {
 		return nil, fmt.Errorf("nn: unsupported wire format %d (want %d)", wire.Format, wireFormat)
 	}
-	net, err := New(wire.Cfg, rng.New(0)) // weights are overwritten below
-	if err != nil {
+	if err := wire.Cfg.validate(); err != nil {
 		return nil, err
 	}
-	var idx int
-	var mismatch error
-	net.visitParams(func(t *tensor.Tensor) {
-		if mismatch != nil {
-			return
-		}
-		if idx >= len(wire.Params) || len(wire.Params[idx]) != len(t.Data) {
-			mismatch = fmt.Errorf("nn: parameter %d shape mismatch", idx)
-			return
-		}
-		copy(t.Data, wire.Params[idx])
-		idx++
-	})
-	if mismatch != nil {
-		return nil, mismatch
+	net := &Network{Cfg: wire.Cfg}
+	slots, shapes := net.params(), wire.Cfg.paramShapes()
+	if len(wire.Params) != len(slots) {
+		return nil, fmt.Errorf("nn: %d parameter blobs, want %d", len(wire.Params), len(slots))
 	}
-	if idx != len(wire.Params) {
-		return nil, fmt.Errorf("nn: %d extra parameter blobs", len(wire.Params)-idx)
+	for i, shape := range shapes {
+		n := 1 // validate bounds every product of the config's dimensions
+		for _, d := range shape {
+			n *= d
+		}
+		if len(wire.Params[i]) != n {
+			return nil, fmt.Errorf("nn: parameter %d has %d values, want %d", i, len(wire.Params[i]), n)
+		}
+		*slots[i] = &tensor.Tensor{Data: wire.Params[i], Shape: shape}
 	}
 	return net, nil
 }

@@ -29,13 +29,6 @@ type LoadConfig struct {
 	Duration time.Duration
 	// Seed makes users' random move choices reproducible.
 	Seed uint64
-	// Client is the HTTP client (default: 30s timeout, per-host connection
-	// limit sized to Users).
-	Client *http.Client
-	// NewGameFromSpec reconstructs the hosted game for the local mirror
-	// (default game.NewFromSpec; the caller must have linked the registry,
-	// e.g. by importing internal/game/games).
-	NewGameFromSpec func(spec string) (game.Game, error)
 }
 
 // LoadReport aggregates a load run. Mismatches MUST be zero on a healthy
@@ -63,6 +56,7 @@ type LoadReport struct {
 
 // loadWorker is one simulated user's accounting.
 type loadWorker struct {
+	client    *http.Client // shared by every user of the run
 	latencies []time.Duration
 	report    LoadReport
 	reuseSum  float64
@@ -73,7 +67,10 @@ type loadWorker struct {
 // latency percentiles, throughput and validation failures. It returns an
 // error only for configuration/transport-level failures that prevent the
 // run; per-move validation failures are reported in LoadReport.Mismatches
-// and .Errors.
+// and .Errors. Users share one HTTP client (30s timeout, idle connections
+// sized to Users) and mirror the hosted game through game.NewFromSpec, so
+// the caller must have linked the registry (e.g. by importing
+// internal/game/games).
 func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if cfg.Users < 1 {
 		return LoadReport{}, fmt.Errorf("loadgen: Users must be >= 1")
@@ -81,16 +78,11 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	if cfg.GamesPerUser < 1 {
 		cfg.GamesPerUser = 1
 	}
-	if cfg.NewGameFromSpec == nil {
-		cfg.NewGameFromSpec = game.NewFromSpec
+	tr := &http.Transport{
+		MaxIdleConns:        cfg.Users + 16,
+		MaxIdleConnsPerHost: cfg.Users + 16,
 	}
-	if cfg.Client == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        cfg.Users + 16,
-			MaxIdleConnsPerHost: cfg.Users + 16,
-		}
-		cfg.Client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
-	}
+	client := &http.Client{Timeout: 30 * time.Second, Transport: tr}
 
 	workers := make([]loadWorker, cfg.Users)
 	var wg sync.WaitGroup
@@ -104,6 +96,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		go func(u int) {
 			defer wg.Done()
 			w := &workers[u]
+			w.client = client
 			r := rng.New(cfg.Seed*0x9E3779B97F4A7C15 + uint64(u) + 1)
 			for g := 0; ; g++ {
 				if deadline.IsZero() {
@@ -217,7 +210,7 @@ func playOneGame(cfg *LoadConfig, w *loadWorker, r *rng.Rand, engineStarts bool)
 	snap := created.Snapshot
 	w.report.GamesStarted++
 
-	mirrorGame, err := cfg.NewGameFromSpec(snap.Game)
+	mirrorGame, err := game.NewFromSpec(snap.Game)
 	if err != nil {
 		w.fail("new game: cannot mirror spec %q: %v", snap.Game, err)
 		return true
@@ -379,7 +372,7 @@ func postJSON(cfg *LoadConfig, w *loadWorker, path string, body interface{}) (wi
 		return wireReply{}, 0, 0, err
 	}
 	start := time.Now()
-	resp, err := cfg.Client.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(buf))
+	resp, err := w.client.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(buf))
 	lat := time.Since(start)
 	if err != nil {
 		return wireReply{}, lat, 0, err

@@ -40,9 +40,9 @@ func Im2Col(col, img []float32, s Conv2DShape) {
 // one sample from the batch-major activation layout used by
 // Conv2DForwardBatch; Im2Col is the base = 0, planeStride = InH*InW case.
 func Im2ColStrided(col, img []float32, s Conv2DShape, base, planeStride int) {
-	pad := padPool.Get().(*[]float32)
+	pad := scratchPool.Get().(*[]float32)
 	im2colStrided(col, img, s, base, planeStride, pad)
-	padPool.Put(pad)
+	scratchPool.Put(pad)
 }
 
 // im2colStrided picks the gather for the shape: the two configurations the
@@ -63,9 +63,10 @@ func im2colStrided(col, img []float32, s Conv2DShape, base, planeStride int, pad
 	}
 }
 
-// padPool holds the zero-bordered planes im2col3x3 gathers from, sized from
-// the shape on use (im2colStrided).
-var padPool = sync.Pool{New: func() any { return new([]float32) }}
+// scratchPool holds float32 scratch each user grows to what it needs: the
+// zero-bordered planes im2col3x3 gathers from (sized from the shape in
+// im2colStrided) and MatMul's transposed B.
+var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // im2col3x3 is the 3x3, pad-1 gather without a bounds decision per tap: each
 // channel plane is copied once into pad — (InH+2) x (InW+2), border zero —
@@ -220,37 +221,26 @@ func Col2Im(dImg, col []float32, s Conv2DShape) {
 	}
 }
 
-// Conv2DForward computes out = conv(img, weight) + bias for one image.
-//
-//	img:    InC*InH*InW
-//	weight: OutC x (InC*KH*KW) row-major
-//	bias:   OutC
-//	out:    OutC*OutH*OutW
-//	col:    scratch of size ColRows()*ColCols()
-//
-// The convolution is evaluated as weight * col^T via MatMulTransB, giving
-// an (OutC x OutH*OutW) output in one shot. It is exactly
-// Conv2DForwardBatch with batch size 1.
-func Conv2DForward(out, img, weight, bias, col []float32, s Conv2DShape) {
-	Conv2DForwardBatch(out, img, weight, bias, col, s, 1)
-}
-
-// Conv2DForwardBatch convolves a whole batch, one gather and one GEMM per
-// sample against the same weight panel.
+// Conv2DForwardBatch computes out = conv(imgs, weight) + bias for a whole
+// batch, one gather and one GEMM (weight * col^T via MatMulTransB) per sample
+// against the same weight panel.
 //
 // Activations use a batch-major layout: channel plane c of sample b lives
 // at imgs[(c*batch+b)*InH*InW]. The same layout is produced on output
 // (out[(oc*batch+b)*OutH*OutW]), so consecutive conv layers chain without
-// repacking — only the im2col gather needs the per-sample stride. Each
-// sample's OutH*OutW patch rows are gathered into col and multiplied into
-// that sample's columns of out straight away, so the patch matrix is still
-// in cache when the GEMM reads it and the weight panel stays there across
-// the batch. Sample b's outputs are bit for bit those of Conv2DForward on
-// sample b alone, whatever the batch size and wherever b sits in it.
+// repacking — only the im2col gather needs the per-sample stride; at batch 1
+// it is the plain single-image layout. Each sample's OutH*OutW patch rows are
+// gathered into col and multiplied into that sample's columns of out
+// straight away, so the patch matrix is still in cache when the GEMM reads it
+// and the weight panel stays there across the batch. Sample b's outputs are
+// bit for bit those of a batch holding sample b alone, whatever the batch
+// size and wherever b sits in it.
 //
-//	imgs: InC x (batch*InH*InW)  batch-major
-//	out:  OutC x (batch*OutH*OutW) batch-major
-//	col:  scratch of size ColRows()*ColCols()
+//	imgs:   InC x (batch*InH*InW)  batch-major
+//	weight: OutC x (InC*KH*KW) row-major
+//	bias:   OutC
+//	out:    OutC x (batch*OutH*OutW) batch-major
+//	col:    scratch of size ColRows()*ColCols()
 func Conv2DForwardBatch(out, imgs, weight, bias, col []float32, s Conv2DShape, batch int) {
 	pix := s.ColRows()
 	kk := s.ColCols()

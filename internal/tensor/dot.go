@@ -9,13 +9,12 @@ import (
 )
 
 // Kernel names accepted by SetKernel and the TENSOR_KERNEL environment
-// variable. Each names one implementation of the register-tile micro-kernels
-// (fp32 dot4 / AXPY): "generic" is portable Go, "sse" the baseline 4-wide SSE
-// assembly (amd64 only), "avx2" the 8-wide AVX2+FMA assembly (amd64 with
-// AVX2+FMA+OS support only).
+// variable. Each names one implementation of MatMulTransB's micro-kernels
+// and the ReLU: "generic" is portable Go, "avx2" the 8-wide AVX2+FMA
+// assembly (amd64 with AVX2+FMA+OS support only). Every other host runs
+// generic.
 const (
 	KernelGeneric = "generic"
-	KernelSSE     = "sse"
 	KernelAVX2    = "avx2"
 )
 
@@ -38,10 +37,6 @@ var (
 	// all share a's length — the register tile of MatMulTransB: four C
 	// columns per pass over one A row.
 	dot4 func(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
-	// axpy4 computes ci[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] +
-	// a[3]*b3[j] — the register tile of MatMul: four B rows streamed into
-	// one pass over a C row segment.
-	axpy4 func(ci []float32, a *[4]float32, b0, b1, b2, b3 []float32)
 	// reluVec clamps every element of x to [0, inf) in place — dispatched
 	// alongside the GEMM tiles because ReLU runs over every activation matrix
 	// between layers and is pure bandwidth.
@@ -49,7 +44,7 @@ var (
 	// dotTile is the optional MatMulTransB register tile run down a panel of
 	// A rows: c[i*ldc+j] = dot(a[i*lda:][:n], b[j*ldb:][:n]) for i < rows and
 	// j < tileCols, added to c instead when acc is set; nil when the selected
-	// kernel class has none (generic, sse). It takes three rows of A
+	// kernel class has none (generic). It takes three rows of A
 	// against tileCols rows of B at a time, so each loaded vector is reused
 	// across several rows of BOTH operands; every output element is still
 	// one 8-lane accumulation over p in order, then the horizontal sum, then
@@ -71,7 +66,7 @@ func ReLUInPlace(x []float32) { reluVec(x) }
 func init() {
 	// TENSOR_KERNEL forces a kernel class at process start; an unavailable
 	// or unknown value degrades to the best available kernel rather than
-	// failing, so a binary built for avx2 still starts on an SSE-only host.
+	// failing, so a binary built for avx2 still starts on a host without it.
 	if _, err := SetKernel(os.Getenv("TENSOR_KERNEL")); err != nil {
 		selectKernel(bestKernel())
 	}
@@ -87,7 +82,7 @@ func SetKernel(name string) (selected string, err error) {
 	switch name {
 	case "":
 		selectKernel(bestKernel())
-	case KernelGeneric, KernelSSE, KernelAVX2:
+	case KernelGeneric, KernelAVX2:
 		if !kernelAvailable(name) {
 			selectKernel(bestKernel())
 			return kernelName, nil
@@ -121,11 +116,8 @@ func Kernels() []string {
 }
 
 func kernelRank(name string) int {
-	switch name {
-	case KernelSSE:
+	if name == KernelAVX2 {
 		return 1
-	case KernelAVX2:
-		return 2
 	}
 	return 0
 }
@@ -173,14 +165,6 @@ func dotSeqGeneric(c []float32, ldc int, a []float32, lda, rows int, b []float32
 			sum += c[i*ldc]
 		}
 		c[i*ldc] = sum
-	}
-}
-
-// axpy4Generic is the portable MatMul register tile.
-func axpy4Generic(ci []float32, a *[4]float32, b0, b1, b2, b3 []float32) {
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	for j := range ci {
-		ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
 }
 

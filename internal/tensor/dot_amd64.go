@@ -1,11 +1,5 @@
 package tensor
 
-// dot4Kernel is the SSE micro-kernel in dot_amd64.s. n must be a multiple
-// of 4.
-//
-//go:noescape
-func dot4Kernel(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
-
 // dot8Kernel is the 8-wide AVX2+FMA micro-kernel in dot_avx2_amd64.s. n
 // must be a multiple of 8. Only callable when hasAVX2 is true.
 //
@@ -27,13 +21,6 @@ func tile3x4Kernel(a *float32, lda, rows int, b *float32, ldb, n int, c *float32
 //
 //go:noescape
 func seqDot8Kernel(a *float32, lda, groups int, b *float32, n int, out *float32)
-
-// axpy4Kernel is the AVX2+FMA AXPY micro-kernel in dot_avx2_amd64.s:
-// c[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j] for j < n.
-// n must be a multiple of 8. Only callable when hasAVX2 is true.
-//
-//go:noescape
-func axpy4Kernel(c, b0, b1, b2, b3 *float32, a *[4]float32, n int)
 
 // reluKernel is the AVX2 in-place ReLU in dot_avx2_amd64.s. n must be a
 // multiple of 8. Only callable when hasAVX2 is true.
@@ -77,47 +64,24 @@ func detectAVX2() bool {
 }
 
 func availableKernels() []string {
-	ks := []string{KernelGeneric, KernelSSE}
 	if hasAVX2 {
-		ks = append(ks, KernelAVX2)
+		return []string{KernelGeneric, KernelAVX2}
 	}
-	return ks
+	return []string{KernelGeneric}
 }
 
 func selectKernel(name string) {
 	dotTile = nil
 	dotSeq = dotSeqGeneric
 	switch name {
-	case KernelSSE:
-		dot4, axpy4, reluVec = dot4SSE, axpy4Generic, reluGeneric
 	case KernelAVX2:
-		dot4, axpy4, reluVec = dot4AVX2, axpy4AVX2, reluAVX2
+		dot4, reluVec = dot4AVX2, reluAVX2
 		dotTile, dotSeq = dotTileAVX2, dotSeqAVX2
 	default:
 		name = KernelGeneric
-		dot4, axpy4, reluVec = dot4Generic, axpy4Generic, reluGeneric
+		dot4, reluVec = dot4Generic, reluGeneric
 	}
 	kernelName = name
-}
-
-// dot4SSE runs the 4-wide SSE kernel over the aligned prefix and a scalar
-// tail.
-func dot4SSE(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(a)
-	n4 := n &^ 3
-	if n4 > 0 {
-		var out [4]float32
-		dot4Kernel(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n4, &out)
-		s0, s1, s2, s3 = out[0], out[1], out[2], out[3]
-	}
-	for p := n4; p < n; p++ {
-		av := a[p]
-		s0 += av * b0[p]
-		s1 += av * b1[p]
-		s2 += av * b2[p]
-		s3 += av * b3[p]
-	}
-	return
 }
 
 // dot4AVX2 runs the 8-wide AVX2+FMA kernel over the aligned prefix and a
@@ -178,20 +142,6 @@ func dotSeqAVX2(c []float32, ldc int, a []float32, lda, rows int, b []float32, a
 	}
 	if i < rows {
 		dotSeqGeneric(c[i*ldc:], ldc, a[i*lda:], lda, rows-i, b, acc)
-	}
-}
-
-// axpy4AVX2 runs the AVX2 AXPY kernel over the aligned prefix and a scalar
-// tail.
-func axpy4AVX2(ci []float32, a *[4]float32, b0, b1, b2, b3 []float32) {
-	n := len(ci)
-	n8 := n &^ 7
-	if n8 > 0 {
-		axpy4Kernel(&ci[0], &b0[0], &b1[0], &b2[0], &b3[0], a, n8)
-	}
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	for j := n8; j < n; j++ {
-		ci[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
 }
 

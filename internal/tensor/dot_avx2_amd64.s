@@ -357,50 +357,6 @@ seqgroup:
 	VZEROUPPER
 	RET
 
-// func axpy4Kernel(c, b0, b1, b2, b3 *float32, a *[4]float32, n int)
-//
-// c[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j] for j < n,
-// 8 lanes per step with fused multiply-add. n must be a multiple of 8; the
-// Go wrapper handles the scalar tail. This is the MatMul register tile:
-// four broadcast A scalars stream four B rows into one pass over the C row.
-TEXT ·axpy4Kernel(SB), NOSPLIT, $0-56
-	MOVQ         c+0(FP), DI
-	MOVQ         b0+8(FP), R8
-	MOVQ         b1+16(FP), R9
-	MOVQ         b2+24(FP), R10
-	MOVQ         b3+32(FP), R11
-	MOVQ         a+40(FP), SI
-	MOVQ         n+48(FP), CX
-	VBROADCASTSS 0(SI), Y0
-	VBROADCASTSS 4(SI), Y1
-	VBROADCASTSS 8(SI), Y2
-	VBROADCASTSS 12(SI), Y3
-
-loop:
-	CMPQ        CX, $8
-	JL          done
-	VMOVUPS     (DI), Y4
-	VMOVUPS     (R8), Y5
-	VFMADD231PS Y5, Y0, Y4
-	VMOVUPS     (R9), Y5
-	VFMADD231PS Y5, Y1, Y4
-	VMOVUPS     (R10), Y5
-	VFMADD231PS Y5, Y2, Y4
-	VMOVUPS     (R11), Y5
-	VFMADD231PS Y5, Y3, Y4
-	VMOVUPS     Y4, (DI)
-	ADDQ        $32, DI
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	SUBQ        $8, CX
-	JMP         loop
-
-done:
-	VZEROUPPER
-	RET
-
 // func reluKernel(x *float32, n int)
 //
 // x[i] = max(x[i], 0) for i < n, 8 lanes per step. n must be a multiple of

@@ -7,7 +7,7 @@ package tensor
 func availableKernels() []string { return []string{KernelGeneric} }
 
 func selectKernel(string) {
-	dot4, axpy4, reluVec = dot4Generic, axpy4Generic, reluGeneric
+	dot4, reluVec = dot4Generic, reluGeneric
 	dotSeq = dotSeqGeneric
 	dotTile = nil
 	kernelName = KernelGeneric

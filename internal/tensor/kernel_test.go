@@ -61,7 +61,7 @@ func TestSetKernelUnavailableDegrades(t *testing.T) {
 	// available substitute when the hardware lacks the requested class —
 	// the CI kernel matrix relies on this to run an "avx2" leg on any
 	// runner.
-	for _, name := range []string{KernelGeneric, KernelSSE, KernelAVX2} {
+	for _, name := range []string{KernelGeneric, KernelAVX2} {
 		sel, err := SetKernel(name)
 		if err != nil {
 			t.Fatalf("SetKernel(%q): %v", name, err)
@@ -144,31 +144,6 @@ func TestDotSeqKernelEquivalence(t *testing.T) {
 							t.Fatalf("kernel %s rows=%d n=%d acc=%v idx %d: got %g want %g", k, rows, n, acc, i, got[i], want[i])
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestAxpyKernelEquivalence pins every selectable axpy4 kernel against the
-// generic reference.
-func TestAxpyKernelEquivalence(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range kernelSizes {
-		ar := [4]float32{r.Float32()*2 - 1, r.Float32()*2 - 1, 0, r.Float32()*2 - 1}
-		b0, b1, b2, b3 := randFloats(r, n), randFloats(r, n), randFloats(r, n), randFloats(r, n)
-		base := randFloats(r, n)
-		want := append([]float32(nil), base...)
-		axpy4Generic(want, &ar, b0, b1, b2, b3)
-		for _, k := range Kernels() {
-			if !forceKernel(t, k) {
-				continue
-			}
-			got := append([]float32(nil), base...)
-			axpy4(got, &ar, b0, b1, b2, b3)
-			for j := range got {
-				if diff := math.Abs(float64(got[j] - want[j])); diff > 1e-5*(1+math.Abs(float64(want[j]))) {
-					t.Errorf("kernel %s n=%d j=%d: got %g want %g", k, n, j, got[j], want[j])
 				}
 			}
 		}
@@ -278,7 +253,8 @@ func TestMatMulTransBIntoSegments(t *testing.T) {
 	}
 }
 
-// TestMatMulKernelEquivalence is the same sweep for the AXPY-tiled MatMul.
+// TestMatMulKernelEquivalence is the same sweep for MatMul, which takes B
+// untransposed and runs MatMulTransB on its transpose.
 func TestMatMulKernelEquivalence(t *testing.T) {
 	r := rng.New(29)
 	shapes := [][3]int{{1, 1, 1}, {2, 3, 5}, {4, 8, 16}, {7, 33, 13}, {16, 100, 81}, {3, 257, 40}}

@@ -22,71 +22,25 @@ const (
 )
 
 // MatMul computes C = A * B for row-major matrices A (m x k) and B (k x n),
-// writing into C (m x n). C must not alias A or B. Large products are
-// tiled into cache blocks and parallelised across row blocks on the
-// persistent worker pool.
+// writing into C (m x n). C must not alias A or B. It transposes B into
+// pooled scratch and runs MatMulTransB, the one GEMM the network runs, so it
+// allocates nothing in steady state.
 func MatMul(c, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: MatMul buffer too small")
 	}
-	if m*k*n < parallelThreshold {
-		matMulRange(c, a, b, 0, m, k, n)
-		return
+	bt := scratchPool.Get().(*[]float32)
+	if cap(*bt) < k*n {
+		*bt = make([]float32, k*n)
 	}
-	blocks := (m + blockM - 1) / blockM
-	parallelBlocks(blocks, blockFunc(func(bi int) {
-		lo := bi * blockM
-		matMulRange(c, a, b, lo, min(lo+blockM, m), k, n)
-	}))
-}
-
-// matMulRange computes rows [lo, hi) of C = A*B, tiled over (k, n) blocks
-// with a 4-row AXPY register tile (the dispatched axpy4 kernel): each step
-// loads four A scalars and streams four B rows into one pass over the C row
-// segment, so the floating-point adds form four independent dependency
-// chains instead of one latency-bound chain — 8 lanes per FMA step on the
-// AVX2 path.
-func matMulRange(c, a, b []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
+	t := (*bt)[:k*n]
+	for p := 0; p < k; p++ {
+		for j, v := range b[p*n : (p+1)*n] {
+			t[j*k+p] = v
 		}
 	}
-	var ar [4]float32
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := min(p0+blockK, k)
-		for j0 := 0; j0 < n; j0 += blockN {
-			j1 := min(j0+blockN, n)
-			for i := lo; i < hi; i++ {
-				ai := a[i*k : (i+1)*k]
-				ci := c[i*n+j0 : i*n+j1]
-				p := p0
-				for ; p+4 <= p1; p += 4 {
-					a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					b0 := b[p*n+j0 : p*n+j1]
-					b1 := b[(p+1)*n+j0 : (p+1)*n+j1]
-					b2 := b[(p+2)*n+j0 : (p+2)*n+j1]
-					b3 := b[(p+3)*n+j0 : (p+3)*n+j1]
-					ar[0], ar[1], ar[2], ar[3] = a0, a1, a2, a3
-					axpy4(ci, &ar, b0, b1, b2, b3)
-				}
-				for ; p < p1; p++ {
-					av := ai[p]
-					if av == 0 {
-						continue
-					}
-					bp := b[p*n+j0 : p*n+j1]
-					for j := range ci {
-						ci[j] += av * bp[j]
-					}
-				}
-			}
-		}
-	}
+	MatMulTransB(c, a, t, m, k, n)
+	scratchPool.Put(bt)
 }
 
 // MatMulTransB computes C = A * B^T for A (m x k) and B (n x k), writing C

@@ -25,12 +25,6 @@ type blockTask interface {
 	block(i int)
 }
 
-// blockFunc adapts a closure to blockTask, for kernels off the inference
-// path that can afford the closure's allocation.
-type blockFunc func(int)
-
-func (f blockFunc) block(i int) { f(i) }
-
 // parallelJob is one parallelBlocks launch shared between the caller and the
 // pool workers it enlisted. Jobs are pooled: sending one to a worker makes it
 // escape, and a forward pass launches one per large layer.

@@ -1,6 +1,7 @@
 // Package tensor implements the dense float32 array operations backing the
-// policy/value network: blocked parallel matrix multiply, im2col convolution
-// with its gradients, and the in-place ReLU.
+// policy/value network: one blocked parallel matrix multiply (MatMulTransB;
+// MatMul transposes B and runs it), batched im2col convolution with its
+// gradients, and the in-place ReLU.
 //
 // The package deliberately sticks to plain Go and the standard library. The
 // paper offloads DNN inference to CUDA; here the same operator graph runs on
@@ -9,7 +10,8 @@
 // allows, and have a realistic batch-scaling latency profile.
 //
 // The inference path is held to the bit. The micro-kernels behind
-// MatMulTransB are dispatched per kernel class (dot.go); within a class the
+// MatMulTransB are dispatched per kernel class (dot.go: generic, and avx2
+// where the host has it); within a class the
 // rounding of an output element depends on its column's index in B alone —
 // not on its row, the row blocking, the batch it arrives in or where in C
 // the product lands — Conv2DForwardBatch gathers and multiplies one sample

@@ -175,7 +175,7 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		b := randSlice(r, s.OutC)
 		out := make([]float32, s.OutC*s.OutH()*s.OutW())
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForward(out, img, w, b, col, s)
+		Conv2DForwardBatch(out, img, w, b, col, s, 1)
 		want := naiveConv(img, w, b, s)
 		if d := maxAbsDiff(out, want); d > 1e-4 {
 			t.Errorf("conv %+v: max diff %v", s, d)
@@ -219,7 +219,7 @@ func TestConv2DBackwardNumerically(t *testing.T) {
 	loss := func(img, w, b []float32) float64 {
 		out := make([]float32, s.OutC*pix)
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForward(out, img, w, b, col, s)
+		Conv2DForwardBatch(out, img, w, b, col, s, 1)
 		var l float64
 		for i := range out {
 			l += float64(out[i]) * float64(dOut[i])
@@ -279,13 +279,13 @@ func BenchmarkConvGomokuLayer(b *testing.B) {
 	col := make([]float32, s.ColRows()*s.ColCols())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Conv2DForward(out, img, w, bias, col, s)
+		Conv2DForwardBatch(out, img, w, bias, col, s, 1)
 	}
 }
 
 func TestMatMulBlockedEdgeSizes(t *testing.T) {
 	// Dimensions straddling the 64x64x256 tile boundaries exercise every
-	// partial-block path of the tiled kernels, including the SSE tail.
+	// partial-block path of the tiled kernels, including the scalar tails.
 	r := rng.New(31)
 	for _, dims := range [][3]int{{65, 257, 67}, {63, 260, 130}, {128, 513, 66}, {1, 259, 70}} {
 		m, k, n := dims[0], dims[1], dims[2]
@@ -352,7 +352,7 @@ func TestConv2DForwardBatchMatchesSingle(t *testing.T) {
 			single := make([]float32, s.OutC*pix)
 			scol := make([]float32, pix*s.ColCols())
 			for b := 0; b < batch; b++ {
-				Conv2DForward(single, imgs[b], w, bias, scol, s)
+				Conv2DForwardBatch(single, imgs[b], w, bias, scol, s, 1)
 				for oc := 0; oc < s.OutC; oc++ {
 					got := out[(oc*batch+b)*pix : (oc*batch+b+1)*pix]
 					want := single[oc*pix : (oc+1)*pix]
