@@ -66,15 +66,18 @@
 // the outputs are the same bits either way.
 //
 // fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
-// why the int8 path was deleted). The accelerator seam is accel.Backend
-// (Name/Infer/Close): accel.NewBackend builds Model or Hosted by name,
+// why the int8 path was deleted). The accelerator seam is accel.Link, an
+// evaluate.Backend that wraps the latency model of Equations 4/6 (a transfer
+// that overlaps across submissions, a compute term serialised on one device
+// token) around another backend: accel.NewBackend builds "hosted" (around
+// EvaluatorBackend over evaluate.NN, the backend production serves through)
+// or "model" (around the same backend over synthetic outputs) by name,
 // binaries select one with -backend, and a real BLAS/GPU backend can later
-// slot in behind evaluate.Server without touching callers. Hosted adds the
-// modelled transfer and a device-wide compute lock to the forward production
-// runs: it and evaluate.NN both call nn.ForwardBatch on workspaces from one
-// nn.BatchWorkspacePool, so the simulated accelerator returns the bits a
-// served move gets (TestHostedMatchesProductionForward). The speedups first
-// recorded for these paths are historical (1-core container); regenerate
+// slot in behind evaluate.Server without touching callers. The CPU and
+// accelerator platforms therefore differ by the Link alone, and the
+// simulated accelerator returns the bits a served move gets
+// (TestHostedMatchesProductionForward). The speedups first recorded for
+// these paths are historical (1-core container); regenerate
 // them on the current host with bash cmd/bench/run.sh (nn.forward_*,
 // accel.hosted_*).
 //
@@ -82,7 +85,7 @@
 //
 // Node evaluation is organised as a service: evaluate.Server multiplexes
 // requests from any number of tenant searches onto one batched backend
-// (an accelerator device or a bounded CPU worker pool), forming batches by
+// (an accel.Link or a bounded CPU worker pool), forming batches by
 // threshold, quorum OR flush deadline — whichever is hit first — and routing
 // each completion back to the client that submitted it, with backpressure
 // (ServerConfig.MaxOutstanding) and graceful drain on Close. The quorum is
@@ -102,11 +105,12 @@
 // finished; on a private queue without a deadline Next itself pushes the
 // partial batch nothing else would launch, so no engine carries a flush
 // handshake. The classic single-search backends are one-tenant deployments
-// of the same Server: evaluate.NewPool and NewBatchedAsync return the Client
-// of a private server it owns, and the shared-tree + accelerator queue is
-// mcts.Shared over a sync client (Server.NewSyncClient) — its N workers are
-// N registered slots, so the last partial batch of a move launches by
-// quorum.
+// of the same Server: evaluate.NewPool returns the Client of a private server
+// it owns, the local-tree + accelerator queue is one Client of a
+// deadline-less Server of threshold B, and the shared-tree + accelerator
+// queue is mcts.Shared over a sync client (Server.NewSyncClient) — its N
+// workers are N registered slots, so the last partial batch of a move
+// launches by quorum.
 //
 // On top of the service, internal/selfplay runs G self-play games
 // concurrently — each game a tenant with its own local-tree master, all

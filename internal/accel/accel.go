@@ -4,44 +4,34 @@
 // and tunes the CUDA-stream sub-batch size B. No GPU is available (or
 // required) here: the performance models (Equations 4 and 6) consume only
 // the accelerator's *latency profile* — a fixed per-launch cost L, a link
-// bandwidth term, and a batch-compute curve T_GPU(B) — so the package
-// provides devices that expose exactly those quantities:
+// bandwidth term, and a batch-compute curve T_GPU(B) — which is CostModel.
 //
-//   - Model: a pure latency-model device. It returns deterministic
-//     synthetic policies/values (the paper's design-time profiling likewise
-//     runs the DNN "filled with random parameters") and spends modeled
-//     wall-clock time. Concurrent submissions pipeline like CUDA streams:
-//     transfers overlap compute, compute serialises on the device. Used by
-//     the latency experiments (Figures 3-5) and the batch-size search.
+// The simulated accelerator is that cost model wrapped around a backend that
+// computes: Link is an evaluate.Backend that spends the modeled transfer time
+// of a batch (overlapping with other submissions, like CUDA streams), then
+// its modeled compute time and the wrapped backend's RunBatch under a
+// one-slot device token (kernels from different streams share one GPU). The
+// CPU and accelerator platforms differ by that Link and nothing else.
+// NewBackend builds the two registered Links:
 //
-//   - Hosted: computes the real Go network, parallelised across the batch
-//     on the host's cores, with the modeled launch+transfer latency
-//     injected. It computes on the network's one forward, the pooled
-//     nn.ForwardBatch evaluate.NN — what every production binary runs — uses
-//     for single positions and batches alike, so its outputs are that path's
+//   - "hosted" wraps evaluate.EvaluatorBackend over evaluate.NN — the backend
+//     every production binary serves through — so its outputs are that path's
 //     bit for bit. Used by the training experiments (Figures 6-7) where real
 //     outputs matter.
+//
+//   - "model" wraps the same backend over Synthetic: deterministic policies
+//     and values derived from each input (the paper's design-time profiling
+//     likewise runs the DNN "filled with random parameters"). Used where only
+//     the modeled latency matters.
 package accel
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/nn"
+	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/rng"
 )
-
-// Device is a batched inference backend.
-type Device interface {
-	// Name identifies the device in reports.
-	Name() string
-	// Infer evaluates a batch. policies[i] must be preallocated by the
-	// caller; values[i] is written in place. Infer blocks for the device's
-	// (modeled or actual) latency and is safe for concurrent use —
-	// concurrent calls behave like submissions on separate CUDA streams.
-	Infer(inputs [][]float32, policies [][]float32, values []float64)
-}
 
 // CostModel parameterises the latency behaviour of a simulated accelerator.
 // All quantities map one-to-one onto the symbols of Equations 4 and 6.
@@ -51,7 +41,7 @@ type CostModel struct {
 	LaunchLatency time.Duration
 	// BytesPerSample is the PCIe payload of one inference request.
 	BytesPerSample int
-	// LinkBytesPerSec is the PCIe bandwidth.
+	// LinkBytesPerSec is the PCIe bandwidth (<= 0: no bandwidth term).
 	LinkBytesPerSec float64
 	// ComputeBase is the fixed kernel execution time independent of batch.
 	ComputeBase time.Duration
@@ -71,12 +61,21 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// BandwidthTime returns the time n samples take to cross the link:
+// n*bytes/bandwidth, or 0 when the model has no bandwidth.
+func (m CostModel) BandwidthTime(n int) time.Duration {
+	if m.LinkBytesPerSec <= 0 {
+		return 0
+	}
+	bytes := float64(n * m.BytesPerSample)
+	return time.Duration(bytes/m.LinkBytesPerSec*1e9) * time.Nanosecond
+}
+
 // TransferTime returns the PCIe cost of one batch submission:
 // L + batch*bytes/bandwidth. Summed over N/B submissions this is exactly
 // the paper's T_PCIe = (N/B)*L + N/bandwidth.
 func (m CostModel) TransferTime(batch int) time.Duration {
-	bytes := float64(batch * m.BytesPerSample)
-	return m.LaunchLatency + time.Duration(bytes/m.LinkBytesPerSec*1e9)*time.Nanosecond
+	return m.LaunchLatency + m.BandwidthTime(batch)
 }
 
 // ComputeTime returns T_GPU_DNN(batch=B), monotonically increasing in B as
@@ -101,38 +100,72 @@ func spin(d time.Duration) {
 	}
 }
 
-// Model is the pure latency-model device.
-type Model struct {
-	model CostModel
-	// computeMu serialises the compute phase across concurrent submissions,
-	// emulating kernels from different CUDA streams sharing one GPU while
-	// transfers overlap with compute.
-	computeMu sync.Mutex
+// Link is the simulated accelerator: Cost wrapped around Inner, which does
+// the computing. It is an evaluate.Backend, safe for concurrent use, and
+// concurrent RunBatch calls behave like submissions on separate CUDA streams.
+type Link struct {
+	Cost  CostModel
+	Inner evaluate.Backend
+
+	once   sync.Once
+	device chan struct{} // the one compute slot
 }
 
-// NewModel creates a latency-model device.
-func NewModel(model CostModel) *Model { return &Model{model: model} }
+// RunBatch implements evaluate.Backend: it spends the batch's transfer time,
+// which overlaps with other submissions', then takes the device, spends the
+// compute time, runs Inner and gives the device back.
+func (l *Link) RunBatch(batch []*evaluate.Request) {
+	l.once.Do(func() { l.device = make(chan struct{}, 1) })
+	spin(l.Cost.TransferTime(len(batch)))
+	l.device <- struct{}{}
+	spin(l.Cost.ComputeTime(len(batch)))
+	l.Inner.RunBatch(batch)
+	<-l.device
+}
 
-// Name implements Device.
-func (d *Model) Name() string { return "sim-gpu(model)" }
+// inferViews is the request form of one Infer call, pooled so a recurring
+// batch size allocates none of it.
+type inferViews struct {
+	reqs []evaluate.Request
+	ptrs []*evaluate.Request
+}
 
-// Infer implements Device: it spends the modeled transfer time (overlapping
-// with other streams), then the modeled compute time (serialised), and
-// fills deterministic synthetic outputs derived from each input's content.
-func (d *Model) Infer(inputs [][]float32, policies [][]float32, values []float64) {
-	spin(d.model.TransferTime(len(inputs)))
-	d.computeMu.Lock()
-	spin(d.model.ComputeTime(len(inputs)))
-	d.computeMu.Unlock()
-	for i, in := range inputs {
-		synthesize(in, policies[i], &values[i])
+var inferViewPool = sync.Pool{New: func() any { return new(inferViews) }}
+
+// Infer is RunBatch for a caller holding slices instead of requests: it fills
+// policies[i] and values[i] for every inputs[i]. It goes when cmd/bench's
+// hosted probe, its only caller, moves onto RunBatch.
+func (l *Link) Infer(inputs, policies [][]float32, values []float64) {
+	n := len(inputs)
+	v := inferViewPool.Get().(*inferViews)
+	if cap(v.reqs) < n {
+		v.reqs, v.ptrs = make([]evaluate.Request, n), make([]*evaluate.Request, n)
 	}
+	reqs, ptrs := v.reqs[:n], v.ptrs[:n]
+	for i := range reqs {
+		reqs[i] = evaluate.Request{Input: inputs[i], Policy: policies[i]}
+		ptrs[i] = &reqs[i]
+	}
+	l.RunBatch(ptrs)
+	for i := range reqs {
+		values[i] = reqs[i].Value
+		reqs[i] = evaluate.Request{}
+	}
+	inferViewPool.Put(v)
 }
 
-// synthesize produces a deterministic pseudo policy/value from the input
-// content so searches against the Model device are reproducible and not
-// degenerate (different states get different priors).
-func synthesize(input []float32, policy []float32, value *float64) {
+// Close ends the Link's use; it holds nothing the garbage collector does not
+// reclaim, so it is idempotent and always nil. It goes with Infer.
+func (l *Link) Close() error { return nil }
+
+// Synthetic is the "model" backend's evaluator: a deterministic pseudo
+// policy and value derived from the input's content, so searches against it
+// are reproducible and not degenerate (different states get different
+// priors).
+type Synthetic struct{}
+
+// Evaluate implements evaluate.Evaluator.
+func (Synthetic) Evaluate(input []float32, policy []float32) float64 {
 	var h uint64 = 0x9E3779B97F4A7C15
 	for i := 0; i < len(input); i += 7 {
 		if input[i] != 0 {
@@ -151,70 +184,5 @@ func synthesize(input []float32, policy []float32, value *float64) {
 	for i := range policy {
 		policy[i] *= inv
 	}
-	*value = r.Float64()*0.2 - 0.1 // small values: keeps search exploratory
-}
-
-// Hosted computes the real network on host cores with modeled
-// launch/transfer latency injected. Batches run through the genuinely
-// batched nn.ForwardBatch (each layer runs the whole sub-batch against one
-// weight panel) rather than a per-sample loop.
-type Hosted struct {
-	model   CostModel
-	workers int
-	// pool is the network's pooled batched forward: workspaces are reused
-	// across Infer calls, so recurring batch sizes stay allocation-free.
-	pool      *nn.BatchWorkspacePool
-	computeMu sync.Mutex
-}
-
-// NewHosted creates a hosted device that splits each batch across up to
-// workers sub-batches evaluated concurrently (0 = GOMAXPROCS).
-func NewHosted(net *nn.Network, model CostModel, workers int) *Hosted {
-	return &Hosted{model: model, workers: workers, pool: nn.NewBatchWorkspacePool(net)}
-}
-
-// Name implements Device.
-func (d *Hosted) Name() string { return "sim-gpu(hosted)" }
-
-// Infer implements Device: the batch is split into contiguous per-worker
-// sub-batches, each evaluated with one batched forward pass. As on the real
-// accelerator, compute serialises across concurrent submissions while
-// transfers overlap.
-func (d *Hosted) Infer(inputs [][]float32, policies [][]float32, values []float64) {
-	n := len(inputs)
-	if n == 0 {
-		return
-	}
-	spin(d.model.TransferTime(n))
-	d.computeMu.Lock()
-	defer d.computeMu.Unlock()
-	ForChunks(n, d.workers, func(lo, hi int) {
-		d.pool.ForwardBatch(inputs[lo:hi], policies[lo:hi], values[lo:hi])
-	})
-}
-
-// ForChunks splits [0, n) into at most w contiguous chunks of equal size (the
-// last may be shorter; w <= 0 means GOMAXPROCS), runs fn on each — the first
-// on the caller's goroutine, every other on its own — and returns once all
-// have. It is how a formed batch is shared between cores: Hosted splits an
-// Infer with it, evaluate.EvaluatorBackend a RunBatch.
-func ForChunks(n, w int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	w = min(w, n)
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			fn(lo, min(lo+chunk, n))
-		}(lo)
-	}
-	fn(0, chunk)
-	wg.Wait()
+	return r.Float64()*0.2 - 0.1 // small values: keeps search exploratory
 }

@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -22,6 +24,24 @@ func randInputs(seed uint64, n, dim int) [][]float32 {
 		}
 	}
 	return out
+}
+
+// requests wraps inputs as a batch whose policies have actions entries.
+func requests(inputs [][]float32, actions int) []*evaluate.Request {
+	batch := make([]*evaluate.Request, len(inputs))
+	for i, in := range inputs {
+		batch[i] = &evaluate.Request{Input: in, Policy: make([]float32, actions)}
+	}
+	return batch
+}
+
+func mustBackend(t testing.TB, name string, spec BackendSpec) *Link {
+	t.Helper()
+	l, err := NewBackend(name, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func TestCostModelTransferDecomposition(t *testing.T) {
@@ -55,29 +75,20 @@ func TestModelSpendsModeledTime(t *testing.T) {
 		ComputeBase:      2 * time.Millisecond,
 		ComputePerSample: 0,
 	}
-	dev := NewModel(m)
-	inputs := randInputs(1, 2, 16)
-	policies := [][]float32{make([]float32, 4), make([]float32, 4)}
-	values := make([]float64, 2)
+	link := mustBackend(t, "model", BackendSpec{Cost: m})
 	start := time.Now()
-	dev.Infer(inputs, policies, values)
+	link.RunBatch(requests(randInputs(1, 2, 16), 4))
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("Infer returned in %v, modeled cost is 5ms", elapsed)
+		t.Fatalf("RunBatch returned in %v, modeled cost is 5ms", elapsed)
 	}
 }
 
 func TestModelOutputsAreValidDistributions(t *testing.T) {
-	dev := NewModel(CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1})
-	inputs := randInputs(2, 5, 36)
-	policies := make([][]float32, 5)
-	for i := range policies {
-		policies[i] = make([]float32, 9)
-	}
-	values := make([]float64, 5)
-	dev.Infer(inputs, policies, values)
-	for i := range policies {
+	for i, in := range randInputs(2, 5, 36) {
+		policy := make([]float32, 9)
+		value := Synthetic{}.Evaluate(in, policy)
 		var sum float64
-		for _, p := range policies[i] {
+		for _, p := range policy {
 			if p < 0 {
 				t.Fatal("negative prior")
 			}
@@ -86,77 +97,90 @@ func TestModelOutputsAreValidDistributions(t *testing.T) {
 		if math.Abs(sum-1) > 1e-3 {
 			t.Fatalf("policy %d sums to %v", i, sum)
 		}
-		if values[i] < -1 || values[i] > 1 {
-			t.Fatalf("value %d out of range: %v", i, values[i])
+		if value < -1 || value > 1 {
+			t.Fatalf("value %d out of range: %v", i, value)
 		}
 	}
 }
 
 func TestModelDistinguishesInputs(t *testing.T) {
-	dev := NewModel(CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1})
 	a := make([]float32, 36)
 	b := make([]float32, 36)
 	a[0] = 1
 	b[7] = 1
 	pa, pb := make([]float32, 9), make([]float32, 9)
-	va, vb := make([]float64, 1), make([]float64, 1)
-	dev.Infer([][]float32{a}, [][]float32{pa}, va)
-	dev.Infer([][]float32{b}, [][]float32{pb}, vb)
-	same := va[0] == vb[0]
-	for i := range pa {
-		if pa[i] != pb[i] {
-			same = false
-		}
-	}
-	if same {
+	va, vb := Synthetic{}.Evaluate(a, pa), Synthetic{}.Evaluate(b, pb)
+	if va == vb && reflect.DeepEqual(pa, pb) {
 		t.Fatal("different inputs produced identical synthetic outputs")
 	}
 }
 
-func TestModelConcurrentInferIsSafe(t *testing.T) {
-	dev := NewModel(CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			inputs := randInputs(seed, 3, 16)
-			policies := [][]float32{make([]float32, 4), make([]float32, 4), make([]float32, 4)}
-			values := make([]float64, 3)
-			for i := 0; i < 20; i++ {
-				dev.Infer(inputs, policies, values)
-			}
-		}(uint64(w))
+// countingBackend records how many RunBatch calls are inside it at once; each
+// call holds on for hold, so calls that are not serialised overlap.
+type countingBackend struct {
+	hold              time.Duration
+	inside, maxInside atomic.Int64
+}
+
+func (c *countingBackend) RunBatch(batch []*evaluate.Request) {
+	n := c.inside.Add(1)
+	for m := c.maxInside.Load(); n > m && !c.maxInside.CompareAndSwap(m, n); m = c.maxInside.Load() {
 	}
-	wg.Wait()
+	time.Sleep(c.hold)
+	c.inside.Add(-1)
+}
+
+// TestLinkSerialisesComputeOverlapsTransfer: of 8 concurrent submissions, at
+// most one is ever inside the wrapped backend (compute serialises on the
+// device), while their transfers overlap: the 8 finish in far less than 8
+// transfer times.
+func TestLinkSerialisesComputeOverlapsTransfer(t *testing.T) {
+	const submitters, transfer = 8, 20 * time.Millisecond
+	inner := &countingBackend{hold: 2 * time.Millisecond}
+	link := &Link{Cost: CostModel{LaunchLatency: transfer}, Inner: inner}
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < submitters; i++ {
+		done.Add(1)
+		go func(seed uint64) {
+			defer done.Done()
+			batch := requests(randInputs(seed, 3, 16), 4)
+			start.Wait()
+			link.RunBatch(batch)
+		}(uint64(i))
+	}
+	begin := time.Now()
+	start.Done()
+	done.Wait()
+	elapsed := time.Since(begin)
+	if got := inner.maxInside.Load(); got != 1 {
+		t.Fatalf("%d submissions computed at once, want 1", got)
+	}
+	// Serial transfers alone would take 8*20ms = 160ms; overlapped, the run
+	// is one transfer plus 8 serialised 2ms computes.
+	if elapsed >= submitters*transfer/2 {
+		t.Fatalf("%d submissions took %v: transfers did not overlap", submitters, elapsed)
+	}
 }
 
 func TestHostedComputesRealNetworkInParallel(t *testing.T) {
 	net := nn.MustNew(nn.TinyConfig(2, 4, 4, 16), rng.New(3))
-	dev := NewHosted(net, CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1}, 4)
-	if dev.Name() == "" {
-		t.Fatal("no device name")
-	}
-	const batch = 10
-	inputs := randInputs(4, batch, net.InputLen())
-	policies := make([][]float32, batch)
-	for i := range policies {
-		policies[i] = make([]float32, 16)
-	}
-	values := make([]float64, batch)
-	dev.Infer(inputs, policies, values)
+	link := mustBackend(t, "hosted", BackendSpec{Net: net, Workers: 4})
+	inputs := randInputs(4, 10, net.InputLen())
+	batch := requests(inputs, 16)
+	link.RunBatch(batch)
 	// Each sample must come out of the parallel sub-batches with the bits of
 	// the sample forwarded alone (the nn property test's contract).
 	ws := nn.NewBatchWorkspace(net, 1)
-	for i := range inputs {
+	for i, req := range batch {
 		wantPol, wantV := [][]float32{make([]float32, 16)}, make([]float64, 1)
 		net.ForwardBatch(ws, inputs[i:i+1], wantPol, wantV)
-		if math.Float64bits(values[i]) != math.Float64bits(wantV[0]) {
-			t.Fatalf("value[%d] mismatch: %v vs %v", i, values[i], wantV[0])
+		if math.Float64bits(req.Value) != math.Float64bits(wantV[0]) {
+			t.Fatalf("value[%d] mismatch: %v vs %v", i, req.Value, wantV[0])
 		}
 		for j, p := range wantPol[0] {
-			if math.Float32bits(policies[i][j]) != math.Float32bits(p) {
-				t.Fatalf("policy[%d][%d] mismatch: %v vs %v", i, j, policies[i][j], p)
+			if math.Float32bits(req.Policy[j]) != math.Float32bits(p) {
+				t.Fatalf("policy[%d][%d] mismatch: %v vs %v", i, j, req.Policy[j], p)
 			}
 		}
 	}
@@ -165,15 +189,12 @@ func TestHostedComputesRealNetworkInParallel(t *testing.T) {
 func TestHostedWorkerClamping(t *testing.T) {
 	// More workers than samples must not panic or deadlock.
 	net := nn.MustNew(nn.TinyConfig(2, 4, 4, 16), rng.New(5))
-	dev := NewHosted(net, CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1}, 64)
-	inputs := randInputs(6, 1, net.InputLen())
-	policies := [][]float32{make([]float32, 16)}
-	values := make([]float64, 1)
-	dev.Infer(inputs, policies, values)
+	link := mustBackend(t, "hosted", BackendSpec{Net: net, Workers: 64})
+	link.RunBatch(requests(randInputs(6, 1, net.InputLen()), 16))
 }
 
 // TestBackendRegistry: the registered backends are exactly the two built-in
-// devices, and a name that is not one of them — here the int8 backend stale
+// Links, and a name that is not one of them — here the int8 backend stale
 // scripts may still pass — fails with the available set.
 func TestBackendRegistry(t *testing.T) {
 	want := []string{"hosted", "model"}
@@ -199,30 +220,25 @@ func TestSpinShortDurations(t *testing.T) {
 	spin(-1) // no-op
 }
 
-func BenchmarkModelInferBatch16(b *testing.B) {
-	dev := NewModel(CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1})
-	inputs := randInputs(1, 16, 900)
-	policies := make([][]float32, 16)
-	for i := range policies {
-		policies[i] = make([]float32, 225)
-	}
-	values := make([]float64, 16)
+func BenchmarkModelRunBatch16(b *testing.B) {
+	link := mustBackend(b, "model", BackendSpec{Cost: CostModel{LinkBytesPerSec: 1e12, BytesPerSample: 1}})
+	batch := requests(randInputs(1, 16, 900), 225)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dev.Infer(inputs, policies, values)
+		link.RunBatch(batch)
 	}
 }
 
-// TestHostedSteadyStateAllocations drives the real Hosted device end to end:
-// after the first call warms the pool, repeated same-size Infers construct
-// no further BatchWorkspaces — an Infer allocates less than one workspace
-// does (its buffers alone are a dozen allocations).
+// TestHostedSteadyStateAllocations drives the hosted Link end to end through
+// Infer: after the first call warms the pools, repeated same-size Infers
+// construct no further BatchWorkspaces — an Infer allocates less than one
+// workspace does (its buffers alone are a dozen allocations).
 func TestHostedSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	net := nn.MustNew(nn.TinyConfig(2, 5, 5, 25), rng.New(1))
-	d := NewHosted(net, CostModel{LinkBytesPerSec: 1e12}, 1)
+	d := mustBackend(t, "hosted", BackendSpec{Net: net, Cost: CostModel{LinkBytesPerSec: 1e12}, Workers: 1})
 	defer d.Close()
 
 	const batch = 8
@@ -239,43 +255,4 @@ func TestHostedSteadyStateAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(64, func() { d.Infer(inputs, policies, values) }); got >= perWorkspace {
 		t.Fatalf("steady-state Infer allocates %v times, a workspace %v: it is constructing workspaces", got, perWorkspace)
 	}
-}
-
-// TestForChunks: every index is covered exactly once by at most w contiguous
-// chunks, for w below, at and above n and for the GOMAXPROCS default; and the
-// chunks of one call run concurrently (each waits for all the others before
-// returning).
-func TestForChunks(t *testing.T) {
-	for _, tc := range []struct{ n, w int }{{0, 4}, {1, 4}, {8, 2}, {8, 3}, {7, 7}, {5, 9}, {9, 1}, {6, 0}} {
-		var mu sync.Mutex
-		seen := make([]int, tc.n)
-		chunks := 0
-		ForChunks(tc.n, tc.w, func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			chunks++
-			if lo >= hi || hi > tc.n {
-				t.Errorf("n=%d w=%d: chunk [%d, %d)", tc.n, tc.w, lo, hi)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Errorf("n=%d w=%d: index %d covered %d times", tc.n, tc.w, i, c)
-			}
-		}
-		if w := tc.w; w > 0 && chunks > min(w, tc.n) {
-			t.Errorf("n=%d w=%d: %d chunks", tc.n, tc.w, chunks)
-		}
-	}
-
-	var barrier sync.WaitGroup
-	barrier.Add(4)
-	ForChunks(8, 4, func(lo, hi int) {
-		barrier.Done()
-		barrier.Wait() // returns only once all four chunks are running
-	})
 }

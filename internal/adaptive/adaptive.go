@@ -1,9 +1,9 @@
 // Package adaptive is the paper's primary contribution assembled into one
-// public entry point: given a game, a network (or an accelerator device),
-// and a worker budget, it runs the design configuration workflow of Section
-// 4.2 — profile, model, and (on accelerator platforms) the Algorithm 4
-// batch-size search — and instantiates the predicted-fastest tree-parallel
-// engine behind the common mcts.Engine interface.
+// public entry point: given a game, an evaluator (or a simulated
+// accelerator), and a worker budget, it runs the design configuration
+// workflow of Section 4.2 — profile, model, and (on accelerator platforms)
+// the Algorithm 4 batch-size search — and instantiates the predicted-fastest
+// tree-parallel engine behind the common mcts.Engine interface.
 //
 // One builder (buildFleet) turns a decision into engines; a single engine
 // (Configure) is a fleet of one. NewLocalFleet is the part of it training
@@ -56,10 +56,9 @@ type Options struct {
 	Platform Platform
 	// Evaluator performs CPU inference (required for PlatformCPU).
 	Evaluator evaluate.Evaluator
-	// Device is the accelerator (required for PlatformAccel).
-	Device accel.Device
-	// DeviceCost is the accelerator's latency model, used by Equations 4/6.
-	DeviceCost accel.CostModel
+	// Link is the simulated accelerator (required for PlatformAccel): the
+	// Server runs it, and Equations 4/6 read its Cost.
+	Link *accel.Link
 	// ProfilePlayouts sizes the design-time profiling episode (0 = 400).
 	ProfilePlayouts int
 	// DNNProfileIters sizes the T_DNN measurement (0 = 30).
@@ -172,15 +171,15 @@ func ConfigureFleet(g game.Game, tenants int, opts Options) (*Fleet, error) {
 	if opts.Platform == PlatformCPU && opts.Evaluator == nil {
 		return nil, fmt.Errorf("adaptive: PlatformCPU requires an Evaluator")
 	}
-	if opts.Platform == PlatformAccel && opts.Device == nil {
-		return nil, fmt.Errorf("adaptive: PlatformAccel requires a Device")
+	if opts.Platform != PlatformCPU && opts.Link == nil {
+		return nil, fmt.Errorf("adaptive: PlatformAccel requires a Link")
 	}
-	return buildFleet(tenants, opts, decide(g, tenants, opts))
+	return buildFleet(tenants, opts, decide(g, tenants, opts)), nil
 }
 
 // buildFleet instantiates G engines over one shared inference backend — the
 // only place a Decision becomes engines.
-func buildFleet(tenants int, opts Options, dec Decision) (*Fleet, error) {
+func buildFleet(tenants int, opts Options, dec Decision) *Fleet {
 	n := opts.Workers
 	// Each tenant gets its own root-noise stream; identical seeds would make
 	// co-tenant games collapse onto one trajectory. Tenant 0 keeps the
@@ -191,47 +190,44 @@ func buildFleet(tenants int, opts Options, dec Decision) (*Fleet, error) {
 		cfgs[i].Seed += uint64(i) * 0x9E3779B97F4A7C15
 	}
 
-	var fleet *Fleet
-	switch {
-	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformCPU:
+	if dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformCPU {
 		// Tenants share the (thread-safe) evaluator directly; there is no
 		// batch to aggregate on a CPU.
-		fleet = &Fleet{Engines: make([]mcts.Engine, tenants)}
+		fleet := &Fleet{Engines: make([]mcts.Engine, tenants), Decision: dec}
 		for i, cfg := range cfgs {
 			fleet.Engines[i] = mcts.NewShared(cfg, n, opts.Evaluator)
 		}
+		return fleet
+	}
 
-	case dec.Choice.Scheme == perfmodel.SchemeShared && opts.Platform == PlatformAccel:
+	// Every other configuration serves its tenants through one Server. On a
+	// CPU it is a worker pool: batch size 1, concurrency bounded to the
+	// physical worker budget. On an accelerator it runs the Link at the
+	// service threshold the decision chose, each batch on its own goroutine
+	// (the "CUDA stream" of Section 3.3).
+	var backend evaluate.Backend = &evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}
+	sc := evaluate.ServerConfig{Batch: 1, LaunchWorkers: n}
+	if opts.Platform != PlatformCPU {
+		backend, sc = opts.Link, evaluate.ServerConfig{Batch: dec.Choice.BatchSize}
+	}
+	var fleet *Fleet
+	if dec.Choice.Scheme == perfmodel.SchemeLocal {
+		fleet = localFleet(backend, sc, n, cfgs)
+	} else {
 		// One service aggregates all G*N workers' synchronous requests into
 		// full-fill batches (Section 3.3). Every worker is a registered slot
 		// of its sync tenant, so a tail that can no longer fill the threshold
 		// launches by quorum, not by hand.
-		srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: opts.Device}, evaluate.ServerConfig{
-			Batch:         dec.Choice.BatchSize,
-			FlushDeadline: flushDeadline(tenants),
-		})
+		sc.FlushDeadline = flushDeadline(tenants)
+		srv := evaluate.NewServer(backend, sc)
 		fleet = &Fleet{Server: srv, Engines: make([]mcts.Engine, tenants), Clients: make([]*evaluate.Client, tenants)}
 		for i, cfg := range cfgs {
 			fleet.Clients[i] = srv.NewSyncClient()
 			fleet.Engines[i] = mcts.NewShared(cfg, n, fleet.Clients[i])
 		}
-
-	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformCPU:
-		// One worker pool serves all tenants: batch size 1, concurrency
-		// bounded to the physical worker budget.
-		fleet = NewLocalFleet(&evaluate.EvaluatorBackend{Eval: opts.Evaluator, Workers: n}, 0, n, cfgs)
-
-	case dec.Choice.Scheme == perfmodel.SchemeLocal && opts.Platform == PlatformAccel:
-		// G local-tree masters stream requests into one service whose
-		// threshold is the aggregate fill the G-tenant Equation 6 chose, each
-		// batch on its own goroutine (the "CUDA stream" of Section 3.3).
-		fleet = localFleet(evaluate.DeviceBackend{Dev: opts.Device}, evaluate.ServerConfig{Batch: dec.Choice.BatchSize}, n, cfgs)
-
-	default:
-		return nil, fmt.Errorf("adaptive: unsupported scheme/platform combination")
 	}
 	fleet.Decision = dec
-	return fleet, nil
+	return fleet
 }
 
 // flushDeadline is the launch backstop of a service shared by G searches. A
@@ -305,7 +301,7 @@ func decide(g game.Game, tenants int, opts Options) Decision {
 		params.TDNNCPU = perfmodel.ProfileDNN(opts.Evaluator, c*h*w, g.NumActions(), dnnIters)
 		choice = perfmodel.ConfigureCPU(params, n)
 	} else {
-		cost := opts.DeviceCost
+		cost := opts.Link.Cost
 		params.GPU = &cost
 		// Options.TestRun measures a SINGLE search and cannot exercise
 		// service thresholds beyond one tenant's in-flight bound N.

@@ -14,6 +14,16 @@ import (
 	"github.com/parmcts/parmcts/internal/perfmodel"
 )
 
+// modelLink is the "model" accelerator backend: Synthetic behind cost.
+func modelLink(t testing.TB, cost accel.CostModel) *accel.Link {
+	t.Helper()
+	link, err := accel.NewBackend("model", accel.BackendSpec{Cost: cost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return link
+}
+
 func searchCfg(playouts int) mcts.Config {
 	cfg := mcts.DefaultConfig()
 	cfg.Playouts = playouts
@@ -29,7 +39,7 @@ func TestConfigureValidation(t *testing.T) {
 		t.Error("missing evaluator accepted")
 	}
 	if _, err := Configure(g, Options{Workers: 2, Platform: PlatformAccel}); err == nil {
-		t.Error("missing device accepted")
+		t.Error("missing link accepted")
 	}
 }
 
@@ -90,13 +100,11 @@ func TestConfigureAccelBuildsRunnableEngine(t *testing.T) {
 	cost.LaunchLatency = 0
 	cost.ComputeBase = 0
 	cost.ComputePerSample = 0
-	dev := accel.NewModel(cost)
 	eng, err := Configure(g, Options{
 		Search:          searchCfg(100),
 		Workers:         4,
 		Platform:        PlatformAccel,
-		Device:          dev,
-		DeviceCost:      cost,
+		Link:            modelLink(t, cost),
 		ProfilePlayouts: 100,
 	})
 	if err != nil {
@@ -121,13 +129,12 @@ func TestConfigureAccelBuildsRunnableEngine(t *testing.T) {
 func TestConfigureAccelUsesTestRuns(t *testing.T) {
 	g := tictactoe.New()
 	cost := accel.DefaultCostModel()
-	dev := accel.NewModel(cost)
 	probed := map[int]bool{}
 	eng, err := Configure(g, Options{
-		Search:   searchCfg(50),
-		Workers:  32,
-		Platform: PlatformAccel,
-		Device:   dev, DeviceCost: cost,
+		Search:          searchCfg(50),
+		Workers:         32,
+		Platform:        PlatformAccel,
+		Link:            modelLink(t, cost),
 		ProfilePlayouts: 100,
 		TestRun: func(b int) time.Duration {
 			probed[b] = true
@@ -193,7 +200,7 @@ func TestForcedSchemeIsOrdinaryConfigurationOverridden(t *testing.T) {
 	cost := accel.DefaultCostModel()
 	opts := Options{
 		Search: searchCfg(20), Workers: 16, Platform: PlatformAccel,
-		Device: accel.NewModel(cost), DeviceCost: cost, ProfilePlayouts: 50,
+		Link: modelLink(t, cost), ProfilePlayouts: 50,
 		// A V with its minimum at B = 5, everywhere slower than Equation 4.
 		TestRun: func(b int) time.Duration { return time.Second + time.Duration((b-5)*(b-5)) },
 	}
@@ -241,14 +248,12 @@ func TestConfigureFleetAccelSharesOneServer(t *testing.T) {
 	g := tictactoe.New()
 	cost := accel.DefaultCostModel()
 	cost.ComputePerSample = 0
-	dev := accel.NewModel(cost)
 	s := perfmodel.SchemeLocal
 	fleet, err := ConfigureFleet(g, 4, Options{
 		Search:          searchCfg(40),
 		Workers:         4,
 		Platform:        PlatformAccel,
-		Device:          dev,
-		DeviceCost:      cost,
+		Link:            modelLink(t, cost),
 		ProfilePlayouts: 50,
 		ForceScheme:     &s,
 	})
@@ -293,14 +298,12 @@ func TestConfigureFleetForcedSharedWidensThreshold(t *testing.T) {
 	// service exists to eliminate.
 	g := tictactoe.New()
 	cost := accel.DefaultCostModel()
-	dev := accel.NewModel(cost)
 	s := perfmodel.SchemeShared
 	fleet, err := ConfigureFleet(g, 4, Options{
 		Search:          searchCfg(20),
 		Workers:         3,
 		Platform:        PlatformAccel,
-		Device:          dev,
-		DeviceCost:      cost,
+		Link:            modelLink(t, cost),
 		ProfilePlayouts: 50,
 		ForceScheme:     &s,
 	})
@@ -351,7 +354,7 @@ func TestConfigureFleetValidation(t *testing.T) {
 		t.Error("zero workers accepted")
 	}
 	if _, err := ConfigureFleet(g, 2, Options{Workers: 2, Platform: PlatformAccel}); err == nil {
-		t.Error("missing device accepted")
+		t.Error("missing link accepted")
 	}
 }
 

@@ -65,8 +65,7 @@ func TestConfigureIsFleetOfOneGolden(t *testing.T) {
 					Workers:         1,
 					Platform:        platform,
 					Evaluator:       &evaluate.Random{},
-					Device:          accel.NewModel(cost),
-					DeviceCost:      cost,
+					Link:            modelLink(t, cost),
 					ProfilePlayouts: 50,
 					DNNProfileIters: 3,
 					ForceScheme:     &s,

@@ -1,29 +1,28 @@
 // Package evaluate provides the node-evaluation backends
-// ("neural_network_simulate" in Algorithms 2 and 3) in the three flavours
-// the paper's schemes need:
+// ("neural_network_simulate" in Algorithms 2 and 3) in the two flavours the
+// paper's schemes need:
 //
 //   - NN: synchronous on-thread inference — one shared-tree worker
 //     evaluating its own leaf on its own CPU thread.
 //   - NewPool: an asynchronous worker pool over any synchronous evaluator —
 //     the local-tree scheme's N inference threads fed by FIFO pipes.
-//   - NewBatchedAsync: the accelerator queue with sub-batch size B and
-//     stream-style overlapped submissions for the local-tree + GPU
-//     configuration (the subject of the Algorithm 4 batch-size search).
 //
-// The last two are one-tenant deployments of the multi-tenant inference
-// Server (see server.go) — the same shared batcher that multi-game drivers
-// share across G searches: they return the Client itself, which owns and
-// closes its private Server. The shared-tree + GPU configuration (Section
-// 3.3: N workers' simultaneous requests form one full batch) needs no
-// flavour of its own — it is a sync tenant of a Server
-// (Server.NewSyncClient), the same tenant serve sessions and arena gates
-// use. The Server launches a batch on the first of three conditions —
-// threshold, quorum (every slot of every open search has a request buffered;
-// the count includes slots whose request is executing, so lock-step tenants
-// stay in one batch) or flush deadline — described on Server. A Random
-// evaluator with a configurable synthetic latency supports the design-time
-// profiling runs, which the paper performs with a DNN "filled with random
-// parameters".
+// NewPool is a one-tenant deployment of the multi-tenant inference Server
+// (see server.go), the batcher multi-game drivers share across G searches:
+// it returns the Client itself, which owns and closes its private Server. The
+// accelerator configurations of Section 3.3 need no flavour of their own:
+// local-tree + GPU (sub-batch B, the subject of the Algorithm 4 search) is a
+// Client of a Server with threshold B and no flush deadline, shared-tree +
+// GPU (N workers' simultaneous requests form one full batch) a sync tenant
+// (Server.NewSyncClient, the tenant serve sessions and arena gates use), and
+// either Server runs an accel.Link, the simulated accelerator wrapped around
+// an EvaluatorBackend. The Server launches a batch on the first of
+// three conditions — threshold, quorum (every slot of every open search has a
+// request buffered; the count includes slots whose request is executing, so
+// lock-step tenants stay in one batch) or flush deadline — described on
+// Server. A Random evaluator with a configurable synthetic latency supports
+// the design-time profiling runs, which the paper performs with a DNN
+// "filled with random parameters".
 //
 // What a launched batch costs is the Backend's business. EvaluatorBackend —
 // the one every production binary builds — cuts the batch into at most
@@ -41,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -94,7 +92,7 @@ type BatchEvaluator interface {
 }
 
 // batchIO is the slice-of-slices form of a run of requests, the shape
-// batched evaluators and accelerator devices take. Pooled, so executing a
+// batched evaluators take. Pooled, so executing a
 // batch allocates none of it.
 type batchIO struct {
 	inputs, policies [][]float32
@@ -217,25 +215,7 @@ func NewPool(eval Evaluator, workers int) *Client {
 		// thread, exactly the seed pool's topology — no per-playout spawn.
 		LaunchWorkers: workers,
 	})
-	return srv.newOwnedClient(workers * 4)
-}
-
-// NewBatchedAsync adapts a batched accelerator device to the Async
-// interface with sub-batch size batch: every batch submissions launch one
-// device call on its own goroutine ("CUDA stream"), so transfers and compute
-// overlap with the master thread's in-tree operations exactly as in Section
-// 3.3. maxOutstanding bounds the requests in flight (backpressure): Submit
-// blocks once 2*maxOutstanding requests are buffered or executing. The
-// queue has no flush deadline; a master that must wait calls Next, which
-// pushes the partial batch. The returned client is the one tenant of a
-// private Server and closes it.
-func NewBatchedAsync(dev accel.Device, batch, maxOutstanding int) *Client {
-	if maxOutstanding < batch {
-		maxOutstanding = batch
-	}
-	srv := NewServer(DeviceBackend{Dev: dev}, ServerConfig{
-		Batch:          batch,
-		MaxOutstanding: maxOutstanding * 2,
-	})
-	return srv.newOwnedClient(maxOutstanding * 2)
+	c := srv.NewClient(workers * 4)
+	c.ownsServer = true
+	return c
 }

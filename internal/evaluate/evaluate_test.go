@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -153,7 +152,7 @@ func TestPoolPanicsOnZeroWorkers(t *testing.T) {
 // The shared-tree + GPU queue (Section 3.3) is a sync tenant of a Server
 // whose threshold is the worker count: four blocked callers are one batch.
 func TestSyncClientReleasesFullBatch(t *testing.T) {
-	srv := NewServer(DeviceBackend{Dev: accel.NewModel(accel.DefaultCostModel())}, ServerConfig{Batch: 4})
+	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 4})
 	cl := srv.NewSyncClient()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -173,9 +172,13 @@ func TestSyncClientReleasesFullBatch(t *testing.T) {
 	}
 }
 
+// TestBatchedAsyncDeliversAll: the local-tree accelerator queue — one
+// asynchronous tenant of a Server with threshold B and no flush deadline —
+// delivers every request, including a partial last batch that only moves when
+// Next pushes it.
 func TestBatchedAsyncDeliversAll(t *testing.T) {
-	dev := accel.NewModel(accel.DefaultCostModel())
-	b := NewBatchedAsync(dev, 3, 16)
+	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 3, MaxOutstanding: 32})
+	b := srv.NewClient(32)
 	const n = 20 // not a multiple of 3: the last two only move when Next pushes them
 	for i := 0; i < n; i++ {
 		b.Submit(&Request{
@@ -203,100 +206,5 @@ func TestBatchedAsyncDeliversAll(t *testing.T) {
 		}
 	}
 	b.Close()
-}
-
-func TestBatchedAsyncOverlappedStreams(t *testing.T) {
-	// With sub-batches launched on separate goroutines, submitting 4
-	// batches of 4 must take well under 4x the serial batch time, because
-	// transfers overlap compute (the Model device serialises only compute).
-	cost := accel.CostModel{
-		LaunchLatency:    4 * time.Millisecond,
-		BytesPerSample:   1,
-		LinkBytesPerSec:  1e12,
-		ComputeBase:      2 * time.Millisecond,
-		ComputePerSample: 0,
-	}
-	dev := accel.NewModel(cost)
-	b := NewBatchedAsync(dev, 4, 64)
-	start := time.Now()
-	for i := 0; i < 16; i++ {
-		b.Submit(&Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)})
-	}
-	for i := 0; i < 16; i++ {
-		<-b.Completions()
-	}
-	elapsed := time.Since(start)
-	b.Close()
-	// Fully serial would be 4*(4+2) = 24ms; with transfers overlapping the
-	// serialised compute it should approach 4 + 4*2 = 12ms. Allow generous
-	// scheduler slack but require clear evidence of overlap.
-	serial := 4 * (cost.LaunchLatency + cost.ComputeBase)
-	if elapsed >= serial-4*time.Millisecond {
-		t.Fatalf("no overlap: %v elapsed vs %v serial bound", elapsed, serial)
-	}
-}
-
-func TestHostedDeviceMatchesNetwork(t *testing.T) {
-	net := testNet(t)
-	cost := accel.DefaultCostModel()
-	cost.LaunchLatency = 0
-	cost.ComputeBase = 0
-	dev := accel.NewHosted(net, cost, 2)
-	inputs := [][]float32{testInput(1, net.InputLen()), testInput(2, net.InputLen())}
-	policies := [][]float32{make([]float32, 25), make([]float32, 25)}
-	values := make([]float64, 2)
-	dev.Infer(inputs, policies, values)
-	for i := range inputs {
-		wantPol, wantV := forwardAlone(net, inputs[i])
-		if values[i] != wantV {
-			t.Fatalf("value[%d] = %v, want %v", i, values[i], wantV)
-		}
-		for j := range wantPol {
-			if policies[i][j] != wantPol[j] {
-				t.Fatalf("policy[%d][%d] mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestCostModelMonotonicity(t *testing.T) {
-	m := accel.DefaultCostModel()
-	// TransferTime per batch grows with batch; amortized per-sample falls.
-	prevAmortized := math.Inf(1)
-	for b := 1; b <= 64; b *= 2 {
-		tt := m.TransferTime(b)
-		amort := float64(tt) / float64(b)
-		if amort >= prevAmortized {
-			t.Fatalf("amortized transfer not decreasing at B=%d", b)
-		}
-		prevAmortized = amort
-	}
-	prev := time.Duration(0)
-	for b := 1; b <= 64; b++ {
-		ct := m.ComputeTime(b)
-		if ct < prev {
-			t.Fatalf("compute time not monotonic at B=%d", b)
-		}
-		prev = ct
-	}
-}
-
-func TestModelDeviceDeterministic(t *testing.T) {
-	dev := accel.NewModel(accel.DefaultCostModel())
-	in := testInput(9, 36)
-	p1 := [][]float32{make([]float32, 9)}
-	p2 := [][]float32{make([]float32, 9)}
-	v1 := make([]float64, 1)
-	v2 := make([]float64, 1)
-	dev.Infer([][]float32{in}, p1, v1)
-	dev.Infer([][]float32{in}, p2, v2)
-	if v1[0] != v2[0] {
-		t.Fatal("model device values differ for same input")
-	}
-	for i := range p1[0] {
-		if p1[0][i] != p2[0][i] {
-			t.Fatal("model device policies differ")
-		}
-	}
-	policyOK(t, p1[0])
+	srv.Close()
 }

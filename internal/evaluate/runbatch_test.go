@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
@@ -256,39 +255,6 @@ func TestRunBatchMatchesEvaluateBits(t *testing.T) {
 	}
 }
 
-// TestHostedMatchesProductionForward: the simulated accelerator and the
-// backend every production binary serves through compute on one forward path
-// (nn.ForwardBatch over nn.BatchWorkspacePool workspaces), so accel.Hosted.Infer
-// and EvaluatorBackend.RunBatch over NewNN fill the same bits at every batch
-// size and split.
-func TestHostedMatchesProductionForward(t *testing.T) {
-	net := testNet(t)
-	for _, b := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 2} {
-			batch := make([]*Request, b)
-			inputs, policies, values := make([][]float32, b), make([][]float32, b), make([]float64, b)
-			for i := range batch {
-				inputs[i] = testInput(uint64(70+i), net.InputLen())
-				policies[i] = make([]float32, net.Cfg.NumActions)
-				batch[i] = &Request{Input: inputs[i], Policy: make([]float32, net.Cfg.NumActions)}
-			}
-			(&EvaluatorBackend{Eval: NewNN(net), Workers: workers}).RunBatch(batch)
-			accel.NewHosted(net, accel.CostModel{LinkBytesPerSec: 1e12}, workers).Infer(inputs, policies, values)
-			for i, req := range batch {
-				if math.Float64bits(values[i]) != math.Float64bits(req.Value) {
-					t.Fatalf("b=%d workers=%d sample %d: hosted value %v, production %v", b, workers, i, values[i], req.Value)
-				}
-				for a := range req.Policy {
-					if math.Float32bits(policies[i][a]) != math.Float32bits(req.Policy[a]) {
-						t.Fatalf("b=%d workers=%d sample %d action %d: hosted policy %v, production %v",
-							b, workers, i, a, policies[i][a], req.Policy[a])
-					}
-				}
-			}
-		}
-	}
-}
-
 // steadyAllocs is the allocation count f settles at: the lowest average over
 // a few measured rounds. A sync.Pool is per-P, so a goroutine that lands on
 // another P now and then finds its pool empty and rebuilds a workspace; that
@@ -307,7 +273,7 @@ func steadyAllocs(f func()) float64 {
 // board to keep the test short) is two row blocks, so the pooled parallel
 // job and GEMM task are on this path — and nor does RunBatch of one
 // request. RunBatch of 8 over a
-// warm cache view allocates only what accel.ForChunks needs to run a second
+// warm cache view allocates only what forChunks needs to run a second
 // chunk (its WaitGroup and closures) when every request hits, and exactly
 // one object more per miss — the policy copy the cache keeps — when every
 // request misses: the workspaces, the request views and the cache's own
@@ -365,4 +331,43 @@ func TestForwardPathAllocations(t *testing.T) {
 		t.Errorf("RunBatch of 8 misses allocates %v per call, want the %v of 8 hits + 1 stored policy per miss", misses, hits)
 	}
 	t.Logf("RunBatch of 8: %v allocations per call on hits, %v on misses", hits, misses)
+}
+
+// TestForChunks: every index is covered exactly once by at most w contiguous
+// chunks, for w below, at and above n and for the GOMAXPROCS default; and the
+// chunks of one call run concurrently (each waits for all the others before
+// returning).
+func TestForChunks(t *testing.T) {
+	for _, tc := range []struct{ n, w int }{{0, 4}, {1, 4}, {8, 2}, {8, 3}, {7, 7}, {5, 9}, {9, 1}, {6, 0}} {
+		var mu sync.Mutex
+		seen := make([]int, tc.n)
+		chunks := 0
+		forChunks(tc.n, tc.w, func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			chunks++
+			if lo >= hi || hi > tc.n {
+				t.Errorf("n=%d w=%d: chunk [%d, %d)", tc.n, tc.w, lo, hi)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d w=%d: index %d covered %d times", tc.n, tc.w, i, c)
+			}
+		}
+		if w := tc.w; w > 0 && chunks > min(w, tc.n) {
+			t.Errorf("n=%d w=%d: %d chunks", tc.n, tc.w, chunks)
+		}
+	}
+
+	var barrier sync.WaitGroup
+	barrier.Add(4)
+	forChunks(8, 4, func(lo, hi int) {
+		barrier.Done()
+		barrier.Wait() // returns only once all four chunks are running
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/queue"
 )
 
@@ -25,31 +24,12 @@ type Backend interface {
 	RunBatch(batch []*Request)
 }
 
-// DeviceBackend runs batches on a batched accelerator device — the GPU leg
-// of the service.
-type DeviceBackend struct {
-	Dev accel.Device
-}
-
-// RunBatch implements Backend.
-func (d DeviceBackend) RunBatch(batch []*Request) {
-	io := getBatchIO(len(batch))
-	for i, req := range batch {
-		io.inputs[i], io.policies[i] = req.Input, req.Policy
-	}
-	d.Dev.Infer(io.inputs, io.policies, io.values)
-	for i, req := range batch {
-		req.Value = io.values[i]
-	}
-	putBatchIO(io)
-}
-
 // EvaluatorBackend runs a batch through a synchronous evaluator on at most
 // Workers cores at once across ALL in-flight batches — the service
 // equivalent of the local-tree scheme's N inference threads (Figure 2a).
 //
 // A formed batch is cut into at most Workers contiguous sub-batches, run on
-// the caller and accel.ForChunks goroutines (a one-request batch is one
+// the caller and forChunks goroutines (a one-request batch is one
 // sub-batch on the caller). Each sub-batch takes one concurrency token and is
 // ONE EvaluateBatch call when Eval is a BatchEvaluator — *NN, or a
 // *CacheView over one: one batched forward pass per core, the cache view
@@ -81,7 +61,32 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 		b.run(batch)
 		return
 	}
-	accel.ForChunks(len(batch), cap(b.sem), func(lo, hi int) { b.run(batch[lo:hi]) })
+	forChunks(len(batch), cap(b.sem), func(lo, hi int) { b.run(batch[lo:hi]) })
+}
+
+// forChunks splits [0, n) into at most w contiguous chunks of equal size (the
+// last may be shorter; w <= 0 means GOMAXPROCS), runs fn on each — the first
+// on the caller's goroutine, every other on its own — and returns once all
+// have. It is how RunBatch shares a formed batch between cores.
+func forChunks(n, w int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	w = min(w, n)
+	chunk := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			fn(lo, min(lo+chunk, n))
+		}(lo)
+	}
+	fn(0, chunk)
+	wg.Wait()
 }
 
 // run evaluates one sub-batch under one concurrency token.
@@ -517,14 +522,6 @@ func (s *Server) NewClient(buffer int) *Client {
 	return &Client{srv: s, completions: make(chan *Request, buffer)}
 }
 
-// newOwnedClient registers the one asynchronous tenant of a private server
-// (NewPool, NewBatchedAsync): closing the client also closes the server.
-func (s *Server) newOwnedClient(buffer int) *Client {
-	c := s.NewClient(buffer)
-	c.ownsServer = true
-	return c
-}
-
 // NewSyncClient registers a synchronous tenant: completions are signalled on
 // each request's private done channel instead of a completions stream. Only
 // pooled requests (AcquireRequest) may be submitted through it.
@@ -541,8 +538,8 @@ type Client struct {
 	srv         *Server
 	completions chan *Request
 	syncMode    bool
-	// ownsServer marks the one tenant of a private server: Close closes
-	// the server too.
+	// ownsServer marks the one tenant of a NewPool's private server: Close
+	// closes the server too.
 	ownsServer bool
 
 	// pin, when non-nil, is the model this client holds and stamps every
@@ -679,8 +676,8 @@ func (c *Client) Evaluate(input []float32, policy []float32) float64 {
 // until all have been delivered, drops the client's pin and closes the
 // completions stream. An idle tenant's Close launches nothing — co-tenants'
 // buffered requests keep waiting for their own batch. A shared Server stays
-// open for other tenants; a private one (NewPool, NewBatchedAsync) is closed
-// with its only client.
+// open for other tenants; a private one (NewPool) is closed with its only
+// client.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {

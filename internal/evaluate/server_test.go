@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/parmcts/parmcts/internal/accel"
 )
 
 // recordingBackend captures launch times and batch shapes.
@@ -163,8 +161,7 @@ func TestServerThresholdPreemptsDeadline(t *testing.T) {
 // TestServerRoutesPerClient: completions reach the tenant that submitted
 // them, even when one batch mixes many tenants.
 func TestServerRoutesPerClient(t *testing.T) {
-	dev := accel.NewModel(accel.CostModel{LinkBytesPerSec: 1e12})
-	srv := NewServer(DeviceBackend{Dev: dev}, ServerConfig{Batch: 8, FlushDeadline: 5 * time.Millisecond})
+	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 8, FlushDeadline: 5 * time.Millisecond})
 	const tenants, perTenant = 4, 25
 	clients := make([]*Client, tenants)
 	for i := range clients {
@@ -351,8 +348,7 @@ func TestRequestPoolReuse(t *testing.T) {
 
 	// End-to-end through a sync client: many evaluations, one goroutine —
 	// every cycle reuses the pooled request and its channel.
-	dev := accel.NewModel(accel.CostModel{LinkBytesPerSec: 1e12})
-	srv := NewServer(DeviceBackend{Dev: dev}, ServerConfig{Batch: 1})
+	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 1})
 	cl := srv.NewSyncClient()
 	policy := make([]float32, 9)
 	for i := 0; i < 50; i++ {

@@ -97,13 +97,12 @@ func UseAccelDevice(opts *adaptive.Options, name string, g game.Game, net *nn.Ne
 	if name == "" {
 		name = "hosted"
 	}
-	dev, err := accel.NewBackend(name, accel.BackendSpec{Net: net, Cost: cost})
+	link, err := accel.NewBackend(name, accel.BackendSpec{Net: net, Cost: cost})
 	if err != nil {
 		return err
 	}
 	opts.Platform = adaptive.PlatformAccel
-	opts.Device = dev
-	opts.DeviceCost = cost
+	opts.Link = link
 	return nil
 }
 

@@ -150,8 +150,12 @@ func TestSharedWithSyncClientEvaluator(t *testing.T) {
 	cost.LaunchLatency = 0
 	cost.ComputeBase = 0
 	cost.ComputePerSample = 0
+	link, err := accel.NewBackend("model", accel.BackendSpec{Cost: cost})
+	if err != nil {
+		t.Fatal(err)
+	}
 	workers := 4
-	srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: accel.NewModel(cost)}, evaluate.ServerConfig{Batch: workers})
+	srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: workers})
 	cl := srv.NewSyncClient()
 	e := NewShared(testCfg(37), workers, cl)
 	st := connect4.New().NewInitial()
@@ -192,8 +196,12 @@ func TestLocalEngineWithBatchedAsync(t *testing.T) {
 	cost.ComputeBase = 0
 	cost.ComputePerSample = 0
 	for _, batch := range []int{1, 3, 8} {
-		dev := accel.NewModel(cost)
-		async := evaluate.NewBatchedAsync(dev, batch, 16)
+		link, err := accel.NewBackend("model", accel.BackendSpec{Cost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: batch, MaxOutstanding: 32})
+		async := srv.NewClient(32)
 		e := NewLocal(testCfg(301), async, 16)
 		st := connect4.New().NewInitial()
 		runEngine(t, e, st)
@@ -202,6 +210,7 @@ func TestLocalEngineWithBatchedAsync(t *testing.T) {
 			t.Errorf("batch=%d: root visits = %d, want 301", batch, got)
 		}
 		async.Close()
+		srv.Close()
 	}
 }
 

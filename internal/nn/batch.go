@@ -64,9 +64,9 @@ func (ws *BatchWorkspace) Cap() int { return ws.capB }
 // BatchWorkspacePool is a get-or-grow pool of one network's batch
 // workspaces, of whatever capacities its batches needed: recurring batch
 // sizes run allocation-free, and the garbage collector reclaims what goes
-// unused. It is the one pooled forward both evaluate.NN (what production
-// runs) and accel.Hosted (the simulated accelerator) compute through; the
-// zero value is not usable, and it is safe for concurrent use.
+// unused. It is the one pooled forward evaluate.NN computes through, both
+// in production and behind the simulated accelerator; the zero value is not
+// usable, and it is safe for concurrent use.
 type BatchWorkspacePool struct {
 	net  *Network
 	pool sync.Pool

@@ -12,7 +12,7 @@
 // backward passes are pure Go. There is one forward, ForwardBatch: every
 // evaluation runs it (a single position is a batch of one) and so does every
 // training step, whose backward pass reads its activations. Batches are
-// parallelised across samples in internal/evaluate and internal/accel.
+// parallelised across samples by internal/evaluate.
 package nn
 
 import (

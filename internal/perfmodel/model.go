@@ -101,9 +101,7 @@ func SharedGPU(p Params, n, g int) time.Duration {
 // bandwidth term for all n samples.
 func PCIeTime(m accel.CostModel, n, b int) time.Duration {
 	launches := (n + b - 1) / b
-	bytes := float64(n * m.BytesPerSample)
-	return time.Duration(launches)*m.LaunchLatency +
-		time.Duration(bytes/m.LinkBytesPerSec*1e9)*time.Nanosecond
+	return time.Duration(launches)*m.LaunchLatency + m.BandwidthTime(n)
 }
 
 // LocalGPU evaluates Equation 6 for G concurrent local-tree masters sharing

@@ -120,6 +120,25 @@ func TestPCIeTimeMatchesPaperModel(t *testing.T) {
 	}
 }
 
+// TestZeroCostModelIsFree: a zero CostModel has no bandwidth term, so every
+// link and compute time is 0 rather than a float-to-int conversion of
+// 0/0 or n/0.
+func TestZeroCostModelIsFree(t *testing.T) {
+	var m accel.CostModel
+	if got := m.TransferTime(8); got != 0 {
+		t.Errorf("TransferTime(8) = %v, want 0", got)
+	}
+	if got := m.ComputeTime(8); got != 0 {
+		t.Errorf("ComputeTime(8) = %v, want 0", got)
+	}
+	m.BytesPerSample = 4 // bytes over no bandwidth
+	for _, n := range []int{0, 8} {
+		if got := PCIeTime(m, n, 2); got != 0 {
+			t.Errorf("PCIeTime(%d, 2) = %v, want 0", n, got)
+		}
+	}
+}
+
 func TestLocalGPUIsVSequence(t *testing.T) {
 	// Section 4.2's central observation: over B in [1, G*N] the Equation 6
 	// latency first (weakly) falls, then (weakly) rises.

@@ -14,16 +14,24 @@ import (
 	"github.com/parmcts/parmcts/internal/train"
 )
 
-// testFleet builds G local-tree engines sharing one deadline-flushing
-// inference service over the latency-model device.
-func testFleet(g, n, playouts int) ([]mcts.Engine, *evaluate.Server, func()) {
-	dev := accel.NewModel(accel.CostModel{
+// testLink is the "model" accelerator backend on a small latency profile.
+func testLink() *accel.Link {
+	link, err := accel.NewBackend("model", accel.BackendSpec{Cost: accel.CostModel{
 		LaunchLatency:   5 * time.Microsecond,
 		BytesPerSample:  36,
 		LinkBytesPerSec: 16e9,
 		ComputeBase:     10 * time.Microsecond,
-	})
-	srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: dev}, evaluate.ServerConfig{
+	}})
+	if err != nil {
+		panic(err) // "model" is registered by the accel package itself
+	}
+	return link
+}
+
+// testFleet builds G local-tree engines sharing one deadline-flushing
+// inference service over the latency-model backend.
+func testFleet(g, n, playouts int) ([]mcts.Engine, *evaluate.Server, func()) {
+	srv := evaluate.NewServer(testLink(), evaluate.ServerConfig{
 		Batch:          g * n,
 		FlushDeadline:  500 * time.Microsecond,
 		MaxOutstanding: 2 * g * n,
@@ -194,13 +202,7 @@ func TestDriverPanics(t *testing.T) {
 // must hold in the round aggregate.
 func TestDriverFleetReusesSubtrees(t *testing.T) {
 	const g, n, playouts = 3, 2, 48
-	dev := accel.NewModel(accel.CostModel{
-		LaunchLatency:   5 * time.Microsecond,
-		BytesPerSample:  36,
-		LinkBytesPerSec: 16e9,
-		ComputeBase:     10 * time.Microsecond,
-	})
-	srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: dev}, evaluate.ServerConfig{
+	srv := evaluate.NewServer(testLink(), evaluate.ServerConfig{
 		Batch:          g * n,
 		FlushDeadline:  500 * time.Microsecond,
 		MaxOutstanding: 2 * g * n,

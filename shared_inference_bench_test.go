@@ -2,8 +2,8 @@ package parmcts_test
 
 // Acceptance benchmarks for the multi-tenant inference service: G=8
 // concurrent Gomoku searches sharing ONE evaluate.Server versus the same 8
-// searches each owning an independent BatchedAsync queue on the same
-// device. The shared service aggregates the tenants' demand into large
+// searches each owning an independent accelerator queue (a private
+// deadline-less Server of threshold N) on the same simulated accelerator. The shared service aggregates the tenants' demand into large
 // batches (fewer launches, amortized launch latency), which is the
 // refactor's whole claim; the recorded numbers are in EXPERIMENTS.md.
 
@@ -24,12 +24,23 @@ const (
 	sharedInfPlayouts = 128 // per-move budget per search
 )
 
-func sharedInfDevice() accel.Device {
+func sharedInfLink() *accel.Link {
 	g := gomoku.NewSized(9)
 	c, h, w := g.EncodedShape()
 	cost := accel.DefaultCostModel()
 	cost.BytesPerSample = c * h * w * 4
-	return accel.NewModel(cost)
+	link, err := accel.NewBackend("model", accel.BackendSpec{Cost: cost})
+	if err != nil {
+		panic(err) // "model" is registered by the accel package itself
+	}
+	return link
+}
+
+// newIndependentQueue is one master's private accelerator queue: a Server of
+// threshold N with no flush deadline and its one client.
+func newIndependentQueue(link *accel.Link) *evaluate.Client {
+	srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: sharedInfWorkers, MaxOutstanding: 2 * sharedInfWorkers})
+	return srv.NewClient(2 * sharedInfWorkers)
 }
 
 func sharedInfConfig(seed uint64) mcts.Config {
@@ -66,8 +77,7 @@ func runConcurrentSearches(engines []*mcts.Local) int {
 // masters as tenants of one deadline-flushing server with aggregate batch
 // threshold G*N.
 func BenchmarkSharedInferenceG8(b *testing.B) {
-	dev := sharedInfDevice()
-	srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: dev}, evaluate.ServerConfig{
+	srv := evaluate.NewServer(sharedInfLink(), evaluate.ServerConfig{
 		Batch:          sharedInfGames * sharedInfWorkers,
 		FlushDeadline:  evaluate.DefaultFlushDeadline,
 		MaxOutstanding: 2 * sharedInfGames * sharedInfWorkers,
@@ -97,19 +107,20 @@ func BenchmarkSharedInferenceG8(b *testing.B) {
 }
 
 // BenchmarkIndependentInferenceG8 is the pre-refactor baseline: the same 8
-// masters, each with a private BatchedAsync queue (sub-batch N) contending
-// for the same device — G under-filled batch streams.
+// masters, each with a private accelerator queue (sub-batch N) contending
+// for the same simulated accelerator — G under-filled batch streams.
 func BenchmarkIndependentInferenceG8(b *testing.B) {
-	dev := sharedInfDevice()
+	link := sharedInfLink()
 	engines := make([]*mcts.Local, sharedInfGames)
 	asyncs := make([]*evaluate.Client, sharedInfGames)
 	for i := range engines {
-		asyncs[i] = evaluate.NewBatchedAsync(dev, sharedInfWorkers, sharedInfWorkers)
+		asyncs[i] = newIndependentQueue(link)
 		engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), asyncs[i], sharedInfWorkers)
 	}
 	defer func() {
 		for _, a := range asyncs {
 			a.Close()
+			a.Server().Close()
 		}
 	}()
 
@@ -135,19 +146,19 @@ func BenchmarkIndependentInferenceG8(b *testing.B) {
 // TestSharedServiceBeatsIndependentQueues pins the acceptance criterion in
 // a plain test (the benchmark records the magnitude): G=8 concurrent
 // searches through one shared server must complete their aggregate
-// playouts faster than 8 independent BatchedAsync instances on the same
-// device.
+// playouts faster than 8 independent accelerator queues on the same
+// simulated accelerator.
 func TestSharedServiceBeatsIndependentQueues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
 	run := func(shared bool) (time.Duration, float64) {
-		dev := sharedInfDevice()
+		link := sharedInfLink()
 		engines := make([]*mcts.Local, sharedInfGames)
 		var closers []func()
 		var fill func() float64
 		if shared {
-			srv := evaluate.NewServer(evaluate.DeviceBackend{Dev: dev}, evaluate.ServerConfig{
+			srv := evaluate.NewServer(link, evaluate.ServerConfig{
 				Batch:          sharedInfGames * sharedInfWorkers,
 				FlushDeadline:  evaluate.DefaultFlushDeadline,
 				MaxOutstanding: 2 * sharedInfGames * sharedInfWorkers,
@@ -162,13 +173,14 @@ func TestSharedServiceBeatsIndependentQueues(t *testing.T) {
 		} else {
 			var batches, requests int64
 			for i := range engines {
-				a := evaluate.NewBatchedAsync(dev, sharedInfWorkers, sharedInfWorkers)
+				a := newIndependentQueue(link)
 				engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), a, sharedInfWorkers)
 				closers = append(closers, func() {
 					st := a.Server().Stats()
 					batches += st.Batches
 					requests += st.Requests
 					a.Close()
+					a.Server().Close()
 				})
 			}
 			fill = func() float64 {
