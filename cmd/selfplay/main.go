@@ -15,7 +15,7 @@
 //	selfplay [-n 4] [-games 1] [-game gomoku:9] [-playouts 100] [-episodes 8]
 //	         [-platform cpu|gpu] [-backend hosted|model]
 //	         [-kernel generic|avx2] [-reuse] [-transpose on:65536]
-//	         [-book book.json] [-full-net] [-save model.bin]
+//	         [-full-net] [-save model.bin]
 //
 // -game takes a registry spec: gomoku:9, othello, hex:11, connect4, ...
 package main
@@ -52,7 +52,6 @@ func main() {
 		scheme    = flag.String("scheme", "auto", "auto, shared, or local: force a parallel scheme instead of the model decision")
 		reuse     = mcts.ReuseFlag(flag.CommandLine, false, ": retain the played subtree across moves instead of rebuilding the tree")
 		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
-		bookPath  = flag.String("book", "", "serve opening moves from this precomputed book (see cmd/bookgen)")
 		fullNet   = nn.FullNetFlag(flag.CommandLine, "")
 		backend   = flag.String("backend", "", "accel backend for -platform gpu: "+strings.Join(accel.BackendNames(), ", ")+" (default hosted)")
 		savePath  = flag.String("save", "", "write the trained network here")
@@ -85,26 +84,6 @@ func main() {
 		// stored evaluations.
 		transTable = tree.NewTransTable(transSize)
 		search.TransposeTable = transTable
-	}
-	if *bookPath != "" {
-		f, err := os.Open(*bookPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selfplay: book:", err)
-			os.Exit(2)
-		}
-		book, err := mcts.LoadBook(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selfplay: book:", err)
-			os.Exit(2)
-		}
-		if book.Game != "" && games.SpecName(book.Game) != g.Name() || book.Actions != g.NumActions() {
-			fmt.Fprintf(os.Stderr, "selfplay: book %s was built for %q (%d actions), not %s (%d actions)\n",
-				*bookPath, book.Game, book.Actions, g.Name(), g.NumActions())
-			os.Exit(2)
-		}
-		search.Book = book
-		fmt.Printf("opening book: %s entries=%d max-ply=%d\n", book.Game, book.Len(), book.MaxPly)
 	}
 	opts := adaptive.Options{
 		Search:          search,

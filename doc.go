@@ -197,17 +197,6 @@
 // (historical, 1-core container; evaluate.cache_hit_ns in
 // bash cmd/bench/run.sh is the current figure).
 //
-// An offline opening book precomputes the first plies entirely:
-// mcts.BuildBook sweeps the opening frontier breadth-first against one
-// shared table (deduplicating most of the build's own eval demand),
-// records root visit distributions for every position whose reach
-// probability clears a threshold, and serializes hash+verify-keyed
-// entries to JSON (cmd/bookgen). At play time a booked position is served
-// before the search session even locks: zero playouts, zero evaluations,
-// and the same collision discipline — a book entry whose verification key
-// does not match the live position is a miss, never a wrong serve.
-// EXPERIMENTS.md records the measured eval-demand reductions.
-//
 // # Model lifecycle
 //
 // The outer ring of the self-play system closes the loop from generated
@@ -234,9 +223,9 @@
 //     goes — the "Model-version lifecycle" paragraph of the Server doc
 //     comment is the reference. Fleet drivers PinCurrent each game at game
 //     start (one game never mixes models), so across a promotion two
-//     versions serve simultaneously. cmd/serve's shared evaluate.Cached is
-//     version-scoped the same way (View/ResetVersion): its OnRetire evicts
-//     exactly the retired model's entries, never the incumbent's.
+//     versions serve simultaneously. cmd/serve holds no version: it serves
+//     the one it was started with, and serves a newer checkpoint only when
+//     restarted with -ckpt.
 //
 //   - train.Loop overlaps self-play generation with SGD (the generator
 //     runs one round ahead on its own goroutine) and, every GateEvery
@@ -335,19 +324,17 @@
 // worker's — under an LRU + idle-TTL eviction policy with a configurable
 // session budget. Every game is a tenant of ONE shared evaluate.Server, so
 // concurrent users aggregate into full inference batches exactly like the
-// self-play fleet, with a version-scoped shared evaluation cache and
-// per-model-version transposition tables (positions evaluated under
-// different weights are never mixed). Admission control rides the
-// service's MaxOutstanding backpressure bound: a move that would oversubscribe
-// the inference service is rejected with 429 + Retry-After instead of
-// queuing unboundedly. Model swaps are graceful — sessions pin (hold) the
-// version they started under, so by the server's lifecycle rule a superseded
-// version retires when its last session closes — and so is shutdown:
-// SIGTERM stops admission (503), in-flight searches finish and are answered,
-// then sessions and the inference service drain. Eviction is drain-safe down through the engine
-// layer: mcts engines' Close blocks on the session mutex, so an evicted
-// session's in-flight search always finishes on its own tree and is then
-// discarded, never raced. cmd/loadgen drives a running server with N
+// self-play fleet, with one shared evaluation cache and one shared
+// transposition table; a process serves one model version (the -ckpt
+// manifest's). Admission control rides the service's MaxOutstanding
+// backpressure bound: a move that would oversubscribe the inference service
+// is rejected with 429 + Retry-After instead of queuing unboundedly.
+// Shutdown is graceful: SIGTERM stops admission (503), in-flight searches
+// finish and are answered, then sessions and the inference service drain.
+// Eviction is drain-safe down through the engine layer: mcts engines'
+// Close blocks on the session mutex, so an evicted session's in-flight
+// search always finishes on its own tree and is then discarded, never
+// raced. cmd/loadgen drives a running server with N
 // concurrent simulated users playing full games, validates every response
 // against a local rules mirror (a mis-routed move is a hard failure), and
 // reports p50/p99 move latency and sustained moves/s.
@@ -394,7 +381,7 @@
 // (historical, 1-core container).
 //
 // Packages live under internal/; the runnable entry points are the
-// binaries under cmd/ and the programs under examples/. The benchmarks in
+// binaries under cmd/ and examples/quickstart. The benchmarks in
 // bench_test.go regenerate each table and figure of the paper's evaluation
 // (see EXPERIMENTS.md for the index and the historical results; current
 // numbers come from bash cmd/bench/run.sh against cmd/bench/baseline.json).

@@ -54,9 +54,6 @@ func (e *RootParallel) Advance(action int) {}
 
 // Search implements Engine.
 func (e *RootParallel) Search(st game.State, dist []float32) Stats {
-	if bs, ok := bookServe(e.cfg, st, dist); ok {
-		return bs
-	}
 	perWorker := e.cfg.Playouts / e.workers
 	if perWorker < 1 {
 		perWorker = 1

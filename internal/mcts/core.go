@@ -103,14 +103,11 @@ type scheduler interface {
 	run(root game.State, budget int)
 }
 
-// search is the Search every engine shares: book, session lock, prepare,
-// run the scheduler — with every rollout context registered as a slot in the
+// search is the Search every engine shares: session lock, prepare, run the
+// scheduler — with every rollout context registered as a slot in the
 // evaluator's quorum while it can still submit — merge the contexts' stats,
 // finish, read the root.
 func (c *core) search(st game.State, dist []float32, sched scheduler) Stats {
-	if bs, ok := bookServe(c.s.cfg, st, dist); ok {
-		return bs
-	}
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	var stats Stats

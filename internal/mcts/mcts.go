@@ -23,8 +23,8 @@
 //     each leaf's evaluation fanned out K-fold.
 //
 // RootParallel, the other Section 2.2 baseline, composes W serial
-// sub-searches instead. Every engine shares one Search skeleton (opening
-// book, session lock, warm-tree preparation, scheduler, accounting) and one
+// sub-searches instead. Every engine shares one Search skeleton (session
+// lock, warm-tree preparation, scheduler, accounting) and one
 // persistent session (session.go), so the probe order, the noise draws and
 // the phase accounting are the same by construction, not by convention. The
 // skeleton also tells a batching evaluator who is searching (SlotRegistrar):
@@ -81,10 +81,6 @@ type Config struct {
 	// converge on shared statistics and evaluations. The owner must Reset
 	// it whenever the model weights change.
 	TransposeTable *tree.TransTable
-	// Book, when non-nil, serves precomputed root visit distributions
-	// table-first: a Search whose position is in the book returns the
-	// stored distribution without running a single playout.
-	Book *Book
 }
 
 // DefaultConfig returns the paper's search configuration.
@@ -137,9 +133,6 @@ type Stats struct {
 	// did not buy. Evaluations + TransHits is the eval demand the search
 	// would have had with the table off (modulo changed exploration).
 	TransHits int
-	// BookHits counts Search calls answered entirely from the opening
-	// book (zero playouts run).
-	BookHits int
 	// Phase breakdown, populated when Config.Profile is set. The phases
 	// partition each rollout's time on its own thread: Select is the state
 	// clone and the descent; Expand is everything between reaching the leaf
@@ -170,7 +163,6 @@ func (s *Stats) Add(o Stats) {
 	s.ReusedNodes += o.ReusedNodes
 	s.ReusedVisits += o.ReusedVisits
 	s.TransHits += o.TransHits
-	s.BookHits += o.BookHits
 	s.SelectTime += o.SelectTime
 	s.ExpandTime += o.ExpandTime
 	s.BackupTime += o.BackupTime

@@ -1,14 +1,12 @@
 package mcts
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
 	"github.com/parmcts/parmcts/internal/game/hex"
 	"github.com/parmcts/parmcts/internal/game/othello"
-	"github.com/parmcts/parmcts/internal/game/tictactoe"
 	"github.com/parmcts/parmcts/internal/tree"
 )
 
@@ -178,117 +176,5 @@ func TestTransposeReducesEvalDemand(t *testing.T) {
 				t.Fatalf("TransposeFraction = %v, want in (0,1)", frac)
 			}
 		})
-	}
-}
-
-// TestBuildBookAndServe builds a small tic-tac-toe book and checks the
-// full life cycle: booked positions serve stored distributions with zero
-// playouts, save/load round-trips, and a session continues searching
-// normally once the game leaves the book.
-func TestBuildBookAndServe(t *testing.T) {
-	g := tictactoe.New()
-	cfg := DefaultConfig()
-	cfg.Playouts = 64
-	cfg.Seed = 3
-	bcfg := DefaultBookConfig()
-	bcfg.MaxPly = 2
-	book, bstats := BuildBook(g, cfg, &evaluate.Random{}, bcfg)
-	if book.Len() == 0 {
-		t.Fatal("empty book")
-	}
-	if bstats.TransHits == 0 {
-		t.Fatal("book build recorded no transposition hits; the shared-table sweep did not dedup")
-	}
-
-	// Round-trip through JSON.
-	var buf bytes.Buffer
-	if err := book.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBook(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != book.Len() || loaded.Game != book.Game || loaded.MaxPly != book.MaxPly {
-		t.Fatalf("round-trip mismatch: %d/%s/%d vs %d/%s/%d",
-			loaded.Len(), loaded.Game, loaded.MaxPly, book.Len(), book.Game, book.MaxPly)
-	}
-
-	// An engine with the book serves the initial position from it.
-	cfg.Book = loaded
-	eng := NewSerial(cfg, &evaluate.Random{})
-	defer eng.Close()
-	dist := make([]float32, g.NumActions())
-	s := eng.Search(g.NewInitial(), dist)
-	if s.BookHits != 1 || s.Playouts != 0 || s.Evaluations != 0 {
-		t.Fatalf("booked search stats = %+v, want 1 book hit, zero playouts/evals", s)
-	}
-	want := book.Lookup(g.NewInitial())
-	if want == nil {
-		t.Fatal("initial position missing from book")
-	}
-	for a := range dist {
-		if dist[a] != want.Dist[a] {
-			t.Fatalf("served dist[%d] = %v, book %v", a, dist[a], want.Dist[a])
-		}
-	}
-
-	// Play past the book horizon: the session must run a real search.
-	st := g.NewInitial()
-	ply := 0
-	for !st.Terminal() {
-		s := eng.Search(st, dist)
-		if ply <= bcfg.MaxPly && s.BookHits != 1 {
-			// Booked plies only miss if the sampled line was pruned out of
-			// the book; the mainline (argmax descent) is always booked.
-			t.Fatalf("ply %d: expected book hit, got %+v", ply, s)
-		}
-		if ply > bcfg.MaxPly {
-			if s.BookHits != 0 {
-				t.Fatalf("ply %d: book hit beyond MaxPly %d", ply, bcfg.MaxPly)
-			}
-			if s.Playouts != cfg.Playouts {
-				t.Fatalf("ply %d: post-book search ran %d playouts, want %d", ply, s.Playouts, cfg.Playouts)
-			}
-			break // one real search after leaving the book is enough
-		}
-		a := argmax32(dist)
-		eng.Advance(a)
-		st = st.Clone()
-		st.Play(a)
-		ply++
-	}
-}
-
-// TestBookVerificationRejectsCollision plants a book entry whose hash
-// matches the initial position but whose verification key differs: Lookup
-// and Fill must miss rather than serve another position's distribution.
-func TestBookVerificationRejectsCollision(t *testing.T) {
-	g := tictactoe.New()
-	st := g.NewInitial()
-	book := &Book{
-		Game:    g.Name(),
-		Actions: g.NumActions(),
-		Entries: []BookEntry{{
-			Hash:   st.Hash(),
-			Verify: []byte("not-the-initial-position"),
-			Dist:   make([]float32, g.NumActions()),
-		}},
-	}
-	book.buildIndex()
-	if book.Lookup(st) != nil {
-		t.Fatal("Lookup served an entry whose verification key does not match")
-	}
-	dist := make([]float32, g.NumActions())
-	if book.Fill(st, dist) {
-		t.Fatal("Fill served a colliding entry")
-	}
-	// And a correct entry is served.
-	good := BookEntry{Hash: st.Hash(), Verify: game.StateKey(st, nil), Dist: make([]float32, g.NumActions())}
-	good.Dist[4] = 1
-	book.Entries = append(book.Entries, good)
-	book.buildIndex()
-	if !book.Fill(st, dist) || dist[4] != 1 {
-		t.Fatalf("verified entry not served: dist=%v", dist)
 	}
 }

@@ -263,65 +263,36 @@ func TestE2EDrainSafeEviction(t *testing.T) {
 	}
 }
 
-// TestE2EModelSwapPinning: sessions keep the model version they were
-// created under across a hot swap, new sessions get the new version, and a
-// superseded version is retired once its last pinned session is evicted.
-func TestE2EModelSwapPinning(t *testing.T) {
+// TestE2EModelVersionIsServingVersion: a service serves one model version
+// for its lifetime. Its evaluator is built once, for Config.InitialVersion,
+// and a new game, a move reply and /statsz all report that version.
+func TestE2EModelVersionIsServingVersion(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.MaxSessions = 2
-	versions := make(chan int64, 8)
+	cfg.InitialVersion = 7
+	built := make(chan int64, 8) // room for extra builds: a second one fails the test, it does not block it
 	cfg.NewEvaluator = func(v int64, _ *nn.Network) evaluate.Evaluator {
-		versions <- v
+		built <- v
 		return &evaluate.Random{}
 	}
-	svc, ts := startServer(t, cfg)
-	if v := <-versions; v != 1 {
-		t.Fatalf("initial evaluator built for version %d, want 1", v)
-	}
+	_, ts := startServer(t, cfg)
 
-	_, snapA := post(t, ts.URL+"/v1/game/new", newGameRequest{})
-	if snapA.ModelVersion != 1 {
-		t.Fatalf("game A pinned to version %d, want 1", snapA.ModelVersion)
+	_, snap := post(t, ts.URL+"/v1/game/new", newGameRequest{})
+	if snap.ModelVersion != 7 {
+		t.Fatalf("new game reports version %d, want 7", snap.ModelVersion)
 	}
-
-	if v := svc.Swap(nil); v != 2 {
-		t.Fatalf("Swap returned version %d, want 2", v)
+	resp, reply := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", moveRequest{Action: snap.Legal[0]})
+	if resp.StatusCode != http.StatusOK || reply.ModelVersion != 7 {
+		t.Fatalf("move reply: status %d, version %d; want 200, 7", resp.StatusCode, reply.ModelVersion)
 	}
-	if v := <-versions; v != 2 {
-		t.Fatalf("swap built evaluator for version %d, want 2", v)
+	raw := getStatsz(t, ts.URL)
+	if v := string(raw["model_version"]); v != "7" {
+		t.Fatalf("/statsz model_version = %s, want 7", v)
 	}
-
-	_, snapB := post(t, ts.URL+"/v1/game/new", newGameRequest{})
-	if snapB.ModelVersion != 2 {
-		t.Fatalf("game B pinned to version %d, want 2", snapB.ModelVersion)
+	if _, ok := raw["model_versions"]; ok {
+		t.Fatal("/statsz still has a model_versions key")
 	}
-
-	// A still serves moves on its pinned version after the swap.
-	resp, reply := post(t, ts.URL+"/v1/game/"+snapA.ID+"/move", moveRequest{Action: 0})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("move on pre-swap game A: status %d", resp.StatusCode)
-	}
-	if reply.ModelVersion != 1 {
-		t.Fatalf("game A answered with version %d after swap, want 1", reply.ModelVersion)
-	}
-
-	// Evict A (third game over the 2-session budget; A is LRU after B's
-	// creation and the poll-free move above keeps ordering deterministic:
-	// the move bumped A, so touch B again to make A the eviction victim.
-	post(t, ts.URL+"/v1/game/"+snapB.ID+"/move", moveRequest{Action: 0})
-	post(t, ts.URL+"/v1/game/new", newGameRequest{})
-
-	// Version 1's last session is gone: the version must retire.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		stats := svc.Stats()
-		if _, live := stats.ModelVersions["1"]; !live {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("version 1 not retired after last pinned session evicted: %v", stats.ModelVersions)
-		}
-		time.Sleep(time.Millisecond)
+	if len(built) != 1 || <-built != 7 {
+		t.Fatal("evaluator not built exactly once, for version 7")
 	}
 }
 
@@ -397,15 +368,7 @@ func TestQuorumE2EFarDeadline(t *testing.T) {
 		t.Fatalf("p99 move latency %.0f ms with a %v flush deadline: some launch waited for it", rep.P99MS, cfg.FlushDeadline)
 	}
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatalf("GET /statsz: %v", err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatalf("decode /statsz: %v", err)
-	}
+	raw := getStatsz(t, ts.URL)
 	st := map[string]int64{}
 	for _, k := range []string{"eval_batches", "eval_flush_threshold", "eval_flush_quorum", "eval_flush_deadline"} {
 		var v int64
@@ -420,4 +383,19 @@ func TestQuorumE2EFarDeadline(t *testing.T) {
 	if sum := st["eval_flush_threshold"] + st["eval_flush_quorum"]; sum != st["eval_batches"] {
 		t.Fatalf("/statsz %v: threshold + quorum flushes = %v, want every batch", st, sum)
 	}
+}
+
+// getStatsz fetches /statsz as raw JSON fields.
+func getStatsz(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url + "/statsz")
+	if err != nil {
+		t.Fatalf("GET /statsz: %v", err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatalf("decode /statsz: %v", err)
+	}
+	return raw
 }

@@ -30,7 +30,7 @@ type Snapshot struct {
 	Terminal bool `json:"terminal"`
 	// Winner is 1, -1, or 0 (draw / game in progress).
 	Winner int `json:"winner"`
-	// ModelVersion is the network version this session is pinned to.
+	// ModelVersion is the network version the service serves.
 	ModelVersion int64 `json:"model_version"`
 	// EngineMove is the action the engine just played (move responses and
 	// engine-starts creations only).
@@ -86,10 +86,7 @@ type Statsz struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Game          string  `json:"game"`
 	ModelVersion  int64   `json:"model_version"`
-	// ModelVersions lists every registered version with its live session
-	// count (superseded versions linger until their last session closes).
-	ModelVersions map[string]int `json:"model_versions"`
-	Draining      bool           `json:"draining"`
+	Draining      bool    `json:"draining"`
 
 	SessionsActive   int     `json:"sessions_active"`
 	SessionsBudget   int     `json:"sessions_budget"`
@@ -128,17 +125,12 @@ func (s *Service) Stats() Statsz {
 	active := len(s.sessions)
 	draining := s.draining
 	s.mu.Unlock()
-	versions := make(map[string]int)
-	for v, sessions := range s.srv.Pins() {
-		versions[strconv.FormatInt(v, 10)] = sessions
-	}
 
 	srvStats := s.srv.Stats()
 	out := Statsz{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Game:               s.cfg.GameSpec,
-		ModelVersion:       s.srv.Version(),
-		ModelVersions:      versions,
+		ModelVersion:       s.cfg.InitialVersion,
 		Draining:           draining,
 		SessionsActive:     active,
 		SessionsBudget:     s.cfg.MaxSessions,

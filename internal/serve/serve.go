@@ -5,12 +5,11 @@
 // one persistent warm mcts session per active game — tree reuse across a
 // user's moves via Engine.Advance — with LRU + idle-TTL eviction under a
 // configurable session budget, every tenant multiplexed through ONE
-// version-aware evaluate.Server (so concurrent games aggregate into full
-// inference batches exactly like the self-play fleet), per-model-version
-// shared transposition tables, admission control surfaced as 429 +
-// Retry-After when the MaxOutstanding backpressure bound is reached, and
-// graceful drain on shutdown and on hot model swap (a game started under a
-// version finishes on it — sessions pin their client at creation).
+// evaluate.Server (so concurrent games aggregate into full inference batches
+// exactly like the self-play fleet), one shared transposition table,
+// admission control surfaced as 429 + Retry-After when the MaxOutstanding
+// backpressure bound is reached, and graceful drain on shutdown. A process
+// serves one model version for its lifetime (Config.InitialVersion).
 //
 // See OPERATIONS.md for the operator surface and cmd/serve / cmd/loadgen
 // for the binaries.
@@ -104,14 +103,11 @@ type Config struct {
 	FlushDeadline  time.Duration
 	MaxOutstanding int
 
-	// CacheSize, when positive, shares one version-scoped evaluation cache
-	// across all sessions (entries; default 1<<16, negative disables).
+	// CacheSize, when positive, shares one evaluation cache across all
+	// sessions (entries; default 1<<16, negative disables).
 	CacheSize int
-	// TransposeSize, when positive, gives each model version a shared
-	// transposition table of that many entries: every session pinned to a
-	// version shares that version's table, and the table is dropped with
-	// the version — positions evaluated under different weights are never
-	// mixed (default off).
+	// TransposeSize, when positive, gives the service one transposition
+	// table of that many entries, shared by every session (default off).
 	TransposeSize int
 
 	// TombstoneBudget bounds the 410-Gone tombstone window: the ids of the
@@ -124,11 +120,12 @@ type Config struct {
 	// Net is the initial serving model (required unless NewEvaluator is
 	// set and never touches its net argument).
 	Net *nn.Network
-	// InitialVersion is the model version Net serves as (default 1).
+	// InitialVersion is the model version Net serves as (default 1); every
+	// snapshot and /statsz report it.
 	InitialVersion int64
-	// NewEvaluator builds the synchronous evaluator for a model version
-	// (test seam; default evaluate.NewNN(net)). The result is wrapped in
-	// the shared version-scoped cache when CacheSize > 0.
+	// NewEvaluator builds the synchronous evaluator for the served model,
+	// once, at NewService (test seam; default evaluate.NewNN(net)). The
+	// result is wrapped in the shared evaluation cache when CacheSize > 0.
 	NewEvaluator func(version int64, net *nn.Network) evaluate.Evaluator
 }
 
@@ -205,9 +202,8 @@ type Service struct {
 	evicted     map[string]struct{}
 	evictedRing []string
 	evictedHead int
-	// tt is the transposition table of the CURRENT model version, handed to
-	// every session created under it. A superseded version's table is
-	// reachable only from its sessions' engines and dies with them.
+	// tt is the shared transposition table handed to every session (nil
+	// when TransposeSize is off).
 	tt          *tree.TransTable
 	draining    bool
 	seedCounter uint64
@@ -242,67 +238,26 @@ func NewService(cfg Config) *Service {
 		evicted:     make(map[string]struct{}),
 		evictedRing: make([]string, cfg.TombstoneBudget),
 	}
-	eval0 := cfg.NewEvaluator(cfg.InitialVersion, cfg.Net)
-	if cfg.CacheSize > 0 {
-		s.cache = evaluate.NewCachedSharded(eval0, cfg.CacheSize, 16)
+	if cfg.TransposeSize > 0 {
+		s.tt = tree.NewTransTable(cfg.TransposeSize)
 	}
-	s.srv = evaluate.NewServer(s.wrapBackend(cfg.InitialVersion, eval0), evaluate.ServerConfig{
+	eval := cfg.NewEvaluator(cfg.InitialVersion, cfg.Net)
+	if cfg.CacheSize > 0 {
+		s.cache = evaluate.NewCachedSharded(eval, cfg.CacheSize, 16)
+		eval = s.cache.View(cfg.InitialVersion, eval)
+	}
+	s.srv = evaluate.NewServer(&evaluate.EvaluatorBackend{Eval: eval}, evaluate.ServerConfig{
 		Batch:          cfg.Batch,
 		FlushDeadline:  cfg.FlushDeadline,
 		MaxOutstanding: cfg.MaxOutstanding,
 		InitialVersion: cfg.InitialVersion,
-		// A version retires when its last pinned session closes after a swap
-		// (evaluate.Server, "Model-version lifecycle"): its cached
-		// evaluations go with it.
-		OnRetire: func(version int64) {
-			if s.cache != nil {
-				s.cache.ResetVersion(version)
-			}
-		},
 	})
-	s.tt = s.newTransTable()
 	if cfg.IdleTTL > 0 {
 		s.janitorStop = make(chan struct{})
 		s.janitorDone = make(chan struct{})
 		go s.janitor()
 	}
 	return s
-}
-
-func (s *Service) newTransTable() *tree.TransTable {
-	if s.cfg.TransposeSize <= 0 {
-		return nil
-	}
-	return tree.NewTransTable(s.cfg.TransposeSize)
-}
-
-// makeBackend builds the evaluate backend serving one model version:
-// the configured evaluator wrapped in the version's view of the shared
-// cache, behind a bounded worker pool.
-func (s *Service) makeBackend(version int64, net *nn.Network) evaluate.Backend {
-	return s.wrapBackend(version, s.cfg.NewEvaluator(version, net))
-}
-
-func (s *Service) wrapBackend(version int64, eval evaluate.Evaluator) evaluate.Backend {
-	if s.cache != nil {
-		eval = s.cache.View(version, eval)
-	}
-	return &evaluate.EvaluatorBackend{Eval: eval}
-}
-
-// Swap hot-swaps the serving model: net is registered as a fresh version
-// (current+1) and becomes current. Sessions created before the swap keep
-// their pinned version — their in-flight and future searches still evaluate
-// on the model they started the game with — and the superseded version
-// retires when its last pinned session closes (evaluate.Server,
-// "Model-version lifecycle"). Returns the new version.
-func (s *Service) Swap(net *nn.Network) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.srv.Version() + 1
-	s.srv.SwapBackend(s.makeBackend(v, net), v)
-	s.tt = s.newTransTable()
-	return v
 }
 
 // newID mints a session id: 12 random hex characters.
@@ -368,12 +323,10 @@ func (s *Service) NewGame(engineStarts bool) (Snapshot, *MoveStats, error) {
 	return s.snapshotLocked(sess), ms, nil
 }
 
-// newSession builds the per-game state: a sync client pinned, for the
-// session's lifetime, to the model version current now, and a serial (or
-// shared) engine over it. Caller holds s.mu, so s.tt is that version's table.
+// newSession builds the per-game state: a sync client of the shared
+// evaluate.Server and a serial (or shared) engine over it.
 func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gameSession {
 	cl := s.srv.NewSyncClient()
-	version := cl.PinCurrent()
 	cfg := s.cfg.Search
 	cfg.Seed = cfg.Seed*0x9E3779B97F4A7C15 + seedSalt
 	cfg.TransposeTable = s.tt
@@ -390,7 +343,6 @@ func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gam
 	}
 	return &gameSession{
 		id:         id,
-		version:    version,
 		engineSide: side,
 		st:         s.game.NewInitial(),
 		engine:     eng,
@@ -572,7 +524,7 @@ func (s *Service) snapshotLocked(sess *gameSession) Snapshot {
 		EngineSide:   int(sess.engineSide),
 		Terminal:     sess.done,
 		Winner:       int(sess.st.Winner()),
-		ModelVersion: sess.version,
+		ModelVersion: s.cfg.InitialVersion,
 	}
 	if !sess.done {
 		snap.Legal = sess.st.LegalMoves(nil)
@@ -674,8 +626,7 @@ func (s *Service) Drain() {
 
 // Close drains the service and tears everything down: every session is
 // closed (waiting for its in-flight search to finish — the drain-safe
-// eviction barrier), superseded versions are retired, and the shared
-// inference server is shut down. Call after the HTTP server has stopped
+// eviction barrier), and the shared inference server is shut down. Call after the HTTP server has stopped
 // dispatching requests (http.Server.Shutdown).
 func (s *Service) Close() {
 	s.Drain()
@@ -699,13 +650,12 @@ func (s *Service) Close() {
 }
 
 // gameSession is one user's persistent game: the live state, the warm
-// search engine following it move by move, and the pinned inference client.
+// search engine following it move by move, and its inference client.
 // mu serialises moves and extends down into the engine's own session mutex
 // (Search/Advance/Close), so the pool's eviction path and the move path can
 // never race on the tree.
 type gameSession struct {
 	id         string
-	version    int64
 	engineSide game.Player
 
 	mu     sync.Mutex
@@ -727,8 +677,7 @@ type gameSession struct {
 
 // shutdown finishes a session: it waits for an in-flight move to complete
 // (session mutex), marks the session closed so late requests get ErrGone,
-// closes the engine (which drains and discards the tree) and the pinned
-// client, which drops the session's hold on its model version.
+// closes the engine (which drains and discards the tree) and the client.
 func (sess *gameSession) shutdown() {
 	sess.mu.Lock()
 	if sess.closed {
