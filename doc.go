@@ -171,9 +171,8 @@
 // shared statistics and the second game to reach an opening is served the
 // evaluations the first one bought. Because entries are keyed by position
 // rather than model version, the table is reset whenever the serving
-// weights change (the SGD round callbacks, and cmd/train's OnRetire when a
-// superseded version dies — see "Model-version lifecycle" on
-// evaluate.Server).
+// weights change (cmd/selfplay's SGD round callback, and dist.Worker's swap
+// barrier, where no game is in flight).
 //
 // UCT on a DAG needs care that UCT on a tree does not. The engines use
 // the shared-Q/local-N backup rule: a node's exploitation term reads the
@@ -210,22 +209,13 @@
 //     a crash never leaves a loadable half-checkpoint; LoadLatest resumes
 //     a restarted training service from the newest committed version.
 //
-//   - evaluate.Server is version-aware: every request is stamped with a
-//     model version (and its Backend) at submit time, and SwapBackend
-//     performs a drain-free hot swap — requests stamped before the swap
-//     (buffered or in flight) still run on the old network, new unpinned
-//     requests are stamped with (and served by) the new version, and a
-//     batch spanning the swap is split into per-version sub-batches so no
-//     network ever evaluates a request stamped for another. The server is
-//     also the ONE place that decides when an old version is dead: a
-//     version lives as long as someone holds it (being current, or a
-//     pinned Client), and the server retires it once when the last hold
-//     goes — the "Model-version lifecycle" paragraph of the Server doc
-//     comment is the reference. Fleet drivers PinCurrent each game at game
-//     start (one game never mixes models), so across a promotion two
-//     versions serve simultaneously. cmd/serve holds no version: it serves
-//     the one it was started with, and serves a newer checkpoint only when
-//     restarted with -ckpt.
+//   - evaluate.Server holds one network at a time. As in Algorithm 1,
+//     weights change between rounds, never inside one, so SwapBackend
+//     simply replaces the backend: submissions after it returns run on the
+//     new network. dist.Worker swaps at its round barrier, where no game is
+//     in flight, so no game ever mixes models and no server ever serves two
+//     versions. cmd/serve never swaps: it serves the version it was started
+//     with, and serves a newer checkpoint only when restarted with -ckpt.
 //
 //   - train.Loop overlaps self-play generation with SGD (the generator
 //     runs one round ahead on its own goroutine) and, every GateEvery
@@ -233,9 +223,7 @@
 //     against the incumbent (arena.GateCandidate, serial engines at equal
 //     budgets, while generation continues). Only a candidate clearing the
 //     configurable win-rate gate is promoted: checkpointed, then sent to
-//     the self-play fleet, which swaps it in at its next round barrier;
-//     the old version retires, by the server's lifecycle rule, when the
-//     last game pinned to it ends.
+//     the self-play fleet, which swaps it in at its next round barrier.
 //
 // The loop is deployed once, as a learner and its workers (internal/dist,
 // "Distributed self-play" below). cmd/train runs it on any registered
@@ -291,7 +279,7 @@
 //
 // internal/dist splits the continuous loop across processes: N cmd/worker
 // processes each run a self-play fleet (a selfplay.Driver over engines on
-// one shared local inference service, with per-game version pinning) and
+// one shared local inference service) and
 // stream finished trajectories to one cmd/learner, which
 // owns the replay ring, SGD, the arena gate (learner-local serial
 // engines) and the checkpoint store, fanning each promoted checkpoint

@@ -130,8 +130,7 @@ func Configure(g game.Game, opts Options) (*Engine, error) {
 // Fleet is G engines sharing one inference service: the output of the
 // multi-tenant design configuration workflow. Engines[i] is tenant i's
 // private search engine (each owns its own tree and RNG stream). Server is
-// the shared evaluate.Server and Clients[i] tenant i's handle on it — what a
-// driver pins to a model version for the length of a game — when the
+// the shared evaluate.Server and Clients[i] tenant i's handle on it, when the
 // decision built one (local schemes and shared+accel); both are nil when
 // tenants share only a synchronous evaluator.
 type Fleet struct {
@@ -241,15 +240,13 @@ func flushDeadline(tenants int) time.Duration {
 }
 
 // NewLocalFleet stands up the training drivers' fleet: one worker-pool Server
-// over backend (batch size 1 on workers persistent inference threads, backend
-// registered as model version version, 0 = 1) and one mcts.NewLocal master per
-// entry of cfgs, each on its own Client with up to workers evaluations in
-// flight. The caller chooses each tenant's Config (and so its noise seed) and
-// drives the model-version lifecycle documented on evaluate.Server:
-// Clients[i].PinCurrent/Unpin around each game, Server.SwapBackend on
-// promotion, Close at the end.
-func NewLocalFleet(backend evaluate.Backend, version int64, workers int, cfgs []mcts.Config) *Fleet {
-	return localFleet(backend, evaluate.ServerConfig{Batch: 1, LaunchWorkers: workers, InitialVersion: version}, workers, cfgs)
+// over backend (batch size 1 on workers persistent inference threads) and one
+// mcts.NewLocal master per entry of cfgs, each on its own Client with up to
+// workers evaluations in flight. The caller chooses each tenant's Config (and
+// so its noise seed), calls Server.SwapBackend on promotion where no game is
+// in flight, and Close at the end.
+func NewLocalFleet(backend evaluate.Backend, workers int, cfgs []mcts.Config) *Fleet {
+	return localFleet(backend, evaluate.ServerConfig{Batch: 1, LaunchWorkers: workers}, workers, cfgs)
 }
 
 // localFleet is len(cfgs) local-tree masters on one Server built from sc,

@@ -37,8 +37,8 @@ var ErrEmpty = errors.New("checkpoint: store is empty")
 // Manifest is the metadata committed alongside each snapshot's weights.
 type Manifest struct {
 	// Version is the model version (positive, strictly increasing across a
-	// training run; the version stamped onto inference requests served by
-	// this network).
+	// training run; the version a worker stamps onto the episodes this
+	// network generates).
 	Version int64 `json:"version"`
 	// Step is the cumulative SGD mini-batch update count at save time.
 	Step int64 `json:"step"`

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -264,4 +267,30 @@ func TestMemTransportClose(t *testing.T) {
 	}
 	<-acceptCh
 	lis2.Close()
+}
+
+// TestRecvAllocatesOnlyWhatArrives: a frame header is a claim, not a
+// reservation. A peer that announces maxWireFrame bytes and hangs up must cost
+// Recv an error and a bounded buffer, not the announced frame.
+func TestRecvAllocatesOnlyWhatArrives(t *testing.T) {
+	local, peer := net.Pipe()
+	conn := newTCPConn(local)
+	defer conn.Close()
+	go func() {
+		var hdr [5]byte
+		hdr[0] = msgCheckpoint
+		binary.LittleEndian.PutUint32(hdr[1:], maxWireFrame)
+		peer.Write(hdr[:])
+		peer.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := conn.Recv()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Recv of a frame that never arrived returned no error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Recv allocated %d bytes for a frame that never arrived", grew)
+	}
 }

@@ -15,6 +15,9 @@ import (
 // hostile length prefix before it allocates.
 const maxWireFrame = 256 << 20
 
+// recvStep is the first buffer Recv allocates for a payload.
+const recvStep = 64 << 10
+
 // tcpConn frames Msgs over a net.Conn as [1B type][4B LE length][payload].
 // Reads are buffered; writes are serialized by a mutex so the learner's
 // checkpoint broadcast and its per-connection replies never interleave
@@ -51,15 +54,23 @@ func (t *tcpConn) Recv() (Msg, error) {
 	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
 		return Msg{}, err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[1:])
+	plen := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if plen > maxWireFrame {
 		return Msg{}, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(t.br, payload); err != nil {
-		return Msg{}, err
+	// The length prefix is a claim, not a reservation: the buffer starts at
+	// recvStep and doubles only once the bytes already read fill it, so a peer
+	// that announces maxWireFrame bytes and sends none costs one step.
+	payload := make([]byte, min(plen, recvStep))
+	for read := 0; ; {
+		if _, err := io.ReadFull(t.br, payload[read:]); err != nil {
+			return Msg{}, err
+		}
+		if read = len(payload); read == plen {
+			return Msg{Type: hdr[0], Payload: payload}, nil
+		}
+		payload = append(payload, make([]byte, min(read, plen-read))...)
 	}
-	return Msg{Type: hdr[0], Payload: payload}, nil
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }

@@ -1,7 +1,7 @@
 // Package dist splits the continuous training loop across processes: N
-// worker processes each run a self-play fleet (internal/selfplay.Driver
-// with the existing per-game version pinning, so a worker finishes its
-// games on the model it started them with) and stream finished
+// worker processes each run a self-play fleet (internal/selfplay.Driver,
+// swapping models only between rounds, so a worker finishes its games on
+// the model it started them with) and stream finished
 // trajectories to one learner that owns SGD, checkpoint commits and
 // arena-gated promotion, fanning promoted checkpoints back out to every
 // connected worker.

@@ -98,9 +98,8 @@ type pendingCkpt struct {
 // Worker runs the generation half of the distributed split. It has no
 // SGD, no replay ring and no gate: it plays rounds, ships episodes, and
 // serves whatever model the learner last promoted — applying swaps only
-// at round barriers so every game finishes on the version it started with
-// (the same guarantee the single-process fleet gets from per-game
-// pinning).
+// at round barriers, where no game is in flight, so every game finishes on
+// the version it started with.
 type Worker struct {
 	cfg   WorkerConfig
 	trans *tree.TransTable // fleet-shared, nil unless cfg.TransposeSize > 0
@@ -193,7 +192,7 @@ func (w *Worker) Run() WorkerStats {
 	w.mu.Unlock()
 
 	// Build the fleet around the received model: one shared inference
-	// service, one engine per game, per-game version pinning.
+	// service, one engine per game.
 	version := first.man.Version
 	mkBackend := func(net *nn.Network) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: w.cfg.NewEvaluator(net), Workers: w.cfg.Workers}
@@ -209,16 +208,13 @@ func (w *Worker) Run() WorkerStats {
 		mc.TransposeTable = w.trans
 		cfgs[i] = mc
 	}
-	fleet := adaptive.NewLocalFleet(mkBackend(first.net), version, w.cfg.Workers, cfgs)
+	fleet := adaptive.NewLocalFleet(mkBackend(first.net), w.cfg.Workers, cfgs)
 	defer fleet.Close()
-	srv, clients := fleet.Server, fleet.Clients
 
 	var stats WorkerStats
 	driver := selfplay.NewDriver(w.cfg.Game, fleet.Engines, nil, nil, selfplay.Config{
-		TempMoves:   w.cfg.TempMoves,
-		Seed:        w.cfg.Seed,
-		OnGameStart: func(tenant int) { clients[tenant].PinCurrent() },
-		OnGameEnd:   func(tenant int) { clients[tenant].Unpin() },
+		TempMoves: w.cfg.TempMoves,
+		Seed:      w.cfg.Seed,
 		// Stream every finished game: encode it as a wire frame at the
 		// round's ingest barrier (driver goroutine, deterministic order)
 		// into the bounded outbox; the flush below ships it.
@@ -243,8 +239,8 @@ func (w *Worker) Run() WorkerStats {
 		default:
 		}
 
-		// Round barrier: apply the newest pending checkpoint. No game is
-		// pinned between rounds, so the old version retires with the swap.
+		// Round barrier: apply the newest pending checkpoint. No game is in
+		// flight between rounds, so no game sees two networks.
 		w.mu.Lock()
 		p := w.pending
 		w.pending = nil
@@ -252,7 +248,7 @@ func (w *Worker) Run() WorkerStats {
 		if p != nil && p.man.Version > version {
 			old := version
 			version = p.man.Version
-			srv.SwapBackend(mkBackend(p.net), version)
+			fleet.Server.SwapBackend(mkBackend(p.net))
 			if w.trans != nil {
 				w.trans.Reset()
 			}

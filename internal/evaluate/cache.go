@@ -58,10 +58,6 @@ type cacheEntry struct {
 	policy  []float32
 	value   float64
 	touched bool
-	// version is the model version whose network produced this entry
-	// (0 for the plain, unversioned Evaluate path). ResetVersion evicts by
-	// this tag, so promoting one model never drops another's entries.
-	version int64
 	// verify is the full-state verification key for entries inserted via
 	// EvaluateHashed (nil for plane-hash entries). The hashed probe path
 	// keys on a 64-bit Zobrist hash, so hits compare this byte-for-byte —
@@ -145,7 +141,7 @@ func (c *Cached) shardFor(key uint64) *cacheShard {
 }
 
 // mixVersion folds a model version into a position key, so the same board
-// cached under two live versions occupies two distinct entries and a lookup
+// cached under two views occupies two distinct entries and a lookup
 // can never return an evaluation computed by a different network.
 func mixVersion(h uint64, version int64) uint64 {
 	if version == 0 {
@@ -173,7 +169,7 @@ func (c *Cached) evaluate(version int64, inner Evaluator, input []float32, polic
 	// Miss path: the inner (potentially multi-millisecond DNN) evaluation
 	// runs with no lock held.
 	value := inner.Evaluate(input, policy)
-	c.store(key, version, policy, value)
+	c.store(key, policy, value)
 	return value
 }
 
@@ -195,7 +191,7 @@ func (c *Cached) probe(key uint64, policy []float32) (value float64, hit bool) {
 
 // store inserts a freshly evaluated position unless a concurrent miss on
 // the same key got there first.
-func (c *Cached) store(key uint64, version int64, policy []float32, value float64) {
+func (c *Cached) store(key uint64, policy []float32, value float64) {
 	stored := make([]float32, len(policy))
 	copy(stored, policy)
 	sh := c.shardFor(key)
@@ -204,7 +200,7 @@ func (c *Cached) store(key uint64, version int64, policy []float32, value float6
 		if len(sh.entries) >= sh.capacity {
 			sh.evictLocked()
 		}
-		sh.entries[key] = cacheEntry{policy: stored, value: value, version: version}
+		sh.entries[key] = cacheEntry{policy: stored, value: value}
 		sh.ring = append(sh.ring, key)
 	}
 	sh.mu.Unlock()
@@ -244,7 +240,7 @@ func (c *Cached) evaluateBatch(version int64, inner BatchEvaluator, inputs, poli
 		inner.EvaluateBatch(io.inputs, io.policies, io.values)
 		for m, i := range cb.missed {
 			values[i] = io.values[m]
-			c.store(cb.keys[i], version, policies[i], values[i])
+			c.store(cb.keys[i], policies[i], values[i])
 		}
 		putBatchIO(io)
 	}
@@ -312,10 +308,9 @@ func (c *Cached) evaluateHashed(version int64, inner Evaluator, hash uint64, ver
 	stored := make([]float32, len(policy))
 	copy(stored, policy)
 	entry := cacheEntry{
-		policy:  stored,
-		value:   value,
-		version: version,
-		verify:  append([]byte(nil), verify...),
+		policy: stored,
+		value:  value,
+		verify: append([]byte(nil), verify...),
 	}
 	sh.mu.Lock()
 	if resident, exists := sh.entries[key]; !exists {
@@ -336,9 +331,8 @@ func (c *Cached) evaluateHashed(version int64, inner Evaluator, hash uint64, ver
 // CacheView is a version-scoped handle on a shared Cached: lookups and
 // inserts are tagged with the view's model version and misses evaluate on
 // the view's own inner evaluator (that version's network). All views of one
-// Cached share its capacity and lock stripes, so co-tenant versions — an
-// incumbent serving mid-game tenants and a freshly promoted candidate —
-// share one bounded table without ever mixing each other's evaluations.
+// Cached share its capacity and lock stripes, so two networks share one
+// bounded table without ever mixing each other's evaluations.
 type CacheView struct {
 	c       *Cached
 	version int64
@@ -420,11 +414,10 @@ func (sh *cacheShard) evictLocked() {
 	}
 }
 
-// Reset drops every cached position across ALL versions (hit/miss counters
-// are kept). Single-model training loops call it after each parameter
-// update: entries computed with the old weights would otherwise serve stale
-// evaluations to the next round. Multi-version deployments should prefer
-// ResetVersion, which does not evict other versions' still-valid entries.
+// Reset drops every cached position of every view (hit/miss counters are
+// kept). Single-model training loops call it after each parameter update:
+// entries computed with the old weights would otherwise serve stale
+// evaluations to the next round.
 func (c *Cached) Reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -434,41 +427,6 @@ func (c *Cached) Reset() {
 		sh.hand = 0
 		sh.mu.Unlock()
 	}
-}
-
-// ResetVersion drops only the entries tagged with the given version — the
-// version-scoped half of the promotion protocol. Retiring a superseded
-// model evicts exactly its entries, so an incumbent still serving pinned
-// mid-game tenants (or the freshly promoted candidate) keeps every cached
-// evaluation it has earned. Vacated ring slots are compacted lazily by the
-// clock hand on the next eviction pass.
-func (c *Cached) ResetVersion(version int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			if e.version == version {
-				delete(sh.entries, key)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// LenVersion returns the number of cached positions tagged with version.
-func (c *Cached) LenVersion(version int64) int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.version == version {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Stats returns cumulative hits and misses aggregated across shards.

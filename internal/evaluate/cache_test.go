@@ -276,73 +276,10 @@ func TestCacheViewsDoNotMixVersions(t *testing.T) {
 	if inc.calls.Load() != 1 || cand.calls.Load() != 1 {
 		t.Fatalf("repeats missed the cache: %d/%d inner calls", inc.calls.Load(), cand.calls.Load())
 	}
-	if c.LenVersion(1) != 1 || c.LenVersion(2) != 1 {
-		t.Fatalf("per-version entry counts = %d/%d, want 1/1", c.LenVersion(1), c.LenVersion(2))
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want one per view", c.Len())
 	}
-}
-
-// TestCacheResetVersionIsScoped: retiring one model's entries must not
-// evict another's — the promotion-without-collateral-eviction satellite.
-func TestCacheResetVersionIsScoped(t *testing.T) {
-	c := evaluate.NewCached(&constEvaluator{value: 0}, 256)
-	inc := &constEvaluator{value: 1}
-	cand := &constEvaluator{value: 2}
-	v1 := c.View(1, inc)
-	v2 := c.View(2, cand)
-
-	pol := make([]float32, 9)
-	const positions = 40
-	for i := 0; i < positions; i++ {
-		in := testInput(uint64(i), 36)
-		v1.Evaluate(in, pol)
-		v2.Evaluate(in, pol)
-	}
-	if c.LenVersion(1) != positions || c.LenVersion(2) != positions {
-		t.Fatalf("seeded %d/%d entries, want %d/%d", c.LenVersion(1), c.LenVersion(2), positions, positions)
-	}
-
-	c.ResetVersion(1) // the old incumbent retires after a promotion
-	if c.LenVersion(1) != 0 {
-		t.Fatalf("version 1 kept %d entries after ResetVersion", c.LenVersion(1))
-	}
-	if c.LenVersion(2) != positions {
-		t.Fatalf("ResetVersion(1) also evicted version 2: %d entries left, want %d", c.LenVersion(2), positions)
-	}
-	// The surviving version still answers from cache.
-	before := cand.calls.Load()
-	for i := 0; i < positions; i++ {
-		if got := v2.Evaluate(testInput(uint64(i), 36), pol); got != 2 {
-			t.Fatalf("post-reset v2 evaluation = %v", got)
-		}
-	}
-	if cand.calls.Load() != before {
-		t.Fatalf("surviving version re-evaluated %d positions after an unrelated reset", cand.calls.Load()-before)
-	}
-	// Full Reset still clears everything.
-	c.Reset()
-	if c.Len() != 0 {
+	if c.Reset(); c.Len() != 0 {
 		t.Fatalf("Reset left %d entries", c.Len())
-	}
-}
-
-// TestCacheResetVersionLeavesRingConsistent: vacated ring slots from a
-// version-scoped reset must be compacted by the clock hand, not break the
-// capacity bound.
-func TestCacheResetVersionLeavesRingConsistent(t *testing.T) {
-	c := evaluate.NewCachedSharded(&constEvaluator{value: 0}, 32, 1)
-	v1 := c.View(1, &constEvaluator{value: 1})
-	v2 := c.View(2, &constEvaluator{value: 2})
-	pol := make([]float32, 9)
-	for i := 0; i < 16; i++ {
-		v1.Evaluate(testInput(uint64(i), 36), pol)
-		v2.Evaluate(testInput(uint64(1000+i), 36), pol)
-	}
-	c.ResetVersion(1)
-	// Refill well past capacity: eviction must walk over the stale slots.
-	for i := 0; i < 80; i++ {
-		v2.Evaluate(testInput(uint64(2000+i), 36), pol)
-	}
-	if c.Len() > 32 {
-		t.Fatalf("cache exceeded capacity after version reset: %d", c.Len())
 	}
 }

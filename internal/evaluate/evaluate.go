@@ -34,6 +34,12 @@
 // one, whose outputs for a sample are those of any batch holding it, so the
 // two paths return the same bits. Executing a batch allocates nothing beyond
 // the cache's stored policy per miss.
+//
+// A Server holds one Backend at a time. Algorithm 1 changes the weights
+// between training rounds, never inside one, so SwapBackend simply replaces
+// the backend and the caller swaps where no game is in flight (dist.Worker's
+// round barrier). Nothing in the package tracks model versions: a cache View
+// only keeps one network's entries apart from another's in a shared table.
 package evaluate
 
 import (
@@ -45,29 +51,17 @@ import (
 )
 
 // Request is one in-flight node evaluation. The requester allocates Policy;
-// the evaluator fills Policy and Value. Tag carries engine-private context
-// (the local-tree master stores the leaf's node index there).
+// the evaluator fills Policy and Value.
 type Request struct {
 	Input  []float32
 	Policy []float32
 	Value  float64
-	Tag    int64
-	// Version identifies the network version that serves (or served) this
-	// request. It is OWNED by the routing layer: Client.Submit stamps it on
-	// every submission — the client's pinned version if PinCurrent was called, the
-	// server's current version otherwise — so requesters read it after
-	// completion to learn which model produced the evaluation, but never
-	// write it themselves (reused requests would otherwise carry stale
-	// versions across a hot swap).
-	Version int64
 	// Ctx carries arbitrary requester context through the evaluator
 	// (e.g. the cloned game state needed to expand the leaf on completion).
 	Ctx interface{}
 
-	// client is the tenant the Server routes the completion back to; model
-	// is the registered version (and backend) the request was stamped for.
+	// client is the tenant the Server routes the completion back to.
 	client *Client
-	model  *model
 	// done is the private completion signal of sync-mode (blocking) callers;
 	// it is a 1-buffered reusable channel owned by the request pool.
 	done chan struct{}

@@ -118,17 +118,16 @@ func TestPoolProcessesAllRequests(t *testing.T) {
 			p.Submit(&Request{
 				Input:  testInput(uint64(i), 20),
 				Policy: make([]float32, 10),
-				Tag:    int64(i),
 			})
 		}
 	}()
-	seen := make(map[int64]bool)
+	seen := make(map[*Request]bool)
 	for i := 0; i < n; i++ {
 		req := <-p.Completions()
-		if seen[req.Tag] {
-			t.Fatalf("tag %d delivered twice", req.Tag)
+		if seen[req] {
+			t.Fatalf("request %d delivered twice", i)
 		}
-		seen[req.Tag] = true
+		seen[req] = true
 		policyOK(t, req.Policy)
 	}
 	p.Close()
@@ -184,23 +183,22 @@ func TestBatchedAsyncDeliversAll(t *testing.T) {
 		b.Submit(&Request{
 			Input:  testInput(uint64(i), 36),
 			Policy: make([]float32, 9),
-			Tag:    int64(i),
 		})
 	}
-	tags := make(chan int64, n)
+	done := make(chan *Request, n)
 	go func() {
 		for i := 0; i < n; i++ {
-			tags <- b.Next().Tag
+			done <- b.Next()
 		}
 	}()
-	seen := make(map[int64]bool)
+	seen := make(map[*Request]bool)
 	for i := 0; i < n; i++ {
 		select {
-		case tag := <-tags:
-			if seen[tag] {
-				t.Fatalf("duplicate completion %d", tag)
+		case req := <-done:
+			if seen[req] {
+				t.Fatalf("duplicate completion %d", i)
 			}
-			seen[tag] = true
+			seen[req] = true
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out after %d completions", i)
 		}

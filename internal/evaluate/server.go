@@ -1,7 +1,6 @@
 package evaluate
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -145,15 +144,6 @@ type ServerConfig struct {
 	// batches); persistent launchers suit Batch=1 worker-pool deployments,
 	// where a per-request spawn would sit on the per-playout hot path.
 	LaunchWorkers int
-	// InitialVersion is the model version the constructor backend is
-	// registered under (0 = 1). Versions must be positive.
-	InitialVersion int64
-	// OnRetire, when non-nil, is called exactly once for every version the
-	// server retires, after its backend is unregistered and with no server
-	// lock held, on the goroutine that dropped the last hold (see "Model-version
-	// lifecycle" on Server). It is where the owning binary drops whatever it
-	// tagged with that version.
-	OnRetire func(version int64)
 }
 
 // ServerStats is a snapshot of the service's aggregate batch economics.
@@ -210,30 +200,8 @@ func (s ServerStats) AvgFill() float64 {
 // into out-of-phase groups that never re-merge. A server no tenant registers
 // with has no quorum and batches by threshold and deadline alone.
 //
-// Model-version lifecycle. The server is the registry of live network
-// versions, and a version lives exactly as long as someone holds it. There
-// are two kinds of hold: being the current version (the one unpinned
-// submissions are stamped with; SwapBackend registers a version and makes it
-// current in one step, a drain-free hot swap under live traffic) and a Client
-// pinned to it (PinCurrent takes the hold; Unpin, a re-pin or Client.Close
-// drops it). A version therefore enters the registry as the current one and
-// can only be pinned while it is. When the last hold on a non-current version
-// goes, the server retires it, once: the backend leaves the registry, then
-// ServerConfig.OnRetire(version) runs. In it cmd/serve drops the version's
-// entries from its shared evaluation cache; a dist.Worker keeps nothing per
-// version (its cache is per network and its transposition table is cleared at
-// the swap barrier, where no game is in flight). Whoever must not mix weights
-// within one game pins for that game — serve sessions for their lifetime,
-// self-play tenants from game start to game end — so "when is an old version
-// dead?" has one answer everywhere: when its last holder lets go.
-//
-// A request is stamped with its (version, backend) on the submitter's
-// goroutine — the client's pin, else the current version — and carries both
-// through the buffer, so a batch launches without consulting the registry, a
-// batch spanning a swap is split per version, and a request stamped before a
-// retire still completes on the backend it was stamped for. An unpinned
-// tenant holds nothing: what OnRetire dropped may be repopulated by its
-// in-flight stragglers, which is why every production tenant pins.
+// The server holds one Backend at a time, and a batch reads it once, when it
+// runs. SwapBackend replaces it between training rounds (see its contract).
 //
 // Lifecycle: all Submits must happen-before Close. Close flushes the
 // remaining partial batch, waits for in-flight launches to drain, and then
@@ -244,13 +212,7 @@ type Server struct {
 	cfg     ServerConfig
 	batcher *queue.Batcher[*Request]
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
-
-	// models is the version registry (see "Model-version lifecycle" above);
-	// regMu guards it and every model's holds. current is read lock-free by
-	// the submit path and written only under regMu.
-	regMu   sync.Mutex
-	models  map[int64]*model
-	current atomic.Pointer[model]
+	backend atomic.Pointer[Backend]
 
 	inflight        sync.WaitGroup
 	inflightBatches atomic.Int64
@@ -276,15 +238,8 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.FlushDeadline < 0 {
 		panic("evaluate: negative flush deadline")
 	}
-	if cfg.InitialVersion < 0 {
-		panic("evaluate: negative initial version")
-	}
-	if cfg.InitialVersion == 0 {
-		cfg.InitialVersion = 1
-	}
-	first := &model{version: cfg.InitialVersion, backend: backend}
-	s := &Server{cfg: cfg, models: map[int64]*model{first.version: first}}
-	s.current.Store(first)
+	s := &Server{cfg: cfg}
+	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
 	}
@@ -310,68 +265,16 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	return s
 }
 
-// model is one registered network version: its backend and who holds it
-// besides being current. pins is guarded by Server.regMu.
-type model struct {
-	version int64
-	backend Backend
-	pins    int // clients pinned to this version
-}
-
-// Version returns the current model version: the version stamped onto
-// unpinned submissions arriving now.
-func (s *Server) Version() int64 { return s.current.Load().version }
-
-// Pins returns every registered version with the number of clients pinned
-// to it.
-func (s *Server) Pins() map[int64]int {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	out := make(map[int64]int, len(s.models))
-	for v, m := range s.models {
-		out[v] = m.pins
-	}
-	return out
-}
-
-// SwapBackend is the drain-free hot swap: it registers b under a fresh
-// version and makes it current in one step. Unpinned submissions from now on
-// are stamped with it; the superseded version retires as soon as no client is
-// pinned to it. No queue is drained and no submitter blocks.
-func (s *Server) SwapBackend(b Backend, version int64) {
+// SwapBackend replaces the server's backend with b. Submissions after it
+// returns run on b; a request already buffered or executing may run on either
+// backend. A caller that must not mix networks inside one game swaps where no
+// game is in flight, as dist.Worker does at its round barrier. No queue is
+// drained and no submitter blocks.
+func (s *Server) SwapBackend(b Backend) {
 	if b == nil {
 		panic("evaluate: SwapBackend with nil backend")
 	}
-	if version <= 0 {
-		panic("evaluate: backend versions must be positive")
-	}
-	s.regMu.Lock()
-	if _, dup := s.models[version]; dup {
-		s.regMu.Unlock()
-		panic(fmt.Sprintf("evaluate: version %d is already registered", version))
-	}
-	m := &model{version: version, backend: b}
-	s.models[version] = m
-	dead := s.dropIfUnheld(s.current.Swap(m))
-	s.regMu.Unlock()
-	s.retired(dead)
-}
-
-// dropIfUnheld unregisters m if nothing holds it any more and returns it for
-// retired, nil otherwise. Caller holds regMu.
-func (s *Server) dropIfUnheld(m *model) *model {
-	if m.pins > 0 || m == s.current.Load() {
-		return nil
-	}
-	delete(s.models, m.version)
-	return m
-}
-
-// retired reports a version dropIfUnheld unregistered. Caller holds no lock.
-func (s *Server) retired(m *model) {
-	if m != nil && s.cfg.OnRetire != nil {
-		s.cfg.OnRetire(m.version)
-	}
+	s.backend.Store(&b)
 }
 
 // Batch returns the configured flush threshold.
@@ -435,7 +338,7 @@ func (s *Server) Close() {
 	}
 }
 
-// submit buffers one stamped request, blocking on the backpressure bound.
+// submit buffers one request, blocking on the backpressure bound.
 func (s *Server) submit(req *Request) {
 	if s.closed.Load() {
 		panic("evaluate: Submit on closed Server")
@@ -461,46 +364,14 @@ func (s *Server) launch(batch []*Request) {
 	go s.runAndDeliver(batch)
 }
 
-// runBatch executes one formed batch on the backend(s) its requests were
-// stamped with. Around a hot swap (or during an arena match with pinned
-// tenant groups) one batch may span versions; it is then split into
-// per-version sub-batches in submission order so no network ever sees a
-// request stamped for a different one. The homogeneous case — all of
-// steady-state operation — stays a single RunBatch with no allocation.
-func (s *Server) runBatch(batch []*Request) {
-	m0 := batch[0].model
-	homogeneous := true
-	for _, req := range batch[1:] {
-		if req.model != m0 {
-			homogeneous = false
-			break
-		}
-	}
-	if homogeneous {
-		m0.backend.RunBatch(batch)
-		return
-	}
-	models := make([]*model, 0, 2)
-	groups := make(map[*model][]*Request, 2)
-	for _, req := range batch {
-		if _, ok := groups[req.model]; !ok {
-			models = append(models, req.model)
-		}
-		groups[req.model] = append(groups[req.model], req)
-	}
-	for _, m := range models {
-		m.backend.RunBatch(groups[m])
-	}
-}
-
 // runAndDeliver is the launch body: backend compute, per-client routing,
 // backpressure release.
 func (s *Server) runAndDeliver(batch []*Request) {
 	defer s.inflight.Done()
-	s.runBatch(batch)
+	(*s.backend.Load()).RunBatch(batch)
 	for _, req := range batch {
 		cl := req.client
-		req.client, req.model = nil, nil
+		req.client = nil
 		cl.deliver(req)
 		if s.sem != nil {
 			<-s.sem
@@ -542,10 +413,6 @@ type Client struct {
 	// closes the server too.
 	ownsServer bool
 
-	// pin, when non-nil, is the model this client holds and stamps every
-	// submission with, instead of the server's current one (see PinCurrent).
-	pin atomic.Pointer[model]
-
 	mu          sync.Mutex
 	outstanding int
 	drained     *sync.Cond
@@ -555,45 +422,7 @@ type Client struct {
 // Server exposes the service this client submits to.
 func (c *Client) Server() *Server { return c.srv }
 
-// PinCurrent holds whatever version is current for this client, routes all
-// subsequent Submits to it regardless of later swaps (until Unpin, the next
-// PinCurrent or Close), and returns it — atomically with respect to
-// SwapBackend: the version cannot retire between being read and being held.
-// Fleet drivers call it at game start so one game's evaluations never mix
-// models across a mid-game promotion.
-func (c *Client) PinCurrent() int64 { return c.repin(true) }
-
-// Unpin drops the client's hold and reverts it to current-version stamping.
-func (c *Client) Unpin() { c.repin(false) }
-
-// repin moves the client's hold to the current version, or to nothing,
-// retiring the version it let go of if that was the last hold. It returns the
-// version now pinned, 0 for none.
-func (c *Client) repin(current bool) int64 {
-	s := c.srv
-	s.regMu.Lock()
-	var m *model
-	var version int64
-	if current {
-		m = s.current.Load()
-		m.pins++
-		version = m.version
-	}
-	var dead *model
-	if old := c.pin.Swap(m); old != nil {
-		old.pins--
-		dead = s.dropIfUnheld(old)
-	}
-	s.regMu.Unlock()
-	s.retired(dead)
-	return version
-}
-
-// Submit implements Async. The request is re-stamped on every submission —
-// with the client's pinned model, or the server's current one — so requests
-// reused across searches cannot leak a stale version past a hot swap, and a
-// request submitted before a swap is served by the old network even if its
-// batch launches after it.
+// Submit implements Async.
 func (c *Client) Submit(req *Request) {
 	c.mu.Lock()
 	if c.closed {
@@ -602,11 +431,7 @@ func (c *Client) Submit(req *Request) {
 	}
 	c.outstanding++
 	c.mu.Unlock()
-	m := c.pin.Load()
-	if m == nil {
-		m = c.srv.current.Load()
-	}
-	req.client, req.model, req.Version = c, m, m.version
+	req.client = c
 	c.srv.submit(req)
 }
 
@@ -673,8 +498,7 @@ func (c *Client) Evaluate(input []float32, policy []float32) float64 {
 
 // Close implements Async: if this tenant still has requests outstanding it
 // flushes the service so none of them is stranded in the shared buffer, waits
-// until all have been delivered, drops the client's pin and closes the
-// completions stream. An idle tenant's Close launches nothing — co-tenants'
+// until all have been delivered and closes the completions stream. An idle tenant's Close launches nothing — co-tenants'
 // buffered requests keep waiting for their own batch. A shared Server stays
 // open for other tenants; a private one (NewPool) is closed with its only
 // client.
@@ -700,7 +524,6 @@ func (c *Client) Close() {
 		c.drained.Wait()
 	}
 	c.mu.Unlock()
-	c.Unpin()
 	if !c.syncMode {
 		close(c.completions)
 	}
@@ -719,7 +542,7 @@ var requestPool = sync.Pool{
 }
 
 // AcquireRequest returns a pooled Request with a reusable completion signal.
-// Callers set Input/Policy (and optionally Tag/Ctx) before Submit and must
+// Callers set Input/Policy (and optionally Ctx) before Submit and must
 // ReleaseRequest once the evaluation result has been consumed.
 func AcquireRequest() *Request {
 	return requestPool.Get().(*Request)
@@ -730,8 +553,6 @@ func ReleaseRequest(req *Request) {
 	req.Input = nil
 	req.Policy = nil
 	req.Value = 0
-	req.Tag = 0
-	req.Version = 0
 	req.Ctx = nil
 	req.client = nil
 	select { // drop a stray completion signal so reuse starts clean

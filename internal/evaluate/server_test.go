@@ -47,7 +47,7 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 	// Far fewer requests than the threshold: only the deadline can launch.
 	submitted := time.Now()
 	for i := 0; i < 3; i++ {
-		cl.Submit(&Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4), Tag: int64(i)})
+		cl.Submit(&Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)})
 	}
 	for i := 0; i < 3; i++ {
 		select {
@@ -95,7 +95,7 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 // the launch, and pushing early would shrink the co-tenants' batches.
 func TestClientNext(t *testing.T) {
 	newReq := func(i int) *Request {
-		return &Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4), Tag: int64(i)}
+		return &Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)}
 	}
 	next := func(cl *Client) <-chan *Request {
 		got := make(chan *Request, 1)
@@ -177,23 +177,24 @@ func TestServerRoutesPerClient(t *testing.T) {
 					cl.Submit(&Request{
 						Input:  testInput(uint64(ci*1000+k), 36),
 						Policy: make([]float32, 9),
-						Tag:    int64(ci*1000 + k),
+						Ctx:    ci*1000 + k,
 					})
 				}
 			}()
-			seen := make(map[int64]bool)
+			seen := make(map[int]bool)
 			for k := 0; k < perTenant; k++ {
 				select {
 				case req := <-cl.Completions():
-					if req.Tag/1000 != int64(ci) {
-						t.Errorf("tenant %d received tag %d", ci, req.Tag)
+					id := req.Ctx.(int)
+					if id/1000 != ci {
+						t.Errorf("tenant %d received request %d", ci, id)
 						return
 					}
-					if seen[req.Tag] {
-						t.Errorf("tenant %d: duplicate tag %d", ci, req.Tag)
+					if seen[id] {
+						t.Errorf("tenant %d: duplicate request %d", ci, id)
 						return
 					}
-					seen[req.Tag] = true
+					seen[id] = true
 				case <-time.After(10 * time.Second):
 					t.Errorf("tenant %d timed out after %d completions", ci, k)
 					return
@@ -324,6 +325,29 @@ func TestServerCloseDrainsPartialBatch(t *testing.T) {
 	cl.Close()
 }
 
+// TestClientCloseIdleLaunchesNothing: closing a tenant with nothing
+// outstanding must not push co-tenants' partial batch to the device — that
+// launch would sit outside all three flush-cause counters and cost the
+// co-tenants their fill.
+func TestClientCloseIdleLaunchesNothing(t *testing.T) {
+	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 4})
+	busy := srv.NewClient(1)
+	busy.Submit(&Request{Input: []float32{1}, Policy: make([]float32, 2)})
+	before := srv.Stats()
+
+	idle := srv.NewSyncClient()
+	idle.Close()
+	if srv.Pending() != 1 || srv.Stats() != before {
+		t.Fatalf("idle Close launched a co-tenant's batch: pending %d, stats %+v -> %+v", srv.Pending(), before, srv.Stats())
+	}
+
+	busy.Close() // this one does have a request outstanding: it flushes
+	if srv.Pending() != 0 || srv.Stats().Requests != 1 {
+		t.Fatalf("busy Close left its request stranded: pending %d, stats %+v", srv.Pending(), srv.Stats())
+	}
+	srv.Close()
+}
+
 // TestRequestPoolReuse: pooled requests keep a working done channel across
 // acquire/release cycles, and a sync client evaluates through them.
 func TestRequestPoolReuse(t *testing.T) {
@@ -331,12 +355,12 @@ func TestRequestPoolReuse(t *testing.T) {
 	if req.done == nil || cap(req.done) != 1 {
 		t.Fatalf("pooled request needs a 1-buffered done channel, got %v", req.done)
 	}
-	req.Tag = 7
+	req.Ctx = 7
 	req.done <- struct{}{} // stray signal must be drained on release
 	ReleaseRequest(req)
 
 	again := AcquireRequest()
-	if again.Tag != 0 || again.Input != nil || again.Ctx != nil {
+	if again.Input != nil || again.Ctx != nil {
 		t.Fatal("released request not cleared")
 	}
 	select {
@@ -402,16 +426,16 @@ func TestServerPersistentLaunchers(t *testing.T) {
 	const n = 200
 	go func() {
 		for i := 0; i < n; i++ {
-			cl.Submit(&Request{Input: testInput(uint64(i), 20), Policy: make([]float32, 10), Tag: int64(i)})
+			cl.Submit(&Request{Input: testInput(uint64(i), 20), Policy: make([]float32, 10)})
 		}
 	}()
-	seen := make(map[int64]bool)
+	seen := make(map[*Request]bool)
 	for i := 0; i < n; i++ {
 		req := <-cl.Completions()
-		if seen[req.Tag] {
-			t.Fatalf("tag %d delivered twice", req.Tag)
+		if seen[req] {
+			t.Fatalf("request %d delivered twice", i)
 		}
-		seen[req.Tag] = true
+		seen[req] = true
 	}
 	cl.Close()
 	srv.Close()

@@ -27,22 +27,15 @@ import (
 	"github.com/parmcts/parmcts/internal/train"
 )
 
-// Config tunes the concurrent driver.
+// Config tunes the concurrent driver. Every game of a round starts and ends
+// inside PlayRound, so a caller that changes the network between PlayRound
+// calls (dist.Worker swaps its server's backend there) never has a game
+// evaluated by two networks.
 type Config struct {
 	// TempMoves is the exploration temperature horizon per game.
 	TempMoves int
 	// Seed drives per-game move sampling (split per game per round).
 	Seed uint64
-	// OnGameStart, when non-nil, runs on the game goroutine immediately
-	// before each episode. The model-lifecycle driver uses it to pin the
-	// tenant's inference client to the serving version current at game
-	// start, so one game's evaluations never mix model versions across a
-	// mid-round hot swap.
-	OnGameStart func(tenant int)
-	// OnGameEnd, when non-nil, runs on the game goroutine after the episode
-	// finishes (typically Client.Unpin, so the next game re-pins to
-	// whatever version is current by then).
-	OnGameEnd func(tenant int)
 	// OnEpisode, when non-nil, receives every finished episode at the
 	// round's ingest barrier — on the driver goroutine, in tenant order, so
 	// the delivery sequence is deterministic for a fixed seed. This is the
@@ -129,16 +122,10 @@ func (d *Driver) PlayRound() Round {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if d.cfg.OnGameStart != nil {
-				d.cfg.OnGameStart(i)
-			}
 			episodes[i] = train.SelfPlayEpisode(d.g, d.engines[i], train.EpisodeOptions{
 				TempMoves: d.cfg.TempMoves,
 				Rand:      rands[i],
 			})
-			if d.cfg.OnGameEnd != nil {
-				d.cfg.OnGameEnd(i)
-			}
 		}(i)
 	}
 	wg.Wait()

@@ -1,7 +1,6 @@
 package selfplay
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -234,47 +233,6 @@ func TestDriverFleetReusesSubtrees(t *testing.T) {
 	if got := round.Search.Playouts + round.Search.ReusedVisits; got != round.Moves*playouts {
 		t.Fatalf("playouts %d + reused %d = %d, want %d",
 			round.Search.Playouts, round.Search.ReusedVisits, got, round.Moves*playouts)
-	}
-}
-
-// TestDriverGameHooks: OnGameStart/OnGameEnd run once per tenant per round,
-// bracketing the episode — the seam the model-lifecycle driver uses to pin
-// each game to one serving version.
-func TestDriverGameHooks(t *testing.T) {
-	const games = 3
-	engines, _, closeAll := testFleet(games, 2, 12)
-	defer closeAll()
-
-	var mu sync.Mutex
-	starts := make([]int, games)
-	ends := make([]int, games)
-	d := NewDriver(tictactoe.New(), engines, train.NewReplay(1024), nil, Config{
-		Seed: 5,
-		OnGameStart: func(tenant int) {
-			mu.Lock()
-			starts[tenant]++
-			if starts[tenant] != ends[tenant]+1 {
-				t.Errorf("tenant %d: start fired with %d starts, %d ends", tenant, starts[tenant], ends[tenant])
-			}
-			mu.Unlock()
-		},
-		OnGameEnd: func(tenant int) {
-			mu.Lock()
-			ends[tenant]++
-			if ends[tenant] != starts[tenant] {
-				t.Errorf("tenant %d: end fired with %d starts, %d ends", tenant, starts[tenant], ends[tenant])
-			}
-			mu.Unlock()
-		},
-	})
-	const rounds = 2
-	for r := 0; r < rounds; r++ {
-		d.PlayRound()
-	}
-	for i := 0; i < games; i++ {
-		if starts[i] != rounds || ends[i] != rounds {
-			t.Fatalf("tenant %d hooks fired %d/%d times, want %d/%d", i, starts[i], ends[i], rounds, rounds)
-		}
 	}
 }
 

@@ -224,8 +224,7 @@ type Service struct {
 }
 
 // NewService builds the service: one evaluate.Server multiplexing every
-// session, the initial model registered under Config.InitialVersion, and
-// the idle-eviction janitor running.
+// session over Config.Net, and the idle-eviction janitor running.
 func NewService(cfg Config) *Service {
 	cfg.setDefaults()
 	s := &Service{
@@ -250,7 +249,6 @@ func NewService(cfg Config) *Service {
 		Batch:          cfg.Batch,
 		FlushDeadline:  cfg.FlushDeadline,
 		MaxOutstanding: cfg.MaxOutstanding,
-		InitialVersion: cfg.InitialVersion,
 	})
 	if cfg.IdleTTL > 0 {
 		s.janitorStop = make(chan struct{})

@@ -56,9 +56,8 @@ type Promotion struct {
 }
 
 // Promoter applies an accepted promotion to the serving side: persist the
-// snapshot (checkpoint store) and make the new version the inference
-// service's current one. When the superseded version dies is the service's
-// business (evaluate.Server, "Model-version lifecycle"), not the Loop's.
+// snapshot (checkpoint store) and hand the new version to the inference
+// service, which swaps it in where no game is in flight.
 type Promoter interface {
 	// Promote makes candidate the serving model under p.Version. An error
 	// aborts the promotion: the Loop keeps the old incumbent.
@@ -149,8 +148,8 @@ type LoopReport struct {
 // evaluate a FROZEN parameter snapshot (the incumbent behind the inference
 // service), never the live training network this loop mutates; the replay
 // buffer is internally synchronised. Gates and promotions run on the
-// consumer goroutine while generation continues — G concurrent games keep
-// running across a hot swap.
+// consumer goroutine while generation continues; the fleet takes a promoted
+// model at its next round barrier.
 type Loop struct {
 	gen       Generator
 	gate      Gate

@@ -44,7 +44,7 @@ func (g *fakeGate) Gate(candidate *nn.Network, cv int64, incumbent *nn.Network, 
 }
 
 // promoteFunc adapts a function to train.Promoter. Promoting is one call on
-// the live server; when the superseded version dies is the server's business.
+// the live server.
 type promoteFunc func(candidate *nn.Network, pr train.Promotion) error
 
 func (f promoteFunc) Promote(candidate *nn.Network, pr train.Promotion) error {
@@ -68,16 +68,14 @@ func testTTTNet(t *testing.T, seed uint64) *nn.Network {
 
 // TestLoopPromotionAndRetireOrdering checks the control flow on a fake
 // generator and gate over a live server: versions advance only on accepted
-// gates, a failed Promote keeps the incumbent, and each superseded version
-// retires exactly once, in promotion order (at its swap: nothing here pins).
-// Retirement under pinned tenants is TestLifecycleProperty's, in
-// internal/evaluate.
+// gates, a failed Promote keeps the incumbent, and the server's backend is
+// swapped once per promotion, in promotion order.
 func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 	net := testTTTNet(t, 1)
 	incumbent := net.Clone()
 	replay := train.NewReplay(1000)
-	var retired []int64 // appended on the loop's consumer goroutine only
-	srv := evaluate.NewServer(nopBackend{}, evaluate.ServerConfig{OnRetire: func(v int64) { retired = append(retired, v) }})
+	var swapped []int64 // appended on the loop's consumer goroutine only
+	srv := evaluate.NewServer(nopBackend{}, evaluate.ServerConfig{})
 	defer srv.Close()
 	// Candidate versions are minted per gate ATTEMPT (2,3,4,5,...), never
 	// reusing a rejected number: gate 2's rejected candidate consumes v4,
@@ -87,7 +85,8 @@ func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 		if pr.Version == 5 {
 			return errors.New("checkpoint disk full")
 		}
-		srv.SwapBackend(nopBackend{}, pr.Version)
+		srv.SwapBackend(nopBackend{})
+		swapped = append(swapped, pr.Version)
 		return nil
 	})
 	loop := train.NewLoop(net, incumbent, replay, &fakeGen{replay: replay}, gate, promoter, train.LoopConfig{
@@ -115,8 +114,8 @@ func TestLoopPromotionAndRetireOrdering(t *testing.T) {
 	if promoteErrs != 1 {
 		t.Fatalf("observed %d promote errors, want 1", promoteErrs)
 	}
-	if len(retired) != 2 || retired[0] != 1 || retired[1] != 2 || srv.Version() != 3 {
-		t.Fatalf("retired = %v with v%d serving, want [1 2] and v3", retired, srv.Version())
+	if len(swapped) != 2 || swapped[0] != 2 || swapped[1] != 3 {
+		t.Fatalf("swapped in %v, want [2 3]", swapped)
 	}
 	if report.Rounds != 8 || report.Steps != 8 {
 		t.Fatalf("report = %+v", report)
