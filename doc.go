@@ -35,15 +35,19 @@
 // The numeric floor of every playout is internal/tensor: im2col + one
 // blocked GEMM (MatMulTransB; MatMul transposes B and calls it) over
 // hand-written amd64 micro-kernels. The kernel class is selected once at
-// init by CPUID feature detection — "avx2" (8-wide FMA kernels: a 3x4
-// register tile run down a panel of A rows, which reuses every loaded vector
-// across rows of both operands and writes C itself; an eight-rows-to-a-vector
-// kernel for the columns that are summed sequentially) or "generic" (pure
-// Go, any GOARCH, and what an amd64 host without AVX2+FMA runs) — and both
-// are dispatched through the same function variables, so the TENSOR_KERNEL
-// env var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
-// class the host supports: equivalence tests and the FuzzDotKernels and
-// FuzzDotTile targets hold all compiled-in classes to the same results.
+// init by CPUID and XCR0 feature detection, the best the host can run —
+// "avx512" (AVX512F+VL: a 3x8 register tile of sixteen-lane FMA chains
+// whose last step is masked to the K elements left; everything else as
+// avx2), "avx2" (8-wide FMA kernels: a 3x4 register tile run down a panel
+// of A rows, which reuses every loaded vector across rows of both operands
+// and writes C itself; an eight-rows-to-a-vector kernel for the columns that
+// are summed sequentially; an 8-wide bias add) or
+// "generic" (pure Go, any GOARCH, and what an amd64 host without AVX2+FMA
+// runs) — and all three are dispatched through the same function variables,
+// so the TENSOR_KERNEL env var (or tensor.SetKernel, or the binaries'
+// -kernel flag) can force any class the host supports: equivalence tests and
+// the FuzzDotKernels and FuzzDotTile targets hold every compiled-in class to
+// the float64 result and each tile to its class's pure-Go bit model.
 //
 // The forward pass has a bitwise contract. Within a kernel class an output
 // element's rounding depends on its column (its pixel) and on nothing else,
@@ -52,7 +56,8 @@
 // im2col that write the same patch matrix; so nn.ForwardBatch gives a
 // sample the bits of a batch holding it alone, at every batch size and slot
 // (TestForwardBatchMatchesForward), and TestForwardGolden pins the b = 1 bits
-// per kernel class to constants recorded before the register tile existed.
+// per kernel class: the generic and avx2 rows to constants recorded before
+// the register tile existed, the avx512 row to those of its own tile.
 // ForwardBatch is the one forward: a single evaluation (evaluate.NN.Evaluate)
 // is a pooled batch of one, and every training step (nn.BackwardSample)
 // runs it at b = 1 and reads its post-ReLU activations, which

@@ -5,15 +5,23 @@ import (
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/tensor"
 )
 
 // BenchmarkForward9x9 times the full network on the benchmark workloads'
 // board (gomoku:9): ForwardBatch per batch size, reported per sample (batch1
-// is what evaluating one position costs). EXPERIMENTS.md "The forward pass
-// at hardware speed" quotes it at -cpu 1.
+// is what evaluating one position costs), under every kernel class this host
+// can run (avx2/batch8, ...). EXPERIMENTS.md "The forward pass at hardware
+// speed" and "An avx512 class" quote it at -cpu 1.
 func BenchmarkForward9x9(b *testing.B) {
 	net := MustNew(GomokuConfig(4, 9, 9, 81), rng.New(1))
-	benchForwardBatch(b, net, rng.New(2), 1, 2, 4, 8)
+	for _, kernel := range tensor.Kernels() {
+		b.Run(kernel, func(b *testing.B) {
+			defer tensor.SetKernel(tensor.KernelName())
+			tensor.SetKernel(kernel)
+			benchForwardBatch(b, net, rng.New(2), 1, 2, 4, 8)
+		})
+	}
 }
 
 // BenchmarkForwardBatchFP32 is ForwardBatch on the paper's 15x15 board at the

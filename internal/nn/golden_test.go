@@ -13,13 +13,15 @@ import (
 
 // forwardGolden holds FNV-64a hashes of the b = 1 forward's policy and value
 // bits on goldenPositions of every registered game, per tensor kernel class.
-// They were recorded at the commit BEFORE the register-tiled MatMulTransB and
-// the branch-free im2col landed (the TestGolden pattern of internal/mcts),
-// when the single-sample pass was a separate function, and have not changed
-// since: a kernel or gather change that moves one output bit of any b = 1
-// forward pass moves a hash. The table is keyed by tensor.KernelName(), so
-// the CI kernel matrix's avx2 leg compares against the generic row when the
-// runner has no AVX2 and the selection degraded.
+// The generic and avx2 rows were recorded at the commit BEFORE the
+// register-tiled MatMulTransB and the branch-free im2col landed (the
+// TestGolden pattern of internal/mcts), when the single-sample pass was a
+// separate function, and have not changed since; the avx512 row was recorded
+// when that class landed, with its own 16-lane tile. A kernel or gather
+// change that moves one output bit of any b = 1 forward pass moves a hash.
+// The table is keyed by tensor.KernelName(), so a CI kernel-matrix leg
+// compares against the row of the class the runner degraded to when it
+// lacks the forced one.
 var forwardGolden = map[string]map[string]uint64{
 	tensor.KernelGeneric: {
 		"connect4":  0x5459dd4668978094,
@@ -38,6 +40,15 @@ var forwardGolden = map[string]map[string]uint64{
 		"tictactoe": 0xd7fd618af27ac048,
 		"gomoku:9":  0x907482dab431b8dc,
 		"gomoku:6":  0x3c4bff36407a35d8,
+	},
+	tensor.KernelAVX512: {
+		"connect4":  0x864f3c57f25aad49,
+		"gomoku":    0xeeff6ee2e8c89d07,
+		"hex":       0x47763eceefb6d04e,
+		"othello":   0x290bdf9b72312ed3,
+		"tictactoe": 0x28fe0910c43bad92,
+		"gomoku:9":  0x32c8077b92424bfb,
+		"gomoku:6":  0x21a8b4f604f7a279,
 	},
 }
 
@@ -117,13 +128,15 @@ func TestForwardGolden(t *testing.T) {
 }
 
 // trainStepGolden holds FNV-64a hashes of every parameter bit after one
-// TrainBatch step at 1 and 2 workers, per kernel class. They were recorded
-// at the commit before BackwardSample moved from the separate single-sample
-// forward onto ForwardBatch: the move reads post-ReLU activations where the
-// old pass kept pre-activations, and must not move one gradient bit.
+// TrainBatch step at 1 and 2 workers, per kernel class. The generic and avx2
+// rows were recorded at the commit before BackwardSample moved from the
+// separate single-sample forward onto ForwardBatch: the move reads post-ReLU
+// activations where the old pass kept pre-activations, and must not move one
+// gradient bit. The avx512 row was recorded when that class landed.
 var trainStepGolden = map[string][2]uint64{
 	tensor.KernelGeneric: {0x69ad0526fc649911, 0xed8583362a05baa0},
 	tensor.KernelAVX2:    {0x229a8fa7286ad1e2, 0x85eab24a7731fa41},
+	tensor.KernelAVX512:  {0x706ba64920e1d2c4, 0xb14cdb27b9616453},
 }
 
 // TestTrainStepGolden trains the paper's network on the benchmark board

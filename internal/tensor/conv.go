@@ -252,11 +252,7 @@ func Conv2DForwardBatch(out, imgs, weight, bias, col []float32, s Conv2DShape, b
 		matMulTransBInto(out, n, b*pix, weight, col, s.OutC, kk, pix)
 	}
 	for oc := 0; oc < s.OutC; oc++ {
-		b := bias[oc]
-		row := out[oc*n : (oc+1)*n]
-		for i := range row {
-			row[i] += b
-		}
+		addScalar(out[oc*n:(oc+1)*n], bias[oc])
 	}
 }
 

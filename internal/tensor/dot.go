@@ -4,18 +4,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 )
 
 // Kernel names accepted by SetKernel and the TENSOR_KERNEL environment
-// variable. Each names one implementation of MatMulTransB's micro-kernels
-// and the ReLU: "generic" is portable Go, "avx2" the 8-wide AVX2+FMA
-// assembly (amd64 with AVX2+FMA+OS support only). Every other host runs
-// generic.
+// variable, worst to best. Each names one implementation of MatMulTransB's
+// micro-kernels, the ReLU and the bias add: "generic" is portable Go, "avx2"
+// the 8-wide AVX2+FMA assembly (amd64 with AVX2+FMA+OS support only),
+// "avx512" avx2 with a 16-wide register tile (AVX512F+VL and OS support for
+// the ZMM state as well). Every other host runs generic.
 const (
 	KernelGeneric = "generic"
 	KernelAVX2    = "avx2"
+	KernelAVX512  = "avx512"
 )
 
 // Shape of the fp32 register tile dotTile as matMulTransBRange sees it:
@@ -25,7 +26,7 @@ const (
 // columns that take the dot4 path, whose two-chain accumulation rounds
 // differently, are the ones that always did.
 const (
-	tileCols  = 4
+	tileCols  = 8
 	tileGroup = 8
 )
 
@@ -44,11 +45,13 @@ var (
 	// dotTile is the optional MatMulTransB register tile run down a panel of
 	// A rows: c[i*ldc+j] = dot(a[i*lda:][:n], b[j*ldb:][:n]) for i < rows and
 	// j < tileCols, added to c instead when acc is set; nil when the selected
-	// kernel class has none (generic). It takes three rows of A
-	// against tileCols rows of B at a time, so each loaded vector is reused
-	// across several rows of BOTH operands; every output element is still
-	// one 8-lane accumulation over p in order, then the horizontal sum, then
-	// the scalar tail.
+	// kernel class has none (generic). It takes three rows of A against four
+	// (avx2) or eight (avx512) rows of B at a time, so each loaded vector is
+	// reused across several rows of BOTH operands; every output element is
+	// still one accumulation over p in order — 8-lane FMA chains, the
+	// horizontal sum, then the scalar tail (avx2); 16-lane FMA chains, a last
+	// step masked to the n%16 elements left, then the horizontal sum
+	// (avx512).
 	dotTile func(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int, acc bool)
 	// dotSeq computes one column of MatMulTransB by plain sequential sums:
 	// c[i*ldc] = ((a[i*lda]*b[0] + a[i*lda+1]*b[1]) + ...) over len(b) for
@@ -56,6 +59,9 @@ var (
 	// when acc is set. The classes differ in how many rows they sum at once,
 	// never in a bit of the result.
 	dotSeq func(c []float32, ldc int, a []float32, lda, rows int, b []float32, acc bool)
+	// addScalar adds s to every element of x: one rounded add per element in
+	// every class, so the classes differ in speed only.
+	addScalar func(x []float32, s float32)
 
 	kernelName string
 )
@@ -82,7 +88,7 @@ func SetKernel(name string) (selected string, err error) {
 	switch name {
 	case "":
 		selectKernel(bestKernel())
-	case KernelGeneric, KernelAVX2:
+	case KernelGeneric, KernelAVX2, KernelAVX512:
 		if !kernelAvailable(name) {
 			selectKernel(bestKernel())
 			return kernelName, nil
@@ -109,27 +115,11 @@ func KernelFlag(fs *flag.FlagSet) {
 func KernelName() string { return kernelName }
 
 // Kernels returns the kernel names available on this host, best last.
-func Kernels() []string {
-	ks := availableKernels()
-	sort.Slice(ks, func(i, j int) bool { return kernelRank(ks[i]) < kernelRank(ks[j]) })
-	return ks
-}
-
-func kernelRank(name string) int {
-	if name == KernelAVX2 {
-		return 1
-	}
-	return 0
-}
+func Kernels() []string { return availableKernels() }
 
 func bestKernel() string {
-	best := KernelGeneric
-	for _, k := range availableKernels() {
-		if kernelRank(k) > kernelRank(best) {
-			best = k
-		}
-	}
-	return best
+	ks := availableKernels()
+	return ks[len(ks)-1]
 }
 
 func kernelAvailable(name string) bool {
@@ -165,6 +155,13 @@ func dotSeqGeneric(c []float32, ldc int, a []float32, lda, rows int, b []float32
 			sum += c[i*ldc]
 		}
 		c[i*ldc] = sum
+	}
+}
+
+// addScalarGeneric is the portable bias add.
+func addScalarGeneric(x []float32, s float32) {
+	for i := range x {
+		x[i] += s
 	}
 }
 

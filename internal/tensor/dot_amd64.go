@@ -28,19 +28,33 @@ func seqDot8Kernel(a *float32, lda, groups int, b *float32, n int, out *float32)
 //go:noescape
 func reluKernel(x *float32, n int)
 
+// tile3x8Kernel is tile3x4Kernel's contract for eight rows of B, in
+// dot_avx512_amd64.s. Only callable when hasAVX512 is true.
+//
+//go:noescape
+func tile3x8Kernel(a *float32, lda, rows int, b *float32, ldb, n int, c *float32, ldc int, acc bool)
+
+// addScalar8Kernel is the AVX2 broadcast add in dot_avx2_amd64.s: x[i] += s
+// for i < n, any n >= 0. Only callable when hasAVX2 is true.
+//
+//go:noescape
+func addScalar8Kernel(x *float32, n int, s float32)
+
 // cpuid and xgetbv are in cpuid_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hasAVX2 reports whether this host can run the AVX2+FMA kernels: CPU
 // support for AVX, AVX2 and FMA, plus OS support for saving the YMM state
-// (OSXSAVE and XCR0 bits 1-2). Detected once at package init.
-var hasAVX2 = detectAVX2()
+// (OSXSAVE and XCR0 bits 1-2). hasAVX512 reports whether it can also run the
+// AVX-512 ones: AVX512F and AVX512VL, plus OS support for the opmask and ZMM
+// state (XCR0 bits 5-7). Detected once at package init.
+var hasAVX2, hasAVX512 = detectAVX()
 
-func detectAVX2() bool {
+func detectAVX() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
@@ -49,37 +63,52 @@ func detectAVX2() bool {
 		avx     = 1 << 28
 	)
 	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+		return false, false
 	}
 	// XCR0 bits 1 (SSE) and 2 (AVX/YMM upper halves) must both be enabled
 	// by the OS, otherwise YMM registers are not preserved across context
-	// switches. xgetbv is only safe once OSXSAVE is confirmed.
+	// switches; bits 5-7 likewise for the opmask registers, the ZMM upper
+	// halves and ZMM16-31. xgetbv is only safe once OSXSAVE is confirmed.
 	xcr0, _ := xgetbv()
 	if xcr0&6 != 6 {
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const (
+		avx2bit  = 1 << 5
+		avx512f  = 1 << 16
+		avx512vl = 1 << 31
+	)
+	avx2 = ebx7&avx2bit != 0
+	return avx2, avx2 && ebx7&(avx512f|avx512vl) == avx512f|avx512vl && xcr0&0xE6 == 0xE6
 }
 
 func availableKernels() []string {
-	if hasAVX2 {
+	switch {
+	case hasAVX512:
+		return []string{KernelGeneric, KernelAVX2, KernelAVX512}
+	case hasAVX2:
 		return []string{KernelGeneric, KernelAVX2}
 	}
 	return []string{KernelGeneric}
 }
 
+// selectKernel installs a class's kernels. avx512 is avx2 with its own tile:
+// dotSeq's bits are the same in every class by contract, dot4 serves at most
+// four columns of a 64-column block, and the ReLU and bias add are bandwidth.
 func selectKernel(name string) {
 	dotTile = nil
 	dotSeq = dotSeqGeneric
 	switch name {
-	case KernelAVX2:
-		dot4, reluVec = dot4AVX2, reluAVX2
+	case KernelAVX2, KernelAVX512:
+		dot4, reluVec, addScalar = dot4AVX2, reluAVX2, addScalarAVX2
 		dotTile, dotSeq = dotTileAVX2, dotSeqAVX2
+		if name == KernelAVX512 {
+			dotTile = dotTileAVX512
+		}
 	default:
 		name = KernelGeneric
-		dot4, reluVec = dot4Generic, reluGeneric
+		dot4, reluVec, addScalar = dot4Generic, reluGeneric, addScalarGeneric
 	}
 	kernelName = name
 }
@@ -104,16 +133,27 @@ func dot4AVX2(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	return
 }
 
-// dotTileAVX2 is dotTile on tile3x4Kernel; the index expressions are the
-// bounds checks the kernel relies on.
+// dotTileAVX2 is dotTile on tile3x4Kernel, once per four columns, and
+// dotTileAVX512 on tile3x8Kernel; the index expressions are the bounds
+// checks the kernels rely on.
 func dotTileAVX2(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int, acc bool) {
+	checkTile(c, ldc, a, lda, rows, b, ldb, n)
+	tile3x4Kernel(&a[0], lda, rows, &b[0], ldb, n, &c[0], ldc, acc)
+	tile3x4Kernel(&a[0], lda, rows, &b[4*ldb], ldb, n, &c[4], ldc, acc)
+}
+
+func dotTileAVX512(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int, acc bool) {
+	checkTile(c, ldc, a, lda, rows, b, ldb, n)
+	tile3x8Kernel(&a[0], lda, rows, &b[0], ldb, n, &c[0], ldc, acc)
+}
+
+func checkTile(c []float32, ldc int, a []float32, lda, rows int, b []float32, ldb, n int) {
 	if rows <= 0 || n <= 0 {
 		panic("tensor: empty register-tile panel")
 	}
 	_ = a[(rows-1)*lda+n-1]
 	_ = b[(tileCols-1)*ldb+n-1]
 	_ = c[(rows-1)*ldc+tileCols-1]
-	tile3x4Kernel(&a[0], lda, rows, &b[0], ldb, n, &c[0], ldc, acc)
 }
 
 // dotSeqAVX2 sums eight rows to a vector through seqDot8Kernel, blockM rows
@@ -157,5 +197,11 @@ func reluAVX2(x []float32) {
 		if x[i] < 0 {
 			x[i] = 0
 		}
+	}
+}
+
+func addScalarAVX2(x []float32, s float32) {
+	if len(x) > 0 {
+		addScalar8Kernel(&x[0], len(x), s)
 	}
 }

@@ -379,3 +379,36 @@ loop:
 done:
 	VZEROUPPER
 	RET
+
+// func addScalar8Kernel(x *float32, n int, s float32)
+//
+// x[i] += s for i < n, 8 lanes per step and then one element at a time: one
+// rounded add per element, as the scalar loop does. Any n >= 0.
+TEXT ·addScalar8Kernel(SB), NOSPLIT, $0-20
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS s+16(FP), Y0
+
+loop:
+	CMPQ    CX, $8
+	JL      tail
+	VMOVUPS (DI), Y1
+	VADDPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     loop
+
+tail:
+	TESTQ  CX, CX
+	JZ     done
+	VMOVSS (DI), X1
+	VADDSS X0, X1, X1
+	VMOVSS X1, (DI)
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET

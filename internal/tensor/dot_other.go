@@ -7,7 +7,7 @@ package tensor
 func availableKernels() []string { return []string{KernelGeneric} }
 
 func selectKernel(string) {
-	dot4, reluVec = dot4Generic, reluGeneric
+	dot4, reluVec, addScalar = dot4Generic, reluGeneric, addScalarGeneric
 	dotSeq = dotSeqGeneric
 	dotTile = nil
 	kernelName = KernelGeneric

@@ -78,21 +78,29 @@ func FuzzDotKernels(f *testing.F) {
 
 // FuzzDotTile feeds arbitrary float inputs through the MatMulTransB register
 // tile of every kernel class that has one: a panel of one to seven A rows
-// (so a last group of one, two and three rows all occur) against four B
-// rows, ragged lengths so the scalar K tail runs, once storing and once
-// accumulating into a C wider than the tile. No input may panic or write
-// outside the panel's rows and columns; finite inputs must agree with a
-// float64 dot product to rounding tolerance; and inputs tame enough that
-// nothing overflows or goes subnormal must match the single-row 1x8 tile the
-// 3x4 tile replaced (refDotTile8) bit for bit — the property that keeps
-// every recorded trajectory unchanged. Arbitrary bit patterns are rarely
-// all tame, so the top bit of nByte folds every exponent into [2^-15, 2^16)
-// and half the corpus takes the bitwise check.
+// (so a last group of one, two and three rows all occur) against tileCols B
+// rows, ragged lengths so the K tail (scalar in avx2, masked in avx512)
+// runs, once storing and once accumulating into a C wider than the tile. No
+// input may panic or write outside the panel's rows and columns; finite
+// inputs must agree with a float64 dot product to rounding tolerance; and
+// inputs tame enough that nothing overflows or goes subnormal must match
+// the class's bit model (refTile) bit for bit: for avx2 the single-row 1x8
+// tile the 3x4 tile replaced — the property that keeps every recorded
+// trajectory unchanged — and for avx512 the 16-lane model. Arbitrary bit
+// patterns are rarely all tame, so the top bit of nByte folds every exponent
+// into [2^-15, 2^16) and half the corpus takes the bitwise check.
 func FuzzDotTile(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(9), uint8(1))
 	f.Add(make([]byte, 7*4*40), uint8(40), uint8(2))
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(0x80|21), uint8(6))
+	// Dense and tame, so the seed corpus alone takes the bitwise check on
+	// inputs whose sums depend on their order.
+	dense := make([]byte, (5+tileCols)*4*37)
+	for i := range dense {
+		dense[i] = byte(i*7 + 3)
+	}
+	f.Add(dense, uint8(0x80|36), uint8(4))
 	f.Fuzz(func(t *testing.T, raw []byte, nByte, rowByte uint8) {
 		n := int(nByte&0x7f)%96 + 1
 		rows := int(rowByte)%7 + 1
@@ -115,11 +123,7 @@ func FuzzDotTile(f *testing.F) {
 			}
 			vals[i] = x
 		}
-		a := vals[:rows*n]
-		// Eight B rows, the last four zero, so the 1x8 reference can run on
-		// the same memory.
-		b := make([]float32, 8*n)
-		copy(b, vals[rows*n:])
+		a, b := vals[:rows*n], vals[rows*n:]
 
 		prev := KernelName()
 		defer SetKernel(prev)
@@ -147,12 +151,12 @@ func FuzzDotTile(f *testing.F) {
 			}
 			for r := 0; r < rows; r++ {
 				ar := a[r*n : (r+1)*n]
-				ref := refDotTile8(ar, b, n)
+				ref := refTile[k](ar, b, n)
 				for col := 0; col < tileCols; col++ {
 					got, twice := once[r*ldc+1+col], c[r*ldc+1+col]
 					if tame {
 						if math.Float32bits(got) != math.Float32bits(ref[col]) {
-							t.Errorf("kernel %s n=%d rows=%d (%d,%d): bits %#x, 1x8 tile %#x", k, n, rows, r, col, math.Float32bits(got), math.Float32bits(ref[col]))
+							t.Errorf("kernel %s n=%d rows=%d (%d,%d): bits %#x, bit model %#x", k, n, rows, r, col, math.Float32bits(got), math.Float32bits(ref[col]))
 						}
 						if want := ref[col] + ref[col]; math.Float32bits(twice) != math.Float32bits(want) {
 							t.Errorf("kernel %s n=%d rows=%d (%d,%d): accumulated to %g, want %g", k, n, rows, r, col, twice, want)

@@ -59,9 +59,9 @@ func TestKernelFlag(t *testing.T) {
 func TestSetKernelUnavailableDegrades(t *testing.T) {
 	// Forcing every known name must always succeed, selecting the best
 	// available substitute when the hardware lacks the requested class —
-	// the CI kernel matrix relies on this to run an "avx2" leg on any
-	// runner.
-	for _, name := range []string{KernelGeneric, KernelAVX2} {
+	// the CI kernel matrix relies on this to run its "avx2" and "avx512"
+	// legs on any runner.
+	for _, name := range []string{KernelGeneric, KernelAVX2, KernelAVX512} {
 		sel, err := SetKernel(name)
 		if err != nil {
 			t.Fatalf("SetKernel(%q): %v", name, err)
@@ -168,20 +168,23 @@ func referenceGEMMTransB(a, b []float32, m, k, n int) []float64 {
 
 // transBShapes covers every remainder class of the register tile and the
 // blocking around it: m mod 3, the tile's rows (and m below one tile), m mod
-// 8 for the sequential columns, n mod tileCols, n mod tileGroup and n across
-// a 64-column block, k mod 8, and k beyond one and two 512-wide K blocks.
+// 8 for the sequential columns, n mod 4, n mod tileGroup and n across a
+// 64-column block, k mod 8 and mod 16 (k on both sides of one and two
+// 16-wide steps), and k beyond one and two 512-wide K blocks.
 var transBShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
 	{2, 8, 8}, {3, 24, 12}, {4, 40, 15}, {5, 9, 16}, {6, 64, 20}, {8, 31, 23},
 	{13, 64, 130}, {64, 36, 81}, {65, 16, 72}, {5, 530, 19}, {9, 1030, 75}, {128, 520, 9},
+	{7, 16, 17}, {4, 31, 24}, {5, 32, 16}, {3, 47, 33}, {10, 48, 81},
 }
 
 // TestMatMulTransBKernelEquivalence runs the full blocked GEMM under every
 // kernel forcing value across transBShapes and compares against a float64
-// reference at rounding tolerance AND, bit for bit, against the GEMM as it
-// was with the single-row 1x8 tile (refMatMulTransB): the register tile
-// changed how many accumulators share a loaded vector, not the order in
-// which any output element is summed.
+// reference at rounding tolerance AND, bit for bit, against the GEMM on its
+// class's bit model tile (refMatMulTransB): for avx2 the single-row 1x8 tile
+// — the register tile changed how many accumulators share a loaded vector,
+// not the order in which any output element is summed — and for avx512 the
+// 16-lane model.
 func TestMatMulTransBKernelEquivalence(t *testing.T) {
 	r := rng.New(23)
 	for _, sh := range transBShapes {
@@ -201,10 +204,10 @@ func TestMatMulTransBKernelEquivalence(t *testing.T) {
 				}
 			}
 			ref := make([]float32, m*n)
-			refMatMulTransB(ref, a, b, m, k, n, dotTile != nil)
+			refMatMulTransB(ref, a, b, m, k, n, refTile[kn])
 			for i := range c {
 				if math.Float32bits(c[i]) != math.Float32bits(ref[i]) {
-					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d (row %d col %d): bits %#x, 1x8-tile reference %#x",
+					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d (row %d col %d): bits %#x, bit model %#x",
 						kn, m, k, n, i, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(ref[i]))
 				}
 			}

@@ -10,7 +10,7 @@ const parallelThreshold = 1 << 16
 
 // Cache-blocking tile sizes. A 64x64 float32 C tile (16 KiB) plus a 64x512
 // panel of each operand fits comfortably in L2 while the 512-wide K panel
-// keeps the register tile's four streamed rows (8 KiB) inside L1 between
+// keeps the register tile's eight B rows (16 KiB) inside L1 between
 // reuses. K blocks are deliberately wide: every extra K block costs another
 // read-accumulate pass over the C tile and another round of sub-register-
 // tile kernel calls, which showed up as real overhead for the network's
@@ -95,16 +95,16 @@ func (t *transBTask) block(bi int) {
 // [off, off+n) of C (row stride ldc), tiled over (n, k) blocks.
 //
 // Where the kernel class has a register tile (dotTile), whole groups of
-// tileGroup columns of a block go through it: three rows of A against
-// tileCols rows of B at a time, so each loaded vector feeds several
-// accumulators, the 8 KiB B tile staying in L1 while the A rows stream past
+// tileGroup columns of a block go through it: three rows of A against four
+// or eight rows of B at a time, so each loaded vector feeds several
+// accumulators, the 16 KiB B tile staying in L1 while the A rows stream past
 // it. The remaining columns go through dot4, four per pass over one A row,
 // and the last n%4 through sequential scalar sums.
 //
 // The accumulation order of a C element therefore depends on its column's
 // index in B and on nothing else — not on its row, not on lo/hi, not on
-// where in C the product lands: 8-lane FMA accumulation over each K block in
-// order, the horizontal sum, the scalar K tail, blocks summed in order (tile
+// where in C the product lands: the kernel class's tile accumulation over
+// each K block in order (see dotTile), blocks summed in order (tile
 // columns); dot4's two-chain partial sums (dot4 columns); one sequential sum
 // (tail columns).
 func matMulTransBRange(c []float32, ldc, off int, a, b []float32, lo, hi, k, n int) {

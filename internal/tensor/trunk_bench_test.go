@@ -8,23 +8,28 @@ import (
 )
 
 // BenchmarkMatMulTransBTrunk times the three trunk convolutions' GEMMs of
-// the full 9x9 network (OutC x InC*9 x pixels) at batch 1 and batch 8 and
-// reports GFLOP/s; the table in EXPERIMENTS.md "The forward pass at hardware
-// speed" is this benchmark at -cpu 1.
+// the full 9x9 network (OutC x InC*9 x pixels) at batch 1 and batch 8 under
+// every kernel class this host can run (avx2/m128k576n81, ...) and reports
+// GFLOP/s; the tables in EXPERIMENTS.md "The forward pass at hardware speed"
+// and "An avx512 class" are this benchmark at -cpu 1.
 func BenchmarkMatMulTransBTrunk(b *testing.B) {
 	r := rng.New(4)
-	for _, sh := range [][2]int{{32, 36}, {64, 288}, {128, 576}} {
-		for _, batch := range []int{1, 8} {
-			m, k, n := sh[0], sh[1], 81*batch
-			a := randFloats(r, m*k)
-			bm := randFloats(r, n*k)
-			c := make([]float32, m*n)
-			b.Run(fmt.Sprintf("m%dk%dn%d", m, k, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MatMulTransB(c, a, bm, m, k, n)
-				}
-				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
-			})
+	for _, kn := range Kernels() {
+		for _, sh := range [][2]int{{32, 36}, {64, 288}, {128, 576}} {
+			for _, batch := range []int{1, 8} {
+				m, k, n := sh[0], sh[1], 81*batch
+				a := randFloats(r, m*k)
+				bm := randFloats(r, n*k)
+				c := make([]float32, m*n)
+				b.Run(fmt.Sprintf("%s/m%dk%dn%d", kn, m, k, n), func(b *testing.B) {
+					defer SetKernel(KernelName())
+					SetKernel(kn)
+					for i := 0; i < b.N; i++ {
+						MatMulTransB(c, a, bm, m, k, n)
+					}
+					b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+				})
+			}
 		}
 	}
 }
