@@ -7,7 +7,7 @@
 //
 // Each round plays -games G games concurrently (an episode is a round of
 // one), every game's search sharing ONE inference service (and, with G > 1 on
-// the CPU path, one transposition cache), so the device sees an aggregated
+// the CPU path, one evaluation cache), so the device sees an aggregated
 // batch stream instead of G under-filled queues.
 //
 // Usage:
@@ -111,7 +111,7 @@ func main() {
 	} else {
 		opts.Platform = adaptive.PlatformCPU
 		if *nGames > 1 {
-			// Concurrent tenants share one lock-striped transposition cache;
+			// Concurrent tenants share one lock-striped evaluation cache;
 			// it is cleared after every SGD update (see the round callback).
 			opts.Evaluator = evaluate.NewCached(evaluate.NewNN(net), 1<<16)
 		} else {

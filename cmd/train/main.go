@@ -50,7 +50,7 @@ func main() {
 	learnerConfig := dist.LearnerFlags(flag.CommandLine, run)
 	workerConfig := dist.WorkerFlags(flag.CommandLine, run)
 	var (
-		cacheSize = flag.Int("cache", 1<<16, "evaluation cache capacity (positions) of each model version")
+		cacheSize = flag.Int("cache", 1<<16, "evaluation cache capacity (positions) of each model version (0 = default, negative disables)")
 		reuse     = mcts.ReuseFlag(flag.CommandLine, false, " across moves")
 		transpose = tree.TransposeFlag(flag.CommandLine, "off", "")
 	)
@@ -87,11 +87,16 @@ func main() {
 			hits, misses = hits+h, misses+m
 		}
 	}
-	wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator {
-		retireCache()
-		cache = evaluate.NewCached(evaluate.NewNN(net), *cacheSize)
-		versions++
-		return cache
+	if *cacheSize == 0 {
+		*cacheSize = 1 << 16
+	}
+	if *cacheSize > 0 {
+		wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator {
+			retireCache()
+			cache = evaluate.NewCached(evaluate.NewNN(net), *cacheSize)
+			versions++
+			return cache
+		}
 	}
 	wcfg.ReuseTree = *reuse
 	wcfg.TransposeSize = tree.ResolveTransposeFlag("train", *transpose)
@@ -114,6 +119,8 @@ func main() {
 
 	fmt.Print(learner.Summary(report))
 	fmt.Println("worker:", stats)
-	retireCache()
-	fmt.Printf("cache: %d/%d hit over %d model versions\n", hits, hits+misses, versions)
+	if cache != nil {
+		retireCache()
+		fmt.Printf("cache: %d/%d hit over %d model versions\n", hits, hits+misses, versions)
+	}
 }

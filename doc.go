@@ -194,12 +194,7 @@
 // shared-stats pointers across move boundaries (property-tested), and the
 // cross-engine equivalence suite extends to the DAG: Serial, Shared,
 // Local and LeafParallel at concurrency 1 stay bitwise move-identical
-// with tables enabled (they run one probe sequence, in the shared step). The same hash+verify discipline keys the
-// evaluation cache (evaluate.HashedEvaluator): a probe costs a map
-// lookup and a byte comparison instead of re-encoding the plane tensor
-// and hashing every float, which makes cache hits ~55x cheaper
-// (historical, 1-core container; evaluate.cache_hit_ns in
-// bash cmd/bench/run.sh is the current figure).
+// with tables enabled (they run one probe sequence, in the shared step).
 //
 // # Model lifecycle
 //

@@ -35,11 +35,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	search.Playouts = 32
 	search.DirichletAlpha = 0.3
 	search.NoiseFrac = 0.25
+	cache := evaluate.NewCached(evaluate.NewNN(net), 1<<14)
 	eng, err := adaptive.Configure(g, adaptive.Options{
 		Search:          search,
 		Workers:         2,
 		Platform:        adaptive.PlatformCPU,
-		Evaluator:       evaluate.NewCached(evaluate.NewNN(net), 1<<14),
+		Evaluator:       cache,
 		ProfilePlayouts: 100,
 		DNNProfileIters: 3,
 	})
@@ -62,7 +63,9 @@ func TestEndToEndPipeline(t *testing.T) {
 		Momentum:      0.9,
 		WeightDecay:   1e-4,
 		Seed:          2,
-	}).Run(nil)
+	}).Run(func(selfplay.RoundStats) {
+		cache.Reset() // the SGD update invalidated the cached evaluations
+	})
 	if len(stats) != 2 {
 		t.Fatalf("episodes = %d", len(stats))
 	}

@@ -1,9 +1,6 @@
 package evaluate
 
-import (
-	"bytes"
-	"sync"
-)
+import "sync"
 
 // defaultShards is the shard count used by NewCached. 64 shards keep the
 // probability of two shared-tree workers colliding on one lock below 2%
@@ -16,8 +13,9 @@ const defaultShards = 64
 // evicts on nearly every insert, so tiny caches keep fewer stripes.
 const minEntriesPerShard = 8
 
-// Cached wraps a synchronous evaluator with a bounded transposition cache
-// keyed by the input planes. Within one move's 1600 playouts, and across
+// Cached wraps a synchronous evaluator with a bounded evaluation cache
+// keyed by the input planes, so a hit is the network's output for exactly
+// that input. Within one move's 1600 playouts, and across
 // consecutive moves, identical positions are evaluated repeatedly (the
 // paper's engines re-expand the tree from scratch every move); caching
 // trades memory for skipped DNN calls. This is an optional extension
@@ -58,11 +56,6 @@ type cacheEntry struct {
 	policy  []float32
 	value   float64
 	touched bool
-	// verify is the full-state verification key for entries inserted via
-	// EvaluateHashed (nil for plane-hash entries). The hashed probe path
-	// keys on a 64-bit Zobrist hash, so hits compare this byte-for-byte —
-	// a hash collision must miss, never serve another position's policy.
-	verify []byte
 }
 
 // NewCached wraps inner with a cache of at most capacity positions spread
@@ -247,87 +240,6 @@ func (c *Cached) evaluateBatch(version int64, inner BatchEvaluator, inputs, poli
 	cacheBatches.Put(cb)
 }
 
-// Encoder produces the network input planes for a position; game.State
-// satisfies it. EvaluateHashed takes one so the (comparatively expensive)
-// plane encoding only happens on cache misses.
-type Encoder interface {
-	Encode(dst []float32)
-}
-
-// HashedEvaluator is the optional fast-probe interface: evaluators that can
-// look positions up by a precomputed Zobrist hash plus a full-state
-// verification key, skipping both the plane encoding and the plane-bit
-// hashing on every probe. Cached and CacheView implement it; engines detect
-// it and hand over the incremental hash their game states already maintain.
-type HashedEvaluator interface {
-	EvaluateHashed(hash uint64, verify []byte, enc Encoder, input, policy []float32) float64
-}
-
-// mixZobrist stirs a Zobrist hash and separates the zobrist-keyed keyspace
-// from hashInput's FNV keyspace, so the two probe paths never alias inside
-// one shared table.
-func mixZobrist(h uint64) uint64 {
-	h ^= 0xA5A5A5A5A5A5A5A5
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
-}
-
-// EvaluateHashed implements HashedEvaluator (unversioned path). On a hit
-// the stored policy/value are served without touching enc or input; on a
-// miss enc.Encode fills input, the inner evaluator runs lock-free, and the
-// result is stored under the hash with the verification key. A resident
-// entry whose key differs (a genuine 64-bit collision) is replaced, never
-// shared.
-func (c *Cached) EvaluateHashed(hash uint64, verify []byte, enc Encoder, input, policy []float32) float64 {
-	return c.evaluateHashed(0, c.inner, hash, verify, enc, input, policy)
-}
-
-func (c *Cached) evaluateHashed(version int64, inner Evaluator, hash uint64, verify []byte, enc Encoder, input, policy []float32) float64 {
-	key := mixVersion(mixZobrist(hash), version)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok && bytes.Equal(e.verify, verify) {
-		sh.touchLocked(key, e)
-		copy(policy, e.policy)
-		v := e.value
-		sh.hits++
-		sh.mu.Unlock()
-		return v
-	}
-	sh.misses++
-	sh.mu.Unlock()
-
-	// Miss path: encode and evaluate with no lock held.
-	enc.Encode(input)
-	value := inner.Evaluate(input, policy)
-
-	stored := make([]float32, len(policy))
-	copy(stored, policy)
-	entry := cacheEntry{
-		policy: stored,
-		value:  value,
-		verify: append([]byte(nil), verify...),
-	}
-	sh.mu.Lock()
-	if resident, exists := sh.entries[key]; !exists {
-		if len(sh.entries) >= sh.capacity {
-			sh.evictLocked()
-		}
-		sh.entries[key] = entry
-		sh.ring = append(sh.ring, key)
-	} else if !bytes.Equal(resident.verify, verify) {
-		// Zobrist collision: the newer position takes the slot (which is
-		// already in the ring), the colliding one is dropped.
-		sh.entries[key] = entry
-	}
-	sh.mu.Unlock()
-	return value
-}
-
 // CacheView is a version-scoped handle on a shared Cached: lookups and
 // inserts are tagged with the view's model version and misses evaluate on
 // the view's own inner evaluator (that version's network). All views of one
@@ -368,12 +280,6 @@ func (v *CacheView) EvaluateBatch(inputs, policies [][]float32, values []float64
 	for i, in := range inputs {
 		values[i] = v.Evaluate(in, policies[i])
 	}
-}
-
-// EvaluateHashed implements HashedEvaluator with the view's version tag and
-// inner evaluator.
-func (v *CacheView) EvaluateHashed(hash uint64, verify []byte, enc Encoder, input, policy []float32) float64 {
-	return v.c.evaluateHashed(v.version, v.inner, hash, verify, enc, input, policy)
 }
 
 // touchLocked gives the resident entry e of key its second chance. Entries

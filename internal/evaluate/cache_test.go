@@ -1,13 +1,19 @@
 package evaluate_test
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/parmcts/parmcts/internal/evaluate"
+	"github.com/parmcts/parmcts/internal/game"
+	"github.com/parmcts/parmcts/internal/game/games"
+	"github.com/parmcts/parmcts/internal/game/gomoku"
 	"github.com/parmcts/parmcts/internal/game/tictactoe"
 	"github.com/parmcts/parmcts/internal/mcts"
+	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
 )
 
@@ -281,5 +287,173 @@ func TestCacheViewsDoNotMixVersions(t *testing.T) {
 	}
 	if c.Reset(); c.Len() != 0 {
 		t.Fatalf("Reset left %d entries", c.Len())
+	}
+}
+
+// TestCacheShardSpreadOnRealEncodings: one-hot board planes must spread over
+// every lock stripe. The plane hash's low bits barely move on such inputs,
+// and a shard index taken from them once put a whole game into one stripe of
+// sixteen (cache occupancy pinned at 1/16).
+func TestCacheShardSpreadOnRealEncodings(t *testing.T) {
+	const positions, shards = 4096, 16
+	for _, spec := range []string{"gomoku:9", "othello:6"} {
+		t.Run(spec, func(t *testing.T) {
+			g := games.MustNew(spec)
+			c := evaluate.NewCachedSharded(&evaluate.Random{}, 1<<16, shards)
+			st := g.NewInitial()
+			ch, h, w := st.EncodedShape()
+			input, policy := make([]float32, ch*h*w), make([]float32, st.NumActions())
+			r := rng.New(3)
+			var legal []int
+			for c.Len() < positions { // random playouts until enough distinct positions
+				if st.Terminal() {
+					st = g.NewInitial()
+				}
+				legal = st.LegalMoves(legal[:0])
+				st.Play(legal[r.Intn(len(legal))])
+				st.Encode(input)
+				c.Evaluate(input, policy)
+			}
+			mean := positions / shards
+			for i, n := range c.ShardLens() {
+				if n == 0 || n > 2*mean {
+					t.Fatalf("shard %d holds %d of %d positions (mean %d): %v", i, n, positions, mean, c.ShardLens())
+				}
+			}
+		})
+	}
+}
+
+// benchState builds a midgame gomoku position and its encoding buffers.
+func benchState(b *testing.B) (st game.State, input, policy []float32) {
+	b.Helper()
+	g := gomoku.NewSized(9)
+	st = g.NewInitial()
+	r := rng.New(7)
+	var legal []int
+	for i := 0; i < 20; i++ {
+		legal = st.LegalMoves(legal[:0])
+		st.Play(legal[r.Intn(len(legal))])
+	}
+	c, h, w := st.EncodedShape()
+	return st, make([]float32, c*h*w), make([]float32, st.NumActions())
+}
+
+// BenchmarkCacheProbePlaneHash is the classic probe: encode the planes,
+// then hash every float of the tensor to build the key.
+func BenchmarkCacheProbePlaneHash(b *testing.B) {
+	st, input, policy := benchState(b)
+	cached := evaluate.NewCached(&evaluate.Random{}, 1024)
+	st.Encode(input)
+	cached.Evaluate(input, policy) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Encode(input)
+		cached.Evaluate(input, policy)
+	}
+}
+
+// tinyNN is a seeded small network for st's game behind the production
+// evaluator.
+func tinyNN(t *testing.T, st game.State) *evaluate.NN {
+	t.Helper()
+	c, h, w := st.EncodedShape()
+	net, err := nn.New(nn.TinyConfig(c, h, w, st.NumActions()), rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evaluate.NewNN(net)
+}
+
+func sameDist(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for a := range want {
+		if got[a] != want[a] {
+			t.Fatalf("%s: dist[%d] = %v over the cache, %v over the bare network", what, a, got[a], want[a])
+		}
+	}
+}
+
+// TestCachedExactAcrossMoveOrders: gomoku stones {10, 40, 70} played as
+// 10,40,70 and as 70,40,10 are one position to the transposition table (same
+// Zobrist hash, same state key) but two network inputs, because the last-move
+// plane differs. A search of the second order over a cache warmed by the
+// first must read the network's output for its own input.
+func TestCachedExactAcrossMoveOrders(t *testing.T) {
+	g := gomoku.NewSized(9)
+	play := func(moves ...int) game.State {
+		st := g.NewInitial()
+		for _, m := range moves {
+			st.Play(m)
+		}
+		return st
+	}
+	a, b := play(10, 40, 70), play(70, 40, 10)
+	if a.Hash() != b.Hash() || !bytes.Equal(game.StateKey(a, nil), game.StateKey(b, nil)) {
+		t.Fatal("the two move orders no longer share a hash and state key")
+	}
+	bare := tinyNN(t, a)
+	cached := evaluate.NewCached(bare, 1<<12)
+	cfg := mcts.DefaultConfig()
+	cfg.Playouts = 64
+	got, want := make([]float32, g.NumActions()), make([]float32, g.NumActions())
+	mcts.NewSerial(cfg, cached).Search(a, got)
+	mcts.NewSerial(cfg, cached).Search(b, got)
+	mcts.NewSerial(cfg, bare).Search(b, want)
+	sameDist(t, "70,40,10 after 10,40,70", got, want)
+}
+
+// TestCachedExactUnderEngines: an evaluation cache is invisible to search.
+// Serial and Shared(1) with warm trees return bit-identical root
+// distributions over NewCached(NN) and over the bare NN, move after move.
+func TestCachedExactUnderEngines(t *testing.T) {
+	const moves = 8
+	var hits uint64
+	engines := []struct {
+		name string
+		new  func(mcts.Config, evaluate.Evaluator) mcts.Engine
+	}{
+		{"serial", func(cfg mcts.Config, ev evaluate.Evaluator) mcts.Engine { return mcts.NewSerial(cfg, ev) }},
+		{"shared-1", func(cfg mcts.Config, ev evaluate.Evaluator) mcts.Engine { return mcts.NewShared(cfg, 1, ev) }},
+	}
+	for _, spec := range []string{"othello:6", "gomoku:9"} {
+		for _, eng := range engines {
+			t.Run(spec+"/"+eng.name, func(t *testing.T) {
+				g := games.MustNew(spec)
+				st := g.NewInitial()
+				bare := tinyNN(t, st)
+				cached := evaluate.NewCached(bare, 1<<14)
+				cfg := mcts.DefaultConfig()
+				cfg.Playouts = 400
+				cfg.ReuseTree = true
+				ce, be := eng.new(cfg, cached), eng.new(cfg, bare)
+				defer ce.Close()
+				defer be.Close()
+				got, want := make([]float32, g.NumActions()), make([]float32, g.NumActions())
+				for ply := 0; ply < moves; ply++ {
+					if st.Terminal() {
+						t.Fatalf("game over at ply %d", ply)
+					}
+					ce.Search(st, got)
+					be.Search(st, want)
+					sameDist(t, fmt.Sprintf("ply %d", ply), got, want)
+					action := 0
+					for a := range want {
+						if want[a] > want[action] {
+							action = a
+						}
+					}
+					st.Play(action)
+					ce.Advance(action)
+					be.Advance(action)
+				}
+				h, _ := cached.Stats()
+				hits += h
+			})
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no cache hit: no run served an evaluation from the cache")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/parmcts/parmcts/internal/selfplay"
 	"github.com/parmcts/parmcts/internal/stats"
 	"github.com/parmcts/parmcts/internal/train"
+	"github.com/parmcts/parmcts/internal/tree"
 )
 
 // TrainingScale sizes the real-execution training experiments (Figures 6
@@ -35,8 +36,9 @@ type TrainingScale struct {
 	// Backend names the registered accel backend serving the accelerator
 	// platform ("" = "hosted").
 	Backend string
-	// TransposeSize > 0 gives each engine a transposition-sharing DAG
-	// search with that entry budget (0 = classic tree search).
+	// TransposeSize > 0 gives the engine a transposition-sharing DAG search
+	// over a table of that entry budget, cleared after every SGD step
+	// (0 = classic tree search).
 	TransposeSize int
 }
 
@@ -106,15 +108,20 @@ func UseAccelDevice(opts *adaptive.Options, name string, g game.Game, net *nn.Ne
 	return nil
 }
 
-// buildEngine assembles the adaptively-configured engine for N workers on
-// the requested platform, sharing the network for both search and training.
-func buildEngine(sc TrainingScale, g game.Game, net *nn.Network, n int, useAccel bool) (*adaptive.Engine, error) {
+// train runs Algorithm 1 on the adaptively-configured engine for N workers
+// on the requested platform, sharing a fresh network for both search and
+// training. The experiment owns the transposition table and clears it after
+// every SGD step, whose weights stale its stored evaluations and statistics.
+func (sc TrainingScale) train(g game.Game, n int, useAccel bool) (*adaptive.Engine, []selfplay.RoundStats, error) {
+	net := sc.network(g)
 	search := mcts.DefaultConfig()
 	search.Playouts = sc.Playouts
 	search.DirichletAlpha = 0.3
 	search.NoiseFrac = 0.25
 	search.Seed = sc.Seed
-	search.TransposeSize = sc.TransposeSize
+	if sc.TransposeSize > 0 {
+		search.TransposeTable = tree.NewTransTable(sc.TransposeSize)
+	}
 	opts := adaptive.Options{
 		Search:          search,
 		Workers:         n,
@@ -123,13 +130,22 @@ func buildEngine(sc TrainingScale, g game.Game, net *nn.Network, n int, useAccel
 	}
 	if useAccel {
 		if err := UseAccelDevice(&opts, sc.Backend, g, net); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		opts.Platform = adaptive.PlatformCPU
 		opts.Evaluator = evaluate.NewNN(net)
 	}
-	return adaptive.Configure(g, opts)
+	eng, err := adaptive.Configure(g, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer eng.Close()
+	return eng, sc.trainer(g, eng, net).Run(func(selfplay.RoundStats) {
+		if tt := search.TransposeTable; tt != nil {
+			tt.Reset()
+		}
+	}), nil
 }
 
 // Figure6Throughput regenerates Figure 6: end-to-end training throughput
@@ -150,14 +166,11 @@ func Figure6Throughput(sc TrainingScale, ns []int, platforms []bool) *stats.Tabl
 			platform = "cpu-gpu"
 		}
 		for _, n := range ns {
-			net := sc.network(g)
-			eng, err := buildEngine(sc, g, net, n, useAccel)
+			eng, all, err := sc.train(g, n, useAccel)
 			if err != nil {
 				tb.AddRow(platform, n, "error", err.Error(), "", "")
 				continue
 			}
-			all := sc.trainer(g, eng, net).Run(nil)
-			eng.Close()
 			var samples int
 			var searchT, trainT float64
 			for _, s := range all {
@@ -188,17 +201,15 @@ func Figure7Loss(sc TrainingScale, ns []int, useAccel bool) *stats.Table {
 	tb := stats.NewTable(fmt.Sprintf("Figure 7: DNN loss over time under optimal parallel configurations (%s)", sc.Game),
 		"N", "episode", "elapsed", "value loss", "policy loss", "total loss")
 	for _, n := range ns {
-		net := sc.network(g)
-		eng, err := buildEngine(sc, g, net, n, useAccel)
+		_, all, err := sc.train(g, n, useAccel)
 		if err != nil {
 			tb.AddRow(n, "error", err.Error(), "", "", "")
 			continue
 		}
-		for _, s := range sc.trainer(g, eng, net).Run(nil) {
+		for _, s := range all {
 			tb.AddRow(n, s.Round, s.Elapsed.Round(1e6),
 				s.Loss.ValueLoss, s.Loss.PolicyLoss, s.Loss.TotalLoss())
 		}
-		eng.Close()
 	}
 	return tb
 }

@@ -268,12 +268,11 @@ func (c *core) rollout(root game.State, sc *scratch) bool {
 	sc.leaf = idx
 	sc.actions = st.LegalMoves(sc.actions[:0])
 	sc.lap(&stats.ExpandTime)
+	st.Encode(sc.req.Input)
 	if c.eval == nil {
-		st.Encode(sc.req.Input)
 		return false
 	}
-	var value float64
-	value, sc.key = evalState(c.eval, st, sc.req.Input, sc.req.Policy, sc.key)
+	value := c.eval.Evaluate(sc.req.Input, sc.req.Policy)
 	stats.Evaluations++
 	sc.lap(&stats.EvalTime)
 	c.finish(sc, value, sc.req.Policy)

@@ -73,8 +73,10 @@ type Config struct {
 	// transposition table with that many entries: transposed positions
 	// share one DNN evaluation and one pool of visit statistics (the tree
 	// becomes a DAG, see internal/tree/transpose.go). The table persists
-	// across moves and games of the session — opening positions recur
-	// across self-play games — and is only dropped with the session.
+	// across moves and games of the session and is only dropped with it,
+	// so a private table is valid only while the weights are frozen (arena,
+	// serve, bench); a training loop owns its table through TransposeTable
+	// and resets it at every weight update.
 	TransposeSize int
 	// TransposeTable, when non-nil, overrides TransposeSize with an
 	// externally owned (typically fleet-shared) table: G concurrent games

@@ -1,7 +1,6 @@
 package mcts
 
 import (
-	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
 	"github.com/parmcts/parmcts/internal/tree"
 )
@@ -23,20 +22,4 @@ func transProbe(tt *tree.TransTable, tr *tree.Tree, st game.State, idx int32, ke
 	entry, _ := tt.Acquire(st.Hash(), key)
 	tr.AttachShared(idx, entry)
 	return entry, key
-}
-
-// evalState evaluates st through ev, using the hash-keyed cache fast path
-// when the evaluator offers one: the probe is keyed by the state's
-// incrementally maintained Zobrist hash (verified with the full state key),
-// so a cache hit costs neither the plane encoding nor the plane-bit
-// hashing. Evaluators without the interface get the classic
-// encode-then-evaluate sequence. key is caller-owned scratch; the extended
-// slice is returned.
-func evalState(ev evaluate.Evaluator, st game.State, input, policy []float32, key []byte) (float64, []byte) {
-	if hc, ok := ev.(evaluate.HashedEvaluator); ok {
-		key = game.StateKey(st, key[:0])
-		return hc.EvaluateHashed(st.Hash(), key, st, input, policy), key
-	}
-	st.Encode(input)
-	return ev.Evaluate(input, policy), key
 }

@@ -63,10 +63,11 @@ type TransEntry struct {
 func (e *TransEntry) Stats() *StateStats { return &e.stats }
 
 // StoreEval records the state's evaluation: the DNN value plus the masked,
-// normalised, noise-free priors over the legal actions. First writer wins;
-// later calls are no-ops (racing workers evaluated the same state — the
-// results are interchangeable, and keeping the first preserves
-// determinism for single-threaded engines).
+// normalised, noise-free priors over the legal actions. First writer wins
+// and later calls are no-ops, by design: transposed lines reach one position
+// through different last moves, so their network inputs, and outputs, differ
+// in the last-move plane. Which line writes first is deterministic only when
+// one thread searches the table.
 func (e *TransEntry) StoreEval(value float64, actions []int, priors []float32) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
