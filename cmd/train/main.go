@@ -1,13 +1,13 @@
 // Command train runs the continuous training service on any registered
 // scenario (-game gomoku:9, othello, hex:7, ...) in one process: a learner
-// and one self-play worker (internal/dist) joined by the in-memory transport
+// and one self-play worker (internal/dist) joined by a framed net.Pipe
 // instead of a socket. The worker's G concurrent games generate through one
 // shared inference service and stream every finished episode to the learner,
 // which runs SGD on a live parameter set and, every -gate-every rounds, plays
 // a candidate snapshot against the incumbent (arena.GateCandidate) before
 // promoting it — checkpointed to disk, sent to the worker, and hot-swapped
 // behind its server at the next round barrier. It is cmd/learner plus
-// cmd/worker minus the network; OPERATIONS.md has the one flag table.
+// cmd/worker minus the sockets; OPERATIONS.md has the one flag table.
 //
 // If the checkpoint directory already holds committed versions, training
 // resumes from the latest one and version numbering continues. With

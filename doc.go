@@ -291,8 +291,8 @@
 // trajstore frames, checkpoints as a manifest plus the raw weight bytes
 // its FNV-64a checksum covers, and both ends re-verify every checksum, so
 // transport corruption is rejected exactly like disk corruption (framing
-// in API.md). The transport itself is a seam — length-prefixed TCP between
-// processes, a bounded in-memory fabric inside one (cmd/train, and the
+// in API.md). The transport is one length-prefixed frame codec — over TCP
+// between processes, over a net.Pipe inside one (cmd/train, and the
 // package's tests) — and every
 // failure mode degrades gracefully: a dead worker costs the learner at
 // most one round-timeout of fill, a disconnected worker keeps generating

@@ -429,7 +429,7 @@ func TestWorkerSwapResetsTable(t *testing.T) {
 }
 
 // TestReadAheadIsBounded: with SGD stalled the worker stops producing within
-// MaxReadAheadRounds rounds — its flush blocks on the full pipe as on a full
+// MaxReadAheadRounds rounds — its flush blocks on the unread pipe as on a full
 // socket — and resumes when the learner does.
 func TestReadAheadIsBounded(t *testing.T) {
 	fabric := NewNetwork()

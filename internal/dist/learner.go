@@ -84,12 +84,13 @@ const episodeBufferRounds = 4
 // MaxReadAheadRounds is K, the most rounds generation can run ahead of the
 // round SGD is consuming on the in-memory fabric. train.Loop holds two finished
 // rounds (its one-slot channel and the one Generate is handing over), the
-// learner buffers episodeBufferRounds more, a handler and its pipe hold
-// memPipeDepth+1 episodes (at most that many rounds), and then a worker's
-// flush blocks with the round it has just played. Over TCP the kernel's socket
+// learner buffers episodeBufferRounds more, a handler holds one episode (at
+// most one round), the pipe none — a net.Pipe is unbuffered, and the handler's
+// reader never reads past the frame it is decoding — and then a worker's Send
+// blocks with the round it has just played. Over TCP the kernel's socket
 // buffers add bytes, not rounds, on top. It is a consequence of those sizes,
 // not a knob.
-const MaxReadAheadRounds = 2 + episodeBufferRounds + (memPipeDepth + 1) + 1
+const MaxReadAheadRounds = 2 + episodeBufferRounds + 1 + 1
 
 // episodeIn is one verified episode crossing from a connection handler to
 // the round assembler.

@@ -2,19 +2,16 @@ package dist
 
 import (
 	"errors"
+	"net"
 	"sync"
 )
 
-// ErrClosed reports an operation on a closed in-memory connection or
-// listener — the in-memory analogue of a reset TCP connection.
-var ErrClosed = errors.New("dist: connection closed")
-
 // Network is the in-memory transport fabric: the learner listens on it,
-// workers dial it, and every message moves through a bounded per-direction
-// queue with no real sockets involved. cmd/train runs its learner and its
-// worker on one (the single-process pipeline is the distributed one minus
-// the sockets), and the package's tests run whole clusters on one. Listen may
-// be called again after the active listener closes — that is how a
+// workers dial it, and every connection is the two ends of a net.Pipe under
+// the same framed codec TCP runs. cmd/train runs its learner and its worker
+// on one (the single-process pipeline is the distributed one minus the
+// sockets), and the package's tests run whole clusters on one. Listen may be
+// called again after the active listener closes — that is how a
 // learner-restart test rebinds the "address" while workers keep redialing
 // the same fabric.
 type Network struct {
@@ -33,7 +30,7 @@ func (n *Network) Listen() (Listener, error) {
 	if n.listener != nil && !n.listener.closed() {
 		return nil, errors.New("dist: fabric already has a listener")
 	}
-	l := &memListener{accept: make(chan *memConn), done: make(chan struct{})}
+	l := &memListener{accept: make(chan net.Conn), done: make(chan struct{})}
 	n.listener = l
 	return l, nil
 }
@@ -47,36 +44,34 @@ func (n *Network) Dialer() Dialer {
 		n.mu.Lock()
 		l := n.listener
 		n.mu.Unlock()
-		if l == nil || l.closed() {
+		if l == nil {
 			return nil, errors.New("dist: connection refused (no listener)")
 		}
-		return l.dial()
+		worker, learner := net.Pipe()
+		select {
+		case l.accept <- learner:
+			return newFrameConn(worker), nil
+		case <-l.done:
+			return nil, errors.New("dist: connection refused (listener closed)")
+		}
 	}
 }
 
 type memListener struct {
-	accept chan *memConn
+	accept chan net.Conn
 
 	once sync.Once
 	done chan struct{}
 }
 
-func (l *memListener) dial() (Conn, error) {
-	worker, learner := memPipe()
-	select {
-	case l.accept <- learner:
-		return worker, nil
-	case <-l.done:
-		return nil, errors.New("dist: connection refused (listener closed)")
-	}
-}
-
+// Accept fails with net.ErrClosed once the listener is closed, as a closed
+// TCP listener does.
 func (l *memListener) Accept() (Conn, error) {
 	select {
 	case c := <-l.accept:
-		return c, nil
+		return newFrameConn(c), nil
 	case <-l.done:
-		return nil, ErrClosed
+		return nil, net.ErrClosed
 	}
 }
 
@@ -94,85 +89,4 @@ func (l *memListener) closed() bool {
 	default:
 		return false
 	}
-}
-
-// memPipeDepth is how many messages one direction of an in-memory pipe holds
-// before Send blocks. One is the least a queue can hold (a socket buffer holds
-// a few 9x9 episodes); it is a term of MaxReadAheadRounds, not a knob.
-const memPipeDepth = 1
-
-// memConn is one endpoint of an in-memory duplex pipe. Each direction is a
-// queue of memPipeDepth messages: Send blocks while the peer is not receiving,
-// as on a full socket, so a learner that stops reading stops its workers
-// instead of growing without bound. Both ends of the protocol keep a reader
-// that never blocks on a send of its own, so the pipe cannot deadlock.
-type memConn struct {
-	send *memQueue
-	recv *memQueue
-}
-
-func memPipe() (a, b *memConn) {
-	q1 := newMemQueue()
-	q2 := newMemQueue()
-	return &memConn{send: q1, recv: q2}, &memConn{send: q2, recv: q1}
-}
-
-func (c *memConn) Send(m Msg) error   { return c.send.push(m) }
-func (c *memConn) Recv() (Msg, error) { return c.recv.pop() }
-
-// Close tears down both directions, unblocking the peer's Recv as a closed
-// TCP socket would.
-func (c *memConn) Close() error {
-	c.send.close()
-	c.recv.close()
-	return nil
-}
-
-type memQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	msgs   []Msg
-	closed bool
-}
-
-func newMemQueue() *memQueue {
-	q := &memQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *memQueue) push(m Msg) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.msgs) >= memPipeDepth && !q.closed {
-		q.cond.Wait()
-	}
-	if q.closed {
-		return ErrClosed
-	}
-	q.msgs = append(q.msgs, m)
-	q.cond.Broadcast()
-	return nil
-}
-
-func (q *memQueue) pop() (Msg, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.msgs) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.msgs) == 0 {
-		return Msg{}, ErrClosed
-	}
-	m := q.msgs[0]
-	q.msgs = q.msgs[1:]
-	q.cond.Broadcast()
-	return m, nil
-}
-
-func (q *memQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

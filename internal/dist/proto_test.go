@@ -1,12 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/parmcts/parmcts/internal/checkpoint"
 	"github.com/parmcts/parmcts/internal/game"
@@ -132,124 +135,175 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 	}
 }
 
-func TestTCPTransport(t *testing.T) {
-	lis, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-
-	type accepted struct {
-		c   Conn
-		err error
-	}
-	acceptCh := make(chan accepted, 1)
+// accept dials lis and returns the two ends of the connection.
+func accept(t *testing.T, lis Listener, dial Dialer) (client, srv Conn) {
+	t.Helper()
+	accepted := make(chan Conn, 1)
 	go func() {
-		c, aerr := lis.Accept()
-		acceptCh <- accepted{c, aerr}
-	}()
-
-	client, err := TCPDialer(lis.Addr())()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	srv := <-acceptCh
-	if srv.err != nil {
-		t.Fatal(srv.err)
-	}
-	defer srv.c.Close()
-
-	// Full message round trips in both directions, including a payload big
-	// enough to span many reads.
-	big := make([]byte, 1<<20)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	for _, m := range []Msg{{Type: msgHello, Payload: []byte(`{"worker_id":"w"}`)}, {Type: msgEpisode, Payload: big}} {
-		if err := client.Send(m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := srv.c.Recv()
+		c, err := lis.Accept()
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-		if got.Type != m.Type || len(got.Payload) != len(m.Payload) {
-			t.Fatalf("recv type=%d len=%d, want type=%d len=%d", got.Type, len(got.Payload), m.Type, len(m.Payload))
-		}
-	}
-	if err := srv.c.Send(Msg{Type: msgCheckpoint, Payload: []byte("down")}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := client.Recv(); err != nil || string(got.Payload) != "down" {
-		t.Fatalf("server->client: %v %q", err, got.Payload)
-	}
-
-	// Concurrent senders must not interleave frames (Send is mutexed).
-	const perSender, senders = 50, 4
-	done := make(chan error, senders)
-	for s := 0; s < senders; s++ {
-		go func(s int) {
-			for i := 0; i < perSender; i++ {
-				if err := client.Send(encodeEpisode(int64(s), testEpisode())); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(s)
-	}
-	for i := 0; i < senders*perSender; i++ {
-		m, err := srv.c.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := decodeEpisode(m); err != nil {
-			t.Fatalf("frame %d corrupted by interleaving: %v", i, err)
-		}
-	}
-	for s := 0; s < senders; s++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestMemTransportClose(t *testing.T) {
-	fabric := NewNetwork()
-	lis, err := fabric.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dial := fabric.Dialer()
-
-	acceptCh := make(chan Conn, 1)
-	go func() {
-		c, _ := lis.Accept()
-		acceptCh <- c
+		accepted <- c
 	}()
 	client, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvConn := <-acceptCh
+	if srv = <-accepted; srv == nil {
+		t.FailNow()
+	}
+	return client, srv
+}
 
-	if err := client.Send(Msg{Type: msgHello}); err != nil {
+// transfer sends msgs on from while to receives them, concurrently as an
+// unbuffered pipe requires, and checks each arrives intact and each Send
+// returns.
+func transfer(t *testing.T, from, to Conn, msgs ...Msg) {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() {
+		for _, m := range msgs {
+			if err := from.Send(m); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for _, m := range msgs {
+		got, err := to.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != m.Type || !bytes.Equal(got.Payload, m.Payload) {
+			t.Fatalf("recv type=%d len=%d, want type=%d len=%d", got.Type, len(got.Payload), m.Type, len(m.Payload))
+		}
+	}
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send still blocked after its frame was received")
+	}
+}
+
+// TestTransportContract holds both fabrics to one contract: frames of any
+// size, empty ones included, cross in both directions; concurrent senders
+// never interleave frames; a closed peer reads as io.EOF and refuses sends;
+// and a closed listener fails Accept with net.ErrClosed.
+func TestTransportContract(t *testing.T) {
+	fabrics := []struct {
+		name   string
+		listen func(t *testing.T) (Listener, Dialer)
+	}{
+		{"tcp", func(t *testing.T) (Listener, Dialer) {
+			lis, err := ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lis, TCPDialer(lis.Addr())
+		}},
+		{"mem", func(t *testing.T) (Listener, Dialer) {
+			fabric := NewNetwork()
+			lis, err := fabric.Listen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lis, fabric.Dialer()
+		}},
+	}
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			lis, dial := f.listen(t)
+			defer lis.Close()
+			client, srv := accept(t, lis, dial)
+			defer client.Close()
+			defer srv.Close()
+
+			// The empty payload goes last: a Send that left an unread Write
+			// behind it would then never return.
+			msgs := []Msg{
+				{Type: msgHello, Payload: []byte(`{"worker_id":"w"}`)},
+				{Type: msgEpisode, Payload: big},
+				{Type: msgCheckpoint, Payload: []byte{}},
+			}
+			transfer(t, client, srv, msgs...)
+			transfer(t, srv, client, msgs...)
+
+			// Concurrent senders must not interleave frames.
+			const perSender, senders = 50, 4
+			done := make(chan error, senders)
+			for s := 0; s < senders; s++ {
+				go func(s int) {
+					for i := 0; i < perSender; i++ {
+						if err := client.Send(encodeEpisode(int64(s), testEpisode())); err != nil {
+							done <- err
+							return
+						}
+					}
+					done <- nil
+				}(s)
+			}
+			for i := 0; i < senders*perSender; i++ {
+				m, err := srv.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := decodeEpisode(m); err != nil {
+					t.Fatalf("frame %d corrupted by interleaving: %v", i, err)
+				}
+			}
+			for s := 0; s < senders; s++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Closing one end ends the peer's stream and refuses its sends. A
+			// TCP peer learns of the reset only after a write reaches it.
+			client.Close()
+			if _, err := srv.Recv(); !errors.Is(err, io.EOF) {
+				t.Fatalf("peer recv after close: %v, want io.EOF", err)
+			}
+			var err error
+			for i := 0; i < 100 && err == nil; i++ {
+				err = srv.Send(Msg{Type: msgCheckpoint, Payload: []byte("down")})
+			}
+			if err == nil {
+				t.Fatal("peer sends after close kept succeeding")
+			}
+
+			lis.Close()
+			if _, err := lis.Accept(); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("accept on a closed listener: %v, want net.ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestNetworkRebind: the in-memory fabric refuses dials while unbound and
+// after its listener closes, refuses a second listener while one is open, and
+// accepts again once rebound — a restarted learner's address.
+func TestNetworkRebind(t *testing.T) {
+	fabric := NewNetwork()
+	dial := fabric.Dialer()
+	if _, err := dial(); err == nil {
+		t.Fatal("dial succeeded with no listener bound")
+	}
+	lis, err := fabric.Listen()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srvConn.Recv(); err != nil {
-		t.Fatal(err)
+	if _, err := fabric.Listen(); err == nil {
+		t.Fatal("second listener bound while the first is open")
 	}
-	// Closing one end unblocks and errors the peer, like a reset socket.
-	client.Close()
-	if _, err := srvConn.Recv(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("peer recv after close: %v, want ErrClosed", err)
-	}
-	if err := srvConn.Send(Msg{Type: msgCheckpoint}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("peer send after close: %v, want ErrClosed", err)
-	}
-
-	// A closed listener refuses dials; a rebound one accepts again.
 	lis.Close()
 	if _, err := dial(); err == nil {
 		t.Fatal("dial succeeded with listener closed")
@@ -258,15 +312,86 @@ func TestMemTransportClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
+	defer lis2.Close()
+	client, srv := accept(t, lis2, dial)
+	client.Close()
+	srv.Close()
+}
+
+// frameBytes is what Send writes on the wire for m.
+func frameBytes(tb testing.TB, m Msg) []byte {
+	local, peer := net.Pipe()
+	sent := make(chan error, 1)
 	go func() {
-		c, _ := lis2.Accept()
-		acceptCh <- c
+		sent <- newFrameConn(local).Send(m)
+		local.Close()
 	}()
-	if _, err := dial(); err != nil {
-		t.Fatalf("dial after rebind: %v", err)
+	raw, err := io.ReadAll(peer)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	<-acceptCh
-	lis2.Close()
+	if err := <-sent; err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// FuzzDecodeMsg feeds Recv arbitrary bytes through a net.Pipe, as a peer
+// could. Every frame it returns must have arrived whole, within
+// maxWireFrame, and re-encode through Send to exactly the bytes it consumed;
+// every payload must decode to a value or an error under each message type,
+// never a panic.
+func FuzzDecodeMsg(f *testing.F) {
+	hello, err := encodeHello(Hello{WorkerID: "w", GameSpec: "tictactoe", Games: 2, HaveVersion: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, sum, err := checkpoint.EncodeNetwork(nn.MustNew(nn.TinyConfig(2, 3, 3, 9), rng.New(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpt, err := encodeCheckpoint(checkpoint.Manifest{Version: 3, Checksum: sum, Game: "tictactoe"}, raw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range []Msg{hello, encodeEpisode(42, testEpisode()), ckpt} {
+		f.Add(frameBytes(f, m))
+	}
+	hostile := []byte{msgCheckpoint, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hostile[1:], maxWireFrame+1)
+	f.Add(hostile)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		local, peer := net.Pipe()
+		conn := newFrameConn(local)
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			peer.Write(data)
+			peer.Close()
+		}()
+		defer func() {
+			conn.Close() // unblocks the writer when Recv stops early
+			<-wrote
+		}()
+		for off := 0; ; {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			n := 5 + len(m.Payload)
+			if len(m.Payload) > maxWireFrame || n > len(data)-off {
+				t.Fatalf("frame at %d: %d-byte payload from %d bytes left", off, len(m.Payload), len(data)-off)
+			}
+			if got := frameBytes(t, m); !bytes.Equal(got, data[off:off+n]) {
+				t.Fatalf("frame at %d re-encodes to %x, consumed %x", off, got, data[off:off+n])
+			}
+			off += n
+			decodeHello(Msg{Type: msgHello, Payload: m.Payload})
+			decodeEpisode(Msg{Type: msgEpisode, Payload: m.Payload})
+			decodeCheckpoint(Msg{Type: msgCheckpoint, Payload: m.Payload})
+		}
+	})
 }
 
 // TestRecvAllocatesOnlyWhatArrives: a frame header is a claim, not a
@@ -274,7 +399,7 @@ func TestMemTransportClose(t *testing.T) {
 // Recv an error and a bounded buffer, not the announced frame.
 func TestRecvAllocatesOnlyWhatArrives(t *testing.T) {
 	local, peer := net.Pipe()
-	conn := newTCPConn(local)
+	conn := newFrameConn(local)
 	defer conn.Close()
 	go func() {
 		var hdr [5]byte

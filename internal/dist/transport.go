@@ -14,8 +14,8 @@
 // so a torn or corrupted transfer is rejected exactly like a torn segment
 // or a corrupted checkpoint on disk.
 //
-// The transport itself is a seam: a length-prefixed TCP protocol between
-// processes (ListenTCP/TCPDialer) and a bounded in-memory fabric inside one
+// The transport is one length-prefixed frame codec over a net.Conn: a TCP
+// socket between processes (ListenTCP/TCPDialer) and a net.Pipe inside one
 // (NewNetwork: cmd/train is a learner and one worker on it, and the tests
 // run whole clusters on it). Workers reconnect with exponential backoff and
 // keep generating while disconnected (bounded episode buffering); the

@@ -6,50 +6,55 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 )
 
-// maxWireFrame bounds one message on the TCP transport. Checkpoints are the
-// largest payload (manifest + full weight vector); 256 MiB leaves headroom
-// for any network this repo can train while still rejecting a desynced or
-// hostile length prefix before it allocates.
+// maxWireFrame bounds one message on the wire. Checkpoints are the largest
+// payload (manifest + full weight vector); 256 MiB leaves headroom for any
+// network this repo can train while still rejecting a desynced or hostile
+// length prefix before it allocates.
 const maxWireFrame = 256 << 20
 
 // recvStep is the first buffer Recv allocates for a payload.
 const recvStep = 64 << 10
 
-// tcpConn frames Msgs over a net.Conn as [1B type][4B LE length][payload].
-// Reads are buffered; writes are serialized by a mutex so the learner's
-// checkpoint broadcast and its per-connection replies never interleave
-// bytes on the wire.
-type tcpConn struct {
+// frameConn frames Msgs over a net.Conn as [1B type][4B LE length][payload]:
+// a TCP socket between processes, one end of a net.Pipe inside one. Reads
+// are buffered. A one-slot channel token serializes writes, so the learner's
+// checkpoint broadcast and its replies never interleave bytes, and a queued
+// sender is durably blocked under testing/synctest (behind a mutex it is not).
+type frameConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	wmu sync.Mutex
+	wtok chan struct{}
 }
 
-func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 1<<16)}
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{c: c, br: bufio.NewReaderSize(c, 1<<16), wtok: make(chan struct{}, 1)}
 }
 
-func (t *tcpConn) Send(m Msg) error {
+func (t *frameConn) Send(m Msg) error {
 	if len(m.Payload) > maxWireFrame {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, len(m.Payload))
 	}
 	var hdr [5]byte
 	hdr[0] = m.Type
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(m.Payload)))
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
+	t.wtok <- struct{}{}
+	defer func() { <-t.wtok }()
 	if _, err := t.c.Write(hdr[:]); err != nil {
 		return err
+	}
+	// An empty Write on a net.Pipe blocks until the peer's next Read, and
+	// Recv makes none for an empty payload.
+	if len(m.Payload) == 0 {
+		return nil
 	}
 	_, err := t.c.Write(m.Payload)
 	return err
 }
 
-func (t *tcpConn) Recv() (Msg, error) {
+func (t *frameConn) Recv() (Msg, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
 		return Msg{}, err
@@ -73,7 +78,7 @@ func (t *tcpConn) Recv() (Msg, error) {
 	}
 }
 
-func (t *tcpConn) Close() error { return t.c.Close() }
+func (t *frameConn) Close() error { return t.c.Close() }
 
 // tcpListener adapts a net.Listener to the transport seam.
 type tcpListener struct {
@@ -85,7 +90,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c), nil
+	return newFrameConn(c), nil
 }
 
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
@@ -109,6 +114,6 @@ func TCPDialer(addr string) Dialer {
 		if err != nil {
 			return nil, err
 		}
-		return newTCPConn(c), nil
+		return newFrameConn(c), nil
 	}
 }
