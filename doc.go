@@ -166,8 +166,8 @@
 // tree.TransTable maps each position's incrementally maintained Zobrist
 // hash to shared per-state statistics plus the stored network output,
 // keyed defensively: every entry carries a full state verification key
-// (game.StateKey, covering exactly what the hash covers), and a 64-bit
-// collision replaces the resident entry rather than ever merging two
+// (State.AppendStateKey, covering exactly what the hash covers), and a
+// 64-bit collision replaces the resident entry rather than ever merging two
 // distinct positions (TestTransTableCollisionNeverMerges and
 // FuzzTransposeTable hold this under forced-collision pressure). The
 // table is lock-striped and safe for any number of concurrent searches:

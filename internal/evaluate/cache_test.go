@@ -390,7 +390,7 @@ func TestCachedExactAcrossMoveOrders(t *testing.T) {
 		return st
 	}
 	a, b := play(10, 40, 70), play(70, 40, 10)
-	if a.Hash() != b.Hash() || !bytes.Equal(game.StateKey(a, nil), game.StateKey(b, nil)) {
+	if a.Hash() != b.Hash() || !bytes.Equal(a.AppendStateKey(nil), b.AppendStateKey(nil)) {
 		t.Fatal("the two move orders no longer share a hash and state key")
 	}
 	bare := tinyNN(t, a)

@@ -87,6 +87,9 @@ func (s *State) Clone() game.State {
 	return &c
 }
 
+// CopyFrom implements game.State.
+func (s *State) CopyFrom(src game.State) { *s = *src.(*State) }
+
 // ToMove implements game.State.
 func (s *State) ToMove() game.Player { return s.toMove }
 
@@ -200,7 +203,7 @@ func (s *State) Encode(dst []float32) {
 // Hash implements game.State.
 func (s *State) Hash() uint64 { return s.hash }
 
-// AppendStateKey implements game.StateKeyer: cell occupancy plus the side
+// AppendStateKey implements game.State: cell occupancy plus the side
 // to move — exactly the identity the Zobrist hash covers.
 func (s *State) AppendStateKey(dst []byte) []byte {
 	for _, c := range s.cells {

@@ -29,12 +29,16 @@ const (
 // Opponent returns the other player.
 func (p Player) Opponent() Player { return -p }
 
-// State is a mutable game position. Implementations are NOT safe for
-// concurrent mutation; engines clone states before handing them to workers,
+// State is a mutable game position, NOT safe for concurrent mutation: each
+// rollout context of an engine owns one and copies the root into it,
 // exactly as Algorithm 2 line 2 copies the environment.
 type State interface {
 	// Clone returns an independent deep copy.
 	Clone() State
+
+	// CopyFrom makes the receiver a deep copy of src, a state of the same
+	// game, in the receiver's storage: Clone without the allocation.
+	CopyFrom(src State)
 
 	// ToMove returns the player whose turn it is.
 	ToMove() Player
@@ -71,54 +75,13 @@ type State interface {
 	// Hash returns a position hash (Zobrist) suitable for transposition
 	// detection and test assertions.
 	Hash() uint64
-}
 
-// StateKeyer is an optional State extension: a canonical identity key for
-// transposition detection. AppendStateKey appends bytes covering exactly
-// the information the Zobrist Hash covers — board occupancy, side to move,
-// and any extra identity the game folds into its hash (e.g. Othello's
-// pending-pass streak) — and returns the extended slice. Two states with
-// equal keys are the same position for search purposes; the transposition
-// table compares keys on every hash hit so a 64-bit collision can never
-// merge distinct positions.
-//
-// Note the key deliberately EXCLUDES presentation-only history such as the
-// last-move encoding plane: sharing one evaluation across transposed lines
-// that differ only in arrival order is the standard transposition-table
-// approximation (documented in EXPERIMENTS.md).
-type StateKeyer interface {
+	// AppendStateKey appends a key covering exactly what Hash covers (cells,
+	// side to move, extras such as Othello's pass streak); the transposition
+	// table compares keys on every hash hit, so a collision never merges two
+	// positions. The last-move plane is left out: transposed lines share one
+	// evaluation, the standard table approximation.
 	AppendStateKey(dst []byte) []byte
-}
-
-// StateKey appends the state's canonical identity key to dst. States
-// implementing StateKeyer use their compact native key; anything else falls
-// back to packing the Encode planes bitwise, which is always available but
-// costs a full encode per call.
-func StateKey(st State, dst []byte) []byte {
-	if k, ok := st.(StateKeyer); ok {
-		return k.AppendStateKey(dst)
-	}
-	c, h, w := st.EncodedShape()
-	n := c * h * w
-	buf := make([]float32, n)
-	st.Encode(buf)
-	var acc byte
-	bits := 0
-	for _, v := range buf {
-		acc <<= 1
-		if v != 0 {
-			acc |= 1
-		}
-		bits++
-		if bits == 8 {
-			dst = append(dst, acc)
-			acc, bits = 0, 0
-		}
-	}
-	if bits > 0 {
-		dst = append(dst, acc<<(8-bits))
-	}
-	return append(dst, byte(st.ToMove()+2))
 }
 
 // Game is a factory for initial states plus static metadata.

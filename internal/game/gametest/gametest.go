@@ -3,11 +3,12 @@
 // pass before the search engines, the persistent-session layer, and the
 // training drivers may assume anything about it. The properties pin down
 // the parts of the game.State contract that the rest of the repository
-// silently relies on — Clone independence, Legal↔LegalMoves agreement,
-// strict turn alternation (tree.Backup negates the value once per ply),
-// the own/opponent plane convention of Encode, Zobrist hashes that change
-// on every Play (pass moves included), the MaxGameLength bound that sizes
-// replay buffers and synthetic-tree depth limits, and terminal stability.
+// silently relies on — Clone independence, CopyFrom ≡ Clone into any
+// receiver, Legal↔LegalMoves agreement, strict turn alternation
+// (tree.Backup negates the value once per ply), the own/opponent plane
+// convention of Encode, Zobrist hashes that change on every Play (pass
+// moves included), the MaxGameLength bound that sizes replay buffers and
+// synthetic-tree depth limits, and terminal stability.
 //
 // Use it from a game package's tests:
 //
@@ -40,6 +41,7 @@ func Run(t *testing.T, g game.Game) {
 		{"Metadata", checkMetadata},
 		{"InitialState", checkInitialState},
 		{"CloneIndependence", checkCloneIndependence},
+		{"CopyFromIsClone", checkCopyFromIsClone},
 		{"LegalAgreement", checkLegalAgreement},
 		{"LegalMovesNonEmptyUntilTerminal", checkLegalMovesNonEmpty},
 		{"IllegalPlayPanics", checkIllegalPlayPanics},
@@ -143,6 +145,44 @@ func checkCloneIndependence(t *testing.T, g game.Game) {
 	}
 	// And the original is still playable.
 	st.Play(legal[0])
+}
+
+// checkCopyFromIsClone: a copy into any position (initial, longer, terminal)
+// reads and plays out like that position replayed from the start, and a Play
+// on the copy or its source leaves the other so.
+func checkCopyFromIsClone(t *testing.T, g game.Game) {
+	n := 0 // positions on seed 1's walk, the final one included
+	walk(g, 1, g.MaxGameLength()+2, func(game.State, int, int) { n++ })
+	at := func(i int) game.State { return walk(g, 1, i, nil) } // replayed, never copied
+	for i := 0; i < n; i++ {
+		want := future(at(i))
+		for _, prior := range []int{0, n - 1, (i + n/2) % n} {
+			for played := 0; played < 2; played++ {
+				pair := [2]game.State{at(i), at(prior)}
+				pair[1].CopyFrom(pair[0])
+				if st := pair[played]; !st.Terminal() {
+					st.Play(st.LegalMoves(nil)[0])
+				}
+				if future(pair[1-played]) != want {
+					t.Fatalf("ply %d: a copy or its source reads unlike a replay after a Play on the other", i)
+				}
+			}
+		}
+	}
+}
+
+// future renders everything st shows, now and at the end of a seeded random
+// line from it, which it plays.
+func future(st game.State) string {
+	show := func() string {
+		return fmt.Sprint(st.Hash(), st.AppendStateKey(nil), st.LegalMoves(nil), encodeOf(st), st.ToMove(), st.Terminal(), st.Winner())
+	}
+	now := show()
+	for r := rng.New(7); !st.Terminal(); {
+		legal := st.LegalMoves(nil)
+		st.Play(legal[r.Intn(len(legal))])
+	}
+	return now + show()
 }
 
 func checkLegalAgreement(t *testing.T, g game.Game) {

@@ -97,10 +97,15 @@ var _ game.State = (*State)(nil)
 
 // Clone implements game.State.
 func (s *State) Clone() game.State {
-	c := *s
-	c.cells = make([]game.Player, len(s.cells))
-	copy(c.cells, s.cells)
-	return &c
+	c := &State{}
+	c.CopyFrom(s)
+	return c
+}
+
+// CopyFrom implements game.State.
+func (s *State) CopyFrom(src game.State) {
+	o := src.(*State)
+	*s, s.cells = *o, append(s.cells[:0], o.cells...)
 }
 
 // ToMove implements game.State.
@@ -230,7 +235,7 @@ func (s *State) Encode(dst []float32) {
 // Hash implements game.State.
 func (s *State) Hash() uint64 { return s.hash }
 
-// AppendStateKey implements game.StateKeyer: cell occupancy plus the side
+// AppendStateKey implements game.State: cell occupancy plus the side
 // to move — exactly the identity the Zobrist hash covers.
 func (s *State) AppendStateKey(dst []byte) []byte {
 	for _, c := range s.cells {

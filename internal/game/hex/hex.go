@@ -143,12 +143,15 @@ var _ game.State = (*State)(nil)
 
 // Clone implements game.State.
 func (s *State) Clone() game.State {
-	c := *s
-	c.cells = make([]game.Player, len(s.cells))
-	copy(c.cells, s.cells)
-	c.uf = make([]int32, len(s.uf))
-	copy(c.uf, s.uf)
-	return &c
+	c := &State{}
+	c.CopyFrom(s)
+	return c
+}
+
+// CopyFrom implements game.State.
+func (s *State) CopyFrom(src game.State) {
+	o := src.(*State)
+	*s, s.cells, s.uf = *o, append(s.cells[:0], o.cells...), append(s.uf[:0], o.uf...)
 }
 
 // ToMove implements game.State.
@@ -324,7 +327,7 @@ func (s *State) Encode(dst []float32) {
 // Hash implements game.State.
 func (s *State) Hash() uint64 { return s.hash }
 
-// AppendStateKey implements game.StateKeyer: cell occupancy, the side to
+// AppendStateKey implements game.State: cell occupancy, the side to
 // move, and whether the pie-rule steal is still live — the same board one
 // ply later is a different position while the steal option exists, even
 // though the cells and mover match.

@@ -140,10 +140,15 @@ var _ game.State = (*State)(nil)
 
 // Clone implements game.State.
 func (s *State) Clone() game.State {
-	c := *s
-	c.cells = make([]game.Player, len(s.cells))
-	copy(c.cells, s.cells)
-	return &c
+	c := &State{}
+	c.CopyFrom(s)
+	return c
+}
+
+// CopyFrom implements game.State.
+func (s *State) CopyFrom(src game.State) {
+	o := src.(*State)
+	*s, s.cells = *o, append(s.cells[:0], o.cells...)
 }
 
 // ToMove implements game.State.
@@ -364,7 +369,7 @@ func (s *State) Encode(dst []float32) {
 // Hash implements game.State.
 func (s *State) Hash() uint64 { return s.hash }
 
-// AppendStateKey implements game.StateKeyer: cell occupancy, the side to
+// AppendStateKey implements game.State: cell occupancy, the side to
 // move, and the pending-pass indicator — the same identity the Zobrist
 // hash covers (a position reached with one pass already on the streak
 // terminates one pass sooner than the same board without it).

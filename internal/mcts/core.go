@@ -94,7 +94,7 @@ func (c *core) Close() { c.s.close() }
 // until every in-flight rollout has backed up and drained its virtual loss.
 func (c *core) Advance(action int) { c.s.advance(action) }
 
-// Tree exposes the engine's tree for tests and profiling.
+// Tree exposes the engine's tree for tests and profiling, until Close.
 func (c *core) Tree() *tree.Tree { return c.s.tr }
 
 // scheduler is the part of an engine that differs: run executes budget
@@ -143,15 +143,17 @@ func (c *core) leave(n int) {
 	}
 }
 
-// scratch is one rollout's context: the buffers it reuses, the noise
-// stream and stats shard it owns, and — between rollout and finish — the
-// leaf an evaluation is outstanding for. Only one thread touches a scratch
-// at a time, so nothing in it is synchronised.
+// scratch is one rollout's context: the buffers and game state it reuses,
+// the noise stream and stats shard it owns, and — between rollout and
+// finish — the leaf an evaluation is outstanding for. Only one thread
+// touches a scratch at a time, so nothing in it is synchronised.
 type scratch struct {
 	// req holds the encoded leaf (Input) and the network's answer (Policy,
 	// Value). It is the request an awaiting scheduler submits; Ctx points
 	// back at the scratch so a completion finds its rollout.
-	req     evaluate.Request
+	req evaluate.Request
+	// st is the rollout's copy of the search root, played down to the leaf.
+	st      game.State
 	actions []int
 	priors  []float32
 	key     []byte
@@ -169,10 +171,11 @@ type scratch struct {
 	t    time.Time
 }
 
-// reset readies the scratch for a new Search of st's game: buffers are
-// sized on first use and kept, the stats shard starts from zero.
+// reset readies the scratch for a new Search of st's game: buffers and
+// state are made on first use and kept, the stats shard starts from zero.
 func (sc *scratch) reset(st game.State) {
 	if sc.req.Input == nil {
+		sc.st = st.Clone()
 		c, h, w := st.EncodedShape()
 		sc.req.Input = make([]float32, c*h*w)
 		sc.req.Policy = make([]float32, st.NumActions())
@@ -215,7 +218,8 @@ func (c *core) rollout(root game.State, sc *scratch) bool {
 	// Selection. With virtual loss the root is marked too, so that
 	// sqrt(sum N) reflects in-flight traffic.
 	sc.start()
-	st := root.Clone()
+	st := sc.st
+	st.CopyFrom(root)
 	idx := tr.Root()
 	if marking {
 		tr.ApplyVirtualLoss(idx, locked)

@@ -136,8 +136,8 @@ type Stats struct {
 	// would have had with the table off (modulo changed exploration).
 	TransHits int
 	// Phase breakdown, populated when Config.Profile is set. The phases
-	// partition each rollout's time on its own thread: Select is the state
-	// clone and the descent; Expand is everything between reaching the leaf
+	// partition each rollout's time on its own thread: Select is the root
+	// copy and the descent; Expand is everything between reaching the leaf
 	// and backing up that is not evaluation — the table probe, a table-hit
 	// expansion, legal moves, masking, the expansion proper; Eval is the
 	// inline evaluation, or for awaited evaluations the encode and submit

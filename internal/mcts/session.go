@@ -148,48 +148,45 @@ func (s *session) finish(stats *Stats) {
 }
 
 // close extends the session mutex to the pool layer: it blocks until any
-// in-flight Search or Advance has finished, then discards the tree and all
-// warm state. Session pools (internal/serve) evict engines while a move may
-// still be searching on another goroutine; without this barrier the evictor
-// would free or reuse the session under a live rollout. An evicted search
-// therefore always finishes on its own tree and its result is simply
-// discarded — never raced. The engine may be searched again afterwards (the
-// next prepare rebuilds a cold tree), but pools treat close as final.
+// in-flight Search or Advance has finished, then releases the tree's arena
+// to the next session of the same shape and drops all warm state. Session
+// pools (internal/serve) evict engines while a move may still be searching
+// on another goroutine; without this barrier the evictor would recycle the
+// arena under a live rollout. An evicted search finishes on its own tree
+// and its result is discarded, never raced. The engine may be searched
+// again (prepare builds a cold tree), but pools treat close as final.
 func (s *session) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.tr != nil {
+		s.tr.Release()
+	}
 	s.tr = nil
 	s.warm, s.synced = false, false
 	s.reusedNodes, s.reusedVisits = 0, 0
 }
 
-// rootMatches reports whether the tree root's child actions are exactly
-// st's legal moves — a cheap, best-effort fingerprint used to reject a
-// warm tree that has drifted from the driver's game. It is defence in
-// depth behind the synced flag (the primary coherence mechanism, which
-// covers every sequential misuse): in games whose legal-move set barely
-// changes between positions (connect4 columns, early gomoku) a drifted
-// tree can pass this check, so callers racing Search against Advance get
-// coherent-but-stale output rather than an error. An unexpanded root
-// cannot be checked and is accepted (the search will expand it from st's
-// own evaluation).
+// rootMatches reports whether the root's child actions are exactly st's
+// legal moves (children carry distinct actions, so all legal and as many as
+// the legal actions is set equality): best-effort defence in depth behind
+// the synced flag against a warm tree drifted from the driver's game. Where
+// the legal set barely changes (connect4, early gomoku) a drifted tree can
+// pass. An unexpanded root cannot be checked and is accepted.
 func rootMatches(tr *tree.Tree, st game.State) bool {
 	root := tr.Node(tr.Root())
 	if !root.Expanded() {
 		return true
 	}
-	legal := st.LegalMoves(nil)
-	seen := make(map[int]bool, len(legal))
-	for _, a := range legal {
-		seen[a] = true
+	legal := 0
+	for a := 0; a < st.NumActions(); a++ {
+		if st.Legal(a) {
+			legal++
+		}
 	}
-	n := 0
-	ok := true
+	n, ok := 0, true
 	tr.Children(tr.Root(), func(_ int32, nd *tree.Node) {
 		n++
-		if !seen[nd.Action()] {
-			ok = false
-		}
+		ok = ok && st.Legal(nd.Action())
 	})
-	return ok && n == len(legal)
+	return ok && n == legal
 }

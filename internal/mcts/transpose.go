@@ -18,7 +18,7 @@ import (
 // backup is fixed in core.rollout, once, for every engine — which is what
 // makes the engines move-equivalent at concurrency 1.
 func transProbe(tt *tree.TransTable, tr *tree.Tree, st game.State, idx int32, key []byte) (*tree.TransEntry, []byte) {
-	key = game.StateKey(st, key[:0])
+	key = st.AppendStateKey(key[:0])
 	entry, _ := tt.Acquire(st.Hash(), key)
 	tr.AttachShared(idx, entry)
 	return entry, key

@@ -75,9 +75,9 @@ type Config struct {
 	SearchWorkers int
 
 	// MaxSessions is the session budget: creating a game beyond it evicts
-	// the least-recently-used session (default 1024). Approximate memory
-	// per session is the search-tree arena: SuggestCapacity(Playouts,
-	// fanout) nodes at ~100 bytes each, plus the game state.
+	// the least-recently-used session (default 1024). Memory per session
+	// slot is ~100 bytes × SuggestCapacity(Playouts, fanout) tree nodes, paid
+	// per slot, not per game (closed sessions' arenas are reused), plus state.
 	MaxSessions int
 	// IdleTTL evicts sessions idle longer than this (default 10m; negative
 	// disables TTL eviction, leaving only the budget).
@@ -446,7 +446,7 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	if best < 0 {
 		// Degenerate distribution (e.g. root expansion rejected at a full
 		// tree): fall back to a uniformly random legal move.
-		legal := sess.st.LegalMoves(nil)
+		legal := sess.st.LegalMoves(make([]int, 0, s.game.NumActions()))
 		best = legal[sess.rnd.Intn(len(legal))]
 	}
 	sess.st.Play(best)
@@ -525,7 +525,8 @@ func (s *Service) snapshotLocked(sess *gameSession) Snapshot {
 		ModelVersion: s.cfg.InitialVersion,
 	}
 	if !sess.done {
-		snap.Legal = sess.st.LegalMoves(nil)
+		// Exactly sized, never reused: it is encoded after sess.mu is released.
+		snap.Legal = sess.st.LegalMoves(make([]int, 0, s.game.NumActions()))
 	}
 	return snap
 }

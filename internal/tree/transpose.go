@@ -116,8 +116,8 @@ func (e *TransEntry) HasEval() bool {
 }
 
 // transSlot binds a verification key to its entry. The verify bytes are the
-// state's canonical identity (game.StateKey); two states hashing to the
-// same Zobrist key but differing in verify are never merged.
+// state's canonical identity (State.AppendStateKey); two states hashing to
+// the same Zobrist key but differing in verify are never merged.
 type transSlot struct {
 	verify  []byte
 	entry   *TransEntry

@@ -187,18 +187,28 @@ type RebaseStats struct {
 	Generation uint64
 }
 
+var released sync.Pool // trees handed back by Release, for New to reuse
+
 // New creates a tree with storage for capacity nodes and installs a fresh
 // root. Capacity is fixed for the lifetime of the tree: growing the arena
 // would move nodes under concurrent readers. Size it as
-// playouts*avgFanout+1 (see SuggestCapacity).
+// playouts*avgFanout+1 (see SuggestCapacity). It may return a released
+// tree of the same Config and capacity, Reset: it reads like a new one.
 func New(cfg Config, capacity int) *Tree {
 	if capacity < 1 {
 		panic("tree: capacity must be at least 1")
 	}
-	t := &Tree{cfg: cfg, nodes: make([]Node, capacity)}
+	t, _ := released.Get().(*Tree)
+	if t == nil || t.cfg != cfg || len(t.nodes) != capacity {
+		t = &Tree{cfg: cfg, nodes: make([]Node, capacity)}
+	}
 	t.Reset()
 	return t
 }
+
+// Release hands the arena to a later New of the same shape. No traversal may
+// be in flight, and neither t nor its nodes may be used afterwards.
+func (t *Tree) Release() { released.Put(t) }
 
 // SuggestCapacity returns an arena size for a search of the given playout
 // budget and action-space size: every playout expands at most one node with
@@ -339,7 +349,9 @@ func (t *Tree) RebaseRoot(action int) (RebaseStats, bool) {
 		// statistics persist across move boundaries.
 		d.stats.Store(s.stats.Load())
 		d.termValue = s.termValue
-		setTerminal(d, s.terminal.Load())
+		if v := s.terminal.Load(); d.terminal.Load() != v { // skip a locked store
+			d.terminal.Store(v)
+		}
 	}
 	t.next = count
 	t.root = 0
@@ -379,21 +391,13 @@ func (t *Tree) RemixRootPriors(mix func(priors []float32)) {
 	}
 }
 
+// allocNode writes the next slot with plain stores: nothing reaches it until
+// Expand publishes firstChild (Reset and RebaseRoot run with none in flight).
 func (t *Tree) allocNode(parent, action int32, prior float32) int32 {
 	idx := t.next
 	t.next++
-	nd := &t.nodes[idx]
-	nd.parent = parent
-	nd.action = action
-	nd.prior = prior
-	nd.firstChild.Store(nilNode)
-	nd.numChildren = 0
-	nd.n.Store(0)
-	nd.vl.Store(0)
-	nd.w.Store(0)
-	nd.stats.Store(nil)
-	setTerminal(nd, false)
-	nd.termValue = 0
+	t.nodes[idx] = Node{parent: parent, action: action, prior: prior}
+	t.nodes[idx].firstChild.Store(nilNode)
 	return idx
 }
 
@@ -434,16 +438,6 @@ func (t *Tree) Expand(idx int32, actions []int, priors []float32) bool {
 	// Publishing firstChild last makes the children visible atomically.
 	nd.firstChild.Store(first)
 	return true
-}
-
-// setTerminal sets the flag of a node only its owner can reach (a slot being
-// allocated or compacted). Slots are rarely terminal, so it loads first: an
-// atomic store is a locked instruction, and one per allocated child shows on
-// the expansion path.
-func setTerminal(nd *Node, v bool) {
-	if nd.terminal.Load() != v {
-		nd.terminal.Store(v)
-	}
 }
 
 // MarkTerminal records that the game ends at idx with the given outcome
