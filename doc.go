@@ -16,7 +16,7 @@
 // by the virtual-loss mode and by inline versus awaited evaluation, and
 // four schedulers over it — Serial (the calling thread, back to back),
 // Shared (N ticketed goroutines on a locked tree), Local (a lock-free
-// master that submits leaves and finishes them on completion) and the
+// master that submits leaves and finishes them in submission order) and the
 // LeafParallel baseline (serial with a K-fold evaluation fan-out);
 // RootParallel composes serial sub-searches. One Search skeleton and one
 // session wrap all of them, so cross-engine equivalence at concurrency 1
@@ -91,8 +91,8 @@
 // Node evaluation is organised as a service: evaluate.Server multiplexes
 // requests from any number of tenant searches onto one batched backend
 // (an accel.Link or a bounded CPU worker pool), forming batches by
-// threshold, quorum OR flush deadline — whichever is hit first — and routing
-// each completion back to the client that submitted it, with backpressure
+// threshold, quorum OR flush deadline — whichever is hit first — and
+// signalling each completion on the request itself, with backpressure
 // (ServerConfig.MaxOutstanding) and graceful drain on Close. The quorum is
 // the quiescence rule: every mcts engine registers its rollout contexts with
 // the service for the length of a Search (mcts.SlotRegistrar, bracketed once
@@ -105,15 +105,15 @@
 // carries the service's central guarantee: the flush timer is armed by the
 // first request of each buffer generation, so no submitted request ever
 // waits longer than the deadline before its batch launches. That guarantee
-// is what lets an mcts.Local master simply block in Client.Next, and what
-// keeps a straggler game from deadlocking on co-tenants that already
-// finished; on a private queue without a deadline Next itself pushes the
-// partial batch nothing else would launch, so no engine carries a flush
-// handshake. The classic single-search backends are one-tenant deployments
+// is what lets an mcts.Local master simply block in Client.Wait on its
+// oldest request, and what keeps a straggler game from deadlocking on
+// co-tenants that already finished; on a private queue without a deadline
+// Wait itself pushes the partial batch holding the request, which nothing
+// else would launch, so no engine carries a flush handshake. The classic single-search backends are one-tenant deployments
 // of the same Server: evaluate.NewPool returns the Client of a private server
 // it owns, the local-tree + accelerator queue is one Client of a
 // deadline-less Server of threshold B, and the shared-tree + accelerator
-// queue is mcts.Shared over a sync client (Server.NewSyncClient) — its N
+// queue is mcts.Shared over a Client it evaluates through — its N
 // workers are N registered slots, so the last partial batch of a move
 // launches by quorum.
 //
@@ -150,11 +150,10 @@
 // generation-tagged so rollouts straddling a move boundary are attributed
 // rather than dropped. With ReuseTree off (the default, matching the
 // paper's rebuild-every-move workload) Advance simply invalidates the
-// session. One property to know: warm trees surface the local-tree
-// engine's inherent sensitivity to evaluation-completion interleaving
-// (with more than one evaluation in flight, trajectories depend on
-// arrival order — the Section 5.5 argument that parallel execution
-// changes trajectories but not decision quality applies). For the G-game
+// session. Warm trees are as reproducible as cold ones: the local-tree
+// master applies its evaluations in submission order, so with any number
+// in flight its trajectory does not depend on arrival order (Shared with
+// N > 1 is the one engine whose threads race by design). For the G-game
 // fleet the effect compounds: each tenant's
 // per-move evaluation demand drops by its reuse fraction, which
 // multiplies directly into the shared service's aggregate throughput.

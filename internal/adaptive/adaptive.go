@@ -231,7 +231,7 @@ func buildFleet(tenants int, opts Options, dec Decision) *Fleet {
 
 // flushDeadline is the launch backstop of a service shared by G searches. A
 // fleet of one has no co-tenant to wait for and gets none, which also lets a
-// master about to block push its own partial batch (Client.Next).
+// master about to block push its own partial batch (Client.Wait).
 func flushDeadline(tenants int) time.Duration {
 	if tenants == 1 {
 		return 0
@@ -258,7 +258,7 @@ func localFleet(backend evaluate.Backend, sc evaluate.ServerConfig, workers int,
 	srv := evaluate.NewServer(backend, sc)
 	fleet := &Fleet{Server: srv, Engines: make([]mcts.Engine, len(cfgs)), Clients: make([]*evaluate.Client, len(cfgs))}
 	for i, cfg := range cfgs {
-		fleet.Clients[i] = srv.NewClient(workers)
+		fleet.Clients[i] = srv.NewSyncClient()
 		fleet.Engines[i] = mcts.NewLocal(cfg, fleet.Clients[i], workers)
 	}
 	return fleet

@@ -12,11 +12,15 @@
 // it returns the Client itself, which owns and closes its private Server. The
 // accelerator configurations of Section 3.3 need no flavour of their own:
 // local-tree + GPU (sub-batch B, the subject of the Algorithm 4 search) is a
-// Client of a Server with threshold B and no flush deadline, shared-tree +
-// GPU (N workers' simultaneous requests form one full batch) a sync tenant
-// (Server.NewSyncClient, the tenant serve sessions and arena gates use), and
-// either Server runs an accel.Link, the simulated accelerator wrapped around
-// an EvaluatorBackend. The Server launches a batch on the first of
+// Client of a Server with threshold B and no flush deadline that the master
+// drives through Submit and Wait, shared-tree + GPU (N workers'
+// simultaneous requests form one full batch) a Client whose workers each
+// block in Evaluate (as serve sessions and arena gates do), and either Server
+// runs an accel.Link, the simulated accelerator wrapped around an
+// EvaluatorBackend. Both are the one kind of Client, Server.NewSyncClient,
+// and both learn of a completion from the request itself: every request
+// carries its own signal, so a caller always knows which evaluation it has
+// waited for. The Server launches a batch on the first of
 // three conditions — threshold, quorum (every slot of every open search has a
 // request buffered; the count includes slots whose request is executing, so
 // lock-step tenants stay in one batch) or flush deadline — described on
@@ -51,19 +55,19 @@ import (
 )
 
 // Request is one in-flight node evaluation. The requester allocates Policy;
-// the evaluator fills Policy and Value.
+// the evaluator fills Policy and Value. A request may be submitted again
+// once its previous evaluation has been waited for.
 type Request struct {
 	Input  []float32
 	Policy []float32
 	Value  float64
-	// Ctx carries arbitrary requester context through the evaluator
-	// (e.g. the cloned game state needed to expand the leaf on completion).
-	Ctx interface{}
 
-	// client is the tenant the Server routes the completion back to.
+	// client is the tenant that submitted the request, whose outstanding
+	// count its delivery settles.
 	client *Client
-	// done is the private completion signal of sync-mode (blocking) callers;
-	// it is a 1-buffered reusable channel owned by the request pool.
+	// done is the request's completion signal: 1-buffered and signalled by
+	// send, so it survives reuse. Pooled requests come with one; Submit
+	// makes it for any other on first use.
 	done chan struct{}
 }
 
@@ -113,18 +117,17 @@ func putBatchIO(io *batchIO) {
 }
 
 // Async is the asynchronous interface used by the local-tree master thread;
-// *Client is its implementation.
+// *Client is its implementation. Each request carries its own completion
+// signal, so the caller chooses which evaluation it waits for, and in what
+// order.
 type Async interface {
-	// Submit enqueues a request; completion is announced on Completions.
+	// Submit enqueues a request and returns without waiting for it.
 	Submit(*Request)
-	// Completions delivers finished requests in completion order, for
-	// callers that poll without blocking.
-	Completions() <-chan *Request
-	// Next blocks for the next completion. On a queue without a flush
-	// deadline it first pushes a partial batch nothing else would launch,
-	// so a caller about to wait on its own buffered requests cannot
-	// deadlock.
-	Next() *Request
+	// Wait blocks until a submitted request's evaluation is delivered. On a
+	// queue without a flush deadline it first pushes the partial batch
+	// holding the request, which nothing else would launch, so a caller
+	// waiting on its own buffered request cannot deadlock.
+	Wait(*Request)
 	// Close releases worker goroutines. No Submit may follow.
 	Close()
 }
@@ -209,7 +212,7 @@ func NewPool(eval Evaluator, workers int) *Client {
 		// thread, exactly the seed pool's topology — no per-playout spawn.
 		LaunchWorkers: workers,
 	})
-	c := srv.NewClient(workers * 4)
+	c := srv.NewSyncClient()
 	c.ownsServer = true
 	return c
 }

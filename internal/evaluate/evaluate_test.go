@@ -113,26 +113,28 @@ func TestPoolProcessesAllRequests(t *testing.T) {
 	e := &Random{}
 	p := NewPool(e, 4)
 	const n = 100
+	submitted := make(chan *Request, n)
 	go func() {
 		for i := 0; i < n; i++ {
-			p.Submit(&Request{
+			req := &Request{
 				Input:  testInput(uint64(i), 20),
 				Policy: make([]float32, 10),
-			})
+			}
+			p.Submit(req)
+			submitted <- req
 		}
 	}()
-	seen := make(map[*Request]bool)
-	for i := 0; i < n; i++ {
-		req := <-p.Completions()
-		if seen[req] {
-			t.Fatalf("request %d delivered twice", i)
-		}
-		seen[req] = true
-		policyOK(t, req.Policy)
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = <-submitted
+		p.Wait(reqs[i])
+		policyOK(t, reqs[i].Policy)
 	}
 	p.Close()
-	if _, ok := <-p.Completions(); ok {
-		t.Fatal("completions channel should be closed")
+	for i, req := range reqs {
+		if len(req.done) > 0 {
+			t.Fatalf("request %d delivered twice", i)
+		}
 	}
 	if !p.Server().closed.Load() {
 		t.Fatal("closing the pool's client left its private server running")
@@ -174,35 +176,38 @@ func TestSyncClientReleasesFullBatch(t *testing.T) {
 // TestBatchedAsyncDeliversAll: the local-tree accelerator queue — one
 // asynchronous tenant of a Server with threshold B and no flush deadline —
 // delivers every request, including a partial last batch that only moves when
-// Next pushes it.
+// Wait pushes it.
 func TestBatchedAsyncDeliversAll(t *testing.T) {
 	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 3, MaxOutstanding: 32})
-	b := srv.NewClient(32)
-	const n = 20 // not a multiple of 3: the last two only move when Next pushes them
-	for i := 0; i < n; i++ {
-		b.Submit(&Request{
+	b := srv.NewSyncClient()
+	const n = 20 // not a multiple of 3: the last two only move when Wait pushes them
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = &Request{
 			Input:  testInput(uint64(i), 36),
 			Policy: make([]float32, 9),
-		})
+		}
+		b.Submit(reqs[i])
 	}
-	done := make(chan *Request, n)
+	done := make(chan int, n)
 	go func() {
-		for i := 0; i < n; i++ {
-			done <- b.Next()
+		for i, req := range reqs {
+			b.Wait(req)
+			done <- i
 		}
 	}()
-	seen := make(map[*Request]bool)
 	for i := 0; i < n; i++ {
 		select {
-		case req := <-done:
-			if seen[req] {
-				t.Fatalf("duplicate completion %d", i)
-			}
-			seen[req] = true
+		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out after %d completions", i)
 		}
 	}
 	b.Close()
 	srv.Close()
+	for i, req := range reqs {
+		if len(req.done) > 0 {
+			t.Fatalf("duplicate completion %d", i)
+		}
+	}
 }

@@ -31,13 +31,15 @@ func TestBatchedAsyncOverlappedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: 4, MaxOutstanding: 128})
-	b := srv.NewClient(128)
+	b := srv.NewSyncClient()
 	start := time.Now()
-	for i := 0; i < 16; i++ {
-		b.Submit(&evaluate.Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)})
+	reqs := make([]*evaluate.Request, 16)
+	for i := range reqs {
+		reqs[i] = &evaluate.Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)}
+		b.Submit(reqs[i])
 	}
-	for i := 0; i < 16; i++ {
-		<-b.Completions()
+	for _, req := range reqs {
+		b.Wait(req)
 	}
 	elapsed := time.Since(start)
 	b.Close()

@@ -206,7 +206,7 @@ func TestQuorumSearchTails(t *testing.T) {
 			return mcts.NewShared(cfg, 4, cl), cl
 		},
 		"local4": func(srv *evaluate.Server) (mcts.Engine, *evaluate.Client) {
-			cl := srv.NewClient(4)
+			cl := srv.NewSyncClient()
 			return mcts.NewLocal(cfg, cl, 4), cl
 		},
 		"serial": func(srv *evaluate.Server) (mcts.Engine, *evaluate.Client) {
@@ -244,20 +244,25 @@ func TestQuorumSearchTails(t *testing.T) {
 func TestFlushCauseCounters(t *testing.T) {
 	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 2, FlushDeadline: 20 * time.Millisecond})
 	defer srv.Close()
-	cl := srv.NewClient(4)
-	submit := func(n int) {
-		for i := 0; i < n; i++ {
-			cl.Submit(&evaluate.Request{Input: make([]float32, 4), Policy: make([]float32, 2)})
+	cl := srv.NewSyncClient()
+	submit := func(n int) []*evaluate.Request {
+		reqs := make([]*evaluate.Request, n)
+		for i := range reqs {
+			reqs[i] = &evaluate.Request{Input: make([]float32, 4), Policy: make([]float32, 2)}
+			cl.Submit(reqs[i])
+		}
+		return reqs
+	}
+	wait := func(reqs []*evaluate.Request) {
+		for _, req := range reqs {
+			cl.Wait(req)
 		}
 	}
-	submit(2) // threshold
-	cl.Next()
-	cl.Next()
-	submit(1) // deadline
-	cl.Next()
-	submit(1) // explicit push
-	srv.Flush()
-	cl.Next()
+	wait(submit(2)) // threshold
+	wait(submit(1)) // deadline
+	pushed := submit(1)
+	srv.Flush() // explicit push
+	wait(pushed)
 	want := evaluate.ServerStats{Batches: 3, Requests: 4, ThresholdFlushes: 1, DeadlineFlushes: 1}
 	if st := srv.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)

@@ -32,12 +32,13 @@ func TestServerSaturation(t *testing.T) {
 		t.Fatalf("idle server reports saturated=%v outstanding=%d", srv.Saturated(), srv.Outstanding())
 	}
 
-	cl := srv.NewClient(2)
+	cl := srv.NewSyncClient()
 	input := make([]float32, 4)
-	for i := 0; i < 2; i++ {
-		req := AcquireRequest()
-		req.Input, req.Policy = input, make([]float32, 4)
-		cl.Submit(req)
+	reqs := make([]*Request, 2)
+	for i := range reqs {
+		reqs[i] = AcquireRequest()
+		reqs[i].Input, reqs[i].Policy = input, make([]float32, 4)
+		cl.Submit(reqs[i])
 	}
 	if !srv.Saturated() {
 		t.Fatalf("server with MaxOutstanding requests in flight not saturated (outstanding=%d)", srv.Outstanding())
@@ -47,8 +48,9 @@ func TestServerSaturation(t *testing.T) {
 	}
 
 	close(gate)
-	for i := 0; i < 2; i++ {
-		ReleaseRequest(<-cl.Completions())
+	for _, req := range reqs {
+		cl.Wait(req)
+		ReleaseRequest(req)
 	}
 	// Token release happens after completion delivery; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)

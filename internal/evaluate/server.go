@@ -17,7 +17,7 @@ const DefaultFlushDeadline = time.Millisecond
 
 // Backend executes one formed batch synchronously: it must fill Value (and
 // Policy, for evaluators that write it) of every request before returning.
-// The Server owns batch formation and completion routing; the backend only
+// The Server owns batch formation and completion signalling; the backend only
 // supplies the compute.
 type Backend interface {
 	RunBatch(batch []*Request)
@@ -156,7 +156,7 @@ type ServerStats struct {
 	// the condition that launched them: the buffer reached Batch, every open
 	// search slot had a request in it, or the oldest request sat out
 	// FlushDeadline. The rest of Batches were pushed explicitly (Flush,
-	// Client.Next on a deadline-less server, Close). A deadline share that
+	// Client.Wait on a deadline-less server, Close). A deadline share that
 	// is not small on a server whose tenants all search through
 	// BeginSearch/EndSearch means tenants are slow in tree code, not that
 	// the deadline is too long.
@@ -175,8 +175,8 @@ func (s ServerStats) AvgFill() float64 {
 // Server is a multi-tenant inference service: it multiplexes Requests from
 // any number of Clients onto one batched backend, forming batches by
 // threshold, quorum or flush deadline (whichever is hit first), launching
-// each batch on its own goroutine (stream-style overlap), and routing
-// completions back to the submitting client. It replaces the
+// each batch on its own goroutine (stream-style overlap), and signalling
+// each request's completion on the request itself. It replaces the
 // one-engine-owns-one-queue topology of the seed: G concurrent searches
 // sharing a Server present the device with one large batch stream instead of
 // G under-filled ones.
@@ -214,9 +214,8 @@ type Server struct {
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
 	backend atomic.Pointer[Backend]
 
-	inflight        sync.WaitGroup
-	inflightBatches atomic.Int64
-	closed          atomic.Bool
+	inflight sync.WaitGroup
+	closed   atomic.Bool
 
 	// work feeds the persistent launcher goroutines (nil in
 	// spawn-per-batch mode); launchers tracks them for Close.
@@ -316,11 +315,6 @@ func (s *Server) Saturated() bool {
 	return s.sem != nil && len(s.sem) == cap(s.sem)
 }
 
-// InFlightBatches returns the number of launches currently executing. The
-// count is decremented only after a launch's completions are visible to its
-// clients, so 0 means no completion can arrive without a new flush.
-func (s *Server) InFlightBatches() int64 { return s.inflightBatches.Load() }
-
 // Flush launches any buffered partial batch immediately.
 func (s *Server) Flush() { s.batcher.FlushNow() }
 
@@ -351,10 +345,9 @@ func (s *Server) submit(req *Request) {
 
 // launch executes one formed batch — on its own goroutine (the "CUDA
 // stream" of Section 3.3), or via a persistent launcher when
-// LaunchWorkers is set — and routes completions to the submitting clients.
+// LaunchWorkers is set — and signals each request's completion.
 func (s *Server) launch(batch []*Request) {
 	s.inflight.Add(1)
-	s.inflightBatches.Add(1)
 	s.batches.Add(1)
 	s.requests.Add(int64(len(batch)))
 	if s.work != nil {
@@ -364,7 +357,7 @@ func (s *Server) launch(batch []*Request) {
 	go s.runAndDeliver(batch)
 }
 
-// runAndDeliver is the launch body: backend compute, per-client routing,
+// runAndDeliver is the launch body: backend compute, per-request delivery,
 // backpressure release.
 func (s *Server) runAndDeliver(batch []*Request) {
 	defer s.inflight.Done()
@@ -377,38 +370,25 @@ func (s *Server) runAndDeliver(batch []*Request) {
 			<-s.sem
 		}
 	}
-	// Decrement only after the completions are visible, so
-	// InFlightBatches()==0 implies there is truly nothing to wait for.
-	s.inflightBatches.Add(-1)
 }
 
-// NewClient registers an asynchronous tenant. buffer sizes the completions
-// channel and must be at least the tenant's maximum outstanding requests
-// (e.g. the local-tree master's MaxInFlight), so completion routing never
-// blocks the shared launch goroutine on a slow tenant.
-func (s *Server) NewClient(buffer int) *Client {
-	if buffer < 1 {
-		buffer = 1
-	}
-	return &Client{srv: s, completions: make(chan *Request, buffer)}
-}
-
-// NewSyncClient registers a synchronous tenant: completions are signalled on
-// each request's private done channel instead of a completions stream. Only
-// pooled requests (AcquireRequest) may be submitted through it.
+// NewSyncClient registers a tenant. Every tenant is used either way: as an
+// Evaluator (Evaluate blocks on one pooled request — the shared-tree and
+// serial engines) or as an Async (Submit, then Wait on each request — the
+// local-tree master).
 func (s *Server) NewSyncClient() *Client {
-	return &Client{srv: s, syncMode: true}
+	return &Client{srv: s}
 }
 
 // Client is one tenant's handle on a Server, shared or private. It
 // implements Async, so an mcts.Local master uses a shared service exactly
-// like a private evaluator queue: it blocks in Next, and whether a partial
-// batch launches by the server's flush deadline or by Next's own push is
-// the client's business, not the engine's.
+// like a private evaluator queue: it blocks in Wait, and whether a partial
+// batch launches by the server's flush deadline or by Wait's own push is
+// the client's business, not the engine's. Completion is signalled on each
+// request, never on a stream the tenant shares, so no tenant can hold up
+// another's delivery.
 type Client struct {
-	srv         *Server
-	completions chan *Request
-	syncMode    bool
+	srv *Server
 	// ownsServer marks the one tenant of a NewPool's private server: Close
 	// closes the server too.
 	ownsServer bool
@@ -424,6 +404,9 @@ func (c *Client) Server() *Server { return c.srv }
 
 // Submit implements Async.
 func (c *Client) Submit(req *Request) {
+	if req.done == nil {
+		req.done = make(chan struct{}, 1)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -449,13 +432,9 @@ func (c *Client) BeginSearch(n int) { c.srv.batcher.Join(n) }
 // caller, typically about to answer its user, does not run the batch.
 func (c *Client) EndSearch(n int) { c.srv.batcher.Leave(n) }
 
-// deliver routes one completed request back to this tenant.
+// deliver signals one of this tenant's requests complete.
 func (c *Client) deliver(req *Request) {
-	if c.syncMode {
-		req.done <- struct{}{}
-	} else {
-		c.completions <- req
-	}
+	req.done <- struct{}{}
 	c.mu.Lock()
 	c.outstanding--
 	if c.outstanding == 0 && c.drained != nil {
@@ -464,44 +443,41 @@ func (c *Client) deliver(req *Request) {
 	c.mu.Unlock()
 }
 
-// Completions implements Async. It is nil for sync-mode clients.
-func (c *Client) Completions() <-chan *Request { return c.completions }
-
-// Next implements Async: it blocks for this tenant's next completion. With
-// a deadline-flushing server the client is never stuck on a partial batch —
-// the timer launches it — so Next only waits. Without a deadline it keeps
-// the classic accelerator-queue semantics: when no launch is executing, no
-// completion can arrive until the buffered partial batch is pushed to the
-// device, so Next flushes it first (a service-wide action: co-tenants'
-// buffered requests launch with it).
-func (c *Client) Next() *Request {
-	if c.srv.cfg.FlushDeadline == 0 && c.srv.InFlightBatches() == 0 {
-		c.srv.Flush()
+// Wait implements Async: it blocks until req, submitted through this client,
+// has been delivered. With a deadline-flushing server a buffered request is
+// never stuck — the timer launches it — so Wait only waits. Without a
+// deadline it keeps the classic accelerator-queue semantics: a request still
+// in the buffer moves only when something pushes it, so Wait first pushes
+// the buffer if req is in it (a service-wide action: co-tenants' buffered
+// requests launch with it). A request already handed to a launch is left to
+// it: Wait reads nothing but where its own request is, so no timing of other
+// launches can strand it.
+func (c *Client) Wait(req *Request) {
+	if c.srv.cfg.FlushDeadline == 0 {
+		c.srv.batcher.FlushHolding(req)
 	}
-	return <-c.completions
+	<-req.done
 }
 
-// Evaluate adapts a sync-mode client to the Evaluator interface: it submits
-// one pooled request and blocks until the service delivers it.
+// Evaluate adapts the client to the Evaluator interface: it submits one
+// pooled request and blocks until the service delivers it. It never pushes
+// a partial batch: the threshold, the quorum or the deadline launches it.
 func (c *Client) Evaluate(input []float32, policy []float32) float64 {
-	if !c.syncMode {
-		panic("evaluate: Evaluate requires a sync-mode client (NewSyncClient)")
-	}
 	req := AcquireRequest()
 	req.Input, req.Policy = input, policy
 	c.Submit(req)
-	req.wait()
+	<-req.done
 	v := req.Value
 	ReleaseRequest(req)
 	return v
 }
 
 // Close implements Async: if this tenant still has requests outstanding it
-// flushes the service so none of them is stranded in the shared buffer, waits
-// until all have been delivered and closes the completions stream. An idle tenant's Close launches nothing — co-tenants'
-// buffered requests keep waiting for their own batch. A shared Server stays
-// open for other tenants; a private one (NewPool) is closed with its only
-// client.
+// flushes the service so none of them is stranded in the shared buffer and
+// waits until all have been delivered. An idle tenant's Close launches
+// nothing — co-tenants' buffered requests keep waiting for their own batch.
+// A shared Server stays open for other tenants; a private one (NewPool) is
+// closed with its only client.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -524,9 +500,6 @@ func (c *Client) Close() {
 		c.drained.Wait()
 	}
 	c.mu.Unlock()
-	if !c.syncMode {
-		close(c.completions)
-	}
 	if c.ownsServer {
 		c.srv.Close()
 	}
@@ -542,8 +515,8 @@ var requestPool = sync.Pool{
 }
 
 // AcquireRequest returns a pooled Request with a reusable completion signal.
-// Callers set Input/Policy (and optionally Ctx) before Submit and must
-// ReleaseRequest once the evaluation result has been consumed.
+// Callers set Input/Policy before Submit and must ReleaseRequest once the
+// evaluation result has been consumed.
 func AcquireRequest() *Request {
 	return requestPool.Get().(*Request)
 }
@@ -553,7 +526,6 @@ func ReleaseRequest(req *Request) {
 	req.Input = nil
 	req.Policy = nil
 	req.Value = 0
-	req.Ctx = nil
 	req.client = nil
 	select { // drop a stray completion signal so reuse starts clean
 	case <-req.done:
@@ -561,6 +533,3 @@ func ReleaseRequest(req *Request) {
 	}
 	requestPool.Put(req)
 }
-
-// wait blocks until the request's evaluation is delivered (sync clients).
-func (r *Request) wait() { <-r.done }

@@ -1,6 +1,7 @@
 package evaluate
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,6 +35,22 @@ func (b *recordingBackend) snapshot() ([]time.Time, []int) {
 	return append([]time.Time(nil), b.launches...), append([]int(nil), b.sizes...)
 }
 
+// delivered reports whether req's completion arrives within d. Unlike Wait it
+// pushes nothing, so the test calling it sees only what the server launched.
+func delivered(req *Request, d time.Duration) bool {
+	select {
+	case <-req.done:
+		return true
+	case <-time.After(d):
+		return false
+	}
+}
+
+// newReq is a fresh request of inputs inputs and actions actions.
+func newReq(seed uint64, inputs, actions int) *Request {
+	return &Request{Input: testInput(seed, inputs), Policy: make([]float32, actions)}
+}
+
 // TestServerDeadlineGuarantee pins the service-level guarantee the
 // multi-tenant engine depends on: no submitted request waits longer than
 // the flush deadline before its batch launches, even when the threshold is
@@ -42,17 +59,17 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 	const deadline = 20 * time.Millisecond
 	backend := &recordingBackend{}
 	srv := NewServer(backend, ServerConfig{Batch: 64, FlushDeadline: deadline})
-	cl := srv.NewClient(8)
+	cl := srv.NewSyncClient()
 
 	// Far fewer requests than the threshold: only the deadline can launch.
 	submitted := time.Now()
-	for i := 0; i < 3; i++ {
-		cl.Submit(&Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)})
+	reqs := make([]*Request, 3)
+	for i := range reqs {
+		reqs[i] = newReq(uint64(i), 8, 4)
+		cl.Submit(reqs[i])
 	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-cl.Completions():
-		case <-time.After(10 * deadline):
+	for _, req := range reqs {
+		if !delivered(req, 10*deadline) {
 			t.Fatal("deadline flush never launched the partial batch")
 		}
 	}
@@ -73,12 +90,13 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 
 	// A request joining a part-aged buffer waits strictly less than the
 	// deadline: the timer belongs to the buffer's first request.
-	cl.Submit(&Request{Input: testInput(9, 8), Policy: make([]float32, 4)})
+	early, late := newReq(9, 8, 4), newReq(10, 8, 4)
+	cl.Submit(early)
 	time.Sleep(deadline / 2)
 	mid := time.Now()
-	cl.Submit(&Request{Input: testInput(10, 8), Policy: make([]float32, 4)})
-	<-cl.Completions()
-	<-cl.Completions()
+	cl.Submit(late)
+	cl.Wait(early)
+	cl.Wait(late)
 	launches, _ = backend.snapshot()
 	if got := launches[len(launches)-1].Sub(mid); got > deadline {
 		t.Fatalf("late joiner waited %v > deadline %v", got, deadline)
@@ -88,34 +106,39 @@ func TestServerDeadlineGuarantee(t *testing.T) {
 	srv.Close()
 }
 
-// TestClientNext pins both halves of the handshake Next took over from the
+// TestClientWait pins both halves of the handshake Wait took over from the
 // engines. On a threshold-only queue a caller about to block on its own
-// buffered requests must not deadlock: with nothing executing, Next pushes
-// the partial batch. Under a flush deadline Next only waits — the timer owns
-// the launch, and pushing early would shrink the co-tenants' batches.
-func TestClientNext(t *testing.T) {
-	newReq := func(i int) *Request {
-		return &Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)}
-	}
-	next := func(cl *Client) <-chan *Request {
-		got := make(chan *Request, 1)
-		go func() { got <- cl.Next() }()
+// buffered request must not deadlock: Wait pushes the partial batch holding
+// it, and only that one — a request already launched is left to its batch.
+// Under a flush deadline Wait only waits — the timer owns the launch, and
+// pushing early would shrink the co-tenants' batches.
+func TestClientWait(t *testing.T) {
+	wait := func(cl *Client, req *Request) <-chan struct{} {
+		got := make(chan struct{})
+		go func() { cl.Wait(req); close(got) }()
 		return got
 	}
 
 	backend := &recordingBackend{}
 	srv := NewServer(backend, ServerConfig{Batch: 64})
-	cl := srv.NewClient(8)
-	cl.Submit(newReq(0))
-	cl.Submit(newReq(1))
+	cl := srv.NewSyncClient()
+	first, second := newReq(0, 8, 4), newReq(1, 8, 4)
+	cl.Submit(first)
+	cl.Submit(second)
 	select {
-	case <-next(cl):
+	case <-wait(cl, first):
 	case <-time.After(2 * time.Second):
-		t.Fatal("Next blocked on a partial batch of a deadline-less queue")
+		t.Fatal("Wait blocked on a partial batch of a deadline-less queue")
 	}
-	<-next(cl)
-	if _, sizes := backend.snapshot(); len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("expected Next to push one 2-request batch, got %v", sizes)
+	third := newReq(2, 8, 4)
+	cl.Submit(third)
+	<-wait(cl, second) // already delivered with first: pushes nothing
+	if srv.Pending() != 1 {
+		t.Fatalf("waiting on a delivered request pushed the buffer: %d pending", srv.Pending())
+	}
+	<-wait(cl, third)
+	if _, sizes := backend.snapshot(); len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 1 {
+		t.Fatalf("expected Wait to push a 2-request and a 1-request batch, got %v", sizes)
 	}
 	cl.Close()
 	srv.Close()
@@ -123,16 +146,17 @@ func TestClientNext(t *testing.T) {
 	const deadline = 20 * time.Millisecond
 	backend = &recordingBackend{}
 	srv = NewServer(backend, ServerConfig{Batch: 64, FlushDeadline: deadline})
-	cl = srv.NewClient(8)
+	cl = srv.NewSyncClient()
 	submitted := time.Now()
-	cl.Submit(newReq(0))
+	req := newReq(0, 8, 4)
+	cl.Submit(req)
 	select {
-	case <-next(cl):
+	case <-wait(cl, req):
 	case <-time.After(10 * deadline):
 		t.Fatal("deadline flush never launched the partial batch")
 	}
 	if launches, _ := backend.snapshot(); launches[0].Sub(submitted) < deadline/2 {
-		t.Fatalf("batch launched %v after submit: Next flushed a deadline queue", launches[0].Sub(submitted))
+		t.Fatalf("batch launched %v after submit: Wait flushed a deadline queue", launches[0].Sub(submitted))
 	}
 	cl.Close()
 	srv.Close()
@@ -143,13 +167,15 @@ func TestClientNext(t *testing.T) {
 func TestServerThresholdPreemptsDeadline(t *testing.T) {
 	backend := &recordingBackend{}
 	srv := NewServer(backend, ServerConfig{Batch: 4, FlushDeadline: time.Second})
-	cl := srv.NewClient(8)
+	cl := srv.NewSyncClient()
 	start := time.Now()
-	for i := 0; i < 4; i++ {
-		cl.Submit(&Request{Input: testInput(uint64(i), 8), Policy: make([]float32, 4)})
+	reqs := make([]*Request, 4)
+	for i := range reqs {
+		reqs[i] = newReq(uint64(i), 8, 4)
+		cl.Submit(reqs[i])
 	}
-	for i := 0; i < 4; i++ {
-		<-cl.Completions()
+	for _, req := range reqs {
+		cl.Wait(req)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("full batch waited for the deadline: %v", elapsed)
@@ -158,45 +184,40 @@ func TestServerThresholdPreemptsDeadline(t *testing.T) {
 	srv.Close()
 }
 
-// TestServerRoutesPerClient: completions reach the tenant that submitted
-// them, even when one batch mixes many tenants.
+// TestServerRoutesPerClient: each request comes back with the evaluation of
+// its own input, even when one batch mixes many tenants. Completion is
+// signalled on the request, so it cannot reach another tenant; what is left
+// to check is that the batch hands each request its own answer.
 func TestServerRoutesPerClient(t *testing.T) {
 	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 8, FlushDeadline: 5 * time.Millisecond})
 	const tenants, perTenant = 4, 25
 	clients := make([]*Client, tenants)
 	for i := range clients {
-		clients[i] = srv.NewClient(perTenant)
+		clients[i] = srv.NewSyncClient()
 	}
 	var wg sync.WaitGroup
 	for ci, cl := range clients {
 		wg.Add(1)
 		go func(ci int, cl *Client) {
 			defer wg.Done()
+			submitted := make(chan *Request, perTenant)
 			go func() {
 				for k := 0; k < perTenant; k++ {
-					cl.Submit(&Request{
-						Input:  testInput(uint64(ci*1000+k), 36),
-						Policy: make([]float32, 9),
-						Ctx:    ci*1000 + k,
-					})
+					req := newReq(uint64(ci*1000+k), 36, 9)
+					cl.Submit(req)
+					submitted <- req
 				}
 			}()
-			seen := make(map[int]bool)
+			want := make([]float32, 9)
 			for k := 0; k < perTenant; k++ {
-				select {
-				case req := <-cl.Completions():
-					id := req.Ctx.(int)
-					if id/1000 != ci {
-						t.Errorf("tenant %d received request %d", ci, id)
-						return
-					}
-					if seen[id] {
-						t.Errorf("tenant %d: duplicate request %d", ci, id)
-						return
-					}
-					seen[id] = true
-				case <-time.After(10 * time.Second):
+				req := <-submitted
+				if !delivered(req, 10*time.Second) {
 					t.Errorf("tenant %d timed out after %d completions", ci, k)
+					return
+				}
+				v := (&Random{}).Evaluate(req.Input, want)
+				if req.Value != v || !slices.Equal(req.Policy, want) {
+					t.Errorf("tenant %d request %d carries another input's evaluation", ci, k)
 					return
 				}
 			}
@@ -221,7 +242,7 @@ func TestServerConcurrentSubmitFlushClose(t *testing.T) {
 	const tenants, perTenant = 8, 200
 	clients := make([]*Client, tenants)
 	for i := range clients {
-		clients[i] = srv.NewClient(perTenant)
+		clients[i] = srv.NewSyncClient()
 	}
 
 	stopFlusher := make(chan struct{})
@@ -245,17 +266,21 @@ func TestServerConcurrentSubmitFlushClose(t *testing.T) {
 		wg.Add(1)
 		go func(cl *Client) {
 			defer wg.Done()
+			submitted := make(chan *Request, perTenant)
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				for k := 0; k < perTenant; k++ {
-					<-cl.Completions()
+				for req := range submitted {
+					cl.Wait(req)
 					delivered.Add(1)
 				}
 			}()
 			for k := 0; k < perTenant; k++ {
-				cl.Submit(&Request{Input: testInput(uint64(k), 4), Policy: make([]float32, 2)})
+				req := newReq(uint64(k), 4, 2)
+				cl.Submit(req)
+				submitted <- req
 			}
+			close(submitted)
 			<-done
 			cl.Close()
 		}(cl)
@@ -278,15 +303,19 @@ func TestServerConcurrentSubmitFlushClose(t *testing.T) {
 func TestServerBackpressure(t *testing.T) {
 	backend := &recordingBackend{delay: 20 * time.Millisecond}
 	srv := NewServer(backend, ServerConfig{Batch: 2, MaxOutstanding: 4})
-	cl := srv.NewClient(16)
-	for i := 0; i < 4; i++ {
-		cl.Submit(&Request{Input: testInput(uint64(i), 4), Policy: make([]float32, 2)})
+	cl := srv.NewSyncClient()
+	reqs := make([]*Request, 5)
+	for i := range reqs {
+		reqs[i] = newReq(uint64(i), 4, 2)
+	}
+	for _, req := range reqs[:4] {
+		cl.Submit(req)
 	}
 	// The 5th submit must block until the first batch completes.
 	blocked := make(chan time.Duration, 1)
 	start := time.Now()
 	go func() {
-		cl.Submit(&Request{Input: testInput(99, 4), Policy: make([]float32, 2)})
+		cl.Submit(reqs[4])
 		blocked <- time.Since(start)
 	}()
 	select {
@@ -298,8 +327,8 @@ func TestServerBackpressure(t *testing.T) {
 		t.Fatal("5th submit never unblocked")
 	}
 	srv.Flush() // release the odd request
-	for i := 0; i < 5; i++ {
-		<-cl.Completions()
+	for _, req := range reqs {
+		cl.Wait(req)
 	}
 	cl.Close()
 	srv.Close()
@@ -310,15 +339,15 @@ func TestServerBackpressure(t *testing.T) {
 func TestServerCloseDrainsPartialBatch(t *testing.T) {
 	backend := &recordingBackend{}
 	srv := NewServer(backend, ServerConfig{Batch: 64})
-	cl := srv.NewClient(8)
-	for i := 0; i < 5; i++ {
-		cl.Submit(&Request{Input: testInput(uint64(i), 4), Policy: make([]float32, 2)})
+	cl := srv.NewSyncClient()
+	reqs := make([]*Request, 5)
+	for i := range reqs {
+		reqs[i] = newReq(uint64(i), 4, 2)
+		cl.Submit(reqs[i])
 	}
 	go srv.Close() // flushes the 5 buffered requests
-	for i := 0; i < 5; i++ {
-		select {
-		case <-cl.Completions():
-		case <-time.After(5 * time.Second):
+	for _, req := range reqs {
+		if !delivered(req, 5*time.Second) {
 			t.Fatal("Close did not drain the partial batch")
 		}
 	}
@@ -331,7 +360,7 @@ func TestServerCloseDrainsPartialBatch(t *testing.T) {
 // co-tenants their fill.
 func TestClientCloseIdleLaunchesNothing(t *testing.T) {
 	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 4})
-	busy := srv.NewClient(1)
+	busy := srv.NewSyncClient()
 	busy.Submit(&Request{Input: []float32{1}, Policy: make([]float32, 2)})
 	before := srv.Stats()
 
@@ -355,12 +384,12 @@ func TestRequestPoolReuse(t *testing.T) {
 	if req.done == nil || cap(req.done) != 1 {
 		t.Fatalf("pooled request needs a 1-buffered done channel, got %v", req.done)
 	}
-	req.Ctx = 7
+	req.Input = []float32{7}
 	req.done <- struct{}{} // stray signal must be drained on release
 	ReleaseRequest(req)
 
 	again := AcquireRequest()
-	if again.Input != nil || again.Ctx != nil {
+	if again.Input != nil {
 		t.Fatal("released request not cleared")
 	}
 	select {
@@ -399,13 +428,14 @@ func TestEvaluatorBackendBoundsConcurrency(t *testing.T) {
 		return 0
 	})
 	srv := NewServer(&EvaluatorBackend{Eval: eval, Workers: 3}, ServerConfig{Batch: 1, MaxOutstanding: 32})
-	cl := srv.NewClient(64)
-	const n = 40
-	for i := 0; i < n; i++ {
-		cl.Submit(&Request{Input: make([]float32, 4), Policy: make([]float32, 2)})
+	cl := srv.NewSyncClient()
+	reqs := make([]*Request, 40)
+	for i := range reqs {
+		reqs[i] = &Request{Input: make([]float32, 4), Policy: make([]float32, 2)}
+		cl.Submit(reqs[i])
 	}
-	for i := 0; i < n; i++ {
-		<-cl.Completions()
+	for _, req := range reqs {
+		cl.Wait(req)
 	}
 	cl.Close()
 	srv.Close()
@@ -422,23 +452,28 @@ func TestServerPersistentLaunchers(t *testing.T) {
 		MaxOutstanding: 8,
 		LaunchWorkers:  2,
 	})
-	cl := srv.NewClient(8)
+	cl := srv.NewSyncClient()
 	const n = 200
+	submitted := make(chan *Request, n)
 	go func() {
 		for i := 0; i < n; i++ {
-			cl.Submit(&Request{Input: testInput(uint64(i), 20), Policy: make([]float32, 10)})
+			req := newReq(uint64(i), 20, 10)
+			cl.Submit(req)
+			submitted <- req
 		}
 	}()
-	seen := make(map[*Request]bool)
-	for i := 0; i < n; i++ {
-		req := <-cl.Completions()
-		if seen[req] {
-			t.Fatalf("request %d delivered twice", i)
-		}
-		seen[req] = true
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = <-submitted
+		cl.Wait(reqs[i])
 	}
 	cl.Close()
 	srv.Close()
+	for i, req := range reqs {
+		if len(req.done) > 0 {
+			t.Fatalf("request %d delivered twice", i)
+		}
+	}
 	if st := srv.Stats(); st.Requests != n || st.Batches != n {
 		t.Fatalf("stats %+v, want %d singleton batches", st, n)
 	}

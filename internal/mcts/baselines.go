@@ -105,9 +105,10 @@ func (e *RootParallel) Search(st game.State, dist []float32) Stats {
 //
 // As a scheduler it is Serial with the evaluation awaited: one rollout at a
 // time, no virtual loss, and each leaf the core returns is fanned out K-fold
-// before the rollout is finished. A leaf served from the transposition
-// table skips the fan-out entirely. The sequential tree persists between
-// moves, so the baseline participates in subtree reuse like Serial.
+// and waited for in submission order before the rollout is finished. A leaf
+// served from the transposition table skips the fan-out entirely. The
+// sequential tree persists between moves, so the baseline participates in
+// subtree reuse like Serial.
 type LeafParallel struct {
 	core
 	async evaluate.Async
@@ -146,18 +147,17 @@ func (e *LeafParallel) run(root game.State, budget int) {
 			continue
 		}
 		// Fan out K evaluations of the same state; average the values and
-		// keep the policy of the last one to complete.
+		// keep the policy of the last one submitted.
 		for _, req := range e.reqs {
 			e.async.Submit(req)
 		}
 		var sum float64
-		var last *evaluate.Request
-		for range e.reqs {
-			last = e.async.Next()
-			sum += last.Value
+		for _, req := range e.reqs {
+			e.async.Wait(req)
+			sum += req.Value
 		}
 		sc.stats.Evaluations += len(e.reqs)
 		sc.lap(&sc.stats.EvalTime)
-		e.finish(sc, sum/float64(len(e.reqs)), last.Policy)
+		e.finish(sc, sum/float64(len(e.reqs)), e.reqs[len(e.reqs)-1].Policy)
 	}
 }

@@ -149,8 +149,7 @@ func (c *core) leave(n int) {
 // touches a scratch at a time, so nothing in it is synchronised.
 type scratch struct {
 	// req holds the encoded leaf (Input) and the network's answer (Policy,
-	// Value). It is the request an awaiting scheduler submits; Ctx points
-	// back at the scratch so a completion finds its rollout.
+	// Value). It is the request an awaiting scheduler submits and waits on.
 	req evaluate.Request
 	// st is the rollout's copy of the search root, played down to the leaf.
 	st      game.State
@@ -180,7 +179,6 @@ func (sc *scratch) reset(st game.State) {
 		sc.req.Input = make([]float32, c*h*w)
 		sc.req.Policy = make([]float32, st.NumActions())
 		sc.priors = make([]float32, st.NumActions())
-		sc.req.Ctx = sc
 	}
 	sc.stats = Stats{}
 }

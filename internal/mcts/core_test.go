@@ -64,20 +64,18 @@ func TestPhaseAccounting(t *testing.T) {
 }
 
 // inlineAsync evaluates at Submit, on the caller's thread, with a uniform
-// policy: an Async that itself allocates nothing, so AllocsPerRun sees the
-// engine alone.
-type inlineAsync struct{ done chan *evaluate.Request }
+// policy, so every Wait finds its request already done: an Async that itself
+// allocates nothing, so AllocsPerRun sees the engine alone.
+type inlineAsync struct{}
 
-func (a *inlineAsync) Submit(req *evaluate.Request) {
+func (inlineAsync) Submit(req *evaluate.Request) {
 	for i := range req.Policy {
 		req.Policy[i] = 1 / float32(len(req.Policy))
 	}
 	req.Value = 0
-	a.done <- req
 }
-func (a *inlineAsync) Completions() <-chan *evaluate.Request { return a.done }
-func (a *inlineAsync) Next() *evaluate.Request               { return <-a.done }
-func (a *inlineAsync) Close()                                {}
+func (inlineAsync) Wait(*evaluate.Request) {}
+func (inlineAsync) Close()                 {}
 
 // TestLeafParallelAllocs: the K-fold fan-out reuses K engine-lifetime
 // requests, so a warm leaf-parallel search allocates no more per playout
@@ -90,8 +88,8 @@ func TestLeafParallelAllocs(t *testing.T) {
 		e.Search(st, dist) // warm: size the buffers and the tree
 		return testing.AllocsPerRun(5, func() { e.Search(st, dist) }) / playouts
 	}
-	local := perPlayout(NewLocal(testCfg(playouts), &inlineAsync{make(chan *evaluate.Request, k)}, k))
-	leaf := perPlayout(NewLeafParallel(testCfg(playouts), k, &inlineAsync{make(chan *evaluate.Request, k)}))
+	local := perPlayout(NewLocal(testCfg(playouts), inlineAsync{}, k))
+	leaf := perPlayout(NewLeafParallel(testCfg(playouts), k, inlineAsync{}))
 	if leaf > local {
 		t.Fatalf("leaf-parallel allocates %.2f per playout, local %.2f", leaf, local)
 	}

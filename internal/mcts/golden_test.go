@@ -29,6 +29,13 @@ var golden = map[string][goldenMoves]uint64{
 	"shared/gomoku:9":  {0x94ff314b1686533a, 0x3299506a9203af84, 0x49b782f8c5930d55, 0x67646a07e728e152, 0x30dcbacb0cef5638, 0xff0c711382708db3},
 	"local/othello:6":  {0xd3a7d8f857f27d7b, 0x2772b8f1b7debad9, 0xa98dfa994b2d010c, 0x680d65adb8d45178, 0x5486cef1e2ec407f, 0xd37285f04fdcc281},
 	"local/gomoku:9":   {0x2c65be87d00d78c2, 0x3f2de13169acd5ea, 0x8e4295ff4d7e2e14, 0xfba6869dc60e21ad, 0x7a83f4655927c4a6, 0xb4e7e40642c77674},
+	// Local with several evaluations in flight on a pool whose two
+	// launchers finish them in any order. The rows hold because the master
+	// applies evaluations in submission order, whatever order they finish in.
+	"local-2/othello:6": {0xae08f22ea7954aad, 0x2c382fcd99ca1013, 0xec8a680187345dcb, 0xa80685a9e3c19402, 0x53aab7850e5aac58, 0x76a681df03111cef},
+	"local-2/gomoku:9":  {0x5e1e5a559ac37a9d, 0x5190a01949800f27, 0xb248cf89f09d3e41, 0x8c04c87e86695a77, 0x56f47d827fd72845, 0xbe88b76e4411bf71},
+	"local-4/othello:6": {0x620757a613748cdf, 0xf9d8ce90ec90b764, 0x6a8fca5a9c1aef29, 0xa3231df25b216dec, 0xccfec5092ebe20d6, 0xa034d89d8679d80a},
+	"local-4/gomoku:9":  {0xca4cd2d9181840a, 0xf5b1278a0fe64c72, 0x883e8bd694ccf5d9, 0x4e406df058ee5243, 0x601e43ac2907678a, 0x5e4a56d891d8a274},
 }
 
 func goldenCfg() Config {
@@ -44,17 +51,22 @@ func goldenCfg() Config {
 
 func TestGolden(t *testing.T) {
 	eval := &evaluate.Random{}
+	local := func(workers, k int) func() Engine {
+		return func() Engine {
+			pool := evaluate.NewPool(eval, workers)
+			t.Cleanup(pool.Close)
+			return NewLocal(goldenCfg(), pool, k)
+		}
+	}
 	engines := []struct {
 		name string
 		mk   func() Engine
 	}{
 		{"serial", func() Engine { return NewSerial(goldenCfg(), eval) }},
 		{"shared", func() Engine { return NewShared(goldenCfg(), 1, eval) }},
-		{"local", func() Engine {
-			pool := evaluate.NewPool(eval, 1)
-			t.Cleanup(pool.Close)
-			return NewLocal(goldenCfg(), pool, 1)
-		}},
+		{"local", local(1, 1)},
+		{"local-2", local(2, 2)},
+		{"local-4", local(2, 4)},
 	}
 	for _, ec := range engines {
 		for _, spec := range []string{"othello:6", "gomoku:9"} {

@@ -14,16 +14,18 @@ import (
 // As a scheduler it is the rollout_n_times loop: the master keeps running
 // the core's rollout — owner-side virtual loss, evaluation awaited — and
 // submitting the leaves it returns while fewer than MaxInFlight are
-// outstanding; otherwise it waits for a completion and finishes that
-// rollout with the returned priors and value. Every operation belongs to
-// the single master thread; Search never returns with an evaluation
-// outstanding, so Advance and Close always find a quiescent tree.
+// outstanding; otherwise it waits for the oldest outstanding evaluation and
+// finishes that rollout with the returned priors and value. Evaluations are
+// applied strictly in submission order, one per wait, so which rollout
+// selects after which backups — and under which virtual loss — is a function
+// of the budget and MaxInFlight alone, never of which evaluation finishes
+// first: the schedule is fixed for any MaxInFlight (see the package comment
+// for what is out of scope). Every operation belongs to the single master
+// thread; Search never returns with an evaluation outstanding, so Advance
+// and Close always find a quiescent tree.
 type Local struct {
 	core
 	async evaluate.Async
-	// free stacks the rollout contexts not carrying an outstanding
-	// evaluation; the core owns MaxInFlight of them.
-	free []*scratch
 }
 
 // NewLocal creates a local-tree engine. maxInFlight is the worker-pool
@@ -37,9 +39,6 @@ func NewLocal(cfg Config, async evaluate.Async, maxInFlight int) *Local {
 	e := &Local{async: async}
 	e.init(cfg, vlOwner, nil, maxInFlight)
 	e.quorum, _ = async.(SlotRegistrar)
-	for i := range e.scratch {
-		e.free = append(e.free, &e.scratch[i])
-	}
 	return e
 }
 
@@ -49,54 +48,35 @@ func (e *Local) Name() string { return "local" }
 // Search implements Engine.
 func (e *Local) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
 
+// run keeps the rollout contexts as a ring: scratch[head], ...,
+// scratch[head+count-1] (mod MaxInFlight) carry the outstanding evaluations,
+// oldest first, and the next rollout runs in the slot after them — a rollout
+// that resolves without the network leaves that slot free for the next.
 func (e *Local) run(root game.State, budget int) {
-	submitted, completed, inflight := 0, 0, 0
-	for completed < budget {
-		// Opportunistically drain finished evaluations.
-	drain:
-		for inflight > 0 {
-			select {
-			case req := <-e.async.Completions():
-				e.complete(req)
-				inflight--
-				completed++
-			default:
-				break drain
-			}
-		}
-		if submitted < budget && inflight < len(e.scratch) {
-			sc := e.free[len(e.free)-1]
+	k := len(e.scratch)
+	head, count := 0, 0
+	for submitted := 0; submitted < budget || count > 0; {
+		if submitted < budget && count < k {
+			sc := &e.scratch[(head+count)%k]
 			submitted++
 			if e.rollout(root, sc) {
-				completed++ // resolved without the network: no request left the master
 				continue
 			}
-			e.free = e.free[:len(e.free)-1]
 			e.async.Submit(&sc.req)
 			sc.stats.Evaluations++
 			sc.lap(&sc.stats.EvalTime)
-			inflight++
+			count++
 			continue
 		}
-		if completed >= budget {
-			break
-		}
-		// Master must wait (thread pool full, or budget fully submitted).
+		// The master must wait (thread pool full, or budget fully submitted).
 		// Contexts with nothing in flight are idle for good — only a spent
 		// budget parks the master with free ones — so they leave the quorum,
-		// and Next sees to it that what it waits for is on its way.
-		e.leave(int(e.held.Load()) - inflight)
-		e.complete(e.async.Next())
-		inflight--
-		completed++
+		// and Wait sees to it that the head's evaluation is on its way.
+		e.leave(int(e.held.Load()) - count)
+		sc := &e.scratch[head]
+		e.async.Wait(&sc.req)
+		sc.start()
+		e.finish(sc, sc.req.Value, sc.req.Policy)
+		head, count = (head+1)%k, count-1
 	}
-}
-
-// complete finishes the rollout whose evaluation req carries and returns
-// its context to the free stack.
-func (e *Local) complete(req *evaluate.Request) {
-	sc := req.Ctx.(*scratch)
-	sc.start()
-	e.finish(sc, req.Value, req.Policy)
-	e.free = append(e.free, sc)
 }

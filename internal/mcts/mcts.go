@@ -7,7 +7,7 @@
 // it with the masked priors, and back the value up. It has two parameters —
 // how the descent marks its path in flight (virtual loss off, applied by the
 // tree's single owner without locks, or applied under the per-node locks) and
-// whether the evaluation runs inline or is awaited on a completion — and
+// whether the evaluation runs inline or is submitted and waited for — and
 // Algorithms 2 and 3 differ in nothing else. An engine is that step plus a
 // scheduler deciding which thread runs it when:
 //
@@ -18,7 +18,7 @@
 //     rollouts, each evaluating its own leaf, against one locked tree.
 //   - Local: Algorithm 3 — a master thread owns the tree without locks,
 //     submits each leaf to an asynchronous evaluator (inference thread pool
-//     or batched accelerator) and finishes the rollout when it completes.
+//     or batched accelerator) and finishes the rollouts in submission order.
 //   - LeafParallel: the related-work baseline of Section 2.2 — serial, with
 //     each leaf's evaluation fanned out K-fold.
 //
@@ -34,6 +34,15 @@
 // a request in it instead of waiting out its flush deadline. All
 // engines consume the same game.State/evaluate interfaces, forming the
 // "single program template" the paper compiles its adaptive choice into.
+//
+// The schedule is fixed: for a given Config (seed included), position and
+// evaluator, Serial, Shared(1), Local at any MaxInFlight and LeafParallel
+// run the same rollouts in the same order on every run, however the
+// evaluator's goroutines interleave. Out of scope by design: Shared with
+// N > 1, whose threads race for tickets and locks, and a transposition table
+// shared by concurrent searches (a fleet's Config.TransposeTable, or
+// RootParallel's sub-searches), where whichever search first evaluates a
+// position publishes it for all.
 package mcts
 
 import (

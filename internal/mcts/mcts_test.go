@@ -201,7 +201,7 @@ func TestLocalEngineWithBatchedAsync(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: batch, MaxOutstanding: 32})
-		async := srv.NewClient(32)
+		async := srv.NewSyncClient()
 		e := NewLocal(testCfg(301), async, 16)
 		st := connect4.New().NewInitial()
 		runEngine(t, e, st)

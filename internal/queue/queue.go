@@ -5,6 +5,7 @@
 package queue
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -21,7 +22,7 @@ import (
 //     for the flush deadline.
 //
 // Flush runs synchronously on the caller that completed the condition (Add,
-// Leave, FlushNow or the deadline timer's goroutine) while
+// Leave, FlushNow, FlushHolding or the deadline timer's goroutine) while
 // holding no Batcher lock, so producers on other goroutines keep
 // accumulating the next batch concurrently.
 //
@@ -42,7 +43,7 @@ import (
 // service-level guarantee the multi-tenant inference server is built on. With
 // registered producers it is only the backstop for producers that are busy
 // elsewhere (in tree code) while the others wait.
-type Batcher[T any] struct {
+type Batcher[T comparable] struct {
 	mu        sync.Mutex
 	buf       []T
 	threshold int
@@ -64,7 +65,7 @@ type FlushCounts struct {
 
 // NewBatcher creates a batcher that calls flush with each full batch of
 // size threshold. The slice passed to flush is owned by the callee.
-func NewBatcher[T any](threshold int, flush func([]T)) *Batcher[T] {
+func NewBatcher[T comparable](threshold int, flush func([]T)) *Batcher[T] {
 	return NewDeadlineBatcher(threshold, 0, flush)
 }
 
@@ -72,7 +73,7 @@ func NewBatcher[T any](threshold int, flush func([]T)) *Batcher[T] {
 // threshold OR when the oldest buffered request has waited for deadline,
 // whichever comes first. A deadline of 0 disables timer-driven flushing
 // (threshold-only, the classic accelerator queue).
-func NewDeadlineBatcher[T any](threshold int, deadline time.Duration, flush func([]T)) *Batcher[T] {
+func NewDeadlineBatcher[T comparable](threshold int, deadline time.Duration, flush func([]T)) *Batcher[T] {
 	if threshold < 1 {
 		panic("queue: batch threshold must be >= 1")
 	}
@@ -186,6 +187,21 @@ func (b *Batcher[T]) flushDeadline(gen uint64) {
 func (b *Batcher[T]) FlushNow() {
 	b.mu.Lock()
 	if len(b.buf) == 0 {
+		b.mu.Unlock()
+		return
+	}
+	batch := b.takeLocked()
+	b.mu.Unlock()
+	b.flush(batch)
+}
+
+// FlushHolding hands the buffer to flush, regardless of threshold, if v is
+// in it: a producer about to block on v launches the batch holding it, and
+// launches nothing once v has been handed over. Like FlushNow, the push is
+// counted under none of the three launch conditions.
+func (b *Batcher[T]) FlushHolding(v T) {
+	b.mu.Lock()
+	if !slices.Contains(b.buf, v) {
 		b.mu.Unlock()
 		return
 	}

@@ -36,6 +36,28 @@ func TestBatcherFlushesAtThreshold(t *testing.T) {
 	}
 }
 
+// TestBatcherFlushHolding: a producer about to wait on v pushes the buffer
+// only while v is in it — once v has been handed over, nothing launches —
+// and the push is counted under no launch condition.
+func TestBatcherFlushHolding(t *testing.T) {
+	var batches [][]int
+	b := NewBatcher[int](3, func(batch []int) { batches = append(batches, batch) })
+	for i := 0; i < 5; i++ {
+		b.Add(i) // 0..2 launch at the threshold, 3 and 4 stay buffered
+	}
+	b.FlushHolding(1)
+	if len(batches) != 1 || b.Pending() != 2 {
+		t.Fatalf("FlushHolding of a launched value pushed the buffer: %v, %d pending", batches, b.Pending())
+	}
+	b.FlushHolding(4)
+	if len(batches) != 2 || len(batches[1]) != 2 || batches[1][0] != 3 || b.Pending() != 0 {
+		t.Fatalf("FlushHolding of a buffered value did not push its batch: %v, %d pending", batches, b.Pending())
+	}
+	if c := b.Flushes(); c != (FlushCounts{Threshold: 1}) {
+		t.Fatalf("flush counts %+v: the push was attributed to a launch condition", c)
+	}
+}
+
 func TestBatcherPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero threshold": func() { NewBatcher[int](0, func([]int) {}) },

@@ -41,7 +41,7 @@ func testFleet(g, n, playouts int) ([]mcts.Engine, *evaluate.Server, func()) {
 		cfg := mcts.DefaultConfig()
 		cfg.Playouts = playouts
 		cfg.Seed = uint64(i + 1)
-		cl := srv.NewClient(n)
+		cl := srv.NewSyncClient()
 		engines[i] = mcts.NewLocal(cfg, cl, n)
 		closers = append(closers, cl.Close)
 	}
@@ -213,7 +213,7 @@ func TestDriverFleetReusesSubtrees(t *testing.T) {
 		cfg.Playouts = playouts
 		cfg.Seed = uint64(i + 1)
 		cfg.ReuseTree = true
-		cl := srv.NewClient(n)
+		cl := srv.NewSyncClient()
 		defer cl.Close()
 		engines[i] = mcts.NewLocal(cfg, cl, n)
 		defer engines[i].Close()

@@ -240,7 +240,7 @@ func LocalAccel(p perfmodel.Params, playouts, n, b int) Result {
 		}
 		if completions.Len() == 0 {
 			// Everything outstanding is sitting in the partial batch:
-			// flush it or wait forever (what Client.Next does before it blocks).
+			// flush it or wait forever (what Client.Wait does before it blocks).
 			launch(master, buffered)
 			buffered = 0
 			continue

@@ -40,7 +40,7 @@ func sharedInfLink() *accel.Link {
 // threshold N with no flush deadline and its one client.
 func newIndependentQueue(link *accel.Link) *evaluate.Client {
 	srv := evaluate.NewServer(link, evaluate.ServerConfig{Batch: sharedInfWorkers, MaxOutstanding: 2 * sharedInfWorkers})
-	return srv.NewClient(2 * sharedInfWorkers)
+	return srv.NewSyncClient()
 }
 
 func sharedInfConfig(seed uint64) mcts.Config {
@@ -85,7 +85,7 @@ func BenchmarkSharedInferenceG8(b *testing.B) {
 	engines := make([]*mcts.Local, sharedInfGames)
 	clients := make([]*evaluate.Client, sharedInfGames)
 	for i := range engines {
-		clients[i] = srv.NewClient(sharedInfWorkers)
+		clients[i] = srv.NewSyncClient()
 		engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), clients[i], sharedInfWorkers)
 	}
 	defer func() {
@@ -164,7 +164,7 @@ func TestSharedServiceBeatsIndependentQueues(t *testing.T) {
 				MaxOutstanding: 2 * sharedInfGames * sharedInfWorkers,
 			})
 			for i := range engines {
-				cl := srv.NewClient(sharedInfWorkers)
+				cl := srv.NewSyncClient()
 				engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), cl, sharedInfWorkers)
 				closers = append(closers, cl.Close)
 			}
