@@ -336,15 +336,16 @@
 // binary takes a shared -game flag whose spec is "name" or "name:size" —
 // game.NewFromSpec("gomoku:9"), "othello", "hex:7" — so the whole
 // pipeline (self-play fleet, arena gating, continuous training, the
-// profiling and figure generators) runs on every scenario. Five games
-// ship:
+// profiling and figure generators) runs on every scenario. Every game's
+// state embeds one game.Board (cells, mover, result, Zobrist hash, the
+// 4-plane encoding: own / opponent / last move / side-to-move, always
+// from the mover's perspective) and adds only its rules. Five games ship:
 //
-//   - gomoku (default 15x15, the paper's benchmark): pure placement,
-//     fanout size², 4-plane encoding (own / opponent / last move /
-//     side-to-move) — the plane convention all scenarios follow, always
-//     from the mover's perspective.
+//   - gomoku (default 15x15, the paper's benchmark): k-in-a-row by pure
+//     placement, fanout size².
 //   - connect4 (7x6): small fanout, gravity placement.
-//   - tictactoe (3x3): exhaustively solvable correctness anchor.
+//   - tictactoe (3x3): gomoku's k-in-a-row at k = 3, the exhaustively
+//     solvable correctness anchor.
 //   - othello (default 8x8, sizes 4-16): disc placement flips every
 //     bracketed line; a mover with no placement must play the explicit
 //     PASS action (index size², so NumActions is size²+1) and two
@@ -360,12 +361,12 @@
 // internal/game/gametest exports the conformance harness — one table of
 // property checks (Clone independence, Legal↔LegalMoves agreement, strict
 // turn alternation, encode perspective flip, hash movement on every ply,
-// the MaxGameLength bound, terminal stability) that runs against every
-// registered game, plus the FuzzPlayout body behind each game package's
-// FuzzStatePlayout target; internal/mcts's FuzzRebaseRoot drives subtree
-// promotion against a rebuild-from-scratch reference on all scenario
-// families. EXPERIMENTS.md records a cross-game throughput table
-// (historical, 1-core container).
+// the MaxGameLength bound, terminal stability, an allocation-free rollout
+// step) that runs against every registered game, plus the FuzzPlayout
+// body behind each game package's FuzzStatePlayout target;
+// internal/mcts's FuzzRebaseRoot drives subtree promotion against a
+// rebuild-from-scratch reference on all scenario families. EXPERIMENTS.md
+// records a cross-game throughput table (historical, 1-core container).
 //
 // Packages live under internal/; the runnable entry points are the
 // binaries under cmd/ and examples/quickstart. The benchmarks in

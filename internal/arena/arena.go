@@ -90,7 +90,6 @@ func Play(g game.Game, engineA, engineB mcts.Engine, cfg MatchConfig) MatchResul
 	r := rng.New(cfg.Seed)
 	var res MatchResult
 	start := time.Now()
-	dist := make([]float32, g.NumActions())
 	for i := 0; i < cfg.Games; i++ {
 		aPlaysFirst := i%2 == 0
 		winner := playOne(g, engineA, engineB, aPlaysFirst, cfg, r)
@@ -103,7 +102,6 @@ func Play(g game.Game, engineA, engineB mcts.Engine, cfg MatchConfig) MatchResul
 			res.WinsB++
 		}
 	}
-	_ = dist
 	res.Games = cfg.Games
 	res.Duration = time.Since(start)
 	return res

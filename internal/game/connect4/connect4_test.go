@@ -12,10 +12,10 @@ func TestGravity(t *testing.T) {
 	s := g.NewInitial().(*State)
 	s.Play(3) // P1 bottom of col 3
 	s.Play(3) // P2 stacks on top
-	if s.cells[0*Cols+3] != game.P1 {
+	if s.Cells[0*Cols+3] != game.P1 {
 		t.Error("first drop should land at row 0")
 	}
-	if s.cells[1*Cols+3] != game.P2 {
+	if s.Cells[1*Cols+3] != game.P2 {
 		t.Error("second drop should stack at row 1")
 	}
 }
@@ -113,7 +113,7 @@ func TestEncodeShape(t *testing.T) {
 	g := New()
 	s := g.NewInitial()
 	c, h, w := s.EncodedShape()
-	if c != Planes || h != Rows || w != Cols {
+	if c != game.Planes || h != Rows || w != Cols {
 		t.Fatalf("shape %d,%d,%d", c, h, w)
 	}
 	enc := make([]float32, c*h*w)

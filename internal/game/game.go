@@ -13,6 +13,25 @@
 // with nothing to place must expose an explicit pass ACTION rather than
 // an empty LegalMoves, because tree.Backup negates the value exactly once
 // per ply — and a non-terminal state always has at least one legal move.
+//
+// Every game's State embeds one Board and keeps only its rules. The Board
+// holds the cells, the mover, the last move, the ply count, the result and
+// the Zobrist hash, and it provides ToMove, Terminal, Winner, Hash, Encode,
+// EncodedShape, AppendStateKey and String. A game adds:
+//   - Legal, LegalMoves, Play, NumActions, Clone, and CopyFrom, which
+//     copies the cells into the receiver's own slice;
+//   - in Play, a Set per changed cell, then EndTurn, then Finish when the
+//     game is over;
+//   - any state beyond the cells (Connect Four's column heights, Hex's
+//     union-find, Othello's pass streak and disc counts), copied in
+//     CopyFrom;
+//   - for state that changes a position's identity, an extra hash key
+//     (ToggleKey) and one extra byte after the Board's AppendStateKey.
+//
+// The hash table for n cells is ZobristTable(seed, 2n+1+extra): P1's key
+// for cell i at i, P2's at n+i, the side-to-move key at 2n, then the
+// extras. Encode writes Planes planes, and the last-move plane marks the
+// last action only when it was a cell, so a pass leaves it empty.
 package game
 
 // Player identifies a side. Two-player zero-sum games use +1 and -1 so a
@@ -28,6 +47,9 @@ const (
 
 // Opponent returns the other player.
 func (p Player) Opponent() Player { return -p }
+
+// Glyph renders an occupant: X for P1, O for P2, '.' for an empty cell.
+func (p Player) Glyph() byte { return "O.X"[p+1] }
 
 // State is a mutable game position, NOT safe for concurrent mutation: each
 // rollout context of an engine owns one and copies the root into it,

@@ -8,7 +8,8 @@
 // (tree.Backup negates the value once per ply), the own/opponent plane
 // convention of Encode, Zobrist hashes that change on every Play (pass
 // moves included), the MaxGameLength bound that sizes replay buffers and
-// synthetic-tree depth limits, and terminal stability.
+// synthetic-tree depth limits, terminal stability, and a rollout step
+// (CopyFrom, Play, LegalMoves, AppendStateKey, Encode) that allocates nothing.
 //
 // Use it from a game package's tests:
 //
@@ -54,6 +55,7 @@ func Run(t *testing.T, g game.Game) {
 		{"WinnerOnlyAtTerminal", checkWinnerOnlyAtTerminal},
 		{"TerminalStability", checkTerminalStability},
 		{"ActionSpaceStable", checkActionSpaceStable},
+		{"RolloutAllocatesNothing", checkRolloutAllocs},
 	}
 	for _, c := range checks {
 		t.Run(c.name, func(t *testing.T) { c.check(t, g) })
@@ -397,6 +399,34 @@ func checkActionSpaceStable(t *testing.T, g game.Game) {
 			t.Fatalf("ply %d: EncodedShape changed mid-game", ply)
 		}
 	})
+}
+
+// checkRolloutAllocs pins what every rollout does to its scratch state: a
+// CopyFrom of the root into a used state, a Play, and LegalMoves,
+// AppendStateKey and Encode into reused buffers, none of which may allocate.
+func checkRolloutAllocs(t *testing.T, g game.Game) {
+	c, h, w := g.EncodedShape()
+	enc := make([]float32, c*h*w)
+	legal := make([]int, 0, g.NumActions())
+	key := g.NewInitial().AppendStateKey(nil)
+	for _, seed := range playoutSeeds {
+		walk(g, seed, g.MaxGameLength()+2, func(root game.State, ply, action int) {
+			if action < 0 || ply%4 != 0 {
+				return
+			}
+			scratch := walk(g, seed+1, g.MaxGameLength()+2, nil)
+			allocs := testing.AllocsPerRun(5, func() {
+				scratch.CopyFrom(root)
+				scratch.Play(action)
+				legal = scratch.LegalMoves(legal[:0])
+				key = scratch.AppendStateKey(key[:0])
+				scratch.Encode(enc)
+			})
+			if allocs != 0 {
+				t.Fatalf("seed %d ply %d: a rollout step allocates %v times", seed, ply, allocs)
+			}
+		})
+	}
 }
 
 // FuzzPlayout is the shared body of each game's FuzzStatePlayout target:

@@ -123,7 +123,7 @@ func TestDrawOnFullBoard(t *testing.T) {
 			buf = s.LegalMoves(buf[:0])
 			s.Play(buf[r.Intn(len(buf))])
 		}
-		if s.Winner() == game.Nobody && s.MoveCount() != 25 {
+		if s.Winner() == game.Nobody && s.Moves != 25 {
 			t.Fatal("draw declared before board full")
 		}
 		if s.Winner() != game.Nobody {
@@ -169,10 +169,10 @@ func TestCloneIndependence(t *testing.T) {
 	s.Play(112)
 	c := s.Clone().(*State)
 	c.Play(113)
-	if s.MoveCount() != 1 || c.MoveCount() != 2 {
+	if s.Moves != 1 || c.Moves != 2 {
 		t.Fatal("clone shares state")
 	}
-	if s.Cell(7, 8) != game.Nobody {
+	if s.Cells[7*15+8] != game.Nobody {
 		t.Fatal("clone mutation leaked into parent")
 	}
 }

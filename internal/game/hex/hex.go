@@ -23,10 +23,6 @@ import (
 // DefaultSize is the standard tournament board edge.
 const DefaultSize = 11
 
-// Planes is the number of input feature planes produced by Encode:
-// own stones, opponent stones, last move, side-to-move indicator.
-const Planes = 4
-
 func init() {
 	game.Register("hex", func(size int) (game.Game, error) {
 		if size == 0 {
@@ -34,12 +30,6 @@ func init() {
 		}
 		return newSized(size, false)
 	})
-}
-
-// zobrist layout: [2*n*n cell keys][side-to-move key]. game.ZobristTable
-// is synchronized and cached per size.
-func zobrist(size int) []uint64 {
-	return game.ZobristTable(0x4E8A60+uint64(size), 2*size*size+1)
 }
 
 // Game is the Hex game factory.
@@ -85,7 +75,7 @@ func (g *Game) Name() string { return "hex" }
 func (g *Game) NumActions() int { return g.Size * g.Size }
 
 // EncodedShape implements game.Game.
-func (g *Game) EncodedShape() (c, h, w int) { return Planes, g.Size, g.Size }
+func (g *Game) EncodedShape() (c, h, w int) { return game.Planes, g.Size, g.Size }
 
 // MaxGameLength implements game.Game: one ply per cell, plus one for the
 // pie-rule steal when enabled (the steal consumes a ply without occupying a
@@ -101,13 +91,9 @@ func (g *Game) MaxGameLength() int {
 func (g *Game) NewInitial() game.State {
 	n := g.Size
 	s := &State{
-		size:     n,
-		swap:     g.Swap,
-		cells:    make([]game.Player, n*n),
-		uf:       make([]int32, n*n+4),
-		toMove:   game.P1,
-		lastMove: -1,
-		zob:      zobrist(n),
+		Board: game.NewBoard(n, n, 0x4E8A60+uint64(n), 0),
+		swap:  g.Swap,
+		uf:    make([]int32, n*n+4),
 	}
 	for i := range s.uf {
 		s.uf[i] = int32(i)
@@ -124,19 +110,11 @@ const (
 	ufRight
 )
 
-// State is a Hex position.
+// State is a Hex position. A steal counts in Moves like any other ply.
 type State struct {
-	size     int
-	swap     bool
-	cells    []game.Player
-	uf       []int32 // union-find parents: cells then the 4 edge nodes
-	toMove   game.Player
-	lastMove int
-	moves    int
-	winner   game.Player
-	done     bool
-	hash     uint64
-	zob      []uint64
+	game.Board
+	swap bool
+	uf   []int32 // union-find parents: cells then the 4 edge nodes
 }
 
 var _ game.State = (*State)(nil)
@@ -151,23 +129,11 @@ func (s *State) Clone() game.State {
 // CopyFrom implements game.State.
 func (s *State) CopyFrom(src game.State) {
 	o := src.(*State)
-	*s, s.cells, s.uf = *o, append(s.cells[:0], o.cells...), append(s.uf[:0], o.uf...)
+	*s, s.Cells, s.uf = *o, append(s.Cells[:0], o.Cells...), append(s.uf[:0], o.uf...)
 }
 
-// ToMove implements game.State.
-func (s *State) ToMove() game.Player { return s.toMove }
-
-// Size returns the board edge length.
-func (s *State) Size() int { return s.size }
-
-// Cell returns the occupant of (row, col).
-func (s *State) Cell(row, col int) game.Player { return s.cells[row*s.size+col] }
-
-// MoveCount returns the number of stones played (a steal counts as a move).
-func (s *State) MoveCount() int { return s.moves }
-
 // edgeNode maps the virtual edge constants to union-find indices.
-func (s *State) edgeNode(e int) int32 { return int32(s.size*s.size + e) }
+func (s *State) edgeNode(e int) int32 { return int32(len(s.Cells) + e) }
 
 func (s *State) find(x int32) int32 {
 	for s.uf[x] != x {
@@ -192,15 +158,15 @@ var hexNeighbors = [6][2]int{
 // stealAllowed reports whether action is the pie-rule steal: P2's first
 // move played on P1's single opening stone.
 func (s *State) stealAllowed(action int) bool {
-	return s.swap && s.moves == 1 && s.toMove == game.P2 && s.cells[action] == game.P1
+	return s.swap && s.Moves == 1 && s.ToMove() == game.P2 && s.Cells[action] == game.P1
 }
 
 // LegalMoves implements game.State.
 func (s *State) LegalMoves(dst []int) []int {
-	if s.done {
+	if s.Terminal() {
 		return dst
 	}
-	for i, c := range s.cells {
+	for i, c := range s.Cells {
 		if c == game.Nobody || s.stealAllowed(i) {
 			dst = append(dst, i)
 		}
@@ -210,10 +176,10 @@ func (s *State) LegalMoves(dst []int) []int {
 
 // Legal implements game.State.
 func (s *State) Legal(action int) bool {
-	if s.done || action < 0 || action >= len(s.cells) {
+	if s.Terminal() || action < 0 || action >= len(s.Cells) {
 		return false
 	}
-	return s.cells[action] == game.Nobody || s.stealAllowed(action)
+	return s.Cells[action] == game.Nobody || s.stealAllowed(action)
 }
 
 // Play implements game.State. Placing a stone unions it with same-colour
@@ -224,31 +190,20 @@ func (s *State) Play(action int) {
 	if !s.Legal(action) {
 		panic("hex: illegal move")
 	}
-	p := s.toMove
-	n := s.size
+	p := s.ToMove()
+	n := s.Width
 	if s.stealAllowed(action) {
-		// Remove P1's stone from the hash, reset the one-stone union-find,
-		// and fall through to a normal P2 placement on the freed cell.
-		s.hash ^= s.zob[0*n*n+action]
-		s.cells[action] = game.Nobody
 		for i := range s.uf {
 			s.uf[i] = int32(i)
 		}
 	}
-	side := 0
-	if p == game.P2 {
-		side = 1
-	}
-	s.cells[action] = p
-	s.hash ^= s.zob[side*n*n+action]
-	s.hash ^= s.zob[len(s.zob)-1] // toggle side-to-move key
-	s.lastMove = action
-	s.moves++
+	s.Set(action, p)
+	s.EndTurn(action)
 
 	r, c := action/n, action%n
 	for _, d := range hexNeighbors {
 		nr, nc := r+d[0], c+d[1]
-		if nr >= 0 && nr < n && nc >= 0 && nc < n && s.cells[nr*n+nc] == p {
+		if nr >= 0 && nr < n && nc >= 0 && nc < n && s.Cells[nr*n+nc] == p {
 			s.union(int32(action), int32(nr*n+nc))
 		}
 	}
@@ -260,8 +215,7 @@ func (s *State) Play(action int) {
 			s.union(int32(action), s.edgeNode(ufBottom))
 		}
 		if s.find(s.edgeNode(ufTop)) == s.find(s.edgeNode(ufBottom)) {
-			s.winner = game.P1
-			s.done = true
+			s.Finish(game.P1)
 		}
 	} else {
 		if c == 0 {
@@ -271,95 +225,37 @@ func (s *State) Play(action int) {
 			s.union(int32(action), s.edgeNode(ufRight))
 		}
 		if s.find(s.edgeNode(ufLeft)) == s.find(s.edgeNode(ufRight)) {
-			s.winner = game.P2
-			s.done = true
+			s.Finish(game.P2)
 		}
 	}
-	s.toMove = p.Opponent()
 }
-
-// Terminal implements game.State.
-func (s *State) Terminal() bool { return s.done }
-
-// Winner implements game.State. Hex cannot draw: a terminal state always
-// has a winner (Nobody only appears while the game is still running).
-func (s *State) Winner() game.Player { return s.winner }
 
 // NumActions implements game.State.
-func (s *State) NumActions() int { return len(s.cells) }
+func (s *State) NumActions() int { return len(s.Cells) }
 
-// EncodedShape implements game.State.
-func (s *State) EncodedShape() (c, h, w int) { return Planes, s.size, s.size }
-
-// Encode implements game.State. Planes (from the mover's perspective):
-//
-//	0: stones of the player to move
-//	1: stones of the opponent
-//	2: one-hot last move
-//	3: all-ones if the player to move is P1, else zeros
-func (s *State) Encode(dst []float32) {
-	n := s.size * s.size
-	if len(dst) != Planes*n {
-		panic("hex: Encode buffer has wrong length")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	me := s.toMove
-	for i, c := range s.cells {
-		switch c {
-		case me:
-			dst[i] = 1
-		case me.Opponent():
-			dst[n+i] = 1
-		}
-	}
-	if s.lastMove >= 0 {
-		dst[2*n+s.lastMove] = 1
-	}
-	if s.toMove == game.P1 {
-		for i := 0; i < n; i++ {
-			dst[3*n+i] = 1
-		}
-	}
-}
-
-// Hash implements game.State.
-func (s *State) Hash() uint64 { return s.hash }
-
-// AppendStateKey implements game.State: cell occupancy, the side to
-// move, and whether the pie-rule steal is still live — the same board one
-// ply later is a different position while the steal option exists, even
-// though the cells and mover match.
+// AppendStateKey implements game.State: the board's key and whether the
+// pie-rule steal is still live — the same board one ply later is a
+// different position while the steal option exists, even though the cells
+// and mover match.
 func (s *State) AppendStateKey(dst []byte) []byte {
-	for _, c := range s.cells {
-		dst = append(dst, byte(c+1))
-	}
 	stealLive := byte(0)
-	if s.swap && s.moves <= 1 {
+	if s.swap && s.Moves <= 1 {
 		stealLive = 1
 	}
-	return append(dst, byte(s.toMove+1), stealLive)
+	return append(s.Board.AppendStateKey(dst), stealLive)
 }
 
 // String renders the rhombus with the usual row indentation (X = P1
 // connecting top-bottom, O = P2 connecting left-right).
 func (s *State) String() string {
 	var sb strings.Builder
-	for r := 0; r < s.size; r++ {
+	for r := 0; r < s.Width; r++ {
 		sb.WriteString(strings.Repeat(" ", r))
-		for c := 0; c < s.size; c++ {
-			switch s.cells[r*s.size+c] {
-			case game.P1:
-				sb.WriteByte('X')
-			case game.P2:
-				sb.WriteByte('O')
-			default:
-				sb.WriteByte('.')
-			}
-			if c < s.size-1 {
+		for c, p := range s.Cells[r*s.Width : (r+1)*s.Width] {
+			if c > 0 {
 				sb.WriteByte(' ')
 			}
+			sb.WriteByte(p.Glyph())
 		}
 		sb.WriteByte('\n')
 	}

@@ -109,14 +109,14 @@ func TestSwapRule(t *testing.T) {
 	}
 	before := st.Hash()
 	st.Play(centre) // steal
-	if st.Cell(2, 2) != game.P2 {
+	if st.Cells[2*5+2] != game.P2 {
 		t.Fatal("steal did not convert the stone to P2")
 	}
 	if st.Hash() == before {
 		t.Fatal("steal left the hash unchanged")
 	}
-	if st.ToMove() != game.P1 || st.MoveCount() != 2 {
-		t.Fatalf("after steal: toMove=%d moves=%d", st.ToMove(), st.MoveCount())
+	if st.ToMove() != game.P1 || st.Moves != 2 {
+		t.Fatalf("after steal: toMove=%d moves=%d", st.ToMove(), st.Moves)
 	}
 	// The steal window is one ply wide: P1 cannot steal back.
 	if st.Legal(centre) {

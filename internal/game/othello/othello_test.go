@@ -39,7 +39,7 @@ func TestFlipMechanics(t *testing.T) {
 	st := New().NewInitial().(*State)
 	// P1 plays (2,3): brackets the P2 disc at (3,3) against P1's (4,3).
 	st.Play(2*8 + 3)
-	if got := st.Cell(3, 3); got != game.P1 {
+	if got := st.Cells[3*8+3]; got != game.P1 {
 		t.Fatalf("disc at (3,3) = %d, want flipped to P1", got)
 	}
 	p1, p2 := st.Discs()
@@ -120,8 +120,7 @@ func TestPassChangesHash(t *testing.T) {
 				}
 				// The streak key is its own dimension: toggling only the
 				// side key would collide with a no-pass transposition.
-				n2 := st.size * st.size
-				sideOnly := before ^ st.zob[2*n2]
+				sideOnly := before ^ game.ZobristTable(0x07E110+4, 2*16+2)[2*16]
 				if passed.Hash() == sideOnly {
 					t.Fatal("pass hashed identically to a plain side-to-move toggle")
 				}

@@ -164,7 +164,7 @@ func TestWarmSessionThroughForcedPass(t *testing.T) {
 		var prePass []int
 		for !st.Terminal() {
 			legal := st.LegalMoves(nil)
-			if len(legal) == 1 && legal[0] == st.PassAction() && st.MoveCount() >= 2 {
+			if len(legal) == 1 && legal[0] == st.PassAction() && st.Moves >= 2 {
 				break
 			}
 			prePass = append(prePass, legal[r.Intn(len(legal))])
