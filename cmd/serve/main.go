@@ -39,6 +39,14 @@ import (
 	"github.com/parmcts/parmcts/internal/tree"
 )
 
+// A client gets readHeaderTimeout to send a request's headers and keeps an
+// idle keep-alive connection for idleTimeout, so a slow or silent peer
+// cannot hold a connection open indefinitely.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -122,7 +130,12 @@ func main() {
 		InitialVersion:     version,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -20,13 +20,11 @@
 // EvaluatorBackend. Both are the one kind of Client, Server.NewSyncClient,
 // and both learn of a completion from the request itself: every request
 // carries its own signal, so a caller always knows which evaluation it has
-// waited for. The Server launches a batch on the first of
-// three conditions — threshold, quorum (every slot of every open search has a
-// request buffered; the count includes slots whose request is executing, so
-// lock-step tenants stay in one batch) or flush deadline — described on
-// Server. A Random evaluator with a configurable synthetic latency supports
-// the design-time profiling runs, which the paper performs with a DNN
-// "filled with random parameters".
+// waited for. The Server is also the accelerator queue: it launches a batch
+// on the first of three conditions — threshold, quorum or flush deadline —
+// stated once on Server. A Random evaluator with a configurable synthetic
+// latency supports the design-time profiling runs, which the paper performs
+// with a DNN "filled with random parameters".
 //
 // What a launched batch costs is the Backend's business. EvaluatorBackend —
 // the one every production binary builds — cuts the batch into at most

@@ -2,11 +2,10 @@ package evaluate
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/parmcts/parmcts/internal/queue"
 )
 
 // DefaultFlushDeadline is the flush deadline a multi-tenant deployment uses
@@ -146,17 +145,19 @@ type ServerConfig struct {
 	LaunchWorkers int
 }
 
-// ServerStats is a snapshot of the service's aggregate batch economics.
+// ServerStats is a snapshot of the service's aggregate batch economics. Its
+// counters are kept under the lock that decides each launch and are read
+// together, so they form one snapshot: ThresholdFlushes + QuorumFlushes +
+// DeadlineFlushes <= Batches on every read.
 type ServerStats struct {
 	// Batches is the number of device launches so far.
 	Batches int64
-	// Requests is the number of requests served (handed to a launch).
+	// Requests is the number of requests handed to a launch.
 	Requests int64
 	// ThresholdFlushes, QuorumFlushes and DeadlineFlushes split Batches by
-	// the condition that launched them: the buffer reached Batch, every open
-	// search slot had a request in it, or the oldest request sat out
-	// FlushDeadline. The rest of Batches were pushed explicitly (Flush,
-	// Client.Wait on a deadline-less server, Close). A deadline share that
+	// the launch condition that took them (see Server). The rest of Batches
+	// were pushed explicitly (Flush, Client.Wait on a deadline-less server,
+	// Close). A deadline share that
 	// is not small on a server whose tenants all search through
 	// BeginSearch/EndSearch means tenants are slow in tree code, not that
 	// the deadline is too long.
@@ -181,16 +182,21 @@ func (s ServerStats) AvgFill() float64 {
 // sharing a Server present the device with one large batch stream instead of
 // G under-filled ones.
 //
-// The three launch conditions (queue.Batcher holds the mechanism):
+// The three launch conditions, checked under one lock by whoever completes
+// one (Submit, EndSearch or the deadline timer), which then launches the
+// whole buffer outside the lock:
 //
-//   - threshold: ServerConfig.Batch requests are buffered;
+//   - threshold: ServerConfig.Batch requests are buffered. It wins a tie
+//     with the quorum;
 //   - quorum: tenants that search register their rollout contexts as slots
 //     (Client.BeginSearch/EndSearch — the mcts engines do it around every
 //     Search), and the buffer holds one request per registered slot, so no
 //     open search can add to it;
-//   - deadline: the oldest buffered request has waited FlushDeadline — with
-//     registered tenants only the backstop for a tenant that is busy in tree
-//     code while the others wait, no longer the light-load latency floor.
+//   - deadline: the first request of a buffer generation arms a timer of
+//     FlushDeadline, and taking the buffer stops it, so no request waits
+//     longer than that between Submit and its launch. With registered
+//     tenants it is only the backstop for a tenant that is busy in tree
+//     code while the others wait, not the light-load latency floor.
 //
 // The quorum counts every registered slot, including slots whose request is
 // executing in an earlier batch: a request buffered meanwhile waits for that
@@ -198,7 +204,9 @@ func (s ServerStats) AvgFill() float64 {
 // which keeps G lock-step sessions in one batch of G. Treating executing
 // tenants as absent, or launching whenever the device is idle, splits them
 // into out-of-phase groups that never re-merge. A server no tenant registers
-// with has no quorum and batches by threshold and deadline alone.
+// with has no quorum and batches by threshold and deadline alone. An
+// explicit push (Flush, Close, a deadline-less Client.Wait) launches the
+// buffer under no condition.
 //
 // The server holds one Backend at a time, and a batch reads it once, when it
 // runs. SwapBackend replaces it between training rounds (see its contract).
@@ -210,9 +218,17 @@ func (s ServerStats) AvgFill() float64 {
 // requests in flight is a bug in the caller.
 type Server struct {
 	cfg     ServerConfig
-	batcher *queue.Batcher[*Request]
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
 	backend atomic.Pointer[Backend]
+
+	// mu guards the batcher: the buffer, the registered quorum slots, the
+	// buffer generation with its deadline timer, and the counters.
+	mu    sync.Mutex
+	buf   []*Request
+	slots int         // registered search slots: the quorum (0 = condition off)
+	gen   uint64      // buffer generation; invalidates a timer that lost the race with Stop
+	timer *time.Timer // this generation's deadline timer, nil when none is armed
+	stats ServerStats
 
 	inflight sync.WaitGroup
 	closed   atomic.Bool
@@ -221,9 +237,6 @@ type Server struct {
 	// spawn-per-batch mode); launchers tracks them for Close.
 	work      chan []*Request
 	launchers sync.WaitGroup
-
-	batches  atomic.Int64
-	requests atomic.Int64
 }
 
 // NewServer creates a service over backend. See ServerConfig for knobs.
@@ -237,12 +250,11 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.FlushDeadline < 0 {
 		panic("evaluate: negative flush deadline")
 	}
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, buf: make([]*Request, 0, cfg.Batch)}
 	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
 	}
-	s.batcher = queue.NewDeadlineBatcher(cfg.Batch, cfg.FlushDeadline, s.launch)
 	if cfg.LaunchWorkers > 0 {
 		// Queue capacity covers the backpressure bound so enqueueing a
 		// launch never blocks a submitter that already holds a sem token.
@@ -279,20 +291,19 @@ func (s *Server) SwapBackend(b Backend) {
 // Batch returns the configured flush threshold.
 func (s *Server) Batch() int { return s.cfg.Batch }
 
-// Stats snapshots the aggregate batch-fill counters.
+// Stats snapshots the batch counters.
 func (s *Server) Stats() ServerStats {
-	f := s.batcher.Flushes()
-	return ServerStats{
-		Batches:          s.batches.Load(),
-		Requests:         s.requests.Load(),
-		ThresholdFlushes: f.Threshold,
-		QuorumFlushes:    f.Quorum,
-		DeadlineFlushes:  f.Deadline,
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Pending returns the number of buffered (not yet launched) requests.
-func (s *Server) Pending() int { return s.batcher.Pending() }
+func (s *Server) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.buf)
+}
 
 // Outstanding returns the number of backpressure tokens currently held —
 // requests buffered or executing, counted against MaxOutstanding. Zero when
@@ -316,7 +327,7 @@ func (s *Server) Saturated() bool {
 }
 
 // Flush launches any buffered partial batch immediately.
-func (s *Server) Flush() { s.batcher.FlushNow() }
+func (s *Server) Flush() { s.push(nil) }
 
 // Close gracefully drains the service: the remaining partial batch is
 // flushed and all in-flight launches complete. Submit after Close panics.
@@ -324,7 +335,7 @@ func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.batcher.FlushNow()
+	s.push(nil)
 	s.inflight.Wait()
 	if s.work != nil {
 		close(s.work)
@@ -340,16 +351,81 @@ func (s *Server) submit(req *Request) {
 	if s.sem != nil {
 		s.sem <- struct{}{}
 	}
-	s.batcher.Add(req)
+	s.mu.Lock()
+	s.buf = append(s.buf, req)
+	batch := s.takeIfReadyLocked()
+	if batch == nil && len(s.buf) == 1 && s.cfg.FlushDeadline > 0 {
+		gen := s.gen
+		s.timer = time.AfterFunc(s.cfg.FlushDeadline, func() { s.flushDeadline(gen) })
+	}
+	s.mu.Unlock()
+	s.launch(batch)
 }
 
-// launch executes one formed batch — on its own goroutine (the "CUDA
-// stream" of Section 3.3), or via a persistent launcher when
+// takeLocked takes the buffer as one batch, counts it, and starts a new
+// generation, stopping the deadline timer armed for the old one. Caller
+// holds s.mu.
+func (s *Server) takeLocked() []*Request {
+	batch := s.buf
+	s.buf = make([]*Request, 0, s.cfg.Batch)
+	s.gen++
+	if s.timer != nil {
+		s.timer.Stop()
+		s.timer = nil
+	}
+	s.stats.Batches++
+	s.stats.Requests += int64(len(batch))
+	return batch
+}
+
+// takeIfReadyLocked takes the buffer if it meets the threshold or the
+// quorum, counting which. Caller holds s.mu.
+func (s *Server) takeIfReadyLocked() []*Request {
+	switch n := len(s.buf); {
+	case n >= s.cfg.Batch:
+		s.stats.ThresholdFlushes++
+	case s.slots > 0 && n >= s.slots:
+		s.stats.QuorumFlushes++
+	default:
+		return nil
+	}
+	return s.takeLocked()
+}
+
+// flushDeadline is the timer callback: it launches the buffer only if the
+// generation it was armed for is still accumulating (Stop loses the race
+// against a callback that has already started).
+func (s *Server) flushDeadline(gen uint64) {
+	var batch []*Request
+	s.mu.Lock()
+	if s.gen == gen && len(s.buf) > 0 {
+		s.stats.DeadlineFlushes++
+		batch = s.takeLocked()
+	}
+	s.mu.Unlock()
+	s.launch(batch)
+}
+
+// push launches the buffer under no launch condition: all of it, or, when
+// holding is non-nil, only while holding is in it.
+func (s *Server) push(holding *Request) {
+	var batch []*Request
+	s.mu.Lock()
+	if len(s.buf) > 0 && (holding == nil || slices.Contains(s.buf, holding)) {
+		batch = s.takeLocked()
+	}
+	s.mu.Unlock()
+	s.launch(batch)
+}
+
+// launch executes one formed batch, if there is one — on its own goroutine
+// (the "CUDA stream" of Section 3.3), or via a persistent launcher when
 // LaunchWorkers is set — and signals each request's completion.
 func (s *Server) launch(batch []*Request) {
+	if batch == nil {
+		return
+	}
 	s.inflight.Add(1)
-	s.batches.Add(1)
-	s.requests.Add(int64(len(batch)))
 	if s.work != nil {
 		s.work <- batch
 		return
@@ -423,14 +499,33 @@ func (c *Client) Submit(req *Request) {
 // by n. The mcts engines call it, through their optional SlotRegistrar
 // interface, around every Search; a tenant that never does is simply not
 // part of the quorum.
-func (c *Client) BeginSearch(n int) { c.srv.batcher.Join(n) }
+func (c *Client) BeginSearch(n int) {
+	if n < 0 {
+		panic("evaluate: negative slot count")
+	}
+	c.srv.mu.Lock()
+	c.srv.slots += n
+	c.srv.mu.Unlock()
+}
 
 // EndSearch gives back n of the slots BeginSearch opened, in one call or
 // several, as soon as their contexts can no longer submit. If every
 // remaining slot already has its request buffered, the buffer launches now
 // — a hand-off to the launch goroutine (or a launcher's queue), so the
 // caller, typically about to answer its user, does not run the batch.
-func (c *Client) EndSearch(n int) { c.srv.batcher.Leave(n) }
+// Giving back more slots than are open panics.
+func (c *Client) EndSearch(n int) {
+	s := c.srv
+	s.mu.Lock()
+	if n < 0 || n > s.slots {
+		s.mu.Unlock()
+		panic("evaluate: EndSearch without a matching BeginSearch")
+	}
+	s.slots -= n
+	batch := s.takeIfReadyLocked()
+	s.mu.Unlock()
+	s.launch(batch)
+}
 
 // deliver signals one of this tenant's requests complete.
 func (c *Client) deliver(req *Request) {
@@ -454,7 +549,7 @@ func (c *Client) deliver(req *Request) {
 // launches can strand it.
 func (c *Client) Wait(req *Request) {
 	if c.srv.cfg.FlushDeadline == 0 {
-		c.srv.batcher.FlushHolding(req)
+		c.srv.push(req)
 	}
 	<-req.done
 }

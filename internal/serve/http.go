@@ -181,13 +181,24 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds what one request body can make the service read; a
+// well-formed body is a few dozen bytes.
+const maxBodyBytes = 4 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
+// it, and answers 400 bad_request when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed or oversized JSON body: %v", err), 0)
+	}
+	return err == nil
+}
+
 func (s *Service) handleNew(w http.ResponseWriter, r *http.Request) {
 	var req newGameRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed JSON body: %v", err), 0)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	if req.Game != "" && req.Game != s.cfg.GameSpec {
 		writeError(w, http.StatusConflict, "wrong_game",
@@ -206,8 +217,7 @@ func (s *Service) handleNew(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req moveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed JSON body: %v", err), 0)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	snap, ms, err := s.Move(id, req.Action)
