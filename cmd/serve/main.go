@@ -1,14 +1,15 @@
 // Command serve runs the networked play service: an HTTP/JSON move API
 // (API.md) over a session manager that keeps one persistent warm search
 // session per active game, multiplexing every game through a single shared
-// inference service. Operational guidance — eviction and backpressure
-// knobs, drain semantics, the /statsz field reference — lives in
-// OPERATIONS.md.
+// inference service. Each move's search keeps as many evaluations in flight
+// as the live load calls for (see internal/serve), so there is no per-session
+// parallelism knob. Operational guidance — eviction and backpressure knobs,
+// drain semantics, the /statsz field reference — lives in OPERATIONS.md.
 //
 // Usage:
 //
 //	serve [-addr :8080] [-game tictactoe] [-playouts 200] [-reuse]
-//	      [-workers 1] [-sessions 1024] [-idle-ttl 10m]
+//	      [-sessions 1024] [-idle-ttl 10m]
 //	      [-batch 8] [-flush-deadline 1ms] [-max-outstanding 256]
 //	      [-max-concurrent 0] [-retry-after 500ms]
 //	      [-cache 65536] [-transpose off] [-kernel avx2]
@@ -53,7 +54,6 @@ func main() {
 		gameSpec = games.Flag(flag.CommandLine, "tictactoe", "")
 		playouts = mcts.PlayoutsFlag(flag.CommandLine, 200, "")
 		reuse    = mcts.ReuseFlag(flag.CommandLine, true, ": retain the played subtree across a game's moves")
-		workers  = flag.Int("workers", 1, "rollout workers per session (1 = serial engine; concurrency comes from concurrent games)")
 
 		sessions   = flag.Int("sessions", 1024, "session budget: creating a game beyond it evicts the least-recently-used session")
 		idleTTL    = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle longer than this (negative disables)")
@@ -62,7 +62,7 @@ func main() {
 		batch          = flag.Int("batch", 8, "inference batch flush threshold")
 		flushDeadline  = flag.Duration("flush-deadline", 0, "partial-batch flush deadline (0 = library default)")
 		maxOutstanding = flag.Int("max-outstanding", 256, "inference backpressure bound (submitted, unanswered evaluations)")
-		maxConcurrent  = flag.Int("max-concurrent", 0, "admission control: concurrent move searches before 429 (0 = max-outstanding/workers)")
+		maxConcurrent  = flag.Int("max-concurrent", 0, "admission control: concurrent move searches before 429 (0 = max-outstanding)")
 		retryAfter     = flag.Duration("retry-after", 500*time.Millisecond, "Retry-After hint on 429/503 responses")
 
 		cacheSize = flag.Int("cache", 1<<16, "shared evaluation cache entries (0 = default, negative disables)")
@@ -115,7 +115,6 @@ func main() {
 		Game:               g,
 		GameSpec:           *gameSpec,
 		Search:             search,
-		SearchWorkers:      *workers,
 		MaxSessions:        *sessions,
 		IdleTTL:            *idleTTL,
 		TombstoneBudget:    *tombstones,

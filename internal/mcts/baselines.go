@@ -132,11 +132,12 @@ func NewLeafParallel(cfg Config, k int, async evaluate.Async) *LeafParallel {
 func (e *LeafParallel) Name() string { return "leaf-parallel" }
 
 // Search implements Engine.
-func (e *LeafParallel) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+func (e *LeafParallel) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e, 1) }
 
 func (e *LeafParallel) run(root game.State, budget int) {
 	sc := &e.scratch[0]
 	if e.reqs[0] == nil {
+		sc.init(root)
 		e.reqs[0] = &sc.req
 		for i := range e.reqs[1:] {
 			e.reqs[i+1] = &evaluate.Request{Input: sc.req.Input, Policy: make([]float32, len(sc.req.Policy))}

@@ -50,6 +50,8 @@ type core struct {
 	// is how many of the running search's slots are still registered.
 	quorum SlotRegistrar
 	held   atomic.Int32
+	// n is how many of the contexts the running search uses: scratch[:n].
+	n int
 }
 
 // SlotRegistrar is the optional interface of an evaluator — synchronous or
@@ -98,31 +100,33 @@ func (c *core) Advance(action int) { c.s.advance(action) }
 func (c *core) Tree() *tree.Tree { return c.s.tr }
 
 // scheduler is the part of an engine that differs: run executes budget
-// rollouts from root over the core and returns when all have backed up.
+// rollouts from root over the core's first n contexts and returns when all
+// have backed up.
 type scheduler interface {
 	run(root game.State, budget int)
 }
 
 // search is the Search every engine shares: session lock, prepare, run the
-// scheduler — with every rollout context registered as a slot in the
-// evaluator's quorum while it can still submit — merge the contexts' stats,
+// scheduler over the first n rollout contexts — each registered as a slot in
+// the evaluator's quorum while it can still submit — merge their stats,
 // finish, read the root.
-func (c *core) search(st game.State, dist []float32, sched scheduler) Stats {
+func (c *core) search(st game.State, dist []float32, sched scheduler, n int) Stats {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	var stats Stats
 	budget := c.s.prepare(st, &stats, rootNoiseRemix(c.s.cfg, c.r))
-	for i := range c.scratch {
-		c.scratch[i].reset(st)
+	c.n = n
+	for i := range c.scratch[:n] {
+		c.scratch[i].stats = Stats{}
 	}
 	start := time.Now()
 	if c.quorum != nil {
-		c.held.Store(int32(len(c.scratch)))
-		c.quorum.BeginSearch(len(c.scratch))
+		c.held.Store(int32(n))
+		c.quorum.BeginSearch(n)
 	}
 	sched.run(st, budget)
 	c.leave(int(c.held.Load()))
-	for i := range c.scratch {
+	for i := range c.scratch[:n] {
 		stats.Add(c.scratch[i].stats) // field-complete merge: phase timings are never dropped
 	}
 	stats.Playouts = budget
@@ -170,17 +174,14 @@ type scratch struct {
 	t    time.Time
 }
 
-// reset readies the scratch for a new Search of st's game: buffers and
-// state are made on first use and kept, the stats shard starts from zero.
-func (sc *scratch) reset(st game.State) {
-	if sc.req.Input == nil {
-		sc.st = st.Clone()
-		c, h, w := st.EncodedShape()
-		sc.req.Input = make([]float32, c*h*w)
-		sc.req.Policy = make([]float32, st.NumActions())
-		sc.priors = make([]float32, st.NumActions())
-	}
-	sc.stats = Stats{}
+// init makes the scratch's buffers and state for st's game. A context's
+// first rollout calls it, so contexts a search never reaches cost nothing.
+func (sc *scratch) init(st game.State) {
+	sc.st = st.Clone()
+	c, h, w := st.EncodedShape()
+	sc.req.Input = make([]float32, c*h*w)
+	sc.req.Policy = make([]float32, st.NumActions())
+	sc.priors = make([]float32, st.NumActions())
 }
 
 // start begins a stretch of phase accounting. The clock is only read when
@@ -211,7 +212,15 @@ func (sc *scratch) lap(phase *time.Duration) {
 func (c *core) rollout(root game.State, sc *scratch) bool {
 	tr := c.s.tr
 	stats := &sc.stats
-	marking, locked := c.vl != vlOff, c.vl == vlLocked
+	// A master with one context has no other rollout in flight to steer
+	// away from, so it marks nothing: Local at one context is Serial's
+	// rollout.
+	locked := c.vl == vlLocked
+	marking := locked || c.vl == vlOwner && c.n > 1
+
+	if sc.st == nil {
+		sc.init(root)
+	}
 
 	// Selection. With virtual loss the root is marked too, so that
 	// sqrt(sum N) reflects in-flight traffic.

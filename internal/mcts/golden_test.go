@@ -28,7 +28,9 @@ var golden = map[string][goldenMoves]uint64{
 	"shared/othello:6": {0x7e744c4c680fd328, 0xfdcbc5250670f49b, 0xd7cd97a4b1df55a, 0x1f998f8b21a052c8, 0xffb6322e5bbbe199, 0x8b6b14d7166b8380},
 	"shared/gomoku:9":  {0x94ff314b1686533a, 0x3299506a9203af84, 0x49b782f8c5930d55, 0x67646a07e728e152, 0x30dcbacb0cef5638, 0xff0c711382708db3},
 	"local/othello:6":  {0xd3a7d8f857f27d7b, 0x2772b8f1b7debad9, 0xa98dfa994b2d010c, 0x680d65adb8d45178, 0x5486cef1e2ec407f, 0xd37285f04fdcc281},
-	"local/gomoku:9":   {0x2c65be87d00d78c2, 0x3f2de13169acd5ea, 0x8e4295ff4d7e2e14, 0xfba6869dc60e21ad, 0x7a83f4655927c4a6, 0xb4e7e40642c77674},
+	// Local at one evaluation in flight marks no virtual loss, so its rows
+	// are Serial's (moves 0 and 3 of gomoku:9 were not while it marked).
+	"local/gomoku:9": {0xb4543495d92666d, 0x3f2de13169acd5ea, 0x8e4295ff4d7e2e14, 0x3d3934ca58430de2, 0x7a83f4655927c4a6, 0xb4e7e40642c77674},
 	// Local with several evaluations in flight on a pool whose two
 	// launchers finish them in any order. The rows hold because the master
 	// applies evaluations in submission order, whatever order they finish in.
@@ -100,5 +102,46 @@ func TestGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLocalOneInFlightIsSerial: a local engine built for several
+// evaluations in flight but searched at one is the serial engine — same
+// visit distribution, same counters, move after move, root noise, tree reuse
+// and transposition table on.
+func TestLocalOneInFlightIsSerial(t *testing.T) {
+	eval := &evaluate.Random{}
+	counters := func(s Stats) Stats {
+		s.Duration, s.SelectTime, s.ExpandTime, s.BackupTime, s.EvalTime = 0, 0, 0, 0, 0
+		return s
+	}
+	for _, spec := range []string{"gomoku:9", "othello:6", "tictactoe"} {
+		t.Run(spec, func(t *testing.T) {
+			pool := evaluate.NewPool(eval, 2)
+			defer pool.Close()
+			local := NewLocal(goldenCfg(), pool, 4)
+			defer local.Close()
+			serial := NewSerial(goldenCfg(), eval)
+			defer serial.Close()
+			st := games.MustNew(spec).NewInitial()
+			want := make([]float32, st.NumActions())
+			got := make([]float32, st.NumActions())
+			for mv := 0; mv < goldenMoves && !st.Terminal(); mv++ {
+				ws := serial.Search(st, want)
+				gs := local.SearchInFlight(st, got, 1)
+				if counters(gs) != counters(ws) {
+					t.Fatalf("move %d: local at k = 1 %+v, serial %+v", mv, counters(gs), counters(ws))
+				}
+				for a := range want {
+					if math.Float32bits(got[a]) != math.Float32bits(want[a]) {
+						t.Fatalf("move %d: visit share of action %d is %v at k = 1, %v serial", mv, a, got[a], want[a])
+					}
+				}
+				a := argmax32(want)
+				serial.Advance(a)
+				local.Advance(a)
+				st.Play(a)
+			}
+		})
 	}
 }

@@ -13,16 +13,18 @@ import (
 //
 // As a scheduler it is the rollout_n_times loop: the master keeps running
 // the core's rollout — owner-side virtual loss, evaluation awaited — and
-// submitting the leaves it returns while fewer than MaxInFlight are
-// outstanding; otherwise it waits for the oldest outstanding evaluation and
-// finishes that rollout with the returned priors and value. Evaluations are
+// submitting the leaves it returns while fewer than k are outstanding;
+// otherwise it waits for the oldest outstanding evaluation and finishes that
+// rollout with the returned priors and value. k is the constructor's
+// maxInFlight for Search, or SearchInFlight's per-search limit; at k = 1
+// nothing is marked and the search is Serial's, bit for bit. Evaluations are
 // applied strictly in submission order, one per wait, so which rollout
 // selects after which backups — and under which virtual loss — is a function
-// of the budget and MaxInFlight alone, never of which evaluation finishes
-// first: the schedule is fixed for any MaxInFlight (see the package comment
-// for what is out of scope). Every operation belongs to the single master
-// thread; Search never returns with an evaluation outstanding, so Advance
-// and Close always find a quiescent tree.
+// of the budget and k alone, never of which evaluation finishes first: the
+// schedule is fixed for any k (see the package comment for what is out of
+// scope). Every operation belongs to the single master thread; Search never
+// returns with an evaluation outstanding, so Advance and Close always find a
+// quiescent tree.
 type Local struct {
 	core
 	async evaluate.Async
@@ -45,15 +47,27 @@ func NewLocal(cfg Config, async evaluate.Async, maxInFlight int) *Local {
 // Name implements Engine.
 func (e *Local) Name() string { return "local" }
 
-// Search implements Engine.
-func (e *Local) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+// Search implements Engine: SearchInFlight at the constructor's maxInFlight.
+func (e *Local) Search(st game.State, dist []float32) Stats {
+	return e.search(st, dist, e, len(e.scratch))
+}
 
-// run keeps the rollout contexts as a ring: scratch[head], ...,
-// scratch[head+count-1] (mod MaxInFlight) carry the outstanding evaluations,
-// oldest first, and the next rollout runs in the slot after them — a rollout
-// that resolves without the network leaves that slot free for the next.
+// SearchInFlight is Search with at most k evaluations outstanding, for
+// callers that size the in-flight budget per move (internal/serve sizes it
+// by load). k must lie in [1, maxInFlight].
+func (e *Local) SearchInFlight(st game.State, dist []float32, k int) Stats {
+	if k < 1 || k > len(e.scratch) {
+		panic("mcts: local search in-flight limit outside [1, maxInFlight]")
+	}
+	return e.search(st, dist, e, k)
+}
+
+// run keeps the search's rollout contexts as a ring: scratch[head], ...,
+// scratch[head+count-1] (mod k) carry the outstanding evaluations, oldest
+// first, and the next rollout runs in the slot after them — a rollout that
+// resolves without the network leaves that slot free for the next.
 func (e *Local) run(root game.State, budget int) {
-	k := len(e.scratch)
+	k := e.n
 	head, count := 0, 0
 	for submitted := 0; submitted < budget || count > 0; {
 		if submitted < budget && count < k {

@@ -26,7 +26,7 @@ func NewSerial(cfg Config, eval evaluate.Evaluator) *Serial {
 func (e *Serial) Name() string { return "serial" }
 
 // Search implements Engine.
-func (e *Serial) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+func (e *Serial) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e, 1) }
 
 func (e *Serial) run(root game.State, budget int) {
 	for p := 0; p < budget; p++ {

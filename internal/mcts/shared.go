@@ -33,7 +33,9 @@ func NewShared(cfg Config, workers int, eval evaluate.Evaluator) *Shared {
 func (e *Shared) Name() string { return "shared" }
 
 // Search implements Engine.
-func (e *Shared) Search(st game.State, dist []float32) Stats { return e.search(st, dist, e) }
+func (e *Shared) Search(st game.State, dist []float32) Stats {
+	return e.search(st, dist, e, len(e.scratch))
+}
 
 func (e *Shared) run(root game.State, budget int) {
 	var counter atomic.Int64 // playout tickets

@@ -55,6 +55,9 @@ type MoveStats struct {
 	// TransHits counts evaluations served from the shared transposition
 	// table instead of the network.
 	TransHits int `json:"trans_hits"`
+	// InFlight is the number of evaluations the search kept in flight at
+	// most: its load-adaptive budget (OPERATIONS.md).
+	InFlight int `json:"in_flight"`
 	// DurationMS is the wall-clock search+move time in milliseconds.
 	DurationMS float64 `json:"duration_ms"`
 }
@@ -138,7 +141,7 @@ func (s *Service) Stats() Statsz {
 		SessionsEvicted:    s.evictedN.Load(),
 		GamesCompleted:     s.completed.Load(),
 		MovesServed:        s.moves.Load(),
-		MovesInFlight:      s.activeMov.Load(),
+		MovesInFlight:      s.searching.Load(),
 		MovesRejected:      s.rejected.Load(),
 		AdmissionLimit:     s.cfg.MaxConcurrentMoves,
 		EvalOutstanding:    s.srv.Outstanding(),

@@ -11,6 +11,11 @@
 // backpressure bound is reached, and graceful drain on shutdown. A process
 // serves one model version for its lifetime (Config.InitialVersion).
 //
+// Every session searches with the local-tree engine (mcts.Local, Algorithm
+// 3), and each search sizes its own in-flight budget from the live load
+// (inFlight): the searches in flight together keep one batch executing while
+// the next one forms, which is Algorithm 4's batch choice made online.
+//
 // See OPERATIONS.md for the operator surface and cmd/serve / cmd/loadgen
 // for the binaries.
 package serve
@@ -68,11 +73,6 @@ type Config struct {
 	// on for serving (it is the point of persistent sessions); cmd/serve
 	// defaults it on. Seed is split per session.
 	Search mcts.Config
-	// SearchWorkers selects the per-session engine: 1 (default) runs the
-	// serial engine — concurrency comes from concurrent games, which is
-	// what fills inference batches — while >1 gives each session a
-	// shared-tree engine with that many rollout workers.
-	SearchWorkers int
 
 	// MaxSessions is the session budget: creating a game beyond it evicts
 	// the least-recently-used session (default 1024). Memory per session
@@ -86,9 +86,8 @@ type Config struct {
 	// MaxConcurrentMoves bounds concurrently searching moves (admission
 	// control). Excess moves are rejected with ErrSaturated rather than
 	// queued, so the client sees 429 + Retry-After instead of unbounded
-	// latency. Default: MaxOutstanding / max(1, SearchWorkers), i.e. the
-	// number of searches whose in-flight evaluations the backpressure
-	// bound can hold without ever blocking a Submit.
+	// latency. Default: MaxOutstanding — at that load every search keeps
+	// one evaluation in flight, which the backpressure bound holds.
 	MaxConcurrentMoves int
 	// RetryAfter is the backoff hint attached to saturation rejections
 	// (default 500ms).
@@ -136,9 +135,6 @@ func (c *Config) setDefaults() {
 	if c.GameSpec == "" {
 		c.GameSpec = c.Game.Name()
 	}
-	if c.SearchWorkers < 1 {
-		c.SearchWorkers = 1
-	}
 	if c.MaxSessions < 1 {
 		c.MaxSessions = 1024
 	}
@@ -155,10 +151,7 @@ func (c *Config) setDefaults() {
 		c.MaxOutstanding = 256
 	}
 	if c.MaxConcurrentMoves < 1 {
-		c.MaxConcurrentMoves = c.MaxOutstanding / c.SearchWorkers
-		if c.MaxConcurrentMoves < 1 {
-			c.MaxConcurrentMoves = 1
-		}
+		c.MaxConcurrentMoves = c.MaxOutstanding
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 500 * time.Millisecond
@@ -208,12 +201,13 @@ type Service struct {
 	draining    bool
 	seedCounter uint64
 
-	created    atomic.Int64
-	evictedN   atomic.Int64
-	completed  atomic.Int64
-	moves      atomic.Int64
-	rejected   atomic.Int64
-	activeMov  atomic.Int64
+	created   atomic.Int64
+	evictedN  atomic.Int64
+	completed atomic.Int64
+	moves     atomic.Int64
+	rejected  atomic.Int64
+	// searching counts engine searches in flight, the load inFlight reads.
+	searching  atomic.Int64
 	reusedVis  atomic.Int64
 	playoutsN  atomic.Int64
 	evalsN     atomic.Int64
@@ -321,20 +315,14 @@ func (s *Service) NewGame(engineStarts bool) (Snapshot, *MoveStats, error) {
 	return s.snapshotLocked(sess), ms, nil
 }
 
-// newSession builds the per-game state: a sync client of the shared
-// evaluate.Server and a serial (or shared) engine over it.
+// newSession builds the per-game state: a client of the shared
+// evaluate.Server and a local-tree engine over it.
 func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gameSession {
 	cl := s.srv.NewSyncClient()
 	cfg := s.cfg.Search
 	cfg.Seed = cfg.Seed*0x9E3779B97F4A7C15 + seedSalt
 	cfg.TransposeTable = s.tt
 	cfg.TransposeSize = 0
-	var eng mcts.Engine
-	if s.cfg.SearchWorkers > 1 {
-		eng = mcts.NewShared(cfg, s.cfg.SearchWorkers, cl)
-	} else {
-		eng = mcts.NewSerial(cfg, cl)
-	}
 	side := game.P2
 	if engineStarts {
 		side = game.P1
@@ -343,7 +331,7 @@ func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gam
 		id:         id,
 		engineSide: side,
 		st:         s.game.NewInitial(),
-		engine:     eng,
+		engine:     mcts.NewLocal(cfg, cl, maxInFlight(cfg.Playouts)),
 		cl:         cl,
 		rnd:        rng.New(cfg.Seed ^ 0xC0FFEE),
 		dist:       make([]float32, s.game.NumActions()),
@@ -404,8 +392,6 @@ func (s *Service) Move(id string, action int) (Snapshot, *MoveStats, error) {
 		sess.lastUsed = time.Now()
 	}
 	s.mu.Unlock()
-	s.activeMov.Add(1)
-	defer s.activeMov.Add(-1)
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -431,11 +417,35 @@ func (s *Service) Move(id string, action int) (Snapshot, *MoveStats, error) {
 	return s.snapshotLocked(sess), ms, nil
 }
 
+// maxInFlight is the most evaluations a served search keeps in flight: one
+// per 32 playouts of the budget. Virtual loss spreads k rollouts over paths
+// a serial search would not take at once, and beyond this bound that costs
+// strength at equal playouts (EXPERIMENTS.md, "In-flight budget").
+func maxInFlight(playouts int) int { return max(1, playouts/32) }
+
+// inFlight is the in-flight budget of one served search: ⌊2·batch ÷
+// searching⌋, clamped to [1, maxInFlight(playouts)]. searching counts the
+// searches in flight service-wide, this one included, so together they keep
+// one batch executing while the next one forms. A session whose last search
+// bought no evaluation (table or terminal hits only) searches at 1: with
+// nothing to wait for, virtual loss would only add atomics on the table
+// entries every session shares.
+func inFlight(batch, searching, playouts int, lastBoughtNone bool) int {
+	if lastBoughtNone {
+		return 1
+	}
+	return min(max(2*batch/searching, 1), maxInFlight(playouts))
+}
+
 // engineMove runs one engine search + move on a locked, live session and
 // returns its stats. Caller holds sess.mu and an admission token.
 func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	start := time.Now()
-	st := sess.engine.Search(sess.st, sess.dist)
+	searching := s.searching.Add(1)
+	k := inFlight(s.cfg.Batch, int(searching), s.cfg.Search.Playouts, sess.boughtNone)
+	st := sess.engine.SearchInFlight(sess.st, sess.dist, k)
+	s.searching.Add(-1)
+	sess.boughtNone = st.Evaluations == 0
 	best := -1
 	var bestV float32
 	for a, p := range sess.dist {
@@ -469,6 +479,7 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 		ReusedVisits:  st.ReusedVisits,
 		ReuseFraction: st.ReuseFraction(),
 		TransHits:     st.TransHits,
+		InFlight:      k,
 		DurationMS:    float64(time.Since(start).Microseconds()) / 1000,
 	}
 }
@@ -659,7 +670,7 @@ type gameSession struct {
 
 	mu     sync.Mutex
 	st     game.State
-	engine mcts.Engine
+	engine *mcts.Local
 	cl     *evaluate.Client
 	rnd    *rng.Rand
 	dist   []float32
@@ -669,6 +680,8 @@ type gameSession struct {
 
 	searches int
 	stats    mcts.Stats
+	// boughtNone: the last search bought no evaluation (see inFlight).
+	boughtNone bool
 
 	elem     *list.Element // guarded by Service.mu
 	lastUsed time.Time     // guarded by Service.mu
