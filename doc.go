@@ -321,10 +321,10 @@
 // Eviction is drain-safe down through the engine layer: mcts engines'
 // Close blocks on the session mutex, so an evicted session's in-flight
 // search always finishes on its own tree and is then discarded, never
-// raced. cmd/loadgen drives a running server with N
-// concurrent simulated users playing full games, validates every response
-// against a local rules mirror (a mis-routed move is a hard failure), and
-// reports p50/p99 move latency and sustained moves/s.
+// raced. internal/serve's TestLoadAgainstTarget drives a running server
+// with concurrent simulated users playing full games and validates every
+// response against a local rules mirror (a mis-routed move is a hard
+// failure).
 // OPERATIONS.md is the operator's guide: every flag of every binary, the
 // eviction and backpressure knobs, drain semantics, and the /statsz field
 // reference.

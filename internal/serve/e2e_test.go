@@ -74,21 +74,13 @@ func postStatus(url string, body interface{}) int {
 }
 
 // TestE2EConcurrentGamesOverHTTP plays two concurrent full tictactoe games
-// through the real HTTP stack using the load generator's rules-mirror
+// through the real HTTP stack using the load client's rules-mirror
 // validation, and checks that persistent sessions actually reuse their
 // search trees from the second engine move on.
 func TestE2EConcurrentGamesOverHTTP(t *testing.T) {
 	_, ts := startServer(t, testConfig(t))
 
-	rep, err := RunLoad(LoadConfig{
-		BaseURL:      ts.URL,
-		Users:        2,
-		GamesPerUser: 2,
-		Seed:         11,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
+	rep := runLoad(loadConfig{url: ts.URL, users: 2, games: 2, seed: 11})
 	if rep.Mismatches != 0 || rep.ErrorCount != 0 {
 		t.Fatalf("load run reported %d mismatches, %d errors: %v", rep.Mismatches, rep.ErrorCount, rep.Errors)
 	}
@@ -357,10 +349,7 @@ func TestQuorumE2EFarDeadline(t *testing.T) {
 	cfg.FlushDeadline = 5 * time.Second
 	_, ts := startServer(t, cfg)
 
-	rep, err := RunLoad(LoadConfig{BaseURL: ts.URL, Users: 2, GamesPerUser: 2, Seed: 5})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
+	rep := runLoad(loadConfig{url: ts.URL, users: 2, games: 2, seed: 5})
 	if rep.Mismatches != 0 || rep.ErrorCount != 0 || rep.GamesCompleted != 4 {
 		t.Fatalf("load run: %d mismatches, %d errors, %d games completed: %v", rep.Mismatches, rep.ErrorCount, rep.GamesCompleted, rep.Errors)
 	}

@@ -16,8 +16,8 @@
 // (inFlight): the searches in flight together keep one batch executing while
 // the next one forms, which is Algorithm 4's batch choice made online.
 //
-// See OPERATIONS.md for the operator surface and cmd/serve / cmd/loadgen
-// for the binaries.
+// See OPERATIONS.md for the operator surface and cmd/serve for the binary;
+// the load client that drives a running server is in this package's tests.
 package serve
 
 import (
