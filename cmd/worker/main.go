@@ -39,7 +39,7 @@ func main() {
 	config := dist.WorkerFlags(flag.CommandLine, dist.RegisterRunFlags(flag.CommandLine))
 	var (
 		learnerAddr = flag.String("learner", "", "learner address (host:port, required)")
-		id          = flag.String("id", "", "worker name in learner logs (default worker-<pid>)")
+		id          = flag.String("id", "", "worker name in learner logs, mixed into -seed so workers given one seed play different games (default worker-<pid>)")
 		rounds      = flag.Int("rounds", 0, "generation rounds to play (0 = until signalled)")
 		buffer      = flag.Int("buffer", 256, "episodes buffered while disconnected (oldest dropped when full)")
 	)

@@ -102,14 +102,14 @@
 // tenants stay in one batch; contexts that can no longer submit (a worker
 // out of tickets, a master out of budget, a finished search) leave at once.
 // The deadline is then only the backstop for a tenant busy in tree code, and
-// carries the service's central guarantee: the flush timer is armed by the
-// first request of each buffer generation, so no submitted request ever
-// waits longer than the deadline before its batch launches. That guarantee
-// is what lets an mcts.Local master simply block in Client.Wait on its
-// oldest request, and what keeps a straggler game from deadlocking on
-// co-tenants that already finished; on a private queue without a deadline
-// Wait itself pushes the partial batch holding the request, which nothing
-// else would launch, so no engine carries a flush handshake. The classic single-search backends are one-tenant deployments
+// carries the service's central guarantee: no submitted request waits longer
+// than the deadline before its batch launches. That lets an mcts.Local master
+// simply block in Client.Wait on its oldest request and keeps a straggler
+// game from deadlocking on co-tenants that already finished; without a
+// deadline Wait itself pushes the partial batch holding the request. One pure
+// function, the unexported queue.step, states this launch rule, the Server
+// steps it on every event, and TestLaunchRuleExhaustive walks its states.
+// The classic single-search backends are one-tenant deployments
 // of the same Server: evaluate.NewPool returns the Client of a private server
 // it owns, the local-tree + accelerator queue is one Client of a
 // deadline-less Server of threshold B, and the shared-tree + accelerator

@@ -588,3 +588,55 @@ func TestLearnerRejectsMismatchedGame(t *testing.T) {
 		t.Fatalf("hellos rejected = %d, want 1", got)
 	}
 }
+
+// TestWorkersGivenOneSeedPlayDifferentGames: two workers started with one
+// Seed and different IDs must not play the same games. One learner round
+// ingests both workers' first round, and no two of its episodes may be byte
+// for byte the same.
+func TestWorkersGivenOneSeedPlayDifferentGames(t *testing.T) {
+	fabric := NewNetwork()
+	lis, err := fabric.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj, err := trajstore.Open(t.TempDir(), trajstore.Config{Game: "tictactoe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traj.Close()
+	cfg := testLearnerConfig(t, t.TempDir(), 1)
+	cfg.Traj = traj
+	learner, err := NewLearner(lis, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan WorkerStats, 2)
+	for _, id := range []string{"wa", "wb"} {
+		wcfg := testWorkerConfig(t, id, fabric.Dialer(), 7)
+		wcfg.Rounds = 1
+		w, err := NewWorker(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		go func() { done <- w.Run() }()
+	}
+	learner.Run(nil)
+	<-done
+	<-done
+	if traj.Games() != cfg.RoundGames {
+		t.Fatalf("learner stored %d episodes, want one round of %d", traj.Games(), cfg.RoundGames)
+	}
+	seen := map[string]int{}
+	for i := 0; i < traj.Games(); i++ {
+		ep, err := traj.Get(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := string(trajstore.EncodeFrame(ep))
+		if j, dup := seen[frame]; dup {
+			t.Fatalf("episodes %d and %d are byte-identical: workers given one seed played the same game", j, i)
+		}
+		seen[frame] = i
+	}
+}

@@ -53,10 +53,13 @@ func measureWorkers(t *testing.T, n int) (playoutsPerSec float64, playouts int64
 	const roundsPerWorker = 4
 	workers := make([]*Worker, n)
 	for i := range workers {
-		// Every worker gets the SAME seed: identical per-worker workloads,
-		// so the N-worker aggregate measures pure scaling with no straggler
-		// (a shorter-game worker finishing early would deflate the ratio).
-		wcfg := testWorkerConfig(t, fmt.Sprintf("w%d", i), fabric.Dialer(), 1)
+		// Every worker derives the SAME seed from its own (Seed, ID), and
+		// workerSeed is an XOR, its own inverse: identical per-worker
+		// workloads, so the N-worker aggregate measures pure scaling with no
+		// straggler (a shorter-game worker finishing early would deflate the
+		// ratio).
+		id := fmt.Sprintf("w%d", i)
+		wcfg := testWorkerConfig(t, id, fabric.Dialer(), workerSeed(1, id))
 		wcfg.Games = 2
 		wcfg.Workers = 1
 		wcfg.Playouts = 8

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +52,8 @@ type WorkerConfig struct {
 	TempMoves int
 	// Rounds bounds the run (0 = until Stop).
 	Rounds int
-	// Seed drives the fleet's move sampling.
+	// Seed drives the fleet's move sampling, mixed with ID: workers given one
+	// Seed and different IDs play different games.
 	Seed uint64
 	// BufferEpisodes bounds the unsent-episode outbox while disconnected
 	// (default 256). When full the OLDEST episode is dropped — fresher data
@@ -173,6 +175,13 @@ func (w *Worker) Stop() {
 	})
 }
 
+// workerSeed mixes a worker's ID into its Seed (see WorkerConfig.Seed).
+func workerSeed(seed uint64, id string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return seed ^ h.Sum64()
+}
+
 // Run drives the worker until Rounds rounds have been played or Stop is
 // called. It blocks waiting for the first checkpoint (a worker cannot play
 // without a model), then keeps playing through disconnections, buffering
@@ -197,13 +206,14 @@ func (w *Worker) Run() WorkerStats {
 	mkBackend := func(net *nn.Network) evaluate.Backend {
 		return &evaluate.EvaluatorBackend{Eval: w.cfg.NewEvaluator(net), Workers: w.cfg.Workers}
 	}
+	seed := workerSeed(w.cfg.Seed, w.cfg.ID)
 	cfgs := make([]mcts.Config, w.cfg.Games)
 	for i := range cfgs {
 		mc := mcts.DefaultConfig()
 		mc.Playouts = w.cfg.Playouts
 		mc.DirichletAlpha = 0.3
 		mc.NoiseFrac = 0.25
-		mc.Seed = w.cfg.Seed + uint64(i)*7919
+		mc.Seed = seed + uint64(i)*7919
 		mc.ReuseTree = w.cfg.ReuseTree
 		mc.TransposeTable = w.trans
 		cfgs[i] = mc
@@ -214,7 +224,7 @@ func (w *Worker) Run() WorkerStats {
 	var stats WorkerStats
 	driver := selfplay.NewDriver(w.cfg.Game, fleet.Engines, nil, nil, selfplay.Config{
 		TempMoves: w.cfg.TempMoves,
-		Seed:      w.cfg.Seed,
+		Seed:      seed,
 		// Stream every finished game: encode it as a wire frame at the
 		// round's ingest barrier (driver goroutine, deterministic order)
 		// into the bounded outbox; the flush below ships it.

@@ -20,9 +20,9 @@
 // EvaluatorBackend. Both are the one kind of Client, Server.NewSyncClient,
 // and both learn of a completion from the request itself: every request
 // carries its own signal, so a caller always knows which evaluation it has
-// waited for. The Server is also the accelerator queue: it launches a batch
-// on the first of three conditions — threshold, quorum or flush deadline —
-// stated once on Server. A Random evaluator with a configurable synthetic
+// waited for. The Server is also the accelerator queue, and one pure function,
+// queue.step, decides every launch: threshold, quorum, flush deadline or an
+// explicit push. A Random evaluator with a configurable synthetic
 // latency supports the design-time profiling runs, which the paper performs
 // with a DNN "filled with random parameters".
 //

@@ -145,9 +145,8 @@ type ServerConfig struct {
 	LaunchWorkers int
 }
 
-// ServerStats is a snapshot of the service's aggregate batch economics. Its
-// counters are kept under the lock that decides each launch and are read
-// together, so they form one snapshot: ThresholdFlushes + QuorumFlushes +
+// ServerStats is a snapshot of the service's aggregate batch economics: the
+// launch rule's counters, so ThresholdFlushes + QuorumFlushes +
 // DeadlineFlushes <= Batches on every read.
 type ServerStats struct {
 	// Batches is the number of device launches so far.
@@ -157,10 +156,9 @@ type ServerStats struct {
 	// ThresholdFlushes, QuorumFlushes and DeadlineFlushes split Batches by
 	// the launch condition that took them (see Server). The rest of Batches
 	// were pushed explicitly (Flush, Client.Wait on a deadline-less server,
-	// Close). A deadline share that
-	// is not small on a server whose tenants all search through
-	// BeginSearch/EndSearch means tenants are slow in tree code, not that
-	// the deadline is too long.
+	// Close). A deadline share that is not small on a server whose tenants
+	// all search through BeginSearch/EndSearch means tenants are slow in tree
+	// code, not that the deadline is too long.
 	ThresholdFlushes, QuorumFlushes, DeadlineFlushes int64
 }
 
@@ -174,29 +172,23 @@ func (s ServerStats) AvgFill() float64 {
 }
 
 // Server is a multi-tenant inference service: it multiplexes Requests from
-// any number of Clients onto one batched backend, forming batches by
-// threshold, quorum or flush deadline (whichever is hit first), launching
-// each batch on its own goroutine (stream-style overlap), and signalling
-// each request's completion on the request itself. It replaces the
-// one-engine-owns-one-queue topology of the seed: G concurrent searches
-// sharing a Server present the device with one large batch stream instead of
-// G under-filled ones.
+// any number of Clients onto one batched backend, launching each batch on its
+// own goroutine (stream-style overlap) and signalling each request's
+// completion on the request itself. G concurrent searches sharing a Server
+// present the device with one large batch stream instead of G under-filled
+// ones.
 //
-// The three launch conditions, checked under one lock by whoever completes
-// one (Submit, EndSearch or the deadline timer), which then launches the
-// whole buffer outside the lock:
+// The whole buffer launches on the first of three conditions:
 //
-//   - threshold: ServerConfig.Batch requests are buffered. It wins a tie
-//     with the quorum;
+//   - threshold: ServerConfig.Batch requests are buffered;
 //   - quorum: tenants that search register their rollout contexts as slots
 //     (Client.BeginSearch/EndSearch — the mcts engines do it around every
 //     Search), and the buffer holds one request per registered slot, so no
 //     open search can add to it;
-//   - deadline: the first request of a buffer generation arms a timer of
-//     FlushDeadline, and taking the buffer stops it, so no request waits
-//     longer than that between Submit and its launch. With registered
-//     tenants it is only the backstop for a tenant that is busy in tree
-//     code while the others wait, not the light-load latency floor.
+//   - deadline: no request waits longer than FlushDeadline between Submit
+//     and its launch. With registered tenants it is only the backstop for a
+//     tenant that is busy in tree code while the others wait, not the
+//     light-load latency floor.
 //
 // The quorum counts every registered slot, including slots whose request is
 // executing in an earlier batch: a request buffered meanwhile waits for that
@@ -206,7 +198,8 @@ func (s ServerStats) AvgFill() float64 {
 // into out-of-phase groups that never re-merge. A server no tenant registers
 // with has no quorum and batches by threshold and deadline alone. An
 // explicit push (Flush, Close, a deadline-less Client.Wait) launches the
-// buffer under no condition.
+// buffer under no condition. One function states this rule, queue.step, and
+// rule_test.go's checker walks every state it reaches in twelve events.
 //
 // The server holds one Backend at a time, and a batch reads it once, when it
 // runs. SwapBackend replaces it between training rounds (see its contract).
@@ -221,14 +214,9 @@ type Server struct {
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
 	backend atomic.Pointer[Backend]
 
-	// mu guards the batcher: the buffer, the registered quorum slots, the
-	// buffer generation with its deadline timer, and the counters.
-	mu    sync.Mutex
-	buf   []*Request
-	slots int         // registered search slots: the quorum (0 = condition off)
-	gen   uint64      // buffer generation; invalidates a timer that lost the race with Stop
-	timer *time.Timer // this generation's deadline timer, nil when none is armed
-	stats ServerStats
+	mu    sync.Mutex // guards q and timer; held only by do and the snapshots
+	q     queue
+	timer *time.Timer // the current generation's deadline timer, nil when none is armed
 
 	inflight sync.WaitGroup
 	closed   atomic.Bool
@@ -250,7 +238,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.FlushDeadline < 0 {
 		panic("evaluate: negative flush deadline")
 	}
-	s := &Server{cfg: cfg, buf: make([]*Request, 0, cfg.Batch)}
+	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, deadline: cfg.FlushDeadline > 0}}
 	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
@@ -258,11 +246,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.LaunchWorkers > 0 {
 		// Queue capacity covers the backpressure bound so enqueueing a
 		// launch never blocks a submitter that already holds a sem token.
-		capW := cfg.LaunchWorkers * 4
-		if cfg.MaxOutstanding > capW {
-			capW = cfg.MaxOutstanding
-		}
-		s.work = make(chan []*Request, capW)
+		s.work = make(chan []*Request, max(cfg.LaunchWorkers*4, cfg.MaxOutstanding))
 		for w := 0; w < cfg.LaunchWorkers; w++ {
 			s.launchers.Add(1)
 			go func() {
@@ -295,14 +279,14 @@ func (s *Server) Batch() int { return s.cfg.Batch }
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	return s.q.stats
 }
 
 // Pending returns the number of buffered (not yet launched) requests.
 func (s *Server) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.buf)
+	return len(s.q.buf)
 }
 
 // Outstanding returns the number of backpressure tokens currently held —
@@ -327,7 +311,7 @@ func (s *Server) Saturated() bool {
 }
 
 // Flush launches any buffered partial batch immediately.
-func (s *Server) Flush() { s.push(nil) }
+func (s *Server) Flush() { s.do(event{op: opPush}) }
 
 // Close gracefully drains the service: the remaining partial batch is
 // flushed and all in-flight launches complete. Submit after Close panics.
@@ -335,7 +319,7 @@ func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.push(nil)
+	s.do(event{op: opPush})
 	s.inflight.Wait()
 	if s.work != nil {
 		close(s.work)
@@ -343,94 +327,122 @@ func (s *Server) Close() {
 	}
 }
 
-// submit buffers one request, blocking on the backpressure bound.
-func (s *Server) submit(req *Request) {
-	if s.closed.Load() {
-		panic("evaluate: Submit on closed Server")
-	}
-	if s.sem != nil {
-		s.sem <- struct{}{}
-	}
-	s.mu.Lock()
-	s.buf = append(s.buf, req)
-	batch := s.takeIfReadyLocked()
-	if batch == nil && len(s.buf) == 1 && s.cfg.FlushDeadline > 0 {
-		gen := s.gen
-		s.timer = time.AfterFunc(s.cfg.FlushDeadline, func() { s.flushDeadline(gen) })
-	}
-	s.mu.Unlock()
-	s.launch(batch)
+// queue is the accelerator queue's state. Only step changes it.
+type queue struct {
+	batch    int  // the threshold
+	deadline bool // the server has a flush deadline, so submits arm timers
+	buf      []*Request
+	slots    int // registered search slots: the quorum (0 = condition off)
+	gen      int // buffer generation, ended by every launch
+	stats    ServerStats
 }
 
-// takeLocked takes the buffer as one batch, counts it, and starts a new
-// generation, stopping the deadline timer armed for the old one. Caller
-// holds s.mu.
-func (s *Server) takeLocked() []*Request {
-	batch := s.buf
-	s.buf = make([]*Request, 0, s.cfg.Batch)
-	s.gen++
-	if s.timer != nil {
+// event is one input to the launch rule.
+type event struct {
+	op  op
+	req *Request // opSubmit, opWait
+	n   int      // the slots of opBegin and opEnd, the generation of opDeadline
+}
+
+type op uint8
+
+const (
+	opSubmit   op = iota // Client.Submit buffers req
+	opBegin              // Client.BeginSearch opens n slots
+	opEnd                // Client.EndSearch gives back n slots
+	opWait               // a deadline-less Client.Wait holds req
+	opPush               // Flush or Close
+	opDeadline           // the timer armed for generation n fired
+)
+
+// effect is what one step asks of the Server.
+type effect struct {
+	take    []*Request // the batch to launch, nil for none
+	arm     bool       // arm a FlushDeadline timer that delivers opDeadline for gen
+	gen     int
+	refused bool // an EndSearch past the open slots: q is unchanged
+}
+
+// step is the launch rule: it applies e to q and says what to launch and
+// whether to arm a timer. It starts no goroutine, takes no lock, reads no
+// clock. A submit or an end launches the buffer when it meets the threshold,
+// which wins a tie, or else the quorum; a begin launches nothing. Only a
+// submit that leaves one request buffered on a deadline queue arms a timer.
+// Every launch ends the buffer's generation, and the Server stops its timer,
+// but Stop can lose the race with a callback already started: a deadline
+// launches only the generation it was armed for. A push launches the buffer
+// under no condition, and a wait only while its request is still buffered,
+// so no timing of other launches can strand a waiter.
+func (q *queue) step(e event) effect {
+	n := len(q.buf)
+	switch e.op {
+	case opSubmit:
+		q.buf = append(q.buf, e.req)
+		n++
+	case opBegin:
+		q.slots += e.n
+		return effect{}
+	case opEnd:
+		if e.n < 0 || e.n > q.slots {
+			return effect{refused: true}
+		}
+		q.slots -= e.n
+	case opWait, opPush:
+		if n == 0 || e.op == opWait && !slices.Contains(q.buf, e.req) {
+			return effect{}
+		}
+	case opDeadline:
+		if n == 0 || e.n != q.gen {
+			return effect{}
+		}
+		q.stats.DeadlineFlushes++
+	}
+	if e.op == opSubmit || e.op == opEnd {
+		switch {
+		case n >= q.batch:
+			q.stats.ThresholdFlushes++
+		case q.slots > 0 && n >= q.slots:
+			q.stats.QuorumFlushes++
+		default:
+			return effect{arm: q.deadline && e.op == opSubmit && n == 1, gen: q.gen}
+		}
+	}
+	take := q.buf
+	q.buf = make([]*Request, 0, q.batch)
+	q.gen++
+	q.stats.Batches++
+	q.stats.Requests += int64(n)
+	return effect{take: take}
+}
+
+// do steps the launch rule under the lock and applies its effect to the
+// deadline timer. Outside the lock it launches the batch taken, if any, on
+// its own goroutine (the "CUDA stream" of Section 3.3), or via a persistent
+// launcher when LaunchWorkers is set.
+func (s *Server) do(e event) {
+	s.mu.Lock()
+	eff := s.q.step(e)
+	if eff.take != nil && s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
 	}
-	s.stats.Batches++
-	s.stats.Requests += int64(len(batch))
-	return batch
-}
-
-// takeIfReadyLocked takes the buffer if it meets the threshold or the
-// quorum, counting which. Caller holds s.mu.
-func (s *Server) takeIfReadyLocked() []*Request {
-	switch n := len(s.buf); {
-	case n >= s.cfg.Batch:
-		s.stats.ThresholdFlushes++
-	case s.slots > 0 && n >= s.slots:
-		s.stats.QuorumFlushes++
-	default:
-		return nil
-	}
-	return s.takeLocked()
-}
-
-// flushDeadline is the timer callback: it launches the buffer only if the
-// generation it was armed for is still accumulating (Stop loses the race
-// against a callback that has already started).
-func (s *Server) flushDeadline(gen uint64) {
-	var batch []*Request
-	s.mu.Lock()
-	if s.gen == gen && len(s.buf) > 0 {
-		s.stats.DeadlineFlushes++
-		batch = s.takeLocked()
+	if eff.arm {
+		gen := eff.gen
+		s.timer = time.AfterFunc(s.cfg.FlushDeadline, func() { s.do(event{op: opDeadline, n: gen}) })
 	}
 	s.mu.Unlock()
-	s.launch(batch)
-}
-
-// push launches the buffer under no launch condition: all of it, or, when
-// holding is non-nil, only while holding is in it.
-func (s *Server) push(holding *Request) {
-	var batch []*Request
-	s.mu.Lock()
-	if len(s.buf) > 0 && (holding == nil || slices.Contains(s.buf, holding)) {
-		batch = s.takeLocked()
+	if eff.refused {
+		panic("evaluate: EndSearch without a matching BeginSearch")
 	}
-	s.mu.Unlock()
-	s.launch(batch)
-}
-
-// launch executes one formed batch, if there is one — on its own goroutine
-// (the "CUDA stream" of Section 3.3), or via a persistent launcher when
-// LaunchWorkers is set — and signals each request's completion.
-func (s *Server) launch(batch []*Request) {
-	if batch == nil {
+	if eff.take == nil {
 		return
 	}
 	s.inflight.Add(1)
 	if s.work != nil {
-		s.work <- batch
+		s.work <- eff.take
 		return
 	}
-	go s.runAndDeliver(batch)
+	go s.runAndDeliver(eff.take)
 }
 
 // runAndDeliver is the launch body: backend compute, per-request delivery,
@@ -452,9 +464,7 @@ func (s *Server) runAndDeliver(batch []*Request) {
 // Evaluator (Evaluate blocks on one pooled request — the shared-tree and
 // serial engines) or as an Async (Submit, then Wait on each request — the
 // local-tree master).
-func (s *Server) NewSyncClient() *Client {
-	return &Client{srv: s}
-}
+func (s *Server) NewSyncClient() *Client { return &Client{srv: s} }
 
 // Client is one tenant's handle on a Server, shared or private. It
 // implements Async, so an mcts.Local master uses a shared service exactly
@@ -491,7 +501,13 @@ func (c *Client) Submit(req *Request) {
 	c.outstanding++
 	c.mu.Unlock()
 	req.client = c
-	c.srv.submit(req)
+	if c.srv.closed.Load() {
+		panic("evaluate: Submit on closed Server")
+	}
+	if c.srv.sem != nil {
+		c.srv.sem <- struct{}{}
+	}
+	c.srv.do(event{op: opSubmit, req: req})
 }
 
 // BeginSearch opens a search with n rollout contexts on this tenant: up to
@@ -503,28 +519,16 @@ func (c *Client) BeginSearch(n int) {
 	if n < 0 {
 		panic("evaluate: negative slot count")
 	}
-	c.srv.mu.Lock()
-	c.srv.slots += n
-	c.srv.mu.Unlock()
+	c.srv.do(event{op: opBegin, n: n})
 }
 
 // EndSearch gives back n of the slots BeginSearch opened, in one call or
 // several, as soon as their contexts can no longer submit. If every
-// remaining slot already has its request buffered, the buffer launches now
-// — a hand-off to the launch goroutine (or a launcher's queue), so the
-// caller, typically about to answer its user, does not run the batch.
-// Giving back more slots than are open panics.
+// remaining slot already has its request buffered, the buffer launches now,
+// on a launch goroutine: the caller, typically about to answer its user,
+// does not run the batch. Giving back more slots than are open panics.
 func (c *Client) EndSearch(n int) {
-	s := c.srv
-	s.mu.Lock()
-	if n < 0 || n > s.slots {
-		s.mu.Unlock()
-		panic("evaluate: EndSearch without a matching BeginSearch")
-	}
-	s.slots -= n
-	batch := s.takeIfReadyLocked()
-	s.mu.Unlock()
-	s.launch(batch)
+	c.srv.do(event{op: opEnd, n: n})
 }
 
 // deliver signals one of this tenant's requests complete.
@@ -538,18 +542,11 @@ func (c *Client) deliver(req *Request) {
 	c.mu.Unlock()
 }
 
-// Wait implements Async: it blocks until req, submitted through this client,
-// has been delivered. With a deadline-flushing server a buffered request is
-// never stuck — the timer launches it — so Wait only waits. Without a
-// deadline it keeps the classic accelerator-queue semantics: a request still
-// in the buffer moves only when something pushes it, so Wait first pushes
-// the buffer if req is in it (a service-wide action: co-tenants' buffered
-// requests launch with it). A request already handed to a launch is left to
-// it: Wait reads nothing but where its own request is, so no timing of other
-// launches can strand it.
+// Wait implements Async. On a server with a flush deadline it only waits,
+// taking no lock: the timer launches a buffered req.
 func (c *Client) Wait(req *Request) {
 	if c.srv.cfg.FlushDeadline == 0 {
-		c.srv.push(req)
+		c.srv.do(event{op: opWait, req: req})
 	}
 	<-req.done
 }
@@ -580,16 +577,12 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	if c.drained == nil {
-		c.drained = sync.NewCond(&c.mu)
-	}
+	c.drained = sync.NewCond(&c.mu)
 	pending := c.outstanding > 0
 	c.mu.Unlock()
-
 	if pending {
 		c.srv.Flush()
 	}
-
 	c.mu.Lock()
 	for c.outstanding > 0 {
 		c.drained.Wait()
@@ -618,10 +611,7 @@ func AcquireRequest() *Request {
 
 // ReleaseRequest recycles req. The caller must not touch req afterwards.
 func ReleaseRequest(req *Request) {
-	req.Input = nil
-	req.Policy = nil
-	req.Value = 0
-	req.client = nil
+	req.Input, req.Policy, req.Value, req.client = nil, nil, 0, nil
 	select { // drop a stray completion signal so reuse starts clean
 	case <-req.done:
 	default:
