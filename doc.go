@@ -52,8 +52,9 @@
 // The forward pass has a bitwise contract. Within a kernel class an output
 // element's rounding depends on its column (its pixel) and on nothing else,
 // the batched convolution gathers and multiplies one sample at a time, and
-// the 3x3/pad-1 and 1x1 gathers are branch-free special cases of the general
-// im2col that write the same patch matrix; so nn.ForwardBatch gives a
+// the 3x3/pad-1 and 1x1 gathers are special cases of the general im2col
+// that write the same patch matrix in every class (the 3x3 one an assembly
+// patch-row kernel in avx2 and avx512); so nn.ForwardBatch gives a
 // sample the bits of a batch holding it alone, at every batch size and slot
 // (TestForwardBatchMatchesForward), and TestForwardGolden pins the b = 1 bits
 // per kernel class: the generic and avx2 rows to constants recorded before

@@ -161,8 +161,8 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 	// ---- policy head backward ----
 	denseBackward(ws.dPolAct, net.PolW.Data, g.PolW.Data, g.PolB.Data, ws.dLogits, f.convAct[3])
 	reluBackInto(ws.dConvPre[3], ws.dPolAct, f.convAct[3])
+	// The value head's gather of the same trunk output is still in f.col.
 	sp := f.shapes[3]
-	tensor.Im2Col(f.col, f.convAct[2], sp)
 	tensor.Conv2DBackward(ws.dInput[3], g.ConvW[3].Data, g.ConvB[3].Data,
 		ws.dConvPre[3], net.ConvW[3].Data, f.col, ws.dCol[3], sp)
 

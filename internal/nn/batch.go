@@ -130,15 +130,21 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	for i := 0; i < 3; i++ {
 		s := ws.shapes[i]
 		out := ws.convAct[i][:s.OutC*b*s.ColRows()]
-		tensor.Conv2DForwardBatch(out, cur, net.ConvW[i].Data, net.ConvB[i].Data, ws.col, s, b)
+		tensor.Conv2DForwardBatch(cur, ws.col, s, b, tensor.ConvOut{Out: out, Weight: net.ConvW[i].Data, Bias: net.ConvB[i].Data})
 		tensor.ReLUInPlace(out)
 		cur = out
 	}
 
-	// Policy head: 1x1 conv + ReLU + batched FC + row-wise softmax.
-	sp := ws.shapes[3]
+	// Heads: the policy and value 1x1 convolutions read the same trunk
+	// output, so each sample is gathered once for both.
+	sp, sv := ws.shapes[3], ws.shapes[4]
 	pAct := ws.convAct[3][:sp.OutC*b*hw]
-	tensor.Conv2DForwardBatch(pAct, cur, net.ConvW[3].Data, net.ConvB[3].Data, ws.col, sp, b)
+	vAct := ws.convAct[4][:sv.OutC*b*hw]
+	tensor.Conv2DForwardBatch(cur, ws.col, sp, b,
+		tensor.ConvOut{Out: pAct, Weight: net.ConvW[3].Data, Bias: net.ConvB[3].Data},
+		tensor.ConvOut{Out: vAct, Weight: net.ConvW[4].Data, Bias: net.ConvB[4].Data})
+
+	// Policy head: ReLU + batched FC + row-wise softmax.
 	tensor.ReLUInPlace(pAct)
 	pD := cfg.PolicyC * hw
 	polIn := ws.polIn[:b*pD]
@@ -150,10 +156,7 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 		softmax(policies[i], logits[i*cfg.NumActions:(i+1)*cfg.NumActions])
 	}
 
-	// Value head: 1x1 conv + ReLU + batched FC + ReLU + batched FC + tanh.
-	sv := ws.shapes[4]
-	vAct := ws.convAct[4][:sv.OutC*b*hw]
-	tensor.Conv2DForwardBatch(vAct, cur, net.ConvW[4].Data, net.ConvB[4].Data, ws.col, sv, b)
+	// Value head: ReLU + batched FC + ReLU + batched FC + tanh.
 	tensor.ReLUInPlace(vAct)
 	vD := cfg.ValueC * hw
 	valIn := ws.valIn[:b*vD]

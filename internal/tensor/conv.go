@@ -31,31 +31,21 @@ func (s Conv2DShape) ColCols() int { return s.InC * s.KH * s.KW }
 // (OutH*OutW) x (InC*KH*KW) patch matrix, so convolution becomes one matrix
 // multiply. col must have ColRows()*ColCols() capacity.
 func Im2Col(col, img []float32, s Conv2DShape) {
-	Im2ColStrided(col, img, s, 0, s.InH*s.InW)
-}
-
-// Im2ColStrided is Im2Col for an image embedded inside a larger activation
-// matrix: channel plane c of the image starts at img[base+c*planeStride].
-// With base = sample*InH*InW and planeStride = batch*InH*InW this extracts
-// one sample from the batch-major activation layout used by
-// Conv2DForwardBatch; Im2Col is the base = 0, planeStride = InH*InW case.
-func Im2ColStrided(col, img []float32, s Conv2DShape, base, planeStride int) {
 	pad := scratchPool.Get().(*[]float32)
-	im2colStrided(col, img, s, base, planeStride, pad)
+	im2colStrided(col, img, s, 0, s.InH*s.InW, pad)
 	scratchPool.Put(pad)
 }
 
-// im2colStrided picks the gather for the shape: the two configurations the
-// network uses have their own, every other shape takes the general loop.
-// All three write the same col. pad is the 3x3 gather's scratch, grown here
-// to the shape's padded plane.
+// im2colStrided is Im2Col for an image embedded inside a larger activation
+// matrix: channel plane c starts at img[base+c*planeStride] (one sample of
+// Conv2DForwardBatch's batch-major layout). The two shapes the network uses
+// have their own gathers, every other shape takes the general loop; all
+// write the same col and nothing past ColRows()*ColCols(). pad is the 3x3
+// gather's scratch, grown by padPlanes.
 func im2colStrided(col, img []float32, s Conv2DShape, base, planeStride int, pad *[]float32) {
 	switch {
 	case s.KH == 3 && s.KW == 3 && s.PadH == 1 && s.PadW == 1:
-		if n := (s.InH + 2) * (s.InW + 2); cap(*pad) < n {
-			*pad = make([]float32, n)
-		}
-		im2col3x3(col, img, s, base, planeStride, *pad)
+		gather3x3(col, padPlanes(pad, img, s, base, planeStride), s)
 	case s.KH == 1 && s.KW == 1 && s.PadH == 0 && s.PadW == 0:
 		im2col1x1(col, img, s, base, planeStride)
 	default:
@@ -64,35 +54,50 @@ func im2colStrided(col, img []float32, s Conv2DShape, base, planeStride int, pad
 }
 
 // scratchPool holds float32 scratch each user grows to what it needs: the
-// zero-bordered planes im2col3x3 gathers from (sized from the shape in
-// im2colStrided) and MatMul's transposed B.
+// zero-bordered planes of the 3x3 gather (sized from the shape in padPlanes)
+// and MatMul's transposed B.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
-// im2col3x3 is the 3x3, pad-1 gather without a bounds decision per tap: each
-// channel plane is copied once into pad — (InH+2) x (InW+2), border zero —
-// and every output pixel then takes its nine taps as three unconditional
-// 3-element moves.
-func im2col3x3(col, img []float32, s Conv2DShape, base, planeStride int, pad []float32) {
+// padPlanes copies the image's InC channel planes into *pad, grown to fit,
+// as zero-bordered (InH+2) x (InW+2) planes one after another, and returns
+// them. The whole pad is cleared first, so a pad left dirty by another shape
+// cannot leak into the gather.
+func padPlanes(pad *[]float32, img []float32, s Conv2DShape, base, planeStride int) []float32 {
+	pw := s.InW + 2
+	plane := (s.InH + 2) * pw
+	if n := s.InC * plane; cap(*pad) < n {
+		*pad = make([]float32, n)
+	}
+	p := (*pad)[:s.InC*plane]
+	clear(p)
+	padRows(p[pw+1:], img[base:], s.InC, s.InH, s.InW, planeStride, plane)
+	return p
+}
+
+// padRowsGeneric is the portable padRows: one copy per row.
+func padRowsGeneric(dst, src []float32, channels, h, w, srcPlane, dstPlane int) {
+	for c := 0; c < channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(dst[c*dstPlane+y*(w+2):][:w], src[c*srcPlane+y*w:][:w])
+		}
+	}
+}
+
+// im2col3x3 is the generic gather3x3, channel-outer: every output pixel
+// takes a channel's nine taps as three unconditional 3-element moves, with
+// no bounds decision per tap.
+func im2col3x3(col, pad []float32, s Conv2DShape) {
 	h, w := s.InH, s.InW
 	pw := w + 2
-	pad = pad[:(h+2)*pw]
-	// Only the border needs zeroing: the interior is overwritten per channel.
-	clear(pad[:pw+1])
-	for y := 1; y <= h; y++ {
-		pad[y*pw+w+1], pad[(y+1)*pw] = 0, 0
-	}
-	clear(pad[(h+1)*pw+1 : (h+2)*pw])
+	plane := (h + 2) * pw
 	cols := s.InC * 9
 	for c := 0; c < s.InC; c++ {
-		plane := img[base+c*planeStride:]
-		for y := 0; y < h; y++ {
-			copy(pad[(y+1)*pw+1:(y+1)*pw+1+w], plane[y*w:(y+1)*w])
-		}
+		p := pad[c*plane : (c+1)*plane]
 		off := c * 9
 		for oy := 0; oy < h; oy++ {
-			r0 := pad[oy*pw : (oy+1)*pw]
-			r1 := pad[(oy+1)*pw : (oy+2)*pw]
-			r2 := pad[(oy+2)*pw : (oy+3)*pw]
+			r0 := p[oy*pw : (oy+1)*pw]
+			r1 := p[(oy+1)*pw : (oy+2)*pw]
+			r2 := p[(oy+2)*pw : (oy+3)*pw]
 			for ox := 0; ox < w; ox++ {
 				d := col[off : off+9 : off+9]
 				t0, t1, t2 := r0[ox:ox+3:ox+3], r1[ox:ox+3:ox+3], r2[ox:ox+3:ox+3]
@@ -140,49 +145,23 @@ func im2col1x1(col, img []float32, s Conv2DShape, base, planeStride int) {
 	}
 }
 
-// im2colGeneral gathers any kernel and padding, structured so the iy bounds
-// check runs once per (oy, c, ky) row instead of once per output pixel.
+// im2colGeneral gathers any kernel and padding, tap by tap. No network
+// shape runs it: it is the definition the specialised gathers are tested
+// against, so it is written as one.
 func im2colGeneral(col, img []float32, s Conv2DShape, base, planeStride int) {
-	outH, outW := s.OutH(), s.OutW()
-	cols := s.ColCols()
-	for oy := 0; oy < outH; oy++ {
-		rowDst := col[oy*outW*cols:]
-		for c := 0; c < s.InC; c++ {
-			plane := img[base+c*planeStride:]
-			cOff := c * s.KH * s.KW
-			for ky := 0; ky < s.KH; ky++ {
-				iy := oy + ky - s.PadH
-				off := cOff + ky*s.KW
-				if iy < 0 || iy >= s.InH {
-					for ox := 0; ox < outW; ox++ {
-						d := rowDst[off : off+s.KW]
-						for kx := range d {
-							d[kx] = 0
+	i := 0
+	for oy := 0; oy < s.OutH(); oy++ {
+		for ox := 0; ox < s.OutW(); ox++ {
+			for c := 0; c < s.InC; c++ {
+				for ky := 0; ky < s.KH; ky++ {
+					for kx := 0; kx < s.KW; kx++ {
+						iy, ix := oy+ky-s.PadH, ox+kx-s.PadW
+						col[i] = 0
+						if iy >= 0 && iy < s.InH && ix >= 0 && ix < s.InW {
+							col[i] = img[base+c*planeStride+iy*s.InW+ix]
 						}
-						off += cols
+						i++
 					}
-					continue
-				}
-				row := plane[iy*s.InW : iy*s.InW+s.InW]
-				for ox := 0; ox < outW; ox++ {
-					d := rowDst[off : off+s.KW]
-					ix0 := ox - s.PadW
-					if ix0 >= 0 && ix0+s.KW <= s.InW {
-						src := row[ix0 : ix0+s.KW]
-						for kx := range d {
-							d[kx] = src[kx]
-						}
-					} else {
-						for kx := range d {
-							ix := ix0 + kx
-							if ix < 0 || ix >= s.InW {
-								d[kx] = 0
-							} else {
-								d[kx] = row[ix]
-							}
-						}
-					}
-					off += cols
 				}
 			}
 		}
@@ -221,38 +200,46 @@ func Col2Im(dImg, col []float32, s Conv2DShape) {
 	}
 }
 
-// Conv2DForwardBatch computes out = conv(imgs, weight) + bias for a whole
-// batch, one gather and one GEMM (weight * col^T via MatMulTransB) per sample
-// against the same weight panel.
+// ConvOut is one output group of Conv2DForwardBatch: len(Bias) channels.
+type ConvOut struct{ Out, Weight, Bias []float32 }
+
+// Conv2DForwardBatch computes o.Out = conv(imgs, o.Weight) + o.Bias for a
+// whole batch and every group o, with one gather per sample and one GEMM per
+// sample and group; the network's two heads are two groups. s.OutC is unread.
 //
 // Activations use a batch-major layout: channel plane c of sample b lives
 // at imgs[(c*batch+b)*InH*InW]. The same layout is produced on output
-// (out[(oc*batch+b)*OutH*OutW]), so consecutive conv layers chain without
+// (Out[(oc*batch+b)*OutH*OutW]), so consecutive conv layers chain without
 // repacking — only the im2col gather needs the per-sample stride; at batch 1
 // it is the plain single-image layout. Each sample's OutH*OutW patch rows are
-// gathered into col and multiplied into that sample's columns of out
-// straight away, so the patch matrix is still in cache when the GEMM reads it
-// and the weight panel stays there across the batch. Sample b's outputs are
-// bit for bit those of a batch holding sample b alone, whatever the batch
-// size and wherever b sits in it.
+// gathered into col and multiplied into that sample's columns of every Out
+// straight away, so the patch matrix is still in cache when the GEMMs read
+// it and the weight panels stay there across the batch. Sample b's outputs
+// are bit for bit those of a batch holding sample b alone, whatever the
+// batch size, wherever b sits in it and whichever groups share its gather.
 //
-//	imgs:   InC x (batch*InH*InW)  batch-major
-//	weight: OutC x (InC*KH*KW) row-major
-//	bias:   OutC
-//	out:    OutC x (batch*OutH*OutW) batch-major
-//	col:    scratch of size ColRows()*ColCols()
-func Conv2DForwardBatch(out, imgs, weight, bias, col []float32, s Conv2DShape, batch int) {
+//	imgs:     InC x (batch*InH*InW)  batch-major
+//	o.Weight: len(o.Bias) x (InC*KH*KW) row-major
+//	o.Out:    len(o.Bias) x (batch*OutH*OutW) batch-major
+//	col:      scratch of size ColRows()*ColCols()
+func Conv2DForwardBatch(imgs, col []float32, s Conv2DShape, batch int, outs ...ConvOut) {
 	pix := s.ColRows()
 	kk := s.ColCols()
 	imgLen := s.InH * s.InW
 	n := batch * pix
+	pad := scratchPool.Get().(*[]float32)
 	for b := 0; b < batch; b++ {
-		Im2ColStrided(col, imgs, s, b*imgLen, batch*imgLen)
-		// out[oc][b*pix+p] = sum_k weight[oc][k] * col[p][k]
-		matMulTransBInto(out, n, b*pix, weight, col, s.OutC, kk, pix)
+		im2colStrided(col, imgs, s, b*imgLen, batch*imgLen, pad)
+		// Out[oc][b*pix+p] = sum_k Weight[oc][k] * col[p][k]
+		for _, o := range outs {
+			matMulTransBInto(o.Out, n, b*pix, o.Weight, col, len(o.Bias), kk, pix)
+		}
 	}
-	for oc := 0; oc < s.OutC; oc++ {
-		addScalar(out[oc*n:(oc+1)*n], bias[oc])
+	scratchPool.Put(pad)
+	for _, o := range outs {
+		for oc, v := range o.Bias {
+			addScalar(o.Out[oc*n:(oc+1)*n], v)
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 
 // Kernel names accepted by SetKernel and the TENSOR_KERNEL environment
 // variable, worst to best. Each names one implementation of MatMulTransB's
-// micro-kernels, the ReLU and the bias add: "generic" is portable Go, "avx2"
-// the 8-wide AVX2+FMA assembly (amd64 with AVX2+FMA+OS support only),
-// "avx512" avx2 with a 16-wide register tile (AVX512F+VL and OS support for
-// the ZMM state as well). Every other host runs generic.
+// micro-kernels, the ReLU, the bias add and the 3x3 gather: "generic" is
+// portable Go, "avx2" the 8-wide AVX2+FMA assembly (amd64 with AVX2+FMA+OS
+// support only), "avx512" avx2 with a 16-wide register tile (AVX512F+VL and
+// OS support for the ZMM state as well). Every other host runs generic.
 const (
 	KernelGeneric = "generic"
 	KernelAVX2    = "avx2"
@@ -62,6 +62,12 @@ var (
 	// addScalar adds s to every element of x: one rounded add per element in
 	// every class, so the classes differ in speed only.
 	addScalar func(x []float32, s float32)
+	// padRows copies each of channels planes' h rows of w floats (rows w
+	// apart in src) into padPlanes' interiors (rows w+2 apart in dst), and
+	// gather3x3 is the 3x3/pad-1 im2col out of those planes (im2col3x3,
+	// im2col3x3Rows): bandwidth, the same bits in every class.
+	padRows   func(dst, src []float32, channels, h, w, srcPlane, dstPlane int)
+	gather3x3 func(col, pad []float32, s Conv2DShape)
 
 	kernelName string
 )

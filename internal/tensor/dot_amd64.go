@@ -40,6 +40,16 @@ func tile3x8Kernel(a *float32, lda, rows int, b *float32, ldb, n int, c *float32
 //go:noescape
 func addScalar8Kernel(x *float32, n int, s float32)
 
+// padRowsKernel (padRows for w >= 4) and patchRowKernel (one patch row of
+// the 3x3 gather, and one float past it) are in im2col_amd64.s. Only
+// callable when hasAVX2 is true.
+//
+//go:noescape
+func padRowsKernel(dst, src *float32, channels, h, w, srcPlane, dstPlane int)
+
+//go:noescape
+func patchRowKernel(dst, src *float32, channels, plane, pw int)
+
 // cpuid and xgetbv are in cpuid_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -95,7 +105,8 @@ func availableKernels() []string {
 
 // selectKernel installs a class's kernels. avx512 is avx2 with its own tile:
 // dotSeq's bits are the same in every class by contract, dot4 serves at most
-// four columns of a 64-column block, and the ReLU and bias add are bandwidth.
+// four columns of a 64-column block, and the ReLU, the bias add and the 3x3
+// gather are bandwidth.
 func selectKernel(name string) {
 	dotTile = nil
 	dotSeq = dotSeqGeneric
@@ -103,12 +114,14 @@ func selectKernel(name string) {
 	case KernelAVX2, KernelAVX512:
 		dot4, reluVec, addScalar = dot4AVX2, reluAVX2, addScalarAVX2
 		dotTile, dotSeq = dotTileAVX2, dotSeqAVX2
+		padRows, gather3x3 = padRowsAVX2, im2col3x3Rows
 		if name == KernelAVX512 {
 			dotTile = dotTileAVX512
 		}
 	default:
 		name = KernelGeneric
 		dot4, reluVec, addScalar = dot4Generic, reluGeneric, addScalarGeneric
+		padRows, gather3x3 = padRowsGeneric, im2col3x3
 	}
 	kernelName = name
 }
@@ -154,6 +167,44 @@ func checkTile(c []float32, ldc int, a []float32, lda, rows int, b []float32, ld
 	_ = a[(rows-1)*lda+n-1]
 	_ = b[(tileCols-1)*ldb+n-1]
 	_ = c[(rows-1)*ldc+tileCols-1]
+}
+
+// padRowsAVX2 is padRows on padRowsKernel, which moves four floats at a
+// time; boards narrower than that take the Go loop.
+func padRowsAVX2(dst, src []float32, channels, h, w, srcPlane, dstPlane int) {
+	if w < 4 {
+		padRowsGeneric(dst, src, channels, h, w, srcPlane, dstPlane)
+		return
+	}
+	_ = src[(channels-1)*srcPlane+h*w-1]
+	_ = dst[(channels-1)*dstPlane+(h-1)*(w+2)+w-1]
+	padRowsKernel(&dst[0], &src[0], channels, h, w, srcPlane, dstPlane)
+}
+
+// im2col3x3Rows is the avx2/avx512 gather3x3: one patchRowKernel call per
+// patch row, front to back. The kernel writes one float past a row, so the
+// matrix's last channel is moved 3 floats at a time.
+func im2col3x3Rows(col, pad []float32, s Conv2DShape) {
+	pw := s.InW + 2
+	plane, cols, last := (s.InH+2)*pw, s.InC*9, s.InH*s.InW-1
+	for oy := 0; oy < s.InH; oy++ {
+		for ox := 0; ox < s.InW; ox++ {
+			px, n := oy*s.InW+ox, s.InC
+			if px == last {
+				n-- // its last channel is moved below
+			}
+			if n > 0 {
+				// The last float the kernel writes, and the last it reads.
+				_ = col[px*cols+n*9]
+				_ = pad[oy*pw+ox+(n-1)*plane+2*pw+3]
+				patchRowKernel(&col[px*cols], &pad[oy*pw+ox], n, plane, pw)
+			}
+		}
+	}
+	d, t := col[last*cols+cols-9:][:9], pad[(s.InC-1)*plane+(s.InH-1)*pw+s.InW-1:]
+	copy(d[:3], t)
+	copy(d[3:6], t[pw:])
+	copy(d[6:], t[2*pw:])
 }
 
 // dotSeqAVX2 sums eight rows to a vector through seqDot8Kernel, blockM rows

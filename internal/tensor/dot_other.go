@@ -10,5 +10,6 @@ func selectKernel(string) {
 	dot4, reluVec, addScalar = dot4Generic, reluGeneric, addScalarGeneric
 	dotSeq = dotSeqGeneric
 	dotTile = nil
+	padRows, gather3x3 = padRowsGeneric, im2col3x3
 	kernelName = KernelGeneric
 }

@@ -10,16 +10,17 @@
 // allows, and have a realistic batch-scaling latency profile.
 //
 // The inference path is held to the bit. The micro-kernels behind
-// MatMulTransB are dispatched per kernel class (dot.go: generic, and avx2
-// where the host has it); within a class the
-// rounding of an output element depends on its column's index in B alone —
-// not on its row, the row blocking, the batch it arrives in or where in C
-// the product lands — Conv2DForwardBatch gathers and multiplies one sample
-// at a time, and the specialised im2col gathers write exactly what the
-// general loop writes. A batched convolution therefore equals the
-// single-sample one bit for bit, and a kernel may be rewritten for speed as
-// long as TestMatMulTransBKernelEquivalence still matches the reference kept
-// in tile_ref_test.go. The path allocates nothing: one-block products run on
+// MatMulTransB are dispatched per kernel class (dot.go: generic, avx2 and
+// avx512 where the host has them); within a class the rounding of an output
+// element depends on its column's index in B alone — not on its row, the row
+// blocking, the batch it arrives in or where in C the product lands —
+// Conv2DForwardBatch gathers and multiplies one sample at a time, and the
+// specialised im2col gathers write exactly what the general loop writes in
+// every class (TestIm2ColSpecialisedMatchGeneral, FuzzIm2Col). A batched
+// convolution therefore equals the single-sample one bit for bit, and a
+// kernel may be rewritten for speed as long as
+// TestMatMulTransBKernelEquivalence still matches the reference kept in
+// tile_ref_test.go. The path allocates nothing: one-block products run on
 // the caller with no task, multi-block ones take a pooled job.
 package tensor
 

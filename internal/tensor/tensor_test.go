@@ -175,7 +175,7 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		b := randSlice(r, s.OutC)
 		out := make([]float32, s.OutC*s.OutH()*s.OutW())
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(out, img, w, b, col, s, 1)
+		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, b})
 		want := naiveConv(img, w, b, s)
 		if d := maxAbsDiff(out, want); d > 1e-4 {
 			t.Errorf("conv %+v: max diff %v", s, d)
@@ -219,7 +219,7 @@ func TestConv2DBackwardNumerically(t *testing.T) {
 	loss := func(img, w, b []float32) float64 {
 		out := make([]float32, s.OutC*pix)
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(out, img, w, b, col, s, 1)
+		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, b})
 		var l float64
 		for i := range out {
 			l += float64(out[i]) * float64(dOut[i])
@@ -279,7 +279,7 @@ func BenchmarkConvGomokuLayer(b *testing.B) {
 	col := make([]float32, s.ColRows()*s.ColCols())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Conv2DForwardBatch(out, img, w, bias, col, s, 1)
+		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, bias})
 	}
 }
 
@@ -347,12 +347,12 @@ func TestConv2DForwardBatchMatchesSingle(t *testing.T) {
 			pix := s.ColRows()
 			out := make([]float32, s.OutC*batch*pix)
 			col := make([]float32, batch*pix*s.ColCols())
-			Conv2DForwardBatch(out, packed, w, bias, col, s, batch)
+			Conv2DForwardBatch(packed, col, s, batch, ConvOut{out, w, bias})
 
 			single := make([]float32, s.OutC*pix)
 			scol := make([]float32, pix*s.ColCols())
 			for b := 0; b < batch; b++ {
-				Conv2DForwardBatch(single, imgs[b], w, bias, scol, s, 1)
+				Conv2DForwardBatch(imgs[b], scol, s, 1, ConvOut{single, w, bias})
 				for oc := 0; oc < s.OutC; oc++ {
 					got := out[(oc*batch+b)*pix : (oc*batch+b+1)*pix]
 					want := single[oc*pix : (oc+1)*pix]
