@@ -370,8 +370,8 @@
 // records a cross-game throughput table (historical, 1-core container).
 //
 // Packages live under internal/; the runnable entry points are the
-// binaries under cmd/ and examples/quickstart. The benchmarks in
-// bench_test.go regenerate each table and figure of the paper's evaluation
-// (see EXPERIMENTS.md for the index and the historical results; current
-// numbers come from bash cmd/bench/run.sh against cmd/bench/baseline.json).
+// binaries under cmd/ and examples/quickstart. cmd/figures regenerates each
+// table and figure of the paper's evaluation (see EXPERIMENTS.md for the
+// index and the historical results; current numbers come from bash
+// cmd/bench/run.sh against cmd/bench/baseline.json).
 package parmcts

@@ -415,6 +415,29 @@ func (q *queue) step(e event) effect {
 	return effect{take: take}
 }
 
+// Rule is the launch rule without a Server around it: no lock, no timer, no
+// launch. Each call steps the rule once and returns the batch it launches,
+// nil for none. It has no deadline, so it is the rule of a deadline-less
+// Server, whose clock is the caller's: the simulated timelines of
+// internal/simsched launch through it in virtual time.
+type Rule struct{ q queue }
+
+// NewRule returns the rule of a deadline-less Server of threshold batch.
+func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1)}} }
+
+// Submit, Begin, End and Wait are Client.Submit, BeginSearch, EndSearch and a
+// deadline-less Client.Wait.
+func (r *Rule) Submit(req *Request) []*Request { return r.q.step(event{op: opSubmit, req: req}).take }
+func (r *Rule) Begin(n int)                    { r.q.step(event{op: opBegin, n: n}) }
+func (r *Rule) Wait(req *Request) []*Request   { return r.q.step(event{op: opWait, req: req}).take }
+func (r *Rule) End(n int) []*Request {
+	eff := r.q.step(event{op: opEnd, n: n})
+	if eff.refused {
+		panic("evaluate: EndSearch without a matching BeginSearch")
+	}
+	return eff.take
+}
+
 // do steps the launch rule under the lock and applies its effect to the
 // deadline timer. Outside the lock it launches the batch taken, if any, on
 // its own goroutine (the "CUDA stream" of Section 3.3), or via a persistent

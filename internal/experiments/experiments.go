@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each generator returns a stats.Table whose rows
-// mirror the corresponding figure's series; the cmd/ binaries and the root
-// bench_test.go are thin wrappers over these functions, and EXPERIMENTS.md
+// mirror the corresponding figure's series; cmd/figures, which regenerates
+// them, is a thin wrapper over these functions, and EXPERIMENTS.md
 // records their output next to the paper's numbers.
 //
 // Two parameter sources exist:

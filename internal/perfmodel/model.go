@@ -5,7 +5,8 @@
 // configuration workflow that ties them together.
 //
 // Params is the one design-time profile: the models, the timeline simulator
-// (internal/simsched) and the figure generators all consume it. The
+// (internal/simsched, which launches its batches through evaluate's launch
+// rule) and the figure generators all consume it. The
 // accelerator equations (4, 6) and the Algorithm 4 driver (ConfigureGPU) take
 // the number G of co-located searches sharing the device as an argument; the
 // paper's single search is G = 1.

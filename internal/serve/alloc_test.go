@@ -88,3 +88,61 @@ func TestServedMoveAllocs(t *testing.T) {
 		t.Errorf("per engine move: %.1f allocations and %.0f bytes, want <= 12 and <= 2 KiB", allocs, bytes)
 	}
 }
+
+// TestFinishedGamesHoldNoSearch pins that a finished served game gives back
+// its search: one user plays 100 gomoku:9 games in a row against the engine
+// (100 playouts, evaluate.Random) and leaves every finished session to the
+// budget, which never evicts here. The evaluation cache is off: it is
+// bounded, and filling it is not what a finished game holds. If finished
+// sessions kept their engines, each would hold its tree arena, about 0.6 MB;
+// the heap after GC may grow by at most 0.05 MB per finished game.
+func TestFinishedGamesHoldNoSearch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled arenas and instruments allocation")
+	}
+	search := mcts.DefaultConfig()
+	search.Playouts = 100
+	search.ReuseTree = true
+	search.Seed = 5
+	svc := NewService(Config{
+		Game:         games.MustNew("gomoku:9"),
+		Search:       search,
+		IdleTTL:      -1,
+		CacheSize:    -1,
+		NewEvaluator: func(int64, *nn.Network) evaluate.Evaluator { return &evaluate.Random{} },
+	})
+	defer svc.Close()
+	r := rng.New(9)
+	playGames := func(n int) {
+		for g := 0; g < n; g++ {
+			snap, _, err := svc.NewGame(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !snap.Terminal {
+				if snap, _, err = svc.Move(snap.ID, snap.Legal[r.Intn(len(snap.Legal))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	heap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	playGames(5) // the first arenas, pools and caches
+	const games = 100
+	before := heap()
+	playGames(games)
+	after := heap()
+	if st := svc.Stats(); st.GamesCompleted != 5+games || st.SessionsEvicted != 0 {
+		t.Fatalf("stats %+v: want %d completed games and none evicted", st, 5+games)
+	}
+	perGame := (after - before) / games
+	t.Logf("heap after GC %.1f -> %.1f MB over %d finished games: %.3f MB per game", before, after, games, perGame)
+	if perGame > 0.05 {
+		t.Errorf("heap grows %.3f MB per finished game, want <= 0.05", perGame)
+	}
+}

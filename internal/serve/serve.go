@@ -75,9 +75,10 @@ type Config struct {
 	Search mcts.Config
 
 	// MaxSessions is the session budget: creating a game beyond it evicts
-	// the least-recently-used session (default 1024). Memory per session
-	// slot is ~100 bytes × SuggestCapacity(Playouts, fanout) tree nodes, paid
-	// per slot, not per game (closed sessions' arenas are reused), plus state.
+	// the least-recently-used session (default 1024). A live game holds a
+	// tree arena of 72 bytes × SuggestCapacity(Playouts, fanout) nodes; a
+	// finished one gives its arena back (the next game reuses it) and keeps
+	// only its state.
 	MaxSessions int
 	// IdleTTL evicts sessions idle longer than this (default 10m; negative
 	// disables TTL eviction, leaving only the budget).
@@ -484,11 +485,15 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	}
 }
 
-// finishLocked marks a session's game complete. The session stays
+// finishLocked marks a session's game complete and gives back its search:
+// the engine's tree returns to the arena pool for the next game and the
+// client closes, so a finished game holds no tree. The session stays
 // queryable until evicted, but moves to the LRU tail so budget pressure
 // reclaims finished games first. Caller holds sess.mu.
 func (s *Service) finishLocked(sess *gameSession) {
 	sess.done = true
+	sess.engine.Close()
+	sess.cl.Close()
 	s.completed.Add(1)
 	s.mu.Lock()
 	if sess.elem != nil {

@@ -96,3 +96,38 @@ func TestPropertySharedAccelBatchAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPropertyRuleLaunchesEveryRequestOnce(t *testing.T) {
+	// The three timelines that launch through evaluate's rule launch every
+	// request exactly once (launched sizes sum to the playouts) and never a
+	// batch past the rule's threshold: 1 on the CPU, b for the local
+	// accelerator scheme, n for the shared one. Each recorded run must
+	// equal the exported timeline's result.
+	if err := quick.Check(func(seed uint64) bool {
+		r := rng.New(seed)
+		w, playouts := randomWorkload(r)
+		n := r.Intn(32) + 1
+		b := r.Intn(n) + 1
+		ok := true
+		record := func(threshold int, inner launcher) (launcher, *int) {
+			sum := new(int)
+			return func(at time.Duration, size int) time.Duration {
+				ok = ok && size >= 1 && size <= threshold
+				*sum += size
+				return inner(at, size)
+			}, sum
+		}
+		cpu, cpuSum := record(1, threads(w, n))
+		cpuTotal, _ := local(w, playouts, n, 1, cpu)
+		acc, accSum := record(b, device(w))
+		accTotal, accBatches := local(w, playouts, n, b, acc)
+		sh, shSum := record(n, device(w))
+		shRes := shared(w, playouts, n, sh)
+		ok = ok && cpuTotal == LocalCPU(w, playouts, n).Total &&
+			result(accTotal, playouts, accBatches) == LocalAccel(w, playouts, n, b) &&
+			shRes == SharedAccel(w, playouts, n)
+		return ok && *cpuSum == playouts && *accSum == playouts && *shSum == playouts
+	}, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,7 +5,10 @@
 // sub-batch accelerator launches on overlapping streams — in virtual time,
 // driven by the same design-time profile the analytic models consume: every
 // timeline takes a perfmodel.Params (the accelerator ones read its GPU cost
-// model) and the number of playouts in the simulated move.
+// model) and the number of playouts in the simulated move. The simulator
+// holds no launch condition of its own: every accelerator or inference-thread
+// launch is a batch that evaluate's launch rule (evaluate.Rule, the rule a
+// deadline-less evaluate.Server steps) hands back.
 //
 // The paper measured Figures 3-5 on a 64-core Threadripper + A6000. This
 // reproduction runs wherever `go test` runs, so wall-clock re-measurement
@@ -17,9 +20,9 @@
 package simsched
 
 import (
-	"container/heap"
 	"time"
 
+	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/perfmodel"
 )
 
@@ -38,29 +41,6 @@ func result(total time.Duration, playouts, batches int) Result {
 	}
 }
 
-// durHeap is a min-heap of completion times.
-type durHeap []time.Duration
-
-func (h durHeap) Len() int            { return len(h) }
-func (h durHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h durHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *durHeap) Push(x interface{}) { *h = append(*h, x.(time.Duration)) }
-func (h *durHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// maxD returns the larger duration.
-func maxD(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SharedCPU simulates Algorithm 2 on a CPU: N worker threads, each
 // iteration paying one serialized shared-memory access (the root-level
 // communication of Figure 1b), then its own selection, inference, and
@@ -69,186 +49,171 @@ func SharedCPU(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
-	workers := make(durHeap, n) // each worker's free time; all start at 0
-	heap.Init(&workers)
-	var lockFree time.Duration
-	var last time.Duration
+	// Every iteration ends later than the one before it, so the earliest
+	// free worker is always the one that took the iteration n before.
+	workers := make([]time.Duration, n)
+	var lockFree, last time.Duration
 	for i := 0; i < playouts; i++ {
-		t := heap.Pop(&workers).(time.Duration)
 		// Serialized shared-tree access (virtual-loss update at the root).
-		start := maxD(t, lockFree)
-		lockFree = start + p.TSharedAccess
+		lockFree = max(workers[i%n], lockFree) + p.TSharedAccess
 		// Parallel portion: selection + inference + backup on own thread.
-		end := lockFree + p.TSelect + p.TDNNCPU + p.TBackup
-		heap.Push(&workers, end)
-		if end > last {
-			last = end
-		}
+		last = lockFree + p.TSelect + p.TDNNCPU + p.TBackup
+		workers[i%n] = last
 	}
 	return result(last, playouts, 0)
 }
 
 // LocalCPU simulates Algorithm 3 on a CPU: the master thread performs all
 // in-tree operations sequentially and hands evaluations to a pool of n
-// inference threads through FIFO pipes, waiting when all n are busy.
+// inference threads, waiting when all n are busy. It is the local master
+// loop at threshold 1, as adaptive builds the CPU local scheme: every
+// submission launches at once on the earliest-free thread.
 func LocalCPU(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
-	servers := make(durHeap, n) // inference threads' free times
-	heap.Init(&servers)
-	var master time.Duration
-	completions := &durHeap{}
-	inflight := 0
-	submitted, completed := 0, 0
-	for completed < playouts {
-		// Drain evaluations that have already finished.
-		for completions.Len() > 0 && (*completions)[0] <= master {
-			heap.Pop(completions)
-			master += p.TBackup
-			inflight--
-			completed++
-		}
-		if completed >= playouts {
-			break
-		}
-		if submitted < playouts && inflight < n {
-			master += p.TSelect
-			// Dispatch to the earliest-free inference thread.
-			free := heap.Pop(&servers).(time.Duration)
-			start := maxD(master, free)
-			end := start + p.TDNNCPU
-			heap.Push(&servers, end)
-			heap.Push(completions, end)
-			submitted++
-			inflight++
-			continue
-		}
-		// Master must wait for the next completion.
-		t := heap.Pop(completions).(time.Duration)
-		master = maxD(master, t) + p.TBackup
-		inflight--
-		completed++
+	total, _ := local(p, playouts, n, 1, threads(p, n))
+	return result(total, playouts, 0)
+}
+
+// threads is the CPU's launch: n inference threads, each request on the
+// earliest-free one. Requests arrive in order and take equally long, so that
+// is the thread the request n before took.
+func threads(p perfmodel.Params, n int) launcher {
+	free := make([]time.Duration, n)
+	i := 0
+	return func(at time.Duration, _ int) time.Duration {
+		t := &free[i%n]
+		i++
+		*t = max(at, *t) + p.TDNNCPU
+		return *t
 	}
-	return result(master, playouts, 0)
 }
 
 // SharedAccel simulates Algorithm 2 with inference offloaded to the
-// accelerator using full batches of size n: the n parallel selections
-// arrive nearly simultaneously, the batch transfers and computes, and all
-// n workers resume together (Section 3.3's shared-tree configuration).
+// accelerator in batches of n: the n workers' serialized accesses and
+// selections submit into a rule of threshold n, the batch departs when the
+// last of them arrives, and all its workers resume together, backing up
+// under the lock (Section 3.3's shared-tree configuration). Workers with no
+// playout left leave the quorum, so the last round launches short.
 func SharedAccel(p perfmodel.Params, playouts, n int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
+	return shared(p, playouts, n, device(p))
+}
+
+// shared is SharedAccel's timeline over launch.
+func shared(p perfmodel.Params, playouts, n int, launch launcher) Result {
+	rule := evaluate.NewRule(n)
+	rule.Begin(n)
+	reqs := make([]evaluate.Request, n)
 	workers := make([]time.Duration, n)
-	var lockFree, pcieFree, gpuFree, last time.Duration
+	var lockFree, last time.Duration
 	batches := 0
-	remaining := playouts
-	for remaining > 0 {
-		round := n
-		if remaining < round {
-			round = remaining // final partial batch (drain-on-retire)
+	for done := 0; done < playouts; batches++ {
+		if idle := n - (playouts - done); idle > 0 {
+			rule.End(idle)
 		}
-		// Each of the round's workers does its serialized access + select.
-		var latestArrival time.Duration
-		for i := 0; i < round; i++ {
-			start := maxD(workers[i], lockFree)
-			lockFree = start + p.TSharedAccess
-			ready := lockFree + p.TSelect
-			workers[i] = ready
-			if ready > latestArrival {
-				latestArrival = ready
-			}
+		var batch []*evaluate.Request
+		var arrival time.Duration
+		for i := 0; batch == nil; i++ {
+			lockFree = max(workers[i], lockFree) + p.TSharedAccess
+			workers[i] = lockFree + p.TSelect
+			arrival = max(arrival, workers[i])
+			batch = rule.Submit(&reqs[i])
 		}
-		// Batch departs when the last worker's request arrives.
-		xferStart := maxD(latestArrival, pcieFree)
-		pcieFree = xferStart + p.GPU.TransferTime(round)
-		gpuStart := maxD(pcieFree, gpuFree)
-		gpuFree = gpuStart + p.GPU.ComputeTime(round)
-		batches++
-		// All workers resume at batch completion, then back up under locks.
-		for i := 0; i < round; i++ {
-			start := maxD(gpuFree, lockFree)
-			lockFree = start + p.TSharedAccess
+		end := launch(arrival, len(batch))
+		for i := range batch {
+			lockFree = max(end, lockFree) + p.TSharedAccess
 			workers[i] = lockFree + p.TBackup
-			if workers[i] > last {
-				last = workers[i]
-			}
+			last = max(last, workers[i])
 		}
-		remaining -= round
+		done += len(batch)
 	}
 	return result(last, playouts, batches)
 }
 
 // LocalAccel simulates Algorithm 3 with inference offloaded in sub-batches
 // of size b on overlapping streams (Section 3.3): the master keeps
-// selecting while at most n evaluations are outstanding; every b
-// submissions launch a transfer (PCIe serialized) followed by a kernel
-// (GPU compute serialized); completions return to the master for backup.
-// This is the timeline whose per-iteration latency over b forms the
-// V-sequence that Algorithm 4 searches.
+// selecting while at most n evaluations are outstanding, each sub-batch
+// launches a transfer (PCIe serialized) followed by a kernel (GPU compute
+// serialized), and completions return to the master for backup. This is the
+// timeline whose per-iteration latency over b forms the V-sequence that
+// Algorithm 4 searches.
 func LocalAccel(p perfmodel.Params, playouts, n, b int) Result {
 	if n < 1 {
 		panic("simsched: n must be >= 1")
 	}
-	if b < 1 {
-		b = 1
+	total, batches := local(p, playouts, n, min(max(b, 1), n), device(p))
+	return result(total, playouts, batches)
+}
+
+// launcher starts a batch of size at time at and returns when it completes.
+type launcher func(at time.Duration, size int) time.Duration
+
+// device is the accelerator's launch: a batch of size departing at `at`
+// transfers once PCIe is free and computes once the GPU is; it returns when
+// the batch completes.
+func device(p perfmodel.Params) launcher {
+	var pcieFree, gpuFree time.Duration
+	return func(at time.Duration, size int) time.Duration {
+		pcieFree = max(at, pcieFree) + p.GPU.TransferTime(size)
+		gpuFree = max(pcieFree, gpuFree) + p.GPU.ComputeTime(size)
+		return gpuFree
 	}
-	if b > n {
-		b = n
-	}
-	var master, pcieFree, gpuFree time.Duration
-	completions := &durHeap{}
-	buffered := 0
-	inflight := 0
-	submitted, completed := 0, 0
-	batches := 0
-	launch := func(at time.Duration, size int) {
-		if size == 0 {
+}
+
+// local is Algorithm 3's master loop over n rollout contexts, as
+// mcts.Local.run drives it: it selects and submits while fewer than n
+// evaluations are outstanding, first backing up those already complete;
+// otherwise it gives back the contexts a spent budget left idle and waits
+// for the oldest evaluation. A deadline-less evaluate.Rule of threshold b
+// decides every launch, and launch starts the batch it hands back at the
+// master's time and returns when that batch completes. local returns the
+// master's finish time and the number of launches.
+func local(p perfmodel.Params, playouts, n, b int, launch launcher) (time.Duration, int) {
+	rule := evaluate.NewRule(b)
+	rule.Begin(n)
+	held := n                           // contexts still in the quorum
+	reqs := make([]evaluate.Request, n) // request s rides in context s mod n
+	// Launches are FIFO and complete in order: done[s] is request s's
+	// completion, and the oldest outstanding request is the next to finish.
+	done := make([]time.Duration, 0, playouts)
+	var master time.Duration
+	submitted, completed, batches := 0, 0, 0
+	start := func(batch []*evaluate.Request) {
+		if batch == nil {
 			return
 		}
-		xferStart := maxD(at, pcieFree)
-		pcieFree = xferStart + p.GPU.TransferTime(size)
-		gpuStart := maxD(pcieFree, gpuFree)
-		gpuFree = gpuStart + p.GPU.ComputeTime(size)
-		batches++
-		for i := 0; i < size; i++ {
-			heap.Push(completions, gpuFree)
+		end := launch(master, len(batch))
+		for range batch {
+			done = append(done, end)
 		}
+		batches++
 	}
 	for completed < playouts {
-		for completions.Len() > 0 && (*completions)[0] <= master {
-			heap.Pop(completions)
+		for completed < len(done) && done[completed] <= master {
 			master += p.TBackup
-			inflight--
 			completed++
 		}
 		if completed >= playouts {
 			break
 		}
+		inflight := submitted - completed
 		if submitted < playouts && inflight < n {
 			master += p.TSelect
+			start(rule.Submit(&reqs[submitted%n]))
 			submitted++
-			inflight++
-			buffered++
-			if buffered == b {
-				launch(master, buffered)
-				buffered = 0
-			}
 			continue
 		}
-		if completions.Len() == 0 {
-			// Everything outstanding is sitting in the partial batch:
-			// flush it or wait forever (what Client.Wait does before it blocks).
-			launch(master, buffered)
-			buffered = 0
-			continue
+		if idle := held - inflight; idle > 0 {
+			start(rule.End(idle))
+			held = inflight
 		}
-		t := heap.Pop(completions).(time.Duration)
-		master = maxD(master, t) + p.TBackup
-		inflight--
+		start(rule.Wait(&reqs[completed%n]))
+		master = max(master, done[completed]) + p.TBackup
 		completed++
 	}
-	return result(master, playouts, batches)
+	return master, batches
 }

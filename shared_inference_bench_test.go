@@ -143,74 +143,74 @@ func BenchmarkIndependentInferenceG8(b *testing.B) {
 	}
 }
 
+// acceleratorTime is the device time the "model" link spends on the launches
+// st counts: the sum of TransferTime(b)+ComputeTime(b) over the launched
+// batch sizes b. Both costs are affine in b, so the launch and request
+// counts determine it.
+func acceleratorTime(m accel.CostModel, st evaluate.ServerStats) time.Duration {
+	perLaunch := m.TransferTime(0) + m.ComputeTime(0)
+	return time.Duration(st.Batches)*perLaunch + time.Duration(st.Requests)*m.ComputePerSample +
+		m.BandwidthTime(int(st.Requests))
+}
+
 // TestSharedServiceBeatsIndependentQueues pins the acceptance criterion in
-// a plain test (the benchmark records the magnitude): G=8 concurrent
-// searches through one shared server must complete their aggregate
-// playouts faster than 8 independent accelerator queues on the same
-// simulated accelerator.
+// a plain test (the benchmarks record the wall-clock magnitude): G=8
+// concurrent searches through one shared server must launch fuller batches
+// and cost the simulated accelerator less time than 8 independent
+// accelerator queues. Accelerator time is counted from the cost model over
+// the launches, not read off a clock, so the verdict holds under -race.
 func TestSharedServiceBeatsIndependentQueues(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	run := func(shared bool) (time.Duration, float64) {
+	run := func(shared bool) evaluate.ServerStats {
 		link := sharedInfLink()
 		engines := make([]*mcts.Local, sharedInfGames)
-		var closers []func()
-		var fill func() float64
+		var servers []*evaluate.Server
+		var clients []*evaluate.Client
 		if shared {
 			srv := evaluate.NewServer(link, evaluate.ServerConfig{
 				Batch:          sharedInfGames * sharedInfWorkers,
 				FlushDeadline:  evaluate.DefaultFlushDeadline,
 				MaxOutstanding: 2 * sharedInfGames * sharedInfWorkers,
 			})
-			for i := range engines {
-				cl := srv.NewSyncClient()
-				engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), cl, sharedInfWorkers)
-				closers = append(closers, cl.Close)
+			servers = append(servers, srv)
+			for range engines {
+				clients = append(clients, srv.NewSyncClient())
 			}
-			closers = append(closers, srv.Close)
-			fill = func() float64 { return srv.Stats().AvgFill() }
 		} else {
-			var batches, requests int64
-			for i := range engines {
-				a := newIndependentQueue(link)
-				engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), a, sharedInfWorkers)
-				closers = append(closers, func() {
-					st := a.Server().Stats()
-					batches += st.Batches
-					requests += st.Requests
-					a.Close()
-					a.Server().Close()
-				})
-			}
-			fill = func() float64 {
-				if batches == 0 {
-					return 0
-				}
-				return float64(requests) / float64(batches)
+			for range engines {
+				clients = append(clients, newIndependentQueue(link))
+				servers = append(servers, clients[len(clients)-1].Server())
 			}
 		}
-		// One warm-up round, then three timed rounds.
-		runConcurrentSearches(engines)
-		start := time.Now()
-		for r := 0; r < 3; r++ {
+		for i := range engines {
+			engines[i] = mcts.NewLocal(sharedInfConfig(uint64(i+1)), clients[i], sharedInfWorkers)
+		}
+		// One warm-up round and three more, as the benchmarks run them.
+		for r := 0; r < 4; r++ {
 			runConcurrentSearches(engines)
 		}
-		elapsed := time.Since(start)
-		for _, c := range closers {
-			c()
+		for _, cl := range clients {
+			cl.Close()
 		}
-		return elapsed, fill()
+		var total evaluate.ServerStats
+		for _, srv := range servers {
+			srv.Close()
+			st := srv.Stats()
+			total.Batches += st.Batches
+			total.Requests += st.Requests
+		}
+		return total
 	}
 
-	indepTime, indepFill := run(false)
-	sharedTime, sharedFill := run(true)
-	t.Logf("shared: %v (avg fill %.1f) vs independent: %v (avg fill %.1f)",
-		sharedTime, sharedFill, indepTime, indepFill)
-	if sharedFill <= indepFill {
-		t.Fatalf("shared service did not raise batch fill: %.1f vs %.1f", sharedFill, indepFill)
+	cost := sharedInfLink().Cost
+	indep, shared := run(false), run(true)
+	indepTime, sharedTime := acceleratorTime(cost, indep), acceleratorTime(cost, shared)
+	t.Logf("shared: %d requests in %d launches (avg fill %.1f), accelerator %v; independent: %d in %d (avg fill %.1f), accelerator %v",
+		shared.Requests, shared.Batches, shared.AvgFill(), sharedTime,
+		indep.Requests, indep.Batches, indep.AvgFill(), indepTime)
+	if shared.AvgFill() <= indep.AvgFill() {
+		t.Fatalf("shared service did not raise batch fill: %.1f vs %.1f", shared.AvgFill(), indep.AvgFill())
 	}
 	if sharedTime >= indepTime {
-		t.Fatalf("shared service slower on aggregate playouts: %v vs %v", sharedTime, indepTime)
+		t.Fatalf("shared service costs the accelerator more: %v vs %v", sharedTime, indepTime)
 	}
 }
