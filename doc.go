@@ -266,7 +266,7 @@
 // skips a corrupt newest version and falls back to the most recent
 // checkpoint that still verifies.
 //
-// -replay-dir (cmd/train, cmd/learner) wires the store into the training
+// -replay-dir (cmd/train's learner) wires the store into the training
 // service: the learner appends every accepted episode before its samples
 // enter the ring, and on restart the newest stored games are re-ingested
 // through the same augmentation path (train.Replay.Ingest) to warm the
@@ -277,10 +277,10 @@
 //
 // # Distributed self-play
 //
-// internal/dist splits the continuous loop across processes: N cmd/worker
-// processes each run a self-play fleet (a selfplay.Driver over engines on
-// one shared local inference service) and
-// stream finished trajectories to one cmd/learner, which
+// internal/dist splits the continuous loop across processes: N cmd/train
+// -learner processes each run a self-play fleet (a selfplay.Driver over
+// engines on one shared local inference service) and stream finished
+// trajectories to one cmd/train -listen learner, which
 // owns the replay ring, SGD, the arena gate (learner-local serial
 // engines) and the checkpoint store, fanning each promoted checkpoint
 // back out to every connected worker. Workers apply swaps only at round
@@ -292,8 +292,8 @@
 // its FNV-64a checksum covers, and both ends re-verify every checksum, so
 // transport corruption is rejected exactly like disk corruption (framing
 // in API.md). The transport is one length-prefixed frame codec — over TCP
-// between processes, over a net.Pipe inside one (cmd/train, and the
-// package's tests) — and every
+// between processes, over a net.Pipe inside one (cmd/train's default
+// role, and the package's tests) — and every
 // failure mode degrades gracefully: a dead worker costs the learner at
 // most one round-timeout of fill, a disconnected worker keeps generating
 // into a bounded drop-oldest buffer and redials with backoff, and a

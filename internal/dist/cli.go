@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/parmcts/parmcts/internal/arena"
 	"github.com/parmcts/parmcts/internal/checkpoint"
@@ -15,34 +16,25 @@ import (
 	"github.com/parmcts/parmcts/internal/rng"
 	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/trajstore"
+	"github.com/parmcts/parmcts/internal/tree"
 )
 
-// What the three training binaries share: cmd/learner is LearnerFlags on a
-// TCP listener, cmd/worker is WorkerFlags on a TCP dialer, cmd/train is both
-// on one in-memory Network. Each option is declared here once, and each line
-// the binaries print about a run is formatted here once.
+// The one flag set of cmd/train's roles (-listen: the learner on a TCP
+// listener; -learner: a worker on a TCP dialer; default: both InProcess),
+// declared here once, and each line a role prints, formatted here once.
 
-// RunFlags are the two options both halves of the pipeline take.
-type RunFlags struct {
-	GameSpec *string
-	Seed     *uint64
-}
-
-// RegisterRunFlags registers -game and -seed on fs.
-func RegisterRunFlags(fs *flag.FlagSet) RunFlags {
-	return RunFlags{
-		GameSpec: games.Flag(fs, "gomoku:9", ""),
-		Seed:     rng.SeedFlag(fs, ""),
-	}
-}
-
-// LearnerFlags registers the learner's options on fs and returns the function
-// that, once fs is parsed, opens the checkpoint and replay stores and fills a
-// LearnerConfig from them. RoundGames, RoundTimeout and Logf are the
-// caller's to set, and cfg.Traj (nil without -replay-dir) the caller's to
-// Close.
-func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) {
+// Flags registers every role's options on fs and returns the two functions
+// that, once fs is parsed, fill each half's config from them. learner opens
+// the checkpoint and replay stores (cfg.Traj, nil without -replay-dir, is the
+// caller's to Close); worker opens nothing. Logf, and a worker's Dial,
+// NewEvaluator and its ID when -id is unset, are the caller's to set.
+func Flags(fs *flag.FlagSet) (learner func() (LearnerConfig, error), worker func() (WorkerConfig, error)) {
 	var (
+		spec = games.Flag(fs, "gomoku:9", "")
+		seed = rng.SeedFlag(fs, "")
+		// The learner's.
+		roundGames   = fs.Int("round-games", 8, "worker episodes per generation round (in-process: -games)")
+		roundTimeout = fs.Duration("round-timeout", 10*time.Second, "max wait to fill a round after its first episode (bounds the cost of a dead worker)")
 		rounds       = fs.Int("rounds", 12, "generation rounds to consume")
 		gateEvery    = fs.Int("gate-every", 2, "run the promotion gate every K trained rounds (0 = never)")
 		gateGames    = fs.Int("gate-games", 12, "games per gate match")
@@ -55,12 +47,20 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 		replaySeg    = fs.Int("replay-segment", 64, "games per trajectory-store segment before an atomic seal")
 		replayRetain = fs.Int("replay-retain", 100000, "games kept in the trajectory store (0 = unbounded)")
 		fullNet      = nn.FullNetFlag(fs, " when seeding")
+		// The worker's.
+		nGames    = fs.Int("games", 8, "concurrent self-play games (tenants of the local shared service)")
+		playouts  = mcts.PlayoutsFlag(fs, 100, " of the self-play engines")
+		workers   = fs.Int("workers", 4, "inference threads of the local service; also each game's in-flight bound")
+		id        = fs.String("id", "", "worker name in learner logs, mixed into -seed so workers given one seed play different games (default worker-<pid>; in-process: local)")
+		buffer    = fs.Int("buffer", 256, "episodes buffered while disconnected (oldest dropped when full)")
+		reuse     = mcts.ReuseFlag(fs, false, " across moves")
+		transpose = tree.TransposeFlag(fs, "off", "")
 	)
-	return func() (LearnerConfig, error) {
-		if *rounds < 1 {
-			return LearnerConfig{}, errors.New("-rounds must be >= 1")
+	learner = func() (LearnerConfig, error) {
+		if *rounds < 1 || *roundGames < 1 {
+			return LearnerConfig{}, errors.New("-rounds and -round-games must be >= 1")
 		}
-		g, err := game.NewFromSpec(*run.GameSpec)
+		g, err := game.NewFromSpec(*spec)
 		if err != nil {
 			return LearnerConfig{}, err
 		}
@@ -73,24 +73,25 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 			traj, err = trajstore.Open(*replayDir, trajstore.Config{
 				SegmentGames: *replaySeg,
 				Retain:       trajstore.Retention{MaxGames: *replayRetain},
-				Game:         games.SpecName(*run.GameSpec),
+				Game:         games.SpecName(*spec),
 			})
 			if err != nil {
 				return LearnerConfig{}, err
 			}
 		}
-		seed := *run.Seed
 		return LearnerConfig{
 			Game:     g,
-			GameSpec: *run.GameSpec,
+			GameSpec: *spec,
 			Store:    store,
 			NewNet: func() *nn.Network {
 				c, h, w := g.EncodedShape()
-				return nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(seed))
+				return nn.MustNew(nn.ConfigFor(*fullNet, c, h, w, g.NumActions()), rng.New(*seed))
 			},
-			Replay:  train.NewReplay(50000),
-			Traj:    traj,
-			Augment: train.AugmenterFor(g),
+			Replay:       train.NewReplay(50000),
+			Traj:         traj,
+			Augment:      train.AugmenterFor(g),
+			RoundGames:   *roundGames,
+			RoundTimeout: *roundTimeout,
 			Loop: train.LoopConfig{
 				Rounds:        *rounds,
 				GateEvery:     *gateEvery,
@@ -100,7 +101,7 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 				Momentum:      0.9,
 				WeightDecay:   1e-4,
 				MinSamples:    *minSamples,
-				Seed:          seed,
+				Seed:          *seed,
 			},
 			Gate: arena.GateConfig{
 				Games:        *gateGames,
@@ -108,39 +109,37 @@ func LearnerFlags(fs *flag.FlagSet, run RunFlags) func() (LearnerConfig, error) 
 				Playouts:     *gatePlayouts,
 				Temperature:  0.2,
 				TempMoves:    6,
-				Seed:         seed + 1_000_003,
+				Seed:         *seed + 1_000_003,
 			},
 		}, nil
 	}
-}
-
-// WorkerFlags registers the self-play fleet's options on fs and returns the
-// function that, once fs is parsed, fills a WorkerConfig from them. ID, Dial,
-// Rounds, BufferEpisodes and Logf are the caller's to set.
-func WorkerFlags(fs *flag.FlagSet, run RunFlags) func() (WorkerConfig, error) {
-	var (
-		nGames   = fs.Int("games", 8, "concurrent self-play games (tenants of the local shared service)")
-		playouts = mcts.PlayoutsFlag(fs, 100, " of the self-play engines")
-		workers  = fs.Int("workers", 4, "inference threads of the local service; also each game's in-flight bound")
-	)
-	return func() (WorkerConfig, error) {
+	worker = func() (WorkerConfig, error) {
 		if *nGames < 1 || *workers < 1 {
 			return WorkerConfig{}, errors.New("-games and -workers must be >= 1")
 		}
-		g, err := game.NewFromSpec(*run.GameSpec)
+		g, err := game.NewFromSpec(*spec)
+		if err != nil {
+			return WorkerConfig{}, err
+		}
+		transSize, err := tree.ParseTransposeSpec(*transpose)
 		if err != nil {
 			return WorkerConfig{}, err
 		}
 		return WorkerConfig{
-			Game:      g,
-			GameSpec:  *run.GameSpec,
-			Games:     *nGames,
-			Playouts:  *playouts,
-			Workers:   *workers,
-			TempMoves: 6,
-			Seed:      *run.Seed,
+			ID:             *id,
+			Game:           g,
+			GameSpec:       *spec,
+			Games:          *nGames,
+			Playouts:       *playouts,
+			Workers:        *workers,
+			ReuseTree:      *reuse,
+			TransposeSize:  transSize,
+			TempMoves:      6,
+			Seed:           *seed,
+			BufferEpisodes: *buffer,
 		}, nil
 	}
+	return learner, worker
 }
 
 // RoundLine formats one consumed round.

@@ -207,9 +207,9 @@ func TestWorkerDeathDoesNotStallLearner(t *testing.T) {
 // stores. The new learner must resume from the committed version, the
 // workers must redial with backoff and re-hello, and training must
 // continue with version numbering intact. The "train" case is cmd/train's
-// wiring run twice on the same directories instead: one learner and one
-// worker per process, the worker's fleet as wide as a round and playing
-// exactly the learner's rounds, each network behind a cache of its own.
+// default role run twice on the same directories instead: InProcess's one
+// learner and one worker per process, each network behind a cache of its
+// own.
 func TestLearnerRestartResumes(t *testing.T) {
 	for _, inProcess := range []bool{false, true} {
 		name := "fleet"
@@ -234,36 +234,35 @@ func testRestartResumes(t *testing.T, inProcess bool) {
 	}
 	var workers []*Worker
 	workerDone := make(chan WorkerStats, 2) // either case starts two workers
-	start := func(cfg WorkerConfig) {
-		w, err := NewWorker(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(w *Worker) {
 		workers = append(workers, w)
 		go func() { workerDone <- w.Run() }()
 	}
-	// phase starts a learner on the shared directories and, for the train
-	// wiring, the one worker that lives and dies with it.
+	// phase starts a learner on the shared directories: on the shared fabric
+	// for the fleet, or InProcess with the one worker that lives and dies
+	// with it.
 	phase := func(rounds, gateEvery int) (*Learner, LearnerConfig, *trajstore.Store) {
-		lis, err := fabric.Listen()
-		if err != nil {
-			t.Fatalf("binding the fabric: %v", err)
-		}
 		cfg := testLearnerConfig(t, ckptDir, rounds)
 		cfg.Loop.GateEvery = gateEvery
 		cfg.Traj = openTraj()
+		var learner *Learner
+		var err error
 		if inProcess {
-			cfg.RoundGames = 2
+			wcfg := testWorkerConfig(t, "local", nil, 1)
+			wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator { return evaluate.NewCached(evaluate.NewNN(net), 1<<10) }
+			var w *Worker
+			if learner, w, err = InProcess(cfg, wcfg); err == nil {
+				run(w)
+			}
+		} else {
+			lis, lerr := fabric.Listen()
+			if lerr != nil {
+				t.Fatalf("binding the fabric: %v", lerr)
+			}
+			learner, err = NewLearner(lis, cfg)
 		}
-		learner, err := NewLearner(lis, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if inProcess {
-			wcfg := testWorkerConfig(t, "local", fabric.Dialer(), 1)
-			wcfg.Rounds = rounds
-			wcfg.NewEvaluator = func(net *nn.Network) evaluate.Evaluator { return evaluate.NewCached(evaluate.NewNN(net), 1<<10) }
-			start(wcfg)
 		}
 		return learner, cfg, cfg.Traj
 	}
@@ -271,7 +270,11 @@ func testRestartResumes(t *testing.T, inProcess bool) {
 	// Phase 1: short run, at least one promotion.
 	if !inProcess {
 		for i := 0; i < 2; i++ {
-			start(testWorkerConfig(t, "w"+string(rune('0'+i)), fabric.Dialer(), uint64(i+1)))
+			w, err := NewWorker(testWorkerConfig(t, "w"+string(rune('0'+i)), fabric.Dialer(), uint64(i+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(w)
 		}
 	}
 	learner1, _, traj1 := phase(4, 1)

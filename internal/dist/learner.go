@@ -261,12 +261,13 @@ func (l *Learner) Version() int64 {
 	return l.cur.man.Version
 }
 
-// Stop ends the run: the loop drains (train.LoopConfig.Stop), the listener
-// stops accepting, and every worker connection is closed. Idempotent.
+// Stop ends the run: the listener closes first, so a worker whose handler
+// sees the stop cannot redial into the ending run; then the loop drains
+// (train.LoopConfig.Stop) and every worker connection closes. Idempotent.
 func (l *Learner) Stop() {
 	l.stopOnce.Do(func() {
-		close(l.stop)
 		l.lis.Close()
+		close(l.stop)
 		l.mu.Lock()
 		for c := range l.conns {
 			c.Close()

@@ -22,6 +22,27 @@ type Network struct {
 // NewNetwork creates an empty fabric.
 func NewNetwork() *Network { return &Network{} }
 
+// InProcess joins a learner and one worker on a fresh Network, as cmd/train
+// runs them by default: a round is the worker's fleet of games, and the
+// worker plays exactly the learner's rounds, so no generated game goes unused
+// at the end of a run. It sets wcfg's Dial and Rounds and lcfg's RoundGames.
+func InProcess(lcfg LearnerConfig, wcfg WorkerConfig) (*Learner, *Worker, error) {
+	fabric := NewNetwork()
+	wcfg.Dial = fabric.Dialer()
+	wcfg.Rounds = lcfg.Loop.Rounds
+	worker, err := NewWorker(wcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	lis, err := fabric.Listen()
+	if err != nil {
+		return nil, nil, err
+	}
+	lcfg.RoundGames = worker.cfg.Games
+	learner, err := NewLearner(lis, lcfg)
+	return learner, worker, err
+}
+
 // Listen binds the fabric's single learner endpoint. It fails while a
 // previous listener is still open.
 func (n *Network) Listen() (Listener, error) {

@@ -486,14 +486,16 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 }
 
 // finishLocked marks a session's game complete and gives back its search:
-// the engine's tree returns to the arena pool for the next game and the
-// client closes, so a finished game holds no tree. The session stays
-// queryable until evicted, but moves to the LRU tail so budget pressure
-// reclaims finished games first. Caller holds sess.mu.
+// the engine's tree returns to the arena pool for the next game, the client
+// closes, and the session drops both with its sampler and policy scratch, so
+// a finished game holds nothing of its search. The session stays queryable
+// until evicted, but moves to the LRU tail so budget pressure reclaims
+// finished games first. Caller holds sess.mu.
 func (s *Service) finishLocked(sess *gameSession) {
 	sess.done = true
 	sess.engine.Close()
 	sess.cl.Close()
+	sess.engine, sess.cl, sess.rnd, sess.dist = nil, nil, nil, nil
 	s.completed.Add(1)
 	s.mu.Lock()
 	if sess.elem != nil {
@@ -694,15 +696,14 @@ type gameSession struct {
 
 // shutdown finishes a session: it waits for an in-flight move to complete
 // (session mutex), marks the session closed so late requests get ErrGone,
-// closes the engine (which drains and discards the tree) and the client.
+// and, unless the game already finished and gave them back, closes the
+// engine (which drains and discards the tree) and the client.
 func (sess *gameSession) shutdown() {
 	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		return
+	if !sess.closed && sess.engine != nil {
+		sess.engine.Close()
+		sess.cl.Close()
 	}
 	sess.closed = true
-	sess.engine.Close()
-	sess.cl.Close()
 	sess.mu.Unlock()
 }

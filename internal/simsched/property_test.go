@@ -60,25 +60,20 @@ func TestPropertyLocalCPULowerBounds(t *testing.T) {
 
 func TestPropertyAccelTotalAtLeastComputeSum(t *testing.T) {
 	// Device compute is serialized, so no schedule can finish before the
-	// sum of all kernel times.
+	// sum of the kernel times of the batches it launched.
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		w, playouts := randomWorkload(r)
-		m := w.GPU
 		n := r.Intn(32) + 1
 		b := r.Intn(n) + 1
-		res := LocalAccel(w, playouts, n, b)
-		fullBatches := playouts / b
-		rem := playouts % b
 		var computeSum time.Duration
-		computeSum += time.Duration(fullBatches) * m.ComputeTime(b)
-		if rem > 0 {
-			computeSum += m.ComputeTime(rem)
-		}
-		// Partial flushes can change the batch decomposition; use the
-		// weaker but universal bound of per-sample compute alone.
-		perSampleOnly := time.Duration(playouts) * m.ComputePerSample
-		return res.Total >= perSampleOnly && res.Total > 0 && computeSum > 0
+		dev := device(w)
+		total, batches := local(w, playouts, n, b, func(at time.Duration, size int) time.Duration {
+			computeSum += w.GPU.ComputeTime(size)
+			return dev(at, size)
+		})
+		return result(total, playouts, batches) == LocalAccel(w, playouts, n, b) &&
+			computeSum > 0 && total >= computeSum
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
