@@ -32,38 +32,36 @@
 //
 // # Kernel dispatch
 //
-// The numeric floor of every playout is internal/tensor: im2col + one
-// blocked GEMM (MatMulTransB; MatMul transposes B and calls it) over
-// hand-written amd64 micro-kernels. The kernel class is selected once at
-// init by CPUID and XCR0 feature detection, the best the host can run —
-// "avx512" (AVX512F+VL: a 3x8 register tile of sixteen-lane FMA chains
-// whose last step is masked to the K elements left; everything else as
-// avx2), "avx2" (8-wide FMA kernels: a 3x4 register tile run down a panel
-// of A rows, which reuses every loaded vector across rows of both operands
-// and writes C itself; an eight-rows-to-a-vector kernel for the columns that
-// are summed sequentially; an 8-wide bias add) or
-// "generic" (pure Go, any GOARCH, and what an amd64 host without AVX2+FMA
-// runs) — and all three are dispatched through the same function variables,
-// so the TENSOR_KERNEL env var (or tensor.SetKernel, or the binaries'
-// -kernel flag) can force any class the host supports: equivalence tests and
-// the FuzzDotKernels and FuzzDotTile targets hold every compiled-in class to
-// the float64 result and each tile to its class's pure-Go bit model.
+// The numeric floor of every playout is internal/tensor: channels-last
+// im2col + one blocked GEMM (tensor.Dense, C = A·B plus a bias through an
+// optional ReLU; MatMul is it bare) over hand-written amd64 register tiles.
+// The kernel class is selected once at init by CPUID and XCR0 feature
+// detection, the best the host can run — "avx512" (AVX512F+VL: six rows of C
+// by four 16-lane vectors, or one masked vector for narrow outputs), "avx2"
+// (six rows by two 8-lane vectors, or one masked vector) or "generic" (pure
+// Go, any GOARCH, and what an amd64 host without AVX2+FMA runs) — and the
+// tile is dispatched through one function variable, so the TENSOR_KERNEL env
+// var (or tensor.SetKernel, or the binaries' -kernel flag) can force any
+// class the host supports. Each tile is a broadcast tile: per k it loads one
+// row of B and broadcasts each row's element of A, so every output in every
+// class is one fp32 FMA chain over k in order (the generic class rounds each
+// step once, as the hardware does). TestMatMulKernelEquivalence, the
+// FuzzGEMM target and TestElementsAreStandAloneChains hold every class to
+// that chain, element by element.
 //
-// The forward pass has a bitwise contract. Within a kernel class an output
-// element's rounding depends on its column (its pixel) and on nothing else,
-// the batched convolution gathers and multiplies one sample at a time, and
-// the 3x3/pad-1 and 1x1 gathers are special cases of the general im2col
-// that write the same patch matrix in every class (the 3x3 one an assembly
-// patch-row kernel in avx2 and avx512); so nn.ForwardBatch gives a
-// sample the bits of a batch holding it alone, at every batch size and slot
-// (TestForwardBatchMatchesForward), and TestForwardGolden pins the b = 1 bits
-// per kernel class: the generic and avx2 rows to constants recorded before
-// the register tile existed, the avx512 row to those of its own tile.
+// The forward pass has a bitwise contract. An output element's bits depend
+// on its own patch row and weight column alone, in every kernel class, and
+// the 3x3/pad-1 gather is a special case of the general im2col; so
+// nn.ForwardBatch gives a sample the bits of a batch holding it alone, at
+// every batch size and slot (TestForwardBatchMatchesForward), the classes
+// agree bit for bit, and TestForwardGolden pins the b = 1 bits with one row
+// of constants for all three. Weights are held in the order the GEMM reads
+// them (in x out) and converted to and from the unchanged checkpoint layout
+// by nn.Save and nn.Load (TestWireLayoutUnchanged).
 // ForwardBatch is the one forward: a single evaluation (evaluate.NN.Evaluate)
 // is a pooled batch of one, and every training step (nn.BackwardSample)
-// runs it at b = 1 and reads its post-ReLU activations, which
-// TestTrainStepGolden pins to the bits of the separate single-sample pass it
-// replaced. That is what lets evaluate.EvaluatorBackend — the backend serve,
+// runs it at b = 1 and reads its post-ReLU activations (TestTrainStepGolden
+// pins the weights after one step). That is what lets evaluate.EvaluatorBackend — the backend serve,
 // cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
 // execute a formed batch as one batched forward per core (at most Workers
 // contiguous sub-batches; *NN and cache views over it, chosen by type

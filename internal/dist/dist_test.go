@@ -643,3 +643,50 @@ func TestWorkersGivenOneSeedPlayDifferentGames(t *testing.T) {
 		seen[frame] = i
 	}
 }
+
+// TestWorkersSeenCountsWorkers: a worker whose connection drops and who
+// redials the same learner is one worker seen, not two.
+func TestWorkersSeenCountsWorkers(t *testing.T) {
+	fabric := NewNetwork()
+	lis, err := fabric.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := NewLearner(lis, testLearnerConfig(t, t.TempDir(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		first Conn
+	)
+	dial := fabric.Dialer()
+	w, err := NewWorker(testWorkerConfig(t, "w0", func() (Conn, error) {
+		c, err := dial()
+		mu.Lock()
+		if first == nil {
+			first = c
+		}
+		mu.Unlock()
+		return c, err
+	}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan WorkerStats, 1)
+	go func() { done <- w.Run() }()
+	learner.Run(func(s train.LoopRoundStats) {
+		if s.Round == 0 {
+			mu.Lock()
+			first.Close() // drop the worker's first connection
+			mu.Unlock()
+		}
+	})
+	w.Stop()
+	if ws := <-done; ws.Reconnects < 1 {
+		t.Fatalf("worker reconnected %d times, want >= 1", ws.Reconnects)
+	}
+	if st := learner.Stats(); st.WorkersSeen != 1 {
+		t.Fatalf("learner saw %d workers, want 1 (one worker, redialled)", st.WorkersSeen)
+	}
+}

@@ -61,7 +61,9 @@ type LearnerConfig struct {
 
 // LearnerStats counts wire-level traffic (all atomics; read via Stats).
 type LearnerStats struct {
-	// WorkersSeen counts accepted hellos; WorkersLive is the current count.
+	// WorkersSeen counts the distinct worker IDs whose hellos were accepted
+	// (a worker that redials counts once); WorkersLive is the current number
+	// of connections.
 	WorkersSeen, WorkersLive int64
 	// HellosRejected counts mismatched-game or malformed hellos.
 	HellosRejected int64
@@ -124,9 +126,10 @@ type Learner struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	mu    sync.Mutex
-	conns map[Conn]struct{}
-	cur   currentCkpt
+	mu      sync.Mutex
+	conns   map[Conn]struct{}
+	workers map[string]struct{} // every worker ID accepted so far
+	cur     currentCkpt
 
 	stats learnerStats
 }
@@ -155,6 +158,7 @@ func NewLearner(lis Listener, cfg LearnerConfig) (*Learner, error) {
 		episodes: make(chan episodeIn, episodeBufferRounds*cfg.RoundGames),
 		stop:     make(chan struct{}),
 		conns:    make(map[Conn]struct{}),
+		workers:  make(map[string]struct{}),
 	}
 
 	// Model half of the resume.
@@ -331,8 +335,11 @@ func (l *Learner) handle(c Conn) {
 	l.mu.Lock()
 	cur := l.cur
 	l.conns[c] = struct{}{}
+	if _, seen := l.workers[hello.WorkerID]; !seen {
+		l.workers[hello.WorkerID] = struct{}{}
+		l.stats.workersSeen.Add(1)
+	}
 	l.mu.Unlock()
-	l.stats.workersSeen.Add(1)
 	l.stats.workersLive.Add(1)
 	defer func() {
 		l.mu.Lock()

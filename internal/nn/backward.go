@@ -16,7 +16,8 @@ type Sample struct {
 	Value  float64   // final outcome r from the mover's perspective, in [-1,1]
 }
 
-// Gradients accumulates parameter gradients with the same layout as Network.
+// Gradients accumulates parameter gradients with the same layout as Network,
+// in memory as well: in x out weights.
 type Gradients struct {
 	ConvW        [5]*tensor.Tensor
 	ConvB        [5]*tensor.Tensor
@@ -28,47 +29,34 @@ type Gradients struct {
 // NewGradients allocates zeroed gradients for net.
 func NewGradients(net *Network) *Gradients {
 	g := &Gradients{}
-	shapes := net.Cfg.convShapes()
-	for i, s := range shapes {
-		g.ConvW[i] = tensor.New(s.OutC, s.ColCols())
-		g.ConvB[i] = tensor.New(s.OutC)
+	ls := net.Cfg.layouts()
+	for i, p := range g.params() {
+		*p = tensor.New(ls[i].shape()...)
 	}
-	hw := net.Cfg.H * net.Cfg.W
-	g.PolW = tensor.New(net.Cfg.NumActions, net.Cfg.PolicyC*hw)
-	g.PolB = tensor.New(net.Cfg.NumActions)
-	g.Val1W = tensor.New(net.Cfg.ValueHide, net.Cfg.ValueC*hw)
-	g.Val1B = tensor.New(net.Cfg.ValueHide)
-	g.Val2W = tensor.New(1, net.Cfg.ValueHide)
-	g.Val2B = tensor.New(1)
 	return g
+}
+
+// params returns the gradient fields in Network.params order.
+func (g *Gradients) params() []**tensor.Tensor {
+	p := make([]**tensor.Tensor, 0, 2*len(g.ConvW)+6)
+	for i := range g.ConvW {
+		p = append(p, &g.ConvW[i], &g.ConvB[i])
+	}
+	return append(p, &g.PolW, &g.PolB, &g.Val1W, &g.Val1B, &g.Val2W, &g.Val2B)
 }
 
 // Add accumulates other into g.
 func (g *Gradients) Add(other *Gradients) {
-	pair := func(a, b *tensor.Tensor) { a.AXPY(1, b) }
-	for i := range g.ConvW {
-		pair(g.ConvW[i], other.ConvW[i])
-		pair(g.ConvB[i], other.ConvB[i])
+	o := other.params()
+	for i, p := range g.params() {
+		(*p).AXPY(1, *o[i])
 	}
-	pair(g.PolW, other.PolW)
-	pair(g.PolB, other.PolB)
-	pair(g.Val1W, other.Val1W)
-	pair(g.Val1B, other.Val1B)
-	pair(g.Val2W, other.Val2W)
-	pair(g.Val2B, other.Val2B)
 }
 
 func (g *Gradients) visit(f func(*tensor.Tensor)) {
-	for i := range g.ConvW {
-		f(g.ConvW[i])
-		f(g.ConvB[i])
+	for _, p := range g.params() {
+		f(*p)
 	}
-	f(g.PolW)
-	f(g.PolB)
-	f(g.Val1W)
-	f(g.Val1B)
-	f(g.Val2W)
-	f(g.Val2B)
 }
 
 // Workspace is one training worker's scratch: a capacity-1 BatchWorkspace,
@@ -79,9 +67,9 @@ func (g *Gradients) visit(f func(*tensor.Tensor)) {
 type Workspace struct {
 	fwd *BatchWorkspace
 
-	dConvPre  [5][]float32 // gradient w.r.t. conv pre-activation
+	dConvPre  [5][]float32 // gradient w.r.t. conv pre-activation, pix x OutC
 	dCol      [5][]float32
-	dInput    [5][]float32 // gradient flowing into each conv's input
+	dInput    [5][]float32 // gradient flowing into each conv's input, channels-last
 	dLogits   []float32    // the forward's policy, then the gradient w.r.t. the logits
 	dPolAct   []float32
 	dVHide    []float32
@@ -111,9 +99,9 @@ func NewWorkspace(net *Network) *Workspace {
 // valueLoss = (v - z)^2, policyLoss = -pi . log p  (Equation 2 without the
 // L2 term, which the optimizer applies as weight decay).
 //
-// The backward pass reads the forward's post-ReLU activations (a batch of
-// one is laid out as a single sample) and gates every ReLU on act > 0, which
-// holds exactly where the pre-activation was positive.
+// The backward pass reads the forward's channels-last post-ReLU activations
+// (a batch of one is laid out as a single sample) and gates every ReLU on
+// act > 0, which holds exactly where the pre-activation was positive.
 func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (valueLoss, policyLoss float64) {
 	f := ws.fwd
 	in, pol := [1][]float32{s.Input}, [1][]float32{ws.dLogits}
@@ -152,19 +140,15 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 	denseBackward(ws.dVAct, net.Val1W.Data, g.Val1W.Data, g.Val1B.Data, ws.dVHide, f.convAct[4])
 	// through value-conv ReLU
 	reluBackInto(ws.dConvPre[4], ws.dVAct, f.convAct[4])
-	// value 1x1 conv backward
-	sv := f.shapes[4]
-	tensor.Im2Col(f.col, f.convAct[2], sv)
+	// value 1x1 conv backward: the trunk output is its patch matrix.
 	tensor.Conv2DBackward(ws.dInput[4], g.ConvW[4].Data, g.ConvB[4].Data,
-		ws.dConvPre[4], net.ConvW[4].Data, f.col, ws.dCol[4], sv)
+		ws.dConvPre[4], net.ConvW[4].Data, f.convAct[2], ws.dCol[4], f.shapes[4])
 
 	// ---- policy head backward ----
 	denseBackward(ws.dPolAct, net.PolW.Data, g.PolW.Data, g.PolB.Data, ws.dLogits, f.convAct[3])
 	reluBackInto(ws.dConvPre[3], ws.dPolAct, f.convAct[3])
-	// The value head's gather of the same trunk output is still in f.col.
-	sp := f.shapes[3]
 	tensor.Conv2DBackward(ws.dInput[3], g.ConvW[3].Data, g.ConvB[3].Data,
-		ws.dConvPre[3], net.ConvW[3].Data, f.col, ws.dCol[3], sp)
+		ws.dConvPre[3], net.ConvW[3].Data, f.convAct[2], ws.dCol[3], f.shapes[3])
 
 	// ---- trunk backward ----
 	for i := range ws.trunkGrad {
@@ -176,7 +160,7 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 		reluBackInto(ws.dConvPre[layer], upstream, f.convAct[layer])
 		// Recompute this conv's im2col from its forward input (the col
 		// buffer holds whichever gather ran last).
-		fwdIn := s.Input
+		fwdIn := f.xIn
 		if layer > 0 {
 			fwdIn = f.convAct[layer-1]
 		}
@@ -188,27 +172,26 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 	return valueLoss, policyLoss
 }
 
-// denseBackward accumulates dW/dB and computes dIn for out = W.in + b:
+// denseBackward accumulates dW/dB and computes dIn for out = in.W + b,
+// with W in x out:
 //
-//	dW[o][i] += dOut[o] * in[i]
+//	dW[i][o] += in[i] * dOut[o]
 //	dB[o]    += dOut[o]
-//	dIn[i]    = sum_o dOut[o] * W[o][i]
+//	dIn[i]    = sum_o dOut[o] * W[i][o]
 func denseBackward(dIn, w, dW, dB, dOut, in []float32) {
-	inLen := len(in)
-	for i := range dIn {
-		dIn[i] = 0
-	}
+	nOut := len(dOut)
 	for o, g := range dOut {
 		dB[o] += g
-		if g == 0 {
-			continue
+	}
+	for i, v := range in {
+		wRow := w[i*nOut : (i+1)*nOut]
+		dwRow := dW[i*nOut : (i+1)*nOut]
+		var sum float32
+		for o, g := range dOut {
+			dwRow[o] += g * v
+			sum += g * wRow[o]
 		}
-		wRow := w[o*inLen : (o+1)*inLen]
-		dwRow := dW[o*inLen : (o+1)*inLen]
-		for i, v := range in {
-			dwRow[i] += g * v
-			dIn[i] += g * wRow[i]
-		}
+		dIn[i] = sum
 	}
 }
 

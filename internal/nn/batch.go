@@ -8,12 +8,12 @@ import (
 )
 
 // BatchWorkspace holds every buffer one batched forward pass needs, sized
-// for a maximum batch. Activations live in the batch-major layout of
-// tensor.Conv2DForwardBatch (channel plane c of sample b at offset
-// (c*batch+b)*H*W), so each conv layer runs the whole batch against one
-// weight panel — pulled through the cache once per layer instead of once per
-// sample, which is where the accelerator's batch-throughput curve comes
-// from — gathering and multiplying one sample at a time.
+// for a maximum batch. Activations are channels-last, one sample after
+// another (pixel p of sample b holds its channels at (b*H*W+p)*C), so a
+// layer's (B*pix) x OutC output is the next layer's input as it stands: the
+// 3x3 convolutions gather a sample's patch rows out of it, the heads' 1x1
+// convolutions multiply it as their patch matrix, and the dense layers read
+// a sample's rows as its flattened features.
 //
 // A workspace is not safe for concurrent use; concurrent sub-batches each
 // take their own from a BatchWorkspacePool.
@@ -22,11 +22,9 @@ type BatchWorkspace struct {
 	shapes [5]tensor.Conv2DShape
 	capB   int
 
-	xIn     []float32    // InC x (B*H*W): layer-0 input, packed batch-major
-	convAct [5][]float32 // per layer: OutC x (B*pix), post-ReLU
-	col     []float32    // one sample's im2col scratch, sized for the widest layer
-	polIn   []float32    // B rows of PolicyC*H*W (per-sample, for the FC head)
-	valIn   []float32    // B rows of ValueC*H*W
+	xIn     []float32    // (B*H*W) x InC: the inputs, packed channels-last
+	convAct [5][]float32 // per layer: (B*pix) x OutC, post-ReLU
+	col     []float32    // one sample's im2col scratch, sized for the widest trunk layer
 	logits  []float32    // B x NumActions
 	vHide   []float32    // B x ValueHide
 	vOut    []float32    // B (pre-tanh)
@@ -45,13 +43,11 @@ func NewBatchWorkspace(net *Network, maxBatch int) *BatchWorkspace {
 	maxCol := 0
 	for i, s := range ws.shapes {
 		ws.convAct[i] = make([]float32, s.OutC*maxBatch*s.ColRows())
-		if c := s.ColRows() * s.ColCols(); c > maxCol {
+		if c := s.ColRows() * s.ColCols(); i < 3 && c > maxCol {
 			maxCol = c
 		}
 	}
 	ws.col = make([]float32, maxCol)
-	ws.polIn = make([]float32, maxBatch*cfg.PolicyC*hw)
-	ws.valIn = make([]float32, maxBatch*cfg.ValueC*hw)
 	ws.logits = make([]float32, maxBatch*cfg.NumActions)
 	ws.vHide = make([]float32, maxBatch*cfg.ValueHide)
 	ws.vOut = make([]float32, maxBatch)
@@ -97,10 +93,10 @@ func (p *BatchWorkspacePool) ForwardBatch(inputs [][]float32, policies [][]float
 // ws.Cap().
 //
 // The outputs for a sample are bit for bit those of a batch holding it
-// alone, at every batch size and slot: each sample's convolutions are
-// multiplied on their own and the dense heads round an output by its column
-// alone (TestForwardBatchMatchesForward). TestForwardGolden pins the b = 1
-// bits per kernel class.
+// alone, at every batch size and slot, and the same in every kernel class:
+// every layer is tensor.Dense, whose outputs are each one FMA chain that
+// reads nothing of the other samples (TestForwardBatchMatchesForward).
+// TestForwardGolden pins the b = 1 bits.
 func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policies [][]float32, values []float64) {
 	b := len(inputs)
 	if b == 0 {
@@ -125,51 +121,37 @@ func (net *Network) ForwardBatch(ws *BatchWorkspace, inputs [][]float32, policie
 	hw := cfg.H * cfg.W
 
 	// Trunk: three 3x3 convolutions over the whole batch.
-	tensor.PackBatch(ws.xIn[:cfg.InC*b*hw], inputs, cfg.InC, hw)
+	tensor.PackChannelsLast(ws.xIn[:b*hw*cfg.InC], inputs, cfg.InC, hw)
 	cur := ws.xIn
 	for i := 0; i < 3; i++ {
 		s := ws.shapes[i]
-		out := ws.convAct[i][:s.OutC*b*s.ColRows()]
-		tensor.Conv2DForwardBatch(cur, ws.col, s, b, tensor.ConvOut{Out: out, Weight: net.ConvW[i].Data, Bias: net.ConvB[i].Data})
-		tensor.ReLUInPlace(out)
+		out := ws.convAct[i][:b*s.ColRows()*s.OutC]
+		tensor.Conv2DForwardBatch(out, cur, ws.col, net.ConvW[i].Data, net.ConvB[i].Data, s, b, true)
 		cur = out
 	}
 
-	// Heads: the policy and value 1x1 convolutions read the same trunk
-	// output, so each sample is gathered once for both.
-	sp, sv := ws.shapes[3], ws.shapes[4]
-	pAct := ws.convAct[3][:sp.OutC*b*hw]
-	vAct := ws.convAct[4][:sv.OutC*b*hw]
-	tensor.Conv2DForwardBatch(cur, ws.col, sp, b,
-		tensor.ConvOut{Out: pAct, Weight: net.ConvW[3].Data, Bias: net.ConvB[3].Data},
-		tensor.ConvOut{Out: vAct, Weight: net.ConvW[4].Data, Bias: net.ConvB[4].Data})
+	// Heads: the policy and value 1x1 convolutions take the trunk output as
+	// their patch matrix, every pixel of the batch in one GEMM each.
+	c3 := cfg.Trunk[2]
+	pAct := ws.convAct[3][:b*hw*cfg.PolicyC]
+	vAct := ws.convAct[4][:b*hw*cfg.ValueC]
+	tensor.Dense(pAct, cur, net.ConvW[3].Data, net.ConvB[3].Data, b*hw, c3, cfg.PolicyC, true)
+	tensor.Dense(vAct, cur, net.ConvW[4].Data, net.ConvB[4].Data, b*hw, c3, cfg.ValueC, true)
 
-	// Policy head: ReLU + batched FC + row-wise softmax.
-	tensor.ReLUInPlace(pAct)
-	pD := cfg.PolicyC * hw
-	polIn := ws.polIn[:b*pD]
-	tensor.UnpackBatch(polIn, pAct, cfg.PolicyC, hw, b)
+	// Policy head: batched FC + row-wise softmax.
 	logits := ws.logits[:b*cfg.NumActions]
-	tensor.MatMulTransB(logits, polIn, net.PolW.Data, b, pD, cfg.NumActions)
-	tensor.AddBiasRows(logits, net.PolB.Data, b, cfg.NumActions)
+	tensor.Dense(logits, pAct, net.PolW.Data, net.PolB.Data, b, hw*cfg.PolicyC, cfg.NumActions, false)
 	for i := 0; i < b; i++ {
 		softmax(policies[i], logits[i*cfg.NumActions:(i+1)*cfg.NumActions])
 	}
 
-	// Value head: ReLU + batched FC + ReLU + batched FC + tanh.
-	tensor.ReLUInPlace(vAct)
-	vD := cfg.ValueC * hw
-	valIn := ws.valIn[:b*vD]
-	tensor.UnpackBatch(valIn, vAct, cfg.ValueC, hw, b)
+	// Value head: batched FC + ReLU + batched FC + tanh.
 	vHide := ws.vHide[:b*cfg.ValueHide]
-	tensor.MatMulTransB(vHide, valIn, net.Val1W.Data, b, vD, cfg.ValueHide)
-	tensor.AddBiasRows(vHide, net.Val1B.Data, b, cfg.ValueHide)
-	tensor.ReLUInPlace(vHide)
+	tensor.Dense(vHide, vAct, net.Val1W.Data, net.Val1B.Data, b, hw*cfg.ValueC, cfg.ValueHide, true)
 	vOut := ws.vOut[:b]
-	tensor.MatMulTransB(vOut, vHide, net.Val2W.Data, b, cfg.ValueHide, 1)
-	vb := net.Val2B.Data[0]
-	for i := 0; i < b; i++ {
-		values[i] = math.Tanh(float64(vOut[i] + vb))
+	tensor.Dense(vOut, vHide, net.Val2W.Data, net.Val2B.Data, b, cfg.ValueHide, 1, false)
+	for i, v := range vOut {
+		values[i] = math.Tanh(float64(v))
 	}
 }
 

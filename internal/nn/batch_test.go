@@ -14,15 +14,13 @@ import (
 // ForwardBatch's policy and value for a sample are, bit for bit, those of the
 // sample forwarded alone as a batch of one (what an evaluation of a single
 // position and a training step run), whatever the batch size and wherever the
-// sample sits in the batch. It holds because every convolution multiplies
-// each sample's patch matrix on its own (tensor.Conv2DForwardBatch), the
-// dense heads' GEMM rounds an output by its column alone, and everything
-// else is elementwise. Checked
-// on the paper's network over the default board of every registered game
-// (their pixel counts fall differently across the register-tile, dot4 and
-// scalar-tail columns), on the tiny test network, and under every kernel
-// class this host can run; the CI kernel matrix repeats it with each class
-// forced from process start.
+// sample sits in the batch. It holds because every layer is tensor.Dense,
+// each of whose outputs is one FMA chain over its own patch row or input
+// row, and everything else is elementwise. Checked on the paper's network
+// over the default board of every registered game (their pixel counts fall
+// differently across the six-row tiles), on the tiny test network, and
+// under every kernel class this host can run; the CI kernel matrix repeats
+// it with each class forced from process start.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	configs := map[string]Config{"tiny": TinyConfig(3, 7, 7, 49)}
 	for _, name := range game.Names() {

@@ -121,44 +121,88 @@ func (c Config) convShapes() [5]tensor.Conv2DShape {
 type Network struct {
 	Cfg Config
 
-	ConvW [5]*tensor.Tensor // each OutC x (InC*KH*KW)
+	// Weights are held in the order the GEMM reads them, in x out: a
+	// convolution's rows are its patch-matrix columns, taps (ky, kx, c) in
+	// the gather's order; a dense layer's rows are its input's
+	// channels-last flatten, (pixel, channel). Save and Load convert from
+	// and to the wire's out x in layout (see layout).
+	ConvW [5]*tensor.Tensor // each (KH*KW*InC) x OutC
 	ConvB [5]*tensor.Tensor // each OutC
 
-	PolW  *tensor.Tensor // NumActions x (PolicyC*H*W)
+	PolW  *tensor.Tensor // (H*W*PolicyC) x NumActions
 	PolB  *tensor.Tensor // NumActions
-	Val1W *tensor.Tensor // ValueHide x (ValueC*H*W)
+	Val1W *tensor.Tensor // (H*W*ValueC) x ValueHide
 	Val1B *tensor.Tensor // ValueHide
-	Val2W *tensor.Tensor // 1 x ValueHide
+	Val2W *tensor.Tensor // ValueHide x 1
 	Val2B *tensor.Tensor // 1
 }
 
-// paramShapes returns the shape of every parameter in visitParams order:
-// a weight matrix (out x in) followed by its bias (out) for each layer.
-func (c Config) paramShapes() [][]int {
-	var shapes [][]int
+// layout places one parameter: a weight of out units over ch input channels
+// of px positions each (kernel taps or board pixels), or a bias of out
+// (ch = px = 1, bias set). On the wire a weight is out x ch x px, each
+// unit's row channel-major as the network was first written; in memory it
+// is px x ch x out, the GEMM's in x out.
+type layout struct {
+	out, ch, px int
+	bias        bool
+}
+
+// layouts returns every parameter's layout in visitParams order: a weight
+// followed by its bias for each layer.
+func (c Config) layouts() []layout {
+	var ls []layout
 	for _, s := range c.convShapes() {
-		shapes = append(shapes, []int{s.OutC, s.ColCols()}, []int{s.OutC})
+		ls = append(ls, layout{out: s.OutC, ch: s.InC, px: s.KH * s.KW}, layout{out: s.OutC, ch: 1, px: 1, bias: true})
 	}
 	hw := c.H * c.W
-	return append(shapes,
-		[]int{c.NumActions, c.PolicyC * hw}, []int{c.NumActions},
-		[]int{c.ValueHide, c.ValueC * hw}, []int{c.ValueHide},
-		[]int{1, c.ValueHide}, []int{1})
+	return append(ls,
+		layout{out: c.NumActions, ch: c.PolicyC, px: hw}, layout{out: c.NumActions, ch: 1, px: 1, bias: true},
+		layout{out: c.ValueHide, ch: c.ValueC, px: hw}, layout{out: c.ValueHide, ch: 1, px: 1, bias: true},
+		layout{out: 1, ch: c.ValueHide, px: 1}, layout{out: 1, ch: 1, px: 1, bias: true})
+}
+
+// len returns the parameter's element count.
+func (l layout) len() int { return l.out * l.ch * l.px }
+
+// shape returns the in-memory shape.
+func (l layout) shape() []int {
+	if l.bias {
+		return []int{l.out}
+	}
+	return []int{l.px * l.ch, l.out}
+}
+
+// convert copies a parameter between its wire and memory layouts, to the
+// wire when toWire is set.
+func (l layout) convert(dst, src []float32, toWire bool) {
+	for o := 0; o < l.out; o++ {
+		for c := 0; c < l.ch; c++ {
+			for p := 0; p < l.px; p++ {
+				w, m := (o*l.ch+c)*l.px+p, (p*l.ch+c)*l.out+o
+				if toWire {
+					dst[w] = src[m]
+				} else {
+					dst[m] = src[w]
+				}
+			}
+		}
+	}
 }
 
 // New creates a network with He-initialised weights drawn from r and zero
-// biases.
+// biases. The weights are drawn in wire order, so a seed makes the same
+// network whatever the memory layout.
 func New(cfg Config, r *rng.Rand) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{Cfg: cfg}
-	shapes := cfg.paramShapes()
+	ls := cfg.layouts()
 	for i, p := range n.params() {
-		if s := shapes[i]; len(s) == 2 {
-			*p = heInit(r, s[0], s[1])
-		} else {
-			*p = tensor.New(s...)
+		l := ls[i]
+		*p = tensor.New(l.shape()...)
+		if !l.bias {
+			l.convert((*p).Data, heInit(r, l.len(), l.ch*l.px), false)
 		}
 	}
 	return n, nil
@@ -173,16 +217,17 @@ func MustNew(cfg Config, r *rng.Rand) *Network {
 	return n
 }
 
-func heInit(r *rng.Rand, fanOut, fanIn int) *tensor.Tensor {
-	t := tensor.New(fanOut, fanIn)
+// heInit draws n weights of standard deviation sqrt(2/fanIn).
+func heInit(r *rng.Rand, n, fanIn int) []float32 {
+	w := make([]float32, n)
 	std := float32(1.0)
 	if fanIn > 0 {
 		std = float32(1.4142135623730951 / sqrtF(float64(fanIn)))
 	}
-	for i := range t.Data {
-		t.Data[i] = float32(r.NormFloat64()) * std
+	for i := range w {
+		w[i] = float32(r.NormFloat64()) * std
 	}
-	return t
+	return w
 }
 
 func sqrtF(x float64) float64 {
@@ -205,7 +250,7 @@ func (n *Network) NumParams() int {
 }
 
 // params returns the parameter fields in a fixed order — the order of
-// paramShapes, visitParams and the wire format.
+// layouts, visitParams and the wire format.
 func (n *Network) params() []**tensor.Tensor {
 	p := make([]**tensor.Tensor, 0, 2*len(n.ConvW)+6)
 	for i := range n.ConvW {

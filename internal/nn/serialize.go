@@ -16,7 +16,8 @@ import (
 const wireFormat = 1
 
 // netWire is the gob wire format: format version, configuration, and
-// parameter payloads in visitParams order.
+// parameter payloads in visitParams order, each weight out x in with its
+// input channel-major (layout's wire order).
 type netWire struct {
 	Format int
 	Cfg    Config
@@ -26,16 +27,20 @@ type netWire struct {
 // Save writes the network to w in a self-describing binary format.
 func (n *Network) Save(w io.Writer) error {
 	wire := netWire{Format: wireFormat, Cfg: n.Cfg}
-	n.visitParams(func(t *tensor.Tensor) {
-		wire.Params = append(wire.Params, t.Data)
-	})
+	ls := n.Cfg.layouts()
+	for i, p := range n.params() {
+		blob := make([]float32, ls[i].len())
+		ls[i].convert(blob, (*p).Data, true)
+		wire.Params = append(wire.Params, blob)
+	}
 	return gob.NewEncoder(w).Encode(&wire)
 }
 
 // Load reads a network previously written with Save. The stream is untrusted
 // (a worker applies checkpoints received over the wire), so the configuration
 // is validated and every blob's length checked against its parameter's shape
-// before anything is allocated; the blobs then become the parameters.
+// before anything is allocated; the blobs are then converted to the
+// parameters' memory layout.
 func Load(r io.Reader) (*Network, error) {
 	var wire netWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -51,19 +56,20 @@ func Load(r io.Reader) (*Network, error) {
 		return nil, err
 	}
 	net := &Network{Cfg: wire.Cfg}
-	slots, shapes := net.params(), wire.Cfg.paramShapes()
+	slots, ls := net.params(), wire.Cfg.layouts()
 	if len(wire.Params) != len(slots) {
 		return nil, fmt.Errorf("nn: %d parameter blobs, want %d", len(wire.Params), len(slots))
 	}
-	for i, shape := range shapes {
-		n := 1 // validate bounds every product of the config's dimensions
-		for _, d := range shape {
-			n *= d
+	for i, l := range ls {
+		// validate bounds every product of the config's dimensions, so
+		// l.len() cannot overflow.
+		if len(wire.Params[i]) != l.len() {
+			return nil, fmt.Errorf("nn: parameter %d has %d values, want %d", i, len(wire.Params[i]), l.len())
 		}
-		if len(wire.Params[i]) != n {
-			return nil, fmt.Errorf("nn: parameter %d has %d values, want %d", i, len(wire.Params[i]), n)
-		}
-		*slots[i] = &tensor.Tensor{Data: wire.Params[i], Shape: shape}
+	}
+	for i, l := range ls {
+		*slots[i] = tensor.New(l.shape()...)
+		l.convert((*slots[i]).Data, wire.Params[i], false)
 	}
 	return net, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -89,76 +90,21 @@ func randFloats(r *rng.Rand, n int) []float32 {
 	return x
 }
 
-// kernelSizes covers zero-length, sub-tile, non-multiple-of-4/8/16 tails
-// and full-tile lengths.
-var kernelSizes = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 100, 128, 257}
-
-// TestDotKernelEquivalence pins every selectable dot4 kernel against the
-// generic reference within 1e-5 across sizes including tails and
-// zero-length edges.
-func TestDotKernelEquivalence(t *testing.T) {
-	r := rng.New(11)
-	for _, n := range kernelSizes {
-		a := randFloats(r, n)
-		b0, b1, b2, b3 := randFloats(r, n), randFloats(r, n), randFloats(r, n), randFloats(r, n)
-		g0, g1, g2, g3 := dot4Generic(a, b0, b1, b2, b3)
-		for _, k := range Kernels() {
-			if !forceKernel(t, k) {
-				continue
-			}
-			s0, s1, s2, s3 := dot4(a, b0, b1, b2, b3)
-			for i, pair := range [][2]float32{{s0, g0}, {s1, g1}, {s2, g2}, {s3, g3}} {
-				if diff := math.Abs(float64(pair[0] - pair[1])); diff > 1e-5*(1+math.Abs(float64(pair[1]))) {
-					t.Errorf("kernel %s n=%d lane %d: got %g want %g", k, n, i, pair[0], pair[1])
-				}
-			}
-		}
-	}
-}
-
-// TestDotSeqKernelEquivalence pins every selectable dotSeq kernel to the
-// generic one bit for bit — a sequential sum has one order, so the classes
-// may differ only in how many rows they sum at once — across row counts on
-// both sides of the eight-row group and of one blockM call, lengths with and
-// without a tail, storing and accumulating, into a strided C whose other
-// columns must stay untouched.
-func TestDotSeqKernelEquivalence(t *testing.T) {
-	r := rng.New(12)
-	for _, rows := range []int{1, 7, 8, 9, 16, 23, blockM, blockM + 8, 2*blockM + 3} {
-		for _, n := range kernelSizes[1:] {
-			lda, ldc := n+r.Intn(3), 1+r.Intn(3)
-			a := randFloats(r, rows*lda)
-			b := randFloats(r, n)
-			base := randFloats(r, rows*ldc)
-			for _, acc := range []bool{false, true} {
-				want := append([]float32(nil), base...)
-				dotSeqGeneric(want, ldc, a, lda, rows, b, acc)
-				for _, k := range Kernels() {
-					if !forceKernel(t, k) {
-						continue
-					}
-					got := append([]float32(nil), base...)
-					dotSeq(got, ldc, a, lda, rows, b, acc)
-					for i := range got {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("kernel %s rows=%d n=%d acc=%v idx %d: got %g want %g", k, rows, n, acc, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// referenceGEMMTransB is a naive triple loop in float64, the order-free
-// ground truth both blocked fp32 kernels are compared against.
-func referenceGEMMTransB(a, b []float32, m, k, n int) []float64 {
-	c := make([]float64, m*n)
+// chainGEMM is Dense's definition, element by element: each output alone,
+// one fma32 chain over k in order from +0, then its bias, then the ReLU.
+func chainGEMM(a, b, bias []float32, m, k, n int, relu bool) []float32 {
+	c := make([]float32, m*n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			var s float64
+			var s float32
 			for p := 0; p < k; p++ {
-				s += float64(a[i*k+p]) * float64(b[j*k+p])
+				s = fma32(a[i*k+p], b[p*n+j], s)
+			}
+			if bias != nil {
+				s += bias[j]
+			}
+			if relu && s < 0 {
+				s = 0
 			}
 			c[i*n+j] = s
 		}
@@ -166,89 +112,176 @@ func referenceGEMMTransB(a, b []float32, m, k, n int) []float64 {
 	return c
 }
 
-// transBShapes covers every remainder class of the register tile and the
-// blocking around it: m mod 3, the tile's rows (and m below one tile), m mod
-// 8 for the sequential columns, n mod 4, n mod tileGroup and n across a
-// 64-column block, k mod 8 and mod 16 (k on both sides of one and two
-// 16-wide steps), and k beyond one and two 512-wide K blocks.
-var transBShapes = [][3]int{
-	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
-	{2, 8, 8}, {3, 24, 12}, {4, 40, 15}, {5, 9, 16}, {6, 64, 20}, {8, 31, 23},
-	{13, 64, 130}, {64, 36, 81}, {65, 16, 72}, {5, 530, 19}, {9, 1030, 75}, {128, 520, 9},
-	{7, 16, 17}, {4, 31, 24}, {5, 32, 16}, {3, 47, 33}, {10, 48, 81},
+// referenceGEMM is a naive triple loop in float64, the order-free ground
+// truth the fp32 chains are compared against at rounding tolerance.
+func referenceGEMM(a, b []float32, m, k, n int) []float64 {
+	c := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for p := 0; p < k; p++ {
+				s += float64(a[i*k+p]) * float64(b[p*n+j])
+			}
+			c[i*n+j] = s
+		}
+	}
+	return c
 }
 
-// TestMatMulTransBKernelEquivalence runs the full blocked GEMM under every
-// kernel forcing value across transBShapes and compares against a float64
-// reference at rounding tolerance AND, bit for bit, against the GEMM on its
-// class's bit model tile (refMatMulTransB): for avx2 the single-row 1x8 tile
-// — the register tile changed how many accumulators share a loaded vector,
-// not the order in which any output element is summed — and for avx512 the
-// 16-lane model.
-func TestMatMulTransBKernelEquivalence(t *testing.T) {
+// exactFMA32 is fma32's definition: a*b + c summed exactly, rounded once.
+func exactFMA32(a, b, c float32) float32 {
+	x := new(big.Float).SetPrec(512).SetFloat64(float64(a))
+	x.Mul(x, new(big.Float).SetFloat64(float64(b)))
+	x.Add(x, new(big.Float).SetFloat64(float64(c)))
+	f, _ := x.Float32()
+	return f
+}
+
+// TestFMA32RoundsOnce: the generic class's fma32 is the fp32 FMA, rounded
+// once. The pinned triple is one that float32(math.FMA(a, b, c)) gets wrong
+// by rounding twice (16777220); the random ones, on both sides of
+// cancellation and into the subnormals, are checked against an exact sum.
+func TestFMA32RoundsOnce(t *testing.T) {
+	a, b, c := math.Float32frombits(0x3f800001), math.Float32frombits(0x3f7ffffe), math.Float32frombits(0x4b800001)
+	if got := fma32(a, b, c); got != 16777218 {
+		t.Fatalf("fma32(%#x, %#x, %#x) = %.1f, want 16777218", math.Float32bits(a), math.Float32bits(b), math.Float32bits(c), got)
+	}
+	if twice := float32(math.FMA(float64(a), float64(b), float64(c))); twice != 16777220 {
+		t.Fatalf("float32(math.FMA) = %.1f: the pinned triple no longer shows the double rounding", twice)
+	}
+	r := rng.New(3)
+	for i := 0; i < 200000; i++ {
+		// Exponents spread so products and addends overlap, cancel and
+		// underflow.
+		x := math.Float32frombits(uint32(r.Uint64())&0x807fffff | uint32(64+r.Intn(128))<<23)
+		y := math.Float32frombits(uint32(r.Uint64())&0x807fffff | uint32(64+r.Intn(128))<<23)
+		z := math.Float32frombits(uint32(r.Uint64())&0x807fffff | uint32(r.Intn(255))<<23)
+		if i%4 == 0 {
+			z = -float32(float64(x) * float64(y)) // near-total cancellation
+		}
+		if got, want := fma32(x, y, z), exactFMA32(x, y, z); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("fma32(%#x, %#x, %#x) = %#x, want %#x", math.Float32bits(x), math.Float32bits(y), math.Float32bits(z), math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
+// gemmShapes covers every remainder class of the tiles and the blocking
+// around them: m on both sides of a six-row tile and of a 48-row block (and
+// above the parallel threshold), n on both sides of the 8-, 16- and 64-wide
+// tiles (the heads' 4 and 2 channels, the value head's 1 output, 81
+// actions), and k on both sides of one and two K blocks.
+var gemmShapes = [][3]int{
+	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
+	{2, 8, 8}, {6, 24, 16}, {7, 40, 15}, {5, 9, 17}, {12, 64, 20}, {13, 65, 23},
+	{13, 64, 130}, {81, 36, 32}, {81, 128, 4}, {81, 128, 2}, {8, 162, 64}, {8, 64, 1},
+	{49, 129, 64}, {96, 288, 128}, {100, 200, 48}, {1, 324, 81}, {10, 48, 81},
+	{3, blockK, 70}, {7, blockK + 6, 17}, {13, 2*blockK + 1, 64},
+}
+
+// TestMatMulKernelEquivalence runs the blocked GEMM under every kernel class
+// this host runs across gemmShapes, with and without a bias and a ReLU, and
+// holds it bit for bit to chainGEMM (so the classes agree with each other)
+// and to a float64 product at rounding tolerance.
+func TestMatMulKernelEquivalence(t *testing.T) {
 	r := rng.New(23)
-	for _, sh := range transBShapes {
+	for _, sh := range gemmShapes {
 		m, k, n := sh[0], sh[1], sh[2]
-		a := randFloats(r, m*k)
-		b := randFloats(r, n*k)
-		want := referenceGEMMTransB(a, b, m, k, n)
+		a, b, bias := randFloats(r, m*k), randFloats(r, k*n), randFloats(r, n)
+		ref := referenceGEMM(a, b, m, k, n)
 		for _, kn := range Kernels() {
 			if !forceKernel(t, kn) {
 				continue
 			}
 			c := make([]float32, m*n)
-			MatMulTransB(c, a, b, m, k, n)
+			MatMul(c, a, b, m, k, n)
 			for i := range c {
-				if diff := math.Abs(float64(c[i]) - want[i]); diff > 1e-4*(1+math.Abs(want[i])) {
-					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %g want %g", kn, m, k, n, i, c[i], want[i])
+				if diff := math.Abs(float64(c[i]) - ref[i]); diff > 1e-4*(1+math.Abs(ref[i])) {
+					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %g want %g", kn, m, k, n, i, c[i], ref[i])
 				}
 			}
-			ref := make([]float32, m*n)
-			refMatMulTransB(ref, a, b, m, k, n, refTile[kn])
-			for i := range c {
-				if math.Float32bits(c[i]) != math.Float32bits(ref[i]) {
-					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d (row %d col %d): bits %#x, bit model %#x",
-						kn, m, k, n, i, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(ref[i]))
-				}
-			}
-		}
-	}
-}
-
-// TestMatMulTransBIntoSegments: a product written into a column window of a
-// wider C (what Conv2DForwardBatch does per sample) has the bits of the
-// stand-alone product and touches nothing outside its window.
-func TestMatMulTransBIntoSegments(t *testing.T) {
-	r := rng.New(41)
-	for _, sh := range [][3]int{{3, 20, 9}, {7, 33, 13}, {66, 40, 81}, {128, 520, 17}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randFloats(r, m*k)
-		for _, kn := range Kernels() {
-			if !forceKernel(t, kn) {
-				continue
-			}
-			const segs = 3
-			wide := make([]float32, m*segs*n)
-			for i := range wide {
-				wide[i] = -7
-			}
-			for s := segs - 1; s >= 1; s-- { // leave segment 0 untouched
-				b := randFloats(r, n*k)
-				alone := make([]float32, m*n)
-				MatMulTransB(alone, a, b, m, k, n)
-				matMulTransBInto(wide, segs*n, s*n, a, b, m, k, n)
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						if got, want := wide[i*segs*n+s*n+j], alone[i*n+j]; math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("kernel %s m=%d k=%d n=%d seg %d (%d,%d): got %g want %g", kn, m, k, n, s, i, j, got, want)
+			for _, relu := range []bool{false, true} {
+				for _, bs := range [][]float32{nil, bias} {
+					Dense(c, a, b, bs, m, k, n, relu)
+					want := chainGEMM(a, b, bs, m, k, n, relu)
+					for i := range c {
+						if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("kernel %s m=%d k=%d n=%d bias=%v relu=%v (%d,%d): bits %#x, chain %#x",
+								kn, m, k, n, bs != nil, relu, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(want[i]))
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestElementsAreStandAloneChains is the property the network's bits rest
+// on: every output element of a convolution (3x3 and 1x1, on odd boards and
+// channel counts, several samples to a batch) and of a dense layer equals
+// the same product computed alone — its one patch row against its one
+// weight column, an fma32 chain over k in order, then its bias and the ReLU
+// — in every kernel class, so the classes agree bit for bit.
+func TestElementsAreStandAloneChains(t *testing.T) {
+	r := rng.New(51)
+	for _, s := range []Conv2DShape{
+		{InC: 4, InH: 9, InW: 9, OutC: 32, KH: 3, KW: 3, PadH: 1, PadW: 1},
+		{InC: 5, InH: 6, InW: 7, OutC: 70, KH: 3, KW: 3, PadH: 1, PadW: 1},
+		{InC: 33, InH: 3, InW: 5, OutC: 17, KH: 3, KW: 3, PadH: 1, PadW: 1},
+		{InC: 64, InH: 7, InW: 7, OutC: 4, KH: 1, KW: 1},
+		{InC: 3, InH: 8, InW: 6, OutC: 9, KH: 5, KW: 5, PadH: 2, PadW: 2},
+	} {
+		const batch = 3
+		imgLen, pix, kk := s.InH*s.InW*s.InC, s.ColRows(), s.ColCols()
+		imgs, w, bias := randFloats(r, batch*imgLen), randFloats(r, kk*s.OutC), randFloats(r, s.OutC)
+		want := make([]float32, batch*pix*s.OutC)
+		col := make([]float32, pix*kk)
+		for b := 0; b < batch; b++ {
+			im2colGeneral(col, imgs[b*imgLen:], s)
+			for p := 0; p < pix; p++ {
+				// One pixel against one output channel at a time.
+				for o := 0; o < s.OutC; o++ {
+					wcol := make([]float32, kk)
+					for x := range wcol {
+						wcol[x] = w[x*s.OutC+o]
+					}
+					want[(b*pix+p)*s.OutC+o] = chainGEMM(col[p*kk:(p+1)*kk], wcol, bias[o:o+1], 1, kk, 1, true)[0]
+				}
+			}
+		}
+		for _, kn := range Kernels() {
+			if !forceKernel(t, kn) {
+				continue
+			}
+			got := make([]float32, len(want))
+			Conv2DForwardBatch(got, imgs, col, w, bias, s, batch, true)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("kernel %s conv %+v: out[%d] bits %#x, alone %#x", kn, s, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+	// The dense layers: the policy head's 4 channels x 81 pixels to 81
+	// actions, the value head's 2 x 81 to 64 and 64 to 1, at batch 5.
+	for _, sh := range [][2]int{{324, 81}, {162, 64}, {64, 1}} {
+		const m = 5
+		k, n := sh[0], sh[1]
+		a, b, bias := randFloats(r, m*k), randFloats(r, k*n), randFloats(r, n)
+		for _, kn := range Kernels() {
+			if !forceKernel(t, kn) {
+				continue
+			}
+			c := make([]float32, m*n)
+			Dense(c, a, b, bias, m, k, n, false)
 			for i := 0; i < m; i++ {
 				for j := 0; j < n; j++ {
-					if wide[i*segs*n+j] != -7 {
-						t.Fatalf("kernel %s m=%d k=%d n=%d: segment 0 overwritten at (%d,%d)", kn, m, k, n, i, j)
+					bcol := make([]float32, k)
+					for p := range bcol {
+						bcol[p] = b[p*n+j]
+					}
+					alone := chainGEMM(a[i*k:(i+1)*k], bcol, bias[j:j+1], 1, k, 1, false)[0]
+					if math.Float32bits(c[i*n+j]) != math.Float32bits(alone) {
+						t.Fatalf("kernel %s dense k=%d n=%d (%d,%d): bits %#x, alone %#x", kn, k, n, i, j, math.Float32bits(c[i*n+j]), math.Float32bits(alone))
 					}
 				}
 			}
@@ -256,67 +289,12 @@ func TestMatMulTransBIntoSegments(t *testing.T) {
 	}
 }
 
-// TestMatMulKernelEquivalence is the same sweep for MatMul, which takes B
-// untransposed and runs MatMulTransB on its transpose.
-func TestMatMulKernelEquivalence(t *testing.T) {
-	r := rng.New(29)
-	shapes := [][3]int{{1, 1, 1}, {2, 3, 5}, {4, 8, 16}, {7, 33, 13}, {16, 100, 81}, {3, 257, 40}}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randFloats(r, m*k)
-		bT := make([]float32, k*n) // MatMul takes B (k x n) directly
-		for i := range bT {
-			bT[i] = r.Float32()*4 - 2
-		}
-		// reference via transposing B into (n x k) and reusing the helper
-		bRows := make([]float32, n*k)
-		for p := 0; p < k; p++ {
-			for j := 0; j < n; j++ {
-				bRows[j*k+p] = bT[p*n+j]
-			}
-		}
-		want := referenceGEMMTransB(a, bRows, m, k, n)
-		for _, kn := range Kernels() {
-			if !forceKernel(t, kn) {
-				continue
-			}
-			c := make([]float32, m*n)
-			MatMul(c, a, bT, m, k, n)
-			for i := range c {
-				if diff := math.Abs(float64(c[i]) - want[i]); diff > 1e-4*(1+math.Abs(want[i])) {
-					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %g want %g", kn, m, k, n, i, c[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkDotKernel(b *testing.B) {
-	r := rng.New(1)
-	const n = 1152 // widest im2col row of the full Gomoku net (128*9)
-	a := randFloats(r, n)
-	b0, b1, b2, b3 := randFloats(r, n), randFloats(r, n), randFloats(r, n), randFloats(r, n)
-	for _, k := range Kernels() {
-		b.Run(k, func(b *testing.B) {
-			prev := KernelName()
-			if sel, _ := SetKernel(k); sel != k {
-				b.Skipf("kernel %s unavailable", k)
-			}
-			defer SetKernel(prev)
-			b.SetBytes(4 * 5 * n)
-			for i := 0; i < b.N; i++ {
-				dot4(a, b0, b1, b2, b3)
-			}
-		})
-	}
-}
-
-func BenchmarkMatMulTransBKernels(b *testing.B) {
+func BenchmarkMatMulKernels(b *testing.B) {
 	r := rng.New(2)
-	// policy-head FC shape of the full 9x9 net: (batch x 324) * (81 x 324)^T
+	// policy-head FC shape of the full 9x9 net: (batch x 324) * (324 x 81)
 	m, k, n := 16, 324, 81
 	a := randFloats(r, m*k)
-	bm := randFloats(r, n*k)
+	bm := randFloats(r, k*n)
 	c := make([]float32, m*n)
 	for _, kn := range Kernels() {
 		b.Run(fmt.Sprintf("%s/m%dk%dn%d", kn, m, k, n), func(b *testing.B) {
@@ -326,24 +304,24 @@ func BenchmarkMatMulTransBKernels(b *testing.B) {
 			}
 			defer SetKernel(prev)
 			for i := 0; i < b.N; i++ {
-				MatMulTransB(c, a, bm, m, k, n)
+				MatMul(c, a, bm, m, k, n)
 			}
 		})
 	}
 }
 
-// TestMatMulTransBConcurrentLaunches: overlapping multi-block products from
+// TestMatMulConcurrentLaunches: overlapping multi-block products from
 // several goroutines — each taking a pooled job and task, contending for the
 // pool workers, absorbing the blocks nobody picked up — all equal the
 // product computed alone. Run under -race it is the check on the job pool's
 // reuse protocol.
-func TestMatMulTransBConcurrentLaunches(t *testing.T) {
+func TestMatMulConcurrentLaunches(t *testing.T) {
 	r := rng.New(43)
-	m, k, n := 3*blockM+5, 40, 2*blockN+9 // four row blocks, above parallelThreshold
+	m, k, n := 3*blockM+5, 40, 2*64+9 // four row blocks, above parallelThreshold
 	a := randFloats(r, m*k)
-	b := randFloats(r, n*k)
+	b := randFloats(r, k*n)
 	want := make([]float32, m*n)
-	matMulTransBRange(want, n, 0, a, b, 0, m, k, n)
+	gemmRange(want, a, b, nil, 0, m, k, n, false)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -351,7 +329,7 @@ func TestMatMulTransBConcurrentLaunches(t *testing.T) {
 			defer wg.Done()
 			c := make([]float32, m*n)
 			for rep := 0; rep < 20; rep++ {
-				MatMulTransB(c, a, b, m, k, n)
+				MatMul(c, a, b, m, k, n)
 				for i := range c {
 					if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
 						t.Errorf("rep %d idx %d: got %g want %g", rep, i, c[i], want[i])

@@ -1,169 +1,129 @@
 package tensor
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // parallelThreshold is the minimum number of multiply-accumulate operations
-// below which a kernel runs single-threaded on the caller. Dispatching pool
+// below which a GEMM runs single-threaded on the caller. Dispatching pool
 // work for tiny matrices (e.g. the value head's 64x1 product) costs more
 // than it saves.
 const parallelThreshold = 1 << 16
 
-// Cache-blocking tile sizes. A 64x64 float32 C tile (16 KiB) plus a 64x512
-// panel of each operand fits comfortably in L2 while the 512-wide K panel
-// keeps the register tile's eight B rows (16 KiB) inside L1 between
-// reuses. K blocks are deliberately wide: every extra K block costs another
-// read-accumulate pass over the C tile and another round of sub-register-
-// tile kernel calls, which showed up as real overhead for the network's
-// k=324 im2col products when blockK was 256.
+// Blocking. A GEMM runs the class's widest tile down column blocks of
+// tileCols, and each column block in K blocks of blockK rows of B; the tile
+// carries each C element's chain from one K block to the next through C,
+// which rounds nothing. Every layer of the network has k <= blockK, so its
+// B panel streams from L2 in one pass: on the reference host, blocks of 64
+// (a 16 KiB panel held in L1) made the trunk GEMMs 10-15 % slower, for the
+// extra loads and stores of C and tile calls (EXPERIMENTS.md). Row blocks of
+// blockM rows — whole tiles — are the units the worker pool shares.
 const (
-	blockM = 64
-	blockN = 64
-	blockK = 512
+	blockM = 8 * tileRows
+	blockK = 1024
 )
 
-// MatMul computes C = A * B for row-major matrices A (m x k) and B (k x n),
-// writing into C (m x n). C must not alias A or B. It transposes B into
-// pooled scratch and runs MatMulTransB, the one GEMM the network runs, so it
-// allocates nothing in steady state.
+// negZeros is the bias of a GEMM without one: adding -0 changes no float,
+// not even -0.
+var negZeros = func() (z [64]float32) {
+	for i := range z {
+		z[i] = float32(math.Copysign(0, -1))
+	}
+	return
+}()
+
+// MatMul computes C = A·B for row-major matrices A (m x k) and B (k x n),
+// writing into C (m x n). C must not alias A or B. It is Dense without a
+// bias or a ReLU.
 func MatMul(c, a, b []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: MatMul buffer too small")
+	Dense(c, a, b, nil, m, k, n, false)
+}
+
+// Dense computes C = A·B + bias, then max(C, 0) elementwise when relu is
+// set, for row-major A (m x k), B (k x n) and C (m x n), bias of length n or
+// nil. C must not alias A or B. It is the one GEMM the network runs: every
+// convolution (on its patch matrix) and every fully-connected layer.
+//
+// Every element of C is one fp32 FMA chain over k in order, from +0 —
+// c = fma(a[i][p], b[p][j], c), rounded once per step — then one rounded
+// add of its bias, then the ReLU. That holds in every kernel class, at every
+// row, column and block boundary, and however the pool splits the rows, so
+// the classes agree bit for bit and an output does not depend on the other
+// rows in the call: a sample's outputs are the same in any batch. Dense
+// allocates nothing: one-block products run on the caller with no task,
+// multi-block ones take a pooled job.
+func Dense(c, a, b, bias []float32, m, k, n int, relu bool) {
+	if len(a) < m*k || len(b) < k*n || len(c) < m*n || (bias != nil && len(bias) < n) {
+		panic("tensor: Dense buffer too small")
 	}
-	bt := scratchPool.Get().(*[]float32)
-	if cap(*bt) < k*n {
-		*bt = make([]float32, k*n)
+	if m == 0 || n == 0 {
+		return
 	}
-	t := (*bt)[:k*n]
-	for p := 0; p < k; p++ {
-		for j, v := range b[p*n : (p+1)*n] {
-			t[j*k+p] = v
+	if k == 0 {
+		// Every chain is empty: C is +0 plus the bias, through the ReLU.
+		for i := 0; i < m; i++ {
+			row := c[i*n : (i+1)*n]
+			clear(row)
+			for j := range row {
+				if bias != nil {
+					row[j] += bias[j]
+				}
+				if relu && row[j] < 0 {
+					row[j] = 0
+				}
+			}
 		}
-	}
-	MatMulTransB(c, a, t, m, k, n)
-	scratchPool.Put(bt)
-}
-
-// MatMulTransB computes C = A * B^T for A (m x k) and B (n x k), writing C
-// (m x n). This is the natural layout for dense-layer forward passes where
-// weights are stored (out, in), and — via im2col — for every convolution in
-// the network, so it is the hottest kernel in the codebase.
-func MatMulTransB(c, a, b []float32, m, k, n int) {
-	if len(c) < m*n {
-		panic("tensor: MatMulTransB buffer too small")
-	}
-	matMulTransBInto(c, n, 0, a, b, m, k, n)
-}
-
-// matMulTransBInto computes A * B^T for A (m x k) and B (n x k) into columns
-// [off, off+n) of C, whose rows are ldc apart. Conv2DForwardBatch calls it
-// once per sample, each with that sample's patch matrix as B and its pixel
-// columns of the batch-major output as the destination: the column blocking
-// starts at the sample, so a batched convolution equals the single-sample
-// one bit for bit.
-func matMulTransBInto(c []float32, ldc, off int, a, b []float32, m, k, n int) {
-	if len(a) < m*k || len(b) < n*k || (m > 0 && len(c) < (m-1)*ldc+off+n) {
-		panic("tensor: MatMulTransB buffer too small")
+		return
 	}
 	if m*k*n < parallelThreshold || m <= blockM {
 		// One row block (or too little work to share): no task, no closure,
 		// nothing allocated.
-		matMulTransBRange(c, ldc, off, a, b, 0, m, k, n)
+		gemmRange(c, a, b, bias, 0, m, k, n, relu)
 		return
 	}
-	t := transBTasks.Get().(*transBTask)
-	*t = transBTask{c: c, a: a, b: b, ldc: ldc, off: off, m: m, k: k, n: n}
+	t := gemmTasks.Get().(*gemmTask)
+	*t = gemmTask{c: c, a: a, b: b, bias: bias, m: m, k: k, n: n, relu: relu}
 	parallelBlocks((m+blockM-1)/blockM, t)
-	*t = transBTask{}
-	transBTasks.Put(t)
+	*t = gemmTask{}
+	gemmTasks.Put(t)
 }
 
-// transBTask is one parallel matMulTransBInto launch, split by row block. It
-// is pooled because the pool workers it is handed to make it escape.
-type transBTask struct {
-	c, a, b           []float32
-	ldc, off, m, k, n int
+// gemmTask is one parallel Dense launch, split by row block. It is pooled
+// because the pool workers it is handed to make it escape.
+type gemmTask struct {
+	c, a, b, bias []float32
+	m, k, n       int
+	relu          bool
 }
 
-var transBTasks = sync.Pool{New: func() any { return new(transBTask) }}
+var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 
-func (t *transBTask) block(bi int) {
+func (t *gemmTask) block(bi int) {
 	lo := bi * blockM
-	matMulTransBRange(t.c, t.ldc, t.off, t.a, t.b, lo, min(lo+blockM, t.m), t.k, t.n)
+	gemmRange(t.c, t.a, t.b, t.bias, lo, min(lo+blockM, t.m), t.k, t.n, t.relu)
 }
 
-// matMulTransBRange computes rows [lo, hi) of A * B^T into columns
-// [off, off+n) of C (row stride ldc), tiled over (n, k) blocks.
-//
-// Where the kernel class has a register tile (dotTile), whole groups of
-// tileGroup columns of a block go through it: three rows of A against four
-// or eight rows of B at a time, so each loaded vector feeds several
-// accumulators, the 16 KiB B tile staying in L1 while the A rows stream past
-// it. The remaining columns go through dot4, four per pass over one A row,
-// and the last n%4 through sequential scalar sums.
-//
-// The accumulation order of a C element therefore depends on its column's
-// index in B and on nothing else — not on its row, not on lo/hi, not on
-// where in C the product lands: the kernel class's tile accumulation over
-// each K block in order (see dotTile), blocks summed in order (tile
-// columns); dot4's two-chain partial sums (dot4 columns); one sequential sum
-// (tail columns).
-func matMulTransBRange(c []float32, ldc, off int, a, b []float32, lo, hi, k, n int) {
-	if k == 0 {
-		// The p-block loop below would never run its first-block
-		// initialising pass; keep the C = 0 contract explicit.
-		for i := lo; i < hi; i++ {
-			clear(c[i*ldc+off : i*ldc+off+n])
-		}
-		return
-	}
-	for j0 := 0; j0 < n; j0 += blockN {
-		j1 := min(j0+blockN, n)
-		jt := j0 // end of the tiled columns
-		if dotTile != nil {
-			jt += (j1 - j0) &^ (tileGroup - 1)
-		}
-		j4 := jt + (j1-jt)&^3 // end of the dot4 columns
-		for p0 := 0; p0 < k; p0 += blockK {
-			p1 := min(p0+blockK, k)
-			first := p0 == 0
-			for j := j0; j < jt; j += tileCols {
-				dotTile(c[lo*ldc+off+j:], ldc, a[lo*k+p0:], k, hi-lo, b[j*k+p0:], k, p1-p0, !first)
+// gemmRange computes rows [lo, hi) of Dense: per column block, per K block,
+// the tile down the rows. Only the last K block adds the bias and applies
+// the ReLU.
+func gemmRange(c, a, b, bias []float32, lo, hi, k, n int, relu bool) {
+	for j0 := 0; j0 < n; j0 += tileCols {
+		cols := min(tileCols, n-j0)
+		for p0 := 0; ; p0 += blockK {
+			kb := min(blockK, k-p0)
+			last := p0+kb == k
+			bs, floor := negZeros[:], float32(math.Inf(-1))
+			if last && bias != nil {
+				bs = bias[j0:]
 			}
-			for i := lo; i < hi && jt < j4; i++ {
-				ai := a[i*k+p0 : i*k+p1]
-				ci := c[i*ldc+off:][:n]
-				for j := jt; j < j4; j += 4 {
-					b0 := b[j*k+p0 : j*k+p1]
-					b1 := b[(j+1)*k+p0 : (j+1)*k+p1]
-					b2 := b[(j+2)*k+p0 : (j+2)*k+p1]
-					b3 := b[(j+3)*k+p0 : (j+3)*k+p1]
-					s0, s1, s2, s3 := dot4(ai, b0, b1, b2, b3)
-					if first {
-						ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-					} else {
-						ci[j] += s0
-						ci[j+1] += s1
-						ci[j+2] += s2
-						ci[j+3] += s3
-					}
-				}
+			if last && relu {
+				floor = 0
 			}
-			for j := j4; j < j1; j++ {
-				dotSeq(c[lo*ldc+off+j:], ldc, a[lo*k+p0:], k, hi-lo, b[j*k+p0:j*k+p1], !first)
+			tile(c[lo*n+j0:], n, a[lo*k+p0:], k, b[p0*n+j0:], n, hi-lo, cols, kb, bs, floor, p0 > 0)
+			if last {
+				break
 			}
-		}
-	}
-}
-
-// AddBiasRows adds bias (length n) to every row of the (rows x n) matrix m.
-func AddBiasRows(m, bias []float32, rows, n int) {
-	if len(bias) < n || len(m) < rows*n {
-		panic("tensor: AddBiasRows buffer too small")
-	}
-	for r := 0; r < rows; r++ {
-		row := m[r*n : (r+1)*n]
-		for j := range row {
-			row[j] += bias[j]
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package tensor implements the dense float32 array operations backing the
-// policy/value network: one blocked parallel matrix multiply (MatMulTransB;
-// MatMul transposes B and runs it), batched im2col convolution with its
-// gradients, and the in-place ReLU.
+// policy/value network: one blocked parallel GEMM (Dense: C = A·B plus a
+// bias, through an optional ReLU; MatMul is it without either) and
+// channels-last im2col convolution on it, with its gradients.
 //
 // The package deliberately sticks to plain Go and the standard library. The
 // paper offloads DNN inference to CUDA; here the same operator graph runs on
@@ -9,25 +9,22 @@
 // so what matters is that the operators are correct, as fast as the host
 // allows, and have a realistic batch-scaling latency profile.
 //
-// The inference path is held to the bit. The micro-kernels behind
-// MatMulTransB are dispatched per kernel class (dot.go: generic, avx2 and
-// avx512 where the host has them); within a class the rounding of an output
-// element depends on its column's index in B alone — not on its row, the row
-// blocking, the batch it arrives in or where in C the product lands —
-// Conv2DForwardBatch gathers and multiplies one sample at a time, and the
-// specialised im2col gathers write exactly what the general loop writes in
-// every class (TestIm2ColSpecialisedMatchGeneral, FuzzIm2Col). A batched
-// convolution therefore equals the single-sample one bit for bit, and a
-// kernel may be rewritten for speed as long as
-// TestMatMulTransBKernelEquivalence still matches the reference kept in
-// tile_ref_test.go. The path allocates nothing: one-block products run on
-// the caller with no task, multi-block ones take a pooled job.
+// The inference path is held to the bit, with one accumulation order. The
+// GEMM's register tile is dispatched per kernel class (kernel.go: generic,
+// avx2 and avx512 where the host has them), and in every class each output
+// element is one fp32 FMA chain over k in order, rounded once per step: a
+// broadcast tile keeps rows x vectors of C in registers and per k multiplies
+// each row's element of A into one row of B. So the classes agree bit for
+// bit (TestElementsAreStandAloneChains, FuzzGEMM), and an output depends on
+// neither its row, its column, the blocking nor the batch it arrives in. The
+// path allocates nothing: one-block products run on the caller with no task,
+// multi-block ones take a pooled job.
 package tensor
 
 import "fmt"
 
 // Tensor is a dense row-major float32 array with an explicit shape.
-// Layout for 4-D image tensors is NCHW.
+// Images are channels-last (see Conv2DShape).
 type Tensor struct {
 	Data  []float32
 	Shape []int

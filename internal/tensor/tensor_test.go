@@ -81,7 +81,7 @@ func TestAXPYScale(t *testing.T) {
 
 func TestMatMulMatchesNaive(t *testing.T) {
 	r := rng.New(21)
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {17, 9, 13}, {64, 64, 64}, {130, 70, 90}} {
+	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {17, 9, 13}, {64, 64, 64}, {130, 70, 90}, {2, 3, 4}, {33, 17, 25}, {100, 64, 80}, {4, 0, 3}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a, b := randSlice(r, m*k), randSlice(r, k*n)
 		c := make([]float32, m*n)
@@ -89,27 +89,6 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		want := naiveMatMul(a, b, m, k, n)
 		if d := maxAbsDiff(c, want); d > 1e-4 {
 			t.Errorf("MatMul(%v) max diff %v", dims, d)
-		}
-	}
-}
-
-func TestMatMulTransBMatchesNaive(t *testing.T) {
-	r := rng.New(22)
-	for _, dims := range [][3]int{{2, 3, 4}, {33, 17, 25}, {100, 64, 80}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a, bT := randSlice(r, m*k), randSlice(r, n*k)
-		// build B (k x n) from bT (n x k)
-		b := make([]float32, k*n)
-		for j := 0; j < n; j++ {
-			for p := 0; p < k; p++ {
-				b[p*n+j] = bT[j*k+p]
-			}
-		}
-		c := make([]float32, m*n)
-		MatMulTransB(c, a, bT, m, k, n)
-		want := naiveMatMul(a, b, m, k, n)
-		if d := maxAbsDiff(c, want); d > 1e-4 {
-			t.Errorf("MatMulTransB(%v) max diff %v", dims, d)
 		}
 	}
 }
@@ -123,18 +102,33 @@ func TestMatMulPanicsOnShortBuffer(t *testing.T) {
 	MatMul(make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2)
 }
 
-func TestAddBiasRows(t *testing.T) {
-	m := []float32{1, 2, 3, 4}
-	AddBiasRows(m, []float32{10, 20}, 2, 2)
-	want := []float32{11, 22, 13, 24}
+// TestDenseBiasReLU: Dense adds the bias to every row and then clamps at 0,
+// also when k = 0 leaves only the bias.
+func TestDenseBiasReLU(t *testing.T) {
+	c := make([]float32, 4)
+	Dense(c, []float32{1, -3}, []float32{1, 2}, []float32{10, -20}, 2, 1, 2, false)
+	want := []float32{11, -18, 7, -26}
 	for i := range want {
-		if m[i] != want[i] {
-			t.Errorf("AddBiasRows[%d] = %v", i, m[i])
+		if c[i] != want[i] {
+			t.Errorf("Dense[%d] = %v, want %v", i, c[i], want[i])
+		}
+	}
+	Dense(c, []float32{1, -3}, []float32{1, 2}, []float32{10, -20}, 2, 1, 2, true)
+	for i, w := range []float32{11, 0, 7, 0} {
+		if c[i] != w {
+			t.Errorf("Dense relu[%d] = %v, want %v", i, c[i], w)
+		}
+	}
+	Dense(c, nil, nil, []float32{5, -5}, 2, 0, 2, true)
+	for i, w := range []float32{5, 0, 5, 0} {
+		if c[i] != w {
+			t.Errorf("Dense k=0[%d] = %v, want %v", i, c[i], w)
 		}
 	}
 }
 
-// naiveConv computes a direct convolution for verification.
+// naiveConv computes a direct convolution for verification, channels-last
+// in and out, weight (ky, kx, ic) x OutC.
 func naiveConv(img, weight, bias []float32, s Conv2DShape) []float32 {
 	outH, outW := s.OutH(), s.OutW()
 	out := make([]float32, s.OutC*outH*outW)
@@ -149,12 +143,12 @@ func naiveConv(img, weight, bias []float32, s Conv2DShape) []float32 {
 							if iy < 0 || iy >= s.InH || ix < 0 || ix >= s.InW {
 								continue
 							}
-							w := weight[oc*s.ColCols()+ic*s.KH*s.KW+ky*s.KW+kx]
-							sum += w * img[ic*s.InH*s.InW+iy*s.InW+ix]
+							w := weight[((ky*s.KW+kx)*s.InC+ic)*s.OutC+oc]
+							sum += w * img[(iy*s.InW+ix)*s.InC+ic]
 						}
 					}
 				}
-				out[oc*outH*outW+oy*outW+ox] = sum
+				out[(oy*outW+ox)*s.OutC+oc] = sum
 			}
 		}
 	}
@@ -175,7 +169,7 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		b := randSlice(r, s.OutC)
 		out := make([]float32, s.OutC*s.OutH()*s.OutW())
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, b})
+		Conv2DForwardBatch(out, img, col, w, b, s, 1, false)
 		want := naiveConv(img, w, b, s)
 		if d := maxAbsDiff(out, want); d > 1e-4 {
 			t.Errorf("conv %+v: max diff %v", s, d)
@@ -219,7 +213,7 @@ func TestConv2DBackwardNumerically(t *testing.T) {
 	loss := func(img, w, b []float32) float64 {
 		out := make([]float32, s.OutC*pix)
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, b})
+		Conv2DForwardBatch(out, img, col, w, b, s, 1, false)
 		var l float64
 		for i := range out {
 			l += float64(out[i]) * float64(dOut[i])
@@ -279,13 +273,13 @@ func BenchmarkConvGomokuLayer(b *testing.B) {
 	col := make([]float32, s.ColRows()*s.ColCols())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Conv2DForwardBatch(img, col, s, 1, ConvOut{out, w, bias})
+		Conv2DForwardBatch(out, img, col, w, bias, s, 1, false)
 	}
 }
 
 func TestMatMulBlockedEdgeSizes(t *testing.T) {
-	// Dimensions straddling the 64x64x256 tile boundaries exercise every
-	// partial-block path of the tiled kernels, including the scalar tails.
+	// Dimensions straddling the row, column and K blocks exercise every
+	// partial-block path of the tiles.
 	r := rng.New(31)
 	for _, dims := range [][3]int{{65, 257, 67}, {63, 260, 130}, {128, 513, 66}, {1, 259, 70}} {
 		m, k, n := dims[0], dims[1], dims[2]
@@ -295,21 +289,12 @@ func TestMatMulBlockedEdgeSizes(t *testing.T) {
 		if d := maxAbsDiff(c, naiveMatMul(a, b, m, k, n)); d > 1e-3 {
 			t.Errorf("MatMul(%v) max diff %v", dims, d)
 		}
-		bT := make([]float32, n*k)
-		for j := 0; j < n; j++ {
-			for p := 0; p < k; p++ {
-				bT[j*k+p] = b[p*n+j]
-			}
-		}
-		ct := make([]float32, m*n)
-		MatMulTransB(ct, a, bT, m, k, n)
-		if d := maxAbsDiff(ct, naiveMatMul(a, b, m, k, n)); d > 1e-3 {
-			t.Errorf("MatMulTransB(%v) max diff %v", dims, d)
-		}
 	}
 }
 
-func TestPackUnpackBatchRoundTrip(t *testing.T) {
+// TestPackChannelsLast: packing per-sample channel-major images puts
+// channel ch of pixel p of sample b at ((b*hw)+p)*c+ch.
+func TestPackChannelsLast(t *testing.T) {
 	r := rng.New(33)
 	const c, hw, batch = 3, 10, 5
 	imgs := make([][]float32, batch)
@@ -317,16 +302,20 @@ func TestPackUnpackBatchRoundTrip(t *testing.T) {
 		imgs[i] = randSlice(r, c*hw)
 	}
 	packed := make([]float32, c*batch*hw)
-	PackBatch(packed, imgs, c, hw)
-	rows := make([]float32, batch*c*hw)
-	UnpackBatch(rows, packed, c, hw, batch)
-	for b := 0; b < batch; b++ {
-		if d := maxAbsDiff(rows[b*c*hw:(b+1)*c*hw], imgs[b]); d != 0 {
-			t.Fatalf("sample %d: roundtrip diff %v", b, d)
+	PackChannelsLast(packed, imgs, c, hw)
+	for b, img := range imgs {
+		for ch := 0; ch < c; ch++ {
+			for p := 0; p < hw; p++ {
+				if got := packed[(b*hw+p)*c+ch]; got != img[ch*hw+p] {
+					t.Fatalf("sample %d channel %d pixel %d: %v, want %v", b, ch, p, got, img[ch*hw+p])
+				}
+			}
 		}
 	}
 }
 
+// TestConv2DForwardBatchMatchesSingle: a sample's outputs in a batch are,
+// bit for bit, those of the sample convolved alone.
 func TestConv2DForwardBatchMatchesSingle(t *testing.T) {
 	r := rng.New(34)
 	shapes := []Conv2DShape{
@@ -337,27 +326,18 @@ func TestConv2DForwardBatchMatchesSingle(t *testing.T) {
 		for _, batch := range []int{1, 2, 5} {
 			w := randSlice(r, s.OutC*s.ColCols())
 			bias := randSlice(r, s.OutC)
-			imgs := make([][]float32, batch)
-			for i := range imgs {
-				imgs[i] = randSlice(r, s.InC*s.InH*s.InW)
-			}
-			imgLen := s.InH * s.InW
-			packed := make([]float32, s.InC*batch*imgLen)
-			PackBatch(packed, imgs, s.InC, imgLen)
-			pix := s.ColRows()
-			out := make([]float32, s.OutC*batch*pix)
-			col := make([]float32, batch*pix*s.ColCols())
-			Conv2DForwardBatch(packed, col, s, batch, ConvOut{out, w, bias})
+			imgLen, pix := s.InC*s.InH*s.InW, s.ColRows()
+			imgs := randSlice(r, batch*imgLen)
+			out := make([]float32, batch*pix*s.OutC)
+			col := make([]float32, pix*s.ColCols())
+			Conv2DForwardBatch(out, imgs, col, w, bias, s, batch, true)
 
-			single := make([]float32, s.OutC*pix)
-			scol := make([]float32, pix*s.ColCols())
+			single := make([]float32, pix*s.OutC)
 			for b := 0; b < batch; b++ {
-				Conv2DForwardBatch(imgs[b], scol, s, 1, ConvOut{single, w, bias})
-				for oc := 0; oc < s.OutC; oc++ {
-					got := out[(oc*batch+b)*pix : (oc*batch+b+1)*pix]
-					want := single[oc*pix : (oc+1)*pix]
-					if d := maxAbsDiff(got, want); d > 1e-5 {
-						t.Fatalf("shape %+v batch %d sample %d ch %d: diff %v", s, batch, b, oc, d)
+				Conv2DForwardBatch(single, imgs[b*imgLen:(b+1)*imgLen], col, w, bias, s, 1, true)
+				for i, want := range single {
+					if got := out[b*pix*s.OutC+i]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("shape %+v batch %d sample %d out[%d]: %v, alone %v", s, batch, b, i, got, want)
 					}
 				}
 			}
