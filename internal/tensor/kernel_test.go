@@ -215,6 +215,47 @@ func TestMatMulKernelEquivalence(t *testing.T) {
 	}
 }
 
+// transBShapes are the shapes of the A·Bᵀ products the network used to
+// compute with B held n x k: m mod 3 and mod 8, n mod 4 and across a
+// 64-column block, k mod 8 and mod 16, and k past 512 and 1024.
+var transBShapes = [][3]int{
+	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
+	{2, 8, 8}, {3, 24, 12}, {4, 40, 15}, {5, 9, 16}, {6, 64, 20}, {8, 31, 23},
+	{13, 64, 130}, {64, 36, 81}, {65, 16, 72}, {5, 530, 19}, {9, 1030, 75}, {128, 520, 9},
+	{7, 16, 17}, {4, 31, 24}, {5, 32, 16}, {3, 47, 33}, {10, 48, 81},
+}
+
+// TestMatMulTransBKernelEquivalence: under every kernel class this host
+// runs, A·Bᵀ for a B held n x k (the wire's out x in weight order),
+// multiplied as MatMul on B transposed into k x n, is within rounding of a
+// float64 product and bit for bit chainGEMM's.
+func TestMatMulTransBKernelEquivalence(t *testing.T) {
+	r := rng.New(23)
+	for _, sh := range transBShapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, bT := randFloats(r, m*k), randFloats(r, n*k)
+		b := transposeB(bT, n, k)
+		ref := referenceGEMM(a, b, m, k, n)
+		want := chainGEMM(a, b, nil, m, k, n, false)
+		for _, kn := range Kernels() {
+			if !forceKernel(t, kn) {
+				continue
+			}
+			c := make([]float32, m*n)
+			MatMul(c, a, b, m, k, n)
+			for i := range c {
+				if diff := math.Abs(float64(c[i]) - ref[i]); diff > 1e-4*(1+math.Abs(ref[i])) {
+					t.Fatalf("kernel %s m=%d k=%d n=%d idx %d: got %g want %g", kn, m, k, n, i, c[i], ref[i])
+				}
+				if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("kernel %s m=%d k=%d n=%d (%d,%d): bits %#x, chain %#x",
+						kn, m, k, n, i/n, i%n, math.Float32bits(c[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestElementsAreStandAloneChains is the property the network's bits rest
 // on: every output element of a convolution (3x3 and 1x1, on odd boards and
 // channel counts, several samples to a batch) and of a dense layer equals
