@@ -59,11 +59,17 @@ type LearnerConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// maxWorkerIDs bounds the worker IDs (from the wire) a learner keeps.
+const maxWorkerIDs = 1 << 12
+
 // LearnerStats counts wire-level traffic (all atomics; read via Stats).
 type LearnerStats struct {
 	// WorkersSeen counts the distinct worker IDs whose hellos were accepted
 	// (a worker that redials counts once); WorkersLive is the current number
-	// of connections.
+	// of connections. IDs are taken to be unique per worker: the default
+	// -id, worker-<pid>, is unique only within one host, so workers on two
+	// hosts that share a PID count as one. Past maxWorkerIDs distinct IDs,
+	// each new one counts but is not kept, so its redials count again.
 	WorkersSeen, WorkersLive int64
 	// HellosRejected counts mismatched-game or malformed hellos.
 	HellosRejected int64
@@ -128,7 +134,7 @@ type Learner struct {
 
 	mu      sync.Mutex
 	conns   map[Conn]struct{}
-	workers map[string]struct{} // every worker ID accepted so far
+	workers map[string]struct{} // the first maxWorkerIDs worker IDs accepted
 	cur     currentCkpt
 
 	stats learnerStats
@@ -336,7 +342,9 @@ func (l *Learner) handle(c Conn) {
 	cur := l.cur
 	l.conns[c] = struct{}{}
 	if _, seen := l.workers[hello.WorkerID]; !seen {
-		l.workers[hello.WorkerID] = struct{}{}
+		if len(l.workers) < maxWorkerIDs {
+			l.workers[hello.WorkerID] = struct{}{}
+		}
 		l.stats.workersSeen.Add(1)
 	}
 	l.mu.Unlock()

@@ -23,10 +23,10 @@
 	CMPQ    rows, $6;       \
 	CMOVQLT p4, p5
 
-// The prologue and the pointer set-up both kernels share: C's row pointers
-// in SI, DI, R8, R9, R12, R13 while the accumulators are loaded, then A's;
-// B in BX, ldb in R14, k in CX, the running byte offset into the A rows in
-// DX. rows stays in AX and ldc in R11 for the epilogue.
+// The pointer set-up both kernels share: CROWS puts C's row pointers in SI,
+// DI, R8, R9, R12, R13 for the stores, and AROWS puts A's there, B in BX,
+// ldb in R14, k in CX and the running byte offset into the A rows in DX.
+// Both leave rows in AX; CROWS leaves ldc in R11.
 #define CROWS \
 	MOVQ rows+48(FP), AX; \
 	MOVQ ldc+8(FP), R11;  \
@@ -35,7 +35,8 @@
 	ROWPTRS(SI, R11, AX, DI, R8, R9, R12, R13)
 
 #define AROWS \
-	MOVQ a+16(FP), SI;   \
+	MOVQ rows+48(FP), AX; \
+	MOVQ a+16(FP), SI;    \
 	MOVQ lda+24(FP), R10; \
 	SHLQ $2, R10;         \
 	ROWPTRS(SI, R10, AX, DI, R8, R9, R12, R13); \

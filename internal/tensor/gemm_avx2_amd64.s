@@ -26,10 +26,6 @@ GLOBL maskTab<>(SB), RODATA|NOPTR, $64
 	VFMADD231PS  Y0, Y2, r0; \
 	VFMADD231PS  Y1, Y2, r1
 
-#define YLOAD(p, r0, r1) \
-	VMOVUPS (p), r0; \
-	VMOVUPS 32(p), r1
-
 #define YZERO(r0, r1) \
 	VXORPS r0, r0, r0; \
 	VXORPS r1, r1, r1
@@ -44,32 +40,18 @@ GLOBL maskTab<>(SB), RODATA|NOPTR, $64
 	VMOVUPS r0, (p);    \
 	VMOVUPS r1, 32(p)
 
-// func gemm6x16AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+// func gemm6x16AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 //
 // tile for exactly 16 columns (cols is unread): 12 FMAs per k on two loads
 // of B and six broadcasts.
-TEXT ·gemm6x16AVX2Kernel(SB), NOSPLIT, $0-85
+TEXT ·gemm6x16AVX2Kernel(SB), NOSPLIT, $0-84
 wtile:
-	CROWS
-	CMPB acc+84(FP), $0
-	JEQ  wzero
-	YLOAD(SI, Y4, Y5)
-	YLOAD(DI, Y6, Y7)
-	YLOAD(R8, Y8, Y9)
-	YLOAD(R9, Y10, Y11)
-	YLOAD(R12, Y12, Y13)
-	YLOAD(R13, Y14, Y15)
-	JMP  wstart
-
-wzero:
 	YZERO(Y4, Y5)
 	YZERO(Y6, Y7)
 	YZERO(Y8, Y9)
 	YZERO(Y10, Y11)
 	YZERO(Y12, Y13)
 	YZERO(Y14, Y15)
-
-wstart:
 	AROWS
 	TESTQ CX, CX
 	JZ    wdone
@@ -115,35 +97,21 @@ wdone:
 	VMAXPS     r, Y1, r; \
 	VMASKMOVPS r, Y3, (p)
 
-// func gemm6x8AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+// func gemm6x8AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 //
 // tile for 1 <= cols <= 8 columns: every load and store of B, C and the
 // bias goes through the mask of the first cols lanes, so nothing past them
 // is read or written.
-TEXT ·gemm6x8AVX2Kernel(SB), NOSPLIT, $0-85
+TEXT ·gemm6x8AVX2Kernel(SB), NOSPLIT, $0-84
 	MOVQ    $8, CX
 	SUBQ    cols+56(FP), CX
 	LEAQ    maskTab<>(SB), DX
 	VMOVUPS (DX)(CX*4), Y3
 
 ntile:
-	CROWS
-	CMPB    acc+84(FP), $0
-	JEQ     nzero
-	VMASKMOVPS (SI), Y3, Y4
-	VMASKMOVPS (DI), Y3, Y5
-	VMASKMOVPS (R8), Y3, Y6
-	VMASKMOVPS (R9), Y3, Y7
-	VMASKMOVPS (R12), Y3, Y8
-	VMASKMOVPS (R13), Y3, Y9
-	JMP     nstart
-
-nzero:
 	YZERO(Y4, Y5)
 	YZERO(Y6, Y7)
 	YZERO(Y8, Y9)
-
-nstart:
 	AROWS
 	TESTQ CX, CX
 	JZ    ndone

@@ -17,12 +17,6 @@
 	VFMADD231PS  Z2, Z4, r2; \
 	VFMADD231PS  Z3, Z4, r3
 
-#define WLOAD(p, r0, r1, r2, r3) \
-	VMOVUPS (p), r0;    \
-	VMOVUPS 64(p), r1;  \
-	VMOVUPS 128(p), r2; \
-	VMOVUPS 192(p), r3
-
 #define WZERO(r0, r1, r2, r3) \
 	VPXORD r0, r0, r0; \
 	VPXORD r1, r1, r1; \
@@ -45,32 +39,18 @@
 	VMOVUPS r2, 128(p);   \
 	VMOVUPS r3, 192(p)
 
-// func gemm6x64Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+// func gemm6x64Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 //
 // tile for exactly 64 columns (cols is unread): 24 FMAs per k on four
 // loads of B and six broadcasts.
-TEXT ·gemm6x64Kernel(SB), NOSPLIT, $0-85
+TEXT ·gemm6x64Kernel(SB), NOSPLIT, $0-84
 wtile:
-	CROWS
-	CMPB acc+84(FP), $0
-	JEQ  wzero
-	WLOAD(SI, Z8, Z9, Z10, Z11)
-	WLOAD(DI, Z12, Z13, Z14, Z15)
-	WLOAD(R8, Z16, Z17, Z18, Z19)
-	WLOAD(R9, Z20, Z21, Z22, Z23)
-	WLOAD(R12, Z24, Z25, Z26, Z27)
-	WLOAD(R13, Z28, Z29, Z30, Z31)
-	JMP  wstart
-
-wzero:
 	WZERO(Z8, Z9, Z10, Z11)
 	WZERO(Z12, Z13, Z14, Z15)
 	WZERO(Z16, Z17, Z18, Z19)
 	WZERO(Z20, Z21, Z22, Z23)
 	WZERO(Z24, Z25, Z26, Z27)
 	WZERO(Z28, Z29, Z30, Z31)
-
-wstart:
 	AROWS
 	TESTQ CX, CX
 	JZ    wdone
@@ -119,12 +99,12 @@ wdone:
 	VMAXPS  r, Z5, r; \
 	VMOVUPS r, K1, (p)
 
-// func gemm6x16Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+// func gemm6x16Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 //
 // tile for 1 <= cols <= 16 columns: the lanes past cols are masked off
 // (K1) in every load and store of B, C and the bias, so nothing past them
 // is read or written.
-TEXT ·gemm6x16Kernel(SB), NOSPLIT, $0-85
+TEXT ·gemm6x16Kernel(SB), NOSPLIT, $0-84
 	MOVQ  cols+56(FP), CX
 	MOVL  $1, DX
 	SHLL  CX, DX
@@ -132,23 +112,9 @@ TEXT ·gemm6x16Kernel(SB), NOSPLIT, $0-85
 	KMOVW DX, K1
 
 ntile:
-	CROWS
-	CMPB  acc+84(FP), $0
-	JEQ   nzero
-	VMOVUPS.Z (SI), K1, Z8
-	VMOVUPS.Z (DI), K1, Z9
-	VMOVUPS.Z (R8), K1, Z10
-	VMOVUPS.Z (R9), K1, Z11
-	VMOVUPS.Z (R12), K1, Z12
-	VMOVUPS.Z (R13), K1, Z13
-	JMP   nstart
-
-nzero:
 	WZERO(Z8, Z9, Z10, Z11)
 	VPXORD Z12, Z12, Z12
 	VPXORD Z13, Z13, Z13
-
-nstart:
 	AROWS
 	TESTQ CX, CX
 	JZ    ndone

@@ -30,13 +30,12 @@ const tileRows = 6
 var (
 	// tile computes rows [0, rows) and columns [0, cols) of C = A·B over k
 	// (cols <= tileCols; A rows lda apart, B and C rows ldb and ldc apart)
-	// as one chain per element: from +0, or from the element
-	// C already holds when acc is set (the chain of earlier K blocks), each
-	// step c = fma(a[p], b[p], c) rounded once, p in order. It then stores
-	// max(c + bias[j], floor): GEMM passes bias and floor only on the last K
-	// block, and before it -0 (which adds nothing, not even to a -0) and -Inf.
-	// A NaN stays a NaN. Nothing outside the rows and columns is written.
-	tile func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32, acc bool)
+	// as one chain per element from +0, each step c = fma(a[p], b[p], c)
+	// rounded once, p in order. It then stores max(c + bias[j], floor): a
+	// GEMM without a bias passes -0 (which adds nothing, not even to a -0)
+	// and one without a ReLU -Inf. A NaN stays a NaN. Nothing outside the
+	// rows and columns is written.
+	tile func(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32)
 	// tileCols is the widest tile of the class, the GEMM's column block.
 	tileCols int
 
@@ -105,16 +104,16 @@ func kernelAvailable(name string) bool {
 	return false
 }
 
-// tileGeneric is the portable tile, for any rows and cols.
-func tileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32, acc bool) {
+// tileGeneric is the portable tile, for any rows and cols: fma32, one row
+// of C at a time.
+func tileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32) {
 	for i := 0; i < rows; i++ {
 		ci := c[i*ldc:][:cols]
-		if !acc {
-			clear(ci)
-		}
+		clear(ci)
 		for p, av := range a[i*lda:][:k] {
-			for j, bv := range b[p*ldb:][:cols] {
-				ci[j] = fma32(av, bv, ci[j])
+			bp := b[p*ldb:][:cols]
+			for j := fmaRow(ci, bp, float64(av)); j < cols; j += 1 + fmaRow(ci[j+1:], bp[j+1:], float64(av)) {
+				ci[j] = fma32Odd(av, bp[j], ci[j])
 			}
 		}
 		for j, v := range ci {
@@ -126,19 +125,42 @@ func tileGeneric(c []float32, ldc int, a []float32, lda int, b []float32, ldb in
 	}
 }
 
+// fmaRow sets c[j] = fma32(a, b[j], c[j]) in order of j while the sum is
+// exact32, and returns the first j where it is not (rare; len(c) if none).
+// It is a loop of few live values that calls nothing, kept out of line so
+// that it stays in registers.
+//
+//go:noinline
+func fmaRow(c, b []float32, a float64) int {
+	for j, bv := range b[:len(c)] {
+		s := a*float64(bv) + float64(c[j])
+		if !exact32(s) {
+			return j
+		}
+		c[j] = float32(s)
+	}
+	return len(c)
+}
+
 // fma32 is a*b + c with one rounding, as VFMADD231PS computes each lane.
 // The product is exact in float64, so the float64 sum s is rounded once,
 // and float32(s) rounds it again. Rounding twice errs only where s is
 // exactly halfway between two float32s (a halfway point is a float64, so no
 // other one can lie between s and the exact sum) or where float32 spacing
-// is wider than a normal's: those take fma32Odd, and every other sum
-// converts directly. (float32(math.FMA(a, b, c)) rounds twice.)
+// is wider than a normal's (exact32 is false): those take fma32Odd, and
+// the rest convert directly. (float32(math.FMA(a, b, c)) rounds twice.)
 func fma32(a, b, c float32) float32 {
-	s := float64(a)*float64(b) + float64(c)
-	if bits := math.Float64bits(s); bits&(1<<29-1) != 1<<28 && (bits>>52&0x7ff > 1023-127 || s == 0) {
+	if s := float64(a)*float64(b) + float64(c); exact32(s) {
 		return float32(s)
 	}
 	return fma32Odd(a, b, c)
+}
+
+// exact32 reports whether s is neither halfway between two float32s nor
+// below 2^-126 in magnitude (zero is exact).
+func exact32(s float64) bool {
+	bits := math.Float64bits(s)
+	return bits&(1<<29-1) != 1<<28 && (bits<<1 >= (1023-126)<<53 || bits<<1 == 0)
 }
 
 // fma32Odd is fma32 by rounding the float64 sum to odd: TwoSum gives the

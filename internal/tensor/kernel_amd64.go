@@ -9,16 +9,16 @@ package tensor
 // is true.
 //
 //go:noescape
-func gemm6x64Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+func gemm6x64Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 
 //go:noescape
-func gemm6x16Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+func gemm6x16Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 
 //go:noescape
-func gemm6x16AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+func gemm6x16AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 
 //go:noescape
-func gemm6x8AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+func gemm6x8AVX2Kernel(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 
 // cpuid and xgetbv are in cpuid_amd64.s.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -89,20 +89,20 @@ func selectKernel(name string) {
 
 // tileAVX512 runs a 64-column tile on the wide kernel and anything narrower
 // on the masked one, 16 columns at a time; tileAVX2 likewise at 16 and 8.
-func tileAVX512(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32, acc bool) {
-	tileAsm(gemm6x64Kernel, gemm6x16Kernel, 64, 16, c, ldc, a, lda, b, ldb, rows, cols, k, bias, floor, acc)
+func tileAVX512(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32) {
+	tileAsm(gemm6x64Kernel, gemm6x16Kernel, 64, 16, c, ldc, a, lda, b, ldb, rows, cols, k, bias, floor)
 }
 
-func tileAVX2(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32, acc bool) {
-	tileAsm(gemm6x16AVX2Kernel, gemm6x8AVX2Kernel, 16, 8, c, ldc, a, lda, b, ldb, rows, cols, k, bias, floor, acc)
+func tileAVX2(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32) {
+	tileAsm(gemm6x16AVX2Kernel, gemm6x8AVX2Kernel, 16, 8, c, ldc, a, lda, b, ldb, rows, cols, k, bias, floor)
 }
 
-type tileKernel func(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32, acc bool)
+type tileKernel func(c *float32, ldc int, a *float32, lda int, b *float32, ldb int, rows, cols, k int, bias *float32, floor float32)
 
 // tileAsm is the bounds check the kernels rely on — the index expressions
 // name the last element each operand is read or written at — and the split
 // of a tile between them.
-func tileAsm(wide, narrow tileKernel, wcols, ncols int, c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32, acc bool) {
+func tileAsm(wide, narrow tileKernel, wcols, ncols int, c []float32, ldc int, a []float32, lda int, b []float32, ldb int, rows, cols, k int, bias []float32, floor float32) {
 	if rows <= 0 || cols <= 0 || cols > wcols || k <= 0 {
 		panic("tensor: register tile out of shape")
 	}
@@ -111,10 +111,10 @@ func tileAsm(wide, narrow tileKernel, wcols, ncols int, c []float32, ldc int, a 
 	_ = c[(rows-1)*ldc+cols-1]
 	_ = bias[cols-1]
 	if cols == wcols {
-		wide(&c[0], ldc, &a[0], lda, &b[0], ldb, rows, cols, k, &bias[0], floor, acc)
+		wide(&c[0], ldc, &a[0], lda, &b[0], ldb, rows, cols, k, &bias[0], floor)
 		return
 	}
 	for j := 0; j < cols; j += ncols {
-		narrow(&c[j], ldc, &a[0], lda, &b[j], ldb, rows, min(ncols, cols-j), k, &bias[j], floor, acc)
+		narrow(&c[j], ldc, &a[0], lda, &b[j], ldb, rows, min(ncols, cols-j), k, &bias[j], floor)
 	}
 }

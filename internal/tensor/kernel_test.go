@@ -169,13 +169,13 @@ func TestFMA32RoundsOnce(t *testing.T) {
 // around them: m on both sides of a six-row tile and of a 48-row block (and
 // above the parallel threshold), n on both sides of the 8-, 16- and 64-wide
 // tiles (the heads' 4 and 2 channels, the value head's 1 output, 81
-// actions), and k on both sides of one and two K blocks.
+// actions), and long chains of k up to 2,049.
 var gemmShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
 	{2, 8, 8}, {6, 24, 16}, {7, 40, 15}, {5, 9, 17}, {12, 64, 20}, {13, 65, 23},
 	{13, 64, 130}, {81, 36, 32}, {81, 128, 4}, {81, 128, 2}, {8, 162, 64}, {8, 64, 1},
 	{49, 129, 64}, {96, 288, 128}, {100, 200, 48}, {1, 324, 81}, {10, 48, 81},
-	{3, blockK, 70}, {7, blockK + 6, 17}, {13, 2*blockK + 1, 64},
+	{3, 1024, 70}, {7, 1030, 17}, {13, 2049, 64},
 }
 
 // TestMatMulKernelEquivalence runs the blocked GEMM under every kernel class

@@ -12,17 +12,12 @@ import (
 const parallelThreshold = 1 << 16
 
 // Blocking. A GEMM runs the class's widest tile down column blocks of
-// tileCols, and each column block in K blocks of blockK rows of B; the tile
-// carries each C element's chain from one K block to the next through C,
-// which rounds nothing. Every layer of the network has k <= blockK, so its
-// B panel streams from L2 in one pass: on the reference host, blocks of 64
-// (a 16 KiB panel held in L1) made the trunk GEMMs 10-15 % slower, for the
-// extra loads and stores of C and tile calls (EXPERIMENTS.md). Row blocks of
-// blockM rows — whole tiles — are the units the worker pool shares.
-const (
-	blockM = 8 * tileRows
-	blockK = 1024
-)
+// tileCols, each over the whole of k in one pass. K blocks of 64 (a 16 KiB
+// panel of B held in L1) made the trunk GEMMs 10-15 % slower on the
+// reference host, for the extra loads and stores of C (EXPERIMENTS.md), and
+// would give the same bits. Row blocks of blockM rows — whole tiles — are
+// the units the worker pool shares.
+const blockM = 8 * tileRows
 
 // negZeros is the bias of a GEMM without one: adding -0 changes no float,
 // not even -0.
@@ -104,26 +99,18 @@ func (t *gemmTask) block(bi int) {
 	gemmRange(t.c, t.a, t.b, t.bias, lo, min(lo+blockM, t.m), t.k, t.n, t.relu)
 }
 
-// gemmRange computes rows [lo, hi) of Dense: per column block, per K block,
-// the tile down the rows. Only the last K block adds the bias and applies
-// the ReLU.
+// gemmRange computes rows [lo, hi) of Dense: per column block, the tile
+// down the rows over all of k.
 func gemmRange(c, a, b, bias []float32, lo, hi, k, n int, relu bool) {
+	floor := float32(math.Inf(-1))
+	if relu {
+		floor = 0
+	}
 	for j0 := 0; j0 < n; j0 += tileCols {
-		cols := min(tileCols, n-j0)
-		for p0 := 0; ; p0 += blockK {
-			kb := min(blockK, k-p0)
-			last := p0+kb == k
-			bs, floor := negZeros[:], float32(math.Inf(-1))
-			if last && bias != nil {
-				bs = bias[j0:]
-			}
-			if last && relu {
-				floor = 0
-			}
-			tile(c[lo*n+j0:], n, a[lo*k+p0:], k, b[p0*n+j0:], n, hi-lo, cols, kb, bs, floor, p0 > 0)
-			if last {
-				break
-			}
+		bs := negZeros[:]
+		if bias != nil {
+			bs = bias[j0:]
 		}
+		tile(c[lo*n+j0:], n, a[lo*k:], k, b[j0:], n, hi-lo, min(tileCols, n-j0), k, bs, floor)
 	}
 }

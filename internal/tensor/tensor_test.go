@@ -316,7 +316,7 @@ func BenchmarkConvGomokuLayer(b *testing.B) {
 }
 
 func TestMatMulBlockedEdgeSizes(t *testing.T) {
-	// Dimensions straddling the row, column and K blocks exercise every
+	// Dimensions straddling the row and column blocks exercise every
 	// partial-block path of the tiles.
 	r := rng.New(31)
 	for _, dims := range [][3]int{{65, 257, 67}, {63, 260, 130}, {128, 513, 66}, {1, 259, 70}} {
