@@ -128,8 +128,8 @@
 // needs and gets no flush deadline, and adaptive.NewLocalFleet is the
 // G-masters-on-one-worker-pool block that cmd/train and dist.Worker stand
 // their self-play fleets up with. The evidence for the shared service is on
-// the real engine: TestSharedServiceBeatsIndependentQueues (root module)
-// holds it to more playouts/s and a higher batch fill than G private queues.
+// the real engine: internal/evaluate's TestSharedServiceBeatsIndependentQueues
+// holds it to fuller batches and less accelerator time than G private queues.
 //
 // # Persistent search sessions
 //
@@ -293,8 +293,8 @@
 // between processes, over a net.Pipe inside one (cmd/train's default
 // role, and the package's tests) — and every
 // failure mode degrades gracefully: a dead worker costs the learner at
-// most one round-timeout of fill, a disconnected worker keeps generating
-// into a bounded drop-oldest buffer and redials with backoff, and a
+// most one round-timeout of fill, a disconnected worker generates only
+// what its bounded buffer can hold and redials with backoff, and a
 // restarted learner resumes from the checkpoint store and replay dir
 // while workers reconnect and catch up on the current model in the hello
 // exchange (topology and failure semantics in OPERATIONS.md; the

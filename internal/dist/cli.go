@@ -52,7 +52,7 @@ func Flags(fs *flag.FlagSet) (learner func() (LearnerConfig, error), worker func
 		playouts  = mcts.PlayoutsFlag(fs, 100, " of the self-play engines")
 		workers   = fs.Int("workers", 4, "inference threads of the local service; also each game's in-flight bound")
 		id        = fs.String("id", "", "worker name in learner logs, mixed into -seed so workers given one seed play different games (default worker-<pid>; in-process: local)")
-		buffer    = fs.Int("buffer", 256, "episodes buffered while disconnected (oldest dropped when full)")
+		buffer    = fs.Int("buffer", 256, "episodes buffered while disconnected (with no room for another round, the worker waits for its learner)")
 		reuse     = mcts.ReuseFlag(fs, false, " across moves")
 		transpose = tree.TransposeFlag(fs, "off", "")
 	)

@@ -690,3 +690,54 @@ func TestWorkersSeenCountsWorkers(t *testing.T) {
 		t.Fatalf("learner saw %d workers, want 1 (one worker, redialled)", st.WorkersSeen)
 	}
 }
+
+// TestWorkerWithoutLearnerWaits: a worker whose learner stops plays the round
+// in flight and then only the rounds its outbox can hold, drops nothing,
+// delivers what it holds when a learner is back, and returns promptly from
+// Stop.
+func TestWorkerWithoutLearnerWaits(t *testing.T) {
+	fabric := NewNetwork()
+	ckptDir := t.TempDir()
+	runLearner := func(rounds int) {
+		lis, err := fabric.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		learner, err := NewLearner(lis, testLearnerConfig(t, ckptDir, rounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		learner.Run(nil) // stops the learner under the running worker
+	}
+	wcfg := testWorkerConfig(t, "w0", fabric.Dialer(), 1)
+	wcfg.BufferEpisodes = 2 * wcfg.Games
+	w, err := NewWorker(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan WorkerStats, 1)
+	go func() { done <- w.Run() }()
+
+	// Unchecked, the worker plays a tictactoe round in milliseconds, so each
+	// window would hold tens of rounds it could only drop.
+	runLearner(2)
+	time.Sleep(300 * time.Millisecond)
+	runLearner(1)
+	time.Sleep(300 * time.Millisecond)
+	stopped := time.Now()
+	w.Stop()
+	ws := <-done
+	if d := time.Since(stopped); d > 2*time.Second {
+		t.Fatalf("Run returned %v after Stop", d)
+	}
+	if ws.Dropped != 0 {
+		t.Fatalf("worker dropped %d episodes", ws.Dropped)
+	}
+	if ws.Reconnects < 1 {
+		t.Fatalf("worker reconnected %d times, want >= 1", ws.Reconnects)
+	}
+	if unsent := ws.Episodes - ws.Sent; unsent > wcfg.Games+wcfg.BufferEpisodes {
+		t.Fatalf("worker played %d episodes (%d rounds) it could not send, want at most the round in flight and a full outbox (%d)",
+			unsent, unsent/wcfg.Games, wcfg.Games+wcfg.BufferEpisodes)
+	}
+}

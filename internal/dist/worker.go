@@ -55,9 +55,9 @@ type WorkerConfig struct {
 	// Seed drives the fleet's move sampling, mixed with ID: workers given one
 	// Seed and different IDs play different games.
 	Seed uint64
-	// BufferEpisodes bounds the unsent-episode outbox while disconnected
-	// (default 256). When full the OLDEST episode is dropped — fresher data
-	// is worth more to the learner, and the drop is counted.
+	// BufferEpisodes bounds the outbox while disconnected (default 256): the
+	// worker waits for a learner rather than play a round it cannot buffer;
+	// past a buffer smaller than a round it drops (and counts) the OLDEST.
 	BufferEpisodes int
 	// ReconnectMin/ReconnectMax bound the exponential redial backoff
 	// (defaults 50ms / 2s).
@@ -184,8 +184,8 @@ func workerSeed(seed uint64, id string) uint64 {
 
 // Run drives the worker until Rounds rounds have been played or Stop is
 // called. It blocks waiting for the first checkpoint (a worker cannot play
-// without a model), then keeps playing through disconnections, buffering
-// episodes and redialing with backoff in the background.
+// without a model), then keeps playing through disconnections while it can
+// buffer a round, redialing with backoff in the background.
 func (w *Worker) Run() WorkerStats {
 	go w.connectLoop()
 
@@ -299,29 +299,35 @@ func (w *Worker) enqueue(m Msg) {
 	w.outbox = append(w.outbox, m)
 }
 
-// flush ships buffered episodes over the live connection, oldest first. A
-// send error stops the flush and leaves the remainder buffered for the
-// next barrier (by which time the connect loop has usually redialed).
+// flush ships buffered episodes over the live connection, oldest first, at
+// the round barrier. Disconnected, it waits for a redial (or Stop) while the
+// outbox cannot take another round, so the worker plays none only to drop it.
 func (w *Worker) flush() {
 	for {
 		w.mu.Lock()
-		if len(w.outbox) == 0 || w.conn == nil {
+		c, n := w.conn, len(w.outbox)
+		if n == 0 || c == nil {
 			w.mu.Unlock()
-			return
+			if n == 0 || n+w.cfg.Games <= w.cfg.BufferEpisodes {
+				return
+			}
+			select {
+			case <-time.After(w.cfg.ReconnectMin):
+			case <-w.stop:
+				return
+			}
+			continue
 		}
-		c := w.conn
 		m := w.outbox[0]
 		w.mu.Unlock()
 
 		if err := c.Send(m); err != nil {
 			w.dropConn(c)
-			return
+			continue
 		}
 		w.sent.Add(1)
 		w.mu.Lock()
-		if len(w.outbox) > 0 {
-			w.outbox = w.outbox[1:]
-		}
+		w.outbox = w.outbox[1:]
 		w.mu.Unlock()
 	}
 }

@@ -354,6 +354,40 @@ func BenchmarkCacheProbePlaneHash(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheContention compares the lock-striped evaluation cache
+// against a single-mutex (shards=1) configuration under concurrent
+// shared-tree-style access: 8 goroutines, hot working set, cheap inner
+// evaluator so lock handoff dominates.
+func BenchmarkCacheContention(b *testing.B) {
+	inputs := make([][]float32, 256)
+	for i := range inputs {
+		inputs[i] = testInput(uint64(i), 64)
+	}
+	for _, cfg := range []struct {
+		name   string
+		shards int
+	}{{"global", 1}, {"sharded64", 64}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			c := evaluate.NewCachedSharded(&evaluate.Random{}, 4096, cfg.shards)
+			const workers = 8
+			per := (b.N + workers - 1) / workers
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					pol := make([]float32, 9)
+					for i := 0; i < per; i++ {
+						c.Evaluate(inputs[(seed*31+i)%len(inputs)], pol)
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // tinyNN is a seeded small network for st's game behind the production
 // evaluator.
 func tinyNN(t *testing.T, st game.State) *evaluate.NN {

@@ -23,7 +23,6 @@ import (
 	"github.com/parmcts/parmcts/internal/accel"
 	"github.com/parmcts/parmcts/internal/evaluate"
 	"github.com/parmcts/parmcts/internal/game"
-	"github.com/parmcts/parmcts/internal/game/gomoku"
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/perfmodel"
@@ -237,18 +236,13 @@ func HeadlineSpeedups(p LatencyParams, ns []int) *stats.Table {
 	return tb
 }
 
-// PhaseSplit reproduces the Section 2.1 profiling claim: in serial
+// PhaseSplitFor reproduces the Section 2.1 profiling claim: in serial
 // DNN-MCTS, the tree-based search stage (selection + expansion + backup +
 // inference, i.e. everything but DNN *training*) accounts for >85% of an
 // iteration's runtime; within a move, the split between in-tree operations
 // and inference is also reported. It runs the real serial engine on a real
-// Gomoku network. Returns the table and the DNN-evaluation share of the
+// network sized for g. Returns the table and the DNN-evaluation share of the
 // move time.
-func PhaseSplit(boardSize, playouts int) (*stats.Table, float64) {
-	return PhaseSplitFor(gomoku.NewSized(boardSize), playouts)
-}
-
-// PhaseSplitFor is PhaseSplit for any registered scenario.
 func PhaseSplitFor(g game.Game, playouts int) (*stats.Table, float64) {
 	c, h, w := g.EncodedShape()
 	net := nn.MustNew(nn.GomokuConfig(c, h, w, g.NumActions()), rng.New(1))

@@ -225,7 +225,7 @@ func TestPhaseSplitMatchesPaperClaim(t *testing.T) {
 		t.Skip("real-network profiling")
 	}
 	// Small board keeps the runtime down; the DNN still dominates.
-	tb, evalShare := PhaseSplit(9, 60)
+	tb, evalShare := PhaseSplitFor(gomoku.NewSized(9), 60)
 	if tb.NumRows() != 4 {
 		t.Fatalf("rows = %d", tb.NumRows())
 	}
