@@ -96,10 +96,12 @@
 // the quiescence rule: every mcts engine registers its rollout contexts with
 // the service for the length of a Search (mcts.SlotRegistrar, bracketed once
 // in the shared Search skeleton), and a partial batch launches the moment it
-// holds one request per registered context, because no open search can add
-// to it. Contexts whose request is executing still count, so lock-step
-// tenants stay in one batch; contexts that can no longer submit (a worker
-// out of tickets, a master out of budget, a finished search) leave at once.
+// holds its share of the registered contexts: one per context divided by the
+// backend's width, the batches it runs at once. Contexts whose request is
+// executing still count, so on an accelerator (width 1) lock-step tenants
+// stay in one batch, and on a CPU of w cores one batch executes per core
+// while the next forms; contexts that can no longer submit (a worker out of
+// tickets, a master out of budget, a finished search) leave at once.
 // The deadline is then only the backstop for a tenant busy in tree code, and
 // carries the service's central guarantee: no submitted request waits longer
 // than the deadline before its batch launches. That lets an mcts.Local master

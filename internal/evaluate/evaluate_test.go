@@ -136,7 +136,7 @@ func TestPoolProcessesAllRequests(t *testing.T) {
 			t.Fatalf("request %d delivered twice", i)
 		}
 	}
-	if !p.Server().closed.Load() {
+	if !p.srv.closed.Load() {
 		t.Fatal("closing the pool's client left its private server running")
 	}
 }

@@ -1,6 +1,7 @@
 package evaluate_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -268,4 +269,85 @@ func TestFlushCauseCounters(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 	cl.Close()
+}
+
+// sizeBackend records the largest batch and runs each on inner, the first
+// only once hold returns.
+type sizeBackend struct {
+	inner evaluate.Backend
+	hold  func()
+	once  sync.Once
+	mu    sync.Mutex
+	max   int
+}
+
+func (b *sizeBackend) RunBatch(batch []*evaluate.Request) {
+	b.mu.Lock()
+	b.max = max(b.max, len(batch))
+	b.mu.Unlock()
+	b.once.Do(b.hold)
+	b.inner.RunBatch(batch)
+}
+
+// TestQuorumOneBatchPerCore: two local-tree searches at k = 3 on a Batch-8
+// server with a far deadline launch by quorum alone. The first batch runs
+// only once all six slots have a request, so the searches overlap. Over a
+// backend of two workers the quorum is ⌈6 slots ÷ 2⌉, so no batch holds more
+// than 3 (one batch per core, the next forming); over one worker it is 6,
+// one batch of both searches at a time. Each search applies its evaluations
+// in submission order, so its visits are the same bits at either width.
+func TestQuorumOneBatchPerCore(t *testing.T) {
+	g := gomoku.NewSized(7)
+	search := func(workers int) (largest int, st evaluate.ServerStats, dists [][]float32) {
+		eb := &evaluate.EvaluatorBackend{Eval: &evaluate.Random{}, Workers: workers}
+		srv := evaluate.NewServer(eb, evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+		sizes := &sizeBackend{inner: eb, hold: func() {
+			for srv.Stats().Requests+int64(srv.Pending()) < 6 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}}
+		srv.SwapBackend(sizes) // the same backend, recorded: the width stays
+		dists = make([][]float32, 2)
+		var wg sync.WaitGroup
+		for i := range dists {
+			cfg := mcts.DefaultConfig()
+			cfg.Playouts = 90
+			cfg.Seed = uint64(11 + i)
+			cl := srv.NewSyncClient()
+			eng := mcts.NewLocal(cfg, cl, 3)
+			dists[i] = make([]float32, g.NumActions())
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for move := 0; move < 2; move++ {
+					eng.Search(g.NewInitial(), dists[i])
+				}
+				eng.Close()
+				cl.Close()
+			}()
+		}
+		wg.Wait()
+		srv.Close()
+		return sizes.max, srv.Stats(), dists
+	}
+	wide, wideStats, wideDists := search(2)
+	narrow, narrowStats, narrowDists := search(1)
+	t.Logf("two workers: largest batch %d, %+v; one worker: largest batch %d, %+v", wide, wideStats, narrow, narrowStats)
+	if wideStats.DeadlineFlushes != 0 || narrowStats.DeadlineFlushes != 0 {
+		t.Fatalf("deadline flushes %d (two workers) and %d (one worker), want none",
+			wideStats.DeadlineFlushes, narrowStats.DeadlineFlushes)
+	}
+	if wide > 3 {
+		t.Fatalf("two workers launched a batch of %d, want at most ⌈6 ÷ 2⌉ = 3", wide)
+	}
+	if narrow != 6 {
+		t.Fatalf("one worker's largest batch held %d, want both searches' 6", narrow)
+	}
+	for i := range wideDists {
+		for a := range wideDists[i] {
+			if math.Float32bits(wideDists[i][a]) != math.Float32bits(narrowDists[i][a]) {
+				t.Fatalf("search %d, action %d: visits %v at two workers, %v at one", i, a, wideDists[i][a], narrowDists[i][a])
+			}
+		}
+	}
 }

@@ -47,6 +47,16 @@ type EvaluatorBackend struct {
 
 // RunBatch implements Backend.
 func (b *EvaluatorBackend) RunBatch(batch []*Request) {
+	if w := b.width(); len(batch) > 1 {
+		forChunks(len(batch), w, func(lo, hi int) { b.run(batch[lo:hi]) })
+		return
+	}
+	b.run(batch)
+}
+
+// width is how many sub-batches b runs at once: Workers, or GOMAXPROCS when
+// Workers is 0, read once. NewServer takes it as its launch width.
+func (b *EvaluatorBackend) width() int {
 	b.once.Do(func() {
 		w := b.Workers
 		if w < 1 {
@@ -55,11 +65,7 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 		b.sem = make(chan struct{}, w)
 		b.batched = batchedForm(b.Eval)
 	})
-	if len(batch) == 1 {
-		b.run(batch)
-		return
-	}
-	forChunks(len(batch), cap(b.sem), func(lo, hi int) { b.run(batch[lo:hi]) })
+	return cap(b.sem)
 }
 
 // forChunks splits [0, n) into at most w contiguous chunks of equal size (the
@@ -183,23 +189,24 @@ func (s ServerStats) AvgFill() float64 {
 //   - threshold: ServerConfig.Batch requests are buffered;
 //   - quorum: tenants that search register their rollout contexts as slots
 //     (Client.BeginSearch/EndSearch — the mcts engines do it around every
-//     Search), and the buffer holds one request per registered slot, so no
-//     open search can add to it;
+//     Search), and the buffer holds its share of them: n · w ≥ slots, w
+//     being the backend's width (EvaluatorBackend's Workers, otherwise 1);
 //   - deadline: no request waits longer than FlushDeadline between Submit
 //     and its launch. With registered tenants it is only the backstop for a
 //     tenant that is busy in tree code while the others wait, not the
 //     light-load latency floor.
 //
 // The quorum counts every registered slot, including slots whose request is
-// executing in an earlier batch: a request buffered meanwhile waits for that
-// batch's tenants to return and merge with it (at most one forward pass),
-// which keeps G lock-step sessions in one batch of G. Treating executing
-// tenants as absent, or launching whenever the device is idle, splits them
-// into out-of-phase groups that never re-merge. A server no tenant registers
-// with has no quorum and batches by threshold and deadline alone. An
-// explicit push (Flush, Close, a deadline-less Client.Wait) launches the
-// buffer under no condition. One function states this rule, queue.step, and
-// rule_test.go's checker walks every state it reaches in twelve events.
+// executing in an earlier batch. At width 1 (an accelerator) a request
+// buffered meanwhile waits for that batch's tenants to return and merge with
+// it, which keeps G lock-step sessions in one batch of G; at width w (w CPU
+// cores) one batch executes per core while the next forms. Treating
+// executing tenants as absent, or launching whenever the device is idle,
+// splits them into out-of-phase groups that never re-merge. A server no
+// tenant registers with has no quorum and batches by threshold and deadline
+// alone. An explicit push (Flush, Close, a deadline-less Client.Wait)
+// launches the buffer under no condition. One function states this rule,
+// queue.step, and rule_test.go's checker walks every state it reaches.
 //
 // The server holds one Backend at a time, and a batch reads it once, when it
 // runs. SwapBackend replaces it between training rounds (see its contract).
@@ -238,7 +245,11 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.FlushDeadline < 0 {
 		panic("evaluate: negative flush deadline")
 	}
-	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, deadline: cfg.FlushDeadline > 0}}
+	width := 1
+	if eb, ok := backend.(*EvaluatorBackend); ok {
+		width = eb.width()
+	}
+	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, width: width, deadline: cfg.FlushDeadline > 0}}
 	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
@@ -264,7 +275,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 // returns run on b; a request already buffered or executing may run on either
 // backend. A caller that must not mix networks inside one game swaps where no
 // game is in flight, as dist.Worker does at its round barrier. No queue is
-// drained and no submitter blocks.
+// drained, no submitter blocks, and the launch width stays NewServer's.
 func (s *Server) SwapBackend(b Backend) {
 	if b == nil {
 		panic("evaluate: SwapBackend with nil backend")
@@ -330,6 +341,7 @@ func (s *Server) Close() {
 // queue is the accelerator queue's state. Only step changes it.
 type queue struct {
 	batch    int  // the threshold
+	width    int  // batches the backend runs at once: the quorum is n·width ≥ slots
 	deadline bool // the server has a flush deadline, so submits arm timers
 	buf      []*Request
 	slots    int // registered search slots: the quorum (0 = condition off)
@@ -401,7 +413,7 @@ func (q *queue) step(e event) effect {
 		switch {
 		case n >= q.batch:
 			q.stats.ThresholdFlushes++
-		case q.slots > 0 && n >= q.slots:
+		case q.slots > 0 && n*q.width >= q.slots:
 			q.stats.QuorumFlushes++
 		default:
 			return effect{arm: q.deadline && e.op == opSubmit && n == 1, gen: q.gen}
@@ -423,7 +435,7 @@ func (q *queue) step(e event) effect {
 type Rule struct{ q queue }
 
 // NewRule returns the rule of a deadline-less Server of threshold batch.
-func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1)}} }
+func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1), width: 1}} }
 
 // Submit, Begin, End and Wait are Client.Submit, BeginSearch, EndSearch and a
 // deadline-less Client.Wait.
@@ -507,9 +519,6 @@ type Client struct {
 	drained     *sync.Cond
 	closed      bool
 }
-
-// Server exposes the service this client submits to.
-func (c *Client) Server() *Server { return c.srv }
 
 // Submit implements Async.
 func (c *Client) Submit(req *Request) {

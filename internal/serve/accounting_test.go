@@ -41,7 +41,7 @@ func TestE2ETombstoneContractUnderSaturation(t *testing.T) {
 	// Saturate: a gated move on B holds the single admission token.
 	moveDone := make(chan int, 1)
 	go func() {
-		moveDone <- postStatus(ts.URL+"/v1/game/"+snapB.ID+"/move", moveRequest{Action: 0})
+		moveDone <- postStatus(ts.URL+"/v1/game/"+snapB.ID+"/move", move(0))
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for svc.Stats().MovesInFlight == 0 {

@@ -61,6 +61,9 @@ func post(t *testing.T, url string, body interface{}) (*http.Response, Snapshot)
 	return resp, snap
 }
 
+// move is the body of a move request that plays action.
+func move(action int) moveRequest { return moveRequest{Action: &action} }
+
 // postStatus is the goroutine-safe variant of post: no testing.T calls,
 // just the status code (-1 on transport failure).
 func postStatus(url string, body interface{}) int {
@@ -114,7 +117,7 @@ func TestE2EEvictionUnderBudget(t *testing.T) {
 		t.Fatalf("game B: status %d", respB.StatusCode)
 	}
 
-	resp, _ := post(t, ts.URL+"/v1/game/"+snapA.ID+"/move", moveRequest{Action: 0})
+	resp, _ := post(t, ts.URL+"/v1/game/"+snapA.ID+"/move", move(0))
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("move on evicted game A: status %d, want 410", resp.StatusCode)
 	}
@@ -169,7 +172,7 @@ func TestE2ESaturation429(t *testing.T) {
 
 	moveDone := make(chan int, 1)
 	go func() {
-		moveDone <- postStatus(ts.URL+"/v1/game/"+snapA.ID+"/move", moveRequest{Action: 0})
+		moveDone <- postStatus(ts.URL+"/v1/game/"+snapA.ID+"/move", move(0))
 	}()
 
 	// Wait until A's move holds the admission token (blocked in search).
@@ -181,7 +184,7 @@ func TestE2ESaturation429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, _ := post(t, ts.URL+"/v1/game/"+snapB.ID+"/move", moveRequest{Action: 0})
+	resp, _ := post(t, ts.URL+"/v1/game/"+snapB.ID+"/move", move(0))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("move on B while saturated: status %d, want 429", resp.StatusCode)
 	}
@@ -218,7 +221,7 @@ func TestE2EDrainSafeEviction(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		moveStatus <- postStatus(ts.URL+"/v1/game/"+snapA.ID+"/move", moveRequest{Action: 4})
+		moveStatus <- postStatus(ts.URL+"/v1/game/"+snapA.ID+"/move", move(4))
 	}()
 	go func() {
 		defer wg.Done()
@@ -272,7 +275,7 @@ func TestE2EModelVersionIsServingVersion(t *testing.T) {
 	if snap.ModelVersion != 7 {
 		t.Fatalf("new game reports version %d, want 7", snap.ModelVersion)
 	}
-	resp, reply := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", moveRequest{Action: snap.Legal[0]})
+	resp, reply := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", move(snap.Legal[0]))
 	if resp.StatusCode != http.StatusOK || reply.ModelVersion != 7 {
 		t.Fatalf("move reply: status %d, version %d; want 200, 7", resp.StatusCode, reply.ModelVersion)
 	}
@@ -298,19 +301,19 @@ func TestE2EDrainAndErrors(t *testing.T) {
 	// Play the game out (random-legal from the wire snapshot).
 	cur := snap
 	for !cur.Terminal {
-		resp, reply := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", moveRequest{Action: cur.Legal[0]})
+		resp, reply := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", move(cur.Legal[0]))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("move: status %d", resp.StatusCode)
 		}
 		cur = reply
 	}
-	resp, _ := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", moveRequest{Action: 0})
+	resp, _ := post(t, ts.URL+"/v1/game/"+snap.ID+"/move", move(0))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("move on finished game: status %d, want 409", resp.StatusCode)
 	}
 
 	_, snap2 := post(t, ts.URL+"/v1/game/new", newGameRequest{})
-	resp, _ = post(t, ts.URL+"/v1/game/"+snap2.ID+"/move", moveRequest{Action: 99})
+	resp, _ = post(t, ts.URL+"/v1/game/"+snap2.ID+"/move", move(99))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("illegal move: status %d, want 400", resp.StatusCode)
 	}
@@ -332,7 +335,7 @@ func TestE2EDrainAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new game while draining: status %d, want 503", resp.StatusCode)
 	}
-	resp, _ = post(t, ts.URL+"/v1/game/"+snap2.ID+"/move", moveRequest{Action: snap2.Legal[0]})
+	resp, _ = post(t, ts.URL+"/v1/game/"+snap2.ID+"/move", move(snap2.Legal[0]))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("move while draining: status %d, want 503", resp.StatusCode)
 	}

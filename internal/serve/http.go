@@ -72,9 +72,9 @@ type newGameRequest struct {
 	EngineStarts bool `json:"engine_starts,omitempty"`
 }
 
-// moveRequest is the /v1/game/{id}/move request body.
+// moveRequest is the /v1/game/{id}/move request body; Action is required.
 type moveRequest struct {
-	Action int `json:"action"`
+	Action *int `json:"action"`
 }
 
 // errorResponse is the uniform error body.
@@ -95,6 +95,7 @@ type Statsz struct {
 	SessionsBudget   int     `json:"sessions_budget"`
 	SessionsCreated  int64   `json:"sessions_created"`
 	SessionsEvicted  int64   `json:"sessions_evicted"`
+	SearchArenas     int64   `json:"search_arenas"`
 	GamesCompleted   int64   `json:"games_completed"`
 	MovesServed      int64   `json:"moves_served"`
 	MovesInFlight    int64   `json:"moves_in_flight"`
@@ -105,8 +106,8 @@ type Statsz struct {
 	EvalBatches      int64   `json:"eval_batches"`
 	EvalRequests     int64   `json:"eval_requests"`
 	EvalAvgBatchFill float64 `json:"eval_avg_batch_fill"`
-	// EvalFlush* split eval_batches by what launched them: a full batch,
-	// every open search having a request in it, or the flush deadline.
+	// EvalFlush* split eval_batches by what launched them: a full batch, the
+	// quorum (one batch per core: requests × cores ≥ open slots), the deadline.
 	EvalFlushThreshold int64 `json:"eval_flush_threshold"`
 	EvalFlushQuorum    int64 `json:"eval_flush_quorum"`
 	EvalFlushDeadline  int64 `json:"eval_flush_deadline"`
@@ -139,6 +140,7 @@ func (s *Service) Stats() Statsz {
 		SessionsBudget:     s.cfg.MaxSessions,
 		SessionsCreated:    s.created.Load(),
 		SessionsEvicted:    s.evictedN.Load(),
+		SearchArenas:       s.arenas.Load(),
 		GamesCompleted:     s.completed.Load(),
 		MovesServed:        s.moves.Load(),
 		MovesInFlight:      s.searching.Load(),
@@ -223,7 +225,11 @@ func (s *Service) handleMove(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	snap, ms, err := s.Move(id, req.Action)
+	if req.Action == nil {
+		writeError(w, http.StatusBadRequest, "bad_request", `the move body needs an "action"`, 0)
+		return
+	}
+	snap, ms, err := s.Move(id, *req.Action)
 	if err != nil {
 		s.writeServiceError(w, err)
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -41,5 +42,49 @@ func TestMoveBodyIsBounded(t *testing.T) {
 	}
 	if body.n > maxBodyBytes+1 {
 		t.Fatalf("read %d bytes of the body, want at most %d", body.n, maxBodyBytes+1)
+	}
+}
+
+// TestMoveWithoutActionIsRefused: a move body that leaves out "action", or
+// sets it to null, is answered 400 bad_request and plays nothing; a body
+// with an action still plays it.
+func TestMoveWithoutActionIsRefused(t *testing.T) {
+	svc := NewService(testConfig(t))
+	defer svc.Close()
+	snap, _, err := svc.NewGame(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		path := "/v1/game/" + snap.ID
+		if method == http.MethodPost {
+			path += "/move"
+		}
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	ply := func() int {
+		var got Snapshot
+		if err := json.NewDecoder(serve(http.MethodGet, "").Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Ply
+	}
+	for _, body := range []string{`{}`, `{"acton": 3}`, `{"action": null}`} {
+		rec := serve(http.MethodPost, body)
+		var e errorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || rec.Code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Fatalf("%s: status %d, code %q (%v), want 400 bad_request", body, rec.Code, e.Code, err)
+		}
+		if got := ply(); got != 0 {
+			t.Fatalf("%s: ply %d after a refused move, want 0", body, got)
+		}
+	}
+	if rec := serve(http.MethodPost, `{"action": 4}`); rec.Code != http.StatusOK {
+		t.Fatalf(`{"action": 4}: status %d, want 200`, rec.Code)
+	}
+	if got := ply(); got != 2 {
+		t.Fatalf("ply %d after a move and the engine's reply, want 2", got)
 	}
 }

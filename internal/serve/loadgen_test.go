@@ -207,7 +207,7 @@ func (u *loadUser) play(engineStarts bool) bool {
 		legal := mirror.LegalMoves(nil)
 		action := legal[u.r.Intn(len(legal))]
 		var lat time.Duration
-		snap, status, lat, err = u.post("/v1/game/"+id+"/move", moveRequest{Action: action})
+		snap, status, lat, err = u.post("/v1/game/"+id+"/move", move(action))
 		switch {
 		case err != nil || status == http.StatusServiceUnavailable:
 			u.rep.GamesAborted++

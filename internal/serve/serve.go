@@ -213,6 +213,8 @@ type Service struct {
 	playoutsN  atomic.Int64
 	evalsN     atomic.Int64
 	transHitsN atomic.Int64
+	// arenas counts sessions holding a search engine (a tree arena).
+	arenas atomic.Int64
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -328,6 +330,7 @@ func (s *Service) newSession(id string, engineStarts bool, seedSalt uint64) *gam
 	if engineStarts {
 		side = game.P1
 	}
+	s.arenas.Add(1)
 	return &gameSession{
 		id:         id,
 		engineSide: side,
@@ -485,17 +488,13 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	}
 }
 
-// finishLocked marks a session's game complete and gives back its search:
-// the engine's tree returns to the arena pool for the next game, the client
-// closes, and the session drops both with its sampler and policy scratch, so
-// a finished game holds nothing of its search. The session stays queryable
-// until evicted, but moves to the LRU tail so budget pressure reclaims
-// finished games first. Caller holds sess.mu.
+// finishLocked marks a session's game complete and gives back its search,
+// so a finished game holds nothing of it. The session stays queryable until
+// evicted, but moves to the LRU tail so budget pressure reclaims finished
+// games first. Caller holds sess.mu.
 func (s *Service) finishLocked(sess *gameSession) {
 	sess.done = true
-	sess.engine.Close()
-	sess.cl.Close()
-	sess.engine, sess.cl, sess.rnd, sess.dist = nil, nil, nil, nil
+	s.closeSearchLocked(sess)
 	s.completed.Add(1)
 	s.mu.Lock()
 	if sess.elem != nil {
@@ -563,7 +562,7 @@ func (s *Service) evictLRULocked() bool {
 	sess := back.Value.(*gameSession)
 	s.removeLocked(sess)
 	s.evictedN.Add(1)
-	go sess.shutdown()
+	go s.shutdown(sess)
 	return true
 }
 
@@ -599,7 +598,7 @@ func (s *Service) rollbackSession(sess *gameSession) {
 		s.created.Add(-1)
 	}
 	s.mu.Unlock()
-	sess.shutdown()
+	s.shutdown(sess)
 }
 
 // janitor evicts idle sessions every IdleTTL/4.
@@ -627,7 +626,7 @@ func (s *Service) janitor() {
 			}
 			s.mu.Unlock()
 			for _, sess := range idle {
-				go sess.shutdown()
+				go s.shutdown(sess)
 			}
 		}
 	}
@@ -661,7 +660,7 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	for _, sess := range all {
-		sess.shutdown() // synchronous: waits for in-flight searches
+		s.shutdown(sess) // synchronous: waits for in-flight searches
 	}
 	s.srv.Close()
 }
@@ -696,14 +695,23 @@ type gameSession struct {
 
 // shutdown finishes a session: it waits for an in-flight move to complete
 // (session mutex), marks the session closed so late requests get ErrGone,
-// and, unless the game already finished and gave them back, closes the
-// engine (which drains and discards the tree) and the client.
-func (sess *gameSession) shutdown() {
+// and gives back its search unless the game already did.
+func (s *Service) shutdown(sess *gameSession) {
 	sess.mu.Lock()
-	if !sess.closed && sess.engine != nil {
-		sess.engine.Close()
-		sess.cl.Close()
-	}
+	s.closeSearchLocked(sess)
 	sess.closed = true
 	sess.mu.Unlock()
+}
+
+// closeSearchLocked closes the engine (its tree returns to the arena pool)
+// and the client, and drops them with the sampler and policy scratch, once:
+// a session without an engine has nothing to give back. Caller holds sess.mu.
+func (s *Service) closeSearchLocked(sess *gameSession) {
+	if sess.engine == nil {
+		return
+	}
+	sess.engine.Close()
+	sess.cl.Close()
+	sess.engine, sess.cl, sess.rnd, sess.dist = nil, nil, nil, nil
+	s.arenas.Add(-1)
 }
