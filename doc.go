@@ -47,7 +47,12 @@
 // class is one fp32 FMA chain over k in order (the generic class rounds each
 // step once, as the hardware does). TestMatMulKernelEquivalence, the
 // FuzzGEMM target and TestElementsAreStandAloneChains hold every class to
-// that chain, element by element.
+// that chain, element by element. A GEMM runs every row on its caller's
+// goroutine, so one forward pass is one core's work, the single-threaded
+// T_DNN_CPU of Equations 3/5. CPU parallelism lives above it, where the
+// paper puts it: the server's per-core batches, EvaluatorBackend's per-core
+// sub-batches, the shared tree's N workers and TrainBatch's per-sample
+// workers.
 //
 // The forward pass has a bitwise contract. An output element's bits depend
 // on its own patch row and weight column alone, in every kernel class, and

@@ -68,16 +68,13 @@ func (b *EvaluatorBackend) width() int {
 	return cap(b.sem)
 }
 
-// forChunks splits [0, n) into at most w contiguous chunks of equal size (the
-// last may be shorter; w <= 0 means GOMAXPROCS), runs fn on each — the first
-// on the caller's goroutine, every other on its own — and returns once all
-// have. It is how RunBatch shares a formed batch between cores.
+// forChunks splits [0, n) into at most w >= 1 contiguous chunks of equal
+// size (the last may be shorter), runs fn on each — the first on the
+// caller's goroutine, every other on its own — and returns once all have.
+// It is how RunBatch shares a formed batch between cores.
 func forChunks(n, w int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
 	}
 	w = min(w, n)
 	chunk := (n + w - 1) / w

@@ -35,6 +35,7 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/nn"
 	"github.com/parmcts/parmcts/internal/rng"
+	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/tree"
 )
 
@@ -450,19 +451,7 @@ func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	st := sess.engine.SearchInFlight(sess.st, sess.dist, k)
 	s.searching.Add(-1)
 	sess.boughtNone = st.Evaluations == 0
-	best := -1
-	var bestV float32
-	for a, p := range sess.dist {
-		if p > bestV {
-			best, bestV = a, p
-		}
-	}
-	if best < 0 {
-		// Degenerate distribution (e.g. root expansion rejected at a full
-		// tree): fall back to a uniformly random legal move.
-		legal := sess.st.LegalMoves(make([]int, 0, s.game.NumActions()))
-		best = legal[sess.rnd.Intn(len(legal))]
-	}
+	best := train.SampleActionOrLegal(sess.rnd, sess.dist, 0, sess.st)
 	sess.st.Play(best)
 	sess.ply++
 	sess.engine.Advance(best)

@@ -166,10 +166,9 @@ func TestFMA32RoundsOnce(t *testing.T) {
 }
 
 // gemmShapes covers every remainder class of the tiles and the blocking
-// around them: m on both sides of a six-row tile and of a 48-row block (and
-// above the parallel threshold), n on both sides of the 8-, 16- and 64-wide
-// tiles (the heads' 4 and 2 channels, the value head's 1 output, 81
-// actions), and long chains of k up to 2,049.
+// around them: m on both sides of a six-row tile, n on both sides of the 8-,
+// 16- and 64-wide tiles (the heads' 4 and 2 channels, the value head's 1
+// output, 81 actions), and long chains of k up to 2,049.
 var gemmShapes = [][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 9}, {4, 16, 8}, {7, 33, 13}, {16, 100, 81}, {5, 257, 66},
 	{2, 8, 8}, {6, 24, 16}, {7, 40, 15}, {5, 9, 17}, {12, 64, 20}, {13, 65, 23},
@@ -351,18 +350,16 @@ func BenchmarkMatMulKernels(b *testing.B) {
 	}
 }
 
-// TestMatMulConcurrentLaunches: overlapping multi-block products from
-// several goroutines — each taking a pooled job and task, contending for the
-// pool workers, absorbing the blocks nobody picked up — all equal the
-// product computed alone. Run under -race it is the check on the job pool's
-// reuse protocol.
+// TestMatMulConcurrentLaunches: overlapping products from several
+// goroutines all equal the product computed alone. Run under -race it is
+// the check that concurrent Dense calls share no mutable state.
 func TestMatMulConcurrentLaunches(t *testing.T) {
 	r := rng.New(43)
-	m, k, n := 3*blockM+5, 40, 2*64+9 // four row blocks, above parallelThreshold
+	m, k, n := 149, 40, 2*64+9
 	a := randFloats(r, m*k)
 	b := randFloats(r, k*n)
 	want := make([]float32, m*n)
-	gemmRange(want, a, b, nil, 0, m, k, n, false)
+	MatMul(want, a, b, m, k, n)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -1,23 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"sync"
-)
-
-// parallelThreshold is the minimum number of multiply-accumulate operations
-// below which a GEMM runs single-threaded on the caller. Dispatching pool
-// work for tiny matrices (e.g. the value head's 64x1 product) costs more
-// than it saves.
-const parallelThreshold = 1 << 16
-
-// Blocking. A GEMM runs the class's widest tile down column blocks of
-// tileCols, each over the whole of k in one pass. K blocks of 64 (a 16 KiB
-// panel of B held in L1) made the trunk GEMMs 10-15 % slower on the
-// reference host, for the extra loads and stores of C (EXPERIMENTS.md), and
-// would give the same bits. Row blocks of blockM rows — whole tiles — are
-// the units the worker pool shares.
-const blockM = 8 * tileRows
+import "math"
 
 // negZeros is the bias of a GEMM without one: adding -0 changes no float,
 // not even -0.
@@ -43,11 +26,16 @@ func MatMul(c, a, b []float32, m, k, n int) {
 // Every element of C is one fp32 FMA chain over k in order, from +0 —
 // c = fma(a[i][p], b[p][j], c), rounded once per step — then one rounded
 // add of its bias, then the ReLU. That holds in every kernel class, at every
-// row, column and block boundary, and however the pool splits the rows, so
-// the classes agree bit for bit and an output does not depend on the other
-// rows in the call: a sample's outputs are the same in any batch. Dense
-// allocates nothing: one-block products run on the caller with no task,
-// multi-block ones take a pooled job.
+// row and column block boundary, so the classes agree bit for bit and an
+// output does not depend on the other rows in the call: a sample's outputs
+// are the same in any batch. Dense runs every row on its caller and
+// allocates nothing.
+//
+// Blocking. Dense runs the class's widest tile down column blocks of
+// tileCols, each over all m rows and the whole of k in one pass. K blocks of
+// 64 (a 16 KiB panel of B held in L1) made the trunk GEMMs 10-15 % slower on
+// the reference host, for the extra loads and stores of C (EXPERIMENTS.md),
+// and would give the same bits.
 func Dense(c, a, b, bias []float32, m, k, n int, relu bool) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n || (bias != nil && len(bias) < n) {
 		panic("tensor: Dense buffer too small")
@@ -71,37 +59,6 @@ func Dense(c, a, b, bias []float32, m, k, n int, relu bool) {
 		}
 		return
 	}
-	if m*k*n < parallelThreshold || m <= blockM {
-		// One row block (or too little work to share): no task, no closure,
-		// nothing allocated.
-		gemmRange(c, a, b, bias, 0, m, k, n, relu)
-		return
-	}
-	t := gemmTasks.Get().(*gemmTask)
-	*t = gemmTask{c: c, a: a, b: b, bias: bias, m: m, k: k, n: n, relu: relu}
-	parallelBlocks((m+blockM-1)/blockM, t)
-	*t = gemmTask{}
-	gemmTasks.Put(t)
-}
-
-// gemmTask is one parallel Dense launch, split by row block. It is pooled
-// because the pool workers it is handed to make it escape.
-type gemmTask struct {
-	c, a, b, bias []float32
-	m, k, n       int
-	relu          bool
-}
-
-var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
-
-func (t *gemmTask) block(bi int) {
-	lo := bi * blockM
-	gemmRange(t.c, t.a, t.b, t.bias, lo, min(lo+blockM, t.m), t.k, t.n, t.relu)
-}
-
-// gemmRange computes rows [lo, hi) of Dense: per column block, the tile
-// down the rows over all of k.
-func gemmRange(c, a, b, bias []float32, lo, hi, k, n int, relu bool) {
 	floor := float32(math.Inf(-1))
 	if relu {
 		floor = 0
@@ -111,6 +68,6 @@ func gemmRange(c, a, b, bias []float32, lo, hi, k, n int, relu bool) {
 		if bias != nil {
 			bs = bias[j0:]
 		}
-		tile(c[lo*n+j0:], n, a[lo*k:], k, b[j0:], n, hi-lo, min(tileCols, n-j0), k, bs, floor)
+		tile(c[j0:], n, a, k, b[j0:], n, m, min(tileCols, n-j0), k, bs, floor)
 	}
 }

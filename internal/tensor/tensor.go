@@ -1,7 +1,7 @@
 // Package tensor implements the dense float32 array operations backing the
-// policy/value network: one blocked parallel GEMM (Dense: C = A·B plus a
-// bias, through an optional ReLU; MatMul is it without either) and
-// channels-last im2col convolution on it, with its gradients.
+// policy/value network: one blocked GEMM (Dense: C = A·B plus a bias,
+// through an optional ReLU; MatMul is it without either) and channels-last
+// im2col convolution on it, with its gradients.
 //
 // The package deliberately sticks to plain Go and the standard library. The
 // paper offloads DNN inference to CUDA; here the same operator graph runs on
@@ -16,9 +16,10 @@
 // broadcast tile keeps rows x vectors of C in registers and per k multiplies
 // each row's element of A into one row of B. So the classes agree bit for
 // bit (TestElementsAreStandAloneChains, FuzzGEMM), and an output depends on
-// neither its row, its column, the blocking nor the batch it arrives in. The
-// path allocates nothing: one-block products run on the caller with no task,
-// multi-block ones take a pooled job.
+// neither its row, its column, the blocking nor the batch it arrives in. A
+// product runs on its caller's goroutine and allocates nothing: one forward
+// pass is one core's work, and the callers (a server's per-core batches,
+// the search workers, the training workers) spread forwards across cores.
 package tensor
 
 import "fmt"

@@ -70,7 +70,6 @@ type Replay struct {
 	mu   sync.Mutex
 	buf  []nn.Sample
 	next int
-	full bool
 }
 
 // NewReplay creates a replay buffer holding up to capacity samples.
@@ -91,7 +90,6 @@ func (r *Replay) Add(s nn.Sample) {
 	}
 	r.buf[r.next] = s
 	r.next = (r.next + 1) % cap(r.buf)
-	r.full = true
 }
 
 // Ingest adds one game's samples, each expanded by aug (nil = as is). It is
@@ -121,9 +119,9 @@ func (r *Replay) Len() int {
 func (r *Replay) Cap() int { return cap(r.buf) }
 
 // Sample draws a mini-batch of up to n samples. Contract: when the buffer
-// holds at least n samples, the batch is n draws uniform WITH replacement
+// holds more than n samples, the batch is n draws uniform WITH replacement
 // (standard for AlphaZero-style training; mini-batches may overlap). When
-// n exceeds the current fill, the batch is the distinct fill — every
+// n is at least the current fill, the batch is the distinct fill — every
 // stored sample exactly once, in random order — never padded by repeating
 // entries: an undersized warmup buffer must not silently weight early
 // games multiple times within one SGD step. Callers see the true batch

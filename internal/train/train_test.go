@@ -50,33 +50,34 @@ func TestReplaySample(t *testing.T) {
 }
 
 func TestReplaySampleBatchLargerThanFillIsDistinct(t *testing.T) {
-	// Regression for the silent with-replacement padding: a batch larger
-	// than the current fill must return every stored sample exactly once —
-	// an undersized warmup buffer must not weight early games multiple
-	// times inside one SGD step.
+	// Regression for the silent with-replacement padding: a batch as large
+	// as the current fill or larger must return every stored sample exactly
+	// once — an undersized warmup buffer must not weight early games
+	// multiple times inside one SGD step.
 	r := NewReplay(100)
 	const fill = 7
 	for i := 0; i < fill; i++ {
 		r.Add(nn.Sample{Value: float64(i)})
 	}
-	batch := r.Sample(rng.New(3), 64)
-	if len(batch) != fill {
-		t.Fatalf("batch len = %d, want the distinct fill %d", len(batch), fill)
-	}
-	seen := map[float64]bool{}
-	for _, s := range batch {
-		if seen[s.Value] {
-			t.Fatalf("sample %v repeated in an over-fill batch", s.Value)
+	for _, n := range []int{64, fill} {
+		batch := r.Sample(rng.New(3), n)
+		if len(batch) != fill {
+			t.Fatalf("n=%d: batch len = %d, want the distinct fill %d", n, len(batch), fill)
 		}
-		seen[s.Value] = true
-	}
-	for i := 0; i < fill; i++ {
-		if !seen[float64(i)] {
-			t.Fatalf("sample %d missing from the distinct fill", i)
+		seen := map[float64]bool{}
+		for _, s := range batch {
+			if seen[s.Value] {
+				t.Fatalf("n=%d: sample %v repeated in an at- or over-fill batch", n, s.Value)
+			}
+			seen[s.Value] = true
+		}
+		for i := 0; i < fill; i++ {
+			if !seen[float64(i)] {
+				t.Fatalf("n=%d: sample %d missing from the distinct fill", n, i)
+			}
 		}
 	}
-	// At or below the fill the batch stays exactly n, drawn with
-	// replacement.
+	// Below the fill the batch stays exactly n, drawn with replacement.
 	if got := r.Sample(rng.New(4), fill-2); len(got) != fill-2 {
 		t.Fatalf("under-fill batch len = %d, want %d", len(got), fill-2)
 	}
