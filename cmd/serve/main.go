@@ -1,7 +1,7 @@
 // Command serve runs the networked play service: an HTTP/JSON move API
 // (API.md) over a session manager that keeps one persistent warm search
-// session per active game, multiplexing every game through a single shared
-// inference service. Each move's search keeps as many evaluations in flight
+// session per active game, multiplexing every game through one shared
+// inference thread pool. Each move's search keeps as many evaluations in flight
 // as the live load calls for (see internal/serve), so there is no per-session
 // parallelism knob. Operational guidance — eviction and backpressure knobs,
 // drain semantics, the /statsz field reference — lives in OPERATIONS.md.
@@ -10,8 +10,7 @@
 //
 //	serve [-addr :8080] [-game tictactoe] [-playouts 200] [-reuse]
 //	      [-sessions 1024] [-idle-ttl 10m]
-//	      [-batch 8] [-flush-deadline 1ms] [-max-outstanding 256]
-//	      [-max-concurrent 0] [-retry-after 500ms]
+//	      [-max-outstanding 256] [-max-concurrent 0] [-retry-after 500ms]
 //	      [-cache 65536] [-transpose off] [-kernel avx2]
 //	      [-ckpt dir | -full-net] [-seed 1]
 //
@@ -59,8 +58,6 @@ func main() {
 		idleTTL    = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle longer than this (negative disables)")
 		tombstones = flag.Int("tombstones", 4096, "evicted-game tombstone window: the last N evicted ids answer 410 Gone instead of 404")
 
-		batch          = flag.Int("batch", 8, "inference batch flush threshold")
-		flushDeadline  = flag.Duration("flush-deadline", 0, "partial-batch flush deadline (0 = library default)")
 		maxOutstanding = flag.Int("max-outstanding", 256, "inference backpressure bound (submitted, unanswered evaluations)")
 		maxConcurrent  = flag.Int("max-concurrent", 0, "admission control: concurrent move searches before 429 (0 = max-outstanding)")
 		retryAfter     = flag.Duration("retry-after", 500*time.Millisecond, "Retry-After hint on 429/503 responses")
@@ -120,8 +117,6 @@ func main() {
 		TombstoneBudget:    *tombstones,
 		MaxConcurrentMoves: *maxConcurrent,
 		RetryAfter:         *retryAfter,
-		Batch:              *batch,
-		FlushDeadline:      *flushDeadline,
 		MaxOutstanding:     *maxOutstanding,
 		CacheSize:          *cacheSize,
 		TransposeSize:      tree.ResolveTransposeFlag("serve", *transpose),
@@ -141,8 +136,8 @@ func main() {
 			errc <- err
 		}
 	}()
-	fmt.Printf("serve: %s on %s (playouts=%d reuse=%v sessions=%d batch=%d max-outstanding=%d)\n",
-		*gameSpec, *addr, *playouts, *reuse, *sessions, *batch, *maxOutstanding)
+	fmt.Printf("serve: %s on %s (playouts=%d reuse=%v sessions=%d max-outstanding=%d)\n",
+		*gameSpec, *addr, *playouts, *reuse, *sessions, *maxOutstanding)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

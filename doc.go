@@ -50,9 +50,10 @@
 // that chain, element by element. A GEMM runs every row on its caller's
 // goroutine, so one forward pass is one core's work, the single-threaded
 // T_DNN_CPU of Equations 3/5. CPU parallelism lives above it, where the
-// paper puts it: the server's per-core batches, EvaluatorBackend's per-core
-// sub-batches, the shared tree's N workers and TrainBatch's per-sample
-// workers.
+// paper puts it: every CPU server's pool of inference threads (one
+// evaluation per launch, Algorithm 3), EvaluatorBackend's per-core
+// sub-batches of an accelerator's batch, the shared tree's N workers and
+// TrainBatch's per-sample workers.
 //
 // The forward pass has a bitwise contract. An output element's bits depend
 // on its own patch row and weight column alone, in every kernel class, and
@@ -69,10 +70,11 @@
 // pins the weights after one step). That is what lets evaluate.EvaluatorBackend — the backend serve,
 // cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
 // execute a formed batch as one batched forward per core (at most Workers
-// contiguous sub-batches; *NN and cache views over it, chosen by type
-// assertion, the view forwarding only its misses) without changing
-// one search: evaluators that cannot batch keep the per-request loop, and
-// the outputs are the same bits either way.
+// contiguous sub-batches over *NN, chosen by type assertion) without
+// changing one search: other evaluators, a cache view among them, keep the
+// per-request loop, and the outputs are the same bits either way. On a CPU
+// every server launches one request at a time, so only an accelerator's
+// batches take the batched forward.
 //
 // fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
 // why the int8 path was deleted). The accelerator seam is accel.Link, an
@@ -101,12 +103,13 @@
 // the quiescence rule: every mcts engine registers its rollout contexts with
 // the service for the length of a Search (mcts.SlotRegistrar, bracketed once
 // in the shared Search skeleton), and a partial batch launches the moment it
-// holds its share of the registered contexts: one per context divided by the
-// backend's width, the batches it runs at once. Contexts whose request is
-// executing still count, so on an accelerator (width 1) lock-step tenants
-// stay in one batch, and on a CPU of w cores one batch executes per core
-// while the next forms; contexts that can no longer submit (a worker out of
-// tickets, a master out of budget, a finished search) leave at once.
+// holds one request per registered context. Contexts whose request is
+// executing still count, so lock-step tenants on an accelerator stay in one
+// batch; contexts that can no longer submit (a worker out of tickets, a
+// master out of budget, a finished search) leave at once. A CPU server is a
+// pool of threshold 1 (evaluate.NewPool, adaptive's CPU fleets, dist.Worker
+// and serve), where every request launches alone and the quorum never
+// decides.
 // The deadline is then only the backstop for a tenant busy in tree code, and
 // carries the service's central guarantee: no submitted request waits longer
 // than the deadline before its batch launches. That lets an mcts.Local master

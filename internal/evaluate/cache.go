@@ -153,41 +153,27 @@ func (c *Cached) Evaluate(input []float32, policy []float32) float64 {
 }
 
 // evaluate is the shared lookup/fill path for the plain Evaluate and every
-// version-scoped View.
+// version-scoped View. A miss stores its result unless a concurrent miss on
+// the same key got there first.
 func (c *Cached) evaluate(version int64, inner Evaluator, input []float32, policy []float32) float64 {
 	key := mixVersion(hashInput(input), version)
-	if v, ok := c.probe(key, policy); ok {
-		return v
-	}
-	// Miss path: the inner (potentially multi-millisecond DNN) evaluation
-	// runs with no lock held.
-	value := inner.Evaluate(input, policy)
-	c.store(key, policy, value)
-	return value
-}
-
-// probe looks key up, counting a hit or a miss. On a hit it copies the stored
-// policy out and returns the stored value.
-func (c *Cached) probe(key uint64, policy []float32) (value float64, hit bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if e, ok := sh.entries[key]; ok {
 		sh.touchLocked(key, e)
 		copy(policy, e.policy)
 		sh.hits++
-		return e.value, true
+		sh.mu.Unlock()
+		return e.value
 	}
 	sh.misses++
-	return 0, false
-}
+	sh.mu.Unlock()
 
-// store inserts a freshly evaluated position unless a concurrent miss on
-// the same key got there first.
-func (c *Cached) store(key uint64, policy []float32, value float64) {
+	// Miss path: the inner (potentially multi-millisecond DNN) evaluation
+	// runs with no lock held.
+	value := inner.Evaluate(input, policy)
 	stored := make([]float32, len(policy))
 	copy(stored, policy)
-	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if _, exists := sh.entries[key]; !exists {
 		if len(sh.entries) >= sh.capacity {
@@ -197,47 +183,7 @@ func (c *Cached) store(key uint64, policy []float32, value float64) {
 		sh.ring = append(sh.ring, key)
 	}
 	sh.mu.Unlock()
-}
-
-// cacheBatch is evaluateBatch's scratch: the keys of a run of requests and
-// which of them missed.
-type cacheBatch struct {
-	keys   []uint64
-	missed []int
-}
-
-var cacheBatches = sync.Pool{New: func() any { return new(cacheBatch) }}
-
-// evaluateBatch is evaluate over a run of positions: every position is
-// probed exactly as evaluate probes it (same keys, same hit and miss
-// counts), the misses alone go to inner as ONE batch, with no lock held, and
-// are then stored. Two misses on one position in the same run are both
-// evaluated — to the same outputs — and leave one entry.
-func (c *Cached) evaluateBatch(version int64, inner BatchEvaluator, inputs, policies [][]float32, values []float64) {
-	cb := cacheBatches.Get().(*cacheBatch)
-	cb.keys, cb.missed = cb.keys[:0], cb.missed[:0]
-	for i, in := range inputs {
-		key := mixVersion(hashInput(in), version)
-		cb.keys = append(cb.keys, key)
-		v, ok := c.probe(key, policies[i])
-		if !ok {
-			cb.missed = append(cb.missed, i)
-		}
-		values[i] = v
-	}
-	if len(cb.missed) > 0 {
-		io := getBatchIO(len(cb.missed))
-		for m, i := range cb.missed {
-			io.inputs[m], io.policies[m] = inputs[i], policies[i]
-		}
-		inner.EvaluateBatch(io.inputs, io.policies, io.values)
-		for m, i := range cb.missed {
-			values[i] = io.values[m]
-			c.store(cb.keys[i], policies[i], values[i])
-		}
-		putBatchIO(io)
-	}
-	cacheBatches.Put(cb)
+	return value
 }
 
 // CacheView is a version-scoped handle on a shared Cached: lookups and
@@ -266,20 +212,6 @@ func (c *Cached) View(version int64, inner Evaluator) *CacheView {
 // Evaluate implements Evaluator.
 func (v *CacheView) Evaluate(input []float32, policy []float32) float64 {
 	return v.c.evaluate(v.version, v.inner, input, policy)
-}
-
-// EvaluateBatch implements BatchEvaluator: the hits are served from the
-// table and the misses go to the inner evaluator as one batch — or one by
-// one, when it has no batched form (EvaluatorBackend does not batch through
-// such a view in the first place).
-func (v *CacheView) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	if inner, ok := v.inner.(BatchEvaluator); ok {
-		v.c.evaluateBatch(v.version, inner, inputs, policies, values)
-		return
-	}
-	for i, in := range inputs {
-		values[i] = v.Evaluate(in, policies[i])
-	}
 }
 
 // touchLocked gives the resident entry e of key its second chance. Entries

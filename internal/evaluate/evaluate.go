@@ -29,13 +29,14 @@
 // What a launched batch costs is the Backend's business. EvaluatorBackend —
 // the one every production binary builds — cuts the batch into at most
 // Workers contiguous sub-batches and runs each as ONE batched forward pass
-// when the evaluator it holds is a BatchEvaluator (*NN, or a *CacheView over
-// one, which probes every request and forwards only the misses); any other
-// evaluator gets one Evaluate per request. The choice is a type assertion,
-// never configuration. NN.Evaluate is the same nn.ForwardBatch at a batch of
-// one, whose outputs for a sample are those of any batch holding it, so the
-// two paths return the same bits. Executing a batch allocates nothing beyond
-// the cache's stored policy per miss.
+// when the evaluator it holds is a BatchEvaluator (*NN); any other evaluator,
+// a *CacheView included, gets one Evaluate per request. The choice is a type
+// assertion, never configuration. NN.Evaluate is the same nn.ForwardBatch at
+// a batch of one, whose outputs for a sample are those of any batch holding
+// it, so the two paths return the same bits. On a CPU every Server is a pool
+// of Batch 1, so a launch is one request; batches of more form only in front
+// of an accelerator. Executing a batch allocates nothing beyond the cache's
+// stored policy per miss.
 //
 // A Server holds one Backend at a time. Algorithm 1 changes the weights
 // between training rounds, never inside one, so SwapBackend simply replaces
@@ -78,8 +79,8 @@ type Evaluator interface {
 // BatchEvaluator is an Evaluator that can also take several positions as one
 // batched forward pass. EvaluatorBackend finds it by type assertion on the
 // evaluator it holds and then executes a formed batch as one EvaluateBatch
-// per core instead of one Evaluate per request; *NN and *CacheView implement
-// it.
+// per core instead of one Evaluate per request; *NN implements it, for the
+// accelerator Link's batches.
 type BatchEvaluator interface {
 	Evaluator
 	// EvaluateBatch fills policies[i] and values[i] for every inputs[i],

@@ -289,24 +289,24 @@ func (b *sizeBackend) RunBatch(batch []*evaluate.Request) {
 	b.inner.RunBatch(batch)
 }
 
-// TestQuorumOneBatchPerCore: two local-tree searches at k = 3 on a Batch-8
-// server with a far deadline launch by quorum alone. The first batch runs
-// only once all six slots have a request, so the searches overlap. Over a
-// backend of two workers the quorum is ⌈6 slots ÷ 2⌉, so no batch holds more
-// than 3 (one batch per core, the next forming); over one worker it is 6,
-// one batch of both searches at a time. Each search applies its evaluations
-// in submission order, so its visits are the same bits at either width.
-func TestQuorumOneBatchPerCore(t *testing.T) {
+// TestBatchedAndPooledLocalSearchesAgree: two local-tree searches at k = 3
+// visit the same bits whether their evaluations launch in batches or one at
+// a time. Over a Batch-8 server with a far deadline they launch by quorum
+// alone, and once the first batch has waited for all six slots the largest
+// batch holds both searches' 6. Over a Batch-1 pool with two launchers, what
+// every CPU server is, each launch holds one request. Each search applies
+// its evaluations in submission order, so how they were launched cannot move
+// its visits.
+func TestBatchedAndPooledLocalSearchesAgree(t *testing.T) {
 	g := gomoku.NewSized(7)
-	search := func(workers int) (largest int, st evaluate.ServerStats, dists [][]float32) {
-		eb := &evaluate.EvaluatorBackend{Eval: &evaluate.Random{}, Workers: workers}
-		srv := evaluate.NewServer(eb, evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
-		sizes := &sizeBackend{inner: eb, hold: func() {
+	search := func(cfg evaluate.ServerConfig) (largest int, st evaluate.ServerStats, dists [][]float32) {
+		var srv *evaluate.Server
+		sizes := &sizeBackend{inner: &evaluate.EvaluatorBackend{Eval: &evaluate.Random{}, Workers: 2}, hold: func() {
 			for srv.Stats().Requests+int64(srv.Pending()) < 6 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}}
-		srv.SwapBackend(sizes) // the same backend, recorded: the width stays
+		srv = evaluate.NewServer(sizes, cfg)
 		dists = make([][]float32, 2)
 		var wg sync.WaitGroup
 		for i := range dists {
@@ -330,23 +330,22 @@ func TestQuorumOneBatchPerCore(t *testing.T) {
 		srv.Close()
 		return sizes.max, srv.Stats(), dists
 	}
-	wide, wideStats, wideDists := search(2)
-	narrow, narrowStats, narrowDists := search(1)
-	t.Logf("two workers: largest batch %d, %+v; one worker: largest batch %d, %+v", wide, wideStats, narrow, narrowStats)
-	if wideStats.DeadlineFlushes != 0 || narrowStats.DeadlineFlushes != 0 {
-		t.Fatalf("deadline flushes %d (two workers) and %d (one worker), want none",
-			wideStats.DeadlineFlushes, narrowStats.DeadlineFlushes)
+	batched, batchedStats, batchedDists := search(evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+	pooled, pooledStats, pooledDists := search(evaluate.ServerConfig{Batch: 1, LaunchWorkers: 2})
+	t.Logf("batched: largest batch %d, %+v; pooled: largest batch %d, %+v", batched, batchedStats, pooled, pooledStats)
+	if batchedStats.DeadlineFlushes != 0 {
+		t.Fatalf("batched: %d deadline flushes, want none", batchedStats.DeadlineFlushes)
 	}
-	if wide > 3 {
-		t.Fatalf("two workers launched a batch of %d, want at most ⌈6 ÷ 2⌉ = 3", wide)
+	if batched != 6 {
+		t.Fatalf("batched: largest batch held %d, want both searches' 6", batched)
 	}
-	if narrow != 6 {
-		t.Fatalf("one worker's largest batch held %d, want both searches' 6", narrow)
+	if pooled != 1 || pooledStats.Batches != pooledStats.Requests {
+		t.Fatalf("pooled: largest batch %d, %+v: want one request per launch", pooled, pooledStats)
 	}
-	for i := range wideDists {
-		for a := range wideDists[i] {
-			if math.Float32bits(wideDists[i][a]) != math.Float32bits(narrowDists[i][a]) {
-				t.Fatalf("search %d, action %d: visits %v at two workers, %v at one", i, a, wideDists[i][a], narrowDists[i][a])
+	for i := range batchedDists {
+		for a := range batchedDists[i] {
+			if math.Float32bits(batchedDists[i][a]) != math.Float32bits(pooledDists[i][a]) {
+				t.Fatalf("search %d, action %d: visits %v batched, %v pooled", i, a, batchedDists[i][a], pooledDists[i][a])
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func (w *ruleWorld) apply(e event, what string) error {
 	}
 	if (e.op == opSubmit || e.op == opEnd) && !eff.refused {
 		n := len(held)
-		if ready := n >= w.q.batch || w.q.slots > 0 && n*w.q.width >= w.q.slots; ready != (eff.take != nil) {
+		if ready := n >= w.q.batch || w.q.slots > 0 && n >= w.q.slots; ready != (eff.take != nil) {
 			return fmt.Errorf("%s launched %v with the threshold or quorum met %v", what, eff.take != nil, ready)
 		}
 	}
@@ -228,11 +228,11 @@ func (w *ruleWorld) next() ([]*ruleWorld, error) {
 }
 
 // exploreRule walks every state the launch rule reaches within ruleDepth
-// events from an empty queue of the given threshold and width, breadth first.
+// events from an empty queue of the given threshold, breadth first.
 // It returns how many states it visited and how many were still unexpanded at
 // the depth bound.
-func exploreRule(batch, width int, deadline bool) (states, open int, err error) {
-	start := &ruleWorld{q: queue{batch: batch, width: width, deadline: deadline}, timer: -1, stale: -1}
+func exploreRule(batch int, deadline bool) (states, open int, err error) {
+	start := &ruleWorld{q: queue{batch: batch, deadline: deadline}, timer: -1, stale: -1}
 	seen := map[string]bool{start.key(): true}
 	frontier := []*ruleWorld{start}
 	for depth := 0; depth < ruleDepth && len(frontier) > 0; depth++ {
@@ -259,25 +259,23 @@ func exploreRule(batch, width int, deadline bool) (states, open int, err error) 
 
 // TestLaunchRuleExhaustive drives queue.step through every state it reaches
 // within ruleDepth events, with four requests and up to ruleSlots open
-// slots, at thresholds 1–3 and widths 1–2, with and without a deadline. The
-// environment also completes executing batches and delivers the deadline
-// events of stopped timers. Every step and every state is checked: a submit
-// or an end launches exactly when n ≥ threshold or n · width ≥ slots,
+// slots, at thresholds 1–3, with and without a deadline. The environment
+// also completes executing batches and delivers the deadline events of
+// stopped timers. Every step and every state is checked: a submit or an end
+// launches exactly when n ≥ threshold or n ≥ slots,
 // counters agree, the threshold wins a tie, a stale timer never takes, a
 // deadline queue's buffer always has a live timer, and no waited-on request
 // is stranded.
 func TestLaunchRuleExhaustive(t *testing.T) {
-	for width := 1; width <= 2; width++ {
-		for batch := 1; batch <= 3; batch++ {
-			for _, deadline := range []bool{false, true} {
-				start := time.Now()
-				states, open, err := exploreRule(batch, width, deadline)
-				if err != nil {
-					t.Fatalf("width %d, batch %d, deadline %v: %v", width, batch, deadline, err)
-				}
-				t.Logf("width %d, batch %d, deadline %-5v: %6d states (%d unexpanded at depth %d) in %v",
-					width, batch, deadline, states, open, ruleDepth, time.Since(start).Round(time.Millisecond))
+	for batch := 1; batch <= 3; batch++ {
+		for _, deadline := range []bool{false, true} {
+			start := time.Now()
+			states, open, err := exploreRule(batch, deadline)
+			if err != nil {
+				t.Fatalf("batch %d, deadline %v: %v", batch, deadline, err)
 			}
+			t.Logf("batch %d, deadline %-5v: %6d states (%d unexpanded at depth %d) in %v",
+				batch, deadline, states, open, ruleDepth, time.Since(start).Round(time.Millisecond))
 		}
 	}
 }
@@ -288,31 +286,26 @@ func TestLaunchRuleExhaustive(t *testing.T) {
 // generation; FlushDeadline is an hour, so no real timer fires) go to a
 // Server over the recording backend and to a bare queue. After every event
 // the launched batches, Stats, Pending and, with a deadline, whether a timer
-// is armed must be what the rule says. The server takes its width from an
-// EvaluatorBackend of that many Workers and then swaps to the recording
-// backend, which keeps the width.
+// is armed must be what the rule says.
 func TestServerFollowsLaunchRule(t *testing.T) {
-	for width := 1; width <= 2; width++ {
-		for _, deadline := range []time.Duration{0, time.Hour} {
-			for seed := uint64(1); seed <= 16; seed++ {
-				t.Run(fmt.Sprintf("width=%d/deadline=%v/seed=%d", width, deadline, seed), func(t *testing.T) {
-					followRule(t, width, deadline, seed)
-				})
-			}
+	for _, deadline := range []time.Duration{0, time.Hour} {
+		for seed := uint64(1); seed <= 16; seed++ {
+			t.Run(fmt.Sprintf("deadline=%v/seed=%d", deadline, seed), func(t *testing.T) {
+				followRule(t, deadline, seed)
+			})
 		}
 	}
 }
 
-func followRule(t *testing.T, width int, deadline time.Duration, seed uint64) {
+func followRule(t *testing.T, deadline time.Duration, seed uint64) {
 	const events = 80
 	r := rng.New(seed)
 	batch := 1 + r.Intn(4)
 	backend := &recordingBackend{}
-	srv := NewServer(&EvaluatorBackend{Workers: width}, ServerConfig{Batch: batch, FlushDeadline: deadline})
-	srv.SwapBackend(backend)
+	srv := NewServer(backend, ServerConfig{Batch: batch, FlushDeadline: deadline})
 	defer srv.Close()
 	cl := srv.NewSyncClient()
-	rule := queue{batch: batch, width: width, deadline: deadline > 0}
+	rule := queue{batch: batch, deadline: deadline > 0}
 	var launched int
 	for i := 0; i < events; i++ {
 		var e event

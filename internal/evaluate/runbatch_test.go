@@ -67,62 +67,8 @@ func requests(seeds ...uint64) []*Request {
 	return batch
 }
 
-// TestRunBatchForwardsExactlyTheMisses: a batch mixing hits and misses sends
-// the misses, and only them, to the inner evaluator as batched calls; the
-// outputs and the cache's hit and miss counts are those of the per-request
-// path on the same sequence.
-func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
-	seqs := [][]uint64{{1, 2, 3}, {2, 4, 1, 5, 6, 3, 7, 8}, {9}, {1, 9, 10, 4}}
-
-	batched := &fakeBatched{}
-	bc := NewCachedSharded(batched, 64, 4)
-	be := &EvaluatorBackend{Eval: bc.View(1, batched), Workers: 2}
-
-	plain := &fakeBatched{}
-	pc := NewCachedSharded(plain, 64, 4)
-	pv := pc.View(1, unbatched{plain})
-
-	misses := 0
-	seen := map[uint64]bool{}
-	for _, seq := range seqs {
-		batch := requests(seq...)
-		be.RunBatch(batch)
-		for i, s := range seq {
-			want := make([]float32, 9)
-			wantV := pv.Evaluate(testInput(s, 36), want)
-			if batch[i].Value != wantV {
-				t.Fatalf("seed %d: batched value %v, per-request %v", s, batch[i].Value, wantV)
-			}
-			for a := range want {
-				if batch[i].Policy[a] != want[a] {
-					t.Fatalf("seed %d action %d: batched policy %v, per-request %v", s, a, batch[i].Policy[a], want[a])
-				}
-			}
-			if !seen[s] {
-				seen[s] = true
-				misses++
-			}
-		}
-	}
-	if got := batched.items.Load() + batched.singles.Load(); got != int64(misses) {
-		t.Fatalf("inner evaluator saw %d positions, want the %d misses", got, misses)
-	}
-	if batched.batches.Load() == 0 {
-		t.Fatal("no batched call reached the inner evaluator")
-	}
-	bh, bm := bc.Stats()
-	ph, pm := pc.Stats()
-	if bh != ph || bm != pm {
-		t.Fatalf("batched path stats %d hits / %d misses, per-request path %d / %d", bh, bm, ph, pm)
-	}
-	if bc.Len() != pc.Len() {
-		t.Fatalf("batched path cached %d positions, per-request path %d", bc.Len(), pc.Len())
-	}
-}
-
 // TestRunBatchDuplicatePositionInOneBatch: two requests for one position in
-// the same batch both miss, both complete with equal outputs, and leave one
-// entry.
+// the same batch complete with equal outputs and leave one entry.
 func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
 	inner := &fakeBatched{}
 	c := NewCachedSharded(inner, 64, 4)
@@ -142,8 +88,8 @@ func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
 	}
 }
 
-// TestRunBatchEntriesStayVersionScoped: positions filled through the batched
-// path are keyed by their view's version, so the same position under two
+// TestRunBatchEntriesStayVersionScoped: positions a backend fills through a
+// cache view are keyed by the view's version, so the same position under two
 // views is two entries, and each view hits its own.
 func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
 	inner := &fakeBatched{}
@@ -155,10 +101,10 @@ func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
 	if c.Len() != 7 {
 		t.Fatalf("cache holds %d entries, want 4 + 3 for the two views", c.Len())
 	}
-	before := inner.items.Load()
+	before := inner.singles.Load() + inner.items.Load()
 	b1.RunBatch(requests(1, 2, 3, 4))
 	b2.RunBatch(requests(1, 2, 3))
-	if inner.items.Load() != before {
+	if inner.singles.Load()+inner.items.Load() != before {
 		t.Fatal("a view re-evaluated positions it had cached")
 	}
 }
@@ -199,23 +145,29 @@ func TestRunBatchWorkersBoundsOverlappingBatches(t *testing.T) {
 }
 
 // TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest: an evaluator
-// without a batched form — bare, or behind a cache view — keeps the
-// per-request path.
+// without a batched form, and any cache view, even one over a batched
+// evaluator, gets one Evaluate per request.
 func TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest(t *testing.T) {
-	for _, behindView := range []bool{false, true} {
+	for _, tc := range []struct {
+		name            string
+		batched, viewed bool
+	}{{"bare", false, false}, {"view", false, true}, {"view over batched", true, true}} {
 		inner := &fakeBatched{}
 		var eval Evaluator = unbatched{inner}
-		if behindView {
+		if tc.batched {
+			eval = inner
+		}
+		if tc.viewed {
 			eval = NewCachedSharded(eval, 64, 4).View(1, eval)
 		}
 		be := &EvaluatorBackend{Eval: eval, Workers: 2}
 		be.RunBatch(requests(1, 2, 3, 4, 5, 6, 7))
 		if inner.singles.Load() != 7 || inner.batches.Load() != 0 {
-			t.Fatalf("behind view %v: %d Evaluate and %d EvaluateBatch calls for 7 requests, want 7 and 0",
-				behindView, inner.singles.Load(), inner.batches.Load())
+			t.Fatalf("%s: %d Evaluate and %d EvaluateBatch calls for 7 requests, want 7 and 0",
+				tc.name, inner.singles.Load(), inner.batches.Load())
 		}
 		if inner.maxInside.Load() > 2 {
-			t.Fatalf("behind view %v: peak %d evaluations in flight under Workers: 2", behindView, inner.maxInside.Load())
+			t.Fatalf("%s: peak %d evaluations in flight under Workers: 2", tc.name, inner.maxInside.Load())
 		}
 	}
 }
@@ -271,8 +223,8 @@ func steadyAllocs(f func()) float64 {
 // over a warm cache view allocates only what forChunks needs to run a
 // second chunk (its WaitGroup and closures) when every request hits, and
 // exactly one object more per miss — the policy copy the cache keeps — when
-// every request misses: the workspaces, the request views and the cache's
-// own batch scratch are pooled, and entries are stored by value.
+// every request misses: the workspaces are pooled, and entries are stored by
+// value.
 func TestForwardPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// DefaultFlushDeadline is the flush deadline a multi-tenant deployment uses
-// when none is configured: long enough for co-tenant requests to aggregate
-// into a near-full batch, short enough that a lone tenant's tail latency
-// stays far below one device round-trip at full fill.
+// DefaultFlushDeadline is a flush deadline for a multi-tenant Server that
+// batches: long enough for co-tenant requests to aggregate into a near-full
+// batch, short enough that a lone tenant's tail latency stays far below one
+// device round-trip at full fill.
 const DefaultFlushDeadline = time.Millisecond
 
 // Backend executes one formed batch synchronously: it must fill Value (and
@@ -29,11 +29,12 @@ type Backend interface {
 // A formed batch is cut into at most Workers contiguous sub-batches, run on
 // the caller and forChunks goroutines (a one-request batch is one
 // sub-batch on the caller). Each sub-batch takes one concurrency token and is
-// ONE EvaluateBatch call when Eval is a BatchEvaluator — *NN, or a
-// *CacheView over one: one batched forward pass per core, the cache view
-// forwarding only its misses — and one Evaluate per request, in order,
-// otherwise. Which of the two runs is decided by what Eval is, never by
-// configuration, and the outputs are the same bits either way.
+// ONE EvaluateBatch call when Eval is a BatchEvaluator (*NN: one batched
+// forward pass per core) and one Evaluate per request, in order, otherwise
+// (a *CacheView among others). Which of the two runs is decided by what Eval
+// is, never by configuration, and the outputs are the same bits either way.
+// The split is what puts an accelerator Link's lone batches on every core; a
+// CPU pool of Batch 1 never forms a batch to split.
 type EvaluatorBackend struct {
 	Eval Evaluator
 	// Workers bounds the sub-batches in flight across all batches
@@ -55,7 +56,7 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 }
 
 // width is how many sub-batches b runs at once: Workers, or GOMAXPROCS when
-// Workers is 0, read once. NewServer takes it as its launch width.
+// Workers is 0, read once.
 func (b *EvaluatorBackend) width() int {
 	b.once.Do(func() {
 		w := b.Workers
@@ -63,7 +64,7 @@ func (b *EvaluatorBackend) width() int {
 			w = runtime.GOMAXPROCS(0)
 		}
 		b.sem = make(chan struct{}, w)
-		b.batched = batchedForm(b.Eval)
+		b.batched, _ = b.Eval.(BatchEvaluator)
 	})
 	return cap(b.sem)
 }
@@ -112,19 +113,6 @@ func (b *EvaluatorBackend) run(chunk []*Request) {
 	putBatchIO(io)
 }
 
-// batchedForm returns e as a BatchEvaluator when batching through it ends in
-// a batched forward pass: a cache view qualifies only if the evaluator its
-// misses go to does.
-func batchedForm(e Evaluator) BatchEvaluator {
-	if v, ok := e.(*CacheView); ok {
-		if _, ok := v.inner.(BatchEvaluator); !ok {
-			return nil
-		}
-	}
-	be, _ := e.(BatchEvaluator)
-	return be
-}
-
 // ServerConfig tunes a Server.
 type ServerConfig struct {
 	// Batch is the flush threshold (requests per device launch). With G
@@ -143,8 +131,9 @@ type ServerConfig struct {
 	// LaunchWorkers, when positive, executes batches on that many
 	// PERSISTENT launcher goroutines instead of spawning one goroutine per
 	// batch. Spawn-per-batch suits accelerator streams (few, large
-	// batches); persistent launchers suit Batch=1 worker-pool deployments,
-	// where a per-request spawn would sit on the per-playout hot path.
+	// batches); persistent launchers suit Batch=1 worker-pool deployments
+	// (NewPool, the CPU fleets, internal/serve), where a per-request spawn
+	// would sit on the per-playout hot path.
 	LaunchWorkers int
 }
 
@@ -186,20 +175,19 @@ func (s ServerStats) AvgFill() float64 {
 //   - threshold: ServerConfig.Batch requests are buffered;
 //   - quorum: tenants that search register their rollout contexts as slots
 //     (Client.BeginSearch/EndSearch — the mcts engines do it around every
-//     Search), and the buffer holds its share of them: n · w ≥ slots, w
-//     being the backend's width (EvaluatorBackend's Workers, otherwise 1);
+//     Search), and every registered slot has its request buffered;
 //   - deadline: no request waits longer than FlushDeadline between Submit
 //     and its launch. With registered tenants it is only the backstop for a
 //     tenant that is busy in tree code while the others wait, not the
 //     light-load latency floor.
 //
 // The quorum counts every registered slot, including slots whose request is
-// executing in an earlier batch. At width 1 (an accelerator) a request
-// buffered meanwhile waits for that batch's tenants to return and merge with
-// it, which keeps G lock-step sessions in one batch of G; at width w (w CPU
-// cores) one batch executes per core while the next forms. Treating
-// executing tenants as absent, or launching whenever the device is idle,
-// splits them into out-of-phase groups that never re-merge. A server no
+// executing in an earlier batch: a request buffered meanwhile waits for that
+// batch's tenants to return and merge with it, which keeps G lock-step
+// sessions in one batch of G. Treating executing tenants as absent, or
+// launching whenever the device is idle, splits them into out-of-phase
+// groups that never re-merge. At Batch 1 (a CPU pool) the threshold launches
+// every request alone and the quorum never decides. A server no
 // tenant registers with has no quorum and batches by threshold and deadline
 // alone. An explicit push (Flush, Close, a deadline-less Client.Wait)
 // launches the buffer under no condition. One function states this rule,
@@ -242,11 +230,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.FlushDeadline < 0 {
 		panic("evaluate: negative flush deadline")
 	}
-	width := 1
-	if eb, ok := backend.(*EvaluatorBackend); ok {
-		width = eb.width()
-	}
-	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, width: width, deadline: cfg.FlushDeadline > 0}}
+	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, deadline: cfg.FlushDeadline > 0}}
 	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
@@ -272,7 +256,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 // returns run on b; a request already buffered or executing may run on either
 // backend. A caller that must not mix networks inside one game swaps where no
 // game is in flight, as dist.Worker does at its round barrier. No queue is
-// drained, no submitter blocks, and the launch width stays NewServer's.
+// drained and no submitter blocks.
 func (s *Server) SwapBackend(b Backend) {
 	if b == nil {
 		panic("evaluate: SwapBackend with nil backend")
@@ -338,7 +322,6 @@ func (s *Server) Close() {
 // queue is the accelerator queue's state. Only step changes it.
 type queue struct {
 	batch    int  // the threshold
-	width    int  // batches the backend runs at once: the quorum is n·width ≥ slots
 	deadline bool // the server has a flush deadline, so submits arm timers
 	buf      []*Request
 	slots    int // registered search slots: the quorum (0 = condition off)
@@ -410,7 +393,7 @@ func (q *queue) step(e event) effect {
 		switch {
 		case n >= q.batch:
 			q.stats.ThresholdFlushes++
-		case q.slots > 0 && n*q.width >= q.slots:
+		case q.slots > 0 && n >= q.slots:
 			q.stats.QuorumFlushes++
 		default:
 			return effect{arm: q.deadline && e.op == opSubmit && n == 1, gen: q.gen}
@@ -432,7 +415,7 @@ func (q *queue) step(e event) effect {
 type Rule struct{ q queue }
 
 // NewRule returns the rule of a deadline-less Server of threshold batch.
-func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1), width: 1}} }
+func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1)}} }
 
 // Submit, Begin, End and Wait are Client.Submit, BeginSearch, EndSearch and a
 // deadline-less Client.Wait.

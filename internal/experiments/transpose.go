@@ -8,6 +8,7 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 	"github.com/parmcts/parmcts/internal/rng"
 	"github.com/parmcts/parmcts/internal/stats"
+	"github.com/parmcts/parmcts/internal/train"
 	"github.com/parmcts/parmcts/internal/tree"
 )
 
@@ -57,7 +58,11 @@ func TranspositionDemand(g game.Game, playouts, games, moves, size int, seed uin
 			s := eng.Search(st, dist)
 			d.Search.Add(s)
 			d.Moves++
-			a := pickMove(dist, r, mv < 4)
+			temp := 0.0
+			if mv < 4 {
+				temp = 1
+			}
+			a := train.SampleActionOrLegal(r, dist, temp, st)
 			eng.Advance(a)
 			st = st.Clone()
 			st.Play(a)
@@ -68,28 +73,6 @@ func TranspositionDemand(g game.Game, playouts, games, moves, size int, seed uin
 		d.Table = tt.Stats()
 	}
 	return d
-}
-
-// pickMove samples an action from the visit distribution (exploration
-// plies) or takes the argmax (the rest).
-func pickMove(dist []float32, r *rng.Rand, sample bool) int {
-	if sample {
-		x := r.Float32()
-		var acc float32
-		for a, p := range dist {
-			acc += p
-			if x < acc && p > 0 {
-				return a
-			}
-		}
-	}
-	best, bp := -1, float32(-1)
-	for a, p := range dist {
-		if p > bp {
-			best, bp = a, p
-		}
-	}
-	return best
 }
 
 // AblationTranspose reports the eval-demand reduction from the

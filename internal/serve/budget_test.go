@@ -12,32 +12,31 @@ import (
 )
 
 // TestInFlightBudget pins the rule a served search sizes its in-flight
-// budget by: ⌊2·Batch ÷ searching⌋, clamped to [1, max(1, Playouts ÷ 32)],
-// and 1 after a search that bought no evaluation.
+// budget by: ⌊evalsInFlight ÷ searching⌋, clamped to [1, max(1, Playouts ÷
+// 32)], and 1 after a search that bought no evaluation.
 func TestInFlightBudget(t *testing.T) {
 	for _, tc := range []struct {
-		batch, searching, playouts int
-		boughtNone                 bool
-		want                       int
+		searching, playouts int
+		boughtNone          bool
+		want                int
 	}{
-		{8, 1, 100, false, 3},  // alone: the strength bound
-		{8, 5, 100, false, 3},  // 16 ÷ 5
-		{8, 6, 100, false, 2},  // 16 ÷ 6
-		{8, 8, 100, false, 2},  // serve_sat: 8 users double-buffer a batch of 8
-		{8, 9, 100, false, 1},  // 16 ÷ 9
-		{8, 17, 100, false, 1}, // more searches than two batches: never 0
-		{8, 256, 1600, false, 1},
-		{8, 1, 400, false, 12},
-		{8, 1, 1600, false, 16}, // the batch bound
-		{1, 1, 1600, false, 2},
-		{8, 1, 64, false, 2},
-		{8, 1, 31, false, 1}, // a budget under 32 playouts is serial
-		{8, 1, 100, true, 1}, // the last search was table or terminal hits only
-		{8, 8, 1600, true, 1},
+		{1, 100, false, 3},  // alone: the strength bound
+		{5, 100, false, 3},  // 16 ÷ 5
+		{6, 100, false, 2},  // 16 ÷ 6
+		{8, 100, false, 2},  // serve_sat: 8 users
+		{9, 100, false, 1},  // 16 ÷ 9
+		{17, 100, false, 1}, // more searches than evalsInFlight: never 0
+		{256, 1600, false, 1},
+		{1, 400, false, 12},
+		{1, 1600, false, 16}, // the evalsInFlight bound
+		{1, 64, false, 2},
+		{1, 31, false, 1}, // a budget under 32 playouts is serial
+		{1, 100, true, 1}, // the last search was table or terminal hits only
+		{8, 1600, true, 1},
 	} {
-		if got := inFlight(tc.batch, tc.searching, tc.playouts, tc.boughtNone); got != tc.want {
-			t.Errorf("inFlight(batch %d, searching %d, playouts %d, bought none %v) = %d, want %d",
-				tc.batch, tc.searching, tc.playouts, tc.boughtNone, got, tc.want)
+		if got := inFlight(tc.searching, tc.playouts, tc.boughtNone); got != tc.want {
+			t.Errorf("inFlight(searching %d, playouts %d, bought none %v) = %d, want %d",
+				tc.searching, tc.playouts, tc.boughtNone, got, tc.want)
 		}
 	}
 }
@@ -109,8 +108,7 @@ func TestConcurrentUsersUnderBackpressure(t *testing.T) {
 			default:
 			}
 			st := svc.srv.Stats()
-			if st.ThresholdFlushes+st.QuorumFlushes+st.DeadlineFlushes > st.Batches ||
-				st.Requests < st.Batches || st.Requests > st.Batches*int64(svc.cfg.Batch) {
+			if st.ThresholdFlushes+st.QuorumFlushes+st.DeadlineFlushes > st.Batches || st.Requests != st.Batches {
 				snapErr <- fmt.Errorf("inconsistent server stats snapshot: %+v", st)
 				return
 			}

@@ -341,39 +341,31 @@ func TestE2EDrainAndErrors(t *testing.T) {
 	}
 }
 
-// TestQuorumE2EFarDeadline plays two concurrent games on a service whose
-// flush deadline is five seconds and whose batch threshold two users can
-// never reach: every one of a move's evaluations must launch because both
-// searches have a request waiting (or the other has ended), so moves take
-// milliseconds and /statsz attributes no batch to the deadline.
-func TestQuorumE2EFarDeadline(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Batch = 8
-	cfg.FlushDeadline = 5 * time.Second
-	_, ts := startServer(t, cfg)
+// TestServedLaunchesAreSingleRequests plays two users' games concurrently
+// and reads /statsz: the shared server is a pool of batch 1, so every launch
+// is one request and a threshold flush, and no quorum or deadline launches.
+func TestServedLaunchesAreSingleRequests(t *testing.T) {
+	_, ts := startServer(t, testConfig(t))
 
 	rep := runLoad(loadConfig{url: ts.URL, users: 2, games: 2, seed: 5})
 	if rep.Mismatches != 0 || rep.ErrorCount != 0 || rep.GamesCompleted != 4 {
 		t.Fatalf("load run: %d mismatches, %d errors, %d games completed: %v", rep.Mismatches, rep.ErrorCount, rep.GamesCompleted, rep.Errors)
 	}
-	if limit := float64(cfg.FlushDeadline.Milliseconds()) / 2; rep.P99MS >= limit {
-		t.Fatalf("p99 move latency %.0f ms with a %v flush deadline: some launch waited for it", rep.P99MS, cfg.FlushDeadline)
-	}
 
 	raw := getStatsz(t, ts.URL)
 	st := map[string]int64{}
-	for _, k := range []string{"eval_batches", "eval_flush_threshold", "eval_flush_quorum", "eval_flush_deadline"} {
+	for _, k := range []string{"eval_batches", "eval_requests", "eval_flush_threshold", "eval_flush_quorum", "eval_flush_deadline"} {
 		var v int64
 		if err := json.Unmarshal(raw[k], &v); err != nil {
 			t.Fatalf("/statsz field %q: %v", k, err)
 		}
 		st[k] = v
 	}
-	if st["eval_flush_deadline"] != 0 || st["eval_flush_quorum"] == 0 {
-		t.Fatalf("/statsz %v: want quorum flushes and no deadline flush", st)
+	if st["eval_requests"] == 0 || st["eval_batches"] != st["eval_requests"] || st["eval_flush_threshold"] != st["eval_batches"] {
+		t.Fatalf("/statsz %v: want one request per launch, each a threshold flush", st)
 	}
-	if sum := st["eval_flush_threshold"] + st["eval_flush_quorum"]; sum != st["eval_batches"] {
-		t.Fatalf("/statsz %v: threshold + quorum flushes = %v, want every batch", st, sum)
+	if st["eval_flush_quorum"] != 0 || st["eval_flush_deadline"] != 0 {
+		t.Fatalf("/statsz %v: want no quorum or deadline flush", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -107,7 +108,9 @@ type Statsz struct {
 	EvalRequests     int64   `json:"eval_requests"`
 	EvalAvgBatchFill float64 `json:"eval_avg_batch_fill"`
 	// EvalFlush* split eval_batches by what launched them: a full batch, the
-	// quorum (one batch per core: requests × cores ≥ open slots), the deadline.
+	// quorum, the deadline. The server is a pool of batch 1, so every launch
+	// is one request and a threshold flush: eval_avg_batch_fill reads 1, and
+	// the quorum and deadline counts read 0.
 	EvalFlushThreshold int64 `json:"eval_flush_threshold"`
 	EvalFlushQuorum    int64 `json:"eval_flush_quorum"`
 	EvalFlushDeadline  int64 `json:"eval_flush_deadline"`
@@ -191,9 +194,16 @@ func (s *Service) Handler() http.Handler {
 const maxBodyBytes = 4 << 10
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes of
-// it, and answers 400 bad_request when it cannot.
+// it, and answers 400 bad_request when it cannot or when anything but white
+// space follows the value, as json.Unmarshal would.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("malformed or oversized JSON body: %v", err), 0)
 	}

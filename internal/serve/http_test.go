@@ -45,9 +45,10 @@ func TestMoveBodyIsBounded(t *testing.T) {
 	}
 }
 
-// TestMoveWithoutActionIsRefused: a move body that leaves out "action", or
-// sets it to null, is answered 400 bad_request and plays nothing; a body
-// with an action still plays it.
+// TestMoveWithoutActionIsRefused: a move body that leaves out "action", sets
+// it to null, or follows the object with anything but white space is
+// answered 400 bad_request and plays nothing; a body with an action and a
+// trailing newline still plays it.
 func TestMoveWithoutActionIsRefused(t *testing.T) {
 	svc := NewService(testConfig(t))
 	defer svc.Close()
@@ -71,7 +72,7 @@ func TestMoveWithoutActionIsRefused(t *testing.T) {
 		}
 		return got.Ply
 	}
-	for _, body := range []string{`{}`, `{"acton": 3}`, `{"action": null}`} {
+	for _, body := range []string{`{}`, `{"acton": 3}`, `{"action": null}`, `{"action": 4} x`, `{"action": 4}}`, `{"action": 4}{"action": 5}`} {
 		rec := serve(http.MethodPost, body)
 		var e errorResponse
 		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || rec.Code != http.StatusBadRequest || e.Code != "bad_request" {
@@ -81,8 +82,8 @@ func TestMoveWithoutActionIsRefused(t *testing.T) {
 			t.Fatalf("%s: ply %d after a refused move, want 0", body, got)
 		}
 	}
-	if rec := serve(http.MethodPost, `{"action": 4}`); rec.Code != http.StatusOK {
-		t.Fatalf(`{"action": 4}: status %d, want 200`, rec.Code)
+	if rec := serve(http.MethodPost, "{\"action\": 4}\n"); rec.Code != http.StatusOK {
+		t.Fatalf(`{"action": 4} and a newline: status %d, want 200`, rec.Code)
 	}
 	if got := ply(); got != 2 {
 		t.Fatalf("ply %d after a move and the engine's reply, want 2", got)

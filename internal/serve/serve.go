@@ -5,16 +5,17 @@
 // one persistent warm mcts session per active game — tree reuse across a
 // user's moves via Engine.Advance — with LRU + idle-TTL eviction under a
 // configurable session budget, every tenant multiplexed through ONE
-// evaluate.Server (so concurrent games aggregate into full inference batches
-// exactly like the self-play fleet), one shared transposition table,
-// admission control surfaced as 429 + Retry-After when the MaxOutstanding
-// backpressure bound is reached, and graceful drain on shutdown. A process
-// serves one model version for its lifetime (Config.InitialVersion).
+// evaluate.Server (the inference thread pool the self-play fleet runs: one
+// evaluation per launch, on one core's persistent launcher), one shared
+// transposition table, admission control surfaced as 429 + Retry-After when
+// the MaxOutstanding backpressure bound is reached, and graceful drain on
+// shutdown. A process serves one model version for its lifetime
+// (Config.InitialVersion).
 //
 // Every session searches with the local-tree engine (mcts.Local, Algorithm
 // 3), and each search sizes its own in-flight budget from the live load
-// (inFlight): the searches in flight together keep one batch executing while
-// the next one forms, which is Algorithm 4's batch choice made online.
+// (inFlight): the searches in flight together keep about evalsInFlight
+// evaluations queued for the pool's cores.
 //
 // See OPERATIONS.md for the operator surface and cmd/serve for the binary;
 // the load client that drives a running server is in this package's tests.
@@ -26,6 +27,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,13 +97,10 @@ type Config struct {
 	// (default 500ms).
 	RetryAfter time.Duration
 
-	// Batch, FlushDeadline and MaxOutstanding configure the shared
-	// evaluate.Server: the flush threshold (default 8 — concurrent games
-	// aggregate into one device batch), the partial-batch deadline (default
-	// evaluate.DefaultFlushDeadline) and the backpressure bound (default
-	// 256). The backend evaluates on up to GOMAXPROCS cores at once.
-	Batch          int
-	FlushDeadline  time.Duration
+	// MaxOutstanding is the backpressure bound (default 256) of the shared
+	// evaluate.Server, an inference thread pool: every evaluation launches
+	// alone on one of GOMAXPROCS persistent launchers, and at most
+	// MaxOutstanding are submitted and unanswered at once.
 	MaxOutstanding int
 
 	// CacheSize, when positive, shares one evaluation cache across all
@@ -142,12 +141,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.IdleTTL == 0 {
 		c.IdleTTL = 10 * time.Minute
-	}
-	if c.Batch < 1 {
-		c.Batch = 8
-	}
-	if c.FlushDeadline == 0 {
-		c.FlushDeadline = evaluate.DefaultFlushDeadline
 	}
 	if c.MaxOutstanding < 1 {
 		c.MaxOutstanding = 256
@@ -244,9 +237,9 @@ func NewService(cfg Config) *Service {
 		eval = s.cache.View(cfg.InitialVersion, eval)
 	}
 	s.srv = evaluate.NewServer(&evaluate.EvaluatorBackend{Eval: eval}, evaluate.ServerConfig{
-		Batch:          cfg.Batch,
-		FlushDeadline:  cfg.FlushDeadline,
+		Batch:          1,
 		MaxOutstanding: cfg.MaxOutstanding,
+		LaunchWorkers:  runtime.GOMAXPROCS(0),
 	})
 	if cfg.IdleTTL > 0 {
 		s.janitorStop = make(chan struct{})
@@ -428,18 +421,23 @@ func (s *Service) Move(id string, action int) (Snapshot, *MoveStats, error) {
 // strength at equal playouts (EXPERIMENTS.md, "In-flight budget").
 func maxInFlight(playouts int) int { return max(1, playouts/32) }
 
-// inFlight is the in-flight budget of one served search: ⌊2·batch ÷
+// evalsInFlight is how many evaluations the searches in flight keep
+// submitted together. 16 is twice the batch of 8 serve formed before its
+// server became a pool, which keeps every served k, and so every served move,
+// what it was at the defaults. It has not been tuned for the pool.
+const evalsInFlight = 16
+
+// inFlight is the in-flight budget of one served search: ⌊evalsInFlight ÷
 // searching⌋, clamped to [1, maxInFlight(playouts)]. searching counts the
-// searches in flight service-wide, this one included, so together they keep
-// one batch executing while the next one forms. A session whose last search
-// bought no evaluation (table or terminal hits only) searches at 1: with
-// nothing to wait for, virtual loss would only add atomics on the table
+// searches in flight service-wide, this one included. A session whose last
+// search bought no evaluation (table or terminal hits only) searches at 1:
+// with nothing to wait for, virtual loss would only add atomics on the table
 // entries every session shares.
-func inFlight(batch, searching, playouts int, lastBoughtNone bool) int {
+func inFlight(searching, playouts int, lastBoughtNone bool) int {
 	if lastBoughtNone {
 		return 1
 	}
-	return min(max(2*batch/searching, 1), maxInFlight(playouts))
+	return min(max(evalsInFlight/searching, 1), maxInFlight(playouts))
 }
 
 // engineMove runs one engine search + move on a locked, live session and
@@ -447,7 +445,7 @@ func inFlight(batch, searching, playouts int, lastBoughtNone bool) int {
 func (s *Service) engineMove(sess *gameSession) *MoveStats {
 	start := time.Now()
 	searching := s.searching.Add(1)
-	k := inFlight(s.cfg.Batch, int(searching), s.cfg.Search.Playouts, sess.boughtNone)
+	k := inFlight(int(searching), s.cfg.Search.Playouts, sess.boughtNone)
 	st := sess.engine.SearchInFlight(sess.st, sess.dist, k)
 	s.searching.Add(-1)
 	sess.boughtNone = st.Evaluations == 0
