@@ -286,23 +286,29 @@ func TestLaunchRuleExhaustive(t *testing.T) {
 // generation; FlushDeadline is an hour, so no real timer fires) go to a
 // Server over the recording backend and to a bare queue. After every event
 // the launched batches, Stats, Pending and, with a deadline, whether a timer
-// is armed must be what the rule says.
+// is armed must be what the rule says. The server is built over an
+// EvaluatorBackend of width Workers and then swaps to the recording backend:
+// at widths 1 and 2 the quorum is the same n ≥ slots, as no backend's width
+// enters the launch rule.
 func TestServerFollowsLaunchRule(t *testing.T) {
-	for _, deadline := range []time.Duration{0, time.Hour} {
-		for seed := uint64(1); seed <= 16; seed++ {
-			t.Run(fmt.Sprintf("deadline=%v/seed=%d", deadline, seed), func(t *testing.T) {
-				followRule(t, deadline, seed)
-			})
+	for width := 1; width <= 2; width++ {
+		for _, deadline := range []time.Duration{0, time.Hour} {
+			for seed := uint64(1); seed <= 16; seed++ {
+				t.Run(fmt.Sprintf("width=%d/deadline=%v/seed=%d", width, deadline, seed), func(t *testing.T) {
+					followRule(t, width, deadline, seed)
+				})
+			}
 		}
 	}
 }
 
-func followRule(t *testing.T, deadline time.Duration, seed uint64) {
+func followRule(t *testing.T, width int, deadline time.Duration, seed uint64) {
 	const events = 80
 	r := rng.New(seed)
 	batch := 1 + r.Intn(4)
 	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: batch, FlushDeadline: deadline})
+	srv := NewServer(&EvaluatorBackend{Workers: width}, ServerConfig{Batch: batch, FlushDeadline: deadline})
+	srv.SwapBackend(backend)
 	defer srv.Close()
 	cl := srv.NewSyncClient()
 	rule := queue{batch: batch, deadline: deadline > 0}

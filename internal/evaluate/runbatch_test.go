@@ -67,6 +67,60 @@ func requests(seeds ...uint64) []*Request {
 	return batch
 }
 
+// TestRunBatchForwardsExactlyTheMisses: batches of requests through a cache
+// view over a batched evaluator give the outputs, hit and miss counts and
+// entries of one request at a time through a view over an unbatched one, and
+// the inner evaluator sees each distinct position once, as one Evaluate: a
+// view answers hits itself and forwards only its misses, never as a batch.
+func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
+	seqs := [][]uint64{{1, 2, 3}, {2, 4, 1, 5, 6, 3, 7, 8}, {9}, {1, 9, 10, 4}}
+
+	batched := &fakeBatched{}
+	bc := NewCachedSharded(batched, 64, 4)
+	be := &EvaluatorBackend{Eval: bc.View(1, batched), Workers: 2}
+
+	plain := &fakeBatched{}
+	pc := NewCachedSharded(plain, 64, 4)
+	pv := pc.View(1, unbatched{plain})
+
+	misses := 0
+	seen := map[uint64]bool{}
+	for _, seq := range seqs {
+		batch := requests(seq...)
+		be.RunBatch(batch)
+		for i, s := range seq {
+			want := make([]float32, 9)
+			wantV := pv.Evaluate(testInput(s, 36), want)
+			if batch[i].Value != wantV {
+				t.Fatalf("seed %d: batched value %v, per-request %v", s, batch[i].Value, wantV)
+			}
+			for a := range want {
+				if batch[i].Policy[a] != want[a] {
+					t.Fatalf("seed %d action %d: batched policy %v, per-request %v", s, a, batch[i].Policy[a], want[a])
+				}
+			}
+			if !seen[s] {
+				seen[s] = true
+				misses++
+			}
+		}
+	}
+	if got := batched.singles.Load(); got != int64(misses) {
+		t.Fatalf("inner evaluator got %d Evaluate calls, want one for each of the %d misses", got, misses)
+	}
+	if got := batched.batches.Load(); got != 0 {
+		t.Fatalf("%d batched calls reached the inner evaluator, want 0", got)
+	}
+	bh, bm := bc.Stats()
+	ph, pm := pc.Stats()
+	if bh != ph || bm != pm {
+		t.Fatalf("batched path stats %d hits / %d misses, per-request path %d / %d", bh, bm, ph, pm)
+	}
+	if bc.Len() != pc.Len() {
+		t.Fatalf("batched path cached %d positions, per-request path %d", bc.Len(), pc.Len())
+	}
+}
+
 // TestRunBatchDuplicatePositionInOneBatch: two requests for one position in
 // the same batch complete with equal outputs and leave one entry.
 func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
