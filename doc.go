@@ -51,30 +51,27 @@
 // goroutine, so one forward pass is one core's work, the single-threaded
 // T_DNN_CPU of Equations 3/5. CPU parallelism lives above it, where the
 // paper puts it: every CPU server's pool of inference threads (one
-// evaluation per launch, Algorithm 3), EvaluatorBackend's per-core
-// sub-batches of an accelerator's batch, the shared tree's N workers and
-// TrainBatch's per-sample workers.
+// evaluation per launch, Algorithm 3), EvaluatorBackend's per-core chunks
+// of an accelerator's batch, the shared tree's N workers and TrainBatch's
+// per-sample workers.
 //
 // The forward pass has a bitwise contract. An output element's bits depend
 // on its own patch row and weight column alone, in every kernel class, and
-// the 3x3/pad-1 gather is a special case of the general im2col; so
-// nn.ForwardBatch gives a sample the bits of a batch holding it alone, at
-// every batch size and slot (TestForwardBatchMatchesForward), the classes
-// agree bit for bit, and TestForwardGolden pins the b = 1 bits with one row
-// of constants for all three. Weights are held in the order the GEMM reads
-// them (in x out) and converted to and from the unchanged checkpoint layout
-// by nn.Save and nn.Load (TestWireLayoutUnchanged).
-// ForwardBatch is the one forward: a single evaluation (evaluate.NN.Evaluate)
-// is a pooled batch of one, and every training step (nn.BackwardSample)
-// runs it at b = 1 and reads its post-ReLU activations (TestTrainStepGolden
-// pins the weights after one step). That is what lets evaluate.EvaluatorBackend — the backend serve,
+// the 3x3/pad-1 gather is a special case of the general im2col; so the
+// classes agree bit for bit, a reused workspace gives the bits of a fresh
+// one (TestForwardBatchMatchesForward), and TestForwardGolden pins the bits
+// with one row of constants for all three. Weights are held in the order the
+// GEMM reads them (in x out) and converted to and from the unchanged
+// checkpoint layout by nn.Save and nn.Load (TestWireLayoutUnchanged).
+// nn.Network.Forward, over one sample, is the one forward: an evaluation
+// (evaluate.NN.Evaluate) runs it on a pooled workspace, and every training
+// step (nn.BackwardSample) runs it and reads its post-ReLU activations
+// (TestTrainStepGolden pins the weights after one step). There is no batch
+// dimension below evaluate: evaluate.EvaluatorBackend — the backend serve,
 // cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
-// execute a formed batch as one batched forward per core (at most Workers
-// contiguous sub-batches over *NN, chosen by type assertion) without
-// changing one search: other evaluators, a cache view among them, keep the
-// per-request loop, and the outputs are the same bits either way. On a CPU
-// every server launches one request at a time, so only an accelerator's
-// batches take the batched forward.
+// runs a formed batch as one Evaluate per request, in at most Workers
+// contiguous chunks on as many cores. On a CPU every server launches one
+// request at a time, so only an accelerator's batches are split.
 //
 // fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
 // why the int8 path was deleted). The accelerator seam is accel.Link, an

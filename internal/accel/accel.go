@@ -15,9 +15,10 @@
 // NewBackend builds the two registered Links:
 //
 //   - "hosted" wraps evaluate.EvaluatorBackend over evaluate.NN — the backend
-//     every production binary serves through — so its outputs are that path's
-//     bit for bit. Used by the training experiments (Figures 6-7) where real
-//     outputs matter.
+//     every production binary serves through, one network forward per
+//     request, the batch's requests shared between the Workers cores — so
+//     its outputs are that path's bit for bit. Used by the training
+//     experiments (Figures 6-7) where real outputs matter.
 //
 //   - "model" wraps the same backend over Synthetic: deterministic policies
 //     and values derived from each input (the paper's design-time profiling

@@ -169,16 +169,16 @@ func TestHostedComputesRealNetworkInParallel(t *testing.T) {
 	inputs := randInputs(4, 10, net.InputLen())
 	batch := requests(inputs, 16)
 	link.RunBatch(batch)
-	// Each sample must come out of the parallel sub-batches with the bits of
-	// the sample forwarded alone (the nn property test's contract).
-	ws := nn.NewBatchWorkspace(net, 1)
+	// Each sample must come out of the parallel chunks with the bits of the
+	// sample forwarded alone.
+	ws := nn.NewForwardWorkspace(net)
 	for i, req := range batch {
-		wantPol, wantV := [][]float32{make([]float32, 16)}, make([]float64, 1)
-		net.ForwardBatch(ws, inputs[i:i+1], wantPol, wantV)
-		if math.Float64bits(req.Value) != math.Float64bits(wantV[0]) {
-			t.Fatalf("value[%d] mismatch: %v vs %v", i, req.Value, wantV[0])
+		wantPol := make([]float32, 16)
+		wantV := net.Forward(ws, inputs[i], wantPol)
+		if math.Float64bits(req.Value) != math.Float64bits(wantV) {
+			t.Fatalf("value[%d] mismatch: %v vs %v", i, req.Value, wantV)
 		}
-		for j, p := range wantPol[0] {
+		for j, p := range wantPol {
 			if math.Float32bits(req.Policy[j]) != math.Float32bits(p) {
 				t.Fatalf("policy[%d][%d] mismatch: %v vs %v", i, j, req.Policy[j], p)
 			}
@@ -231,7 +231,7 @@ func BenchmarkModelRunBatch16(b *testing.B) {
 
 // TestHostedSteadyStateAllocations drives the hosted Link end to end through
 // Infer: after the first call warms the pools, repeated same-size Infers
-// construct no further BatchWorkspaces — an Infer allocates less than one
+// construct no further forward workspaces — an Infer allocates less than one
 // workspace does (its buffers alone are a dozen allocations).
 func TestHostedSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
@@ -250,7 +250,7 @@ func TestHostedSteadyStateAllocations(t *testing.T) {
 	}
 	values := make([]float64, batch)
 
-	perWorkspace := testing.AllocsPerRun(4, func() { nn.NewBatchWorkspace(net, batch) })
+	perWorkspace := testing.AllocsPerRun(4, func() { nn.NewForwardWorkspace(net) })
 	d.Infer(inputs, policies, values)
 	if got := testing.AllocsPerRun(64, func() { d.Infer(inputs, policies, values) }); got >= perWorkspace {
 		t.Fatalf("steady-state Infer allocates %v times, a workspace %v: it is constructing workspaces", got, perWorkspace)

@@ -24,30 +24,28 @@ func testNet(t *testing.T, seed uint64) *nn.Network {
 	return net
 }
 
-// forwardAll runs a fixed batch of probe inputs and returns the raw
-// policy/value outputs.
+// forwardAll runs a fixed set of probe inputs, one Forward each, and returns
+// the raw policy/value outputs.
 func forwardAll(net *nn.Network, batch int) ([][]float32, []float64) {
-	inputs := make([][]float32, batch)
 	policies := make([][]float32, batch)
 	values := make([]float64, batch)
+	ws := nn.NewForwardWorkspace(net)
 	r := rng.New(99)
-	for i := range inputs {
+	for i := range policies {
 		in := make([]float32, 2*5*5)
 		for j := range in {
 			if r.Float64() < 0.3 {
 				in[j] = 1
 			}
 		}
-		inputs[i] = in
 		policies[i] = make([]float32, 25)
+		values[i] = net.Forward(ws, in, policies[i])
 	}
-	ws := nn.NewBatchWorkspace(net, batch)
-	net.ForwardBatch(ws, inputs, policies, values)
 	return policies, values
 }
 
 // TestCheckpointRoundTripBitwise saves and reloads a network and requires
-// the reloaded model's ForwardBatch outputs to be bit-for-bit identical to
+// the reloaded model's Forward outputs to be bit-for-bit identical to
 // the original's — the property the hot swap relies on when a restarted
 // service resumes from disk.
 func TestCheckpointRoundTripBitwise(t *testing.T) {

@@ -28,15 +28,13 @@
 //
 // What a launched batch costs is the Backend's business. EvaluatorBackend —
 // the one every production binary builds — cuts the batch into at most
-// Workers contiguous sub-batches and runs each as ONE batched forward pass
-// when the evaluator it holds is a BatchEvaluator (*NN); any other evaluator,
-// a *CacheView included, gets one Evaluate per request. The choice is a type
-// assertion, never configuration. NN.Evaluate is the same nn.ForwardBatch at
-// a batch of one, whose outputs for a sample are those of any batch holding
-// it, so the two paths return the same bits. On a CPU every Server is a pool
-// of Batch 1, so a launch is one request; batches of more form only in front
-// of an accelerator. Executing a batch allocates nothing beyond the cache's
-// stored policy per miss.
+// Workers contiguous chunks and runs each request of a chunk as one Evaluate,
+// in order. The network's forward is over one sample (nn.Network.Forward), so
+// NN.Evaluate is the whole of a CPU evaluation. On a CPU every Server is a
+// pool of Batch 1, so a launch is one request; batches of more form only in
+// front of an accelerator, whose Link spreads them over the cores this way.
+// Executing a batch allocates nothing beyond the cache's stored policy per
+// miss.
 //
 // A Server holds one Backend at a time. Algorithm 1 changes the weights
 // between training rounds, never inside one, so SwapBackend simply replaces
@@ -46,7 +44,6 @@
 package evaluate
 
 import (
-	"sync"
 	"time"
 
 	"github.com/parmcts/parmcts/internal/nn"
@@ -76,45 +73,6 @@ type Evaluator interface {
 	Evaluate(input []float32, policy []float32) float64
 }
 
-// BatchEvaluator is an Evaluator that can also take several positions as one
-// batched forward pass. EvaluatorBackend finds it by type assertion on the
-// evaluator it holds and then executes a formed batch as one EvaluateBatch
-// per core instead of one Evaluate per request; *NN implements it, for the
-// accelerator Link's batches.
-type BatchEvaluator interface {
-	Evaluator
-	// EvaluateBatch fills policies[i] and values[i] for every inputs[i],
-	// each exactly as Evaluate(inputs[i], policies[i]) would.
-	EvaluateBatch(inputs, policies [][]float32, values []float64)
-}
-
-// batchIO is the slice-of-slices form of a run of requests, the shape
-// batched evaluators take. Pooled, so executing a
-// batch allocates none of it.
-type batchIO struct {
-	inputs, policies [][]float32
-	values           []float64
-}
-
-var batchIOs = sync.Pool{New: func() any { return new(batchIO) }}
-
-// getBatchIO returns a batchIO whose three slices have length n.
-func getBatchIO(n int) *batchIO {
-	io := batchIOs.Get().(*batchIO)
-	if cap(io.values) < n {
-		io.inputs, io.policies, io.values = make([][]float32, n), make([][]float32, n), make([]float64, n)
-	}
-	io.inputs, io.policies, io.values = io.inputs[:n], io.policies[:n], io.values[:n]
-	return io
-}
-
-// putBatchIO drops the request buffers io points at and pools it.
-func putBatchIO(io *batchIO) {
-	clear(io.inputs)
-	clear(io.policies)
-	batchIOs.Put(io)
-}
-
 // Async is the asynchronous interface used by the local-tree master thread;
 // *Client is its implementation. Each request carries its own completion
 // signal, so the caller chooses which evaluation it waits for, and in what
@@ -134,27 +92,18 @@ type Async interface {
 // NN evaluates with the real network, sharing one immutable parameter set
 // across any number of calling goroutines via pooled workspaces.
 type NN struct {
-	pool *nn.BatchWorkspacePool
+	pool *nn.ForwardPool
 }
 
 // NewNN creates a synchronous network evaluator.
 func NewNN(net *nn.Network) *NN {
-	return &NN{pool: nn.NewBatchWorkspacePool(net)}
+	return &NN{pool: nn.NewForwardPool(net)}
 }
 
-// Evaluate implements Evaluator: the position is a pooled nn.ForwardBatch of
-// one, writing straight into policy.
+// Evaluate implements Evaluator: one pooled nn.Network.Forward, writing
+// straight into policy.
 func (e *NN) Evaluate(input []float32, policy []float32) float64 {
-	in, pol := [1][]float32{input}, [1][]float32{policy}
-	var val [1]float64
-	e.pool.ForwardBatch(in[:], pol[:], val[:])
-	return val[0]
-}
-
-// EvaluateBatch implements BatchEvaluator: one nn.ForwardBatch over the whole
-// run, whose per-sample outputs are bit for bit Evaluate's.
-func (e *NN) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	e.pool.ForwardBatch(inputs, policies, values)
+	return e.pool.Forward(input, policy)
 }
 
 // Random produces deterministic pseudo-random priors and near-zero values,

@@ -24,11 +24,10 @@ func testInput(seed uint64, n int) []float32 {
 	return in
 }
 
-// forwardAlone runs in through nn.ForwardBatch as a batch of one.
+// forwardAlone runs in through nn.Network.Forward on a fresh workspace.
 func forwardAlone(net *nn.Network, in []float32) (policy []float32, value float64) {
-	pol, val := [][]float32{make([]float32, net.Cfg.NumActions)}, make([]float64, 1)
-	net.ForwardBatch(nn.NewBatchWorkspace(net, 1), [][]float32{in}, pol, val)
-	return pol[0], val[0]
+	policy = make([]float32, net.Cfg.NumActions)
+	return policy, net.Forward(nn.NewForwardWorkspace(net), in, policy)
 }
 
 func policyOK(t *testing.T, policy []float32) {

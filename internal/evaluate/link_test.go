@@ -87,13 +87,13 @@ func TestHostedDeviceMatchesNetwork(t *testing.T) {
 	}
 	link.RunBatch(batch)
 	for i, req := range batch {
-		wantPol, wantV := [][]float32{make([]float32, 25)}, make([]float64, 1)
-		net.ForwardBatch(nn.NewBatchWorkspace(net, 1), [][]float32{req.Input}, wantPol, wantV)
-		if req.Value != wantV[0] {
-			t.Fatalf("value[%d] = %v, want %v", i, req.Value, wantV[0])
+		wantPol := make([]float32, 25)
+		wantV := net.Forward(nn.NewForwardWorkspace(net), req.Input, wantPol)
+		if req.Value != wantV {
+			t.Fatalf("value[%d] = %v, want %v", i, req.Value, wantV)
 		}
-		for j := range wantPol[0] {
-			if req.Policy[j] != wantPol[0][j] {
+		for j := range wantPol {
+			if req.Policy[j] != wantPol[j] {
 				t.Fatalf("policy[%d][%d] mismatch", i, j)
 			}
 		}

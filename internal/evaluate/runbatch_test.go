@@ -12,18 +12,19 @@ import (
 	"github.com/parmcts/parmcts/internal/rng"
 )
 
-// fakeBatched is a batched inner evaluator that counts what reaches it and
-// how many calls are inside it at once. Outputs are Random's, so they are a
+// countingEval is an inner evaluator that counts what reaches it and how
+// many calls are inside it at once. Outputs are Random's, so they are a
 // function of the input alone.
-type fakeBatched struct {
+type countingEval struct {
 	Random
-	singles, batches, items atomic.Int64
-	inside, maxInside       atomic.Int64
-	entered, release        chan struct{} // when set, every call announces itself and waits
+	calls             atomic.Int64
+	inside, maxInside atomic.Int64
+	entered, release  chan struct{} // when set, every call announces itself and waits
 }
 
-func (f *fakeBatched) enter() {
+func (f *countingEval) Evaluate(input, policy []float32) float64 {
 	n := f.inside.Add(1)
+	defer f.inside.Add(-1)
 	for {
 		m := f.maxInside.Load()
 		if n <= m || f.maxInside.CompareAndSwap(m, n) {
@@ -34,30 +35,9 @@ func (f *fakeBatched) enter() {
 		f.entered <- struct{}{}
 		<-f.release
 	}
-}
-
-func (f *fakeBatched) Evaluate(input, policy []float32) float64 {
-	f.enter()
-	defer f.inside.Add(-1)
-	f.singles.Add(1)
+	f.calls.Add(1)
 	return f.Random.Evaluate(input, policy)
 }
-
-func (f *fakeBatched) EvaluateBatch(inputs, policies [][]float32, values []float64) {
-	f.enter()
-	defer f.inside.Add(-1)
-	f.batches.Add(1)
-	f.items.Add(int64(len(inputs)))
-	for i, in := range inputs {
-		values[i] = f.Random.Evaluate(in, policies[i])
-	}
-}
-
-// unbatched hides fakeBatched's EvaluateBatch, as Random, the test fakes and
-// cmd/bench's timing wrapper have none.
-type unbatched struct{ inner *fakeBatched }
-
-func (u unbatched) Evaluate(input, policy []float32) float64 { return u.inner.Evaluate(input, policy) }
 
 func requests(seeds ...uint64) []*Request {
 	batch := make([]*Request, len(seeds))
@@ -68,20 +48,20 @@ func requests(seeds ...uint64) []*Request {
 }
 
 // TestRunBatchForwardsExactlyTheMisses: batches of requests through a cache
-// view over a batched evaluator give the outputs, hit and miss counts and
-// entries of one request at a time through a view over an unbatched one, and
-// the inner evaluator sees each distinct position once, as one Evaluate: a
-// view answers hits itself and forwards only its misses, never as a batch.
+// view give the outputs, hit and miss counts and entries of one request at a
+// time through another view, and the inner evaluator sees each distinct
+// position once, as one Evaluate: a view answers hits itself and forwards
+// only its misses.
 func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
 	seqs := [][]uint64{{1, 2, 3}, {2, 4, 1, 5, 6, 3, 7, 8}, {9}, {1, 9, 10, 4}}
 
-	batched := &fakeBatched{}
+	batched := &countingEval{}
 	bc := NewCachedSharded(batched, 64, 4)
 	be := &EvaluatorBackend{Eval: bc.View(1, batched), Workers: 2}
 
-	plain := &fakeBatched{}
+	plain := &countingEval{}
 	pc := NewCachedSharded(plain, 64, 4)
-	pv := pc.View(1, unbatched{plain})
+	pv := pc.View(1, plain)
 
 	misses := 0
 	seen := map[uint64]bool{}
@@ -105,11 +85,8 @@ func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
 			}
 		}
 	}
-	if got := batched.singles.Load(); got != int64(misses) {
+	if got := batched.calls.Load(); got != int64(misses) {
 		t.Fatalf("inner evaluator got %d Evaluate calls, want one for each of the %d misses", got, misses)
-	}
-	if got := batched.batches.Load(); got != 0 {
-		t.Fatalf("%d batched calls reached the inner evaluator, want 0", got)
 	}
 	bh, bm := bc.Stats()
 	ph, pm := pc.Stats()
@@ -124,7 +101,7 @@ func TestRunBatchForwardsExactlyTheMisses(t *testing.T) {
 // TestRunBatchDuplicatePositionInOneBatch: two requests for one position in
 // the same batch complete with equal outputs and leave one entry.
 func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
-	inner := &fakeBatched{}
+	inner := &countingEval{}
 	c := NewCachedSharded(inner, 64, 4)
 	be := &EvaluatorBackend{Eval: c.View(1, inner), Workers: 1}
 	batch := requests(5, 6, 5)
@@ -146,7 +123,7 @@ func TestRunBatchDuplicatePositionInOneBatch(t *testing.T) {
 // cache view are keyed by the view's version, so the same position under two
 // views is two entries, and each view hits its own.
 func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
-	inner := &fakeBatched{}
+	inner := &countingEval{}
 	c := NewCachedSharded(inner, 64, 4)
 	b1 := &EvaluatorBackend{Eval: c.View(1, inner)}
 	b2 := &EvaluatorBackend{Eval: c.View(2, inner)}
@@ -155,10 +132,10 @@ func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
 	if c.Len() != 7 {
 		t.Fatalf("cache holds %d entries, want 4 + 3 for the two views", c.Len())
 	}
-	before := inner.singles.Load() + inner.items.Load()
+	before := inner.calls.Load()
 	b1.RunBatch(requests(1, 2, 3, 4))
 	b2.RunBatch(requests(1, 2, 3))
-	if inner.singles.Load()+inner.items.Load() != before {
+	if inner.calls.Load() != before {
 		t.Fatal("a view re-evaluated positions it had cached")
 	}
 }
@@ -167,7 +144,7 @@ func TestRunBatchEntriesStayVersionScoped(t *testing.T) {
 // calls in flight across ALL batches, so on Workers: 1 two batches executing
 // at once never overlap inside the evaluator.
 func TestRunBatchWorkersBoundsOverlappingBatches(t *testing.T) {
-	inner := &fakeBatched{entered: make(chan struct{}), release: make(chan struct{})}
+	inner := &countingEval{entered: make(chan struct{}), release: make(chan struct{})}
 	be := &EvaluatorBackend{Eval: inner, Workers: 1}
 	var wg sync.WaitGroup
 	for _, seeds := range [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}} {
@@ -177,13 +154,13 @@ func TestRunBatchWorkersBoundsOverlappingBatches(t *testing.T) {
 			be.RunBatch(batch)
 		}(requests(seeds...))
 	}
-	// Each call parks inside the evaluator until released here. While the
-	// first is parked the other batch has every chance to get in, and must
-	// not; the peak count below is the assertion, the sleep only gives a
-	// violation time to happen.
-	for released := 0; released < 2; released++ {
+	// Each request's Evaluate parks inside the evaluator until released
+	// here. While one is parked the other batch has every chance to get in,
+	// and must not; the peak count below is the assertion, the sleep only
+	// gives a violation time to happen.
+	for released := 0; released < 8; released++ {
 		<-inner.entered
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 		if n := inner.inside.Load(); n != 1 {
 			t.Errorf("%d evaluator calls in flight under Workers: 1", n)
 		}
@@ -193,35 +170,28 @@ func TestRunBatchWorkersBoundsOverlappingBatches(t *testing.T) {
 	if inner.maxInside.Load() != 1 {
 		t.Fatalf("peak %d evaluator calls in flight under Workers: 1", inner.maxInside.Load())
 	}
-	if inner.batches.Load() != 2 || inner.items.Load() != 8 {
-		t.Fatalf("%d batched calls over %d positions, want 2 over 8", inner.batches.Load(), inner.items.Load())
+	if inner.calls.Load() != 8 {
+		t.Fatalf("%d evaluator calls, want one for each of the 8 requests", inner.calls.Load())
 	}
 }
 
-// TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest: an evaluator
-// without a batched form, and any cache view, even one over a batched
-// evaluator, gets one Evaluate per request.
+// TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest: an evaluator,
+// bare or behind a cache view, gets one Evaluate per request, and no more
+// than Workers of them at once.
 func TestRunBatchUnbatchedEvaluatorGetsOneEvaluatePerRequest(t *testing.T) {
-	for _, tc := range []struct {
-		name            string
-		batched, viewed bool
-	}{{"bare", false, false}, {"view", false, true}, {"view over batched", true, true}} {
-		inner := &fakeBatched{}
-		var eval Evaluator = unbatched{inner}
-		if tc.batched {
-			eval = inner
-		}
-		if tc.viewed {
+	for _, viewed := range []bool{false, true} {
+		inner := &countingEval{}
+		var eval Evaluator = inner
+		if viewed {
 			eval = NewCachedSharded(eval, 64, 4).View(1, eval)
 		}
 		be := &EvaluatorBackend{Eval: eval, Workers: 2}
 		be.RunBatch(requests(1, 2, 3, 4, 5, 6, 7))
-		if inner.singles.Load() != 7 || inner.batches.Load() != 0 {
-			t.Fatalf("%s: %d Evaluate and %d EvaluateBatch calls for 7 requests, want 7 and 0",
-				tc.name, inner.singles.Load(), inner.batches.Load())
+		if inner.calls.Load() != 7 {
+			t.Fatalf("viewed %v: %d Evaluate calls for 7 requests, want 7", viewed, inner.calls.Load())
 		}
 		if inner.maxInside.Load() > 2 {
-			t.Fatalf("%s: peak %d evaluations in flight under Workers: 2", tc.name, inner.maxInside.Load())
+			t.Fatalf("viewed %v: peak %d evaluations in flight under Workers: 2", viewed, inner.maxInside.Load())
 		}
 	}
 }
@@ -293,7 +263,7 @@ func TestForwardPathAllocations(t *testing.T) {
 		t.Errorf("NN.Evaluate allocates %v per call, want 0", a)
 	}
 	// A one-request batch runs on the caller, with nothing to allocate: bare,
-	// behind a warm cache view, or on an evaluator with no batched form.
+	// behind a warm cache view, or on a Random evaluator.
 	one := []*Request{{Input: in, Policy: policy}}
 	for name, be := range map[string]*EvaluatorBackend{
 		"nn":         {Eval: eval, Workers: 2},

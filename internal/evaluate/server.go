@@ -26,24 +26,19 @@ type Backend interface {
 // Workers cores at once across ALL in-flight batches — the service
 // equivalent of the local-tree scheme's N inference threads (Figure 2a).
 //
-// A formed batch is cut into at most Workers contiguous sub-batches, run on
-// the caller and forChunks goroutines (a one-request batch is one
-// sub-batch on the caller). Each sub-batch takes one concurrency token and is
-// ONE EvaluateBatch call when Eval is a BatchEvaluator (*NN: one batched
-// forward pass per core) and one Evaluate per request, in order, otherwise
-// (a *CacheView among others). Which of the two runs is decided by what Eval
-// is, never by configuration, and the outputs are the same bits either way.
-// The split is what puts an accelerator Link's lone batches on every core; a
-// CPU pool of Batch 1 never forms a batch to split.
+// A formed batch is cut into at most Workers contiguous chunks, run on the
+// caller and forChunks goroutines (a one-request batch is one chunk on the
+// caller). Each chunk takes one concurrency token and runs one Evaluate per
+// request, in order. The split is what puts an accelerator Link's lone
+// batches on every core; a CPU pool of Batch 1 never forms a batch to split.
 type EvaluatorBackend struct {
 	Eval Evaluator
-	// Workers bounds the sub-batches in flight across all batches
+	// Workers bounds the chunks in flight across all batches
 	// (0 = GOMAXPROCS).
 	Workers int
 
-	once    sync.Once
-	sem     chan struct{}
-	batched BatchEvaluator // Eval's batched form, nil when it has none
+	once sync.Once
+	sem  chan struct{}
 }
 
 // RunBatch implements Backend.
@@ -55,7 +50,7 @@ func (b *EvaluatorBackend) RunBatch(batch []*Request) {
 	b.run(batch)
 }
 
-// width is how many sub-batches b runs at once: Workers, or GOMAXPROCS when
+// width is how many chunks b runs at once: Workers, or GOMAXPROCS when
 // Workers is 0, read once.
 func (b *EvaluatorBackend) width() int {
 	b.once.Do(func() {
@@ -64,7 +59,6 @@ func (b *EvaluatorBackend) width() int {
 			w = runtime.GOMAXPROCS(0)
 		}
 		b.sem = make(chan struct{}, w)
-		b.batched, _ = b.Eval.(BatchEvaluator)
 	})
 	return cap(b.sem)
 }
@@ -91,26 +85,13 @@ func forChunks(n, w int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// run evaluates one sub-batch under one concurrency token.
+// run evaluates one chunk under one concurrency token.
 func (b *EvaluatorBackend) run(chunk []*Request) {
 	b.sem <- struct{}{}
-	if b.batched == nil {
-		for _, req := range chunk {
-			req.Value = b.Eval.Evaluate(req.Input, req.Policy)
-		}
-		<-b.sem
-		return
+	for _, req := range chunk {
+		req.Value = b.Eval.Evaluate(req.Input, req.Policy)
 	}
-	io := getBatchIO(len(chunk))
-	for i, req := range chunk {
-		io.inputs[i], io.policies[i] = req.Input, req.Policy
-	}
-	b.batched.EvaluateBatch(io.inputs, io.policies, io.values)
 	<-b.sem
-	for i, req := range chunk {
-		req.Value = io.values[i]
-	}
-	putBatchIO(io)
 }
 
 // ServerConfig tunes a Server.

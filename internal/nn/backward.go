@@ -59,13 +59,12 @@ func (g *Gradients) visit(f func(*tensor.Tensor)) {
 	}
 }
 
-// Workspace is one training worker's scratch: a capacity-1 BatchWorkspace,
-// on which BackwardSample runs the network's one forward (ForwardBatch at
-// b = 1) and whose post-ReLU activations the backward pass reads, plus the
-// backward-pass buffers sized for one sample. A workspace is not safe for
-// concurrent use.
+// Workspace is one training worker's scratch: a ForwardWorkspace, on which
+// BackwardSample runs the network's one forward and whose post-ReLU
+// activations the backward pass reads, plus the backward-pass buffers. A
+// workspace is not safe for concurrent use.
 type Workspace struct {
-	fwd *BatchWorkspace
+	fwd *ForwardWorkspace
 
 	dConvPre  [5][]float32 // gradient w.r.t. conv pre-activation, pix x OutC
 	dCol      [5][]float32
@@ -79,7 +78,7 @@ type Workspace struct {
 
 // NewWorkspace allocates a training workspace for net's configuration.
 func NewWorkspace(net *Network) *Workspace {
-	ws := &Workspace{fwd: NewBatchWorkspace(net, 1)}
+	ws := &Workspace{fwd: NewForwardWorkspace(net)}
 	cfg, shapes := net.Cfg, ws.fwd.shapes
 	for i, s := range shapes {
 		ws.dConvPre[i] = make([]float32, s.OutC*s.OutH()*s.OutW())
@@ -100,14 +99,11 @@ func NewWorkspace(net *Network) *Workspace {
 // L2 term, which the optimizer applies as weight decay).
 //
 // The backward pass reads the forward's channels-last post-ReLU activations
-// (a batch of one is laid out as a single sample) and gates every ReLU on
-// act > 0, which holds exactly where the pre-activation was positive.
+// and gates every ReLU on act > 0, which holds exactly where the
+// pre-activation was positive.
 func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (valueLoss, policyLoss float64) {
 	f := ws.fwd
-	in, pol := [1][]float32{s.Input}, [1][]float32{ws.dLogits}
-	var val [1]float64
-	net.ForwardBatch(f, in[:], pol[:], val[:])
-	value := val[0]
+	value := net.Forward(f, s.Input, ws.dLogits)
 
 	// ---- loss gradients at the heads ----
 	// Policy: L_p = -sum_a pi_a log p_a with p = softmax(logits)

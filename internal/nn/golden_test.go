@@ -51,10 +51,10 @@ func goldenPositions(g game.Game) [][]float32 {
 	return append(out, randInput(r, c*h*w))
 }
 
-// forwardHash forwards every input as a batch of one and hashes the raw
+// forwardHash forwards every input on one workspace and hashes the raw
 // output bits.
 func forwardHash(net *Network, inputs [][]float32) uint64 {
-	ws := NewBatchWorkspace(net, 1)
+	ws := NewForwardWorkspace(net)
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(bits uint64, n int) {

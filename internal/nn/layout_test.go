@@ -51,7 +51,7 @@ func TestWireLayoutUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(78)
-	ws := NewBatchWorkspace(net, 1)
+	ws := NewForwardWorkspace(net)
 	for i, wantPol := range want.Policies {
 		pol, v := forward1(net, ws, randInput(r, net.InputLen()))
 		if !relClose(v, want.Values[i], 1e-5) {
@@ -141,11 +141,11 @@ func forward64(net *Network, in []float32) (policy []float64, value float64) {
 	return policy, value
 }
 
-// TestForwardBatchMatchesFloat64 holds ForwardBatch, a batch of the positions, within 1e-5
-// relative of forward64 on the paper's network over goldenPositions of every
-// registered game: all five games, gomoku at three sizes. (The kernel
-// classes agree bit for bit, TestForwardGolden.)
-func TestForwardBatchMatchesFloat64(t *testing.T) {
+// TestForwardMatchesFloat64 holds Forward within 1e-5 relative of forward64
+// on the paper's network over goldenPositions of every registered game: all
+// five games, gomoku at three sizes. (The kernel classes agree bit for bit,
+// TestForwardGolden.)
+func TestForwardMatchesFloat64(t *testing.T) {
 	for _, name := range game.Names() {
 		g, err := game.NewFromSpec(name)
 		if err != nil {
@@ -153,19 +153,14 @@ func TestForwardBatchMatchesFloat64(t *testing.T) {
 		}
 		c, h, w := g.EncodedShape()
 		net := MustNew(GomokuConfig(c, h, w, g.NumActions()), rng.New(2027))
-		inputs := goldenPositions(g)
-		policies := make([][]float32, len(inputs))
-		for i := range policies {
-			policies[i] = make([]float32, g.NumActions())
-		}
-		values := make([]float64, len(inputs))
-		net.ForwardBatch(NewBatchWorkspace(net, len(inputs)), inputs, policies, values)
-		for i, in := range inputs {
+		ws := NewForwardWorkspace(net)
+		for i, in := range goldenPositions(g) {
+			pol, v := forward1(net, ws, in)
 			wantPol, wantV := forward64(net, in)
-			if !relClose(values[i], wantV, 1e-5) {
-				t.Errorf("%s position %d: value %v, float64 %v", name, i, values[i], wantV)
+			if !relClose(v, wantV, 1e-5) {
+				t.Errorf("%s position %d: value %v, float64 %v", name, i, v, wantV)
 			}
-			for a, p := range policies[i] {
+			for a, p := range pol {
 				if !relClose(float64(p), wantPol[a], 1e-5) {
 					t.Errorf("%s position %d action %d: policy %v, float64 %v", name, i, a, p, wantPol[a])
 				}

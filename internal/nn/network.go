@@ -9,10 +9,10 @@
 //	value:  conv1x1(c3->vc) ReLU, FC(vc*H*W -> hidden) ReLU, FC(hidden -> 1), tanh
 //
 // That is 5 convolutions and 3 fully-connected layers in total. Forward and
-// backward passes are pure Go. There is one forward, ForwardBatch: every
-// evaluation runs it (a single position is a batch of one) and so does every
-// training step, whose backward pass reads its activations. Batches are
-// parallelised across samples by internal/evaluate.
+// backward passes are pure Go. There is one forward, Forward, over one
+// sample: every evaluation runs it and so does every training step, whose
+// backward pass reads its activations. Parallelism is across samples, one
+// per inference thread (internal/evaluate) or training worker.
 package nn
 
 import (

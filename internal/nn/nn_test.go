@@ -24,12 +24,10 @@ func randInput(r *rng.Rand, n int) []float32 {
 	return in
 }
 
-// forward1 runs one sample through ForwardBatch as a batch of one on ws.
-func forward1(net *Network, ws *BatchWorkspace, in []float32) (policy []float32, value float64) {
-	pol := [][]float32{make([]float32, net.Cfg.NumActions)}
-	val := make([]float64, 1)
-	net.ForwardBatch(ws, [][]float32{in}, pol, val)
-	return pol[0], val[0]
+// forward1 runs one sample through Forward on ws.
+func forward1(net *Network, ws *ForwardWorkspace, in []float32) (policy []float32, value float64) {
+	policy = make([]float32, net.Cfg.NumActions)
+	return policy, net.Forward(ws, in, policy)
 }
 
 func randPolicyTarget(r *rng.Rand, n int) []float32 {
@@ -63,7 +61,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestForwardOutputs(t *testing.T) {
 	net := tinyNet(t)
-	ws := NewBatchWorkspace(net, 1)
+	ws := NewForwardWorkspace(net)
 	r := rng.New(7)
 	for trial := 0; trial < 20; trial++ {
 		policy, value := forward1(net, ws, randInput(r, net.InputLen()))
@@ -88,7 +86,7 @@ func TestForwardOutputs(t *testing.T) {
 
 func TestForwardDeterministic(t *testing.T) {
 	net := tinyNet(t)
-	ws1, ws2 := NewBatchWorkspace(net, 1), NewBatchWorkspace(net, 1)
+	ws1, ws2 := NewForwardWorkspace(net), NewForwardWorkspace(net)
 	in := randInput(rng.New(3), net.InputLen())
 	p1, v1 := forward1(net, ws1, in)
 	p2, v2 := forward1(net, ws2, in)
@@ -111,7 +109,7 @@ func TestConcurrentForwardIsRaceFree(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			r := rng.New(seed)
-			ws := NewBatchWorkspace(net, 1)
+			ws := NewForwardWorkspace(net)
 			for i := 0; i < 50; i++ {
 				forward1(net, ws, randInput(r, net.InputLen()))
 			}
@@ -134,7 +132,7 @@ func TestBackwardGradientNumerically(t *testing.T) {
 	g := NewGradients(net)
 	net.BackwardSample(ws, g, sample)
 
-	fws := NewBatchWorkspace(net, 1)
+	fws := NewForwardWorkspace(net)
 	loss := func() float64 {
 		p, v := forward1(net, fws, sample.Input)
 		var pl float64
@@ -271,8 +269,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := randInput(rng.New(2), net.InputLen())
-	p1, v1 := forward1(net, NewBatchWorkspace(net, 1), in)
-	p2, v2 := forward1(loaded, NewBatchWorkspace(loaded, 1), in)
+	p1, v1 := forward1(net, NewForwardWorkspace(net), in)
+	p2, v2 := forward1(loaded, NewForwardWorkspace(loaded), in)
 	if v1 != v2 {
 		t.Fatalf("values differ after round trip: %v vs %v", v1, v2)
 	}

@@ -135,33 +135,23 @@ func Col2Im(dImg, col []float32, s Conv2DShape) {
 	}
 }
 
-// Conv2DForwardBatch computes out = conv(imgs, weight) + bias, through a
-// ReLU when relu is set, for a batch of channels-last images one after
-// another: out is batch*OutH*OutW x OutC, so sample b's output pixels are
-// rows [b*ColRows(), (b+1)*ColRows()) and the next layer's channels-last
-// input. weight is ColCols() x OutC and col scratch of ColRows()*ColCols().
-// Each sample is gathered into col and multiplied straight away, while its
-// patch matrix is in cache; a sample's outputs are the same in any batch
-// (see Dense).
-func Conv2DForwardBatch(out, imgs, col, weight, bias []float32, s Conv2DShape, batch int, relu bool) {
-	pix, kk := s.ColRows(), s.ColCols()
-	imgLen := s.InH * s.InW * s.InC
-	for b := 0; b < batch; b++ {
-		Im2Col(col, imgs[b*imgLen:(b+1)*imgLen], s)
-		Dense(out[b*pix*s.OutC:], col, weight, bias, pix, kk, s.OutC, relu)
-	}
+// Conv2DForward computes out = conv(img, weight) + bias, through a ReLU when
+// relu is set, for one channels-last image: out is OutH*OutW x OutC, the next
+// layer's channels-last input. weight is ColCols() x OutC and col scratch of
+// ColRows()*ColCols(). The image is gathered into col and multiplied
+// straight away, while its patch matrix is in cache.
+func Conv2DForward(out, img, col, weight, bias []float32, s Conv2DShape, relu bool) {
+	Im2Col(col, img, s)
+	Dense(out, col, weight, bias, s.ColRows(), s.ColCols(), s.OutC, relu)
 }
 
-// PackChannelsLast gathers per-sample channel-major images (each c planes of
-// hw pixels, the layout games encode positions in) into the channels-last
-// batch Conv2DForwardBatch reads: dst[(b*hw+p)*c+ch] = imgs[b][ch*hw+p].
-func PackChannelsLast(dst []float32, imgs [][]float32, c, hw int) {
-	for b, img := range imgs {
-		d := dst[b*hw*c : (b+1)*hw*c]
-		for ch := 0; ch < c; ch++ {
-			for p, v := range img[ch*hw : (ch+1)*hw] {
-				d[p*c+ch] = v
-			}
+// PackChannelsLast converts a channel-major image (c planes of hw pixels,
+// the layout games encode positions in) to the channels-last layout
+// Conv2DForward reads: dst[p*c+ch] = img[ch*hw+p].
+func PackChannelsLast(dst, img []float32, c, hw int) {
+	for ch := 0; ch < c; ch++ {
+		for p, v := range img[ch*hw : (ch+1)*hw] {
+			dst[p*c+ch] = v
 		}
 	}
 }

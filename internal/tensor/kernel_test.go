@@ -257,7 +257,7 @@ func TestMatMulTransBKernelEquivalence(t *testing.T) {
 
 // TestElementsAreStandAloneChains is the property the network's bits rest
 // on: every output element of a convolution (3x3 and 1x1, on odd boards and
-// channel counts, several samples to a batch) and of a dense layer equals
+// channel counts) and of a dense layer equals
 // the same product computed alone — its one patch row against its one
 // weight column, an fma32 chain over k in order, then its bias and the ReLU
 // — in every kernel class, so the classes agree bit for bit.
@@ -270,22 +270,19 @@ func TestElementsAreStandAloneChains(t *testing.T) {
 		{InC: 64, InH: 7, InW: 7, OutC: 4, KH: 1, KW: 1},
 		{InC: 3, InH: 8, InW: 6, OutC: 9, KH: 5, KW: 5, PadH: 2, PadW: 2},
 	} {
-		const batch = 3
-		imgLen, pix, kk := s.InH*s.InW*s.InC, s.ColRows(), s.ColCols()
-		imgs, w, bias := randFloats(r, batch*imgLen), randFloats(r, kk*s.OutC), randFloats(r, s.OutC)
-		want := make([]float32, batch*pix*s.OutC)
+		pix, kk := s.ColRows(), s.ColCols()
+		img, w, bias := randFloats(r, s.InH*s.InW*s.InC), randFloats(r, kk*s.OutC), randFloats(r, s.OutC)
+		want := make([]float32, pix*s.OutC)
 		col := make([]float32, pix*kk)
-		for b := 0; b < batch; b++ {
-			im2colGeneral(col, imgs[b*imgLen:], s)
-			for p := 0; p < pix; p++ {
-				// One pixel against one output channel at a time.
-				for o := 0; o < s.OutC; o++ {
-					wcol := make([]float32, kk)
-					for x := range wcol {
-						wcol[x] = w[x*s.OutC+o]
-					}
-					want[(b*pix+p)*s.OutC+o] = chainGEMM(col[p*kk:(p+1)*kk], wcol, bias[o:o+1], 1, kk, 1, true)[0]
+		im2colGeneral(col, img, s)
+		for p := 0; p < pix; p++ {
+			// One pixel against one output channel at a time.
+			for o := 0; o < s.OutC; o++ {
+				wcol := make([]float32, kk)
+				for x := range wcol {
+					wcol[x] = w[x*s.OutC+o]
 				}
+				want[p*s.OutC+o] = chainGEMM(col[p*kk:(p+1)*kk], wcol, bias[o:o+1], 1, kk, 1, true)[0]
 			}
 		}
 		for _, kn := range Kernels() {
@@ -293,7 +290,7 @@ func TestElementsAreStandAloneChains(t *testing.T) {
 				continue
 			}
 			got := make([]float32, len(want))
-			Conv2DForwardBatch(got, imgs, col, w, bias, s, batch, true)
+			Conv2DForward(got, img, col, w, bias, s, true)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("kernel %s conv %+v: out[%d] bits %#x, alone %#x", kn, s, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
@@ -302,7 +299,7 @@ func TestElementsAreStandAloneChains(t *testing.T) {
 		}
 	}
 	// The dense layers: the policy head's 4 channels x 81 pixels to 81
-	// actions, the value head's 2 x 81 to 64 and 64 to 1, at batch 5.
+	// actions, the value head's 2 x 81 to 64 and 64 to 1, over 5 rows.
 	for _, sh := range [][2]int{{324, 81}, {162, 64}, {64, 1}} {
 		const m = 5
 		k, n := sh[0], sh[1]

@@ -207,7 +207,7 @@ func TestConv2DForwardMatchesNaive(t *testing.T) {
 		b := randSlice(r, s.OutC)
 		out := make([]float32, s.OutC*s.OutH()*s.OutW())
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(out, img, col, w, b, s, 1, false)
+		Conv2DForward(out, img, col, w, b, s, false)
 		want := naiveConv(img, w, b, s)
 		if d := maxAbsDiff(out, want); d > 1e-4 {
 			t.Errorf("conv %+v: max diff %v", s, d)
@@ -251,7 +251,7 @@ func TestConv2DBackwardNumerically(t *testing.T) {
 	loss := func(img, w, b []float32) float64 {
 		out := make([]float32, s.OutC*pix)
 		col := make([]float32, s.ColRows()*s.ColCols())
-		Conv2DForwardBatch(out, img, col, w, b, s, 1, false)
+		Conv2DForward(out, img, col, w, b, s, false)
 		var l float64
 		for i := range out {
 			l += float64(out[i]) * float64(dOut[i])
@@ -311,7 +311,7 @@ func BenchmarkConvGomokuLayer(b *testing.B) {
 	col := make([]float32, s.ColRows()*s.ColCols())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Conv2DForwardBatch(out, img, col, w, bias, s, 1, false)
+		Conv2DForward(out, img, col, w, bias, s, false)
 	}
 }
 
@@ -330,54 +330,18 @@ func TestMatMulBlockedEdgeSizes(t *testing.T) {
 	}
 }
 
-// TestPackChannelsLast: packing per-sample channel-major images puts
-// channel ch of pixel p of sample b at ((b*hw)+p)*c+ch.
+// TestPackChannelsLast: packing a channel-major image puts channel ch of
+// pixel p at p*c+ch.
 func TestPackChannelsLast(t *testing.T) {
 	r := rng.New(33)
-	const c, hw, batch = 3, 10, 5
-	imgs := make([][]float32, batch)
-	for i := range imgs {
-		imgs[i] = randSlice(r, c*hw)
-	}
-	packed := make([]float32, c*batch*hw)
-	PackChannelsLast(packed, imgs, c, hw)
-	for b, img := range imgs {
-		for ch := 0; ch < c; ch++ {
-			for p := 0; p < hw; p++ {
-				if got := packed[(b*hw+p)*c+ch]; got != img[ch*hw+p] {
-					t.Fatalf("sample %d channel %d pixel %d: %v, want %v", b, ch, p, got, img[ch*hw+p])
-				}
-			}
-		}
-	}
-}
-
-// TestConv2DForwardBatchMatchesSingle: a sample's outputs in a batch are,
-// bit for bit, those of the sample convolved alone.
-func TestConv2DForwardBatchMatchesSingle(t *testing.T) {
-	r := rng.New(34)
-	shapes := []Conv2DShape{
-		{InC: 3, InH: 9, InW: 9, OutC: 8, KH: 3, KW: 3, PadH: 1, PadW: 1},
-		{InC: 8, InH: 7, InW: 7, OutC: 5, KH: 1, KW: 1},
-	}
-	for _, s := range shapes {
-		for _, batch := range []int{1, 2, 5} {
-			w := randSlice(r, s.OutC*s.ColCols())
-			bias := randSlice(r, s.OutC)
-			imgLen, pix := s.InC*s.InH*s.InW, s.ColRows()
-			imgs := randSlice(r, batch*imgLen)
-			out := make([]float32, batch*pix*s.OutC)
-			col := make([]float32, pix*s.ColCols())
-			Conv2DForwardBatch(out, imgs, col, w, bias, s, batch, true)
-
-			single := make([]float32, pix*s.OutC)
-			for b := 0; b < batch; b++ {
-				Conv2DForwardBatch(single, imgs[b*imgLen:(b+1)*imgLen], col, w, bias, s, 1, true)
-				for i, want := range single {
-					if got := out[b*pix*s.OutC+i]; math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("shape %+v batch %d sample %d out[%d]: %v, alone %v", s, batch, b, i, got, want)
-					}
-				}
+	const c, hw = 3, 10
+	img := randSlice(r, c*hw)
+	packed := make([]float32, c*hw)
+	PackChannelsLast(packed, img, c, hw)
+	for ch := 0; ch < c; ch++ {
+		for p := 0; p < hw; p++ {
+			if got := packed[p*c+ch]; got != img[ch*hw+p] {
+				t.Fatalf("channel %d pixel %d: %v, want %v", ch, p, got, img[ch*hw+p])
 			}
 		}
 	}
