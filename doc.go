@@ -65,13 +65,16 @@
 // checkpoint layout by nn.Save and nn.Load (TestWireLayoutUnchanged).
 // nn.Network.Forward, over one sample, is the one forward: an evaluation
 // (evaluate.NN.Evaluate) runs it on a pooled workspace, and every training
-// step (nn.BackwardSample) runs it and reads its post-ReLU activations
-// (TestTrainStepGolden pins the weights after one step). There is no batch
-// dimension below evaluate: evaluate.EvaluatorBackend — the backend serve,
-// cmd/train, dist.Worker, the arena gate and adaptive's fleets all build —
-// runs a formed batch as one Evaluate per request, in at most Workers
-// contiguous chunks on as many cores. On a CPU every server launches one
-// request at a time, so only an accelerator's batches are split.
+// step (nn.BackwardSample) runs it and reads its post-ReLU activations.
+// Every layer's backward is tensor.DenseBackward, the adjoint of the Dense
+// its forward ran, so training multiplies on the same GEMM and its bits too
+// are one set for all classes (TestTrainStepGolden pins the weights after
+// one step). There is no batch dimension below evaluate:
+// evaluate.EvaluatorBackend — the backend serve, cmd/train, dist.Worker,
+// the arena gate and adaptive's fleets all build — runs a formed batch as
+// one Evaluate per request, in at most Workers contiguous chunks on as many
+// cores. On a CPU every server launches one request at a time, so only an
+// accelerator's batches are split.
 //
 // fp32 is the one numeric format (EXPERIMENTS.md "Kernel dispatch" records
 // why the int8 path was deleted). The accelerator seam is accel.Link, an

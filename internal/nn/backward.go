@@ -16,93 +16,72 @@ type Sample struct {
 	Value  float64   // final outcome r from the mover's perspective, in [-1,1]
 }
 
-// Gradients accumulates parameter gradients with the same layout as Network,
-// in memory as well: in x out weights.
-type Gradients struct {
-	ConvW        [5]*tensor.Tensor
-	ConvB        [5]*tensor.Tensor
-	PolW, PolB   *tensor.Tensor
-	Val1W, Val1B *tensor.Tensor
-	Val2W, Val2B *tensor.Tensor
-}
-
-// NewGradients allocates zeroed gradients for net.
-func NewGradients(net *Network) *Gradients {
-	g := &Gradients{}
-	ls := net.Cfg.layouts()
-	for i, p := range g.params() {
-		*p = tensor.New(ls[i].shape()...)
+// NewGradients returns zeroed gradients for net: a Network of net's shape,
+// whose parameters hold a gradient each.
+func NewGradients(net *Network) *Network {
+	g := &Network{Cfg: net.Cfg}
+	dst := g.params()
+	for i, p := range net.params() {
+		*dst[i] = tensor.New((*p).Shape...)
 	}
 	return g
 }
 
-// params returns the gradient fields in Network.params order.
-func (g *Gradients) params() []**tensor.Tensor {
-	p := make([]**tensor.Tensor, 0, 2*len(g.ConvW)+6)
-	for i := range g.ConvW {
-		p = append(p, &g.ConvW[i], &g.ConvB[i])
-	}
-	return append(p, &g.PolW, &g.PolB, &g.Val1W, &g.Val1B, &g.Val2W, &g.Val2B)
-}
-
-// Add accumulates other into g.
-func (g *Gradients) Add(other *Gradients) {
+// Add accumulates other's parameters into n's (gradients into gradients).
+func (n *Network) Add(other *Network) {
 	o := other.params()
-	for i, p := range g.params() {
+	for i, p := range n.params() {
 		(*p).AXPY(1, *o[i])
-	}
-}
-
-func (g *Gradients) visit(f func(*tensor.Tensor)) {
-	for _, p := range g.params() {
-		f(*p)
 	}
 }
 
 // Workspace is one training worker's scratch: a ForwardWorkspace, on which
 // BackwardSample runs the network's one forward and whose post-ReLU
-// activations the backward pass reads, plus the backward-pass buffers. A
-// workspace is not safe for concurrent use.
+// activations the backward pass reads, plus the gradients of those
+// activations, which each layer's tensor.DenseBackward writes. A workspace
+// is not safe for concurrent use.
 type Workspace struct {
 	fwd *ForwardWorkspace
 
-	dConvPre  [5][]float32 // gradient w.r.t. conv pre-activation, pix x OutC
-	dCol      [5][]float32
-	dInput    [5][]float32 // gradient flowing into each conv's input, channels-last
-	dLogits   []float32    // the forward's policy, then the gradient w.r.t. the logits
-	dPolAct   []float32
-	dVHide    []float32
-	dVAct     []float32
-	trunkGrad []float32 // sum of policy-head and value-head trunk gradients
+	dLogits []float32    // the forward's policy, then the gradient w.r.t. the logits
+	dVHide  []float32    // ValueHide
+	dPolAct []float32    // H*W x PolicyC
+	dVAct   []float32    // H*W x ValueC
+	dHead   []float32    // the policy head's gradient w.r.t. the trunk output
+	dTrunk  [3][]float32 // per trunk layer: gradient w.r.t. its output, pix x OutC
+	dCol    []float32    // patch-matrix gradient, sized as the forward's col
 }
 
 // NewWorkspace allocates a training workspace for net's configuration.
 func NewWorkspace(net *Network) *Workspace {
 	ws := &Workspace{fwd: NewForwardWorkspace(net)}
-	cfg, shapes := net.Cfg, ws.fwd.shapes
-	for i, s := range shapes {
-		ws.dConvPre[i] = make([]float32, s.OutC*s.OutH()*s.OutW())
-		ws.dCol[i] = make([]float32, s.ColRows()*s.ColCols())
-		ws.dInput[i] = make([]float32, s.InC*s.InH*s.InW)
-	}
+	cfg, hw := net.Cfg, net.Cfg.H*net.Cfg.W
 	ws.dLogits = make([]float32, cfg.NumActions)
-	ws.dPolAct = make([]float32, shapes[3].OutC*cfg.H*cfg.W)
 	ws.dVHide = make([]float32, cfg.ValueHide)
-	ws.dVAct = make([]float32, shapes[4].OutC*cfg.H*cfg.W)
-	ws.trunkGrad = make([]float32, shapes[2].OutC*cfg.H*cfg.W)
+	ws.dPolAct = make([]float32, hw*cfg.PolicyC)
+	ws.dVAct = make([]float32, hw*cfg.ValueC)
+	ws.dHead = make([]float32, hw*cfg.Trunk[2])
+	for i := range ws.dTrunk {
+		ws.dTrunk[i] = make([]float32, hw*cfg.Trunk[i])
+	}
+	ws.dCol = make([]float32, len(ws.fwd.col))
 	return ws
 }
 
 // BackwardSample runs forward+backward for one sample, accumulating
-// gradients into g and returning the sample's loss terms:
-// valueLoss = (v - z)^2, policyLoss = -pi . log p  (Equation 2 without the
-// L2 term, which the optimizer applies as weight decay).
+// gradients into g (from NewGradients) and returning the sample's loss
+// terms: valueLoss = (v - z)^2, policyLoss = -pi . log p  (Equation 2
+// without the L2 term, which the optimizer applies as weight decay).
 //
-// The backward pass reads the forward's channels-last post-ReLU activations
-// and gates every ReLU on act > 0, which holds exactly where the
+// Every layer's backward is tensor.DenseBackward, the adjoint of the Dense
+// its forward ran: the FC layers at one row, the 1x1 head convolutions over
+// the trunk output and the 3x3 trunk convolutions on their patch matrices
+// (Conv2DBackward); the first layer computes no input gradient. A ReLU's
+// backward gates on its post-ReLU output, act > 0 exactly where the
 // pre-activation was positive.
-func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (valueLoss, policyLoss float64) {
-	f := ws.fwd
+func (net *Network) BackwardSample(ws *Workspace, g *Network, s Sample) (valueLoss, policyLoss float64) {
+	f, cfg := ws.fwd, net.Cfg
+	hw, c3 := cfg.H*cfg.W, cfg.Trunk[2]
 	value := net.Forward(f, s.Input, ws.dLogits)
 
 	// ---- loss gradients at the heads ----
@@ -114,89 +93,52 @@ func (net *Network) BackwardSample(ws *Workspace, g *Gradients, s Sample) (value
 			policyLoss -= float64(s.Policy[i]) * math.Log(math.Max(float64(p), 1e-12))
 		}
 	}
-	// Value: L_v = (v - z)^2 with v = tanh(u) => dL/du = 2(v-z)(1-v^2).
+	// Value: L_v = (v - z)^2 with v = tanh(u) => dL/du = 2(v-z)(1-v^2),
+	// written over u.
 	diff := value - s.Value
 	valueLoss = diff * diff
-	dVOut := float32(2 * diff * (1 - value*value))
+	f.vOut[0] = float32(2 * diff * (1 - value*value))
 
-	// ---- value head backward ----
-	// vOut = Val2W . vHide + Val2B, vHide post-ReLU
-	for i := range ws.dVHide {
-		ws.dVHide[i] = dVOut * net.Val2W.Data[i]
-		g.Val2W.Data[i] += dVOut * f.vHide[i]
-	}
-	g.Val2B.Data[0] += dVOut
-	// through hidden ReLU
-	for i := range ws.dVHide {
-		if f.vHide[i] <= 0 {
-			ws.dVHide[i] = 0
-		}
-	}
-	// vHide = ReLU(Val1W . vAct + Val1B)
-	denseBackward(ws.dVAct, net.Val1W.Data, g.Val1W.Data, g.Val1B.Data, ws.dVHide, f.convAct[4])
-	// through value-conv ReLU
-	reluBackInto(ws.dConvPre[4], ws.dVAct, f.convAct[4])
-	// value 1x1 conv backward: the trunk output is its patch matrix.
-	tensor.Conv2DBackward(ws.dInput[4], g.ConvW[4].Data, g.ConvB[4].Data,
-		ws.dConvPre[4], net.ConvW[4].Data, f.convAct[2], ws.dCol[4], f.shapes[4])
+	// ---- value head: FC, ReLU, FC, ReLU, 1x1 conv ----
+	vAct, trunk := f.convAct[4], f.convAct[2]
+	tensor.DenseBackward(ws.dVHide, g.Val2W.Data, g.Val2B.Data, f.vOut, f.vHide, net.Val2W.Data, 1, cfg.ValueHide, 1)
+	reluBack(ws.dVHide, f.vHide)
+	tensor.DenseBackward(ws.dVAct, g.Val1W.Data, g.Val1B.Data, ws.dVHide, vAct, net.Val1W.Data, 1, hw*cfg.ValueC, cfg.ValueHide)
+	reluBack(ws.dVAct, vAct)
+	tensor.DenseBackward(ws.dTrunk[2], g.ConvW[4].Data, g.ConvB[4].Data, ws.dVAct, trunk, net.ConvW[4].Data, hw, c3, cfg.ValueC)
 
-	// ---- policy head backward ----
-	denseBackward(ws.dPolAct, net.PolW.Data, g.PolW.Data, g.PolB.Data, ws.dLogits, f.convAct[3])
-	reluBackInto(ws.dConvPre[3], ws.dPolAct, f.convAct[3])
-	tensor.Conv2DBackward(ws.dInput[3], g.ConvW[3].Data, g.ConvB[3].Data,
-		ws.dConvPre[3], net.ConvW[3].Data, f.convAct[2], ws.dCol[3], f.shapes[3])
+	// ---- policy head: FC, ReLU, 1x1 conv ----
+	pAct := f.convAct[3]
+	tensor.DenseBackward(ws.dPolAct, g.PolW.Data, g.PolB.Data, ws.dLogits, pAct, net.PolW.Data, 1, hw*cfg.PolicyC, cfg.NumActions)
+	reluBack(ws.dPolAct, pAct)
+	tensor.DenseBackward(ws.dHead, g.ConvW[3].Data, g.ConvB[3].Data, ws.dPolAct, trunk, net.ConvW[3].Data, hw, c3, cfg.PolicyC)
 
-	// ---- trunk backward ----
-	for i := range ws.trunkGrad {
-		ws.trunkGrad[i] = ws.dInput[3][i] + ws.dInput[4][i]
+	// ---- trunk: the heads' gradients summed, then three 3x3 convs ----
+	for i, d := range ws.dHead {
+		ws.dTrunk[2][i] += d
 	}
-	upstream := ws.trunkGrad
 	for layer := 2; layer >= 0; layer-- {
 		sh := f.shapes[layer]
-		reluBackInto(ws.dConvPre[layer], upstream, f.convAct[layer])
+		reluBack(ws.dTrunk[layer], f.convAct[layer])
 		// Recompute this conv's im2col from its forward input (the col
 		// buffer holds whichever gather ran last).
-		fwdIn := f.xIn
+		fwdIn, dIn, dCol := f.xIn, []float32(nil), []float32(nil)
 		if layer > 0 {
-			fwdIn = f.convAct[layer-1]
+			fwdIn, dIn, dCol = f.convAct[layer-1], ws.dTrunk[layer-1], ws.dCol
 		}
 		tensor.Im2Col(f.col, fwdIn, sh)
-		tensor.Conv2DBackward(ws.dInput[layer], g.ConvW[layer].Data, g.ConvB[layer].Data,
-			ws.dConvPre[layer], net.ConvW[layer].Data, f.col, ws.dCol[layer], sh)
-		upstream = ws.dInput[layer]
+		tensor.Conv2DBackward(dIn, g.ConvW[layer].Data, g.ConvB[layer].Data,
+			ws.dTrunk[layer], net.ConvW[layer].Data, f.col, dCol, sh)
 	}
 	return valueLoss, policyLoss
 }
 
-// denseBackward accumulates dW/dB and computes dIn for out = in.W + b,
-// with W in x out:
-//
-//	dW[i][o] += in[i] * dOut[o]
-//	dB[o]    += dOut[o]
-//	dIn[i]    = sum_o dOut[o] * W[i][o]
-func denseBackward(dIn, w, dW, dB, dOut, in []float32) {
-	nOut := len(dOut)
-	for o, g := range dOut {
-		dB[o] += g
-	}
-	for i, v := range in {
-		wRow := w[i*nOut : (i+1)*nOut]
-		dwRow := dW[i*nOut : (i+1)*nOut]
-		var sum float32
-		for o, g := range dOut {
-			dwRow[o] += g * v
-			sum += g * wRow[o]
-		}
-		dIn[i] = sum
-	}
-}
-
-func reluBackInto(dst, dOut, act []float32) {
-	for i := range dst {
-		if act[i] > 0 {
-			dst[i] = dOut[i]
-		} else {
-			dst[i] = 0
+// reluBack zeroes the gradient d wherever the ReLU's output act is not
+// positive.
+func reluBack(d, act []float32) {
+	for i, a := range act[:len(d)] {
+		if a <= 0 {
+			d[i] = 0
 		}
 	}
 }
@@ -207,7 +149,7 @@ type SGD struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	velocity    *Gradients
+	velocity    *Network
 }
 
 // NewSGD creates an optimizer with the given hyper-parameters.
@@ -217,7 +159,7 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 
 // Step applies one update: v = mu*v + (g + wd*theta); theta -= lr*v.
 // Gradients should already be averaged over the batch.
-func (o *SGD) Step(net *Network, g *Gradients) {
+func (o *SGD) Step(net, g *Network) {
 	if o.velocity == nil {
 		o.velocity = NewGradients(net)
 	}
@@ -225,12 +167,9 @@ func (o *SGD) Step(net *Network, g *Gradients) {
 	mu := float32(o.Momentum)
 	wd := float32(o.WeightDecay)
 
-	var params, grads, vels []*tensor.Tensor
-	net.visitParams(func(t *tensor.Tensor) { params = append(params, t) })
-	g.visit(func(t *tensor.Tensor) { grads = append(grads, t) })
-	o.velocity.visit(func(t *tensor.Tensor) { vels = append(vels, t) })
-	for i := range params {
-		p, gr, v := params[i].Data, grads[i].Data, vels[i].Data
+	grads, vels := g.params(), o.velocity.params()
+	for i, pp := range net.params() {
+		p, gr, v := (*pp).Data, (*grads[i]).Data, (*vels[i]).Data
 		for j := range p {
 			upd := gr[j] + wd*p[j]
 			v[j] = mu*v[j] + upd
@@ -251,7 +190,8 @@ type BatchResult struct {
 func (r BatchResult) TotalLoss() float64 { return r.ValueLoss + r.PolicyLoss + r.L2 }
 
 // TrainBatch runs forward/backward over the samples in parallel (one
-// goroutine per core, each with a private Workspace and Gradients shard),
+// goroutine per core, each with a private Workspace and a shard of
+// gradients, every layer's backward one tensor.DenseBackward on its core),
 // averages the gradients, and applies one SGD step. It mirrors the paper's
 // CPU-training configuration where a fixed pool of threads performs SGD
 // (Section 5.4). workers <= 0 selects GOMAXPROCS.
@@ -262,25 +202,16 @@ func TrainBatch(net *Network, opt *SGD, batch []Sample, workers int) BatchResult
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
 	type shard struct {
-		g            *Gradients
+		g            *Network
 		vLoss, pLoss float64
 	}
+	chunk := (len(batch) + workers - 1) / workers
+	workers = (len(batch) + chunk - 1) / chunk // none without a sample
 	shards := make([]shard, workers)
 	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
+		lo, hi := w*chunk, min((w+1)*chunk, len(batch))
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
@@ -300,15 +231,12 @@ func TrainBatch(net *Network, opt *SGD, batch []Sample, workers int) BatchResult
 	total := shards[0].g
 	res := BatchResult{ValueLoss: shards[0].vLoss, PolicyLoss: shards[0].pLoss, N: len(batch)}
 	for _, sh := range shards[1:] {
-		if sh.g == nil {
-			continue
-		}
 		total.Add(sh.g)
 		res.ValueLoss += sh.vLoss
 		res.PolicyLoss += sh.pLoss
 	}
 	scale := float32(1.0 / float64(len(batch)))
-	total.visit(func(t *tensor.Tensor) { t.Scale(scale) })
+	total.visitParams(func(t *tensor.Tensor) { t.Scale(scale) })
 	opt.Step(net, total)
 	res.ValueLoss /= float64(len(batch))
 	res.PolicyLoss /= float64(len(batch))

@@ -103,8 +103,10 @@ func TestForwardGolden(t *testing.T) {
 
 // trainStepGolden holds FNV-64a hashes of every parameter bit (in memory
 // order) after one TrainBatch step at 1 and 2 workers, the same in every
-// kernel class. It was recorded with forwardGolden.
-var trainStepGolden = [2]uint64{0x29c8ab06f2701a64, 0x1bf82dd1631bf1a9}
+// kernel class. It was recorded when every layer's backward became
+// tensor.DenseBackward (EXPERIMENTS.md, "One GEMM for training", lists the
+// constants it replaced and the gradients' distance from the scalar path's).
+var trainStepGolden = [2]uint64{0xdc71523500f524d0, 0xd72dfe11a8bb0cbd}
 
 // TestTrainStepGolden trains the paper's network on the benchmark board
 // (gomoku:9) for one momentum-SGD step over 8 fixed samples, under every

@@ -8,11 +8,13 @@
 //	policy: conv1x1(c3->pc) ReLU, FC(pc*H*W -> actions), softmax
 //	value:  conv1x1(c3->vc) ReLU, FC(vc*H*W -> hidden) ReLU, FC(hidden -> 1), tanh
 //
-// That is 5 convolutions and 3 fully-connected layers in total. Forward and
-// backward passes are pure Go. There is one forward, Forward, over one
-// sample: every evaluation runs it and so does every training step, whose
-// backward pass reads its activations. Parallelism is across samples, one
-// per inference thread (internal/evaluate) or training worker.
+// That is 5 convolutions and 3 fully-connected layers in total. There is one
+// forward, Forward, over one sample: every evaluation runs it and so does
+// every training step, whose backward pass reads its activations. Every
+// layer of the forward is one tensor.Dense, and every layer's backward is
+// tensor.DenseBackward, the adjoint of the Dense its forward ran.
+// Parallelism is across samples, one per inference thread
+// (internal/evaluate) or training worker.
 package nn
 
 import (
@@ -222,24 +224,12 @@ func heInit(r *rng.Rand, n, fanIn int) []float32 {
 	w := make([]float32, n)
 	std := float32(1.0)
 	if fanIn > 0 {
-		std = float32(1.4142135623730951 / sqrtF(float64(fanIn)))
+		std = float32(1.4142135623730951 / math.Sqrt(float64(fanIn)))
 	}
 	for i := range w {
 		w[i] = float32(r.NormFloat64()) * std
 	}
 	return w
-}
-
-func sqrtF(x float64) float64 {
-	// local wrapper to keep math import out of the hot path file
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 32; i++ {
-		z = 0.5 * (z + x/z)
-	}
-	return z
 }
 
 // NumParams returns the total parameter count.

@@ -238,15 +238,15 @@ func TestTrainBatchWorkerCountsAgree(t *testing.T) {
 	n4, b4 := mk()
 	TrainBatch(n1, NewSGD(0.01, 0, 0), b1, 1)
 	TrainBatch(n4, NewSGD(0.01, 0, 0), b4, 4)
-	var maxDiff float64
-	for i := range n1.PolW.Data {
-		d := math.Abs(float64(n1.PolW.Data[i] - n4.PolW.Data[i]))
-		if d > maxDiff {
-			maxDiff = d
+	p4 := n4.params()
+	for pi, p1 := range n1.params() {
+		var maxDiff float64
+		for i, v := range (*p1).Data {
+			maxDiff = math.Max(maxDiff, math.Abs(float64(v-(*p4[pi]).Data[i])))
 		}
-	}
-	if maxDiff > 1e-4 {
-		t.Fatalf("1-worker and 4-worker updates diverge: %v", maxDiff)
+		if maxDiff > 1e-4 {
+			t.Errorf("parameter %d: 1-worker and 4-worker updates diverge: %v", pi, maxDiff)
+		}
 	}
 }
 

@@ -156,34 +156,15 @@ func PackChannelsLast(dst, img []float32, c, hw int) {
 	}
 }
 
-// Conv2DBackward computes gradients for one channels-last image given dOut
-// (OutH*OutW x OutC), with weight ColCols() x OutC:
-//
-//	dW     += col^T dOut          (ColCols x OutC)
-//	dB     += column sums of dOut (OutC)
-//	dImg   = col2im(dOut weight^T) (InH*InW*InC, overwritten)
-//
-// col must contain the im2col expansion of the forward input (recompute it
-// with Im2Col if it was not retained). dCol is scratch of the same size.
+// Conv2DBackward is the adjoint of Conv2DForward without its ReLU, given
+// dOut (OutH*OutW x OutC): DenseBackward on the patch matrix col (the
+// forward input's Im2Col), whose gradient dCol (of col's size) Col2Im
+// scatters into the channels-last dImg, overwritten. A nil dCol skips the
+// input gradient, as a network's first layer needs none.
 func Conv2DBackward(dImg, dW, dB, dOut, weight, col, dCol []float32, s Conv2DShape) {
-	kk, oc := s.ColCols(), s.OutC
-	for p := 0; p < s.ColRows(); p++ {
-		g := dOut[p*oc : (p+1)*oc]
-		for o, v := range g {
-			dB[o] += v
-		}
-		dRow := dCol[p*kk : (p+1)*kk]
-		for k, x := range col[p*kk : (p+1)*kk] {
-			wRow := weight[k*oc : (k+1)*oc]
-			dwRow := dW[k*oc : (k+1)*oc]
-			var sum float32
-			for o, v := range g {
-				dwRow[o] += v * x
-				sum += v * wRow[o]
-			}
-			dRow[k] = sum
-		}
+	DenseBackward(dCol, dW, dB, dOut, col, weight, s.ColRows(), s.ColCols(), s.OutC)
+	if dCol != nil {
+		clear(dImg)
+		Col2Im(dImg, dCol, s)
 	}
-	clear(dImg)
-	Col2Im(dImg, dCol, s)
 }

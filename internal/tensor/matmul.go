@@ -71,3 +71,46 @@ func Dense(c, a, b, bias []float32, m, k, n int, relu bool) {
 		tile(c[j0:], n, a, k, b[j0:], n, m, min(tileCols, n-j0), k, bs, floor)
 	}
 }
+
+// DenseBackward is the adjoint of Dense without its ReLU. Given dC, the
+// gradient of C = A·W + bias for row-major A (m x k) and W (k x n), it adds
+// dC's column sums to dBias and Aᵀ·dC to dW, and sets dA = dC·Wᵀ unless dA
+// is nil. Both products are Dense calls on transposes in pooled scratch, so
+// every element is one FMA chain, the same in every kernel class (dW adds
+// its product with one more rounding). Concurrent calls with distinct
+// outputs are safe; dA must not alias another argument.
+func DenseBackward(dA, dW, dBias, dC, a, w []float32, m, k, n int) {
+	if len(dC) < m*n || len(a) < m*k || len(w) < k*n || len(dW) < k*n || len(dBias) < n || (dA != nil && len(dA) < m*k) {
+		panic("tensor: DenseBackward buffer too small")
+	}
+	for i := 0; i < m; i++ {
+		for j, g := range dC[i*n : (i+1)*n] {
+			dBias[j] += g
+		}
+	}
+	buf := scratchPool.Get().(*[]float32)
+	if cap(*buf) < k*m+k*n {
+		*buf = make([]float32, k*m+k*n)
+	}
+	at, prod := (*buf)[:k*m], (*buf)[k*m:][:k*n]
+	transpose(at, a, m, k)
+	Dense(prod, at, dC, nil, k, m, n, false)
+	for i, v := range prod {
+		dW[i] += v
+	}
+	if dA != nil {
+		transpose(prod, w, k, n) // Wᵀ, now that dW has taken the product
+		Dense(dA, dC, prod, nil, m, n, k, false)
+	}
+	scratchPool.Put(buf)
+}
+
+// transpose writes the cols x rows transpose of the row-major rows x cols
+// src into dst.
+func transpose(dst, src []float32, rows, cols int) {
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package tensor implements the dense float32 array operations backing the
 // policy/value network: one blocked GEMM (Dense: C = A·B plus a bias,
-// through an optional ReLU; MatMul is it without either) and channels-last
-// im2col convolution on it, with its gradients.
+// through an optional ReLU; MatMul is it without either), its adjoint
+// DenseBackward, and channels-last im2col convolution on both.
 //
 // The package deliberately sticks to plain Go and the standard library. The
 // paper offloads DNN inference to CUDA; here the same operator graph runs on
@@ -9,7 +9,7 @@
 // so what matters is that the operators are correct, as fast as the host
 // allows, and have a realistic batch-scaling latency profile.
 //
-// The inference path is held to the bit, with one accumulation order. The
+// Both passes are held to the bit, with one accumulation order. The
 // GEMM's register tile is dispatched per kernel class (kernel.go: generic,
 // avx2 and avx512 where the host has them), and in every class each output
 // element is one fp32 FMA chain over k in order, rounded once per step: a

@@ -346,3 +346,68 @@ func TestPackChannelsLast(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseBackwardMatchesReference holds DenseBackward to a float64
+// adjoint: dBias and dW accumulate onto what they held, dA is overwritten,
+// and a nil dA leaves the other outputs as they were with one. The shapes
+// take one row, column and tap; rows off the six-row tile and columns off
+// every class's tile width; and more rows and columns than taps. Every
+// class this host runs gives the same bits.
+func TestDenseBackwardMatchesReference(t *testing.T) {
+	r := rng.New(37)
+	for _, sh := range [][3]int{{1, 1, 1}, {7, 5, 67}, {13, 33, 17}, {20, 3, 18}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, w, dC := randFloats(r, m*k), randFloats(r, k*n), randFloats(r, m*n)
+		dW0, dBias0 := randFloats(r, k*n), randFloats(r, n)
+		wantA := referenceGEMM(dC, transposeB(w, k, n), m, n, k)
+		wantW := referenceGEMM(transposeB(a, m, k), dC, k, m, n)
+		var first [3][]float32
+		for _, kn := range Kernels() {
+			if !forceKernel(t, kn) {
+				continue
+			}
+			dA := randFloats(r, m*k)
+			dW, dBias := append([]float32(nil), dW0...), append([]float32(nil), dBias0...)
+			DenseBackward(dA, dW, dBias, dC, a, w, m, k, n)
+			near := func(what string, got []float32, want func(i int) float64) {
+				for i, g := range got {
+					if d := math.Abs(float64(g) - want(i)); d > 1e-4*(1+math.Abs(want(i))) {
+						t.Fatalf("kernel %s m=%d k=%d n=%d: %s[%d] = %g, want %g", kn, m, k, n, what, i, g, want(i))
+					}
+				}
+			}
+			near("dA", dA, func(i int) float64 { return wantA[i] })
+			near("dW", dW, func(i int) float64 { return float64(dW0[i]) + wantW[i] })
+			near("dBias", dBias, func(j int) float64 {
+				s := float64(dBias0[j])
+				for i := 0; i < m; i++ {
+					s += float64(dC[i*n+j])
+				}
+				return s
+			})
+
+			nW, nBias := append([]float32(nil), dW0...), append([]float32(nil), dBias0...)
+			ins := append(append(append([]float32(nil), a...), w...), dC...)
+			DenseBackward(nil, nW, nBias, dC, a, w, m, k, n)
+			if maxAbsDiff(nW, dW) != 0 || maxAbsDiff(nBias, dBias) != 0 {
+				t.Fatalf("kernel %s m=%d k=%d n=%d: a nil dA changed dW or dBias", kn, m, k, n)
+			}
+			if maxAbsDiff(ins, append(append(append([]float32(nil), a...), w...), dC...)) != 0 {
+				t.Fatalf("kernel %s m=%d k=%d n=%d: DenseBackward wrote to its inputs", kn, m, k, n)
+			}
+
+			if first[0] == nil {
+				first = [3][]float32{dA, dW, dBias}
+				continue
+			}
+			for i, got := range [3][]float32{dA, dW, dBias} {
+				for j := range got {
+					if math.Float32bits(got[j]) != math.Float32bits(first[i][j]) {
+						t.Fatalf("kernel %s m=%d k=%d n=%d: output %d element %d bits differ from kernel %s's",
+							kn, m, k, n, i, j, Kernels()[0])
+					}
+				}
+			}
+		}
+	}
+}
