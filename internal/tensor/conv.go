@@ -46,8 +46,8 @@ func Im2Col(col, img []float32, s Conv2DShape) {
 	scratchPool.Put(pad)
 }
 
-// scratchPool holds the zero-bordered images of the 3x3 gather, each grown
-// to what its user needs.
+// scratchPool holds the 3x3 gather's bordered images and DenseBackward's
+// transposes; each user grows a buffer and writes every float it reads.
 var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // padImage copies the image into *pad, grown to fit, as a zero-bordered
