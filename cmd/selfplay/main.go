@@ -144,7 +144,11 @@ func main() {
 			s.Round, s.Games, s.Moves, s.Loss.TotalLoss(), s.Loss.ValueLoss,
 			s.Loss.PolicyLoss, s.Throughput(), s.Elapsed.Round(1e6))
 		if fleet.Server != nil {
-			line += fmt.Sprintf(" avg-batch-fill=%.1f", fleet.Server.Stats().AvgFill())
+			// The launch split is cumulative: threshold and quorum launches,
+			// and pushes (a slotless client's wait, Flush, Close).
+			st := fleet.Server.Stats()
+			line += fmt.Sprintf(" avg-batch-fill=%.1f launches=%d threshold=%d quorum=%d pushed=%d",
+				st.AvgFill(), st.Batches, st.ThresholdFlushes, st.QuorumFlushes, st.Batches-st.ThresholdFlushes-st.QuorumFlushes)
 		}
 		if *reuse {
 			line += fmt.Sprintf(" reuse=%.2f", s.Search.ReuseFraction())

@@ -97,8 +97,8 @@
 // Node evaluation is organised as a service: evaluate.Server multiplexes
 // requests from any number of tenant searches onto one batched backend
 // (an accel.Link or a bounded CPU worker pool), forming batches by
-// threshold, quorum OR flush deadline — whichever is hit first — and
-// signalling each completion on the request itself, with backpressure
+// threshold or quorum — whichever is hit first — and signalling each
+// completion on the request itself, with backpressure
 // (ServerConfig.MaxOutstanding) and graceful drain on Close. The quorum is
 // the quiescence rule: every mcts engine registers its rollout contexts with
 // the service for the length of a Search (mcts.SlotRegistrar, bracketed once
@@ -109,22 +109,21 @@
 // master out of budget, a finished search) leave at once. A CPU server is a
 // pool of threshold 1 (evaluate.NewPool, adaptive's CPU fleets, dist.Worker
 // and serve), where every request launches alone and the quorum never
-// decides.
-// The deadline is then only the backstop for a tenant busy in tree code, and
-// carries the service's central guarantee: no submitted request waits longer
-// than the deadline before its batch launches. That lets an mcts.Local master
-// simply block in Client.Wait on its oldest request and keeps a straggler
-// game from deadlocking on co-tenants that already finished; without a
-// deadline Wait itself pushes the partial batch holding the request. One pure
-// function, the unexported queue.step, states this launch rule, the Server
-// steps it on every event, and TestLaunchRuleExhaustive walks its states.
-// The classic single-search backends are one-tenant deployments
-// of the same Server: evaluate.NewPool returns the Client of a private server
-// it owns, the local-tree + accelerator queue is one Client of a
-// deadline-less Server of threshold B, and the shared-tree + accelerator
-// queue is mcts.Shared over a Client it evaluates through — its N
-// workers are N registered slots, so the last partial batch of a move
-// launches by quorum.
+// decides. No clock launches a batch, so liveness is each tenant's own rule:
+// a tenant that holds registered slots only blocks, because the quorum
+// launches its requests (an mcts.Local master gives back its idle contexts
+// before it blocks in Client.Wait on its oldest request), and a tenant that
+// holds none pushes the partial batch holding its request when it waits on
+// it. One pure function, the unexported queue.step, states this launch
+// rule, the Server steps it on every event, and TestLaunchRuleExhaustive
+// walks its states with the tenants around it and finds none where every
+// tenant is blocked on a buffered request. The classic single-search
+// backends are one-tenant deployments of the same Server: evaluate.NewPool
+// returns the Client of a private server it owns, the local-tree +
+// accelerator queue is one Client of a Server of threshold B, and the
+// shared-tree + accelerator queue is mcts.Shared over a Client it evaluates
+// through — its N workers are N registered slots, so the last partial batch
+// of a move launches by quorum.
 //
 // On top of the service, internal/selfplay runs G self-play games
 // concurrently — each game a tenant with its own local-tree master, all
@@ -134,8 +133,8 @@
 // framework's ConfigureFleet models that aggregation (the G-tenant
 // extensions of Equations 4 and 6 in internal/perfmodel) when choosing the
 // scheme and the service batch threshold, and one builder turns the decision
-// into engines: a single engine (adaptive.Configure) is a fleet of one, which
-// needs and gets no flush deadline, and adaptive.NewLocalFleet is the
+// into engines: a single engine (adaptive.Configure) is a fleet of one, and
+// adaptive.NewLocalFleet is the
 // G-masters-on-one-worker-pool block that cmd/train and dist.Worker stand
 // their self-play fleets up with. The evidence for the shared service is on
 // the real engine: internal/evaluate's TestSharedServiceBeatsIndependentQueues

@@ -217,7 +217,6 @@ func buildFleet(tenants int, opts Options, dec Decision) *Fleet {
 		// full-fill batches (Section 3.3). Every worker is a registered slot
 		// of its sync tenant, so a tail that can no longer fill the threshold
 		// launches by quorum, not by hand.
-		sc.FlushDeadline = flushDeadline(tenants)
 		srv := evaluate.NewServer(backend, sc)
 		fleet = &Fleet{Server: srv, Engines: make([]mcts.Engine, tenants), Clients: make([]*evaluate.Client, tenants)}
 		for i, cfg := range cfgs {
@@ -227,16 +226,6 @@ func buildFleet(tenants int, opts Options, dec Decision) *Fleet {
 	}
 	fleet.Decision = dec
 	return fleet
-}
-
-// flushDeadline is the launch backstop of a service shared by G searches. A
-// fleet of one has no co-tenant to wait for and gets none, which also lets a
-// master about to block push its own partial batch (Client.Wait).
-func flushDeadline(tenants int) time.Duration {
-	if tenants == 1 {
-		return 0
-	}
-	return evaluate.DefaultFlushDeadline
 }
 
 // NewLocalFleet stands up the training drivers' fleet: one worker-pool Server
@@ -250,11 +239,11 @@ func NewLocalFleet(backend evaluate.Backend, workers int, cfgs []mcts.Config) *F
 }
 
 // localFleet is len(cfgs) local-tree masters on one Server built from sc,
-// which says how batches form and run; how much may be outstanding and
-// whether partial batches need a deadline follow from the fleet's size.
+// which says how batches form and run; how much may be outstanding follows
+// from the fleet's size. Every master registers its rollout contexts, so a
+// partial batch launches by quorum.
 func localFleet(backend evaluate.Backend, sc evaluate.ServerConfig, workers int, cfgs []mcts.Config) *Fleet {
 	sc.MaxOutstanding = 2 * len(cfgs) * workers
-	sc.FlushDeadline = flushDeadline(len(cfgs))
 	srv := evaluate.NewServer(backend, sc)
 	fleet := &Fleet{Server: srv, Engines: make([]mcts.Engine, len(cfgs)), Clients: make([]*evaluate.Client, len(cfgs))}
 	for i, cfg := range cfgs {

@@ -12,17 +12,17 @@
 // it returns the Client itself, which owns and closes its private Server. The
 // accelerator configurations of Section 3.3 need no flavour of their own:
 // local-tree + GPU (sub-batch B, the subject of the Algorithm 4 search) is a
-// Client of a Server with threshold B and no flush deadline that the master
-// drives through Submit and Wait, shared-tree + GPU (N workers'
-// simultaneous requests form one full batch) a Client whose workers each
-// block in Evaluate (as serve sessions and arena gates do), and either Server
-// runs an accel.Link, the simulated accelerator wrapped around an
-// EvaluatorBackend. Both are the one kind of Client, Server.NewSyncClient,
-// and both learn of a completion from the request itself: every request
-// carries its own signal, so a caller always knows which evaluation it has
-// waited for. The Server is also the accelerator queue, and one pure function,
-// queue.step, decides every launch: threshold, quorum, flush deadline or an
-// explicit push. A Random evaluator with a configurable synthetic
+// Client of a Server with threshold B that the master drives through Submit
+// and Wait, shared-tree + GPU (N workers' simultaneous requests form one
+// full batch) a Client whose workers each block in Evaluate (as serve
+// sessions and arena gates do), and either Server runs an accel.Link, the
+// simulated accelerator wrapped around an EvaluatorBackend. Both are the one
+// kind of Client, Server.NewSyncClient, and both learn of a completion from
+// the request itself: every request carries its own signal, so a caller
+// always knows which evaluation it has waited for. The Server is also the
+// accelerator queue, and one pure function, queue.step, decides every
+// launch: threshold, quorum or an explicit push. No clock launches a batch.
+// A Random evaluator with a configurable synthetic
 // latency supports the design-time profiling runs, which the paper performs
 // with a DNN "filled with random parameters".
 //
@@ -80,10 +80,10 @@ type Evaluator interface {
 type Async interface {
 	// Submit enqueues a request and returns without waiting for it.
 	Submit(*Request)
-	// Wait blocks until a submitted request's evaluation is delivered. On a
-	// queue without a flush deadline it first pushes the partial batch
-	// holding the request, which nothing else would launch, so a caller
-	// waiting on its own buffered request cannot deadlock.
+	// Wait blocks until a submitted request's evaluation is delivered. A
+	// caller outside any quorum (see Client.BeginSearch) first pushes the
+	// partial batch holding the request, which nothing else would launch,
+	// so a caller waiting on its own buffered request cannot deadlock.
 	Wait(*Request)
 	// Close releases worker goroutines. No Submit may follow.
 	Close()

@@ -149,11 +149,28 @@ func TestPoolPanicsOnZeroWorkers(t *testing.T) {
 	NewPool(&Random{}, 0)
 }
 
+// TestPoolEvaluateAllocs pins what one evaluation through a Batch-1 pool
+// allocates: one fresh buffer per launch (queue.step), because the launcher
+// still reads the slice it took after the lock is gone, so the queue cannot
+// refill it. The request and its signal come from the pool.
+func TestPoolEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put into it")
+	}
+	pool := NewPool(&Random{}, 1)
+	defer pool.Close()
+	input, policy := make([]float32, 36), make([]float32, 9)
+	if got := testing.AllocsPerRun(1000, func() { pool.Evaluate(input, policy) }); got != 1 {
+		t.Fatalf("%v allocations per pooled evaluation, want 1 (the launch's buffer)", got)
+	}
+}
+
 // The shared-tree + GPU queue (Section 3.3) is a sync tenant of a Server
 // whose threshold is the worker count: four blocked callers are one batch.
 func TestSyncClientReleasesFullBatch(t *testing.T) {
 	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 4})
 	cl := srv.NewSyncClient()
+	cl.BeginSearch(4) // registered callers only wait, so none pushes a partial batch
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -165,6 +182,7 @@ func TestSyncClientReleasesFullBatch(t *testing.T) {
 		}(i)
 	}
 	wg.Wait() // deadlocks (test timeout) if the batch never flushes
+	cl.EndSearch(4)
 	cl.Close()
 	srv.Close()
 	if st := srv.Stats(); st.Batches != 1 || st.Requests != 4 {
@@ -173,7 +191,7 @@ func TestSyncClientReleasesFullBatch(t *testing.T) {
 }
 
 // TestBatchedAsyncDeliversAll: the local-tree accelerator queue — one
-// asynchronous tenant of a Server with threshold B and no flush deadline —
+// asynchronous tenant of a Server with threshold B that holds no slots —
 // delivers every request, including a partial last batch that only moves when
 // Wait pushes it.
 func TestBatchedAsyncDeliversAll(t *testing.T) {

@@ -4,12 +4,11 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // The batcher is the Server's own state, so these tests drive it through
 // Submit, BeginSearch/EndSearch, Flush and Wait and read it back through
-// Stats, Pending and, in package, the deadline timer.
+// Stats and Pending.
 
 // submitN submits n fresh requests through cl and returns them.
 func submitN(cl *Client, n int) []*Request {
@@ -19,14 +18,6 @@ func submitN(cl *Client, n int) []*Request {
 		cl.Submit(reqs[i])
 	}
 	return reqs
-}
-
-// timerArmed reports whether the current buffer generation has a deadline
-// timer armed.
-func (s *Server) timerArmed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.timer != nil
 }
 
 // TestServerFlushesAtThreshold: every Batch-th submit launches the buffer,
@@ -55,9 +46,10 @@ func TestServerFlushesAtThreshold(t *testing.T) {
 	}
 }
 
-// TestClientWaitPushesOnlyItsOwnBatch: on a deadline-less server, waiting on
-// a request already launched pushes nothing; waiting on a buffered one
-// pushes its batch, and the push is counted under no launch condition.
+// TestClientWaitPushesOnlyItsOwnBatch: on a client that holds no slots,
+// waiting on a request already launched pushes nothing; waiting on a
+// buffered one pushes its batch, and the push is counted under no launch
+// condition.
 func TestClientWaitPushesOnlyItsOwnBatch(t *testing.T) {
 	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 3})
 	cl := srv.NewSyncClient()
@@ -91,16 +83,6 @@ func TestNewServerPanics(t *testing.T) {
 	if srv.Batch() != 1 {
 		t.Fatalf("Batch() = %d for a zero threshold, want 1", srv.Batch())
 	}
-}
-
-// TestNewServerNegativeDeadlinePanics: a negative flush deadline is refused.
-func TestNewServerNegativeDeadlinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative deadline did not panic")
-		}
-	}()
-	NewServer(&recordingBackend{}, ServerConfig{Batch: 1, FlushDeadline: -time.Millisecond})
 }
 
 // TestServerConcurrentSubmitsLoseNothing: eight tenants submitting at once
@@ -148,84 +130,6 @@ func TestServerConcurrentSubmitsLoseNothing(t *testing.T) {
 	}
 }
 
-// TestServerDeadlineLaunchesPartialBatch: a buffer short of the threshold
-// launches whole at the deadline, not before, and leaves nothing pending.
-func TestServerDeadlineLaunchesPartialBatch(t *testing.T) {
-	const deadline = 15 * time.Millisecond
-	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: 100, FlushDeadline: deadline})
-	cl := srv.NewSyncClient()
-	start := time.Now()
-	reqs := submitN(cl, 2)
-	for i, req := range reqs {
-		if !delivered(req, 10*deadline) {
-			t.Fatalf("request %d: the deadline launch never fired", i)
-		}
-	}
-	if waited := time.Since(start); waited < deadline/2 {
-		t.Fatalf("launched after %v, before the deadline", waited)
-	}
-	if _, sizes := backend.snapshot(); len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("deadline launches %v, want one batch of 2", sizes)
-	}
-	if srv.Pending() != 0 {
-		t.Fatalf("pending = %d after the deadline launch", srv.Pending())
-	}
-	cl.Close()
-	srv.Close()
-}
-
-// TestServerThresholdStopsDeadlineTimer: a generation taken at the
-// threshold stops the timer its first request armed, so no stale callback
-// launches a second batch, and the next generation arms its own.
-func TestServerThresholdStopsDeadlineTimer(t *testing.T) {
-	const deadline = 10 * time.Millisecond
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 2, FlushDeadline: deadline})
-	cl := srv.NewSyncClient()
-	submitN(cl, 1)
-	if !srv.timerArmed() {
-		t.Fatal("the first request of a generation armed no timer")
-	}
-	submitN(cl, 1) // threshold launch
-	if srv.timerArmed() {
-		t.Fatal("a threshold take left its generation's timer armed")
-	}
-	time.Sleep(5 * deadline)
-	if st := srv.Stats(); st.Batches != 1 || st.DeadlineFlushes != 0 {
-		t.Fatalf("stats %+v: a stale timer launched a batch", st)
-	}
-	next := submitN(cl, 1)[0]
-	if !delivered(next, 100*deadline) {
-		t.Fatal("the next generation's deadline never launched it")
-	}
-	want := ServerStats{Batches: 2, Requests: 3, ThresholdFlushes: 1, DeadlineFlushes: 1}
-	if st := srv.Stats(); st != want {
-		t.Fatalf("stats %+v, want %+v", st, want)
-	}
-	cl.Close()
-	srv.Close()
-}
-
-// TestServerFlushStopsDeadlineTimer: an explicit push stops the generation's
-// timer too, so the pushed batch is the only launch.
-func TestServerFlushStopsDeadlineTimer(t *testing.T) {
-	const deadline = 10 * time.Millisecond
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 100, FlushDeadline: deadline})
-	cl := srv.NewSyncClient()
-	req := submitN(cl, 1)[0]
-	srv.Flush()
-	if srv.timerArmed() {
-		t.Fatal("Flush left the generation's timer armed")
-	}
-	time.Sleep(4 * deadline)
-	if st := srv.Stats(); st != (ServerStats{Batches: 1, Requests: 1}) {
-		t.Fatalf("stats %+v: want the one pushed batch, counted under no condition", st)
-	}
-	cl.Wait(req)
-	cl.Close()
-	srv.Close()
-}
-
 // TestServerPropertyNoneLostAnyThreshold: whatever the threshold and the
 // number of requests, threshold launches plus one push hand every request to
 // the backend exactly once.
@@ -255,9 +159,9 @@ func TestServerPropertyNoneLostAnyThreshold(t *testing.T) {
 
 // TestQuorumLaunchesWhenEverySlotHasSubmitted: with three slots open the
 // third request launches the buffer; once every slot is given back the
-// quorum is off and a request waits for the threshold or the deadline.
+// quorum is off and a request waits for the threshold or a push.
 func TestQuorumLaunchesWhenEverySlotHasSubmitted(t *testing.T) {
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 8, FlushDeadline: 10 * time.Second})
+	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 8})
 	a, b := srv.NewSyncClient(), srv.NewSyncClient()
 	a.BeginSearch(1)
 	b.BeginSearch(2)
@@ -272,7 +176,7 @@ func TestQuorumLaunchesWhenEverySlotHasSubmitted(t *testing.T) {
 	}
 	a.EndSearch(1)
 	b.EndSearch(2)
-	submitN(a, 1) // nobody registered: back to threshold and deadline only
+	submitN(a, 1) // nobody registered: back to the threshold only
 	if st := srv.Stats(); st.Batches != 1 || srv.Pending() != 1 {
 		t.Fatalf("an unregistered submit launched: stats %+v, %d pending", st, srv.Pending())
 	}
@@ -285,7 +189,7 @@ func TestQuorumLaunchesWhenEverySlotHasSubmitted(t *testing.T) {
 // launches the buffer the others filled; giving back the rest over an empty
 // buffer launches nothing.
 func TestQuorumEndSearchReevaluates(t *testing.T) {
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 8, FlushDeadline: 10 * time.Second})
+	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 8})
 	cl := srv.NewSyncClient()
 	cl.BeginSearch(3)
 	submitN(cl, 2)
@@ -316,24 +220,6 @@ func TestQuorumThresholdWinsTies(t *testing.T) {
 	srv.Close()
 }
 
-// TestQuorumDeadlineStillBacksStop: a slot that never submits and is never
-// given back holds the quorum off, and the deadline launches the buffer.
-func TestQuorumDeadlineStillBacksStop(t *testing.T) {
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 8, FlushDeadline: 15 * time.Millisecond})
-	cl := srv.NewSyncClient()
-	cl.BeginSearch(2)
-	req := submitN(cl, 1)[0] // the other slot never submits
-	if !delivered(req, time.Second) {
-		t.Fatal("the deadline never fired under an unmet quorum")
-	}
-	if st := srv.Stats(); st != (ServerStats{Batches: 1, Requests: 1, DeadlineFlushes: 1}) {
-		t.Fatalf("stats %+v, want one deadline launch", st)
-	}
-	cl.EndSearch(2)
-	cl.Close()
-	srv.Close()
-}
-
 // TestQuorumEndSearchWithoutBeginSearchPanics: a tenant cannot give back
 // more slots than are open.
 func TestQuorumEndSearchWithoutBeginSearchPanics(t *testing.T) {
@@ -353,13 +239,12 @@ func TestQuorumEndSearchWithoutBeginSearchPanics(t *testing.T) {
 	}
 }
 
-// TestQuorumConcurrentTenants: lock-step tenants with one slot each and a
-// ten-second deadline; every batch is a quorum launch of one request per
-// tenant, so the run finishes without the deadline.
+// TestQuorumConcurrentTenants: lock-step tenants with one slot each, which
+// never push; every batch is a quorum launch of one request per tenant.
 func TestQuorumConcurrentTenants(t *testing.T) {
 	const tenants, rounds = 4, 300
 	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: 2 * tenants, FlushDeadline: 10 * time.Second})
+	srv := NewServer(backend, ServerConfig{Batch: 2 * tenants})
 	var wg sync.WaitGroup
 	for i := 0; i < tenants; i++ {
 		cl := srv.NewSyncClient()
@@ -387,46 +272,15 @@ func TestQuorumConcurrentTenants(t *testing.T) {
 	}
 }
 
-// TestFlushCauseStopsStaleTimers: a generation taken by the threshold or by
-// the quorum stops its deadline timer, so no callback is left to fire, take
-// the lock and find itself stale.
-func TestFlushCauseStopsStaleTimers(t *testing.T) {
-	const n = 200
-	const deadline = 50 * time.Millisecond
-	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 2, FlushDeadline: deadline})
-	cl := srv.NewSyncClient()
-	for i := 0; i < n; i++ {
-		submitN(cl, 1) // arms this generation's timer
-		submitN(cl, 1) // threshold launch
-		if srv.timerArmed() {
-			t.Fatalf("threshold take %d left its timer armed", i)
-		}
-	}
-	cl.BeginSearch(2)
-	submitN(cl, 1)
-	if !srv.timerArmed() {
-		t.Fatal("the first request of a generation armed no timer")
-	}
-	cl.EndSearch(1) // quorum launch of a generation with an armed timer
-	if srv.timerArmed() {
-		t.Fatal("a quorum take left its timer armed")
-	}
-	cl.EndSearch(1)
-	time.Sleep(3 * deadline)
-	if st := srv.Stats(); st != (ServerStats{Batches: n + 1, Requests: 2*n + 1, ThresholdFlushes: n, QuorumFlushes: 1}) {
-		t.Fatalf("stats %+v", st)
-	}
-	cl.Close()
-	srv.Close()
-}
-
 // TestServerStatsSnapshotIsConsistent: the launch counters are one snapshot
 // — a reader racing four evaluating tenants never sees more cause-attributed
-// launches than launches, and every request is counted once.
+// launches than launches, and every request is counted once. The tenants
+// hold no slots, so each pushes its own request when the threshold has not
+// launched it.
 func TestServerStatsSnapshotIsConsistent(t *testing.T) {
 	const tenants, calls = 4, 5000
 	srv := NewServer(&EvaluatorBackend{Eval: &Random{}, Workers: 2},
-		ServerConfig{Batch: 2, FlushDeadline: 50 * time.Microsecond, MaxOutstanding: 64})
+		ServerConfig{Batch: 2, MaxOutstanding: 64})
 	var wg sync.WaitGroup
 	for i := 0; i < tenants; i++ {
 		cl := srv.NewSyncClient()
@@ -452,7 +306,7 @@ func TestServerStatsSnapshotIsConsistent(t *testing.T) {
 		default:
 		}
 		st := srv.Stats()
-		if st.ThresholdFlushes+st.QuorumFlushes+st.DeadlineFlushes > st.Batches {
+		if st.ThresholdFlushes+st.QuorumFlushes > st.Batches {
 			if bad == 0 {
 				first = st
 			}

@@ -1,6 +1,7 @@
 package evaluate_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -11,9 +12,9 @@ import (
 	"github.com/parmcts/parmcts/internal/mcts"
 )
 
-// farDeadline is a flush deadline no passing quorum test can afford to wait
-// for even once: a launch that falls back to it fails the test's own clock.
-const farDeadline = 10 * time.Second
+// patience is how long a quorum test waits for a launch before it fails: no
+// clock launches a batch, so one that never comes would hang the test.
+const patience = 5 * time.Second
 
 // gateBackend records batch sizes and, while hold is non-nil, keeps each
 // batch executing until a token arrives on it.
@@ -49,7 +50,7 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatalf("%s did not finish within %v: a launch waited for the flush deadline", what, d)
+		t.Fatalf("%s did not finish within %v: a launch never came", what, d)
 	}
 }
 
@@ -64,13 +65,13 @@ func waitPending(t *testing.T, srv *evaluate.Server, n int) {
 	}
 }
 
-// TestQuorumTenantsNeverWaitForDeadline: two registered one-request tenants
-// on a Batch-8 server complete every round trip by quorum.
-func TestQuorumTenantsNeverWaitForDeadline(t *testing.T) {
-	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+// TestQuorumTenantsLaunchEveryTrip: two registered one-request tenants on a
+// Batch-8 server complete every round trip by quorum.
+func TestQuorumTenantsLaunchEveryTrip(t *testing.T) {
+	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8})
 	defer srv.Close()
 	const tenants, trips = 2, 200
-	within(t, farDeadline/2, "400 round trips", func() {
+	within(t, patience, "400 round trips", func() {
 		var wg sync.WaitGroup
 		for i := 0; i < tenants; i++ {
 			wg.Add(1)
@@ -88,7 +89,7 @@ func TestQuorumTenantsNeverWaitForDeadline(t *testing.T) {
 		wg.Wait()
 	})
 	st := srv.Stats()
-	if st.DeadlineFlushes != 0 || st.ThresholdFlushes != 0 {
+	if st.ThresholdFlushes != 0 {
 		t.Fatalf("stats %+v: want quorum flushes only", st)
 	}
 	if st.QuorumFlushes != st.Batches || st.Requests != tenants*trips {
@@ -96,32 +97,62 @@ func TestQuorumTenantsNeverWaitForDeadline(t *testing.T) {
 	}
 }
 
-// TestQuorumThinkingTenantFallsBackToDeadline: a tenant that has begun its
-// search but is busy elsewhere keeps the quorum unmet, and the deadline —
-// the backstop — launches the others' buffer.
-func TestQuorumThinkingTenantFallsBackToDeadline(t *testing.T) {
-	const deadline = 30 * time.Millisecond
-	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8, FlushDeadline: deadline})
-	defer srv.Close()
-	a, b := srv.NewSyncClient(), srv.NewSyncClient()
-	a.BeginSearch(1)
-	b.BeginSearch(1) // thinking: never submits
-	start := time.Now()
-	a.Evaluate(make([]float32, 4), make([]float32, 2))
-	if waited := time.Since(start); waited < deadline/2 {
-		t.Fatalf("launched after %v with a registered tenant still to submit", waited)
+// TestTenantMixesNeverHang: registered tenants (one slot each) and slotless
+// ones (plain Evaluate callers, as cmd/bench's sync probes are) share a
+// Batch-8 server, and every round trip of every tenant completes. No clock
+// launches a partial batch, so each mix holds only if a slotless caller
+// pushes its own request and a registered one is launched by the quorum. A
+// mix without slotless tenants never pushes; one without registered tenants
+// never launches by quorum.
+func TestTenantMixesNeverHang(t *testing.T) {
+	const trips = 100
+	for _, registered := range []int{0, 1, 2} {
+		for _, slotless := range []int{0, 1, 2, 8} {
+			if registered+slotless == 0 {
+				continue
+			}
+			t.Run(fmt.Sprintf("registered=%d/slotless=%d", registered, slotless), func(t *testing.T) {
+				srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8})
+				defer srv.Close()
+				within(t, patience, "every tenant's round trips", func() {
+					var wg sync.WaitGroup
+					for i := 0; i < registered+slotless; i++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							cl := srv.NewSyncClient()
+							defer cl.Close()
+							if i < registered {
+								cl.BeginSearch(1)
+								defer cl.EndSearch(1)
+							}
+							in, pol := make([]float32, 4), make([]float32, 2)
+							for r := 0; r < trips; r++ {
+								cl.Evaluate(in, pol)
+							}
+						}()
+					}
+					wg.Wait()
+				})
+				st := srv.Stats()
+				if st.Requests != int64((registered+slotless)*trips) || srv.Pending() != 0 {
+					t.Fatalf("stats %+v with %d pending: want %d requests launched", st, srv.Pending(), (registered+slotless)*trips)
+				}
+				if pushed := st.Batches - st.ThresholdFlushes - st.QuorumFlushes; slotless == 0 && pushed != 0 {
+					t.Fatalf("stats %+v: registered tenants alone pushed %d batches", st, pushed)
+				}
+				if registered == 0 && st.QuorumFlushes != 0 {
+					t.Fatalf("stats %+v: a quorum flush with no slot registered", st)
+				}
+			})
+		}
 	}
-	if st := srv.Stats(); st.DeadlineFlushes != 1 || st.QuorumFlushes != 0 || st.Batches != 1 {
-		t.Fatalf("stats %+v: want exactly one deadline flush", st)
-	}
-	a.EndSearch(1)
-	b.EndSearch(1)
 }
 
 // TestQuorumEndSearchLaunchesBuffer: when the last tenant that could still
 // submit ends its search, the buffer it was holding up launches at once.
 func TestQuorumEndSearchLaunchesBuffer(t *testing.T) {
-	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 8})
 	defer srv.Close()
 	a, b := srv.NewSyncClient(), srv.NewSyncClient()
 	a.BeginSearch(1)
@@ -133,9 +164,9 @@ func TestQuorumEndSearchLaunchesBuffer(t *testing.T) {
 	}()
 	waitPending(t, srv, 1)
 	b.EndSearch(1)
-	within(t, farDeadline/2, "the buffered tenant", func() { <-done })
+	within(t, patience, "the buffered tenant", func() { <-done })
 	a.EndSearch(1)
-	if st := srv.Stats(); st.QuorumFlushes != 1 || st.DeadlineFlushes != 0 {
+	if st := srv.Stats(); st.QuorumFlushes != 1 {
 		t.Fatalf("stats %+v: want one quorum flush", st)
 	}
 }
@@ -146,7 +177,7 @@ func TestQuorumEndSearchLaunchesBuffer(t *testing.T) {
 // next request.
 func TestQuorumCountsExecutingSlots(t *testing.T) {
 	backend := &gateBackend{hold: make(chan struct{}, 4)}
-	srv := evaluate.NewServer(backend, evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+	srv := evaluate.NewServer(backend, evaluate.ServerConfig{Batch: 8})
 	defer srv.Close()
 	a, b := srv.NewSyncClient(), srv.NewSyncClient()
 	in, pol := make([]float32, 4), make([]float32, 2)
@@ -178,18 +209,15 @@ func TestQuorumCountsExecutingSlots(t *testing.T) {
 
 	backend.hold <- struct{}{} // a's first batch completes; a comes back
 	backend.hold <- struct{}{} // and the merged batch may run
-	within(t, farDeadline/2, "the merged batch", func() { <-aDone; <-bDone })
+	within(t, patience, "the merged batch", func() { <-aDone; <-bDone })
 	if got := backend.batches(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("batches %v, want [1 2]", got)
 	}
-	if st := srv.Stats(); st.DeadlineFlushes != 0 {
-		t.Fatalf("stats %+v: no launch should have waited for the deadline", st)
-	}
 }
 
-// TestQuorumSearchTails: multi-context engines over a shared deadline server
-// finish a budget that is not a multiple of their width without the deadline
-// — workers out of tickets and a master out of budget leave the quorum.
+// TestQuorumSearchTails: multi-context engines over a Batch-8 server finish
+// a budget that is not a multiple of their width — workers out of tickets and
+// a master out of budget leave the quorum, which launches the tail.
 func TestQuorumSearchTails(t *testing.T) {
 	g := gomoku.NewSized(7)
 	cfg := mcts.DefaultConfig()
@@ -199,7 +227,7 @@ func TestQuorumSearchTails(t *testing.T) {
 		return &evaluate.EvaluatorBackend{Eval: &evaluate.Random{}, Workers: 2}
 	}
 	server := func() *evaluate.Server {
-		return evaluate.NewServer(backend(), evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+		return evaluate.NewServer(backend(), evaluate.ServerConfig{Batch: 8})
 	}
 	engines := map[string]func(*evaluate.Server) (mcts.Engine, *evaluate.Client){
 		"shared4": func(srv *evaluate.Server) (mcts.Engine, *evaluate.Client) {
@@ -221,7 +249,7 @@ func TestQuorumSearchTails(t *testing.T) {
 			eng, cl := mk(srv)
 			st := g.NewInitial()
 			dist := make([]float32, st.NumActions())
-			within(t, farDeadline/2, "two searches", func() {
+			within(t, patience, "two searches", func() {
 				for move := 0; move < 2; move++ {
 					stats := eng.Search(st, dist)
 					if stats.Playouts != cfg.Playouts {
@@ -230,8 +258,8 @@ func TestQuorumSearchTails(t *testing.T) {
 				}
 			})
 			ss := srv.Stats()
-			if ss.DeadlineFlushes != 0 || ss.QuorumFlushes == 0 {
-				t.Fatalf("stats %+v: want quorum flushes and no deadline flush", ss)
+			if ss.QuorumFlushes == 0 {
+				t.Fatalf("stats %+v: want quorum flushes", ss)
 			}
 			eng.Close()
 			cl.Close()
@@ -240,10 +268,11 @@ func TestQuorumSearchTails(t *testing.T) {
 	}
 }
 
-// TestFlushCauseCounters: on a server nobody registers with, launches are
-// attributed to threshold and deadline as before, explicit pushes to neither.
+// TestFlushCauseCounters: on a server nobody registers with, full batches
+// are attributed to the threshold, and explicit pushes — Flush, or a
+// slotless client's Wait — to neither counter.
 func TestFlushCauseCounters(t *testing.T) {
-	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 2, FlushDeadline: 20 * time.Millisecond})
+	srv := evaluate.NewServer(&gateBackend{}, evaluate.ServerConfig{Batch: 2})
 	defer srv.Close()
 	cl := srv.NewSyncClient()
 	submit := func(n int) []*evaluate.Request {
@@ -260,11 +289,11 @@ func TestFlushCauseCounters(t *testing.T) {
 		}
 	}
 	wait(submit(2)) // threshold
-	wait(submit(1)) // deadline
+	wait(submit(1)) // Wait's push
 	pushed := submit(1)
 	srv.Flush() // explicit push
 	wait(pushed)
-	want := evaluate.ServerStats{Batches: 3, Requests: 4, ThresholdFlushes: 1, DeadlineFlushes: 1}
+	want := evaluate.ServerStats{Batches: 3, Requests: 4, ThresholdFlushes: 1}
 	if st := srv.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
@@ -291,8 +320,7 @@ func (b *sizeBackend) RunBatch(batch []*evaluate.Request) {
 
 // TestBatchedAndPooledLocalSearchesAgree: two local-tree searches at k = 3
 // visit the same bits whether their evaluations launch in batches or one at
-// a time. Over a Batch-8 server with a far deadline they launch by quorum
-// alone, and once the first batch has waited for all six slots the largest
+// a time. Over a Batch-8 server they launch by quorum alone, and once the first batch has waited for all six slots the largest
 // batch holds both searches' 6. Over a Batch-1 pool with two launchers, what
 // every CPU server is, each launch holds one request. Each search applies
 // its evaluations in submission order, so how they were launched cannot move
@@ -330,12 +358,9 @@ func TestBatchedAndPooledLocalSearchesAgree(t *testing.T) {
 		srv.Close()
 		return sizes.max, srv.Stats(), dists
 	}
-	batched, batchedStats, batchedDists := search(evaluate.ServerConfig{Batch: 8, FlushDeadline: farDeadline})
+	batched, batchedStats, batchedDists := search(evaluate.ServerConfig{Batch: 8})
 	pooled, pooledStats, pooledDists := search(evaluate.ServerConfig{Batch: 1, LaunchWorkers: 2})
 	t.Logf("batched: largest batch %d, %+v; pooled: largest batch %d, %+v", batched, batchedStats, pooled, pooledStats)
-	if batchedStats.DeadlineFlushes != 0 {
-		t.Fatalf("batched: %d deadline flushes, want none", batchedStats.DeadlineFlushes)
-	}
 	if batched != 6 {
 		t.Fatalf("batched: largest batch held %d, want both searches' 6", batched)
 	}

@@ -2,6 +2,7 @@ package evaluate
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -11,15 +12,15 @@ import (
 )
 
 // ruleWorld is one state of the launch rule's checker: the queue, plus the
-// environment around it that the rule cannot see — the batches executing,
-// the armed timer, the stopped timer whose event may arrive anyway (Stop can
-// lose the race), and the requests a caller is blocked waiting on.
+// clients around it that the rule cannot see — the batches executing and who
+// owns each request. A request is owned by a registered slot (one of
+// q.slots, which only waits on it) or by a caller that holds no slot (an
+// Evaluate or a Wait, which pushes when it waits).
 type ruleWorld struct {
 	q         queue
 	running   []uint8 // executing batches, as request bitmasks
-	timer     int     // the generation the armed timer fires for, -1 for none
-	stale     int     // the last stopped timer's generation, -1 for none
-	waited    uint8   // requests with a blocked waiter
+	slotReqs  uint8   // requests a registered slot owns
+	waited    uint8   // slotless callers' requests that have been waited on
 	submitted int64
 	trace     string // the events that led here
 }
@@ -41,9 +42,7 @@ func (w *ruleWorld) clone() *ruleWorld {
 }
 
 // key identifies a state for the visited set. It leaves out the counters,
-// which step never reads and apply checks on every step. Timers count
-// relative to the current generation, and a stopped timer older than the
-// last one is as stale as it, so they read alike.
+// which step never reads and apply checks on every step.
 func (w *ruleWorld) key() string {
 	var b strings.Builder
 	for _, r := range w.q.buf {
@@ -51,32 +50,35 @@ func (w *ruleWorld) key() string {
 	}
 	running := slices.Clone(w.running)
 	slices.Sort(running)
-	rel := func(g int) int {
-		if g < 0 {
-			return -9
-		}
-		return max(g-w.q.gen, -1)
-	}
-	fmt.Fprint(&b, "|", w.q.slots, running, w.waited, rel(w.timer), rel(w.stale))
+	fmt.Fprint(&b, "|", w.q.slots, running, w.slotReqs, w.waited)
 	return b.String()
 }
 
-// idle reports whether request i is neither buffered nor executing.
-func (w *ruleWorld) idle(i int) bool {
-	if slices.Contains(w.q.buf, ruleReqs[i]) {
-		return false
+// buffered is the mask of the buffered requests.
+func (w *ruleWorld) buffered() uint8 {
+	var m uint8
+	for _, r := range w.q.buf {
+		m |= 1 << slices.Index(ruleReqs, r)
 	}
-	for _, m := range w.running {
-		if m&(1<<i) != 0 {
-			return false
-		}
-	}
-	return true
+	return m
 }
 
-// apply steps the rule on e and applies its effect as Server.do does: a
-// take starts executing and stops the armed timer, an arm arms one. It checks
-// what a single step promises and returns the first violation.
+// outstanding is the mask of the requests buffered or executing.
+func (w *ruleWorld) outstanding() uint8 {
+	m := w.buffered()
+	for _, r := range w.running {
+		m |= r
+	}
+	return m
+}
+
+// free is how many registered slots own no request: they are in tree code,
+// and will submit or give their slot back.
+func (w *ruleWorld) free() int { return w.q.slots - bits.OnesCount8(w.slotReqs) }
+
+// apply steps the rule on e and applies its effect as Server.do does: a take
+// starts executing. It checks what a single step promises and returns the
+// first violation.
 func (w *ruleWorld) apply(e event, what string) error {
 	before := w.q
 	held := slices.Clone(w.q.buf) // the buffer the event leaves, before any take
@@ -91,12 +93,6 @@ func (w *ruleWorld) apply(e event, what string) error {
 	if eff.refused && (w.q.slots != before.slots || !slices.Equal(w.q.buf, held)) {
 		return fmt.Errorf("refused %s changed the queue", what)
 	}
-	if eff.arm {
-		if e.op != opSubmit || !w.q.deadline || len(w.q.buf) != 1 || eff.gen != w.q.gen || w.timer >= 0 {
-			return fmt.Errorf("%s armed a timer for generation %d with %d buffered", what, eff.gen, len(w.q.buf))
-		}
-		w.timer = eff.gen
-	}
 	if (e.op == opSubmit || e.op == opEnd) && !eff.refused {
 		n := len(held)
 		if ready := n >= w.q.batch || w.q.slots > 0 && n >= w.q.slots; ready != (eff.take != nil) {
@@ -109,16 +105,11 @@ func (w *ruleWorld) apply(e event, what string) error {
 		}
 		return nil
 	}
-	if !slices.Equal(eff.take, held) || len(w.q.buf) != 0 || w.q.gen != before.gen+1 {
+	if !slices.Equal(eff.take, held) || len(w.q.buf) != 0 {
 		return fmt.Errorf("%s took %d of %d buffered and left %d", what, len(eff.take), len(held), len(w.q.buf))
-	}
-	if e.op == opDeadline && e.n != before.gen {
-		return fmt.Errorf("stale %s took the buffer", what)
 	}
 	cause := before.stats
 	switch {
-	case e.op == opDeadline:
-		cause.DeadlineFlushes++
 	case e.op != opSubmit && e.op != opEnd:
 	case len(eff.take) >= w.q.batch:
 		cause.ThresholdFlushes++ // the threshold wins a tie with the quorum
@@ -130,9 +121,6 @@ func (w *ruleWorld) apply(e event, what string) error {
 	if w.q.stats != cause {
 		return fmt.Errorf("%s counted %+v, want %+v", what, w.q.stats, cause)
 	}
-	if w.timer >= 0 { // Server.do stops it
-		w.stale, w.timer = w.timer, -1
-	}
 	var m uint8
 	for _, r := range eff.take {
 		m |= 1 << slices.Index(ruleReqs, r)
@@ -141,31 +129,32 @@ func (w *ruleWorld) apply(e event, what string) error {
 	return nil
 }
 
-// check returns the first invariant w breaks.
+// check returns the first invariant w breaks. Liveness is the last: some
+// client can still act — a slot in tree code, or a slotless caller that has
+// not yet waited — or a batch is executing, or the buffer is empty. With no
+// clock in the rule nothing else would launch a buffered request.
 func (w *ruleWorld) check() error {
 	st := w.q.stats
-	if st.ThresholdFlushes+st.QuorumFlushes+st.DeadlineFlushes > st.Batches {
+	if st.ThresholdFlushes+st.QuorumFlushes > st.Batches {
 		return fmt.Errorf("causes exceed batches: %+v", st)
 	}
 	if st.Requests+int64(len(w.q.buf)) != w.submitted {
 		return fmt.Errorf("%d launched + %d buffered != %d submitted", st.Requests, len(w.q.buf), w.submitted)
 	}
-	live := w.timer == w.q.gen
-	if w.q.deadline && len(w.q.buf) > 0 && !live {
-		return fmt.Errorf("%d buffered and no live timer for generation %d", len(w.q.buf), w.q.gen)
+	if w.free() < 0 {
+		return fmt.Errorf("%d slots own %08b", w.q.slots, w.slotReqs)
 	}
-	if len(w.running) > 0 || live {
-		return nil
+	if m := w.waited & w.buffered(); m != 0 {
+		return fmt.Errorf("requests %08b stay buffered after their slotless caller waited", m)
 	}
-	for i, r := range ruleReqs {
-		if w.waited&(1<<i) != 0 && slices.Contains(w.q.buf, r) {
-			return fmt.Errorf("request %d stranded: waited on, buffered, nothing executing and no live timer", i)
-		}
+	slotless := w.outstanding() &^ w.slotReqs
+	if len(w.q.buf) > 0 && len(w.running) == 0 && w.free() == 0 && slotless&^w.waited == 0 {
+		return fmt.Errorf("every client is blocked with %d buffered and nothing executing", len(w.q.buf))
 	}
 	return nil
 }
 
-// next returns every state one environment event leads to from w.
+// next returns every state one client or environment event leads to from w.
 func (w *ruleWorld) next() ([]*ruleWorld, error) {
 	var out []*ruleWorld
 	step := func(e event, what string, env func(*ruleWorld)) error {
@@ -180,46 +169,40 @@ func (w *ruleWorld) next() ([]*ruleWorld, error) {
 		return nil
 	}
 	var err error
-	// Submit the lowest idle request: idle requests are interchangeable.
-	for i := range ruleReqs {
-		if w.idle(i) {
-			err = step(event{op: opSubmit, req: ruleReqs[i]}, fmt.Sprintf("submit(%d)", i), func(c *ruleWorld) { c.submitted++ })
-			break
+	// A free slot or a new slotless caller submits the lowest idle request:
+	// idle requests are interchangeable.
+	if idle := bits.TrailingZeros8(^w.outstanding()); idle < len(ruleReqs) {
+		req := event{op: opSubmit, req: ruleReqs[idle]}
+		if w.free() > 0 {
+			err = step(req, fmt.Sprintf("slot submit(%d)", idle), func(c *ruleWorld) { c.submitted++; c.slotReqs |= 1 << idle })
+		}
+		if err == nil {
+			err = step(req, fmt.Sprintf("submit(%d)", idle), func(c *ruleWorld) { c.submitted++ })
 		}
 	}
 	for n := 1; err == nil && w.q.slots+n <= ruleSlots; n++ {
 		err = step(event{op: opBegin, n: n}, fmt.Sprintf("begin(%d)", n), nil)
 	}
-	for n := 1; err == nil && n <= w.q.slots+1; n++ { // slots+1 must be refused
+	for n := 1; err == nil && n <= w.free(); n++ {
 		err = step(event{op: opEnd, n: n}, fmt.Sprintf("end(%d)", n), nil)
 	}
+	if err == nil { // more slots than are open: refused, and the state stays
+		err = step(event{op: opEnd, n: w.q.slots + 1}, fmt.Sprintf("end(%d)", w.q.slots+1), nil)
+	}
+	// A slotless caller waits, and so pushes; a slot's wait steps nothing.
 	for i := 0; err == nil && i < len(ruleReqs); i++ {
-		if w.idle(i) || w.waited&(1<<i) != 0 {
-			continue
+		if bit := uint8(1) << i; (w.outstanding()&^w.slotReqs&^w.waited)&bit != 0 {
+			err = step(event{op: opWait, req: ruleReqs[i]}, fmt.Sprintf("wait(%d)", i), func(c *ruleWorld) { c.waited |= bit })
 		}
-		mark := func(c *ruleWorld) { c.waited |= 1 << i }
-		if w.q.deadline { // Wait takes no lock: nothing steps
-			c := w.clone()
-			mark(c)
-			c.trace += fmt.Sprintf(" wait(%d)", i)
-			out = append(out, c)
-			continue
-		}
-		err = step(event{op: opWait, req: ruleReqs[i]}, fmt.Sprintf("wait(%d)", i), mark)
 	}
 	if err == nil {
 		err = step(event{op: opPush}, "push", nil)
-	}
-	if err == nil && w.timer >= 0 {
-		err = step(event{op: opDeadline, n: w.timer}, fmt.Sprintf("deadline(gen %d)", w.timer), func(c *ruleWorld) { c.timer = -1 })
-	}
-	if err == nil && w.stale >= 0 {
-		err = step(event{op: opDeadline, n: w.stale}, fmt.Sprintf("stale deadline(gen %d)", w.stale), func(c *ruleWorld) { c.stale = -1 })
 	}
 	for k := range w.running {
 		c := w.clone()
 		m := c.running[k]
 		c.running = slices.Delete(c.running, k, k+1)
+		c.slotReqs &^= m
 		c.waited &^= m
 		c.trace += " completion"
 		out = append(out, c)
@@ -227,12 +210,12 @@ func (w *ruleWorld) next() ([]*ruleWorld, error) {
 	return out, err
 }
 
-// exploreRule walks every state the launch rule reaches within ruleDepth
-// events from an empty queue of the given threshold, breadth first.
-// It returns how many states it visited and how many were still unexpanded at
-// the depth bound.
-func exploreRule(batch int, deadline bool) (states, open int, err error) {
-	start := &ruleWorld{q: queue{batch: batch, deadline: deadline}, timer: -1, stale: -1}
+// exploreRule walks every state the launch rule and its clients reach within
+// ruleDepth events from an empty queue of the given threshold, breadth
+// first. It returns how many states it visited and how many were still
+// unexpanded at the depth bound.
+func exploreRule(batch int) (states, open int, err error) {
+	start := &ruleWorld{q: queue{batch: batch}}
 	seen := map[string]bool{start.key(): true}
 	frontier := []*ruleWorld{start}
 	for depth := 0; depth < ruleDepth && len(frontier) > 0; depth++ {
@@ -259,69 +242,87 @@ func exploreRule(batch int, deadline bool) (states, open int, err error) {
 
 // TestLaunchRuleExhaustive drives queue.step through every state it reaches
 // within ruleDepth events, with four requests and up to ruleSlots open
-// slots, at thresholds 1–3, with and without a deadline. The environment
-// also completes executing batches and delivers the deadline events of
-// stopped timers. Every step and every state is checked: a submit or an end
-// launches exactly when n ≥ threshold or n ≥ slots,
-// counters agree, the threshold wins a tie, a stale timer never takes, a
-// deadline queue's buffer always has a live timer, and no waited-on request
-// is stranded.
+// slots, at thresholds 1–3, together with the clients that Client's contract
+// allows: registered slots that submit, block on their request and give back
+// a slot only while it owns none, and slotless callers that submit and then
+// wait, which pushes. The environment also pushes (Flush, Close) and
+// completes executing batches. Every step and every state is checked: a
+// submit or an end launches exactly when n ≥ threshold or n ≥ slots,
+// counters agree, the threshold wins a tie, a waited-on slotless request is
+// never left buffered, and no state has every client blocked on a buffered
+// request with nothing executing.
 func TestLaunchRuleExhaustive(t *testing.T) {
 	for batch := 1; batch <= 3; batch++ {
-		for _, deadline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			start := time.Now()
-			states, open, err := exploreRule(batch, deadline)
+			states, open, err := exploreRule(batch)
 			if err != nil {
-				t.Fatalf("batch %d, deadline %v: %v", batch, deadline, err)
+				t.Fatal(err)
 			}
-			t.Logf("batch %d, deadline %-5v: %6d states (%d unexpanded at depth %d) in %v",
-				batch, deadline, states, open, ruleDepth, time.Since(start).Round(time.Millisecond))
-		}
+			t.Logf("%6d states (%d unexpanded at depth %d) in %v",
+				states, open, ruleDepth, time.Since(start).Round(time.Millisecond))
+		})
 	}
 }
 
 // TestServerFollowsLaunchRule holds the live Server to the rule: seeded
-// random sequences of Submit, BeginSearch/EndSearch, a deadline-less Wait on
-// a buffered request, Flush and injected deadline events (current and stale
-// generation; FlushDeadline is an hour, so no real timer fires) go to a
-// Server over the recording backend and to a bare queue. After every event
-// the launched batches, Stats, Pending and, with a deadline, whether a timer
-// is armed must be what the rule says. The server is built over an
-// EvaluatorBackend of width Workers and then swaps to the recording backend:
-// at widths 1 and 2 the quorum is the same n ≥ slots, as no backend's width
-// enters the launch rule.
+// random sequences of Submit, BeginSearch/EndSearch, Wait on a buffered
+// request by a client that holds no slots, and Flush go to a Server over the
+// recording backend and to a bare queue. After every event the launched
+// batches, Stats and Pending must be what the rule says. With one client it
+// holds every slot and waits only while it holds none; with two, a second
+// client that never registers also submits, and waits on its own buffered
+// requests whatever slots the first holds, so its push is per client, not
+// per server. The server is built over an EvaluatorBackend of width Workers
+// and then swaps to the recording backend: at widths 1 and 2 the quorum is
+// the same n ≥ slots, as no backend's width enters the launch rule.
 func TestServerFollowsLaunchRule(t *testing.T) {
 	for width := 1; width <= 2; width++ {
-		for _, deadline := range []time.Duration{0, time.Hour} {
+		for clients := 1; clients <= 2; clients++ {
 			for seed := uint64(1); seed <= 16; seed++ {
-				t.Run(fmt.Sprintf("width=%d/deadline=%v/seed=%d", width, deadline, seed), func(t *testing.T) {
-					followRule(t, width, deadline, seed)
+				t.Run(fmt.Sprintf("width=%d/clients=%d/seed=%d", width, clients, seed), func(t *testing.T) {
+					followRule(t, width, clients, seed)
 				})
 			}
 		}
 	}
 }
 
-func followRule(t *testing.T, width int, deadline time.Duration, seed uint64) {
+func followRule(t *testing.T, width, clients int, seed uint64) {
 	const events = 80
 	r := rng.New(seed)
 	batch := 1 + r.Intn(4)
 	backend := &recordingBackend{}
-	srv := NewServer(&EvaluatorBackend{Workers: width}, ServerConfig{Batch: batch, FlushDeadline: deadline})
+	srv := NewServer(&EvaluatorBackend{Workers: width}, ServerConfig{Batch: batch})
 	srv.SwapBackend(backend)
 	defer srv.Close()
-	cl := srv.NewSyncClient()
-	rule := queue{batch: batch, deadline: deadline > 0}
+	cl := srv.NewSyncClient()       // holds every slot
+	slotless := srv.NewSyncClient() // submits only with two clients
+	owner := map[*Request]*Client{}
+	rule := queue{batch: batch}
 	var launched int
 	for i := 0; i < events; i++ {
 		var e event
 		var what string
 		waited := (*Request)(nil)
-		switch k := r.Intn(7); {
+		// The buffered requests a Wait may name: any while no slot is open,
+		// else the slotless client's own.
+		var waitable []*Request
+		for _, req := range rule.buf {
+			if rule.slots == 0 || owner[req] == slotless {
+				waitable = append(waitable, req)
+			}
+		}
+		switch k := r.Intn(6); {
 		case k <= 1:
 			e = event{op: opSubmit, req: &Request{}}
 			what = "Submit"
-			cl.Submit(e.req)
+			owner[e.req] = cl
+			if clients == 2 && r.Intn(2) == 1 {
+				owner[e.req] = slotless
+				what = "slotless Submit"
+			}
+			owner[e.req].Submit(e.req)
 		case k == 2:
 			e = event{op: opBegin, n: 1 + r.Intn(2)}
 			what = fmt.Sprintf("BeginSearch(%d)", e.n)
@@ -337,15 +338,17 @@ func followRule(t *testing.T, width int, deadline time.Duration, seed uint64) {
 				}()
 				cl.EndSearch(e.n)
 			}()
-		case k == 4 && deadline == 0 && len(rule.buf) > 0:
-			e = event{op: opWait, req: rule.buf[r.Intn(len(rule.buf))]}
-			what = "Wait"
-			cl.Wait(e.req)
+		case k == 4 && len(waitable) > 0:
+			e = event{op: opWait, req: waitable[r.Intn(len(waitable))]}
+			what = fmt.Sprintf("Wait with %d slots open", rule.slots)
+			got := make(chan struct{})
+			go func() { owner[e.req].Wait(e.req); close(got) }()
+			select {
+			case <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("event %d: %s never returned", i, what)
+			}
 			waited = e.req
-		case k == 5 && deadline > 0:
-			e = event{op: opDeadline, n: rule.gen - r.Intn(2)}
-			what = fmt.Sprintf("deadline(gen %d, current %d)", e.n, rule.gen)
-			srv.do(e)
 		default:
 			e = event{op: opPush}
 			what = "Flush"
@@ -369,10 +372,8 @@ func followRule(t *testing.T, width int, deadline time.Duration, seed uint64) {
 		if st := srv.Stats(); st != rule.stats || srv.Pending() != len(rule.buf) {
 			t.Fatalf("event %d (%s): server %+v with %d pending, rule %+v with %d", i, what, st, srv.Pending(), rule.stats, len(rule.buf))
 		}
-		if deadline > 0 && srv.timerArmed() != (len(rule.buf) > 0) {
-			t.Fatalf("event %d (%s): timer armed %v with %d buffered", i, what, srv.timerArmed(), len(rule.buf))
-		}
 	}
 	cl.EndSearch(rule.slots)
 	cl.Close()
+	slotless.Close()
 }

@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// DefaultFlushDeadline is a flush deadline for a multi-tenant Server that
-// batches: long enough for co-tenant requests to aggregate into a near-full
-// batch, short enough that a lone tenant's tail latency stays far below one
-// device round-trip at full fill.
+// DefaultFlushDeadline is a value for the ignored ServerConfig.FlushDeadline.
+//
+// Deprecated: ignored; only cmd/bench's frozen probe sets it, and ROADMAP 8(b) deletes it.
 const DefaultFlushDeadline = time.Millisecond
 
 // Backend executes one formed batch synchronously: it must fill Value (and
@@ -100,10 +99,9 @@ type ServerConfig struct {
 	// tenants it is typically set to the aggregate fill G*B rather than one
 	// tenant's sub-batch size. Values < 1 are treated as 1.
 	Batch int
-	// FlushDeadline bounds how long any submitted request may sit in the
-	// buffer before its batch launches (0 = threshold-only flushing).
-	// Multi-tenant deployments must set it: a lone straggler tenant would
-	// otherwise deadlock waiting for co-tenants that already finished.
+	// FlushDeadline is ignored: no clock launches a batch (see Server).
+	//
+	// Deprecated: ignored; only cmd/bench's frozen probe sets it, and ROADMAP 8(b) deletes it.
 	FlushDeadline time.Duration
 	// MaxOutstanding, when positive, bounds buffered+executing requests
 	// across all tenants; Submit blocks once the bound is reached
@@ -119,20 +117,18 @@ type ServerConfig struct {
 }
 
 // ServerStats is a snapshot of the service's aggregate batch economics: the
-// launch rule's counters, so ThresholdFlushes + QuorumFlushes +
-// DeadlineFlushes <= Batches on every read.
+// launch rule's counters, so ThresholdFlushes + QuorumFlushes <= Batches on
+// every read.
 type ServerStats struct {
 	// Batches is the number of device launches so far.
 	Batches int64
 	// Requests is the number of requests handed to a launch.
 	Requests int64
-	// ThresholdFlushes, QuorumFlushes and DeadlineFlushes split Batches by
-	// the launch condition that took them (see Server). The rest of Batches
-	// were pushed explicitly (Flush, Client.Wait on a deadline-less server,
-	// Close). A deadline share that is not small on a server whose tenants
-	// all search through BeginSearch/EndSearch means tenants are slow in tree
-	// code, not that the deadline is too long.
-	ThresholdFlushes, QuorumFlushes, DeadlineFlushes int64
+	// ThresholdFlushes and QuorumFlushes split Batches by the launch
+	// condition that took them (see Server). The rest of Batches were pushed:
+	// by a client that holds no slots waiting on its own buffered request,
+	// by Flush or by Close.
+	ThresholdFlushes, QuorumFlushes int64
 }
 
 // AvgFill is the mean requests per launch — the quantity the multi-tenant
@@ -151,16 +147,12 @@ func (s ServerStats) AvgFill() float64 {
 // present the device with one large batch stream instead of G under-filled
 // ones.
 //
-// The whole buffer launches on the first of three conditions:
+// The whole buffer launches on the first of two conditions:
 //
 //   - threshold: ServerConfig.Batch requests are buffered;
 //   - quorum: tenants that search register their rollout contexts as slots
 //     (Client.BeginSearch/EndSearch — the mcts engines do it around every
-//     Search), and every registered slot has its request buffered;
-//   - deadline: no request waits longer than FlushDeadline between Submit
-//     and its launch. With registered tenants it is only the backstop for a
-//     tenant that is busy in tree code while the others wait, not the
-//     light-load latency floor.
+//     Search), and every registered slot has its request buffered.
 //
 // The quorum counts every registered slot, including slots whose request is
 // executing in an earlier batch: a request buffered meanwhile waits for that
@@ -168,11 +160,15 @@ func (s ServerStats) AvgFill() float64 {
 // sessions in one batch of G. Treating executing tenants as absent, or
 // launching whenever the device is idle, splits them into out-of-phase
 // groups that never re-merge. At Batch 1 (a CPU pool) the threshold launches
-// every request alone and the quorum never decides. A server no
-// tenant registers with has no quorum and batches by threshold and deadline
-// alone. An explicit push (Flush, Close, a deadline-less Client.Wait)
-// launches the buffer under no condition. One function states this rule,
-// queue.step, and rule_test.go's checker walks every state it reaches.
+// every request alone and the quorum never decides. A push launches the
+// buffer under no condition: Flush, Close, or a client that holds no slots
+// about to block on its own buffered request (Client.Wait and Evaluate). No
+// clock launches anything, so liveness is the clients': a client with open
+// slots only blocks, because the quorum launches its requests, and a client
+// without pushes. One function states this rule,
+// queue.step, and rule_test.go's checker walks every state it reaches, with
+// the clients around it, and finds none where every client is blocked on a
+// buffered request.
 //
 // The server holds one Backend at a time, and a batch reads it once, when it
 // runs. SwapBackend replaces it between training rounds (see its contract).
@@ -187,9 +183,8 @@ type Server struct {
 	sem     chan struct{} // backpressure tokens (nil = unbounded)
 	backend atomic.Pointer[Backend]
 
-	mu    sync.Mutex // guards q and timer; held only by do and the snapshots
-	q     queue
-	timer *time.Timer // the current generation's deadline timer, nil when none is armed
+	mu sync.Mutex // guards q; held only by do and the snapshots
+	q  queue
 
 	inflight sync.WaitGroup
 	closed   atomic.Bool
@@ -208,10 +203,7 @@ func NewServer(backend Backend, cfg ServerConfig) *Server {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	if cfg.FlushDeadline < 0 {
-		panic("evaluate: negative flush deadline")
-	}
-	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch, deadline: cfg.FlushDeadline > 0}}
+	s := &Server{cfg: cfg, q: queue{batch: cfg.Batch}}
 	s.backend.Store(&backend)
 	if cfg.MaxOutstanding > 0 {
 		s.sem = make(chan struct{}, cfg.MaxOutstanding)
@@ -302,50 +294,41 @@ func (s *Server) Close() {
 
 // queue is the accelerator queue's state. Only step changes it.
 type queue struct {
-	batch    int  // the threshold
-	deadline bool // the server has a flush deadline, so submits arm timers
-	buf      []*Request
-	slots    int // registered search slots: the quorum (0 = condition off)
-	gen      int // buffer generation, ended by every launch
-	stats    ServerStats
+	batch int // the threshold
+	buf   []*Request
+	slots int // registered search slots: the quorum (0 = condition off)
+	stats ServerStats
 }
 
 // event is one input to the launch rule.
 type event struct {
 	op  op
 	req *Request // opSubmit, opWait
-	n   int      // the slots of opBegin and opEnd, the generation of opDeadline
+	n   int      // the slots of opBegin and opEnd
 }
 
 type op uint8
 
 const (
-	opSubmit   op = iota // Client.Submit buffers req
-	opBegin              // Client.BeginSearch opens n slots
-	opEnd                // Client.EndSearch gives back n slots
-	opWait               // a deadline-less Client.Wait holds req
-	opPush               // Flush or Close
-	opDeadline           // the timer armed for generation n fired
+	opSubmit op = iota // Client.Submit buffers req
+	opBegin            // Client.BeginSearch opens n slots
+	opEnd              // Client.EndSearch gives back n slots
+	opWait             // Client.Wait of a client holding no slots pushes req
+	opPush             // Flush or Close
 )
 
 // effect is what one step asks of the Server.
 type effect struct {
 	take    []*Request // the batch to launch, nil for none
-	arm     bool       // arm a FlushDeadline timer that delivers opDeadline for gen
-	gen     int
-	refused bool // an EndSearch past the open slots: q is unchanged
+	refused bool       // an EndSearch past the open slots: q is unchanged
 }
 
-// step is the launch rule: it applies e to q and says what to launch and
-// whether to arm a timer. It starts no goroutine, takes no lock, reads no
-// clock. A submit or an end launches the buffer when it meets the threshold,
-// which wins a tie, or else the quorum; a begin launches nothing. Only a
-// submit that leaves one request buffered on a deadline queue arms a timer.
-// Every launch ends the buffer's generation, and the Server stops its timer,
-// but Stop can lose the race with a callback already started: a deadline
-// launches only the generation it was armed for. A push launches the buffer
-// under no condition, and a wait only while its request is still buffered,
-// so no timing of other launches can strand a waiter.
+// step is the launch rule: it applies e to q and says what to launch. It
+// starts no goroutine, takes no lock, reads no clock. A submit or an end
+// launches the buffer when it meets the threshold, which wins a tie, or else
+// the quorum; a begin launches nothing. A push launches the buffer under no
+// condition, and a wait only while its request is still buffered, so no
+// timing of other launches can strand a waiter.
 func (q *queue) step(e event) effect {
 	n := len(q.buf)
 	switch e.op {
@@ -364,11 +347,6 @@ func (q *queue) step(e event) effect {
 		if n == 0 || e.op == opWait && !slices.Contains(q.buf, e.req) {
 			return effect{}
 		}
-	case opDeadline:
-		if n == 0 || e.n != q.gen {
-			return effect{}
-		}
-		q.stats.DeadlineFlushes++
 	}
 	if e.op == opSubmit || e.op == opEnd {
 		switch {
@@ -377,32 +355,29 @@ func (q *queue) step(e event) effect {
 		case q.slots > 0 && n >= q.slots:
 			q.stats.QuorumFlushes++
 		default:
-			return effect{arm: q.deadline && e.op == opSubmit && n == 1, gen: q.gen}
+			return effect{}
 		}
 	}
 	take := q.buf
 	q.buf = make([]*Request, 0, q.batch)
-	q.gen++
 	q.stats.Batches++
 	q.stats.Requests += int64(n)
 	return effect{take: take}
 }
 
-// Rule is the launch rule without a Server around it: no lock, no timer, no
-// launch. Each call steps the rule once and returns the batch it launches,
-// nil for none. It has no deadline, so it is the rule of a deadline-less
-// Server, whose clock is the caller's: the simulated timelines of
-// internal/simsched launch through it in virtual time.
+// Rule is the launch rule without a Server around it: no lock, no launch.
+// Each call steps the rule once and returns the batch it launches, nil for
+// none. The rule reads no clock, so the caller's clock is its only one: the
+// simulated timelines of internal/simsched launch through it in virtual
+// time. Their masters and workers hold slots, so nothing there pushes.
 type Rule struct{ q queue }
 
-// NewRule returns the rule of a deadline-less Server of threshold batch.
+// NewRule returns the rule of a Server of threshold batch.
 func NewRule(batch int) *Rule { return &Rule{q: queue{batch: max(batch, 1)}} }
 
-// Submit, Begin, End and Wait are Client.Submit, BeginSearch, EndSearch and a
-// deadline-less Client.Wait.
+// Submit, Begin and End are Client.Submit, BeginSearch and EndSearch.
 func (r *Rule) Submit(req *Request) []*Request { return r.q.step(event{op: opSubmit, req: req}).take }
 func (r *Rule) Begin(n int)                    { r.q.step(event{op: opBegin, n: n}) }
-func (r *Rule) Wait(req *Request) []*Request   { return r.q.step(event{op: opWait, req: req}).take }
 func (r *Rule) End(n int) []*Request {
 	eff := r.q.step(event{op: opEnd, n: n})
 	if eff.refused {
@@ -411,21 +386,12 @@ func (r *Rule) End(n int) []*Request {
 	return eff.take
 }
 
-// do steps the launch rule under the lock and applies its effect to the
-// deadline timer. Outside the lock it launches the batch taken, if any, on
-// its own goroutine (the "CUDA stream" of Section 3.3), or via a persistent
-// launcher when LaunchWorkers is set.
+// do steps the launch rule under the lock. Outside the lock it launches the
+// batch taken, if any, on its own goroutine (the "CUDA stream" of Section
+// 3.3), or via a persistent launcher when LaunchWorkers is set.
 func (s *Server) do(e event) {
 	s.mu.Lock()
 	eff := s.q.step(e)
-	if eff.take != nil && s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	if eff.arm {
-		gen := eff.gen
-		s.timer = time.AfterFunc(s.cfg.FlushDeadline, func() { s.do(event{op: opDeadline, n: gen}) })
-	}
 	s.mu.Unlock()
 	if eff.refused {
 		panic("evaluate: EndSearch without a matching BeginSearch")
@@ -465,15 +431,18 @@ func (s *Server) NewSyncClient() *Client { return &Client{srv: s} }
 // Client is one tenant's handle on a Server, shared or private. It
 // implements Async, so an mcts.Local master uses a shared service exactly
 // like a private evaluator queue: it blocks in Wait, and whether a partial
-// batch launches by the server's flush deadline or by Wait's own push is
-// the client's business, not the engine's. Completion is signalled on each
-// request, never on a stream the tenant shares, so no tenant can hold up
-// another's delivery.
+// batch launches by the quorum or by Wait's own push is the client's
+// business, not the engine's. Completion is signalled on each request,
+// never on a stream the tenant shares, so no tenant can hold up another's
+// delivery.
 type Client struct {
 	srv *Server
 	// ownsServer marks the one tenant of a NewPool's private server: Close
 	// closes the server too.
 	ownsServer bool
+	// slots is how many of the server's quorum slots this tenant holds open
+	// (BeginSearch less EndSearch): whether its waits push.
+	slots atomic.Int64
 
 	mu          sync.Mutex
 	outstanding int
@@ -507,11 +476,12 @@ func (c *Client) Submit(req *Request) {
 // n more requests can be outstanding at once, so the server's quorum rises
 // by n. The mcts engines call it, through their optional SlotRegistrar
 // interface, around every Search; a tenant that never does is simply not
-// part of the quorum.
+// part of the quorum, and pushes its own requests (see Wait).
 func (c *Client) BeginSearch(n int) {
 	if n < 0 {
 		panic("evaluate: negative slot count")
 	}
+	c.slots.Add(int64(n))
 	c.srv.do(event{op: opBegin, n: n})
 }
 
@@ -522,6 +492,7 @@ func (c *Client) BeginSearch(n int) {
 // does not run the batch. Giving back more slots than are open panics.
 func (c *Client) EndSearch(n int) {
 	c.srv.do(event{op: opEnd, n: n})
+	c.slots.Add(int64(-n))
 }
 
 // deliver signals one of this tenant's requests complete.
@@ -535,23 +506,27 @@ func (c *Client) deliver(req *Request) {
 	c.mu.Unlock()
 }
 
-// Wait implements Async. On a server with a flush deadline it only waits,
-// taking no lock: the timer launches a buffered req.
+// Wait implements Async; Evaluate waits through it too. A client that holds
+// no slots first pushes the buffer if req is still in it, since nothing else
+// would launch it. A client with open slots only waits, taking no lock: the
+// threshold or the quorum launches req, provided the caller blocks only
+// while each of the client's slots has a request buffered or executing, or
+// belongs to a thread that will submit or give it back without waiting for
+// this one (the contract of mcts.SlotRegistrar).
 func (c *Client) Wait(req *Request) {
-	if c.srv.cfg.FlushDeadline == 0 {
+	if c.slots.Load() == 0 {
 		c.srv.do(event{op: opWait, req: req})
 	}
 	<-req.done
 }
 
 // Evaluate adapts the client to the Evaluator interface: it submits one
-// pooled request and blocks until the service delivers it. It never pushes
-// a partial batch: the threshold, the quorum or the deadline launches it.
+// pooled request and waits for it as Wait does.
 func (c *Client) Evaluate(input []float32, policy []float32) float64 {
 	req := AcquireRequest()
 	req.Input, req.Policy = input, policy
 	c.Submit(req)
-	<-req.done
+	c.Wait(req)
 	v := req.Value
 	ReleaseRequest(req)
 	return v

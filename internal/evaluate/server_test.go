@@ -51,66 +51,11 @@ func newReq(seed uint64, inputs, actions int) *Request {
 	return &Request{Input: testInput(seed, inputs), Policy: make([]float32, actions)}
 }
 
-// TestServerDeadlineGuarantee pins the service-level guarantee the
-// multi-tenant engine depends on: no submitted request waits longer than
-// the flush deadline before its batch launches, even when the threshold is
-// never reached.
-func TestServerDeadlineGuarantee(t *testing.T) {
-	const deadline = 20 * time.Millisecond
-	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: 64, FlushDeadline: deadline})
-	cl := srv.NewSyncClient()
-
-	// Far fewer requests than the threshold: only the deadline can launch.
-	submitted := time.Now()
-	reqs := make([]*Request, 3)
-	for i := range reqs {
-		reqs[i] = newReq(uint64(i), 8, 4)
-		cl.Submit(reqs[i])
-	}
-	for _, req := range reqs {
-		if !delivered(req, 10*deadline) {
-			t.Fatal("deadline flush never launched the partial batch")
-		}
-	}
-	launches, sizes := backend.snapshot()
-	if len(launches) != 1 || sizes[0] != 3 {
-		t.Fatalf("expected one 3-request launch, got %d launches %v", len(launches), sizes)
-	}
-	wait := launches[0].Sub(submitted)
-	if wait < deadline/2 {
-		t.Fatalf("batch launched after %v — before the deadline, with threshold unmet", wait)
-	}
-	// Allow 1x the deadline as scheduler slack (AfterFunc slop on a loaded
-	// 1-core CI host), but keep the bound proportional so a mis-scaled
-	// timer (e.g. a units bug) cannot slip through.
-	if wait > 2*deadline {
-		t.Fatalf("request waited %v, deadline is %v", wait, deadline)
-	}
-
-	// A request joining a part-aged buffer waits strictly less than the
-	// deadline: the timer belongs to the buffer's first request.
-	early, late := newReq(9, 8, 4), newReq(10, 8, 4)
-	cl.Submit(early)
-	time.Sleep(deadline / 2)
-	mid := time.Now()
-	cl.Submit(late)
-	cl.Wait(early)
-	cl.Wait(late)
-	launches, _ = backend.snapshot()
-	if got := launches[len(launches)-1].Sub(mid); got > deadline {
-		t.Fatalf("late joiner waited %v > deadline %v", got, deadline)
-	}
-
-	cl.Close()
-	srv.Close()
-}
-
 // TestClientWait pins both halves of the handshake Wait took over from the
-// engines. On a threshold-only queue a caller about to block on its own
-// buffered request must not deadlock: Wait pushes the partial batch holding
-// it, and only that one — a request already launched is left to its batch.
-// Under a flush deadline Wait only waits — the timer owns the launch, and
+// engines. A client that holds no slots, about to block on its own buffered
+// request, must not deadlock: Wait pushes the partial batch holding it, and
+// only that one — a request already launched is left to its batch. On a
+// registered client Wait only waits — the quorum owns the launch, and
 // pushing early would shrink the co-tenants' batches.
 func TestClientWait(t *testing.T) {
 	wait := func(cl *Client, req *Request) <-chan struct{} {
@@ -128,7 +73,7 @@ func TestClientWait(t *testing.T) {
 	select {
 	case <-wait(cl, first):
 	case <-time.After(2 * time.Second):
-		t.Fatal("Wait blocked on a partial batch of a deadline-less queue")
+		t.Fatal("Wait of a slotless client blocked on a partial batch")
 	}
 	third := newReq(2, 8, 4)
 	cl.Submit(third)
@@ -143,43 +88,29 @@ func TestClientWait(t *testing.T) {
 	cl.Close()
 	srv.Close()
 
-	const deadline = 20 * time.Millisecond
 	backend = &recordingBackend{}
-	srv = NewServer(backend, ServerConfig{Batch: 64, FlushDeadline: deadline})
+	srv = NewServer(backend, ServerConfig{Batch: 64})
 	cl = srv.NewSyncClient()
-	submitted := time.Now()
-	req := newReq(0, 8, 4)
-	cl.Submit(req)
+	cl.BeginSearch(2)
+	first, second = newReq(0, 8, 4), newReq(1, 8, 4)
+	cl.Submit(first)
+	got := wait(cl, first)
 	select {
-	case <-wait(cl, req):
-	case <-time.After(10 * deadline):
-		t.Fatal("deadline flush never launched the partial batch")
+	case <-got:
+		t.Fatal("Wait of a registered client returned before its slots' quorum")
+	case <-time.After(20 * time.Millisecond):
 	}
-	if launches, _ := backend.snapshot(); launches[0].Sub(submitted) < deadline/2 {
-		t.Fatalf("batch launched %v after submit: Wait flushed a deadline queue", launches[0].Sub(submitted))
+	if srv.Pending() != 1 || srv.Stats().Batches != 0 {
+		t.Fatalf("Wait of a registered client pushed: %d pending, stats %+v", srv.Pending(), srv.Stats())
 	}
-	cl.Close()
-	srv.Close()
-}
-
-// TestServerThresholdPreemptsDeadline: a full batch launches immediately,
-// not at the deadline.
-func TestServerThresholdPreemptsDeadline(t *testing.T) {
-	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: 4, FlushDeadline: time.Second})
-	cl := srv.NewSyncClient()
-	start := time.Now()
-	reqs := make([]*Request, 4)
-	for i := range reqs {
-		reqs[i] = newReq(uint64(i), 8, 4)
-		cl.Submit(reqs[i])
+	cl.Submit(second) // the second slot's request: the quorum launches both
+	<-got
+	want := ServerStats{Batches: 1, Requests: 2, QuorumFlushes: 1}
+	if st := srv.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	for _, req := range reqs {
-		cl.Wait(req)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("full batch waited for the deadline: %v", elapsed)
-	}
+	cl.Wait(second)
+	cl.EndSearch(2)
 	cl.Close()
 	srv.Close()
 }
@@ -189,7 +120,7 @@ func TestServerThresholdPreemptsDeadline(t *testing.T) {
 // signalled on the request, so it cannot reach another tenant; what is left
 // to check is that the batch hands each request its own answer.
 func TestServerRoutesPerClient(t *testing.T) {
-	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 8, FlushDeadline: 5 * time.Millisecond})
+	srv := NewServer(&EvaluatorBackend{Eval: &Random{}}, ServerConfig{Batch: 8})
 	const tenants, perTenant = 4, 25
 	clients := make([]*Client, tenants)
 	for i := range clients {
@@ -211,10 +142,7 @@ func TestServerRoutesPerClient(t *testing.T) {
 			want := make([]float32, 9)
 			for k := 0; k < perTenant; k++ {
 				req := <-submitted
-				if !delivered(req, 10*time.Second) {
-					t.Errorf("tenant %d timed out after %d completions", ci, k)
-					return
-				}
+				cl.Wait(req) // holds no slots: pushes a tail the threshold leaves
 				v := (&Random{}).Evaluate(req.Input, want)
 				if req.Value != v || !slices.Equal(req.Policy, want) {
 					t.Errorf("tenant %d request %d carries another input's evaluation", ci, k)
@@ -238,7 +166,7 @@ func TestServerRoutesPerClient(t *testing.T) {
 // graceful drain at the end. Run with -race in CI.
 func TestServerConcurrentSubmitFlushClose(t *testing.T) {
 	backend := &recordingBackend{}
-	srv := NewServer(backend, ServerConfig{Batch: 16, FlushDeadline: time.Millisecond, MaxOutstanding: 256})
+	srv := NewServer(backend, ServerConfig{Batch: 16, MaxOutstanding: 256})
 	const tenants, perTenant = 8, 200
 	clients := make([]*Client, tenants)
 	for i := range clients {
@@ -356,7 +284,7 @@ func TestServerCloseDrainsPartialBatch(t *testing.T) {
 
 // TestClientCloseIdleLaunchesNothing: closing a tenant with nothing
 // outstanding must not push co-tenants' partial batch to the device — that
-// launch would sit outside all three flush-cause counters and cost the
+// launch would sit outside both flush-cause counters and cost the
 // co-tenants their fill.
 func TestClientCloseIdleLaunchesNothing(t *testing.T) {
 	srv := NewServer(&recordingBackend{}, ServerConfig{Batch: 4})

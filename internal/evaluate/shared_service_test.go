@@ -25,9 +25,8 @@ func sharedInfLink() *accel.Link {
 }
 
 // tenantFleet is G Gomoku local-tree masters and the accelerator queues they
-// search through, on one simulated accelerator: one shared deadline-flushing
-// server of threshold G·N, or one private deadline-less server of threshold N
-// per master. The shared service aggregates the tenants' demand into fuller
+// search through, on one simulated accelerator: one shared server of
+// threshold G·N, or one private server of threshold N per master. The shared service aggregates the tenants' demand into fuller
 // batches (fewer launches, amortized launch latency).
 type tenantFleet struct {
 	engines []*mcts.Local
@@ -41,7 +40,6 @@ func newTenantFleet(shared bool) *tenantFleet {
 	if shared {
 		f.servers = append(f.servers, evaluate.NewServer(link, evaluate.ServerConfig{
 			Batch:          sharedInfGames * sharedInfWorkers,
-			FlushDeadline:  evaluate.DefaultFlushDeadline,
 			MaxOutstanding: 2 * sharedInfGames * sharedInfWorkers,
 		}))
 	}

@@ -68,10 +68,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	for i := range backends {
 		backends[i] = &versionBackend{version: int64(i)}
 	}
-	srv := NewServer(backends[0], ServerConfig{
-		Batch:         8,
-		FlushDeadline: 200 * time.Microsecond,
-	})
+	srv := NewServer(backends[0], ServerConfig{Batch: 8})
 
 	const tenants = 8
 	const perTenant = 400

@@ -61,7 +61,12 @@ type core struct {
 // can have outstanding at once (its rollout contexts), and gives the slots
 // back with EndSearch, in one call or several, as soon as each context can
 // no longer submit. The evaluator may launch a partial batch the moment it
-// holds one request per open slot.
+// holds one request per open slot, and it is the only one that will: a
+// registrar that holds slots never pushes. So a thread blocks on an
+// evaluation only while every slot the search holds has its request
+// buffered or executing, or belongs to another thread that will submit or
+// give it back without waiting for this one. Local gives back its idle
+// contexts before each Wait; each Shared worker is one slot.
 type SlotRegistrar interface {
 	BeginSearch(n int)
 	EndSearch(n int)

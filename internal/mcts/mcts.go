@@ -31,7 +31,7 @@
 // each rollout context is a slot in the evaluator's quorum from the start of
 // the scheduler's run until it can no longer submit, so a shared
 // evaluate.Server launches a partial batch the moment every open search has
-// a request in it instead of waiting out its flush deadline. All
+// a request in it, and nothing else has to. All
 // engines consume the same game.State/evaluate interfaces, forming the
 // "single program template" the paper compiles its adaptive choice into.
 //

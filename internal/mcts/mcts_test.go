@@ -142,7 +142,7 @@ func TestSharedEngineCorrectness(t *testing.T) {
 
 func TestSharedWithSyncClientEvaluator(t *testing.T) {
 	// Shared-tree + accelerator queue with threshold == workers (the
-	// paper's shared+GPU configuration) and NO flush deadline. 37 % 4 != 0:
+	// paper's shared+GPU configuration). 37 % 4 != 0:
 	// the final batch cannot fill. Nothing flushes it by hand — the engine
 	// registers its workers with the client, each leaves when the tickets run
 	// out, and the stragglers' partial batch launches by quorum.
@@ -166,8 +166,8 @@ func TestSharedWithSyncClientEvaluator(t *testing.T) {
 	}
 	cl.Close()
 	srv.Close()
-	if s := srv.Stats(); s.DeadlineFlushes != 0 || s.QuorumFlushes == 0 {
-		t.Fatalf("tail launched by %d deadline and %d quorum flushes, want 0 and > 0", s.DeadlineFlushes, s.QuorumFlushes)
+	if s := srv.Stats(); s.QuorumFlushes == 0 {
+		t.Fatalf("tail launched by %d quorum flushes, want > 0", s.QuorumFlushes)
 	}
 }
 

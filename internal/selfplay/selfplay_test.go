@@ -27,12 +27,11 @@ func testLink() *accel.Link {
 	return link
 }
 
-// testFleet builds G local-tree engines sharing one deadline-flushing
+// testFleet builds G local-tree engines sharing one quorum-launched
 // inference service over the latency-model backend.
 func testFleet(g, n, playouts int) ([]mcts.Engine, *evaluate.Server, func()) {
 	srv := evaluate.NewServer(testLink(), evaluate.ServerConfig{
 		Batch:          g * n,
-		FlushDeadline:  500 * time.Microsecond,
 		MaxOutstanding: 2 * g * n,
 	})
 	engines := make([]mcts.Engine, g)
@@ -203,7 +202,6 @@ func TestDriverFleetReusesSubtrees(t *testing.T) {
 	const g, n, playouts = 3, 2, 48
 	srv := evaluate.NewServer(testLink(), evaluate.ServerConfig{
 		Batch:          g * n,
-		FlushDeadline:  500 * time.Microsecond,
 		MaxOutstanding: 2 * g * n,
 	})
 	defer srv.Close()

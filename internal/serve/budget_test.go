@@ -108,7 +108,7 @@ func TestConcurrentUsersUnderBackpressure(t *testing.T) {
 			default:
 			}
 			st := svc.srv.Stats()
-			if st.ThresholdFlushes+st.QuorumFlushes+st.DeadlineFlushes > st.Batches || st.Requests != st.Batches {
+			if st.ThresholdFlushes+st.QuorumFlushes > st.Batches || st.Requests != st.Batches {
 				snapErr <- fmt.Errorf("inconsistent server stats snapshot: %+v", st)
 				return
 			}

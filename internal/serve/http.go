@@ -107,10 +107,11 @@ type Statsz struct {
 	EvalBatches      int64   `json:"eval_batches"`
 	EvalRequests     int64   `json:"eval_requests"`
 	EvalAvgBatchFill float64 `json:"eval_avg_batch_fill"`
-	// EvalFlush* split eval_batches by what launched them: a full batch, the
-	// quorum, the deadline. The server is a pool of batch 1, so every launch
-	// is one request and a threshold flush: eval_avg_batch_fill reads 1, and
-	// the quorum and deadline counts read 0.
+	// EvalFlush* split eval_batches by what launched them: a full batch or
+	// the quorum. The server is a pool of batch 1, so every launch is one
+	// request and a threshold flush: eval_avg_batch_fill reads 1, and the
+	// quorum count reads 0. EvalFlushDeadline always reads 0, as no clock
+	// launches a batch; it stays because fields are never removed (API.md).
 	EvalFlushThreshold int64 `json:"eval_flush_threshold"`
 	EvalFlushQuorum    int64 `json:"eval_flush_quorum"`
 	EvalFlushDeadline  int64 `json:"eval_flush_deadline"`
@@ -156,7 +157,6 @@ func (s *Service) Stats() Statsz {
 		EvalAvgBatchFill:   srvStats.AvgFill(),
 		EvalFlushThreshold: srvStats.ThresholdFlushes,
 		EvalFlushQuorum:    srvStats.QuorumFlushes,
-		EvalFlushDeadline:  srvStats.DeadlineFlushes,
 		SearchPlayouts:     s.playoutsN.Load(),
 		SearchEvaluations:  s.evalsN.Load(),
 		SearchReusedVisits: s.reusedVis.Load(),

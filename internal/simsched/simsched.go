@@ -7,8 +7,8 @@
 // timeline takes a perfmodel.Params (the accelerator ones read its GPU cost
 // model) and the number of playouts in the simulated move. The simulator
 // holds no launch condition of its own: every accelerator or inference-thread
-// launch is a batch that evaluate's launch rule (evaluate.Rule, the rule a
-// deadline-less evaluate.Server steps) hands back.
+// launch is a batch that evaluate's launch rule (evaluate.Rule, the rule an
+// evaluate.Server steps) hands back.
 //
 // The paper measured Figures 3-5 on a 64-core Threadripper + A6000. This
 // reproduction runs wherever `go test` runs, so wall-clock re-measurement
@@ -168,10 +168,12 @@ func device(p perfmodel.Params) launcher {
 // mcts.Local.run drives it: it selects and submits while fewer than n
 // evaluations are outstanding, first backing up those already complete;
 // otherwise it gives back the contexts a spent budget left idle and waits
-// for the oldest evaluation. A deadline-less evaluate.Rule of threshold b
-// decides every launch, and launch starts the batch it hands back at the
-// master's time and returns when that batch completes. local returns the
-// master's finish time and the number of launches.
+// for the oldest evaluation, which the threshold or the quorum has launched
+// by then: the master holds slots, so its wait pushes nothing. An
+// evaluate.Rule of threshold b decides every launch, and launch starts the
+// batch it hands back at the master's time and returns when that batch
+// completes. local returns the master's finish time and the number of
+// launches.
 func local(p perfmodel.Params, playouts, n, b int, launch launcher) (time.Duration, int) {
 	rule := evaluate.NewRule(b)
 	rule.Begin(n)
@@ -211,7 +213,6 @@ func local(p perfmodel.Params, playouts, n, b int, launch launcher) (time.Durati
 			start(rule.End(idle))
 			held = inflight
 		}
-		start(rule.Wait(&reqs[completed%n]))
 		master = max(master, done[completed]) + p.TBackup
 		completed++
 	}
